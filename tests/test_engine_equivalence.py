@@ -305,6 +305,72 @@ def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
     assert failed.rounds == 38
 
 
+# ---- composed pull-surface pins ---------------------------------------------
+#
+# sha256 prefixes of GossipNetwork.pull under each composition of the three
+# robustness inputs (failure model, churn process, fault injector), captured
+# before the pull surface was collapsed into one body.  Each digest covers
+# every batch's partners, values and ok mask, the network's working values
+# after the run (state-loss resets) and the metrics summary.
+
+PULL_SURFACE_PINS = {
+    "failures": "b621f490026767d8",
+    "churn_failures": "617233bd4a845433",
+    "faults_failures": "45a9d94d482eeb83",
+    "all_three": "b2c1fb1ea9c9c7f7",
+    "all_three_2lane": "6f0a15edac76d06b",
+}
+
+
+def _pull_surface_digest(case):
+    import json
+
+    from repro.faults import (
+        CrashRestart,
+        FaultInjector,
+        MessageDelay,
+        MessageDrop,
+        MessageDuplication,
+        ValueCorruption,
+    )
+    from repro.gossip.network import GossipNetwork
+    from repro.topology import ChurnProcess
+
+    n = 97
+    values = _pin_values()[:n]
+    kwargs = {"failure_model": 0.2}
+    if case in ("churn_failures", "all_three", "all_three_2lane"):
+        kwargs["topology_process"] = ChurnProcess(n, churn_rate=0.1, rng=21)
+    if case in ("faults_failures", "all_three", "all_three_2lane"):
+        kwargs["faults"] = FaultInjector(
+            [
+                MessageDrop(0.1),
+                MessageDuplication(0.1),
+                MessageDelay(0.2, max_delay=2),
+                ValueCorruption(0.1),
+                CrashRestart(0.05, downtime=2),
+            ],
+            rng=22,
+        )
+    if case == "all_three_2lane":
+        values = np.column_stack([values, values[::-1]])
+    net = GossipNetwork(values, rng=17, **kwargs)
+    arrays = []
+    for k in (3, 2, 4):
+        batch = net.pull(k)
+        arrays += [batch.partners, batch.values, batch.ok]
+        # advance the working values so delayed pulls see older windows
+        net.set_values(net.values + 1.0)
+    arrays.append(net.values)
+    summary = json.dumps(net.metrics.summary(), sort_keys=True)
+    return _digest(*arrays, np.frombuffer(summary.encode(), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("case", sorted(PULL_SURFACE_PINS))
+def test_composed_pull_surface_pinned(case):
+    assert _pull_surface_digest(case) == PULL_SURFACE_PINS[case]
+
+
 # ---- one-pass all-quantiles (PR 6) ------------------------------------------
 
 #: Sequential self-rank grid digests captured on the PR 5 tree, before the
