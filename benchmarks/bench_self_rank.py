@@ -3,9 +3,9 @@
 Times the whole ``ceil(1/eps) - 1``-target self-rank grid executed three
 ways:
 
-* ``sequential``: one single-lane :func:`approximate_quantile` run per
-  grid target — the pre-PR-6 execution whose round count carries the
-  corollary's ``1/eps`` factor;
+* ``sequential``: the single-lane reference (``max_lanes=1``), one
+  tournament per grid target, whose round count carries the corollary's
+  ``1/eps`` factor;
 * ``fused``: the grid column-stacked into lane-chunked multi-lane
   tournaments (one shared partner matrix per round, per-lane ``(phi, eps)``
   schedules, rounds = max-of-lanes per chunk);
@@ -52,7 +52,8 @@ def _values(n: int, seed: int) -> np.ndarray:
 
 
 def _run_mode(values: np.ndarray, mode: str, seed: int):
-    kwargs = {"fused": mode != "sequential"}
+    # "sequential" is the single-lane reference: one tournament per target
+    kwargs = {"max_lanes": 1} if mode == "sequential" else {}
     if mode == "fused-f32":
         kwargs["dtype"] = "float32"
     start = time.perf_counter()

@@ -16,7 +16,7 @@ from repro.aggregates.extrema import (
     spread_extrema,
     spread_extrema_pair,
 )
-from repro.aggregates.counting import count_leq, rank_of_min
+from repro.aggregates.counting import count_leq
 from repro.aggregates.broadcast import BroadcastProtocol, broadcast_rounds
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "spread_extrema",
     "spread_extrema_pair",
     "count_leq",
-    "rank_of_min",
     "BroadcastProtocol",
     "broadcast_rounds",
 ]

@@ -82,27 +82,3 @@ def count_leq(
         exact=bool(np.all(rounded == true_count)),
     )
 
-
-def rank_of_min(
-    values: Union[Sequence[float], np.ndarray],
-    minimum: float,
-    rng: Union[None, int, RandomSource] = None,
-    rounds: Optional[int] = None,
-    failure_model: Union[None, float, FailureModel] = None,
-    metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
-) -> CountResult:
-    """Step 5 of Algorithm 3: the rank of ``minimum`` among all node values."""
-    return count_leq(
-        values,
-        threshold=minimum,
-        rng=rng,
-        rounds=rounds,
-        failure_model=failure_model,
-        metrics=metrics,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
-    )

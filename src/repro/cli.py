@@ -248,15 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="rewiring probability of the small-world topology",
         )
         command.add_argument(
-            "--sequential", action="store_true",
-            help="run the grid as sequential single-lane queries instead "
-                 "of the fused multi-lane pass (the pre-fusion reference)",
-        )
-        command.add_argument(
             "--max-lanes", type=int, default=DEFAULT_MAX_LANES,
             dest="max_lanes",
             help="lane-chunk width of the fused pass (memory bound on the "
-                 "per-round gather blocks)",
+                 "per-round gather blocks); 1 runs the single-lane reference",
         )
         _add_obs_flags(command)
     serve.add_argument(
@@ -500,14 +495,13 @@ def _run_ranks(args: argparse.Namespace) -> str:
         eps=args.eps,
         rng=args.seed,
         query_accuracy=args.query_accuracy,
-        fused=not args.sequential,
         max_lanes=args.max_lanes,
         topology=topology,
         dtype=args.dtype,
         engine=args.engine,
     )
     errors = np.abs(result.quantile_estimates - true_self_quantiles(values))
-    mode = "fused" if result.fused else "sequential"
+    mode = "fused" if args.max_lanes > 1 else "single-lane"
     where = f" on {args.topology}" if topology is not None else ""
     return (
         f"self-rank estimates for n={result.n} (eps={args.eps}{where}): "
@@ -536,7 +530,6 @@ def _run_serve(args: argparse.Namespace):
         eps=args.eps,
         rng=args.seed,
         query_accuracy=args.query_accuracy,
-        fused=not args.sequential,
         max_lanes=args.max_lanes,
         topology=topology,
         dtype=args.dtype,
@@ -567,7 +560,7 @@ def _run_serve(args: argparse.Namespace):
     lines.append(
         f"one pass: {summary['rounds']} gossip rounds over "
         f"{summary['grid_targets']} grid targets "
-        f"({summary['chunks']} {'fused' if summary['fused'] else 'sequential'} "
+        f"({summary['chunks']} {'fused' if args.max_lanes > 1 else 'single-lane'} "
         f"run(s), {summary['gossip_bits']} bits); served "
         f"{summary['queries_answered']} queries for {summary['query_bits']} "
         f"bits — zero additional rounds"

@@ -20,9 +20,10 @@ chunked (``max_lanes``) so the per-round ``(n, k, L)`` gather blocks stay
 memory-bounded at large ``n``; the default keeps a 3-pull round under
 ~0.75 KiB per node in float64.
 
-The sequential path (``fused=False``) is retained as the reference
-implementation; its seeded single-lane streams are pinned bit-for-bit in
-``tests/test_engine_equivalence.py``.
+``max_lanes=1`` is the single-lane reference: one tournament per grid
+target, each on its own child stream, landing bit-for-bit on the
+pre-fusion sequential run (sha256-pinned in
+``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork, resolve_value_dtype
 from repro.obs.tracer import get_tracer
 from repro.topology.graphs import Topology
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
 #: Default lane-chunk width of the fused path.  A 3-pull tournament round
@@ -65,15 +67,12 @@ class AllRanksResult:
     grid_values:
         Per-node value estimates for each grid point, shape ``(len(grid), n)``.
     rounds:
-        Gossip rounds executed by this computation (max-of-lanes per chunk
-        on the fused path, sum over grid queries on the sequential path).
+        Gossip rounds executed by this computation: the sum over lane
+        chunks of each chunk's max-of-lanes rounds.
     round_windows:
-        One ``[start, stop)`` round window per tournament run — per lane
-        chunk when fused, per grid query when sequential — in the indices
-        of ``metrics`` (absolute, so attribution survives a caller-supplied
-        metrics object that already carries rounds).
-    fused:
-        Whether the grid executed as chunked multi-lane tournaments.
+        One ``[start, stop)`` round window per tournament run (lane chunk)
+        in the indices of ``metrics`` (absolute, so attribution survives a
+        caller-supplied metrics object that already carries rounds).
     chunks:
         Number of tournament runs executed (``len(round_windows)``).
     """
@@ -85,7 +84,6 @@ class AllRanksResult:
     metrics: NetworkMetrics
     eps: float
     round_windows: List[Tuple[int, int]] = field(default_factory=list)
-    fused: bool = False
     chunks: int = 0
 
     @property
@@ -121,7 +119,6 @@ def estimate_all_ranks(
     failure_model: Union[None, float, FailureModel] = None,
     query_accuracy: Optional[float] = None,
     final_samples: int = 15,
-    fused: bool = True,
     max_lanes: int = DEFAULT_MAX_LANES,
     topology: Optional[Topology] = None,
     peer_sampling: str = "uniform",
@@ -143,16 +140,12 @@ def estimate_all_ranks(
         the w.h.p. failure probability).
     query_accuracy:
         Accuracy of each individual grid query; defaults to ``eps / 2``.
-    fused:
-        ``True`` (default) column-stacks the grid into multi-lane
-        tournaments — ``ceil(grid / max_lanes)`` runs, each executing
-        max-of-lanes rounds.  ``False`` runs the grid as sequential
-        single-lane queries (the pre-fusion reference; bit-identical
-        streams are pinned in the equivalence suite).
     max_lanes:
-        Lane-chunk width of the fused path (see :data:`DEFAULT_MAX_LANES`).
-        ``max_lanes=1`` reproduces the sequential estimates exactly under
-        the same seed (one chunk per grid point, same child streams).
+        Lane-chunk width (see :data:`DEFAULT_MAX_LANES`): the grid runs as
+        ``ceil(grid / max_lanes)`` multi-lane tournaments, each executing
+        max-of-lanes rounds.  ``max_lanes=1`` is the single-lane reference
+        — one tournament per grid target — whose seeded streams are pinned
+        in the equivalence suite.
     topology / peer_sampling:
         Optional gossip topology, forwarded to every underlying network
         (the complete graph when omitted — the paper's model).
@@ -180,9 +173,7 @@ def estimate_all_ranks(
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 4:
-        raise ConfigurationError("values must be a 1-d array with at least 4 entries")
+    array = node_values(values, min_nodes=4)
     if query_accuracy is None:
         query_accuracy = eps / 2.0
     if not 0.0 < query_accuracy < 0.5:
@@ -211,19 +202,12 @@ def estimate_all_ranks(
         set_default_engine(engine)
     try:
         with get_tracer().span("all_ranks", metrics) as span:
-            span.annotate(n=n, eps=eps, grid=int(grid.size), fused=fused)
-            if fused:
-                grid_values, windows = estimate_grid_subset(
-                    array, grid, query_accuracy, final_samples, source,
-                    failure_model, metrics, max_lanes, topology,
-                    peer_sampling, dtype, faults,
-                )
-            else:
-                grid_values, windows = _run_sequential(
-                    array, grid, query_accuracy, final_samples, source,
-                    failure_model, metrics, topology, peer_sampling, dtype,
-                    faults,
-                )
+            span.annotate(n=n, eps=eps, grid=int(grid.size), max_lanes=max_lanes)
+            grid_values, windows = estimate_grid_subset(
+                array, grid, query_accuracy, final_samples, source,
+                failure_model, metrics, max_lanes, topology,
+                peer_sampling, dtype, faults,
+            )
     finally:
         if engine is not None:
             set_default_engine(previous_engine)
@@ -237,7 +221,6 @@ def estimate_all_ranks(
         metrics=metrics,
         eps=eps,
         round_windows=windows,
-        fused=fused,
         chunks=len(windows),
     )
 
@@ -260,7 +243,7 @@ def estimate_grid_subset(
     Each chunk draws a fresh ``source.child()`` stream and runs under a
     ``grid_chunk`` tracer span — the same layout as the full pass, so a
     subset run over the full grid is bit-identical to
-    ``estimate_all_ranks(fused=True)`` under the same seed.
+    :func:`estimate_all_ranks` under the same seed.
     """
     targets = np.asarray(targets, dtype=float)
     n = array.size
@@ -295,45 +278,6 @@ def estimate_grid_subset(
             )
         windows.append((window_start, metrics.rounds))
         per_grid.append(np.asarray(result.estimates).T)  # (lanes, n)
-    grid_values = (
-        np.vstack(per_grid) if per_grid else np.empty((0, n), dtype=float)
-    )
-    return grid_values, windows
-
-
-def _run_sequential(
-    array, grid, query_accuracy, final_samples, source, failure_model,
-    metrics, topology, peer_sampling, dtype, faults=None,
-) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """The pre-fusion reference: one single-lane tournament per grid target.
-
-    With default topology/dtype this consumes exactly the historical child
-    streams, so seeded runs stay bit-identical to the PR-5 tree (pinned).
-    """
-    n = array.size
-    per_grid: List[np.ndarray] = []
-    windows: List[Tuple[int, int]] = []
-    for phi in grid:
-        network = GossipNetwork(
-            array,
-            rng=source.child(),
-            failure_model=failure_model,
-            metrics=metrics,
-            topology=topology,
-            peer_sampling=peer_sampling,
-            dtype=dtype,
-            faults=faults,
-        )
-        window_start = metrics.rounds
-        # repro-lint: disable=thread-kwargs -- dtype/metrics/topology are threaded through the pre-built single-lane network above (the historical child-stream layout, pinned by sha256); alongside network= a topology is rejected.
-        result = approximate_quantile(
-            network=network,
-            phi=float(phi),
-            eps=query_accuracy,
-            final_samples=final_samples,
-        )
-        windows.append((window_start, metrics.rounds))
-        per_grid.append(result.estimates)
     grid_values = (
         np.vstack(per_grid) if per_grid else np.empty((0, n), dtype=float)
     )

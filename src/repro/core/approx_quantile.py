@@ -34,6 +34,7 @@ from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
 
@@ -122,7 +123,7 @@ def approximate_quantile(
         if values is None:
             raise ConfigurationError("either values or network must be given")
         network = GossipNetwork(
-            values,
+            node_values(values, lanes=True),
             rng=rng,
             failure_model=failure_model,
             metrics=metrics,

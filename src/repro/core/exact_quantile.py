@@ -97,6 +97,7 @@ from repro.gossip.failures import FailureModel, resolve_failure_model
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork, resolve_value_dtype
 from repro.obs.tracer import get_tracer
+from repro.utils.inputs import node_values
 from repro.utils.mathutils import ceil_pow2
 from repro.utils.rand import RandomSource
 from repro.utils.stats import target_rank
@@ -243,9 +244,7 @@ def _exact_quantile_impl(
         raise ConfigurationError("eps_iteration must be in (0, 0.5)")
     key_dtype = resolve_value_dtype(dtype)
 
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 4:
-        raise ConfigurationError("values must be a 1-d array with at least 4 entries")
+    array = node_values(values, min_nodes=4)
     n = array.size
     if key_dtype == np.dtype(np.float32) and n >= 2 ** 24:
         raise ConfigurationError(
@@ -350,7 +349,7 @@ def _exact_quantile_impl(
         hi_bounded = phi_hi < 1.0
         with tracer.span("sandwich", metrics) as span:
             span.annotate(iteration=iteration, eps=eps,
-                          fused=lo_bounded and hi_bounded)
+                          paired=lo_bounded and hi_bounded)
             if lo_bounded and hi_bounded:
                 est_lo, est_hi = run_approx_pair(
                     max(1.0 / n, phi_lo), min(1.0, phi_hi), eps / 2.0

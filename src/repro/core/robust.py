@@ -28,6 +28,7 @@ from repro.faults.injectors import FaultInjector
 from repro.gossip.failures import FailureModel, resolve_failure_model
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
 
@@ -121,9 +122,7 @@ def robust_approximate_quantile(
     if final_samples < 1 or final_samples % 2 == 0:
         raise ConfigurationError("final_samples must be a positive odd integer")
 
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 4:
-        raise ConfigurationError("values must be a 1-d array with at least 4 entries")
+    array = node_values(values, min_nodes=4)
     n = array.size
     network = GossipNetwork(
         array,

@@ -43,6 +43,7 @@ from repro.obs.tracer import LatencyHistogram, get_tracer
 from repro.sketches.kll import KLLSketch
 from repro.topology.dynamic import ChurnProcess
 from repro.topology.graphs import Topology
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
 #: Payload bits of one answered query: the value plus framing.
@@ -138,7 +139,7 @@ class QuantileService:
         Grid spacing of the underlying all-quantiles pass: answers from the
         grid carry at most ``eps / 2 + query_accuracy`` rank error inside
         the grid's coverage.
-    fused / max_lanes / topology / peer_sampling / dtype / engine /
+    max_lanes / topology / peer_sampling / dtype / engine /
     failure_model / query_accuracy / final_samples / keep_history:
         Forwarded to :func:`~repro.core.all_quantiles.estimate_all_ranks`.
     sketch_k:
@@ -183,7 +184,6 @@ class QuantileService:
         failure_model: Union[None, float, FailureModel] = None,
         query_accuracy: Optional[float] = None,
         final_samples: int = 15,
-        fused: bool = True,
         max_lanes: int = DEFAULT_MAX_LANES,
         topology: Optional[Topology] = None,
         peer_sampling: str = "uniform",
@@ -201,7 +201,7 @@ class QuantileService:
     ) -> None:
         source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
         self._source = source
-        self._array = np.asarray(values, dtype=float)
+        self._array = node_values(values, min_nodes=4)
         if churn_process is not None:
             if not isinstance(churn_process, ChurnProcess):
                 raise ConfigurationError(
@@ -229,7 +229,6 @@ class QuantileService:
                 failure_model=failure_model,
                 query_accuracy=query_accuracy,
                 final_samples=final_samples,
-                fused=fused,
                 max_lanes=max_lanes,
                 topology=topology,
                 peer_sampling=peer_sampling,
@@ -261,13 +260,12 @@ class QuantileService:
         # One representative served value per grid lane: the median of the
         # per-node lane outputs (all nodes agree up to the ε guarantee, so
         # the median is a w.h.p.-correct network-level answer).
-        grid_values = self._result.grid_values
-        answers = np.empty(grid_values.shape[0], dtype=float)
-        for row in range(grid_values.shape[0]):
-            lane = grid_values[row]
-            finite = lane[np.isfinite(lane)]
-            answers[row] = float(np.median(finite)) if finite.size else float("nan")
-        self._grid_answers = answers
+        self._grid_answers = self._lane_answers(self._result.grid_values)
+        #: Per lane: the fraction of active values below its answer when that
+        #: answer was committed — the baseline its drift is measured from.
+        self._lane_baseline = self._fraction_below(
+            self._sorted_active(), self._grid_answers
+        )
 
         self._sketch: Optional[KLLSketch] = None
         self._sketch_k = sketch_k
@@ -390,8 +388,20 @@ class QuantileService:
             return self._churn.active
         return np.ones(self._array.size, dtype=bool)
 
+    def _sorted_active(self) -> np.ndarray:
+        return np.sort(self._array[self._active_mask()], kind="stable")
+
+    @staticmethod
+    def _fraction_below(sorted_values: np.ndarray, answers: np.ndarray) -> np.ndarray:
+        below = np.searchsorted(sorted_values, answers, side="left")
+        return below / max(sorted_values.size, 1)
+
     def _commit_epoch(self, advance: bool = True) -> None:
-        """Snapshot the current population as the fresh-epoch baseline."""
+        """Start a fresh epoch: fold departures and updates into the sketch.
+
+        Lane drift baselines are set per lane when its answer is committed,
+        so a lane that was not rebuilt keeps its drift across epochs.
+        """
         active = self._active_mask()
         if advance:
             # Departures relative to the *previous* baseline go stale in
@@ -406,7 +416,6 @@ class QuantileService:
                 self._sketch.merge(delta)
             self.epoch += 1
         self._epoch_active = active.copy()
-        self._epoch_sorted = np.sort(self._array[active], kind="stable")
         self._pending_updates = []
         self._suspect_lanes.clear()
         self._drift_cache = None
@@ -443,33 +452,32 @@ class QuantileService:
             raise ConfigurationError(
                 f"index must be in [0, {self._array.size}), got {index}"
             )
-        self._array[int(index)] = float(value)
-        self._pending_updates.append(float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"value must be finite, got {value}")
+        self._array[int(index)] = value
+        self._pending_updates.append(value)
         self._drift_cache = None
         if self._auto_rebuild:
             return self.maybe_rebuild()
         return None
 
     def lane_drift(self) -> np.ndarray:
-        """Estimated rank drift of each grid lane since its epoch baseline.
+        """Estimated rank drift of each grid lane since its answer was committed.
 
         For lane ``j`` serving value ``v_j``: the absolute change in the
         fraction of *currently active* values below ``v_j`` versus the
-        fraction at the epoch snapshot — how far the answer's rank has
-        moved under departures and value updates.  Lanes whose answers are
+        fraction when ``v_j`` was committed (at build or at the rebuild that
+        last refreshed the lane) — how far the answer's rank has moved
+        under departures and value updates.  Lanes whose answers are
         non-finite (a faulted build) or failed their last rebuild
         validation report infinite drift.
         """
         if self._drift_cache is not None:
             return self._drift_cache
         answers = self._grid_answers
-        active = self._active_mask()
-        now = np.sort(self._array[active], kind="stable")
-        below_now = np.searchsorted(now, answers, side="left") / max(now.size, 1)
-        below_epoch = np.searchsorted(
-            self._epoch_sorted, answers, side="left"
-        ) / max(self._epoch_sorted.size, 1)
-        drift = np.abs(below_now - below_epoch)
+        below_now = self._fraction_below(self._sorted_active(), answers)
+        drift = np.abs(below_now - self._lane_baseline)
         drift[~np.isfinite(answers)] = np.inf
         for lane in self._suspect_lanes:
             drift[lane] = np.inf
@@ -519,7 +527,7 @@ class QuantileService:
             lanes = np.arange(grid.size)
             mode = "full"
         if lanes.size == 0:
-            # Nothing stale: refresh the baseline (a free epoch commit).
+            # Nothing stale: a free epoch commit (no lane is refreshed).
             self._commit_epoch()
             self.rebuilds += 1
             return RebuildReport(
@@ -565,7 +573,11 @@ class QuantileService:
                 metrics.charge_rounds(wait, label="rebuild_backoff")
                 backoff_rounds += wait
 
-        self._grid_answers[lanes[valid]] = answers[valid]
+        refreshed = lanes[valid]
+        self._grid_answers[refreshed] = answers[valid]
+        self._lane_baseline[refreshed] = self._fraction_below(
+            sorted_now, answers[valid]
+        )
         validated = bool(valid.all())
         if validated:
             self._commit_epoch()
@@ -739,7 +751,7 @@ class QuantileService:
             "eps": self._eps,
             "grid_targets": int(self._result.grid.size),
             "chunks": self._result.chunks,
-            "fused": self._result.fused,
+            "max_lanes": self._max_lanes,
             "rounds": self.rounds,
             "gossip_bits": self.gossip_metrics.total_bits,
             "queries_answered": self.queries_answered,

@@ -4,8 +4,8 @@ Runs the grid-of-quantiles construction over several workload shapes
 (uniform permutation, Zipf, sensor field) along a fused-vs-sequential
 execution axis: the fused mode column-stacks the whole grid into
 (lane-chunked) multi-lane tournaments — one shared partner stream, rounds
-= max-of-lanes per chunk — while the sequential mode runs the pre-fusion
-reference of one single-lane tournament per grid target.  Reported per
+= max-of-lanes per chunk — while the sequential mode runs the
+single-lane reference (``max_lanes=1``): one tournament per grid target.  Reported per
 row: the distribution of per-node self-rank errors (against midrank
 ground truth, so duplicate-heavy workloads are not charged for ties) and
 the total round count, which is the corollary's
@@ -69,8 +69,7 @@ def run(
                         values,
                         eps=eps,
                         rng=trial_rng.child(),
-                        fused=(mode == "fused"),
-                        max_lanes=max_lanes,
+                        max_lanes=max_lanes if mode == "fused" else 1,
                     )
                     errors = np.abs(result.quantile_estimates - truth)
                     rows.append(

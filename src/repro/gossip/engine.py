@@ -34,11 +34,7 @@ from repro.obs.tracer import get_tracer
 from repro.topology.dynamic import TopologyProcess, resolve_topology_process
 from repro.topology.graphs import Topology
 from repro.utils.views import readonly
-from repro.topology.sampler import (
-    PeerSampler,
-    draw_uniform_round_partners,
-    resolve_peer_sampler,
-)
+from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
 
 #: Valid values for the ``engine`` argument of :func:`run_protocol`.
@@ -140,30 +136,18 @@ def _cached_mask(n: int, value: bool) -> np.ndarray:
     return mask
 
 
-def draw_round_partners(source: RandomSource, n: int) -> np.ndarray:
-    """Draw each node's uniformly random partner for one round.
-
-    Partners are uniform among the *other* ``n - 1`` nodes; see
-    :func:`repro.topology.sampler.draw_uniform_round_partners`, which this
-    re-exports for backward compatibility.  Both engines draw through the
-    same sampler, so they consume the random stream identically.
-    """
-    return draw_uniform_round_partners(source, n)
-
-
-def _begin_run(
-    protocol: GossipProtocol,
-    rng: Union[None, int, RandomSource],
-    failure_model: Union[None, float, FailureModel],
-    metrics: Optional[NetworkMetrics],
+def validate_run_inputs(
     topology: Optional[Topology],
     peer_sampling: str,
     topology_process: Optional[TopologyProcess],
-    faults: Optional[FaultInjector] = None,
-) -> Tuple[RandomSource, FailureModel, NetworkMetrics, Optional[PeerSampler]]:
-    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
-    stats = metrics if metrics is not None else NetworkMetrics()
+    faults: Optional[FaultInjector],
+) -> None:
+    """The run-input check shared by every engine and the pull surface.
+
+    A topology process owns partner selection, so a static ``topology`` or
+    a non-default ``peer_sampling`` beside it is an error rather than a
+    silent no-op; ``faults`` must be a :class:`~repro.faults.FaultInjector`.
+    """
     if faults is not None and not isinstance(faults, FaultInjector):
         raise ConfigurationError(
             f"faults must be a FaultInjector, got {faults!r}"
@@ -178,6 +162,24 @@ def _begin_run(
                 "peer_sampling is owned by the topology process; construct "
                 "the process with the desired strategy instead"
             )
+
+
+def begin_run(
+    protocol: GossipProtocol,
+    rng: Union[None, int, RandomSource],
+    failure_model: Union[None, float, FailureModel],
+    metrics: Optional[NetworkMetrics],
+    topology: Optional[Topology],
+    peer_sampling: str,
+    topology_process: Optional[TopologyProcess],
+    faults: Optional[FaultInjector] = None,
+) -> Tuple[RandomSource, FailureModel, NetworkMetrics, Optional[PeerSampler]]:
+    """Run prologue shared by every engine, the asyncio runner included."""
+    validate_run_inputs(topology, peer_sampling, topology_process, faults)
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    failures = resolve_failure_model(failure_model)
+    stats = metrics if metrics is not None else NetworkMetrics()
+    if topology_process is not None:
         resolve_topology_process(topology_process, protocol.n)
         sampler = None
     else:
@@ -186,7 +188,7 @@ def _begin_run(
     return source, failures, stats, sampler
 
 
-def _finish_run(
+def finish_run(
     protocol: GossipProtocol,
     stats: NetworkMetrics,
     rounds: int,
@@ -207,7 +209,7 @@ def _finish_run(
     )
 
 
-def _begin_round(
+def begin_round(
     protocol: GossipProtocol,
     round_index: int,
     n: int,
@@ -255,15 +257,6 @@ def _begin_round(
     stats.record_failures(int(failed.sum()), record)
     partners = sampler.draw_round(source)
     return record, failed, partners
-
-
-# Public aliases for the engine-agnostic round scaffolding.  The asyncio
-# backend (:mod:`repro.net.runner`) builds its rounds on these, which is how
-# its random-stream consumption — failure masks, then partner draws — stays
-# bit-identical to the simulated engines and the equivalence pins hold.
-begin_run = _begin_run
-begin_round = _begin_round
-finish_run = _finish_run
 
 
 def run_protocol_loop(
@@ -319,10 +312,10 @@ def run_protocol_loop(
         Optional :class:`~repro.faults.FaultInjector`.  Its act-suppression
         kinds (crash-and-restart, message drop) OR into the failure mask;
         failure model, topology process and injector compose freely because
-        each draws from its own stream (see :func:`_begin_round`).
+        each draws from its own stream (see :func:`begin_round`).
     """
     n = protocol.n
-    source, failures, stats, sampler = _begin_run(
+    source, failures, stats, sampler = begin_run(
         protocol, rng, failure_model, metrics, topology, peer_sampling,
         topology_process, faults,
     )
@@ -333,7 +326,7 @@ def run_protocol_loop(
     while not completed and round_index < max_rounds:
         if hook is not None:
             round_started = perf_counter()
-        record, failed, partners = _begin_round(
+        record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
             topology_process, faults,
         )
@@ -376,7 +369,7 @@ def run_protocol_loop(
         round_index += 1
         completed = protocol.is_done(round_index)
 
-    return _finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
+    return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
 
 
 def run_protocol_vectorized(
@@ -409,7 +402,7 @@ def run_protocol_vectorized(
             "run it on the loop engine instead"
         )
     n = protocol.n
-    source, failures, stats, sampler = _begin_run(
+    source, failures, stats, sampler = begin_run(
         protocol, rng, failure_model, metrics, topology, peer_sampling,
         topology_process, faults,
     )
@@ -420,7 +413,7 @@ def run_protocol_vectorized(
     while not completed and round_index < max_rounds:
         if hook is not None:
             round_started = perf_counter()
-        record, failed, partners = _begin_round(
+        record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
             topology_process, faults,
         )
@@ -466,7 +459,7 @@ def run_protocol_vectorized(
         round_index += 1
         completed = protocol.is_done(round_index)
 
-    return _finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
+    return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
 
 
 def run_protocol(

@@ -7,6 +7,20 @@ current value of every node in a single numpy array and executes one round
 and bit accounting, and the Section-5 failure model, are applied per round
 through one batched accounting call.
 
+One pull path
+-------------
+:meth:`GossipNetwork.pull` is one body for every mix of the three
+robustness inputs: a pull is lost (``ok = False``) if the failure model
+fires, *or* the topology process has the puller departed, *or* the fault
+injector suppresses it; the message-level faults (duplicates, delay ring,
+corruption, state-loss reset) are overlaid only when an injector is
+attached.  Process and injector draw from private streams, so each
+surface keeps its draw order on the network's stream: a static graph
+draws the ``(n, k)`` partner block, then the per-round failure masks; a
+process draws, per round, its round state, the partners, then the
+failure mask.  Failure-free pulls are one block draw, one gather and one
+batched accounting call with a broadcast all-True ``ok`` view.
+
 Multi-lane networks
 -------------------
 A network may carry ``L`` *lanes*: the value array becomes an ``(n, L)``
@@ -24,19 +38,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Deque, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.exceptions import ConfigurationError
-from repro.faults.injectors import FaultInjector
+from repro.faults.injectors import FaultInjector, RoundFaults
+from repro.gossip.engine import validate_run_inputs
 from repro.gossip.failures import FailureModel, NoFailures, resolve_failure_model
 from repro.gossip.messages import BITS_PER_VALUE, tournament_message_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
 from repro.topology.dynamic import TopologyProcess, resolve_topology_process
 from repro.topology.graphs import Topology
-from repro.topology.sampler import resolve_peer_sampler
+from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
 
 #: Value dtypes a network may run on.  float64 is the default; float32
@@ -46,7 +62,7 @@ from repro.utils.rand import RandomSource
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def resolve_value_dtype(dtype) -> np.dtype:
+def resolve_value_dtype(dtype: Optional[DTypeLike]) -> np.dtype:
     """Normalize a user-supplied value dtype (``None`` -> float64)."""
     resolved = np.dtype(np.float64 if dtype is None else dtype)
     if resolved not in SUPPORTED_DTYPES:
@@ -83,15 +99,15 @@ class PullBatch:
 
     @property
     def n(self) -> int:
-        return self.partners.shape[0]
+        return int(self.partners.shape[0])
 
     @property
     def k(self) -> int:
-        return self.partners.shape[1]
+        return int(self.partners.shape[1])
 
     @property
     def lanes(self) -> int:
-        return 1 if self.values.ndim == 2 else self.values.shape[2]
+        return 1 if self.values.ndim == 2 else int(self.values.shape[2])
 
 
 class GossipNetwork:
@@ -107,12 +123,6 @@ class GossipNetwork:
         Seed or :class:`RandomSource` for partner selection and failures.
     failure_model:
         ``None`` (no failures), a float ``mu`` or a :class:`FailureModel`.
-    allow_self_contact:
-        Whether a node may contact itself (probability ``1/n``).  The
-        uniform gossip model in the paper contacts a uniformly random
-        *other* node; excluding self-contacts is the default.  Allowing them
-        changes nothing asymptotically and is occasionally convenient in
-        tests.
     metrics:
         Optionally share a :class:`NetworkMetrics` object with an enclosing
         computation (the exact-quantile driver threads one metrics object
@@ -154,13 +164,12 @@ class GossipNetwork:
         values: Union[Sequence[float], np.ndarray],
         rng: Union[None, int, RandomSource] = None,
         failure_model: Union[None, float, FailureModel] = None,
-        allow_self_contact: bool = False,
         metrics: Optional[NetworkMetrics] = None,
         keep_history: bool = True,
         topology: Optional[Topology] = None,
         peer_sampling: str = "uniform",
         topology_process: Optional[TopologyProcess] = None,
-        dtype=None,
+        dtype: Optional[DTypeLike] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self._dtype = resolve_value_dtype(dtype)
@@ -176,49 +185,26 @@ class GossipNetwork:
             raise ConfigurationError("a gossip network needs at least 2 nodes")
         self._values = array
         self._initial_values = array.copy()
-        self._n = array.shape[0]
-        self._lanes = 1 if array.ndim == 1 else array.shape[1]
+        self._n = int(array.shape[0])
+        self._lanes = 1 if array.ndim == 1 else int(array.shape[1])
         self._rng = rng if isinstance(rng, RandomSource) else RandomSource(rng)
         self._failures = resolve_failure_model(failure_model)
-        self._allow_self = bool(allow_self_contact)
         self._topology = topology
-        if topology_process is not None:
-            if topology is not None:
-                raise ConfigurationError(
-                    "pass either topology or topology_process, not both"
-                )
-            # Mirror the engine path: the process owns partner selection,
-            # so overrides that could not take effect are errors rather
-            # than silent no-ops.
-            if peer_sampling != "uniform":
-                raise ConfigurationError(
-                    "peer_sampling is owned by the topology process; "
-                    "construct the process with the desired strategy instead"
-                )
-            if self._allow_self:
-                raise ConfigurationError(
-                    "allow_self_contact has no effect under a topology "
-                    "process; its samplers always exclude self-contacts"
-                )
-        if faults is not None and not isinstance(faults, FaultInjector):
-            raise ConfigurationError(
-                f"faults must be a FaultInjector, got {faults!r}"
-            )
+        validate_run_inputs(topology, peer_sampling, topology_process, faults)
         self._faults = faults
-        self._delay_history: Optional[deque] = (
+        self._delay_history: Optional[Deque[np.ndarray]] = (
             deque(maxlen=faults.max_delay)
             if faults is not None and faults.max_delay > 0
             else None
         )
         self._process = resolve_topology_process(topology_process, self._n)
-        self._sampler = None if self._process is not None else resolve_peer_sampler(
-            topology,
-            sampling=peer_sampling,
-            n=self._n,
-            allow_self=self._allow_self,
+        self._sampler: Optional[PeerSampler] = (
+            None if self._process is not None
+            else resolve_peer_sampler(topology, sampling=peer_sampling, n=self._n)
         )
-        self.metrics = metrics if metrics is not None else NetworkMetrics(
-            keep_history=keep_history
+        self.metrics: NetworkMetrics = (
+            metrics if metrics is not None
+            else NetworkMetrics(keep_history=keep_history)
         )
         # One message per pull; a multi-lane message carries one value per
         # lane under the same framing (the paper's shared O(log n)-bit
@@ -314,20 +300,19 @@ class GossipNetwork:
             self._delay_history.clear()
 
     @property
-    def topology(self):
+    def topology(self) -> Optional[Topology]:
         """The attached topology, or ``None`` for uniform/complete gossip."""
         return self._topology
 
     @property
-    def topology_process(self):
+    def topology_process(self) -> Optional[TopologyProcess]:
         """The attached topology process, or ``None`` for a static graph."""
         return self._process
 
-    # -- partner selection --------------------------------------------------------
-    def _sample_partners(self, k: int) -> np.ndarray:
-        # The sampler owns the draw; the default UniformSampler block draw
-        # is verbatim the historical code, so seeded runs are unchanged.
-        return self._sampler.draw_block(self._rng, k)
+    @property
+    def faults(self) -> Optional[FaultInjector]:
+        """The attached fault injector, or ``None``."""
+        return self._faults
 
     # -- the pull surface ---------------------------------------------------------
     def pull(
@@ -340,10 +325,12 @@ class GossipNetwork:
         """Execute ``k`` pull rounds and return the pulled snapshot values.
 
         Each of the ``k`` columns corresponds to one synchronous round in
-        which every node pulls the (start-of-batch) value of one uniformly
-        random node — every lane reads from the same partner.  Nodes that
-        fail in a round (per the failure model) have ``ok = False`` for
-        that round and receive no value (NaN).
+        which every node pulls the (start-of-batch) value of one random
+        node — every lane reads from the same partner.  Nodes that fail in
+        a round (failure model, departed under the topology process, or
+        suppressed by the fault injector) have ``ok = False`` for that
+        round and receive no value (NaN).  See the module docstring for the
+        per-surface draw order.
         """
         if k <= 0:
             raise ConfigurationError("k must be positive")
@@ -369,41 +356,68 @@ class GossipNetwork:
                 round_start=self.metrics.rounds,
             )
 
-        if self._faults is not None:
-            return self._pull_with_faults(k, label, bits, source)
-        if self._process is not None:
-            return self._pull_dynamic(k, label, bits, source)
-        partners = self._sample_partners(k)
-        pulled = self._gather(source, partners)
-        if isinstance(self._failures, NoFailures):
-            # Failure-free fast path: no per-round mask draws, no NaN
-            # masking, one batched accounting call for all k rounds, and a
-            # zero-allocation broadcast view for the all-True ok mask.
-            ok = np.broadcast_to(np.True_, (self._n, k))
+        n = self._n
+        process = self._process
+        faults = self._faults
+        # A static graph draws the whole (n, k) block up front; under a
+        # process each round's partners come from that round's sampler.
+        partners = (
+            self._sampler.draw_block(self._rng, k) if self._sampler is not None
+            else np.empty((n, k), dtype=np.int64)
+        )
+        if not self.can_fail:
+            # Failure-free fast path: one gather, one batched accounting
+            # call for all k rounds, and a zero-allocation broadcast view
+            # for the all-True ok mask.
             self.metrics.record_rounds_batch(
-                k, label=label, messages=self._n, bits_each=bits
+                k, label=label, messages=n, bits_each=bits
             )
-            return PullBatch(partners=partners, values=pulled, ok=ok)
-        # Failure masks are drawn per round, in round order, so the random
-        # stream is unchanged from the historical per-column loop; only the
-        # metrics recording is batched.
+            return PullBatch(
+                partners=partners,
+                values=self._gather(source, partners),
+                ok=np.broadcast_to(np.True_, (n, k)),
+            )
+
         base = self.metrics.rounds
-        ok = np.empty((self._n, k), dtype=bool)
+        ok = np.empty((n, k), dtype=bool)
+        drawn: List[RoundFaults] = []
         for column in range(k):
-            failed = self._failures.failure_mask(base + column, self._n, self._rng)
+            round_index = base + column
+            if process is not None:
+                state = process.round_state(round_index)
+                partners[:, column] = state.sampler.draw_round(self._rng)
+            failed = self._failures.failure_mask(round_index, n, self._rng)
+            if process is not None:
+                failed = failed | ~state.active
+            if faults is not None:
+                round_faults = faults.draw(round_index, n)
+                failed = failed | round_faults.suppressed
+                drawn.append(round_faults)
             ok[:, column] = ~failed
+
+        pulled = self._gather(source, partners)
         successes = ok.sum(axis=0)
-        # one request + one response per successful pull; we charge the
-        # response (which carries the values) at the protocol's bit cost.
+        # One request + one response per successful pull; the response
+        # (which carries the values) is charged at the protocol's bit cost.
+        messages = successes
+        if drawn:
+            pulled = self._apply_faults(source, pulled, partners, drawn)
+            # Duplicates re-deliver a message that actually arrived: charge
+            # one extra message at the same bit cost, same round.
+            duplicated = np.stack([f.duplicated for f in drawn], axis=1)
+            messages = successes + (duplicated & ok).sum(axis=0)
         self.metrics.record_rounds_batch(
             k,
             label=label,
-            messages=successes,
+            messages=messages,
             bits_each=bits,
-            failures=self._n - successes,
+            failures=n - successes,
         )
-        pulled = self._mask_failed(pulled, ok)
-        return PullBatch(partners=partners, values=pulled, ok=ok)
+        if drawn:
+            self.metrics.record_faults_injected(sum(f.injected for f in drawn))
+        mask = ok if pulled.ndim == 2 else ok[:, :, None]
+        masked: np.ndarray = np.where(mask, pulled, np.nan)
+        return PullBatch(partners=partners, values=masked, ok=ok)
 
     def _gather(self, source: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Gather the pulled values: ``(n, k)`` or ``(n, k, L)``.
@@ -417,7 +431,8 @@ class GossipNetwork:
         n = 10⁶.
         """
         if source.ndim == 1:
-            return np.take(source, partners, mode="clip")
+            gathered: np.ndarray = np.take(source, partners, mode="clip")
+            return gathered
         block = np.empty(
             (self._lanes,) + partners.shape, dtype=self._dtype
         )
@@ -430,153 +445,43 @@ class GossipNetwork:
             )
         return block.transpose(1, 2, 0)
 
-    def _mask_failed(self, pulled: np.ndarray, ok: np.ndarray) -> np.ndarray:
-        """NaN out the pulls of failed nodes (lane-broadcast for L > 1)."""
-        mask = ok if pulled.ndim == 2 else ok[:, :, None]
-        return np.where(mask, pulled, np.nan)
+    def _apply_faults(
+        self,
+        source: np.ndarray,
+        pulled: np.ndarray,
+        partners: np.ndarray,
+        drawn: List[RoundFaults],
+    ) -> np.ndarray:
+        """Apply one batch's message-level faults; return the pulled values.
 
-    def _pull_dynamic(
-        self, k: int, label: str, bits: int, source: np.ndarray
-    ) -> PullBatch:
-        """Pull rounds under a topology process: per-column partner draws.
-
-        Each column asks the process for that round's state first, so the
-        partner matrix reflects the evolving graph; departed pullers get
-        ``ok = False`` exactly like failed ones.  Values are still read from
-        the start-of-batch snapshot (the paper's within-iteration
-        semantics).  The process round counter is the network's global
-        round count, so interleaved pull batches see one consistent
-        schedule; partner and failure draws stay per round while the
-        metrics are recorded in one batch at the end.
+        Delayed pulls gather from the bounded ring of past value snapshots
+        (a delay deeper than the ring serves the oldest snapshot still
+        held) and corrupted pulls scale the delivered payload.  At the
+        batch boundary the outgoing snapshot enters the ring, and nodes
+        restarting from a state-loss crash rejoin with their initial
+        value(s), not the working state they crashed with.
         """
-        partners = np.empty((self._n, k), dtype=np.int64)
-        ok = np.ones((self._n, k), dtype=bool)
-        base = self.metrics.rounds
-        for column in range(k):
-            state = self._process.round_state(base + column)
-            partners[:, column] = state.sampler.draw_round(self._rng)
-            failed = self._failures.failure_mask(base + column, self._n, self._rng)
-            failed = failed | ~state.active
-            ok[:, column] = ~failed
-        successes = ok.sum(axis=0)
-        self.metrics.record_rounds_batch(
-            k,
-            label=label,
-            messages=successes,
-            bits_each=bits,
-            failures=self._n - successes,
-        )
-        pulled = self._mask_failed(self._gather(source, partners), ok)
-        return PullBatch(partners=partners, values=pulled, ok=ok)
-
-    def _pull_with_faults(
-        self, k: int, label: str, bits: int, source: np.ndarray
-    ) -> PullBatch:
-        """Pull rounds with an attached fault injector.
-
-        Partner and failure-mask draws consume the engine stream exactly
-        like the fault-free paths (static block draw or per-round dynamic
-        draws); the injector's per-round decision comes from its *private*
-        stream and is overlaid on top: crash/drop suppress pulls, failure
-        masks and the process's active mask OR in as usual, duplicates are
-        charged as extra delivered messages, delayed pulls gather from the
-        bounded snapshot ring, and corrupted pulls scale the delivered
-        payload.  Nodes restarting from a state-loss crash get their
-        working values reset to their initial values (visible from the
-        next batch's snapshot on).
-        """
-        n = self._n
-        base = self.metrics.rounds
-        ok = np.empty((n, k), dtype=bool)
-        if self._process is not None:
-            partners = np.empty((n, k), dtype=np.int64)
-            for column in range(k):
-                state = self._process.round_state(base + column)
-                partners[:, column] = state.sampler.draw_round(self._rng)
-                failed = self._failures.failure_mask(
-                    base + column, n, self._rng
-                )
-                ok[:, column] = ~(failed | ~state.active)
-        else:
-            partners = self._sample_partners(k)
-            for column in range(k):
-                failed = self._failures.failure_mask(
-                    base + column, n, self._rng
-                )
-                ok[:, column] = ~failed
-
-        delays = np.zeros((n, k), dtype=np.int64)
-        corruption = np.ones((n, k))
-        duplicated = np.zeros((n, k), dtype=bool)
-        injected = 0
-        reset_nodes = np.zeros(n, dtype=bool)
-        for column in range(k):
-            round_faults = self._faults.draw(base + column, n)
-            ok[:, column] &= ~round_faults.suppressed
-            duplicated[:, column] = round_faults.duplicated
-            delays[:, column] = round_faults.delay
-            corruption[:, column] = round_faults.corruption
-            if self._faults.reset_on_restart:
-                reset_nodes |= round_faults.restarted
-            injected += round_faults.injected
-
-        pulled = self._gather(source, partners)
-        if self._delay_history is not None and len(self._delay_history):
+        if self._delay_history:
+            delays = np.stack([f.delay for f in drawn], axis=1)
             available = len(self._delay_history)
             for d in np.unique(delays[delays > 0]):
-                # A delay deeper than the ring serves the oldest snapshot
-                # we still hold (the delay bound is honest either way).
                 snap = self._delay_history[-int(min(d, available))]
                 stale = self._gather(snap, partners)
-                mask = delays == d
+                late = delays == d
                 if pulled.ndim == 3:
-                    mask = mask[:, :, None]
-                pulled = np.where(mask, stale, pulled)
+                    late = late[:, :, None]
+                pulled = np.where(late, stale, pulled)
+        corruption = np.stack([f.corruption for f in drawn], axis=1)
         if np.any(corruption != 1.0):
             factor = corruption if pulled.ndim == 2 else corruption[:, :, None]
             pulled = (pulled * factor).astype(self._dtype, copy=False)
-
-        successes = ok.sum(axis=0)
-        # Duplicates re-deliver a message that actually arrived: charge one
-        # extra message at the same bit cost, same round.
-        dup_counts = (duplicated & ok).sum(axis=0)
-        self.metrics.record_rounds_batch(
-            k,
-            label=label,
-            messages=successes + dup_counts,
-            bits_each=bits,
-            failures=n - successes,
-        )
-        self.metrics.record_faults_injected(injected)
-
         if self._delay_history is not None:
-            # The batch's outgoing snapshot becomes "one window ago".
             self._delay_history.append(source.copy())
-        if np.any(reset_nodes):
-            # Crash-and-restart state loss, applied at the batch boundary:
-            # the restarted node rejoins the protocol with its initial
-            # value(s), not the working state it crashed with.
-            self._values[reset_nodes] = self._initial_values[reset_nodes]
-
-        pulled = self._mask_failed(pulled, ok)
-        return PullBatch(partners=partners, values=pulled, ok=ok)
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        """The attached fault injector, or ``None``."""
-        return self._faults
-
-    def pull_values(self, k: int = 1, label: str = "pull") -> np.ndarray:
-        """Convenience wrapper returning only the pulled value array.
-
-        Only valid under :class:`NoFailures`; raises otherwise because the
-        caller would have no way to see which pulls failed.
-        """
-        if not isinstance(self._failures, NoFailures):
-            raise ConfigurationError(
-                "pull_values() hides failures; use pull() with a failure model"
-            )
-        return self.pull(k=k, label=label).values
+        if self._faults is not None and self._faults.reset_on_restart:
+            restarted = np.logical_or.reduce([f.restarted for f in drawn])
+            if np.any(restarted):
+                self._values[restarted] = self._initial_values[restarted]
+        return pulled
 
     def charge_rounds(self, count: int, label: str = "charged") -> None:
         """Account for ``count`` rounds executed by an external sub-protocol."""

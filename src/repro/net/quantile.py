@@ -39,6 +39,7 @@ from repro.net.failure_detector import SwimFailureDetector
 from repro.net.rpc import RetryPolicy
 from repro.net.runner import arun_protocol
 from repro.net.transport import Transport, resolve_transport
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource, SeedLike
 
 
@@ -80,9 +81,7 @@ async def anet_approximate_quantile(
     count_rounds: Optional[int] = None,
 ) -> NetQuantileAnswer:
     """Async body of :func:`net_approximate_quantile`."""
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 2:
-        raise ConfigurationError("values must be a 1-d array of length >= 2")
+    array = node_values(values, min_nodes=2)
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
     if not 0.0 < eps < 0.5:

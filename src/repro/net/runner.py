@@ -167,6 +167,11 @@ async def arun_protocol(
             "requires; run it on the loop engine instead"
         )
     n = protocol.n
+    # Validate the run inputs before any endpoint opens.
+    source, failures, stats, sampler = begin_run(
+        protocol, rng, failure_model, metrics, topology, peer_sampling,
+        topology_process, faults,
+    )
     live_transport, owned = resolve_transport(transport, n)
     rpc = RpcClient(live_transport, retry)
     host = _NodeHost(protocol, detector)
@@ -177,10 +182,6 @@ async def arun_protocol(
     if detector is not None:
         detector.attach(rpc)
 
-    source, failures, stats, sampler = begin_run(
-        protocol, rng, failure_model, metrics, topology, peer_sampling,
-        topology_process, None,
-    )
     hook = on_round if on_round is not None else get_tracer().on_round
     lost_pushes = 0
     fault_killed: set = set()

@@ -5,11 +5,11 @@ round, one partner to contact.  A :class:`PeerSampler` encapsulates that
 choice so the engines stay topology-agnostic:
 
 * :class:`UniformSampler` — the paper's uniform gossip on the complete
-  graph.  Its two draw methods are *verbatim* the pre-topology partner
-  code (one for the message-level engine, one for the
-  :class:`~repro.gossip.network.GossipNetwork` pull surface), so they
-  consume the random stream identically and the default configuration is
-  bit-for-bit the old behaviour.
+  graph, always excluding self-contacts.  Its two draw methods are
+  *verbatim* the pre-topology partner code (``draw_round`` for the
+  message-level engines, the ``(n, k)`` ``draw_block`` for the
+  :class:`~repro.gossip.network.GossipNetwork` pull surface), so the
+  default configuration is bit-for-bit the old behaviour.
 * :class:`NeighborSampler` — uniform over the node's CSR neighbor list:
   one ``random(n)`` draw and one gather per round, any topology.
 * :class:`RoundRobinSampler` — a shuffled round-robin over each node's
@@ -98,26 +98,19 @@ class PeerSampler(abc.ABC):
 class UniformSampler(PeerSampler):
     """Uniform gossip on the complete graph (the paper's model).
 
-    ``allow_self`` only affects :meth:`draw_block` (the
-    :class:`~repro.gossip.network.GossipNetwork` path, which historically
-    exposes the option); the engine path :meth:`draw_round` always excludes
-    self-contacts, as it always has.
+    Both draws exclude self-contacts: a node contacts a uniformly random
+    *other* node.
     """
-
-    def __init__(self, n: int, allow_self: bool = False) -> None:
-        super().__init__(n)
-        self._allow_self = bool(allow_self)
 
     def draw_round(self, source: RandomSource) -> np.ndarray:
         return draw_uniform_round_partners(source, self.n)
 
     def draw_block(self, source: RandomSource, k: int) -> np.ndarray:
-        # Verbatim the historical GossipNetwork._sample_partners: one
-        # (n, k) block draw, then re-draws of self-contacts.
+        # Verbatim the historical pull-surface stream: one (n, k) block
+        # draw, then re-draws of self-contacts.
         partners = source.uniform_partners(self.n, k)
-        if not self._allow_self:
-            own = np.arange(self.n)[:, None]
-            resample_forbidden_targets(source, partners, own, self.n)
+        own = np.arange(self.n)[:, None]
+        resample_forbidden_targets(source, partners, own, self.n)
         return partners
 
 
@@ -212,7 +205,6 @@ def resolve_peer_sampler(
     topology: Optional[Topology],
     sampling: str = "uniform",
     n: Optional[int] = None,
-    allow_self: bool = False,
 ) -> PeerSampler:
     """Build the sampler for a run.
 
@@ -241,7 +233,7 @@ def resolve_peer_sampler(
         size = topology.n if topology is not None else n
         if size is None:
             raise ConfigurationError("n is required when no topology is given")
-        return UniformSampler(size, allow_self=allow_self)
+        return UniformSampler(size)
     if sampling == "round-robin":
         return RoundRobinSampler(topology)
     return NeighborSampler(topology)

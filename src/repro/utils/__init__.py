@@ -1,5 +1,6 @@
 """Shared low-level utilities: seeded randomness, math helpers, statistics."""
 
+from repro.utils.inputs import node_values
 from repro.utils.rand import (
     RandomSource,
     draw_targets_excluding,
@@ -23,6 +24,7 @@ from repro.utils.stats import (
 )
 
 __all__ = [
+    "node_values",
     "RandomSource",
     "draw_targets_excluding",
     "resample_forbidden_targets",

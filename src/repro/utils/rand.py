@@ -140,11 +140,9 @@ class RandomSource:
         """Sample, for each of ``n`` nodes, ``count`` uniformly random partners.
 
         Returns an ``(n, count)`` integer array.  Partners are sampled with
-        replacement from all ``n`` nodes, matching the uniform gossip model
-        in which a node may contact itself with probability ``1/n`` (the
-        paper's analysis is unaffected by self-contacts; we keep them for
-        fidelity with the uniform model and note the alternative in the
-        network simulator, which can exclude them).
+        replacement from all ``n`` nodes, self-contacts included; the
+        network's :class:`~repro.topology.sampler.UniformSampler` re-draws
+        those afterwards.
         """
         if n <= 0:
             raise ValueError("n must be positive")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregates.counting import count_leq, rank_of_min
+from repro.aggregates.counting import count_leq
 from repro.exceptions import ConfigurationError
 
 
@@ -27,9 +27,10 @@ def test_count_estimates_agree_across_nodes():
     assert np.all(rounded == 64)
 
 
-def test_rank_of_min_matches_count_leq():
+def test_count_leq_gives_the_rank_of_a_minimum():
+    # Step 5 of Algorithm 3: the rank of the spread minimum among all values
     values = np.array([5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0])
-    result = rank_of_min(values, minimum=3.0, rng=5)
+    result = count_leq(values, threshold=3.0, rng=5)
     assert result.count == 3
 
 

@@ -221,9 +221,9 @@ def test_ranks_sequential_mode_runs_one_pass_per_target(tmp_path, capsys):
     path = tmp_path / "values.txt"
     np.savetxt(path, values)
     assert main(["ranks", "--input", str(path), "--eps", "0.2", "--seed", "4",
-                 "--sequential"]) == 0
+                 "--max-lanes", "1"]) == 0
     out = capsys.readouterr().out
-    assert "4 grid targets in 4 sequential tournament run(s)" in out
+    assert "4 grid targets in 4 single-lane tournament run(s)" in out
 
 
 def test_ranks_on_topology_with_dtype_and_engine(tmp_path, capsys):

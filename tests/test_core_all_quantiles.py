@@ -114,7 +114,6 @@ def test_works_on_skewed_data():
 
 def test_fused_is_the_default_and_runs_one_chunk(small_values):
     result = estimate_all_ranks(small_values, eps=0.1, rng=9)
-    assert result.fused
     assert result.grid.size == 9
     assert result.chunks == 1
     assert result.round_windows == [(0, result.rounds)]
@@ -122,8 +121,7 @@ def test_fused_is_the_default_and_runs_one_chunk(small_values):
 
 def test_fused_round_count_is_far_below_sequential(small_values):
     fused = estimate_all_ranks(small_values, eps=0.1, rng=10)
-    sequential = estimate_all_ranks(small_values, eps=0.1, rng=10, fused=False)
-    assert not sequential.fused
+    sequential = estimate_all_ranks(small_values, eps=0.1, rng=10, max_lanes=1)
     assert sequential.chunks == sequential.grid.size
     assert fused.rounds < sequential.rounds
     # max-of-lanes: the single fused chunk cannot exceed the largest
@@ -150,18 +148,6 @@ def test_lane_chunking_respects_max_lanes(small_values):
     assert float(np.mean(errors <= 0.2)) > 0.95
 
 
-def test_fused_single_lane_chunks_match_sequential_exactly(small_values):
-    """max_lanes=1 consumes the sequential child streams one-to-one, so the
-    (n, 1)-lane runs reproduce the single-lane estimates bit-for-bit."""
-    fused = estimate_all_ranks(small_values, eps=0.2, rng=12, max_lanes=1)
-    sequential = estimate_all_ranks(small_values, eps=0.2, rng=12, fused=False)
-    assert np.array_equal(fused.grid_values, sequential.grid_values)
-    assert np.array_equal(
-        fused.quantile_estimates, sequential.quantile_estimates
-    )
-    assert fused.rounds == sequential.rounds
-
-
 def test_fused_supports_failure_model(small_values):
     result = estimate_all_ranks(
         small_values, eps=0.2, rng=13, failure_model=0.2
@@ -178,9 +164,10 @@ def test_fused_supports_failure_model(small_values):
 def test_topology_is_threaded_through_both_paths(small_values):
     topology = ring(small_values.size, k=8)
     truth = true_self_quantiles(small_values)
-    for fused in (True, False):
+    for max_lanes in (32, 1):
         result = estimate_all_ranks(
-            small_values, eps=0.2, rng=14, topology=topology, fused=fused
+            small_values, eps=0.2, rng=14, topology=topology,
+            max_lanes=max_lanes,
         )
         errors = np.abs(result.quantile_estimates - truth)
         # a fat ring mixes slower than the complete graph but the grid
@@ -273,7 +260,7 @@ def test_caller_supplied_metrics_accumulate(small_values):
 
 def test_sequential_windows_attribute_each_grid_query(small_values):
     result = estimate_all_ranks(
-        small_values, eps=0.2, rng=23, fused=False, keep_history=True
+        small_values, eps=0.2, rng=23, max_lanes=1, keep_history=True
     )
     assert len(result.round_windows) == result.grid.size
     assert sum(stop - start for start, stop in result.round_windows) == (

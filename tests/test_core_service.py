@@ -20,7 +20,6 @@ def _true_quantile(values: np.ndarray, phi: float) -> float:
 
 def test_build_runs_one_fused_pass(service, small_values):
     assert service.n == small_values.size
-    assert service.result.fused
     assert service.grid.size == 9
     assert service.rounds == service.gossip_metrics.rounds
     assert service.grid_answers.shape == (9,)
@@ -134,7 +133,7 @@ def test_summary_keys(service):
         "eps": 0.1,
         "grid_targets": 9,
         "chunks": 1,
-        "fused": True,
+        "max_lanes": 32,
         "rounds": service.rounds,
         "gossip_bits": service.gossip_metrics.total_bits,
         "queries_answered": 1,
@@ -154,7 +153,6 @@ def test_service_threads_build_parameters(small_values):
         small_values,
         eps=0.2,
         rng=7,
-        fused=True,
         max_lanes=2,
         topology=ring(small_values.size, k=8),
         dtype="float32",
@@ -174,8 +172,8 @@ def test_service_rejects_bad_build_parameters(small_values):
 
 
 def test_sequential_build_serves_identically_shaped_answers(small_values):
-    service = QuantileService(small_values, eps=0.2, rng=9, fused=False)
-    assert not service.result.fused
+    service = QuantileService(small_values, eps=0.2, rng=9, max_lanes=1)
+    assert service.result.chunks == service.grid.size
     answer = service.quantile(0.4)
     assert answer.source == "grid"
     assert np.isfinite(answer.value)

@@ -375,28 +375,31 @@ def test_composed_pull_surface_pinned(case):
 
 #: Sequential self-rank grid digests captured on the PR 5 tree, before the
 #: fused rewrite: digest(quantile_estimates, grid_values) plus total rounds.
+#: ``max_lanes=1`` — one single-lane tournament per grid target, each on its
+#: own child stream — is the reference that must keep landing on them.
 ALL_RANKS_SEQUENTIAL_PINS = {
-    # estimate_all_ranks(_pin_values(), eps=0.2, rng=9, fused=False)
+    # estimate_all_ranks(_pin_values(), eps=0.2, rng=9, max_lanes=1)
     "eps_0.2_rng_9": ("59043aafe49dd809", 156),
     # estimate_all_ranks(_pin_values(), eps=0.1, rng=10, query_accuracy=0.08,
-    #                    fused=False)
+    #                    max_lanes=1)
     "eps_0.1_rng_10_qa_0.08": ("79d60d7bcca8279b", 381),
 }
 
 
 def test_sequential_all_ranks_pinned_to_pre_fusion_tree():
-    """The fused=False reference path must keep consuming the per-target
-    child streams exactly as the PR 5 single-lane loop did."""
+    """The max_lanes=1 reference must keep consuming the per-target child
+    streams exactly as the PR 5 single-lane loop did."""
     from repro.core.all_quantiles import estimate_all_ranks
 
-    result = estimate_all_ranks(_pin_values(), eps=0.2, rng=9, fused=False)
+    result = estimate_all_ranks(_pin_values(), eps=0.2, rng=9, max_lanes=1)
+    assert result.grid_values.dtype == np.float64
     assert (
         _digest(result.quantile_estimates, result.grid_values),
         result.rounds,
     ) == ALL_RANKS_SEQUENTIAL_PINS["eps_0.2_rng_9"]
 
     result = estimate_all_ranks(
-        _pin_values(), eps=0.1, rng=10, query_accuracy=0.08, fused=False
+        _pin_values(), eps=0.1, rng=10, query_accuracy=0.08, max_lanes=1
     )
     assert (
         _digest(result.quantile_estimates, result.grid_values),
@@ -404,25 +407,10 @@ def test_sequential_all_ranks_pinned_to_pre_fusion_tree():
     ) == ALL_RANKS_SEQUENTIAL_PINS["eps_0.1_rng_10_qa_0.08"]
 
 
-def test_fused_single_lane_float64_bit_identical_to_sequential_pin():
-    """L = 1 lane chunks drive the very same GossipNetwork streams, so the
-    fused path at max_lanes=1 must land on the sequential pin bit-for-bit."""
-    from repro.core.all_quantiles import estimate_all_ranks
-
-    result = estimate_all_ranks(
-        _pin_values(), eps=0.2, rng=9, fused=True, max_lanes=1
-    )
-    assert result.grid_values.dtype == np.float64
-    assert (
-        _digest(result.quantile_estimates, result.grid_values),
-        result.rounds,
-    ) == ALL_RANKS_SEQUENTIAL_PINS["eps_0.2_rng_9"]
-
-
 @pytest.mark.parametrize("n", [256, 4096])
 def test_fused_and_sequential_grids_agree_within_tolerance(n):
     """Fused lanes share one partner stream, so estimates differ from the
-    sequential reference only by in-tolerance tournament noise — and the
+    single-lane reference only by in-tolerance tournament noise — and the
     fused round count is max-of-lanes, never more than the sequential sum."""
     from repro.core.all_quantiles import (
         estimate_all_ranks,
@@ -433,7 +421,7 @@ def test_fused_and_sequential_grids_agree_within_tolerance(n):
     eps = 0.1
     truth = true_self_quantiles(values)
     fused = estimate_all_ranks(values, eps=eps, rng=41)
-    sequential = estimate_all_ranks(values, eps=eps, rng=41, fused=False)
+    sequential = estimate_all_ranks(values, eps=eps, rng=41, max_lanes=1)
 
     for result in (fused, sequential):
         errors = np.abs(result.quantile_estimates - truth)

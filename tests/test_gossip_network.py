@@ -39,6 +39,7 @@ def test_pull_advances_rounds_and_counts_messages():
     assert batch.partners.shape == (64, 3)
     assert batch.values.shape == (64, 3)
     assert batch.ok.all()
+    assert not np.isnan(batch.values).any()
     assert net.rounds == 3
     assert net.metrics.messages == 3 * 64
 
@@ -65,19 +66,6 @@ def test_pull_with_failures_marks_ok_false_and_nan():
     assert failed.sum() > 50  # roughly half fail
     assert np.all(np.isnan(batch.values[:, 0][failed]))
     assert net.metrics.failed_node_rounds == failed.sum()
-
-
-def test_pull_values_requires_no_failure_model():
-    net = make_network(32, failure_model=0.2)
-    with pytest.raises(ConfigurationError):
-        net.pull_values(1)
-
-
-def test_pull_values_shortcut():
-    net = make_network(32)
-    values = net.pull_values(2)
-    assert values.shape == (32, 2)
-    assert not np.isnan(values).any()
 
 
 def test_set_values_and_snapshot():

@@ -187,6 +187,17 @@ def test_sync_entry_point_refuses_a_running_loop():
     asyncio.run(go())
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"faults": "drop"}, {"topology_process": "churn", "peer_sampling": "round-robin"}],
+    ids=["faults-type", "sampling-under-process"],
+)
+def test_asyncio_runner_shares_the_engines_input_validation(bad):
+    # The same check as the simulated engines, made before any endpoint opens.
+    with pytest.raises(ConfigurationError):
+        run_protocol_asyncio(PushSumProtocol(_values(4), rounds=2), rng=0, **bad)
+
+
 def test_run_timeout_must_be_positive():
     with pytest.raises(ConfigurationError):
         run_protocol_asyncio(

@@ -11,12 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
-from repro.gossip.engine import (
-    draw_round_partners,
-    run_protocol_loop,
-    run_protocol_vectorized,
-)
+from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
 from repro.gossip.failures import UniformFailures
+from repro.topology.sampler import draw_uniform_round_partners
 from repro.utils.rand import RandomSource
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -27,7 +24,7 @@ seeds = st.integers(min_value=0, max_value=10_000)
 def test_partner_draws_are_valid_and_never_self(n, seed):
     source = RandomSource(seed)
     for _ in range(3):
-        partners = draw_round_partners(source, n)
+        partners = draw_uniform_round_partners(source, n)
         assert partners.shape == (n,)
         assert partners.min() >= 0
         assert partners.max() < n

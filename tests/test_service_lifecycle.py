@@ -306,3 +306,34 @@ def test_auto_rebuild_fires_from_advance_churn():
     service.advance_churn(1)
     assert service.epoch >= 1
     assert service.summary()["rebuilds"] >= 1
+
+
+def test_unrebuilt_lanes_keep_their_drift_across_rebuilds():
+    """Repeated upward shifts rebuild only the high lanes; the low lanes
+    are never rebuilt, so their drift must keep accumulating from the rank
+    their answer had when it was committed, not restart at every epoch.
+    Otherwise their answers slip past the stated accuracy while still
+    reported fresh."""
+    n, eps = 20_000, 0.05
+    rng = np.random.default_rng(31)
+    values = rng.random(n)
+    service = QuantileService(values.copy(), eps=eps, rng=31)
+    phis = service.grid
+    for step in range(12):
+        moved = rng.choice(n, size=n // 10, replace=False)
+        readings = rng.random(moved.size) + float(step + 1)
+        values[moved] = readings
+        for node, reading in zip(moved.tolist(), readings.tolist()):
+            service.update_value(node, reading)
+        service.maybe_rebuild()
+        ordered = np.sort(values)
+        answers = service.batch_quantiles(phis)
+        served = np.array([answer.value for answer in answers])
+        left = np.searchsorted(ordered, served, side="left")
+        right = np.searchsorted(ordered, served, side="right")
+        errors = np.abs((left + right) / (2.0 * n) - phis)
+        bounds = np.array([answer.accuracy for answer in answers])
+        # a lane served fresh may carry up to eps/2 (the staleness
+        # threshold) of drift beyond its stated accuracy
+        assert np.all(errors <= bounds + eps / 2.0 + 1.0 / n), step
+    assert service.epoch >= 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.gossip.engine import draw_round_partners, run_protocol
+from repro.gossip.engine import run_protocol
 from repro.gossip.network import GossipNetwork
 from repro.topology import (
     NeighborSampler,
@@ -31,7 +31,7 @@ from repro.topology import (
     watts_strogatz,
     TOPOLOGY_CHOICES,
 )
-from repro.utils.rand import RandomSource
+from repro.utils.rand import RandomSource, resample_forbidden_targets
 
 
 # -- generators --------------------------------------------------------------------
@@ -174,7 +174,11 @@ def test_round_robin_contacts_every_neighbor_once_per_cycle():
 
 def test_uniform_sampler_matches_the_historical_engine_stream():
     ours = UniformSampler(97).draw_round(RandomSource(13))
-    theirs = draw_round_partners(RandomSource(13), 97)
+    # the pre-topology engine draw: uniform over all n, then re-draws of
+    # self-contacts
+    source = RandomSource(13)
+    theirs = source.integers(0, 97, size=97)
+    resample_forbidden_targets(source, theirs, np.arange(97), 97)
     assert np.array_equal(ours, theirs)
 
 

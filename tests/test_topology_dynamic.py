@@ -371,11 +371,6 @@ def test_gossip_network_rejects_ineffective_overrides_under_process():
             _values(32), rng=0, peer_sampling="round-robin",
             topology_process=ChurnProcess(n=32, rng=0),
         )
-    with pytest.raises(ConfigurationError):
-        GossipNetwork(
-            _values(32), rng=0, allow_self_contact=True,
-            topology_process=ChurnProcess(n=32, rng=0),
-        )
 
 
 def test_gossip_network_reset_restarts_the_process():
