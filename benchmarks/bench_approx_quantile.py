@@ -38,6 +38,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.core.approx_quantile import approximate_quantile
+from repro.gossip.env import GossipEnv
 from repro.utils.stats import rank_error
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_approx.json"
@@ -78,7 +79,7 @@ def run_benchmark(sizes, seed: int = 1):
         start = time.perf_counter()
         fused32 = approximate_quantile(
             stacked, phi=(phi_lo, phi_hi), eps=accuracy, rng=seed + 2,
-            dtype="float32",
+            env=GossipEnv(dtype="float32"),
         )
         wall_fused32 = time.perf_counter() - start
 

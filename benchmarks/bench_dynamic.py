@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+from repro.gossip.env import GossipEnv
 from repro.topology import ChurnProcess, EdgeResamplingProcess, build_topology
 from repro.utils.rand import RandomSource
 
@@ -76,8 +77,7 @@ def _time_scenario(runner, n, rounds, seed, process, topology):
         protocol,
         rng=seed,
         max_rounds=rounds + 1,
-        topology=topology,
-        topology_process=process,
+        env=GossipEnv(topology=topology, topology_process=process),
     )
     elapsed = time.perf_counter() - start
     return result, protocol, elapsed, float(values.sum())
@@ -136,15 +136,15 @@ def smoke(seed: int = 0):
         print(f"smoke: {name:20s} {result.rounds / elapsed:10.1f} rounds/s")
     # Loop and vectorized engines must agree bit-for-bit under a process.
     small = 257
-    churn = ChurnProcess(n=small, churn_rate=0.2, rng=seed)
+    env = GossipEnv(
+        topology_process=ChurnProcess(n=small, churn_rate=0.2, rng=seed)
+    )
     values = RandomSource(seed).random(small)
     loop = run_protocol_loop(
-        PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13,
-        topology_process=churn,
+        PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13, env=env
     )
     vec = run_protocol_vectorized(
-        PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13,
-        topology_process=churn,
+        PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13, env=env
     )
     assert loop.outputs == vec.outputs
     print("smoke: loop == vectorized under churn OK")

@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.robust import robust_approximate_quantile
 from repro.core.service import QuantileService
 from repro.experiments.chaos import build_injector
+from repro.gossip.env import GossipEnv
 from repro.topology import ChurnProcess
 from repro.utils.rand import RandomSource
 
@@ -50,7 +51,7 @@ def _fresh_service(n, seed, eps, max_lanes, faults=None, churn=False):
     start = time.perf_counter()
     service = QuantileService(
         values, eps=eps, rng=seed, max_lanes=max_lanes,
-        faults=faults, churn_process=churn_process,
+        env=GossipEnv(faults=faults), churn_process=churn_process,
     )
     return service, values, time.perf_counter() - start
 
@@ -156,8 +157,11 @@ def _scenario_rows(n, seed, eps=0.1, max_lanes=4, intensity=0.1):
     values = RandomSource(seed).random(n) * 100.0
     start = time.perf_counter()
     robust = robust_approximate_quantile(
-        values, phi=0.5, eps=eps, failure_model=0.2, rng=seed,
-        faults=build_injector(("drop", "crash"), intensity, seed + 3),
+        values, phi=0.5, eps=eps, rng=seed,
+        env=GossipEnv(
+            failure_model=0.2,
+            faults=build_injector(("drop", "crash"), intensity, seed + 3),
+        ),
     )
     robust_wall = time.perf_counter() - start
     rows.append({

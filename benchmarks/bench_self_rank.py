@@ -37,6 +37,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.core.all_quantiles import estimate_all_ranks, true_self_quantiles
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_selfrank.json"
@@ -55,7 +56,7 @@ def _run_mode(values: np.ndarray, mode: str, seed: int):
     # "sequential" is the single-lane reference: one tournament per target
     kwargs = {"max_lanes": 1} if mode == "sequential" else {}
     if mode == "fused-f32":
-        kwargs["dtype"] = "float32"
+        kwargs["env"] = GossipEnv(dtype="float32")
     start = time.perf_counter()
     result = estimate_all_ranks(values, eps=EPS, rng=seed, **kwargs)
     wall = time.perf_counter() - start

@@ -27,6 +27,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.core.tokens import distribute_tokens
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_tokens.json"
@@ -62,6 +63,7 @@ def run_benchmark(
         item_nodes, rng = _workload(n, multiplicity, token_load, seed)
         wall = {}
         for engine in ENGINES:
+            env = GossipEnv(failure_model=mu if mu > 0 else None, engine=engine)
             best = float("inf")
             phases = rounds = 0
             # both engines get best-of-`repeats`, so the speedup column
@@ -73,8 +75,7 @@ def run_benchmark(
                     multiplicity=multiplicity,
                     n=n,
                     rng=rng.child(),
-                    failure_model=mu if mu > 0 else None,
-                    engine=engine,
+                    env=env,
                 )
                 elapsed = time.perf_counter() - start
                 _check_invariants(result, item_nodes.size, multiplicity)

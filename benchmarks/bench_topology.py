@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.gossip.engine import run_protocol_vectorized
+from repro.gossip.env import GossipEnv
 from repro.topology import build_topology, resolve_peer_sampler
 from repro.utils.rand import RandomSource
 
@@ -52,7 +53,8 @@ def _time_push_sum(topology, n: int, rounds: int, seed: int):
     protocol = PushSumProtocol(values, rounds=rounds)
     start = time.perf_counter()
     result = run_protocol_vectorized(
-        protocol, rng=seed, max_rounds=rounds + 1, topology=topology
+        protocol, rng=seed, max_rounds=rounds + 1,
+        env=GossipEnv(topology=topology),
     )
     elapsed = time.perf_counter() - start
     return result.rounds / elapsed, result, protocol
@@ -99,11 +101,13 @@ def smoke(seed: int = 0) -> int:
             baseline = rps
         print(f"smoke: {name:12s} {rps:10.1f} rounds/s")
     # round-robin sampling also executes
-    topology = build_topology("regular", n, degree=8, rng=seed)
+    env = GossipEnv(
+        topology=build_topology("regular", n, degree=8, rng=seed),
+        peer_sampling="round-robin",
+    )
     values = RandomSource(seed).random(n)
     result = run_protocol_vectorized(
-        PushSumProtocol(values, rounds=10), rng=seed, max_rounds=11,
-        topology=topology, peer_sampling="round-robin",
+        PushSumProtocol(values, rounds=10), rng=seed, max_rounds=11, env=env
     )
     assert result.rounds == 10
     print(f"smoke: round-robin on regular OK; complete baseline "

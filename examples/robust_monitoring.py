@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import approximate_quantile, robust_approximate_quantile
 from repro.datasets import gaussian_values
+from repro.gossip import GossipEnv
 from repro.utils.stats import rank_error
 
 
@@ -34,7 +35,7 @@ def main() -> None:
 
     for mu in (0.2, 0.5):
         robust = robust_approximate_quantile(
-            values, phi=phi, eps=eps, failure_model=mu, rng=2
+            values, phi=phi, eps=eps, rng=2, env=GossipEnv(failure_model=mu)
         )
         err = rank_error(values, robust.estimate, phi)
         print(

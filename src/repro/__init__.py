@@ -27,6 +27,7 @@ from repro.core.robust import RobustQuantileResult
 from repro.core.all_quantiles import AllRanksResult, true_self_quantiles
 from repro.core.service import QuantileService, QueryAnswer
 from repro.gossip import (
+    GossipEnv,
     GossipNetwork,
     NetworkMetrics,
     NoFailures,
@@ -56,6 +57,7 @@ __all__ = [
     "true_self_quantiles",
     "QuantileService",
     "QueryAnswer",
+    "GossipEnv",
     "GossipNetwork",
     "NetworkMetrics",
     "NoFailures",

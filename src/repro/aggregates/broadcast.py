@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import (
@@ -36,7 +36,6 @@ from repro.gossip.protocol import (
     KIND_PULL,
     KIND_PUSHPULL,
 )
-from repro.topology.graphs import Topology
 from repro.utils.rand import RandomSource
 from repro.utils.views import ReadOnlyArray
 
@@ -140,26 +139,20 @@ class BroadcastResult:
 def broadcast_rounds(
     n: int,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     source: int = 0,
     max_rounds: Optional[int] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> BroadcastResult:
     """Measure how many rounds push-pull broadcast needs to inform all nodes."""
     protocol = BroadcastProtocol(n, source=source, max_rounds=max_rounds)
     result = run_protocol(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=protocol._budget + 1,
         metrics=metrics,
         raise_on_budget=False,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
+        env=env,
     )
     return BroadcastResult(
         rounds=result.rounds,

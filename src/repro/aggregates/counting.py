@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.aggregates.push_sum import default_push_sum_rounds, push_sum_average
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.rand import RandomSource
 
@@ -37,11 +37,8 @@ def count_leq(
     threshold: float,
     rng: Union[None, int, RandomSource] = None,
     rounds: Optional[int] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> CountResult:
     """Count, via gossip, how many node values are ``<= threshold``.
 
@@ -50,8 +47,8 @@ def count_leq(
     ``exact`` reports whether *every* node's rounded estimate matches the
     true count — the condition the w.h.p. analysis guarantees.
 
-    The underlying push-sum run is batch-capable; ``engine`` selects the
-    execution path (``None`` defers to the process-wide default, which
+    The underlying push-sum run is batch-capable; ``env.engine`` selects
+    the execution path (``None`` defers to the process-wide default, which
     dispatches counting to the vectorized engine).
     """
     array = np.asarray(values, dtype=float)
@@ -62,14 +59,7 @@ def count_leq(
     if rounds is None:
         rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
     result = push_sum_average(
-        indicators,
-        rng=rng,
-        rounds=rounds,
-        failure_model=failure_model,
-        metrics=metrics,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
+        indicators, rng=rng, rounds=rounds, metrics=metrics, env=env
     )
     estimates = result.estimates * n
     true_count = int(indicators.sum())

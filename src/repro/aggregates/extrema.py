@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.messages import BITS_HEADER, payload_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
@@ -273,12 +273,9 @@ def spread_extrema_pair(
     lo_values: Union[Sequence[float], np.ndarray],
     hi_values: Union[Sequence[float], np.ndarray],
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: Optional[int] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> ExtremaPairResult:
     """Spread min(lo_values) and max(hi_values) in one fused run.
 
@@ -290,13 +287,10 @@ def spread_extrema_pair(
     result = run_protocol(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=protocol._budget + 1,
         metrics=metrics,
         raise_on_budget=False,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
+        env=env,
     )
     return ExtremaPairResult(
         lo_values=protocol.lo_values_array(),
@@ -326,25 +320,19 @@ def spread_extrema(
     values: Union[Sequence[float], np.ndarray],
     mode: str = "max",
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: Optional[int] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> ExtremaResult:
     """Spread the global min or max of ``values`` to every node."""
     protocol = ExtremaProtocol(values, mode=mode, max_rounds=max_rounds)
     result = run_protocol(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=protocol._budget + 1,
         metrics=metrics,
         raise_on_budget=False,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
+        env=env,
     )
     return ExtremaResult(
         values=result.outputs_array,

@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.gossip.failures import FailureModel
 from repro.gossip.engine import EngineResult, run_protocol
+from repro.gossip.env import GossipEnv
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE, BITS_PER_WEIGHT, id_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
@@ -213,26 +213,18 @@ def push_sum_average(
     values: Union[Sequence[float], np.ndarray],
     rng: Union[None, int, RandomSource] = None,
     rounds: Optional[int] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
     tolerance: Optional[float] = None,
-    topology_process=None,
+    env: Optional[GossipEnv] = None,
 ) -> PushSumResult:
     """Estimate the average of ``values`` at every node via push-sum."""
     protocol = PushSumProtocol(values, rounds=rounds, tolerance=tolerance)
     result: EngineResult = run_protocol(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=protocol._rounds + 1,
         metrics=metrics,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
-        topology_process=topology_process,
+        env=env,
     )
     return PushSumResult(
         estimates=result.outputs_array,
@@ -245,11 +237,8 @@ def push_sum_sum(
     values: Union[Sequence[float], np.ndarray],
     rng: Union[None, int, RandomSource] = None,
     rounds: Optional[int] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
-    engine: Optional[str] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> PushSumResult:
     """Estimate the *sum* of ``values`` at every node.
 
@@ -263,12 +252,9 @@ def push_sum_sum(
     result = run_protocol(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=protocol._rounds + 1,
         metrics=metrics,
-        engine=engine,
-        topology=topology,
-        peer_sampling=peer_sampling,
+        env=env,
     )
     return PushSumResult(
         estimates=result.outputs_array,

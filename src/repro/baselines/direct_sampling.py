@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
@@ -78,8 +79,8 @@ def sampling_quantile(
         rounds = sampling_rounds(n, eps, constant)
     observers = int(min(n, max(1, max_observers)))
 
-    network = GossipNetwork(array, rng=rng, failure_model=failure_model,
-                            keep_history=False)
+    network = GossipNetwork(array, rng=rng, keep_history=False,
+                            env=GossipEnv(failure_model=failure_model))
     # Values never change in this baseline, so each pull is an iid draw from
     # the static value array; we account every round on the network and draw
     # the observer samples directly.

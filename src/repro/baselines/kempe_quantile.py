@@ -21,7 +21,8 @@ import numpy as np
 from repro.aggregates.counting import count_leq
 from repro.aggregates.push_sum import default_push_sum_rounds
 from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.gossip.failures import FailureModel, resolve_failure_model
+from repro.gossip.env import GossipEnv
+from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.rand import RandomSource
 from repro.utils.stats import target_rank
@@ -90,7 +91,7 @@ def kempe_exact_quantile(
     n = array.size
     simulate = fidelity == "simulated"
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
+    env = GossipEnv(failure_model=failure_model)
     metrics = NetworkMetrics(keep_history=False)
     if max_phases is None:
         max_phases = int(10 * math.log2(n)) + 20
@@ -126,7 +127,7 @@ def kempe_exact_quantile(
         if simulate:
             count = count_leq(
                 array, threshold=pivot, rng=source.child(),
-                rounds=counting_rounds, failure_model=failures, metrics=metrics,
+                rounds=counting_rounds, metrics=metrics, env=env,
             )
             pivot_rank = count.count
             true_rank = int(np.searchsorted(sorted_values, pivot, side="right"))

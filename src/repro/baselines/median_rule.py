@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
@@ -58,8 +59,8 @@ def median_rule(
     if iterations < 1:
         raise ConfigurationError("iterations must be positive")
 
-    network = GossipNetwork(array, rng=rng, failure_model=failure_model,
-                            keep_history=False)
+    network = GossipNetwork(array, rng=rng, keep_history=False,
+                            env=GossipEnv(failure_model=failure_model))
     for _ in range(iterations):
         current = network.snapshot()
         batch = network.pull(3, label="median-rule")

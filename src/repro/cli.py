@@ -40,6 +40,7 @@ from repro.core.all_quantiles import (
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
 from repro.core.service import QuantileService
+from repro.exceptions import ConfigurationError
 from repro.experiments.churn_sweep import FAILURE_CHOICES
 from repro.experiments.runner import REGISTRY, run_experiment
 from repro.faults import (
@@ -57,6 +58,7 @@ from repro.gossip.engine import (
     run_protocol,
     set_default_engine,
 )
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs import (
     Tracer,
@@ -442,25 +444,24 @@ def _run_query(args: argparse.Namespace) -> str:
             rewire_p=args.rewire_p,
             rng=args.seed,
         )
+    env = GossipEnv(topology=topology, dtype=args.dtype)
+    where = f" on {args.topology}" if topology is not None else ""
     if args.eps is None:
-        # The exact driver threads the topology into its approximate
-        # stages (the round-dominating sandwich tournaments + final
-        # query); the auxiliary aggregates stay complete-graph.
+        # The exact driver runs its approximate stages (the round-dominating
+        # sandwich tournaments + final query) on the topology; the
+        # auxiliary aggregates stay complete-graph.
         result = exact_quantile(
             values, phi=args.phi, rng=args.seed, fidelity=args.fidelity,
-            dtype=args.dtype, topology=topology,
+            env=env,
         )
-        where = f" on {args.topology}" if topology is not None else ""
         return (
             f"exact {args.phi}-quantile = {result.value} "
             f"(rank {result.target_rank} of {result.n}, {result.rounds} gossip "
             f"rounds, {result.fidelity}{where})"
         )
     result = approximate_quantile(
-        values, phi=args.phi, eps=args.eps, rng=args.seed, topology=topology,
-        dtype=args.dtype,
+        values, phi=args.phi, eps=args.eps, rng=args.seed, env=env
     )
-    where = f" on {args.topology}" if topology is not None else ""
     return (
         f"approximate {args.phi}-quantile (eps={args.eps}) = {result.estimate} "
         f"({result.rounds} gossip rounds, n={result.n}{where})"
@@ -496,9 +497,7 @@ def _run_ranks(args: argparse.Namespace) -> str:
         rng=args.seed,
         query_accuracy=args.query_accuracy,
         max_lanes=args.max_lanes,
-        topology=topology,
-        dtype=args.dtype,
-        engine=args.engine,
+        env=GossipEnv(topology=topology, dtype=args.dtype),
     )
     errors = np.abs(result.quantile_estimates - true_self_quantiles(values))
     mode = "fused" if args.max_lanes > 1 else "single-lane"
@@ -517,6 +516,12 @@ def _run_serve(args: argparse.Namespace):
     """Returns ``(output_text, service)`` — the service rides along so the
     observability exporters can include its query-latency histogram and
     serving metrics."""
+    if args.topology is not None and args.churn_rate is not None:
+        # Rebuilds under churn run on the active subset, which an n-node
+        # static topology cannot describe.
+        raise ConfigurationError(
+            "--churn-rate cannot be combined with --topology"
+        )
     values, topology = _load_values_and_topology(args)
     faults = None
     if args.faults:
@@ -531,11 +536,8 @@ def _run_serve(args: argparse.Namespace):
         rng=args.seed,
         query_accuracy=args.query_accuracy,
         max_lanes=args.max_lanes,
-        topology=topology,
-        dtype=args.dtype,
-        engine=args.engine,
+        env=GossipEnv(topology=topology, dtype=args.dtype, faults=faults),
         sketch_k=args.sketch_k,
-        faults=faults,
         churn_process=churn,
         auto_rebuild=(args.rebuild == "auto"),
     )
@@ -654,7 +656,7 @@ def _run_net(args: argparse.Namespace) -> str:
                     make_protocol(),
                     rng=args.seed,
                     metrics=metrics,
-                    faults=faults,
+                    env=GossipEnv(faults=faults),
                     transport=transport,
                     detector=detector,
                     raise_on_budget=False,
@@ -698,7 +700,7 @@ def _run_net(args: argparse.Namespace) -> str:
         sim_metrics = NetworkMetrics()
         sim = run_protocol(
             make_protocol(), rng=args.seed, metrics=sim_metrics,
-            engine="loop", raise_on_budget=False,
+            raise_on_budget=False, env=GossipEnv(engine="loop"),
         )
         matches = (
             sim.rounds == result.rounds
@@ -803,20 +805,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tracer = _make_tracer(args)
     service = None
     with use_tracer(tracer) if tracer is not None else nullcontext():
-        if args.command == "query":
+        if args.command in ("query", "ranks", "serve"):
+            # --engine is the ambient default for the run, read by every
+            # engine-consulting substrate underneath.
             previous_engine = get_default_engine()
             if args.engine is not None:
                 set_default_engine(args.engine)
             try:
-                print(_run_query(args))
+                if args.command == "query":
+                    print(_run_query(args))
+                elif args.command == "ranks":
+                    print(_run_ranks(args))
+                else:
+                    text, service = _run_serve(args)
+                    print(text)
             finally:
                 set_default_engine(previous_engine)
-        elif args.command == "ranks":
-            print(_run_ranks(args))
-        elif args.command == "serve":
-            text, service = _run_serve(args)
-            print(text)
-            if args.listen:
+            if args.command == "serve" and args.listen:
                 served = service
 
                 def _render_service() -> str:

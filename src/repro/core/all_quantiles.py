@@ -36,13 +36,10 @@ import numpy as np
 
 from repro.core.approx_quantile import approximate_quantile
 from repro.exceptions import ConfigurationError
-from repro.faults.injectors import FaultInjector
-from repro.gossip.engine import ENGINE_CHOICES, get_default_engine, set_default_engine
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork, resolve_value_dtype
+from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
-from repro.topology.graphs import Topology
 from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
@@ -116,17 +113,12 @@ def estimate_all_ranks(
     values: Union[np.ndarray, list, tuple],
     eps: float,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     query_accuracy: Optional[float] = None,
     final_samples: int = 15,
     max_lanes: int = DEFAULT_MAX_LANES,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    dtype=None,
-    engine: Optional[str] = None,
     keep_history: bool = False,
     metrics: Optional[NetworkMetrics] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
 ) -> AllRanksResult:
     """Let every node estimate the quantile of its own value up to ~±1.5 eps.
 
@@ -146,30 +138,20 @@ def estimate_all_ranks(
         max-of-lanes rounds.  ``max_lanes=1`` is the single-lane reference
         — one tournament per grid target — whose seeded streams are pinned
         in the equivalence suite.
-    topology / peer_sampling:
-        Optional gossip topology, forwarded to every underlying network
-        (the complete graph when omitted — the paper's model).
-    dtype:
-        Value dtype for the gossip networks (float64 default, float32
-        opt-in), forwarded like the other drivers' ``dtype=``.
-    engine:
-        Optional engine override (``"auto"``/``"loop"``/``"vectorized"``)
-        applied as the global engine default for the duration of the call —
-        the convention every other driver follows.  The tournament pull
-        surface itself is engine-agnostic (one vectorized gather per
-        round); the override exists for parity and for engine-consulting
-        sub-protocols layered on top.
     keep_history / metrics:
         ``keep_history=True`` keeps per-round records on the internal
         metrics object; alternatively pass an existing ``metrics`` to
         accumulate into (its ``keep_history`` wins).  ``rounds`` and
         ``round_windows`` report only this computation's rounds either way.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` attached to every
-        underlying network.  The injector's private stream is shared across
-        chunks (round indices keep increasing through the shared metrics
-        object), so a seeded chaos schedule spans the whole grid pass and
-        replays bit-for-bit.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` of every underlying
+        network (the complete graph when omitted — the paper's model).  A
+        ``faults`` injector's private stream is shared across chunks (round
+        indices keep increasing through the shared metrics object), so a
+        seeded chaos schedule spans the whole grid pass and replays
+        bit-for-bit.  A ``topology_process`` would restart with every chunk
+        and is rejected; ``engine`` is unused (the tournaments run on the
+        engine-agnostic pull surface).
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
@@ -180,16 +162,9 @@ def estimate_all_ranks(
         raise ConfigurationError("query_accuracy must be in (0, 0.5)")
     if max_lanes < 1:
         raise ConfigurationError("max_lanes must be at least 1")
-    if engine is not None and engine not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINE_CHOICES}"
-        )
-    resolve_value_dtype(dtype)  # reject unsupported dtypes before any work
+    if env is not None:
+        env.reject("estimate_all_ranks", "topology_process")
     n = array.size
-    if topology is not None and topology.n != n:
-        raise ConfigurationError(
-            f"topology has {topology.n} nodes but values has {n}"
-        )
 
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     if metrics is None:
@@ -197,20 +172,12 @@ def estimate_all_ranks(
     rounds_before = metrics.rounds
     grid = rank_grid(eps)
 
-    previous_engine = get_default_engine()
-    if engine is not None:
-        set_default_engine(engine)
-    try:
-        with get_tracer().span("all_ranks", metrics) as span:
-            span.annotate(n=n, eps=eps, grid=int(grid.size), max_lanes=max_lanes)
-            grid_values, windows = estimate_grid_subset(
-                array, grid, query_accuracy, final_samples, source,
-                failure_model, metrics, max_lanes, topology,
-                peer_sampling, dtype, faults,
-            )
-    finally:
-        if engine is not None:
-            set_default_engine(previous_engine)
+    with get_tracer().span("all_ranks", metrics) as span:
+        span.annotate(n=n, eps=eps, grid=int(grid.size), max_lanes=max_lanes)
+        grid_values, windows = estimate_grid_subset(
+            array, grid, query_accuracy, final_samples, source, metrics,
+            max_lanes, env,
+        )
 
     quantile_estimates = _self_rank_from_grid(array, grid_values, eps)
     return AllRanksResult(
@@ -226,9 +193,14 @@ def estimate_all_ranks(
 
 
 def estimate_grid_subset(
-    array, targets, query_accuracy, final_samples, source, failure_model,
-    metrics, max_lanes, topology=None, peer_sampling="uniform", dtype=None,
-    faults: Optional[FaultInjector] = None,
+    array: np.ndarray,
+    targets: Union[np.ndarray, Sequence[float]],
+    query_accuracy: float,
+    final_samples: int,
+    source: RandomSource,
+    metrics: NetworkMetrics,
+    max_lanes: int,
+    env: Optional[GossipEnv] = None,
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """Chunked multi-lane execution: one tournament per ``max_lanes`` targets.
 
@@ -243,7 +215,8 @@ def estimate_grid_subset(
     Each chunk draws a fresh ``source.child()`` stream and runs under a
     ``grid_chunk`` tracer span — the same layout as the full pass, so a
     subset run over the full grid is bit-identical to
-    :func:`estimate_all_ranks` under the same seed.
+    :func:`estimate_all_ranks` under the same seed.  Every chunk's network
+    runs in ``env``.
     """
     targets = np.asarray(targets, dtype=float)
     n = array.size
@@ -257,19 +230,11 @@ def estimate_grid_subset(
         # the broadcast view into its own (n, lanes) matrix.
         stacked = np.broadcast_to(array[:, None], (n, lanes))
         network = GossipNetwork(
-            stacked,
-            rng=source.child(),
-            failure_model=failure_model,
-            metrics=metrics,
-            topology=topology,
-            peer_sampling=peer_sampling,
-            dtype=dtype,
-            faults=faults,
+            stacked, rng=source.child(), metrics=metrics, env=env
         )
         window_start = metrics.rounds
         with tracer.span("grid_chunk", metrics) as span:
             span.annotate(start=start, lanes=lanes)
-            # repro-lint: disable=thread-kwargs -- dtype/metrics/topology are threaded through the pre-built multi-lane network above; alongside network= a topology is rejected and dtype/metrics are carried by the network.
             result = approximate_quantile(
                 network=network,
                 phi=[float(phi) for phi in chunk],

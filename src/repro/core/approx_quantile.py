@@ -30,7 +30,7 @@ from repro.core.results import ApproxQuantileResult
 from repro.core.three_tournament import DEFAULT_FINAL_SAMPLES, run_three_tournament
 from repro.core.two_tournament import per_lane, run_two_tournament
 from repro.exceptions import ConfigurationError
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
@@ -57,15 +57,12 @@ def approximate_quantile(
     phi: Union[float, Sequence[float]] = 0.5,
     eps: Union[float, Sequence[float]] = 0.1,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     final_samples: int = DEFAULT_FINAL_SAMPLES,
     track_bands: bool = False,
     network: Optional[GossipNetwork] = None,
     metrics: Optional[NetworkMetrics] = None,
-    topology=None,
-    peer_sampling: str = "uniform",
-    dtype=None,
     keep_history: bool = False,
+    env: Optional[GossipEnv] = None,
 ) -> ApproxQuantileResult:
     """Compute an ε-approximate φ-quantile with uniform gossip.
 
@@ -83,10 +80,6 @@ def approximate_quantile(
         :func:`min_supported_eps`).
     rng:
         Seed or :class:`RandomSource`.
-    failure_model:
-        Optional failure model.  The plain algorithm degrades gracefully
-        (failed pulls keep the previous value); the variant with the
-        Section-5 guarantees is :func:`repro.core.robust.robust_approximate_quantile`.
     final_samples:
         Size ``K`` of the final vote of Algorithm 2 (odd, O(1)).
     track_bands:
@@ -95,22 +88,22 @@ def approximate_quantile(
     network / metrics:
         Advanced: run on an existing network (its value array is consumed)
         and/or accumulate rounds into an existing metrics object.
-    topology / peer_sampling:
-        Optional gossip topology (see :mod:`repro.topology`); pulls are
-        then drawn from graph neighbors instead of uniformly.  The paper's
-        guarantees assume the complete graph — on sparse topologies the
-        achieved rank error degrades with the spectral gap, which is
-        exactly what ``experiments/topology_sweep.py`` measures.  Only
-        valid when the network is constructed here (pass a configured
-        ``network`` otherwise).
-    dtype:
-        Value dtype for the constructed network (float64 default, float32
-        opt-in); ignored when an existing ``network`` is passed.
     keep_history:
         Keep per-round records on the constructed network's metrics object
         (previously hardcoded off, which silently discarded round
         attribution whenever no explicit ``metrics`` was supplied).  Only
         valid when the network is constructed here.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` of the constructed network
+        (only valid when the network is constructed here; a supplied
+        ``network`` already carries its own).  Under its failure model the
+        plain algorithm degrades gracefully (failed pulls keep the previous
+        value); the variant with the Section-5 guarantees is
+        :func:`repro.core.robust.robust_approximate_quantile`.  On a sparse
+        ``topology`` pulls are drawn from graph neighbors instead of
+        uniformly: the paper's guarantees assume the complete graph, and
+        the achieved rank error degrades with the spectral gap, which is
+        exactly what ``experiments/topology_sweep.py`` measures.
 
     Returns
     -------
@@ -125,12 +118,9 @@ def approximate_quantile(
         network = GossipNetwork(
             node_values(values, lanes=True),
             rng=rng,
-            failure_model=failure_model,
             metrics=metrics,
             keep_history=keep_history,
-            topology=topology,
-            peer_sampling=peer_sampling,
-            dtype=dtype,
+            env=env,
         )
     elif values is not None:
         raise ConfigurationError("pass either values or network, not both")
@@ -139,15 +129,10 @@ def approximate_quantile(
             "keep_history applies to the constructed network; configure the "
             "supplied network (or its metrics object) instead"
         )
-    elif topology is not None or peer_sampling != "uniform":
+    elif env is not None:
         raise ConfigurationError(
-            "pass topology/peer_sampling to the GossipNetwork constructor "
-            "when supplying an existing network"
-        )
-    elif dtype is not None:
-        raise ConfigurationError(
-            "pass dtype to the GossipNetwork constructor when supplying "
-            "an existing network"
+            "env applies to the constructed network; pass it to the "
+            "GossipNetwork constructor when supplying an existing network"
         )
 
     lanes = network.lanes

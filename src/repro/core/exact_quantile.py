@@ -71,7 +71,7 @@ Implementation notes (documented deviations, see DESIGN.md §4):
   targets in batches, a different random stream from the loop engine, so
   seeded simulated runs differ from (pre-PR-3) loop-engine runs in their
   token placements and round counts while all invariants and the returned
-  quantile are unchanged.  ``dtype="float32"`` runs the gossip key arrays
+  quantile are unchanged.  ``env.dtype=float32`` runs the gossip key arrays
   in single precision — keys are ranks ≤ n, exactly representable in
   float32 below 2²⁴, so the computed quantile is identical while the hot
   ``(n, k, L)`` pull gathers move half the memory.  Simulated exact
@@ -82,6 +82,7 @@ Implementation notes (documented deviations, see DESIGN.md §4):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional, Union
 
@@ -93,9 +94,9 @@ from repro.core.approx_quantile import approximate_quantile
 from repro.core.results import ExactIterationStats, ExactQuantileResult
 from repro.core.tokens import distribute_tokens
 from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.gossip.failures import FailureModel, resolve_failure_model
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork, resolve_value_dtype
+from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
 from repro.utils.mathutils import ceil_pow2
@@ -142,13 +143,10 @@ def exact_quantile(
     rng: Union[None, int, RandomSource] = None,
     fidelity: str = "idealized",
     eps_iteration: float = DEFAULT_ITERATION_EPS,
-    failure_model: Union[None, float, FailureModel] = None,
     max_iterations: int = 80,
     max_retries: int = 16,
     final_samples: int = 15,
-    dtype=None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
 ) -> ExactQuantileResult:
     """Compute the exact φ-quantile (the ``ceil(phi n)``-th smallest value).
 
@@ -163,25 +161,25 @@ def exact_quantile(
         docstring.
     eps_iteration:
         Approximation parameter used by the per-iteration sandwich.
-    failure_model:
-        Optional Section-5 failure model (applied to every simulated
-        substrate).
     max_iterations / max_retries:
         Safety budgets; exceeding them raises :class:`ConvergenceError`.
-    dtype:
-        Dtype of the gossip key arrays: float64 (default) or float32.
-        Keys are ranks ≤ n, exactly representable in float32 for
-        n < 2²⁴, so the answer is unchanged; the key→value table and the
-        returned quantile stay full precision.
-    topology / peer_sampling:
-        Optional gossip topology for the *approximate* stages (the
-        sandwich tournaments of Step 3 and the final query), which
-        dominate the round count.  The auxiliary aggregates — extrema
-        spreading, push-sum counting, token duplication — still run on
-        the complete graph (idealized fidelity charges their proven
-        complete-graph round costs; restricting them is an open item on
-        the roadmap).  ``None`` (default) is the paper's complete-graph
-        model.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv`.  Its ``failure_model``
+        applies to every simulated substrate.  Its ``dtype`` is the dtype
+        of the gossip key arrays: keys are ranks ≤ n, exactly
+        representable in float32 for n < 2²⁴, so the answer is unchanged;
+        the key→value table and the returned quantile stay full precision.
+        A ``topology_process``, a ``faults`` injector or the ``"asyncio"``
+        engine is rejected.
+
+        Topology (a documented deviation): the ``topology`` /
+        ``peer_sampling`` apply to the *approximate* stages (the sandwich
+        tournaments of Step 3 and the final query), which dominate the
+        round count.  The auxiliary aggregates — extrema spreading,
+        push-sum counting, token duplication — run on the ``aux`` env,
+        which is ``env`` on the complete graph (idealized fidelity charges
+        their proven complete-graph round costs; restricting them is an
+        open item on the roadmap).
 
     Returns
     -------
@@ -193,10 +191,8 @@ def exact_quantile(
     if not tracer.active:
         return _exact_quantile_impl(
             values, phi, rng=rng, fidelity=fidelity,
-            eps_iteration=eps_iteration, failure_model=failure_model,
-            max_iterations=max_iterations, max_retries=max_retries,
-            final_samples=final_samples, dtype=dtype,
-            topology=topology, peer_sampling=peer_sampling,
+            eps_iteration=eps_iteration, max_iterations=max_iterations,
+            max_retries=max_retries, final_samples=final_samples, env=env,
         )
     # Bind the root span to the driver's (fresh) metrics object so the
     # span's counter deltas are the whole run's totals; the step spans
@@ -206,10 +202,8 @@ def exact_quantile(
         root.annotate(phi=phi, fidelity=fidelity)
         result = _exact_quantile_impl(
             values, phi, rng=rng, fidelity=fidelity,
-            eps_iteration=eps_iteration, failure_model=failure_model,
-            max_iterations=max_iterations, max_retries=max_retries,
-            final_samples=final_samples, dtype=dtype,
-            topology=topology, peer_sampling=peer_sampling,
+            eps_iteration=eps_iteration, max_iterations=max_iterations,
+            max_retries=max_retries, final_samples=final_samples, env=env,
             _metrics=metrics,
         )
         root.annotate(
@@ -226,13 +220,10 @@ def _exact_quantile_impl(
     rng: Union[None, int, RandomSource] = None,
     fidelity: str = "idealized",
     eps_iteration: float = DEFAULT_ITERATION_EPS,
-    failure_model: Union[None, float, FailureModel] = None,
     max_iterations: int = 80,
     max_retries: int = 16,
     final_samples: int = 15,
-    dtype=None,
-    topology=None,
-    peer_sampling: str = "uniform",
+    env: Optional[GossipEnv] = None,
     _metrics: Optional[NetworkMetrics] = None,
 ) -> ExactQuantileResult:
     """The driver body behind :func:`exact_quantile` (same contract)."""
@@ -242,7 +233,18 @@ def _exact_quantile_impl(
         raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
     if not 0.0 < eps_iteration < 0.5:
         raise ConfigurationError("eps_iteration must be in (0, 0.5)")
-    key_dtype = resolve_value_dtype(dtype)
+    env = resolve_env(env)
+    env.reject("exact_quantile", "topology_process", "faults")
+    if env.engine == "asyncio":
+        # The token stage has no live backend, so a simulated run would
+        # fail midway; reject up front instead.
+        raise ConfigurationError(
+            "exact_quantile does not support env.engine='asyncio'"
+        )
+    # The documented topology deviation: the auxiliary substrates (extrema,
+    # counting, tokens) stay on the complete graph.
+    aux = dataclasses.replace(env, topology=None, peer_sampling="uniform")
+    key_dtype = env.dtype
 
     array = node_values(values, min_nodes=4)
     n = array.size
@@ -251,13 +253,12 @@ def _exact_quantile_impl(
             "float32 keys are exact only below 2**24 ranks; use float64 "
             f"for n = {n}"
         )
-    if topology is not None and topology.n != n:
+    if env.topology is not None and env.topology.n != n:
         raise ConfigurationError(
-            f"topology has {topology.n} nodes but values has {n}"
+            f"topology has {env.topology.n} nodes but values has {n}"
         )
     simulate = fidelity == "simulated"
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
     metrics = _metrics if _metrics is not None else NetworkMetrics(
         keep_history=False
     )
@@ -282,12 +283,9 @@ def _exact_quantile_impl(
         working = GossipNetwork(
             node_keys,
             rng=source.child(),
-            failure_model=failures,
             metrics=metrics,
             keep_history=False,
-            dtype=key_dtype,
-            topology=topology,
-            peer_sampling=peer_sampling,
+            env=env,
         )
         result = approximate_quantile(
             network=working,
@@ -311,12 +309,9 @@ def _exact_quantile_impl(
         working = GossipNetwork(
             np.stack([node_keys, node_keys], axis=1),
             rng=source.child(),
-            failure_model=failures,
             metrics=metrics,
             keep_history=False,
-            dtype=key_dtype,
-            topology=topology,
-            peer_sampling=peer_sampling,
+            env=env,
         )
         result = approximate_quantile(
             network=working,
@@ -375,25 +370,22 @@ def _exact_quantile_impl(
             span.annotate(iteration=iteration)
             if simulate:
                 if lo_bounded and hi_bounded:
-                    # repro-lint: disable=thread-kwargs -- documented deviation: the auxiliary extrema spreading runs on the complete graph (see the topology note in exact_quantile's docstring; restricting it is a roadmap item).
                     pair = spread_extrema_pair(
                         est_lo, est_hi, rng=source.child(),
-                        failure_model=failures, metrics=metrics,
+                        metrics=metrics, env=aux,
                     )
                     min_key = float(np.min(pair.lo_values))
                     max_key = float(np.max(pair.hi_values))
                 elif lo_bounded:
-                    # repro-lint: disable=thread-kwargs -- documented deviation: auxiliary extrema spreading stays on the complete graph (see exact_quantile docstring).
                     lo_spread = spread_extrema(
                         est_lo, mode="min", rng=source.child(),
-                        failure_model=failures, metrics=metrics,
+                        metrics=metrics, env=aux,
                     )
                     min_key = float(np.min(lo_spread.values))
                 elif hi_bounded:
-                    # repro-lint: disable=thread-kwargs -- documented deviation: auxiliary extrema spreading stays on the complete graph (see exact_quantile docstring).
                     hi_spread = spread_extrema(
                         est_hi, mode="max", rng=source.child(),
-                        failure_model=failures, metrics=metrics,
+                        metrics=metrics, env=aux,
                     )
                     max_key = float(np.max(hi_spread.values))
             else:
@@ -442,9 +434,8 @@ def _exact_quantile_impl(
         with tracer.span("counting", metrics) as span:
             span.annotate(iteration=iteration)
             if simulate:
-                # repro-lint: disable=thread-kwargs -- documented deviation: the push-sum counting substrate runs on the complete graph (see the topology note in exact_quantile's docstring).
                 count_leq(node_keys, threshold=min_key, rng=source.child(),
-                          failure_model=failures, metrics=metrics)
+                          metrics=metrics, env=aux)
             else:
                 metrics.charge_rounds(
                     _charged_counting_rounds(n), label="counting"
@@ -490,8 +481,8 @@ def _exact_quantile_impl(
                     multiplicity=multiplicity,
                     n=n,
                     rng=source.child(),
-                    failure_model=failures,
                     metrics=metrics,
+                    env=aux,
                 )
                 # Item j owns the key block (j*multiplicity,
                 # (j+1)*multiplicity]; hand block members to the owner nodes

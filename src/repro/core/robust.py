@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.core.schedules import three_tournament_schedule, two_tournament_schedule
 from repro.exceptions import ConfigurationError
-from repro.faults.injectors import FaultInjector
-from repro.gossip.failures import FailureModel, resolve_failure_model
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
 from repro.utils.inputs import node_values
@@ -72,21 +71,16 @@ def robust_approximate_quantile(
     values: Union[np.ndarray, list, tuple],
     phi: float,
     eps: float,
-    failure_model: Union[float, FailureModel],
     rng: Union[None, int, RandomSource] = None,
     pulls_per_iteration: Optional[int] = None,
     final_samples: int = 15,
     extra_spread_rounds: int = 12,
-    dtype=None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
 ) -> RobustQuantileResult:
     """Theorem 1.4: ε-approximate φ-quantile despite per-round node failures.
 
     Parameters
     ----------
-    failure_model:
-        Either a float ``mu`` (uniform per-round failure probability) or a
-        :class:`FailureModel`.
     pulls_per_iteration:
         Number of partners pulled per tournament iteration; defaults to the
         paper's Θ(1/(1-µ) log 1/(1-µ)).
@@ -94,28 +88,31 @@ def robust_approximate_quantile(
         The parameter ``t`` of Theorem 1.4: after the computation, ``t``
         extra rounds in which answer-less nodes pull answers, leaving all
         but ~``n/2^t`` nodes with a correct output.
-    dtype:
-        Value dtype of the underlying gossip network (float64 default,
-        float32 opt-in); the returned estimates stay float64.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` layered on top of the
-        Section-5 failure model — the Theorem-1.4 machinery was designed
-        for exactly this abuse: ``pulls_per_iteration`` sizing uses the
-        *combined* suppression bound (``failure_model`` mu unioned with the
-        injector's crash/drop bound) so good-pull counting stays honest
-        under injected chaos.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` of the underlying network:
+        its ``failure_model`` is the Section-5 model, its ``dtype`` the
+        network's value dtype (the returned estimates stay float64), and
+        its optional ``faults`` injector is layered on top — the Theorem-1.4
+        machinery was designed for exactly this abuse:
+        ``pulls_per_iteration`` sizing uses the *combined* suppression bound
+        (the failure model's mu unioned with the injector's crash/drop
+        bound) so good-pull counting stays honest under injected chaos.
+        The analysis is for the complete graph, so a ``topology`` or
+        ``topology_process`` is rejected.
     """
+    env = resolve_env(env)
+    env.reject("robust_approximate_quantile", "topology", "topology_process")
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError("phi must be in [0, 1]")
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
-    model = resolve_failure_model(failure_model)
+    model = env.failure_model
     if pulls_per_iteration is None:
         # Size pulls for the union suppression rate: a pull can be lost to
         # the failure model OR to an injected crash/drop, independently.
         mu = model.mu
-        if faults is not None:
-            mu = min(1.0 - (1.0 - mu) * (1.0 - faults.mu_bound()), 0.999)
+        if env.faults is not None:
+            mu = min(1.0 - (1.0 - mu) * (1.0 - env.faults.mu_bound()), 0.999)
         pulls_per_iteration = default_pulls_per_iteration(mu)
     if pulls_per_iteration < 3:
         raise ConfigurationError("pulls_per_iteration must be at least 3")
@@ -124,14 +121,7 @@ def robust_approximate_quantile(
 
     array = node_values(values, min_nodes=4)
     n = array.size
-    network = GossipNetwork(
-        array,
-        rng=rng,
-        failure_model=model,
-        keep_history=False,
-        dtype=dtype,
-        faults=faults,
-    )
+    network = GossipNetwork(array, rng=rng, keep_history=False, env=env)
     good = np.ones(n, dtype=bool)
     k_pulls = int(pulls_per_iteration)
 

@@ -21,6 +21,7 @@ the sketch is a per-item stream fold — opt-in, priced at its
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from time import perf_counter
@@ -36,13 +37,12 @@ from repro.core.all_quantiles import (
 )
 from repro.exceptions import ConfigurationError
 from repro.faults.injectors import FaultInjector
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import LatencyHistogram, get_tracer
 from repro.sketches.kll import KLLSketch
 from repro.topology.dynamic import ChurnProcess
-from repro.topology.graphs import Topology
 from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
@@ -139,26 +139,27 @@ class QuantileService:
         Grid spacing of the underlying all-quantiles pass: answers from the
         grid carry at most ``eps / 2 + query_accuracy`` rank error inside
         the grid's coverage.
-    max_lanes / topology / peer_sampling / dtype / engine /
-    failure_model / query_accuracy / final_samples / keep_history:
+    max_lanes / query_accuracy / final_samples / keep_history:
         Forwarded to :func:`~repro.core.all_quantiles.estimate_all_ranks`.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` of the build pass *and*
+        every rebuild.  Its optional ``faults`` injector is the
+        chaos-testing hook: rebuilds whose answers fail the rank self-check
+        under injected faults retry with exponential backoff (see
+        ``max_rebuild_retries`` / ``rebuild_backoff``).
     sketch_k:
         Optional KLL compactor capacity.  When given, a mergeable sketch of
         the value stream is folded at build time and queries whose grid
         bracket is coarser than the sketch's rank-error bound (~``3 / k``)
         are answered from it.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` attached to the build
-        pass *and* every rebuild — the chaos-testing hook.  Rebuilds whose
-        answers fail the rank self-check under injected faults retry with
-        exponential backoff (see ``max_rebuild_retries`` /
-        ``rebuild_backoff``).
     churn_process:
         Optional :class:`~repro.topology.dynamic.ChurnProcess` modelling
         node departures after the build.  :meth:`advance_churn` steps it;
         departed values then no longer back the served estimates, which the
         per-lane drift model turns into widened (degraded) answers and,
-        past ``rebuild_threshold``, epoch rebuilds.
+        past ``rebuild_threshold``, epoch rebuilds.  A rebuild under churn
+        runs on the active subset, which an ``n``-node static topology
+        cannot describe, so ``env.topology`` is rejected beside it.
     staleness_threshold:
         Per-lane rank drift above which a lane's answers are served as
         degraded (default ``eps / 2``).
@@ -181,17 +182,12 @@ class QuantileService:
         values: Union[np.ndarray, list, tuple],
         eps: float = 0.1,
         rng: Union[None, int, RandomSource] = None,
-        failure_model: Union[None, float, FailureModel] = None,
         query_accuracy: Optional[float] = None,
         final_samples: int = 15,
         max_lanes: int = DEFAULT_MAX_LANES,
-        topology: Optional[Topology] = None,
-        peer_sampling: str = "uniform",
-        dtype=None,
-        engine: Optional[str] = None,
         keep_history: bool = False,
+        env: Optional[GossipEnv] = None,
         sketch_k: Optional[int] = None,
-        faults: Optional[FaultInjector] = None,
         churn_process: Optional[ChurnProcess] = None,
         staleness_threshold: Optional[float] = None,
         rebuild_threshold: Optional[float] = None,
@@ -202,7 +198,14 @@ class QuantileService:
         source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
         self._source = source
         self._array = node_values(values, min_nodes=4)
+        self._env = resolve_env(env)
         if churn_process is not None:
+            if self._env.topology is not None:
+                raise ConfigurationError(
+                    "a churn process cannot be combined with a static "
+                    "topology: rebuilds run on the active subset, which an "
+                    "n-node topology cannot describe"
+                )
             if not isinstance(churn_process, ChurnProcess):
                 raise ConfigurationError(
                     f"churn_process must be a ChurnProcess, got {churn_process!r}"
@@ -221,31 +224,22 @@ class QuantileService:
         build_metrics = NetworkMetrics(keep_history=keep_history)
         with get_tracer().span("service_build", build_metrics) as span:
             span.annotate(n=int(self._array.size), eps=float(eps))
-            # repro-lint: disable=thread-kwargs -- keep_history is threaded via build_metrics (constructed with it above); estimate_all_ranks documents that an explicit metrics= object's keep_history wins.
             self._result = estimate_all_ranks(
                 self._array,
                 eps=eps,
                 rng=source.child(),
-                failure_model=failure_model,
                 query_accuracy=query_accuracy,
                 final_samples=final_samples,
                 max_lanes=max_lanes,
-                topology=topology,
-                peer_sampling=peer_sampling,
-                dtype=dtype,
-                engine=engine,
                 metrics=build_metrics,
-                faults=faults,
+                env=self._env,
             )
         self._eps = float(eps)
         self._query_accuracy = (
             eps / 2.0 if query_accuracy is None else float(query_accuracy)
         )
-        self._failure_model = failure_model
         self._final_samples = int(final_samples)
         self._max_lanes = int(max_lanes)
-        self._dtype = dtype
-        self._faults = faults
         self._churn = churn_process
         self._staleness_threshold = (
             self._eps / 2.0 if staleness_threshold is None
@@ -365,7 +359,7 @@ class QuantileService:
 
     @property
     def faults(self) -> Optional[FaultInjector]:
-        return self._faults
+        return self._env.faults
 
     def attach_faults(self, faults: Optional[FaultInjector]) -> None:
         """Attach (or replace, or with ``None`` detach) the fault injector.
@@ -377,11 +371,7 @@ class QuantileService:
         so a schedule wrapping the new injector's specs sees the service's
         true round clock, not zero.
         """
-        if faults is not None and not isinstance(faults, FaultInjector):
-            raise ConfigurationError(
-                f"faults must be a FaultInjector, got {faults!r}"
-            )
-        self._faults = faults
+        self._env = dataclasses.replace(self._env, faults=faults)
 
     def _active_mask(self) -> np.ndarray:
         if self._churn is not None and self._churn.active is not None:
@@ -556,9 +546,8 @@ class QuantileService:
                 )
                 grid_values, windows = estimate_grid_subset(
                     array, targets, self._query_accuracy,
-                    self._final_samples, self._source.child(),
-                    self._failure_model, metrics, self._max_lanes,
-                    dtype=self._dtype, faults=self._faults,
+                    self._final_samples, self._source.child(), metrics,
+                    self._max_lanes, self._env,
                 )
             chunks_run += len(windows)
             answers = self._lane_answers(grid_values)

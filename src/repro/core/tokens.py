@@ -53,13 +53,14 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.engine import get_default_engine
-from repro.gossip.failures import FailureModel, resolve_failure_model
+from repro.gossip.env import GossipEnv, resolve_env
+from repro.gossip.failures import FailureModel
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE, id_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.mathutils import is_power_of_two
 from repro.utils.rand import RandomSource, draw_targets_excluding
 
-#: Valid values for the ``engine`` argument of :func:`distribute_tokens`.
+#: Engines :func:`distribute_tokens` accepts (``env.engine``; no asyncio).
 TOKEN_ENGINE_CHOICES = ("auto", "loop", "vectorized")
 
 
@@ -103,6 +104,17 @@ def _validate_inputs(
     return item_nodes
 
 
+def _token_failures(env: Optional[GossipEnv]) -> FailureModel:
+    """The failure model of a token run.
+
+    Pushes go to uniformly random nodes, so a topology, topology process
+    or fault injector on the env would be silently ignored: reject it.
+    """
+    env = resolve_env(env)
+    env.reject("token distribution", "topology", "topology_process", "faults")
+    return env.failure_model
+
+
 def _default_max_phases(n: int) -> int:
     return int(40 + 30 * np.log2(max(n, 2)))
 
@@ -112,10 +124,9 @@ def distribute_tokens(
     multiplicity: int,
     n: int,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
     max_phases: Optional[int] = None,
-    engine: Optional[str] = None,
+    env: Optional[GossipEnv] = None,
 ) -> TokenDistributionResult:
     """Duplicate each item ``multiplicity`` times across distinct nodes.
 
@@ -128,15 +139,20 @@ def distribute_tokens(
         The power-of-two number of copies each item must end up with.
     n:
         Total number of nodes.
-    engine:
-        ``"loop"`` (the reference implementation, bit-identical to the
-        historical behaviour under a fixed seed), ``"vectorized"`` (flat
-        array columns, batched RNG draws — a different but equally valid
-        random stream) or ``"auto"`` (the vectorized engine).  ``None``
-        defers to :func:`repro.gossip.engine.get_default_engine`, so the
-        CLI's ``--engine`` flag selects the token engine too.
+    env:
+        The :class:`~repro.gossip.env.GossipEnv`.  Pushes fail under its
+        ``failure_model``; its ``engine`` picks ``"loop"`` (the reference
+        implementation, bit-identical to the historical behaviour under a
+        fixed seed), ``"vectorized"`` (flat array columns, batched RNG
+        draws — a different but equally valid random stream) or ``"auto"``
+        (the vectorized engine).  ``None`` defers to
+        :func:`repro.gossip.engine.get_default_engine`, so the CLI's
+        ``--engine`` flag selects the token engine too.  Pushes go to
+        uniformly random nodes, so a topology, topology process or fault
+        injector on the env is rejected.
     """
-    choice = engine if engine is not None else get_default_engine()
+    requested = env.engine if env is not None else None
+    choice = requested if requested is not None else get_default_engine()
     if choice not in TOKEN_ENGINE_CHOICES:
         raise ConfigurationError(
             f"unknown token engine {choice!r}; choose from {TOKEN_ENGINE_CHOICES}"
@@ -153,9 +169,9 @@ def distribute_tokens(
         multiplicity=multiplicity,
         n=n,
         rng=rng,
-        failure_model=failure_model,
         metrics=metrics,
         max_phases=max_phases,
+        env=env,
     )
 
 
@@ -164,9 +180,9 @@ def distribute_tokens_loop(
     multiplicity: int,
     n: int,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
     max_phases: Optional[int] = None,
+    env: Optional[GossipEnv] = None,
 ) -> TokenDistributionResult:
     """Reference engine: per-node token lists, one scalar RNG draw per push.
 
@@ -177,7 +193,7 @@ def distribute_tokens_loop(
     item_nodes = _validate_inputs(item_nodes, multiplicity, n)
 
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
+    failures = _token_failures(env)
     stats = metrics if metrics is not None else NetworkMetrics(keep_history=False)
     rounds_before = stats.rounds
     if max_phases is None:
@@ -296,9 +312,9 @@ def distribute_tokens_vectorized(
     multiplicity: int,
     n: int,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     metrics: Optional[NetworkMetrics] = None,
     max_phases: Optional[int] = None,
+    env: Optional[GossipEnv] = None,
 ) -> TokenDistributionResult:
     """Vectorized engine: flat ``(item, weight, holder)`` token columns.
 
@@ -313,7 +329,7 @@ def distribute_tokens_vectorized(
     item_nodes = _validate_inputs(item_nodes, multiplicity, n)
 
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
+    failures = _token_failures(env)
     stats = metrics if metrics is not None else NetworkMetrics(keep_history=False)
     rounds_before = stats.rounds
     if max_phases is None:

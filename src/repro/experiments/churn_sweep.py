@@ -36,6 +36,7 @@ from repro.aggregates.push_sum import PushSumProtocol
 from repro.datasets.generators import distinct_uniform
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import TopologyFailures
 from repro.topology import ChurnProcess, EdgeResamplingProcess, build_topology
 from repro.utils.rand import RandomSource
@@ -100,10 +101,9 @@ def _run_cell(
     result = run_protocol(
         protocol,
         rng=rng.child(),
-        failure_model=failure_model,
-        topology_process=process,
         raise_on_budget=False,
         max_rounds=max_rounds + 1,
+        env=GossipEnv(failure_model=failure_model, topology_process=process),
     )
     spread = protocol.relative_spread()
     total = float(np.sum(values))

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.exact_quantile import exact_quantile
 from repro.datasets.generators import distinct_uniform
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.obs.tracer import Tracer
 from repro.utils.rand import RandomSource
 from repro.utils.stats import empirical_quantile
@@ -82,7 +83,8 @@ def _run_one_trial(
     with timer.span("exact_scale_trial") as span:
         span.annotate(phi=phi, fidelity=fidelity, dtype=dtype or "float64")
         result = exact_quantile(
-            values, phi=phi, rng=rng, fidelity=fidelity, dtype=dtype
+            values, phi=phi, rng=rng, fidelity=fidelity,
+            env=GossipEnv(dtype=dtype),
         )
     wall = timer.spans[0].wall_s
     rank_true = np.searchsorted(np.sort(values), truth, side="right")

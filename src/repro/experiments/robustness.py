@@ -18,6 +18,7 @@ from repro.analysis.theory import robust_slowdown_reference
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.robust import robust_approximate_quantile
 from repro.datasets.generators import distinct_uniform
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource, resolve_seed_sequence
 from repro.utils.stats import rank_error
 
@@ -49,7 +50,8 @@ def _run_one_trial(
     n, mu = grid[trial_index]
     values = distinct_uniform(n, rng=rng.child())
     result = robust_approximate_quantile(
-        values, phi=phi, eps=eps, failure_model=mu, rng=rng.child()
+        values, phi=phi, eps=eps, rng=rng.child(),
+        env=GossipEnv(failure_model=mu),
     )
     error = rank_error(values, result.estimate, phi)
     return {

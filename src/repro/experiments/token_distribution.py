@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.tokens import distribute_tokens
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 COLUMNS = [
@@ -51,6 +52,9 @@ def run(
     for n in sizes:
         items = max(1, int(item_fraction * n))
         for mu in mus:
+            env = GossipEnv(
+                failure_model=mu if mu > 0 else None, engine=engine
+            )
             phases = []
             rounds = []
             max_tokens = []
@@ -66,8 +70,7 @@ def run(
                     multiplicity=multiplicity,
                     n=n,
                     rng=trial_rng.child(),
-                    failure_model=mu if mu > 0 else None,
-                    engine=engine,
+                    env=env,
                 )
                 used_engine = result.engine
                 phases.append(result.phases)

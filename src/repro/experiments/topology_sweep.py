@@ -36,6 +36,7 @@ from repro.core.approx_quantile import approximate_quantile
 from repro.datasets.generators import distinct_uniform
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
+from repro.gossip.env import GossipEnv
 from repro.topology import build_topology, degree_stats, estimate_spectral_gap
 from repro.utils.rand import RandomSource
 from repro.utils.stats import rank_error
@@ -88,6 +89,7 @@ def _run_cell(
     topology = build_topology(
         topo_name, n, degree=degree, rewire_p=rewire_p, rng=rng.child()
     )
+    env = GossipEnv(topology=topology)
     # Diagnostics come from the same sampled graph the trial runs on.
     gap = estimate_spectral_gap(topology, rng=rng.child())
     mean_degree = degree_stats(topology)["mean_degree"]
@@ -96,8 +98,8 @@ def _run_cell(
     if protocol == "push-sum":
         proto = PushSumProtocol(values, rounds=max_rounds, tolerance=tolerance)
         result = run_protocol(
-            proto, rng=rng.child(), topology=topology, raise_on_budget=False,
-            max_rounds=max_rounds + 1,
+            proto, rng=rng.child(), raise_on_budget=False,
+            max_rounds=max_rounds + 1, env=env,
         )
         spread = proto.relative_spread()
         return {
@@ -110,8 +112,8 @@ def _run_cell(
     if protocol == "broadcast":
         proto = BroadcastProtocol(n, max_rounds=max_rounds)
         result = run_protocol(
-            proto, rng=rng.child(), topology=topology, raise_on_budget=False,
-            max_rounds=max_rounds + 1,
+            proto, rng=rng.child(), raise_on_budget=False,
+            max_rounds=max_rounds + 1, env=env,
         )
         informed = proto.informed_count / n
         return {
@@ -124,7 +126,7 @@ def _run_cell(
     # approx-quantile: fixed O(log log n + log 1/eps) schedule; quality is
     # the achieved rank error of the tournament estimate on this topology.
     result = approximate_quantile(
-        values, phi=phi, eps=eps, rng=rng.child(), topology=topology
+        values, phi=phi, eps=eps, rng=rng.child(), env=env
     )
     error = rank_error(values, result.estimate, phi)
     return {

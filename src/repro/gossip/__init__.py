@@ -20,6 +20,7 @@ Two execution surfaces are provided:
   bit-identical to the per-node reference loop.
 """
 
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import (
     FailureModel,
     NoFailures,
@@ -53,6 +54,7 @@ from repro.gossip.engine import (
 )
 
 __all__ = [
+    "GossipEnv",
     "FailureModel",
     "NoFailures",
     "UniformFailures",

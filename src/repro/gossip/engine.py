@@ -26,21 +26,16 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError, ProtocolError
 from repro.faults.injectors import FaultInjector
-from repro.gossip.failures import FailureModel, NoFailures, resolve_failure_model
+from repro.gossip.env import ENGINE_CHOICES, GossipEnv, resolve_env
+from repro.gossip.failures import FailureModel, NoFailures
 from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
 from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
 from repro.obs.tracer import get_tracer
 from repro.topology.dynamic import TopologyProcess, resolve_topology_process
-from repro.topology.graphs import Topology
 from repro.utils.views import readonly
 from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
-
-#: Valid values for the ``engine`` argument of :func:`run_protocol`.
-#: ``"asyncio"`` is the live-network backend (:mod:`repro.net`): the same
-#: protocol objects, each node a task speaking RPC over a real transport.
-ENGINE_CHOICES = ("auto", "loop", "vectorized", "asyncio")
 
 _default_engine = "auto"
 
@@ -60,13 +55,14 @@ def set_default_engine(name: str) -> None:
     if name == "asyncio":
         raise ConfigurationError(
             "the asyncio engine cannot be the ambient default (it owns an "
-            "event loop per run); request it per call with engine='asyncio'"
+            "event loop per run); request it per call with "
+            "GossipEnv(engine='asyncio')"
         )
     _default_engine = name
 
 
 def get_default_engine() -> str:
-    """The engine name used when :func:`run_protocol` gets ``engine=None``."""
+    """The engine name :func:`run_protocol` uses when the env names none."""
     return _default_engine
 
 
@@ -136,56 +132,30 @@ def _cached_mask(n: int, value: bool) -> np.ndarray:
     return mask
 
 
-def validate_run_inputs(
-    topology: Optional[Topology],
-    peer_sampling: str,
-    topology_process: Optional[TopologyProcess],
-    faults: Optional[FaultInjector],
-) -> None:
-    """The run-input check shared by every engine and the pull surface.
-
-    A topology process owns partner selection, so a static ``topology`` or
-    a non-default ``peer_sampling`` beside it is an error rather than a
-    silent no-op; ``faults`` must be a :class:`~repro.faults.FaultInjector`.
-    """
-    if faults is not None and not isinstance(faults, FaultInjector):
-        raise ConfigurationError(
-            f"faults must be a FaultInjector, got {faults!r}"
-        )
-    if topology_process is not None:
-        if topology is not None:
-            raise ConfigurationError(
-                "pass either topology or topology_process, not both"
-            )
-        if peer_sampling != "uniform":
-            raise ConfigurationError(
-                "peer_sampling is owned by the topology process; construct "
-                "the process with the desired strategy instead"
-            )
-
-
 def begin_run(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource],
-    failure_model: Union[None, float, FailureModel],
     metrics: Optional[NetworkMetrics],
-    topology: Optional[Topology],
-    peer_sampling: str,
-    topology_process: Optional[TopologyProcess],
-    faults: Optional[FaultInjector] = None,
-) -> Tuple[RandomSource, FailureModel, NetworkMetrics, Optional[PeerSampler]]:
-    """Run prologue shared by every engine, the asyncio runner included."""
-    validate_run_inputs(topology, peer_sampling, topology_process, faults)
+    env: Optional[GossipEnv],
+) -> Tuple[RandomSource, GossipEnv, NetworkMetrics, Optional[PeerSampler]]:
+    """Run prologue shared by every engine, the asyncio runner included.
+
+    Returns the run's stream, its (resolved) environment, the metrics
+    accumulator and the static peer sampler (``None`` under a topology
+    process, which supplies a sampler per round).
+    """
+    env = resolve_env(env)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = resolve_failure_model(failure_model)
     stats = metrics if metrics is not None else NetworkMetrics()
-    if topology_process is not None:
-        resolve_topology_process(topology_process, protocol.n)
+    if env.topology_process is not None:
+        resolve_topology_process(env.topology_process, protocol.n)
         sampler = None
     else:
-        sampler = resolve_peer_sampler(topology, sampling=peer_sampling, n=protocol.n)
+        sampler = resolve_peer_sampler(
+            env.topology, sampling=env.peer_sampling, n=protocol.n
+        )
     protocol.begin()
-    return source, failures, stats, sampler
+    return source, env, stats, sampler
 
 
 def finish_run(
@@ -262,15 +232,11 @@ def begin_round(
 def run_protocol_loop(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: int = 10_000,
     metrics: Optional[NetworkMetrics] = None,
     raise_on_budget: bool = True,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    topology_process: Optional[TopologyProcess] = None,
     on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
 ) -> EngineResult:
     """Run ``protocol`` on the per-node reference engine.
 
@@ -280,26 +246,11 @@ def run_protocol_loop(
         The protocol instance (carries ``n``).
     rng:
         Seed or random source for partner selection and failures.
-    failure_model:
-        ``None``, a float ``mu`` or a :class:`FailureModel`.
     max_rounds:
         Safety budget; exceeded budgets raise :class:`ConvergenceError`
         (or return ``completed=False`` when ``raise_on_budget`` is False).
     metrics:
         Optionally accumulate into an existing metrics object.
-    topology:
-        Optional :class:`~repro.topology.graphs.Topology` restricting who
-        can contact whom.  ``None`` (the default) is uniform gossip on the
-        complete graph, bit-identical to the historical behaviour.
-    peer_sampling:
-        Partner strategy on a sparse topology: ``"uniform"`` over neighbors
-        or ``"round-robin"`` (shuffled cyclic neighbor schedule).
-    topology_process:
-        Optional :class:`~repro.topology.dynamic.TopologyProcess` making the
-        graph a per-round object (churn, edge resampling).  Mutually
-        exclusive with ``topology``.  Nodes outside the process's per-round
-        active mask neither act nor receive; their state freezes, so
-        conserved aggregates (push-sum mass/weight) are preserved.
     on_round:
         Optional per-round observer ``on_round(record, elapsed)`` invoked
         after each executed round with that round's
@@ -308,17 +259,21 @@ def run_protocol_loop(
         tracer's hook (``None`` — free — unless a tracer is installed).
         Observation only: the hook runs after all of the round's RNG draws,
         so seeded executions are bit-identical with or without it.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector`.  Its act-suppression
-        kinds (crash-and-restart, message drop) OR into the failure mask;
-        failure model, topology process and injector compose freely because
-        each draws from its own stream (see :func:`begin_round`).
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` (``None`` = the default:
+        no failures, uniform gossip on the complete graph).  Its
+        ``topology`` / ``peer_sampling`` restrict who can contact whom; under
+        its ``topology_process`` nodes outside the per-round active mask
+        neither act nor receive, so their state freezes and conserved
+        aggregates (push-sum mass/weight) are preserved; the act-suppression
+        kinds of its ``faults`` injector (crash-and-restart, message drop)
+        OR into the failure mask.  Failure model, process and injector
+        compose freely because each draws from its own stream (see
+        :func:`begin_round`).  The env is read once, before the first round.
     """
     n = protocol.n
-    source, failures, stats, sampler = begin_run(
-        protocol, rng, failure_model, metrics, topology, peer_sampling,
-        topology_process, faults,
-    )
+    source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
+    failures, process, faults = env.failure_model, env.topology_process, env.faults
     hook = on_round if on_round is not None else get_tracer().on_round
 
     round_index = 0
@@ -328,7 +283,7 @@ def run_protocol_loop(
             round_started = perf_counter()
         record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
-            topology_process, faults,
+            process, faults,
         )
 
         actions: List[Optional[Action]] = [None] * n
@@ -375,15 +330,11 @@ def run_protocol_loop(
 def run_protocol_vectorized(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: int = 10_000,
     metrics: Optional[NetworkMetrics] = None,
     raise_on_budget: bool = True,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    topology_process: Optional[TopologyProcess] = None,
     on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
 ) -> EngineResult:
     """Run a batch-capable protocol one whole round per numpy operation.
 
@@ -392,9 +343,10 @@ def run_protocol_vectorized(
     a handful of array operations instead of ``O(n)`` Python calls.
     ``on_round`` observes rounds exactly as on the loop engine (same
     record contents, same invocation count), so hook-driven convergence
-    traces are engine-agnostic.  ``failure_model`` / ``topology_process`` /
-    ``faults`` compose exactly as on the loop engine (OR of the three
-    masks, independent streams), so the equivalence holds under any mix.
+    traces are engine-agnostic.  The env's failure model, topology process
+    and fault injector compose exactly as on the loop engine (OR of the
+    three masks, independent streams), so the equivalence holds under any
+    mix.
     """
     if not supports_batch(protocol):
         raise ProtocolError(
@@ -402,10 +354,8 @@ def run_protocol_vectorized(
             "run it on the loop engine instead"
         )
     n = protocol.n
-    source, failures, stats, sampler = begin_run(
-        protocol, rng, failure_model, metrics, topology, peer_sampling,
-        topology_process, faults,
-    )
+    source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
+    failures, process, faults = env.failure_model, env.topology_process, env.faults
     hook = on_round if on_round is not None else get_tracer().on_round
 
     round_index = 0
@@ -415,7 +365,7 @@ def run_protocol_vectorized(
             round_started = perf_counter()
         record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
-            topology_process, faults,
+            process, faults,
         )
         # rounds without failures reuse a shared all-True mask and skip the
         # negation and population-count passes
@@ -465,41 +415,33 @@ def run_protocol_vectorized(
 def run_protocol(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: int = 10_000,
     metrics: Optional[NetworkMetrics] = None,
     raise_on_budget: bool = True,
-    engine: Optional[str] = None,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    topology_process: Optional[TopologyProcess] = None,
     on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
 ) -> EngineResult:
     """Run ``protocol`` until it reports completion.
 
     Dispatches to :func:`run_protocol_vectorized` when the protocol is
-    batch-capable (or ``engine="vectorized"`` is forced) and to
-    :func:`run_protocol_loop` otherwise.  ``engine="asyncio"`` runs the
+    batch-capable (or ``env.engine="vectorized"`` is forced) and to
+    :func:`run_protocol_loop` otherwise.  ``env.engine="asyncio"`` runs the
     protocol over a live transport (:func:`repro.net.run_protocol_asyncio`,
     in-process channel by default) — never chosen by ``"auto"``, always an
-    explicit opt-in.  ``engine=None`` defers to :func:`get_default_engine`.
-    ``topology``/``peer_sampling`` restrict partner choice to a graph
-    (``None`` = the complete graph, bit-identical to the historical
-    uniform-gossip behaviour).
+    explicit opt-in.  ``env.engine=None`` (and ``env=None``) defers to
+    :func:`get_default_engine`.  The rest of the
+    :class:`~repro.gossip.env.GossipEnv` is handed to the chosen engine
+    whole (see :func:`run_protocol_loop`).
 
-    Passing ``failure_model`` and ``topology_process`` (and/or ``faults``)
-    together is well-defined: a node sits out a round if *any* of them says
-    so — the masks are OR-ed, per round, and each source draws from its own
-    random stream (failure model: the engine stream; process and injector:
-    their own seeded streams), so enabling one never perturbs another's
-    schedule.  ``mu``-style guarantees then apply to the union rate.
+    A failure model, a topology process and a fault injector on one env
+    compose: a node sits out a round if *any* of them says so — the masks
+    are OR-ed, per round, and each source draws from its own random stream
+    (failure model: the engine stream; process and injector: their own
+    seeded streams), so enabling one never perturbs another's schedule.
+    ``mu``-style guarantees then apply to the union rate.
     """
-    choice = engine if engine is not None else _default_engine
-    if choice not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"unknown engine {choice!r}; choose from {ENGINE_CHOICES}"
-        )
+    requested = env.engine if env is not None else None
+    choice = requested if requested is not None else _default_engine
     if choice == "auto":
         choice = "vectorized" if supports_batch(protocol) else "loop"
     if choice == "asyncio":
@@ -515,13 +457,9 @@ def run_protocol(
     return runner(
         protocol,
         rng=rng,
-        failure_model=failure_model,
         max_rounds=max_rounds,
         metrics=metrics,
         raise_on_budget=raise_on_budget,
-        topology=topology,
-        peer_sampling=peer_sampling,
-        topology_process=topology_process,
         on_round=on_round,
-        faults=faults,
+        env=env,
     )

@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Union
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from repro.exceptions import ConfigurationError
 from repro.faults.injectors import FaultInjector, RoundFaults
-from repro.gossip.engine import validate_run_inputs
-from repro.gossip.failures import FailureModel, NoFailures, resolve_failure_model
+from repro.gossip.env import GossipEnv, resolve_env
+from repro.gossip.failures import FailureModel, NoFailures
 from repro.gossip.messages import BITS_PER_VALUE, tournament_message_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
@@ -54,22 +53,6 @@ from repro.topology.dynamic import TopologyProcess, resolve_topology_process
 from repro.topology.graphs import Topology
 from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
-
-#: Value dtypes a network may run on.  float64 is the default; float32
-#: halves the memory traffic of the per-round ``(n, k, L)`` gathers and is
-#: exact for integer-valued payloads below 2**24 (e.g. the exact-quantile
-#: driver's rank keys).
-SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def resolve_value_dtype(dtype: Optional[DTypeLike]) -> np.dtype:
-    """Normalize a user-supplied value dtype (``None`` -> float64)."""
-    resolved = np.dtype(np.float64 if dtype is None else dtype)
-    if resolved not in SUPPORTED_DTYPES:
-        raise ConfigurationError(
-            f"unsupported value dtype {resolved}; choose float32 or float64"
-        )
-    return resolved
 
 
 @dataclass
@@ -121,58 +104,50 @@ class GossipNetwork:
         partner stream (see the module docstring).
     rng:
         Seed or :class:`RandomSource` for partner selection and failures.
-    failure_model:
-        ``None`` (no failures), a float ``mu`` or a :class:`FailureModel`.
     metrics:
         Optionally share a :class:`NetworkMetrics` object with an enclosing
         computation (the exact-quantile driver threads one metrics object
         through all of its sub-protocols).
-    topology:
-        Optional :class:`~repro.topology.graphs.Topology` restricting who
-        can be pulled from.  ``None`` (the default) is the paper's uniform
-        gossip on the complete graph — bit-identical to the historical
-        partner stream.
-    peer_sampling:
-        Partner strategy on a sparse topology: ``"uniform"`` over neighbors
-        or ``"round-robin"`` (shuffled cyclic neighbor schedule).
-    topology_process:
-        Optional :class:`~repro.topology.dynamic.TopologyProcess` making the
-        graph a per-round object (churn, newscast-style edge resampling).
-        Mutually exclusive with ``topology``.  With a process attached each
-        pull column draws its partners from that round's sampler (active
-        targets only) and departed nodes have ``ok = False`` for the round.
-    dtype:
-        Value dtype: float64 (default) or float32.  The paper's messages
-        are O(log n) bits either way; float32 halves the simulator's
-        memory traffic on the hot ``(n, k, L)`` gathers.
-    faults:
-        Optional :class:`~repro.faults.injectors.FaultInjector`.  The pull
-        surface applies the full fault vocabulary: crash/drop suppress the
-        pull (``ok = False``), duplicates are charged as extra messages,
-        delayed pulls are served from a bounded ring of past value
-        snapshots (delay is measured in value-update windows, i.e. pull
-        batches), corrupted pulls deliver a perturbed payload, and nodes
-        restarting from a ``reset_values`` crash lose their working values
-        (reset to the initial values at the next batch boundary).  The
-        injector draws from its own seeded stream, composes with any
-        failure model and topology process (masks OR-ed), and leaves every
-        fault-free stream bit-identical when absent.
+    keep_history:
+        Keep per-round records on the network's own metrics object (ignored
+        when ``metrics`` is given: that object's setting wins).
+    env:
+        The :class:`~repro.gossip.env.GossipEnv` (``None`` = the paper's
+        failure-free uniform gossip on the complete graph, float64).  On the
+        pull surface its settings mean:
+
+        * ``failure_model`` — a pull whose puller fails has ``ok = False``;
+        * ``topology`` / ``peer_sampling`` — pulls go to graph neighbors
+          (``None`` is bit-identical to the historical partner stream);
+        * ``topology_process`` — each pull column draws its partners from
+          that round's sampler (active targets only) and departed nodes
+          have ``ok = False`` for the round;
+        * ``dtype`` — float64, or float32 to halve the simulator's memory
+          traffic on the hot ``(n, k, L)`` gathers (the paper's messages
+          are O(log n) bits either way);
+        * ``faults`` — the full fault vocabulary: crash/drop suppress the
+          pull (``ok = False``), duplicates are charged as extra messages,
+          delayed pulls are served from a bounded ring of past value
+          snapshots (delay is measured in value-update windows, i.e. pull
+          batches), corrupted pulls deliver a perturbed payload, and nodes
+          restarting from a ``reset_values`` crash lose their working
+          values (reset to the initial values at the next batch boundary).
+          The injector draws from its own seeded stream, composes with any
+          failure model and topology process (masks OR-ed), and leaves
+          every fault-free stream bit-identical when absent;
+        * ``engine`` — unused: the pull surface is engine-agnostic.
     """
 
     def __init__(
         self,
         values: Union[Sequence[float], np.ndarray],
         rng: Union[None, int, RandomSource] = None,
-        failure_model: Union[None, float, FailureModel] = None,
         metrics: Optional[NetworkMetrics] = None,
         keep_history: bool = True,
-        topology: Optional[Topology] = None,
-        peer_sampling: str = "uniform",
-        topology_process: Optional[TopologyProcess] = None,
-        dtype: Optional[DTypeLike] = None,
-        faults: Optional[FaultInjector] = None,
+        env: Optional[GossipEnv] = None,
     ) -> None:
-        self._dtype = resolve_value_dtype(dtype)
+        env = resolve_env(env)
+        self._dtype: np.dtype = env.dtype
         array = np.asarray(values, dtype=self._dtype).copy()
         if array.ndim not in (1, 2):
             raise ConfigurationError(
@@ -188,19 +163,21 @@ class GossipNetwork:
         self._n = int(array.shape[0])
         self._lanes = 1 if array.ndim == 1 else int(array.shape[1])
         self._rng = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-        self._failures = resolve_failure_model(failure_model)
-        self._topology = topology
-        validate_run_inputs(topology, peer_sampling, topology_process, faults)
+        self._failures: FailureModel = env.failure_model
+        self._topology = env.topology
+        faults = env.faults
         self._faults = faults
         self._delay_history: Optional[Deque[np.ndarray]] = (
             deque(maxlen=faults.max_delay)
             if faults is not None and faults.max_delay > 0
             else None
         )
-        self._process = resolve_topology_process(topology_process, self._n)
+        self._process = resolve_topology_process(env.topology_process, self._n)
         self._sampler: Optional[PeerSampler] = (
             None if self._process is not None
-            else resolve_peer_sampler(topology, sampling=peer_sampling, n=self._n)
+            else resolve_peer_sampler(
+                env.topology, sampling=env.peer_sampling, n=self._n
+            )
         )
         self.metrics: NetworkMetrics = (
             metrics if metrics is not None

@@ -2,16 +2,16 @@
 
 Every replayability guarantee the reproduction advertises (loop ≡
 vectorized engine equivalence, sha256 stream pins, bit-for-bit fault
-replay) rests on coding conventions: seeded private RNG streams, full
-``engine=``/``dtype=``/``metrics=``/``keep_history=`` kwarg threading,
-stable sorts, and read-only shared-memory views.  This package enforces
-those conventions statically:
+replay) rests on coding conventions: seeded private RNG streams, stable
+sorts, and read-only shared-memory views.  This package enforces those
+conventions statically:
 
 * a visitor/rule framework over :mod:`ast` with per-line suppression
   comments (``# repro-lint: disable=<rule> -- <justification>``);
 * repo-specific rules: ``rng-discipline``, ``private-stream``,
-  ``thread-kwargs``, ``stable-sort``, ``shared-view-write``,
-  ``wallclock`` and the ``bare-suppression`` meta-rule;
+  ``stable-sort``, ``shared-view-write``, ``wallclock``, the asyncio
+  rules (``async-private-stream``, ``no-unawaited-send``,
+  ``no-blocking-in-loop``) and the ``bare-suppression`` meta-rule;
 * text and machine-diffable JSON reporters;
 * a CLI (``python -m repro.lint src``) exiting non-zero on findings.
 

@@ -1,124 +1,15 @@
-"""A lightweight intra-package call-graph index.
+"""Name resolution helpers shared by the rules.
 
-The ``thread-kwargs`` rule needs to know, for every call site, which
-keyword parameters the callee accepts.  Rather than a full type checker,
-this module builds a best-effort symbol table over *all* files handed to
-one lint run:
-
-* module-level functions, indexed by ``(module, name)``;
-* methods, indexed by ``(module, "Class.method")`` and resolved only for
-  ``self.method(...)`` calls inside the same class;
-* classes with an ``__init__``, indexed under the class name so that
-  constructor calls participate in kwarg-forwarding checks.
-
-Resolution is deliberately conservative: a call whose target cannot be
-resolved inside the index is simply skipped, so the rule can only fire on
-calls whose callee signature it actually knows.
+:func:`build_import_map` maps a module's local names to the dotted targets
+they were imported as, and :func:`dotted_name` spells an attribute chain
+as ``a.b.c`` — together enough for a rule to recognise e.g.
+``np.random.default_rng`` under any import alias.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class FunctionInfo:
-    """Signature summary for one indexed function, method or constructor."""
-
-    module: str
-    qualname: str
-    name: str
-    #: Positional-capable parameter names, in order (``self``/``cls`` removed).
-    positional: Tuple[str, ...]
-    kwonly: Tuple[str, ...]
-    has_varargs: bool
-    has_varkw: bool
-    lineno: int
-
-    @property
-    def keyword_capable(self) -> Tuple[str, ...]:
-        return self.positional + self.kwonly
-
-    def positional_index(self, param: str) -> Optional[int]:
-        try:
-            return self.positional.index(param)
-        except ValueError:
-            return None
-
-
-def _signature(
-    node: ast.AST, module: str, qualname: str, *, is_method: bool
-) -> Optional[FunctionInfo]:
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
-    args = node.args
-    positional = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
-    if is_method and positional and positional[0] in ("self", "cls"):
-        positional = positional[1:]
-    return FunctionInfo(
-        module=module,
-        qualname=qualname,
-        name=node.name,
-        positional=tuple(positional),
-        kwonly=tuple(a.arg for a in args.kwonlyargs),
-        has_varargs=args.vararg is not None,
-        has_varkw=args.kwarg is not None,
-        lineno=node.lineno,
-    )
-
-
-class PackageIndex:
-    """Function/method/constructor signatures across one lint run."""
-
-    def __init__(self) -> None:
-        self._functions: Dict[Tuple[str, str], FunctionInfo] = {}
-        self._modules: List[str] = []
-
-    @property
-    def modules(self) -> List[str]:
-        return list(self._modules)
-
-    def add_module(self, module: str, tree: ast.Module) -> None:
-        if module in self._modules:
-            return
-        self._modules.append(module)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = _signature(node, module, node.name, is_method=False)
-                if info is not None:
-                    self._functions[(module, node.name)] = info
-            elif isinstance(node, ast.ClassDef):
-                self._add_class(module, node)
-
-    def _add_class(self, module: str, node: ast.ClassDef) -> None:
-        for item in node.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{node.name}.{item.name}"
-            info = _signature(item, module, qualname, is_method=True)
-            if info is None:
-                continue
-            self._functions[(module, qualname)] = info
-            if item.name == "__init__":
-                # Constructor: callable through the bare class name.
-                self._functions[(module, node.name)] = FunctionInfo(
-                    module=module,
-                    qualname=node.name,
-                    name=node.name,
-                    positional=info.positional,
-                    kwonly=info.kwonly,
-                    has_varargs=info.has_varargs,
-                    has_varkw=info.has_varkw,
-                    lineno=item.lineno,
-                )
-
-    def lookup(self, module: str, qualname: str) -> Optional[FunctionInfo]:
-        return self._functions.get((module, qualname))
-
-    def has_module(self, module: str) -> bool:
-        return module in self._modules
+from typing import Dict, List, Optional
 
 
 def build_import_map(module: str, tree: ast.Module) -> Dict[str, str]:
@@ -161,44 +52,6 @@ def build_import_map(module: str, tree: ast.Module) -> Dict[str, str]:
     return imports
 
 
-def resolve_call_target(
-    call: ast.Call,
-    module: str,
-    imports: Dict[str, str],
-    index: PackageIndex,
-    enclosing_class: Optional[str] = None,
-) -> Optional[FunctionInfo]:
-    """Resolve a call site to an indexed signature, or ``None``."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        local = imports.get(func.id)
-        if local is not None:
-            head, _, tail = local.rpartition(".")
-            if head and index.has_module(head) and tail:
-                return index.lookup(head, tail)
-            return None
-        return index.lookup(module, func.id)
-    if isinstance(func, ast.Attribute):
-        if (
-            isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-            and enclosing_class is not None
-        ):
-            return index.lookup(module, f"{enclosing_class}.{func.attr}")
-        dotted = _dotted(func)
-        if dotted is None:
-            return None
-        head = dotted.split(".")[0]
-        target = imports.get(head)
-        if target is None:
-            return None
-        dotted = target + dotted[len(head):]
-        mod, _, name = dotted.rpartition(".")
-        if mod and name and index.has_module(mod):
-            return index.lookup(mod, name)
-    return None
-
-
 def _dotted(node: ast.AST) -> Optional[str]:
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -216,9 +69,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 __all__ = [
-    "FunctionInfo",
-    "PackageIndex",
     "build_import_map",
     "dotted_name",
-    "resolve_call_target",
 ]

@@ -20,9 +20,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based determinism & contract linter for the repro package: "
-            "seeded-RNG discipline, private replayable streams, kwarg "
-            "threading, stable sorts, read-only shared views and wall-clock "
-            "containment."
+            "seeded-RNG discipline, private replayable streams, stable "
+            "sorts, read-only shared views, wall-clock containment and "
+            "asyncio hygiene."
         ),
     )
     parser.add_argument(

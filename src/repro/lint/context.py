@@ -6,7 +6,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.lint.callgraph import PackageIndex, build_import_map
+from repro.lint.callgraph import build_import_map
 from repro.lint.suppressions import Suppression, extract_comments, extract_suppressions
 
 
@@ -15,8 +15,7 @@ class ModuleContext:
     """Everything a rule may need to know about one source file.
 
     The context carries the parsed tree, raw source, comment/suppression
-    tables, the module's import aliases and the run-wide
-    :class:`~repro.lint.callgraph.PackageIndex`.
+    tables and the module's import aliases.
     """
 
     path: str
@@ -27,11 +26,10 @@ class ModuleContext:
     comments: Dict[int, str] = field(default_factory=dict)
     suppressions: List[Suppression] = field(default_factory=list)
     imports: Dict[str, str] = field(default_factory=dict)
-    index: PackageIndex = field(default_factory=PackageIndex)
 
     @classmethod
     def build(
-        cls, path: str, module: str, source: str, tree: ast.Module, index: PackageIndex
+        cls, path: str, module: str, source: str, tree: ast.Module
     ) -> "ModuleContext":
         lines = source.splitlines()
         return cls(
@@ -43,7 +41,6 @@ class ModuleContext:
             comments=extract_comments(source),
             suppressions=extract_suppressions(source, lines),
             imports=build_import_map(module, tree),
-            index=index,
         )
 
     @property

@@ -16,7 +16,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     rng_discipline,
     shared_view_write,
     stable_sort,
-    thread_kwargs,
     wallclock,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "rng_discipline",
     "shared_view_write",
     "stable_sort",
-    "thread_kwargs",
     "wallclock",
 ]

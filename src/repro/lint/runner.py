@@ -1,4 +1,4 @@
-"""Orchestration: collect files, build the index, run rules, apply suppressions."""
+"""Orchestration: collect files, run rules, apply suppressions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.callgraph import PackageIndex
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
@@ -145,18 +144,13 @@ def lint_paths(
     """Lint every Python file under ``paths`` and return a :class:`LintResult`."""
     files = iter_python_files(paths)
     parsed, errors = _parse_files(files)
-
-    index = PackageIndex()
-    for _, module, _, tree in parsed:
-        index.add_module(module, tree)
-
     rules = _select_rules(select, ignore)
     result = LintResult(
         files_checked=len(files), rules_run=[rule.id for rule in rules]
     )
     result.findings.extend(errors)
     for path, module, source, tree in parsed:
-        ctx = ModuleContext.build(path, module, source, tree, index)
+        ctx = ModuleContext.build(path, module, source, tree)
         raw: List[Finding] = []
         for rule in rules:
             if rule.applies_to(ctx):

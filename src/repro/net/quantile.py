@@ -33,7 +33,7 @@ import numpy as np
 from repro.aggregates.extrema import ExtremaPairProtocol
 from repro.aggregates.push_sum import PushSumProtocol, default_push_sum_rounds
 from repro.exceptions import ConfigurationError
-from repro.faults.injectors import FaultInjector
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.net.failure_detector import SwimFailureDetector
 from repro.net.rpc import RetryPolicy
@@ -73,7 +73,7 @@ async def anet_approximate_quantile(
     eps: float = 0.1,
     rng: SeedLike = None,
     transport: Union[None, str, Transport] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
     metrics: Optional[NetworkMetrics] = None,
@@ -101,7 +101,7 @@ async def anet_approximate_quantile(
             rng=source.child(),
             metrics=stats,
             transport=live_transport,
-            faults=faults,
+            env=env,
             retry=retry,
             detector=detector,
             raise_on_budget=False,
@@ -145,7 +145,7 @@ async def anet_approximate_quantile(
                 rng=source.child(),
                 metrics=stats,
                 transport=live_transport,
-                faults=faults,
+                env=env,
                 retry=retry,
                 detector=detector,
                 raise_on_budget=False,
@@ -194,7 +194,7 @@ def net_approximate_quantile(
     eps: float = 0.1,
     rng: SeedLike = None,
     transport: Union[None, str, Transport] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
     metrics: Optional[NetworkMetrics] = None,
@@ -206,8 +206,10 @@ def net_approximate_quantile(
 
     Pass a shared :class:`~repro.net.transport.Transport` instance to carry
     kill state into the query (peers already down answer nothing and the
-    result is honestly widened), and/or a ``faults`` injector to kill peers
-    *during* it.  ``run_timeout_s`` bounds the whole query in wall time.
+    result is honestly widened), and/or an ``env`` whose ``faults`` injector
+    kills peers *during* it.  Every gossip run of the query (the extrema
+    bracket and each counting step) runs in ``env``.  ``run_timeout_s``
+    bounds the whole query in wall time.
     """
     if run_timeout_s <= 0:
         raise ConfigurationError("run_timeout_s must be positive")
@@ -219,7 +221,7 @@ def net_approximate_quantile(
                 eps=eps,
                 rng=rng,
                 transport=transport,
-                faults=faults,
+                env=env,
                 retry=retry,
                 detector=detector,
                 metrics=metrics,

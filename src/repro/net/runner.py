@@ -22,7 +22,7 @@ Equivalence with the simulated engines is by construction, not by luck:
   BatchGossipProtocol` marks — the same contract the vectorized engine
   already relies on.
 
-Faults (``faults=``) are reinterpreted at the transport level: ``crash``
+Faults (``env.faults``) are reinterpreted at the transport level: ``crash``
 kills the node's endpoint for its downtime (callers get connection
 refused), ``drop`` loses the frame in flight, ``delay`` holds the write,
 ``corrupt`` scales the payload in flight, ``duplicate`` delivers (and
@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError, ProtocolError
-from repro.faults.injectors import FaultInjector, RoundFaults
+from repro.faults.injectors import RoundFaults
 from repro.gossip.engine import (
     begin_round,
     begin_run,
@@ -60,7 +60,7 @@ from repro.gossip.engine import (
     supports_batch,
     EngineResult,
 )
-from repro.gossip.failures import FailureModel
+from repro.gossip.env import GossipEnv
 from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
 from repro.gossip.protocol import Action, GossipProtocol
@@ -68,8 +68,6 @@ from repro.net.failure_detector import SwimFailureDetector
 from repro.net.rpc import RetryPolicy, RpcClient, RpcError
 from repro.net.transport import Transport, resolve_transport
 from repro.obs.tracer import get_tracer
-from repro.topology.dynamic import TopologyProcess
-from repro.topology.graphs import Topology
 from repro.utils.rand import RandomSource
 
 
@@ -145,15 +143,11 @@ class _NodeHost:
 async def arun_protocol(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: int = 10_000,
     metrics: Optional[NetworkMetrics] = None,
     raise_on_budget: bool = True,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    topology_process: Optional[TopologyProcess] = None,
     on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
     transport: Union[None, str, Transport] = None,
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
@@ -168,10 +162,8 @@ async def arun_protocol(
         )
     n = protocol.n
     # Validate the run inputs before any endpoint opens.
-    source, failures, stats, sampler = begin_run(
-        protocol, rng, failure_model, metrics, topology, peer_sampling,
-        topology_process, faults,
-    )
+    source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
+    failures, process, faults = env.failure_model, env.topology_process, env.faults
     live_transport, owned = resolve_transport(transport, n)
     rpc = RpcClient(live_transport, retry)
     host = _NodeHost(protocol, detector)
@@ -268,7 +260,7 @@ async def arun_protocol(
 
             record, failed, partners = begin_round(
                 protocol, round_index, n, source, failures, stats, sampler,
-                topology_process, None,
+                process, None,
             )
             down = live_transport.down
             if down:
@@ -338,15 +330,11 @@ async def arun_protocol(
 def run_protocol_asyncio(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
-    failure_model: Union[None, float, FailureModel] = None,
     max_rounds: int = 10_000,
     metrics: Optional[NetworkMetrics] = None,
     raise_on_budget: bool = True,
-    topology: Optional[Topology] = None,
-    peer_sampling: str = "uniform",
-    topology_process: Optional[TopologyProcess] = None,
     on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    faults: Optional[FaultInjector] = None,
+    env: Optional[GossipEnv] = None,
     transport: Union[None, str, Transport] = None,
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
@@ -383,15 +371,11 @@ def run_protocol_asyncio(
                 arun_protocol(
                     protocol,
                     rng=rng,
-                    failure_model=failure_model,
                     max_rounds=max_rounds,
                     metrics=metrics,
                     raise_on_budget=raise_on_budget,
-                    topology=topology,
-                    peer_sampling=peer_sampling,
-                    topology_process=topology_process,
                     on_round=on_round,
-                    faults=faults,
+                    env=env,
                     transport=transport,
                     retry=retry,
                     detector=detector,

@@ -192,8 +192,8 @@ class StaticProcess(TopologyProcess):
     """A fixed topology wrapped as a (degenerate) dynamic process.
 
     Every round is all-active with one sampler resolved per run, so driving
-    an engine through ``topology_process=StaticProcess(topo)`` is
-    bit-identical to passing ``topology=topo`` directly — the sanity anchor
+    an engine through ``GossipEnv(topology_process=StaticProcess(topo))``
+    is bit-identical to ``GossipEnv(topology=topo)`` — the sanity anchor
     for the dynamic plumbing (pinned by ``tests/test_topology_dynamic.py``).
     """
 

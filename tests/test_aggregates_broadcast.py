@@ -6,6 +6,7 @@ import pytest
 
 from repro.aggregates.broadcast import BroadcastProtocol, broadcast_rounds
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 
 
 def test_broadcast_informs_all_nodes():
@@ -28,7 +29,7 @@ def test_broadcast_growth_with_n_is_slow():
 
 
 def test_broadcast_under_failures():
-    result = broadcast_rounds(256, rng=4, failure_model=0.4)
+    result = broadcast_rounds(256, rng=4, env=GossipEnv(failure_model=0.4))
     assert result.all_informed
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.aggregates.counting import count_leq
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 
 
 def test_count_leq_exact_on_clean_run():
@@ -36,7 +37,7 @@ def test_count_leq_gives_the_rank_of_a_minimum():
 
 def test_counting_under_failures_still_close():
     values = np.arange(1.0, 257.0)
-    result = count_leq(values, threshold=128.0, rng=6, failure_model=0.2)
+    result = count_leq(values, threshold=128.0, rng=6, env=GossipEnv(failure_model=0.2))
     assert abs(result.count - 128) <= 2
 
 

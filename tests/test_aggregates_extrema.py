@@ -7,6 +7,7 @@ import pytest
 
 from repro.aggregates.extrema import ExtremaProtocol, spread_extrema
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 
 
 def test_max_spreading_reaches_all_nodes():
@@ -36,7 +37,7 @@ def test_rounds_scale_logarithmically():
 def test_spreading_under_failures_converges_with_slowdown():
     values = np.arange(1.0, 257.0)
     clean = spread_extrema(values, mode="max", rng=4)
-    faulty = spread_extrema(values, mode="max", rng=4, failure_model=0.5)
+    faulty = spread_extrema(values, mode="max", rng=4, env=GossipEnv(failure_model=0.5))
     assert faulty.converged
     assert faulty.rounds >= clean.rounds
 

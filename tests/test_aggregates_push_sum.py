@@ -11,6 +11,7 @@ from repro.aggregates.push_sum import (
 )
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
+from repro.gossip.env import GossipEnv
 
 
 def test_default_rounds_grow_with_n_and_accuracy():
@@ -51,14 +52,15 @@ def test_mass_conservation_under_failures():
     values = np.arange(1.0, 65.0)
     protocol = PushSumProtocol(values, rounds=30)
     initial_mass = protocol.total_mass
-    run_protocol(protocol, rng=4, failure_model=0.4, max_rounds=31)
+    run_protocol(protocol, rng=4, env=GossipEnv(failure_model=0.4), max_rounds=31)
     assert protocol.total_mass == pytest.approx(initial_mass, rel=1e-9)
 
 
 def test_push_sum_with_failures_still_converges():
     values = np.arange(1.0, 257.0)
     rounds = default_push_sum_rounds(256) * 2
-    result = push_sum_average(values, rng=5, rounds=rounds, failure_model=0.3)
+    result = push_sum_average(values, rng=5, rounds=rounds,
+                              env=GossipEnv(failure_model=0.3))
     truth = values.mean()
     assert abs(result.mean_estimate - truth) / truth < 1e-2
 

@@ -279,6 +279,17 @@ def test_serve_rejects_rewire_p_on_mismatched_topology(tmp_path):
               "--topology", "ring", "--rewire-p", "0.2"])
 
 
+def test_serve_rejects_churn_rate_on_a_topology(tmp_path):
+    # A rebuild under churn runs on the active subset, which an n-node
+    # static topology cannot describe.
+    values = np.arange(1.0, 257.0)
+    path = tmp_path / "values.txt"
+    np.savetxt(path, values)
+    with pytest.raises(ConfigurationError, match="--churn-rate"):
+        main(["serve", "--input", str(path), "--phi", "0.5",
+              "--topology", "ring", "--churn-rate", "0.05"])
+
+
 # ---- observability flags ----------------------------------------------------
 
 

@@ -11,8 +11,9 @@ from repro.core.all_quantiles import (
 )
 from repro.datasets.generators import zipf_values
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
-from repro.topology import ring
+from repro.topology import ChurnProcess, ring
 from repro.utils.rand import RandomSource
 
 
@@ -150,7 +151,7 @@ def test_lane_chunking_respects_max_lanes(small_values):
 
 def test_fused_supports_failure_model(small_values):
     result = estimate_all_ranks(
-        small_values, eps=0.2, rng=13, failure_model=0.2
+        small_values, eps=0.2, rng=13, env=GossipEnv(failure_model=0.2)
     )
     truth = true_self_quantiles(small_values)
     errors = np.abs(result.quantile_estimates - truth)
@@ -166,7 +167,7 @@ def test_topology_is_threaded_through_both_paths(small_values):
     truth = true_self_quantiles(small_values)
     for max_lanes in (32, 1):
         result = estimate_all_ranks(
-            small_values, eps=0.2, rng=14, topology=topology,
+            small_values, eps=0.2, rng=14, env=GossipEnv(topology=topology),
             max_lanes=max_lanes,
         )
         errors = np.abs(result.quantile_estimates - truth)
@@ -178,13 +179,13 @@ def test_topology_is_threaded_through_both_paths(small_values):
 def test_topology_size_mismatch_is_rejected(small_values):
     with pytest.raises(ConfigurationError):
         estimate_all_ranks(
-            small_values, eps=0.2, rng=15, topology=ring(64, k=2)
+            small_values, eps=0.2, rng=15, env=GossipEnv(topology=ring(64, k=2))
         )
 
 
 def test_dtype_is_threaded(small_values):
     result = estimate_all_ranks(
-        small_values, eps=0.2, rng=16, dtype="float32"
+        small_values, eps=0.2, rng=16, env=GossipEnv(dtype="float32")
     )
     assert result.grid_values.dtype == np.float32
     truth = true_self_quantiles(small_values)
@@ -194,26 +195,29 @@ def test_dtype_is_threaded(small_values):
 
 def test_unsupported_dtype_is_rejected(small_values):
     with pytest.raises(ConfigurationError):
-        estimate_all_ranks(small_values, eps=0.2, rng=17, dtype="int32")
+        estimate_all_ranks(small_values, eps=0.2, rng=17, env=GossipEnv(dtype="int32"))
 
 
-def test_engine_override_is_validated_and_restored(small_values):
-    from repro.gossip.engine import get_default_engine
+def test_unknown_engine_is_rejected_at_env_construction():
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        GossipEnv(engine="turbo")
 
-    before = get_default_engine()
-    estimate_all_ranks(small_values, eps=0.25, rng=18, engine="vectorized")
-    assert get_default_engine() == before
-    with pytest.raises(ConfigurationError):
-        estimate_all_ranks(small_values, eps=0.25, rng=18, engine="turbo")
-    assert get_default_engine() == before
+
+def test_topology_process_is_rejected(small_values):
+    process = ChurnProcess(small_values.size, churn_rate=0.1, rng=0)
+    with pytest.raises(ConfigurationError, match="topology_process"):
+        estimate_all_ranks(
+            small_values, eps=0.25, rng=18,
+            env=GossipEnv(topology_process=process),
+        )
 
 
 def test_invalid_peer_sampling_is_rejected(small_values):
     with pytest.raises(ConfigurationError):
         estimate_all_ranks(
             small_values, eps=0.2, rng=19,
-            topology=ring(small_values.size, k=4),
-            peer_sampling="psychic",
+            env=GossipEnv(topology=ring(small_values.size, k=4),
+                          peer_sampling="psychic"),
         )
 
 

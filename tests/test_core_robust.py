@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.robust import default_pulls_per_iteration, robust_approximate_quantile
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import PerNodeFailures
 from repro.utils.stats import rank_error
 
@@ -20,7 +21,7 @@ def test_default_pulls_grow_with_mu():
 def test_accurate_under_moderate_failures(medium_values):
     phi, eps, mu = 0.5, 0.1, 0.3
     result = robust_approximate_quantile(
-        medium_values, phi=phi, eps=eps, failure_model=mu, rng=1
+        medium_values, phi=phi, eps=eps, env=GossipEnv(failure_model=mu), rng=1
     )
     assert rank_error(medium_values, result.estimate, phi) <= eps
     assert result.good_fraction > 0.5
@@ -30,7 +31,7 @@ def test_accurate_under_moderate_failures(medium_values):
 def test_accurate_under_heavy_failures(medium_values):
     phi, eps, mu = 0.75, 0.15, 0.5
     result = robust_approximate_quantile(
-        medium_values, phi=phi, eps=eps, failure_model=mu, rng=2
+        medium_values, phi=phi, eps=eps, env=GossipEnv(failure_model=mu), rng=2
     )
     assert rank_error(medium_values, result.estimate, phi) <= eps
     # most answering nodes should individually be within eps
@@ -41,10 +42,10 @@ def test_accurate_under_heavy_failures(medium_values):
 
 def test_rounds_increase_with_mu(medium_values):
     light = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=0.1, rng=3
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=0.1), rng=3
     )
     heavy = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=0.6, rng=3
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=0.6), rng=3
     )
     assert heavy.rounds > light.rounds
     assert heavy.pulls_per_iteration > light.pulls_per_iteration
@@ -55,14 +56,14 @@ def test_per_node_failure_model(medium_values):
     probs[: medium_values.size // 2] = 0.4
     model = PerNodeFailures(probs)
     result = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=model, rng=4
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=model), rng=4
     )
     assert rank_error(medium_values, result.estimate, 0.5) <= 0.1
 
 
 def test_no_failures_degenerates_gracefully(medium_values):
     result = robust_approximate_quantile(
-        medium_values, phi=0.25, eps=0.1, failure_model=0.0, rng=5
+        medium_values, phi=0.25, eps=0.1, env=GossipEnv(failure_model=0.0), rng=5
     )
     assert result.good_fraction == 1.0
     assert result.answered_fraction == 1.0
@@ -71,11 +72,11 @@ def test_no_failures_degenerates_gracefully(medium_values):
 
 def test_extra_spread_rounds_increase_coverage(medium_values):
     few = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=0.6, rng=6,
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=0.6), rng=6,
         extra_spread_rounds=0,
     )
     many = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=0.6, rng=6,
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=0.6), rng=6,
         extra_spread_rounds=20,
     )
     assert many.answered_fraction >= few.answered_fraction
@@ -83,7 +84,7 @@ def test_extra_spread_rounds_increase_coverage(medium_values):
 
 def test_summary_keys(medium_values):
     result = robust_approximate_quantile(
-        medium_values, phi=0.5, eps=0.1, failure_model=0.2, rng=7
+        medium_values, phi=0.5, eps=0.1, env=GossipEnv(failure_model=0.2), rng=7
     )
     summary = result.summary()
     assert summary["n"] == medium_values.size
@@ -92,14 +93,18 @@ def test_summary_keys(medium_values):
 
 def test_validation_errors(medium_values):
     with pytest.raises(ConfigurationError):
-        robust_approximate_quantile(medium_values, phi=2.0, eps=0.1, failure_model=0.1)
+        robust_approximate_quantile(medium_values, phi=2.0, eps=0.1,
+                                    env=GossipEnv(failure_model=0.1))
     with pytest.raises(ConfigurationError):
-        robust_approximate_quantile(medium_values, phi=0.5, eps=0.0, failure_model=0.1)
+        robust_approximate_quantile(medium_values, phi=0.5, eps=0.0,
+                                    env=GossipEnv(failure_model=0.1))
     with pytest.raises(ConfigurationError):
         robust_approximate_quantile(
-            medium_values, phi=0.5, eps=0.1, failure_model=0.1, pulls_per_iteration=2
+            medium_values, phi=0.5, eps=0.1,
+            env=GossipEnv(failure_model=0.1), pulls_per_iteration=2
         )
     with pytest.raises(ConfigurationError):
         robust_approximate_quantile(
-            medium_values, phi=0.5, eps=0.1, failure_model=0.1, final_samples=4
+            medium_values, phi=0.5, eps=0.1,
+            env=GossipEnv(failure_model=0.1), final_samples=4
         )

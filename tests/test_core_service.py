@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import all_quantiles
 from repro.core.service import ANSWER_BITS, QuantileService, QueryAnswer
 from repro.exceptions import ConfigurationError
-from repro.topology import ring
+from repro.gossip.env import GossipEnv
+from repro.gossip.network import GossipNetwork
+from repro.topology import ChurnProcess, ring
 from repro.utils.rand import RandomSource
 
 
@@ -154,9 +157,8 @@ def test_service_threads_build_parameters(small_values):
         eps=0.2,
         rng=7,
         max_lanes=2,
-        topology=ring(small_values.size, k=8),
-        dtype="float32",
-        engine="vectorized",
+        env=GossipEnv(topology=ring(small_values.size, k=8),
+                      dtype="float32", engine="vectorized"),
     )
     assert service.result.chunks == 2
     assert service.result.grid_values.dtype == np.float32
@@ -165,10 +167,48 @@ def test_service_threads_build_parameters(small_values):
 
 
 def test_service_rejects_bad_build_parameters(small_values):
+    # An unknown engine never reaches the service: the env rejects it.
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        GossipEnv(engine="turbo")
     with pytest.raises(ConfigurationError):
-        QuantileService(small_values, eps=0.2, rng=8, engine="turbo")
-    with pytest.raises(ConfigurationError):
-        QuantileService(small_values, eps=0.2, rng=8, topology=ring(32, k=2))
+        QuantileService(
+            small_values, eps=0.2, rng=8, env=GossipEnv(topology=ring(32, k=2))
+        )
+
+
+def test_service_rejects_a_topology_beside_a_churn_process(small_values):
+    churn = ChurnProcess(small_values.size, churn_rate=0.05, rng=1)
+    with pytest.raises(ConfigurationError, match="churn process"):
+        QuantileService(
+            small_values, eps=0.2, rng=8, churn_process=churn,
+            env=GossipEnv(topology=ring(small_values.size, k=4)),
+        )
+
+
+def test_rebuild_runs_on_the_build_topology(monkeypatch):
+    """Every network of a full rebuild runs on the ring the service was
+    built on, not on the complete graph."""
+    n = 400
+    values = RandomSource(21).random(n) * 100.0
+    topology = ring(n, k=8)
+    service = QuantileService(
+        values, eps=0.1, rng=22, env=GossipEnv(topology=topology)
+    )
+    seen = []
+
+    class SpyNetwork(GossipNetwork):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.topology)
+
+    monkeypatch.setattr(all_quantiles, "GossipNetwork", SpyNetwork)
+    shifted = RandomSource(23).choice(n, size=int(0.6 * n), replace=False)
+    for index in shifted:
+        service.update_value(int(index), float(values[index]) + 1000.0)
+    report = service.rebuild(incremental=False)
+    assert report.chunks_run >= 1
+    assert len(seen) == report.chunks_run
+    assert all(network_topology is topology for network_topology in seen)
 
 
 def test_sequential_build_serves_identically_shaped_answers(small_values):

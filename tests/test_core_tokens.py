@@ -18,6 +18,7 @@ from repro.core.tokens import (
     distribute_tokens_vectorized,
 )
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 ENGINES = ("loop", "vectorized")
@@ -26,7 +27,7 @@ ENGINES = ("loop", "vectorized")
 @pytest.mark.parametrize("engine", ENGINES)
 def test_every_item_gets_exactly_multiplicity_copies(engine):
     result = distribute_tokens(list(range(20)), multiplicity=8, n=512, rng=1,
-                               engine=engine)
+                               env=GossipEnv(engine=engine))
     for item in range(20):
         assert result.copies_of(item) == 8
     owned = result.owners[result.owners >= 0]
@@ -36,7 +37,7 @@ def test_every_item_gets_exactly_multiplicity_copies(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_no_node_holds_more_than_one_token_at_the_end(engine):
     result = distribute_tokens(list(range(30)), multiplicity=4, n=256, rng=2,
-                               engine=engine)
+                               env=GossipEnv(engine=engine))
     owners = result.owners
     occupied = owners[owners >= 0]
     assert occupied.size == 30 * 4
@@ -50,7 +51,7 @@ def test_no_node_holds_more_than_one_token_at_the_end(engine):
 def test_multiplicity_one_keeps_items_in_place(engine):
     item_nodes = [5, 9, 17]
     result = distribute_tokens(item_nodes, multiplicity=1, n=64, rng=3,
-                               engine=engine)
+                               env=GossipEnv(engine=engine))
     assert result.phases == 0
     for item, node in enumerate(item_nodes):
         assert result.copies_of(item) == 1
@@ -60,7 +61,7 @@ def test_multiplicity_one_keeps_items_in_place(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_multiplicity_one_with_colocated_items_spreads(engine):
     result = distribute_tokens([7, 7, 7], multiplicity=1, n=128, rng=4,
-                               engine=engine)
+                               env=GossipEnv(engine=engine))
     occupied = result.owners[result.owners >= 0]
     assert occupied.size == 3
     assert sorted(occupied.tolist()) == [0, 1, 2]
@@ -72,9 +73,9 @@ def test_phases_grow_logarithmically_with_multiplicity(engine):
     # keep the token load well below n so spreading collisions stay rare,
     # matching the paper's regime of at most n^0.99 tokens
     small = distribute_tokens(list(range(10)), multiplicity=2, n=2048, rng=4,
-                              engine=engine)
+                              env=GossipEnv(engine=engine))
     large = distribute_tokens(list(range(10)), multiplicity=32, n=2048, rng=4,
-                              engine=engine)
+                              env=GossipEnv(engine=engine))
     assert large.phases > small.phases
     assert large.phases <= small.phases + math.log2(32) + 20
 
@@ -82,15 +83,15 @@ def test_phases_grow_logarithmically_with_multiplicity(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_max_tokens_per_node_stays_small(engine):
     result = distribute_tokens(list(range(40)), multiplicity=8, n=1024, rng=5,
-                               engine=engine)
+                               env=GossipEnv(engine=engine))
     assert result.max_tokens_per_node <= 12  # O(1) w.h.p.
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_under_failures_still_completes_and_counts_failed_pushes(engine):
     result = distribute_tokens(
-        list(range(20)), multiplicity=8, n=512, rng=6, failure_model=0.3,
-        engine=engine,
+        list(range(20)), multiplicity=8, n=512, rng=6,
+        env=GossipEnv(failure_model=0.3, engine=engine),
     )
     assert result.failed_pushes > 0
     for item in range(20):
@@ -105,7 +106,7 @@ def test_rounds_accounting_shared_metrics(engine):
     shared.charge_rounds(10)
     result = distribute_tokens(
         list(range(8)), multiplicity=4, n=128, rng=7, metrics=shared,
-        engine=engine,
+        env=GossipEnv(engine=engine),
     )
     assert result.rounds == shared.rounds - 10
 
@@ -113,24 +114,25 @@ def test_rounds_accounting_shared_metrics(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_validation_errors(engine):
     with pytest.raises(ConfigurationError):
-        distribute_tokens([], multiplicity=2, n=16, engine=engine)
+        distribute_tokens([], multiplicity=2, n=16, env=GossipEnv(engine=engine))
     with pytest.raises(ConfigurationError):
         # not a power of two
-        distribute_tokens([0, 1], multiplicity=3, n=16, engine=engine)
+        distribute_tokens([0, 1], multiplicity=3, n=16, env=GossipEnv(engine=engine))
     with pytest.raises(ConfigurationError):
         # node out of range
-        distribute_tokens([0, 20], multiplicity=2, n=16, engine=engine)
+        distribute_tokens([0, 20], multiplicity=2, n=16, env=GossipEnv(engine=engine))
     with pytest.raises(ConfigurationError):
         # 40 tokens > 16 nodes
-        distribute_tokens(list(range(10)), multiplicity=4, n=16, engine=engine)
+        distribute_tokens(list(range(10)), multiplicity=4, n=16,
+                          env=GossipEnv(engine=engine))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deterministic_given_seed(engine):
     a = distribute_tokens(list(range(12)), multiplicity=4, n=256,
-                          rng=RandomSource(9), engine=engine)
+                          rng=RandomSource(9), env=GossipEnv(engine=engine))
     b = distribute_tokens(list(range(12)), multiplicity=4, n=256,
-                          rng=RandomSource(9), engine=engine)
+                          rng=RandomSource(9), env=GossipEnv(engine=engine))
     assert np.array_equal(a.owners, b.owners)
     assert a.phases == b.phases
 
@@ -141,13 +143,14 @@ def test_deterministic_given_seed(engine):
 def test_engine_dispatch_and_result_tagging():
     assert TOKEN_ENGINE_CHOICES == ("auto", "loop", "vectorized")
     auto = distribute_tokens(list(range(5)), multiplicity=4, n=64, rng=1,
-                             engine="auto")
+                             env=GossipEnv(engine="auto"))
     assert auto.engine == "vectorized"
     loop = distribute_tokens(list(range(5)), multiplicity=4, n=64, rng=1,
-                             engine="loop")
+                             env=GossipEnv(engine="loop"))
     assert loop.engine == "loop"
     with pytest.raises(ConfigurationError):
-        distribute_tokens(list(range(5)), multiplicity=4, n=64, engine="magic")
+        distribute_tokens(list(range(5)), multiplicity=4, n=64,
+                          env=GossipEnv(engine="magic"))
 
 
 def test_engine_defaults_to_global_engine_selection():
@@ -186,7 +189,7 @@ def test_loop_engine_bit_identical_to_pre_vectorization_behavior():
 
 def test_loop_engine_bit_identical_under_failures():
     result = distribute_tokens_loop(
-        list(range(5)), multiplicity=8, n=100, rng=7, failure_model=0.25
+        list(range(5)), multiplicity=8, n=100, rng=7, env=GossipEnv(failure_model=0.25)
     )
     expected = [0, 1, 2, 3, 4, 2, -1, -1, 1, -1, 2, -1, -1, 1, -1, -1, -1, -1,
                 -1, 3, -1, 0, -1, 2, -1, 3, -1, -1, 2, -1, -1, -1, -1, -1, -1,
@@ -217,7 +220,7 @@ def test_engines_satisfy_identical_invariants_under_fixed_seeds(seed, mu):
         item_nodes=list(range(15)),
         multiplicity=8,
         n=512,
-        failure_model=mu if mu > 0 else None,
+        env=GossipEnv(failure_model=mu if mu > 0 else None),
     )
     loop = distribute_tokens_loop(rng=RandomSource(seed), **kwargs)
     vec = distribute_tokens_vectorized(rng=RandomSource(seed), **kwargs)
@@ -260,7 +263,8 @@ def test_engines_agree_on_message_accounting_without_failures():
 def test_vectorized_weight_conservation_mid_failures():
     """Failure merges must conserve the total weight of every item."""
     result = distribute_tokens_vectorized(
-        list(range(12)), multiplicity=16, n=1024, rng=11, failure_model=0.4
+        list(range(12)), multiplicity=16, n=1024, rng=11,
+        env=GossipEnv(failure_model=0.4)
     )
     occupied = result.owners[result.owners >= 0]
     assert np.all(np.bincount(occupied, minlength=12) == 16)

@@ -22,6 +22,7 @@ from repro.gossip.engine import (
     run_protocol_vectorized,
     supports_batch,
 )
+from repro.gossip.env import GossipEnv
 from repro.gossip.protocol import BatchAction, BatchGossipProtocol
 from repro.topology import random_regular, ring, watts_strogatz
 from repro.utils.rand import RandomSource
@@ -70,17 +71,18 @@ GRID = [
 
 
 def _run_both(factory, n, mu, seed, topology_factory=None, peer_sampling="uniform"):
-    failure = mu if mu > 0 else None
-    kwargs = {}
-    if topology_factory is not None:
-        kwargs["peer_sampling"] = peer_sampling
+    def env():
+        return GossipEnv(
+            failure_model=mu if mu > 0 else None,
+            topology=topology_factory(n) if topology_factory else None,
+            peer_sampling=peer_sampling,
+        )
+
     loop = run_protocol_loop(
-        factory(n, seed), rng=seed, failure_model=failure, raise_on_budget=False,
-        topology=topology_factory(n) if topology_factory else None, **kwargs
+        factory(n, seed), rng=seed, raise_on_budget=False, env=env()
     )
     vec = run_protocol_vectorized(
-        factory(n, seed), rng=seed, failure_model=failure, raise_on_budget=False,
-        topology=topology_factory(n) if topology_factory else None, **kwargs
+        factory(n, seed), rng=seed, raise_on_budget=False, env=env()
     )
     return loop, vec
 
@@ -133,9 +135,11 @@ def test_engines_bit_identical_on_sparse_topologies(
 def test_count_leq_identical_across_engines(mu):
     values = _values(80, seed=5)
     failure = mu if mu > 0 else None
-    a = count_leq(values, threshold=50.0, rng=3, failure_model=failure, engine="loop")
+    a = count_leq(values, threshold=50.0, rng=3,
+                  env=GossipEnv(failure_model=failure, engine="loop"))
     b = count_leq(
-        values, threshold=50.0, rng=3, failure_model=failure, engine="vectorized"
+        values, threshold=50.0, rng=3,
+        env=GossipEnv(failure_model=failure, engine="vectorized")
     )
     assert np.array_equal(a.estimates, b.estimates)
     assert a.count == b.count
@@ -151,8 +155,8 @@ def test_wrapper_functions_identical_across_engines():
         (push_sum_sum, {}),
         (spread_extrema, {"mode": "min"}),
     ]:
-        a = fn(values, rng=4, engine="loop", **kwargs)
-        b = fn(values, rng=4, engine="vectorized", **kwargs)
+        a = fn(values, rng=4, env=GossipEnv(engine="loop"), **kwargs)
+        b = fn(values, rng=4, env=GossipEnv(engine="vectorized"), **kwargs)
         first = a.estimates if hasattr(a, "estimates") else a.values
         second = b.estimates if hasattr(b, "estimates") else b.values
         assert np.array_equal(first, second)
@@ -163,7 +167,7 @@ def test_wrapper_functions_identical_across_engines():
 def test_auto_dispatch_selects_vectorized_for_batch_protocols():
     protocol = make_push_sum(32, seed=1)
     assert supports_batch(protocol)
-    auto = run_protocol(make_push_sum(32, seed=1), rng=2, engine="auto")
+    auto = run_protocol(make_push_sum(32, seed=1), rng=2, env=GossipEnv(engine="auto"))
     vec = run_protocol_vectorized(make_push_sum(32, seed=1), rng=2)
     assert auto.outputs == vec.outputs
     assert auto.metrics.summary() == vec.metrics.summary()
@@ -181,7 +185,7 @@ def test_vectorized_engine_rejects_loop_only_protocols():
         run_protocol_vectorized(protocol, rng=0)
     # auto dispatch falls back to the loop engine without error
     result = run_protocol(LoopOnly(_values(16, seed=4), rounds=3), rng=0,
-                          engine="auto", raise_on_budget=False)
+                          env=GossipEnv(engine="auto"), raise_on_budget=False)
     assert result.rounds > 0
 
 
@@ -255,7 +259,7 @@ def test_single_lane_pull_stream_pinned_to_pre_multilane_tree():
         SINGLE_LANE_PINS["pull_nofail"]
     )
 
-    net = GossipNetwork(_pin_values(), rng=12, failure_model=0.3)
+    net = GossipNetwork(_pin_values(), rng=12, env=GossipEnv(failure_model=0.3))
     batch = net.pull(4)
     assert _digest(batch.partners, batch.values, batch.ok) == (
         SINGLE_LANE_PINS["pull_fail"]
@@ -299,7 +303,7 @@ def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
     assert result.estimate == 32.56950035748125
 
     failed = approximate_quantile(
-        _pin_values(), phi=0.35, eps=0.1, rng=7, failure_model=0.25
+        _pin_values(), phi=0.35, eps=0.1, rng=7, env=GossipEnv(failure_model=0.25)
     )
     assert _digest(failed.estimates) == SINGLE_LANE_PINS["approx_fail"]
     assert failed.rounds == 38
@@ -338,11 +342,11 @@ def _pull_surface_digest(case):
 
     n = 97
     values = _pin_values()[:n]
-    kwargs = {"failure_model": 0.2}
+    settings = {"failure_model": 0.2}
     if case in ("churn_failures", "all_three", "all_three_2lane"):
-        kwargs["topology_process"] = ChurnProcess(n, churn_rate=0.1, rng=21)
+        settings["topology_process"] = ChurnProcess(n, churn_rate=0.1, rng=21)
     if case in ("faults_failures", "all_three", "all_three_2lane"):
-        kwargs["faults"] = FaultInjector(
+        settings["faults"] = FaultInjector(
             [
                 MessageDrop(0.1),
                 MessageDuplication(0.1),
@@ -354,7 +358,7 @@ def _pull_surface_digest(case):
         )
     if case == "all_three_2lane":
         values = np.column_stack([values, values[::-1]])
-    net = GossipNetwork(values, rng=17, **kwargs)
+    net = GossipNetwork(values, rng=17, env=GossipEnv(**settings))
     arrays = []
     for k in (3, 2, 4):
         batch = net.pull(k)
@@ -450,23 +454,21 @@ def test_engines_bit_identical_under_composed_robustness_inputs(factory):
 
     n, seed = 96, 13
 
-    def robustness_kwargs():
-        return {
-            "failure_model": 0.05,
-            "topology_process": ChurnProcess(n, churn_rate=0.05, rng=seed + 1),
-            "faults": FaultInjector(
+    def robustness_env():
+        return GossipEnv(
+            failure_model=0.05,
+            topology_process=ChurnProcess(n, churn_rate=0.05, rng=seed + 1),
+            faults=FaultInjector(
                 [MessageDrop(0.1), CrashRestart(0.05, downtime=2)],
                 rng=seed + 2,
             ),
-        }
+        )
 
     loop = run_protocol_loop(
-        factory(n, seed), rng=seed, raise_on_budget=False,
-        **robustness_kwargs(),
+        factory(n, seed), rng=seed, raise_on_budget=False, env=robustness_env()
     )
     vec = run_protocol_vectorized(
-        factory(n, seed), rng=seed, raise_on_budget=False,
-        **robustness_kwargs(),
+        factory(n, seed), rng=seed, raise_on_budget=False, env=robustness_env()
     )
     _assert_identical(loop, vec)
 
@@ -482,7 +484,7 @@ def test_faults_do_not_shift_engine_stream():
     )
     quiet = run_protocol_vectorized(
         make_push_sum(n, seed), rng=seed, raise_on_budget=False,
-        faults=FaultInjector(MessageDrop(0.0), rng=99),
+        env=GossipEnv(faults=FaultInjector(MessageDrop(0.0), rng=99)),
     )
     assert clean.outputs == quiet.outputs
     assert clean.metrics.summary() == quiet.metrics.summary()

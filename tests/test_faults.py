@@ -16,6 +16,7 @@ from repro.faults import (
     TargetedByDegree,
     ValueCorruption,
 )
+from repro.gossip.env import GossipEnv
 from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
 
@@ -189,7 +190,9 @@ def test_attaching_injector_leaves_engine_stream_untouched():
     clean = GossipNetwork(_values(), rng=17)
     chaotic = GossipNetwork(
         _values(), rng=17,
-        faults=FaultInjector([MessageDrop(0.0), ValueCorruption(0.0)], rng=5),
+        env=GossipEnv(
+            faults=FaultInjector([MessageDrop(0.0), ValueCorruption(0.0)], rng=5)
+        ),
     )
     a = clean.pull(3)
     b = chaotic.pull(3)
@@ -201,7 +204,7 @@ def test_attaching_injector_leaves_engine_stream_untouched():
 
 def test_network_drop_suppresses_and_masks():
     net = GossipNetwork(
-        _values(), rng=17, faults=FaultInjector(MessageDrop(1.0), rng=5)
+        _values(), rng=17, env=GossipEnv(faults=FaultInjector(MessageDrop(1.0), rng=5))
     )
     batch = net.pull(2)
     assert not batch.ok.any()
@@ -213,7 +216,7 @@ def test_network_duplicates_charged_as_extra_messages():
     clean = GossipNetwork(_values(), rng=17)
     duped = GossipNetwork(
         _values(), rng=17,
-        faults=FaultInjector(MessageDuplication(1.0), rng=5),
+        env=GossipEnv(faults=FaultInjector(MessageDuplication(1.0), rng=5)),
     )
     clean.pull(3)
     duped.pull(3)
@@ -226,7 +229,7 @@ def test_network_delay_serves_snapshot_ring():
     values = np.arange(16, dtype=float)
     net = GossipNetwork(
         values, rng=17,
-        faults=FaultInjector(MessageDelay(1.0, max_delay=2), rng=5),
+        env=GossipEnv(faults=FaultInjector(MessageDelay(1.0, max_delay=2), rng=5)),
     )
     # First batch: the ring is empty, so even delayed pulls are on time.
     first = net.pull(1)
@@ -246,7 +249,7 @@ def test_network_corruption_scales_payload_not_sender_state():
     values = np.full(32, 10.0)
     net = GossipNetwork(
         values, rng=17,
-        faults=FaultInjector(ValueCorruption(1.0, magnitude=0.5), rng=5),
+        env=GossipEnv(faults=FaultInjector(ValueCorruption(1.0, magnitude=0.5), rng=5)),
     )
     batch = net.pull(1)
     good = batch.values[batch.ok]
@@ -260,10 +263,10 @@ def test_network_crash_restart_resets_values():
     values = np.arange(8, dtype=float)
     net = GossipNetwork(
         values, rng=17,
-        faults=FaultInjector(
+        env=GossipEnv(faults=FaultInjector(
             Burst(CrashRestart(1.0, downtime=1, reset_values=True), 0, 1),
             rng=5,
-        ),
+        )),
     )
     net.set_values(values + 500.0)
     net.pull(1)          # round 0: everyone crashes
@@ -274,7 +277,7 @@ def test_network_crash_restart_resets_values():
 
 def test_network_reset_rewinds_injector():
     net = GossipNetwork(
-        _values(), rng=17, faults=FaultInjector(MessageDrop(0.5), rng=5)
+        _values(), rng=17, env=GossipEnv(faults=FaultInjector(MessageDrop(0.5), rng=5))
     )
     first = net.pull(4)
     injected = net.faults.total_injected
@@ -292,10 +295,10 @@ def test_seeded_chaos_replays_bit_for_bit():
     def run():
         net = GossipNetwork(
             _values(), rng=17,
-            faults=FaultInjector(
+            env=GossipEnv(faults=FaultInjector(
                 [MessageDrop(0.2), MessageDelay(0.2), ValueCorruption(0.2)],
                 rng=5,
-            ),
+            )),
         )
         batch = net.pull(5)
         return batch, dict(net.faults.counters)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.gossip.engine import run_protocol
+from repro.gossip.env import GossipEnv
 from repro.gossip.protocol import Action, GossipProtocol
 
 
@@ -88,7 +89,7 @@ def test_pull_protocol_receives_partner_payloads():
 
 def test_failures_reduce_message_count():
     protocol = CountingProtocol(200, rounds=10)
-    result = run_protocol(protocol, rng=3, failure_model=0.5)
+    result = run_protocol(protocol, rng=3, env=GossipEnv(failure_model=0.5))
     assert result.metrics.messages < 200 * 10
     assert result.metrics.failed_node_rounds > 200 * 10 * 0.3
 
@@ -194,7 +195,7 @@ def test_engine_selection_validates_name():
     from repro.gossip.engine import set_default_engine
 
     with pytest.raises(ConfigurationError):
-        run_protocol(CountingProtocol(8, rounds=1), rng=1, engine="warp")
+        run_protocol(CountingProtocol(8, rounds=1), rng=1, env=GossipEnv(engine="warp"))
     with pytest.raises(ConfigurationError):
         set_default_engine("warp")
 
@@ -202,6 +203,6 @@ def test_engine_selection_validates_name():
 def test_forced_loop_engine_matches_default_for_plain_protocols():
     a = CountingProtocol(30, rounds=5)
     b = CountingProtocol(30, rounds=5)
-    run_protocol(a, rng=7, engine="loop")
+    run_protocol(a, rng=7, env=GossipEnv(engine="loop"))
     run_protocol(b, rng=7)  # auto → loop for non-batch protocols
     assert np.array_equal(a.received, b.received)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
 
@@ -30,7 +31,7 @@ def test_construction_validation():
     with pytest.raises(ConfigurationError):
         GossipNetwork(np.ones((1, 3)))  # still needs >= 2 nodes
     with pytest.raises(ConfigurationError):
-        GossipNetwork(np.ones(4), dtype=np.int64)
+        GossipNetwork(np.ones(4), env=GossipEnv(dtype=np.int64))
 
 
 def test_pull_advances_rounds_and_counts_messages():
@@ -60,7 +61,7 @@ def test_pull_excludes_self_contacts_by_default():
 
 
 def test_pull_with_failures_marks_ok_false_and_nan():
-    net = make_network(200, seed=2, failure_model=0.5)
+    net = make_network(200, seed=2, env=GossipEnv(failure_model=0.5))
     batch = net.pull(1)
     failed = ~batch.ok[:, 0]
     assert failed.sum() > 50  # roughly half fail

@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.core.all_quantiles import true_self_quantiles
 from repro.datasets import make_workload, sensor_temperature_field, zipf_values
+from repro.gossip.env import GossipEnv
 from repro.utils.stats import empirical_quantile, rank_error
 
 
@@ -80,7 +81,8 @@ def test_exact_needs_far_fewer_outer_iterations_than_kempe():
 def test_robust_and_plain_agree_without_failures():
     values = make_workload("distinct", 512, rng=13)
     plain = approximate_quantile(values, phi=0.5, eps=0.1, rng=14)
-    robust = robust_approximate_quantile(values, phi=0.5, eps=0.1, failure_model=0.0, rng=14)
+    robust = robust_approximate_quantile(values, phi=0.5, eps=0.1,
+                                         env=GossipEnv(failure_model=0.0), rng=14)
     assert rank_error(values, plain.estimate, 0.5) <= 0.1
     assert rank_error(values, robust.estimate, 0.5) <= 0.1
 
@@ -100,7 +102,7 @@ def test_full_pipeline_under_failures():
     """Exact quantile with every substrate simulated and nodes failing."""
     values = make_workload("distinct", 256, rng=17)
     result = exact_quantile(
-        values, phi=0.3, rng=18, fidelity="simulated", failure_model=0.15
+        values, phi=0.3, rng=18, fidelity="simulated", env=GossipEnv(failure_model=0.15)
     )
     assert result.value == empirical_quantile(values, 0.3)
     assert result.metrics.failed_node_rounds > 0

@@ -58,7 +58,7 @@ def test_parse_suppression_inline_applies_to_own_line():
 
 def test_parse_suppression_standalone_applies_to_next_line():
     parsed = parse_suppression(
-        7, "# repro-lint: disable=thread-kwargs -- threaded via network", standalone=True
+        7, "# repro-lint: disable=stable-sort -- ties impossible here", standalone=True
     )
     assert parsed is not None
     assert parsed.applies_to == 8
@@ -273,8 +273,8 @@ def test_suppression_audit_inventory():
             targets.add((path, suppression.applies_to))
     result = lint_paths([str(SRC)])
     assert result.findings == []
-    # One comment may silence several findings on its line (a call missing
-    # more than one tracked kwarg), so compare covered lines, not counts.
+    # One comment may silence several findings on its line, so compare
+    # covered lines, not counts.
     covered = {(finding.path, finding.line) for finding in result.suppressed}
     dead = targets - covered
     assert not dead, f"suppressions that no longer suppress anything: {sorted(dead)}"

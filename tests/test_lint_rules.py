@@ -26,7 +26,6 @@ FIXTURES = REPO_ROOT / "tests" / "lint_fixtures" / "repro"
 RULE_FIXTURES = {
     "rng-discipline": ("core/tp_rng_unseeded.py", "core/nm_rng_seeded.py"),
     "private-stream": ("core/tp_private_stream.py", "core/nm_private_stream.py"),
-    "thread-kwargs": ("core/tp_thread_kwargs.py", "core/nm_thread_kwargs.py"),
     "stable-sort": ("core/tp_stable_sort.py", "core/nm_stable_sort.py"),
     "shared-view-write": (
         "core/tp_shared_view_write.py",

@@ -14,6 +14,7 @@ from repro.core.exact_quantile import exact_quantile
 from repro.core.three_tournament import run_three_tournament
 from repro.core.two_tournament import run_two_tournament
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
@@ -62,7 +63,8 @@ def test_multilane_rounds_counted_once_with_per_lane_payload_bits():
 
 def test_multilane_failures_apply_to_every_lane():
     values = np.stack([keys(300), keys(300)], axis=1)
-    net = GossipNetwork(values, rng=5, failure_model=0.4, keep_history=False)
+    net = GossipNetwork(values, rng=5,
+                        env=GossipEnv(failure_model=0.4), keep_history=False)
     batch = net.pull(2)
     failed = ~batch.ok
     assert failed.sum() > 50
@@ -95,15 +97,17 @@ def test_multilane_set_values_and_snapshot_shapes():
 
 
 def test_float32_network_stores_and_pulls_float32():
-    net = GossipNetwork(keys(64), rng=7, dtype="float32")
+    net = GossipNetwork(keys(64), rng=7, env=GossipEnv(dtype="float32"))
     assert net.dtype == np.dtype(np.float32)
     assert net.values.dtype == np.dtype(np.float32)
     assert net.pull(2).values.dtype == np.dtype(np.float32)
 
 
 def test_float32_lanes_follow_the_same_partner_stream():
-    a = GossipNetwork(keys(128), rng=9, dtype="float32", keep_history=False)
-    b = GossipNetwork(keys(128), rng=9, dtype="float64", keep_history=False)
+    a = GossipNetwork(keys(128), rng=9,
+                      env=GossipEnv(dtype="float32"), keep_history=False)
+    b = GossipNetwork(keys(128), rng=9,
+                      env=GossipEnv(dtype="float64"), keep_history=False)
     assert np.array_equal(a.pull(3).partners, b.pull(3).partners)
 
 
@@ -113,7 +117,7 @@ def test_exact_quantile_float32_matches_float64():
     values = np.random.default_rng(5).permutation(4096).astype(float)
     r64 = exact_quantile(values, phi=0.3, rng=17, fidelity="simulated")
     r32 = exact_quantile(values, phi=0.3, rng=17, fidelity="simulated",
-                         dtype="float32")
+                         env=GossipEnv(dtype="float32"))
     assert r64.value == r32.value
     assert r64.rounds == r32.rounds
     assert r64.iterations == r32.iterations
@@ -129,15 +133,15 @@ def test_exact_quantile_float32_guard_above_2_pow_24():
         np.zeros(1), shape=(2 ** 24,), strides=(0,)
     )
     with pytest.raises(ConfigurationError) as excinfo:
-        exact_quantile(big, phi=0.5, dtype="float32")
+        exact_quantile(big, phi=0.5, env=GossipEnv(dtype="float32"))
     assert "float32" in str(excinfo.value)
 
 
 def test_unsupported_dtype_rejected():
     with pytest.raises(ConfigurationError):
-        GossipNetwork(keys(8), dtype=np.int32)
+        GossipNetwork(keys(8), env=GossipEnv(dtype=np.int32))
     with pytest.raises(ConfigurationError):
-        approximate_quantile(keys(64), phi=0.5, eps=0.1, dtype="float16")
+        approximate_quantile(keys(64), phi=0.5, eps=0.1, env=GossipEnv(dtype="float16"))
 
 
 # ---- lane-wise tournaments ---------------------------------------------------
@@ -309,11 +313,11 @@ def test_extrema_pair_loop_and_vectorized_bit_identical():
         failure = mu if mu > 0 else None
         loop = run_protocol_loop(
             ExtremaPairProtocol(values, values), rng=seed,
-            failure_model=failure, raise_on_budget=False,
+            env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
         vec = run_protocol_vectorized(
             ExtremaPairProtocol(values, values), rng=seed,
-            failure_model=failure, raise_on_budget=False,
+            env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
         assert loop.outputs == vec.outputs
         assert loop.rounds == vec.rounds

@@ -21,6 +21,7 @@ from repro.faults import (
     MessageDelay,
     MessageDrop,
 )
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.net import (
     ChannelTransport,
@@ -120,7 +121,7 @@ def test_swim_false_positive_rate_bounded_under_drop_and_delay():
     result = run_protocol_asyncio(
         PushSumProtocol(values, rounds=10),
         rng=8,
-        faults=faults,
+        env=GossipEnv(faults=faults),
         detector=detector,
         delay_unit_s=0.001,
     )
@@ -179,7 +180,7 @@ def test_push_sum_mass_is_conserved_under_drop_and_crash():
         ],
         rng=13,
     )
-    result = run_protocol_asyncio(protocol, rng=9, faults=faults)
+    result = run_protocol_asyncio(protocol, rng=9, env=GossipEnv(faults=faults))
     assert result.extra["lost_messages"] > 0
     assert len(result.extra["crashed_nodes"]) > 0
     np.testing.assert_allclose(protocol._s.sum(), values.sum(), rtol=1e-12)
@@ -197,7 +198,7 @@ def test_chaos_schedule_replays_bit_for_bit():
         )
         protocol = PushSumProtocol(_values(12, seed=6), rounds=15)
         result = run_protocol_asyncio(
-            protocol, rng=10, metrics=metrics, faults=faults
+            protocol, rng=10, metrics=metrics, env=GossipEnv(faults=faults)
         )
         return (
             result.extra["crashed_nodes"],
@@ -227,7 +228,7 @@ def test_quantile_completes_with_widened_bounds_under_crash_chaos():
         eps=0.1,
         rng=13,
         transport=ChannelTransport(n),
-        faults=faults,
+        env=GossipEnv(faults=faults),
         retry=FAST_RETRY,
     )
     assert answer.degraded is True

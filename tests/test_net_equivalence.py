@@ -25,28 +25,31 @@ from repro.gossip.engine import (
     run_protocol,
     set_default_engine,
 )
+from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import Action, GossipProtocol
 from repro.net import arun_protocol, run_protocol_asyncio
+from repro.topology import ChurnProcess
 
 
 def _values(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=n)
 
 
-def _run_engine(engine, make_protocol, seed, **kwargs):
+def _run_engine(engine, make_protocol, seed, failure_model=None):
     metrics = NetworkMetrics()
     result = run_protocol(
-        make_protocol(), rng=seed, metrics=metrics, engine=engine, **kwargs
+        make_protocol(), rng=seed, metrics=metrics,
+        env=GossipEnv(failure_model=failure_model, engine=engine),
     )
     return result, metrics
 
 
-def _assert_triplet_equal(make_protocol, seed, **kwargs):
+def _assert_triplet_equal(make_protocol, seed):
     """loop ≡ vectorized ≡ asyncio: rounds, outputs, message/bit totals."""
     results = {}
     for engine in ("loop", "vectorized", "asyncio"):
-        results[engine] = _run_engine(engine, make_protocol, seed, **kwargs)
+        results[engine] = _run_engine(engine, make_protocol, seed)
     loop_result, loop_metrics = results["loop"]
     for engine in ("vectorized", "asyncio"):
         result, metrics = results[engine]
@@ -140,7 +143,7 @@ def test_auto_never_selects_the_asyncio_engine():
     metrics = NetworkMetrics()
     result = run_protocol(
         PushSumProtocol(values, rounds=3), rng=0, metrics=metrics,
-        engine="auto",
+        env=GossipEnv(engine="auto"),
     )
     # An asyncio run stamps its transport into result.extra; auto must not.
     assert "transport" not in result.extra
@@ -187,15 +190,11 @@ def test_sync_entry_point_refuses_a_running_loop():
     asyncio.run(go())
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [{"faults": "drop"}, {"topology_process": "churn", "peer_sampling": "round-robin"}],
-    ids=["faults-type", "sampling-under-process"],
-)
-def test_asyncio_runner_shares_the_engines_input_validation(bad):
-    # The same check as the simulated engines, made before any endpoint opens.
+def test_asyncio_runner_rejects_a_process_of_the_wrong_size():
+    # The engines' shared prologue, run before any endpoint opens.
+    env = GossipEnv(topology_process=ChurnProcess(8, churn_rate=0.1, rng=0))
     with pytest.raises(ConfigurationError):
-        run_protocol_asyncio(PushSumProtocol(_values(4), rounds=2), rng=0, **bad)
+        run_protocol_asyncio(PushSumProtocol(_values(4), rounds=2), rng=0, env=env)
 
 
 def test_run_timeout_must_be_positive():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+from repro.gossip.env import GossipEnv
 from repro.gossip.failures import UniformFailures
 from repro.topology.sampler import draw_uniform_round_partners
 from repro.utils.rand import RandomSource
@@ -60,7 +61,7 @@ def test_metric_totals_equal_sum_of_round_records(n, rounds, mu, seed):
     values = RandomSource(seed).random(n) * 10.0
     protocol = PushSumProtocol(values, rounds=rounds)
     result = run_protocol_vectorized(
-        protocol, rng=seed, failure_model=mu if mu > 0 else None,
+        protocol, rng=seed, env=GossipEnv(failure_model=mu if mu > 0 else None),
         max_rounds=rounds + 1,
     )
     stats = result.metrics
@@ -84,11 +85,11 @@ def test_engines_agree_for_random_configurations(n, mu, seed):
     values = RandomSource(seed).random(n) * 100.0
     loop = run_protocol_loop(
         ExtremaProtocol(values, mode="max"), rng=seed,
-        failure_model=mu if mu > 0 else None, raise_on_budget=False,
+        env=GossipEnv(failure_model=mu if mu > 0 else None), raise_on_budget=False,
     )
     vec = run_protocol_vectorized(
         ExtremaProtocol(values, mode="max"), rng=seed,
-        failure_model=mu if mu > 0 else None, raise_on_budget=False,
+        env=GossipEnv(failure_model=mu if mu > 0 else None), raise_on_budget=False,
     )
     assert loop.outputs == vec.outputs
     assert loop.rounds == vec.rounds
@@ -108,7 +109,7 @@ def test_vectorized_push_sum_conserves_mass(n, rounds, mu, seed):
     mass_before = protocol.total_mass
     weight_before = protocol.total_weight
     run_protocol_vectorized(
-        protocol, rng=seed, failure_model=mu if mu > 0 else None,
+        protocol, rng=seed, env=GossipEnv(failure_model=mu if mu > 0 else None),
         max_rounds=rounds + 1,
     )
     assert np.isclose(protocol.total_mass, mass_before, rtol=1e-9)

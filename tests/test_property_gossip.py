@@ -7,6 +7,7 @@ from repro.core.tokens import distribute_tokens
 from repro.gossip.engine import run_protocol
 from repro.gossip.network import GossipNetwork
 from repro.aggregates.push_sum import PushSumProtocol
+from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -42,8 +43,8 @@ def test_push_sum_mass_conservation_property(n, rounds, seed, mu):
     protocol = PushSumProtocol(values, rounds=rounds)
     mass_before = protocol.total_mass
     weight_before = protocol.total_weight
-    run_protocol(protocol, rng=seed, failure_model=mu if mu > 0 else None,
-                 max_rounds=rounds + 1)
+    run_protocol(protocol, rng=seed, max_rounds=rounds + 1,
+                 env=GossipEnv(failure_model=mu if mu > 0 else None))
     assert np.isclose(protocol.total_mass, mass_before, rtol=1e-9)
     assert np.isclose(protocol.total_weight, weight_before, rtol=1e-9)
 

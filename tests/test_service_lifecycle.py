@@ -12,6 +12,7 @@ from repro.faults import (
     MessageDrop,
     ValueCorruption,
 )
+from repro.gossip.env import GossipEnv
 from repro.topology import ChurnProcess
 from repro.utils.rand import RandomSource
 
@@ -28,7 +29,7 @@ def _service(n=96, seed=7, churn_rate=0.03, faults=None, **kwargs):
     )
     service = QuantileService(
         values, eps=EPS, rng=seed, max_lanes=4,
-        churn_process=churn, faults=faults, **kwargs
+        churn_process=churn, env=GossipEnv(faults=faults), **kwargs
     )
     return service, values, churn
 
@@ -69,6 +70,7 @@ def test_attach_faults_validates_and_replaces():
     service, _, _ = _service(n=48, churn_rate=None)
     with pytest.raises(ConfigurationError):
         service.attach_faults("nope")
+    assert service.faults is None
     injector = FaultInjector(MessageDrop(0.1), rng=0)
     service.attach_faults(injector)
     assert service.faults is injector

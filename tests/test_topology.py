@@ -11,6 +11,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
+from repro.gossip.env import GossipEnv
 from repro.gossip.network import GossipNetwork
 from repro.topology import (
     NeighborSampler,
@@ -220,7 +221,7 @@ def test_engine_default_and_complete_topology_are_bit_identical():
     values = RandomSource(3).random(64)
     base = run_protocol(PushSumProtocol(values, rounds=20), rng=9)
     topo = run_protocol(
-        PushSumProtocol(values, rounds=20), rng=9, topology=complete(64)
+        PushSumProtocol(values, rounds=20), rng=9, env=GossipEnv(topology=complete(64))
     )
     assert base.outputs == topo.outputs
     assert base.metrics.summary() == topo.metrics.summary()
@@ -229,7 +230,7 @@ def test_engine_default_and_complete_topology_are_bit_identical():
 def test_network_default_and_complete_topology_are_bit_identical():
     values = RandomSource(4).random(50)
     a = GossipNetwork(values, rng=8)
-    b = GossipNetwork(values, rng=8, topology=complete(50))
+    b = GossipNetwork(values, rng=8, env=GossipEnv(topology=complete(50)))
     batch_a = a.pull(3)
     batch_b = b.pull(3)
     assert np.array_equal(batch_a.partners, batch_b.partners)
@@ -239,7 +240,7 @@ def test_network_default_and_complete_topology_are_bit_identical():
 def test_network_pulls_respect_the_topology():
     topo = torus(64)
     values = RandomSource(5).random(64)
-    network = GossipNetwork(values, rng=2, topology=topo)
+    network = GossipNetwork(values, rng=2, env=GossipEnv(topology=topo))
     batch = network.pull(4)
     for v in range(64):
         neighbors = set(int(u) for u in topo.neighbors(v))
@@ -253,9 +254,11 @@ def test_approx_quantile_rejects_topology_with_prebuilt_network():
     values = RandomSource(6).random(64)
     network = GossipNetwork(values, rng=1)
     with pytest.raises(ConfigurationError):
-        approximate_quantile(network=network, topology=ring(64, 2))
+        approximate_quantile(network=network, env=GossipEnv(topology=ring(64, 2)))
     with pytest.raises(ConfigurationError):
-        approximate_quantile(network=network, peer_sampling="round-robin")
+        approximate_quantile(
+            network=network, env=GossipEnv(peer_sampling="round-robin")
+        )
 
 
 def test_robustness_reference_stream_is_independent_of_trials():

@@ -19,6 +19,7 @@ from repro.aggregates.push_sum import PushSumProtocol, push_sum_average
 from repro.core.tokens import distribute_tokens
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol, run_protocol_loop, run_protocol_vectorized
+from repro.gossip.env import GossipEnv
 from repro.gossip.network import GossipNetwork
 from repro.topology import (
     ChurnProcess,
@@ -48,12 +49,12 @@ def _values(n, seed=3):
 def test_static_process_is_bit_identical_to_direct_topology(topo_factory, n, seed):
     topo = topo_factory(n)
     direct = run_protocol_loop(
-        PushSumProtocol(_values(n), rounds=20), rng=seed, topology=topo,
+        PushSumProtocol(_values(n), rounds=20), rng=seed, env=GossipEnv(topology=topo),
     )
     process = StaticProcess(topology=topo, n=n)
     via_process = run_protocol_loop(
         PushSumProtocol(_values(n), rounds=20), rng=seed,
-        topology_process=process,
+        env=GossipEnv(topology_process=process),
     )
     assert direct.outputs == via_process.outputs
     assert direct.metrics.summary() == via_process.metrics.summary()
@@ -67,11 +68,11 @@ def test_static_process_loop_vectorized_equivalence(topo_factory):
     n, seed = 96, 5
     loop = run_protocol_loop(
         PushSumProtocol(_values(n), rounds=15), rng=seed,
-        topology_process=StaticProcess(topology=topo_factory(n), n=n),
+        env=GossipEnv(topology_process=StaticProcess(topology=topo_factory(n), n=n)),
     )
     vec = run_protocol_vectorized(
         PushSumProtocol(_values(n), rounds=15), rng=seed,
-        topology_process=StaticProcess(topology=topo_factory(n), n=n),
+        env=GossipEnv(topology_process=StaticProcess(topology=topo_factory(n), n=n)),
     )
     assert loop.outputs == vec.outputs
     assert loop.metrics.summary() == vec.metrics.summary()
@@ -101,7 +102,7 @@ def test_static_topology_streams_are_regression_pinned(topo_name, runner):
         else build_topology("small-world", 257, degree=6, rng=1)
     )
     result = runner(
-        PushSumProtocol(_values(257), rounds=20), rng=12, topology=topo
+        PushSumProtocol(_values(257), rounds=20), rng=12, env=GossipEnv(topology=topo)
     )
     digest = hashlib.sha256(
         np.asarray(result.outputs, dtype=float).tobytes()
@@ -138,11 +139,11 @@ def test_loop_and_vectorized_agree_under_dynamic_topologies(
 ):
     factory = _process_factories(n)[kind]
     loop = run_protocol_loop(
-        protocol_factory(n), rng=seed, topology_process=factory(),
+        protocol_factory(n), rng=seed, env=GossipEnv(topology_process=factory()),
         raise_on_budget=False,
     )
     vec = run_protocol_vectorized(
-        protocol_factory(n), rng=seed, topology_process=factory(),
+        protocol_factory(n), rng=seed, env=GossipEnv(topology_process=factory()),
         raise_on_budget=False,
     )
     assert loop.outputs == vec.outputs
@@ -154,10 +155,12 @@ def test_same_process_instance_can_be_reused_across_runs():
     n = 80
     process = ChurnProcess(n=n, churn_rate=0.3, rng=2)
     first = run_protocol_loop(
-        PushSumProtocol(_values(n), rounds=10), rng=1, topology_process=process
+        PushSumProtocol(_values(n), rounds=10), rng=1,
+        env=GossipEnv(topology_process=process)
     )
     second = run_protocol_loop(
-        PushSumProtocol(_values(n), rounds=10), rng=1, topology_process=process
+        PushSumProtocol(_values(n), rounds=10), rng=1,
+        env=GossipEnv(topology_process=process)
     )
     assert first.outputs == second.outputs  # begin() replays the schedule
 
@@ -179,7 +182,7 @@ def test_push_sum_mass_and_weight_conserved_under_churn(base, engine):
     values = _values(n)
     protocol = PushSumProtocol(values, rounds=40)
     run_protocol(
-        protocol, rng=3, topology_process=process, engine=engine,
+        protocol, rng=3, env=GossipEnv(topology_process=process, engine=engine),
         max_rounds=41, raise_on_budget=False,
     )
     assert protocol.total_mass == pytest.approx(values.sum(), rel=1e-12)
@@ -197,8 +200,7 @@ def test_token_multiplicities_conserved_under_churn_failures(engine):
         multiplicity=8,
         n=n,
         rng=11,
-        failure_model=process.as_failure_model(),
-        engine=engine,
+        env=GossipEnv(failure_model=process.as_failure_model(), engine=engine),
     )
     # distribute_tokens post-conditions already assert exact multiplicities;
     # verify explicitly plus that churn interfered at all.
@@ -290,7 +292,7 @@ def test_process_and_topology_are_mutually_exclusive():
     with pytest.raises(ConfigurationError):
         run_protocol_loop(
             PushSumProtocol(_values(n), rounds=5), rng=0,
-            topology=ring(n), topology_process=ChurnProcess(n=n, rng=0),
+            env=GossipEnv(topology=ring(n), topology_process=ChurnProcess(n=n, rng=0)),
         )
 
 
@@ -298,7 +300,7 @@ def test_process_size_must_match_protocol():
     with pytest.raises(ConfigurationError):
         run_protocol_loop(
             PushSumProtocol(_values(32), rounds=5), rng=0,
-            topology_process=ChurnProcess(n=64, rng=0),
+            env=GossipEnv(topology_process=ChurnProcess(n=64, rng=0)),
         )
 
 
@@ -307,8 +309,8 @@ def test_process_rejects_peer_sampling_override():
     with pytest.raises(ConfigurationError):
         run_protocol_loop(
             PushSumProtocol(_values(n), rounds=5), rng=0,
-            topology_process=ChurnProcess(n=n, rng=0),
-            peer_sampling="round-robin",
+            env=GossipEnv(peer_sampling="round-robin",
+                          topology_process=ChurnProcess(n=n, rng=0)),
         )
 
 
@@ -344,7 +346,7 @@ def test_gossip_network_pull_under_churn_targets_active_nodes():
     n = 128
     process = ChurnProcess(n=n, churn_rate=0.3, rng=4)
     network = GossipNetwork(
-        _values(n), rng=2, topology_process=process
+        _values(n), rng=2, env=GossipEnv(topology_process=process)
     )
     batch = network.pull(k=6)
     assert batch.partners.shape == (n, 6)
@@ -358,8 +360,9 @@ def test_gossip_network_pull_under_churn_targets_active_nodes():
 def test_gossip_network_rejects_topology_and_process_together():
     with pytest.raises(ConfigurationError):
         GossipNetwork(
-            _values(32), rng=0, topology=ring(32),
-            topology_process=ChurnProcess(n=32, rng=0),
+            _values(32), rng=0,
+            env=GossipEnv(topology=ring(32),
+                          topology_process=ChurnProcess(n=32, rng=0)),
         )
 
 
@@ -368,8 +371,9 @@ def test_gossip_network_rejects_ineffective_overrides_under_process():
     # swallow are configuration errors
     with pytest.raises(ConfigurationError):
         GossipNetwork(
-            _values(32), rng=0, peer_sampling="round-robin",
-            topology_process=ChurnProcess(n=32, rng=0),
+            _values(32), rng=0,
+            env=GossipEnv(peer_sampling="round-robin",
+                          topology_process=ChurnProcess(n=32, rng=0)),
         )
 
 
@@ -377,7 +381,7 @@ def test_gossip_network_reset_restarts_the_process():
     n = 64
     network = GossipNetwork(
         _values(n), rng=2,
-        topology_process=ChurnProcess(n=n, churn_rate=0.3, rng=4),
+        env=GossipEnv(topology_process=ChurnProcess(n=n, churn_rate=0.3, rng=4)),
     )
     first = network.pull(k=4).ok.copy()
     history_before = list(network.topology_process.active_history)
@@ -397,7 +401,7 @@ def test_push_sum_average_accepts_topology_process():
     values = _values(n)
     result = push_sum_average(
         values, rng=5, rounds=30,
-        topology_process=EdgeResamplingProcess(n, view_size=6, rng=2),
+        env=GossipEnv(topology_process=EdgeResamplingProcess(n, view_size=6, rng=2)),
     )
     assert result.estimates.shape == (n,)
     assert np.isfinite(result.estimates).all()
@@ -474,7 +478,7 @@ def test_push_sum_mass_conserved_under_hub_weighted_churn(engine):
     values = _values(n)
     protocol = PushSumProtocol(values, rounds=40)
     run_protocol(
-        protocol, rng=3, topology_process=process, engine=engine,
+        protocol, rng=3, env=GossipEnv(topology_process=process, engine=engine),
         max_rounds=41, raise_on_budget=False,
     )
     assert protocol.total_mass == pytest.approx(values.sum(), rel=1e-12)

@@ -9,6 +9,7 @@ from repro.core.exact_quantile import exact_quantile
 from repro.core.robust import robust_approximate_quantile
 from repro.core.service import QuantileService
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
 from repro.net.quantile import net_approximate_quantile
 from repro.utils import node_values
 
@@ -16,7 +17,7 @@ ENTRY_POINTS = {
     "exact_quantile": lambda values: exact_quantile(values, 0.5, rng=1),
     "approximate_quantile": lambda values: approximate_quantile(values, rng=1),
     "robust_approximate_quantile": lambda values: robust_approximate_quantile(
-        values, 0.5, 0.1, failure_model=0.1, rng=1
+        values, 0.5, 0.1, env=GossipEnv(failure_model=0.1), rng=1
     ),
     "estimate_all_ranks": lambda values: estimate_all_ranks(
         values, eps=0.2, rng=1
