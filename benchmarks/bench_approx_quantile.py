@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -47,6 +48,8 @@ DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
 #: phi ± eps/2 (see repro.core.exact_quantile.DEFAULT_ITERATION_EPS).
 EPS = 0.0625
 PHI = 0.5
+#: Runs per mode on the full grid; ``wall_s`` is their median.
+REPEATS = 5
 
 
 def _keys(n: int) -> np.ndarray:
@@ -54,8 +57,12 @@ def _keys(n: int) -> np.ndarray:
     return np.arange(1.0, n + 1.0)
 
 
-def run_benchmark(sizes, seed: int = 1):
-    """Three rows per n: sequential pair, fused pair, fused float32 pair."""
+def run_benchmark(sizes, seed: int = 1, repeats: int = REPEATS):
+    """Three rows per n: sequential pair, fused pair, fused float32 pair.
+
+    Each mode runs ``repeats`` times, the modes interleaved so machine
+    drift hits them alike; ``wall_s`` is the median run.
+    """
     phi_lo = PHI - EPS / 2.0
     phi_hi = PHI + EPS / 2.0
     accuracy = EPS / 2.0
@@ -63,25 +70,35 @@ def run_benchmark(sizes, seed: int = 1):
     for n in sizes:
         keys = _keys(n)
         stacked = np.stack([keys, keys], axis=1)
-
-        start = time.perf_counter()
-        lo = approximate_quantile(keys, phi=phi_lo, eps=accuracy, rng=seed)
-        hi = approximate_quantile(keys, phi=phi_hi, eps=accuracy, rng=seed + 1)
-        wall_sequential = time.perf_counter() - start
+        runs = {
+            "sequential": lambda: (
+                approximate_quantile(keys, phi=phi_lo, eps=accuracy, rng=seed),
+                approximate_quantile(
+                    keys, phi=phi_hi, eps=accuracy, rng=seed + 1
+                ),
+            ),
+            "fused": lambda: approximate_quantile(
+                stacked, phi=(phi_lo, phi_hi), eps=accuracy, rng=seed + 2
+            ),
+            "fused-f32": lambda: approximate_quantile(
+                stacked, phi=(phi_lo, phi_hi), eps=accuracy, rng=seed + 2,
+                env=GossipEnv(dtype="float32"),
+            ),
+        }
+        walls = {mode: [] for mode in runs}
+        results = {}
+        for _ in range(repeats):
+            for mode, call in runs.items():
+                start = time.perf_counter()
+                results[mode] = call()
+                walls[mode].append(time.perf_counter() - start)
+        lo, hi = results["sequential"]
+        fused = results["fused"]
+        fused32 = results["fused-f32"]
+        wall_sequential = statistics.median(walls["sequential"])
+        wall_fused = statistics.median(walls["fused"])
+        wall_fused32 = statistics.median(walls["fused-f32"])
         sequential_rounds = lo.rounds + hi.rounds
-
-        start = time.perf_counter()
-        fused = approximate_quantile(
-            stacked, phi=(phi_lo, phi_hi), eps=accuracy, rng=seed + 2
-        )
-        wall_fused = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fused32 = approximate_quantile(
-            stacked, phi=(phi_lo, phi_hi), eps=accuracy, rng=seed + 2,
-            env=GossipEnv(dtype="float32"),
-        )
-        wall_fused32 = time.perf_counter() - start
 
         errors = {
             "sequential": max(
@@ -147,7 +164,7 @@ def check_rows(rows) -> None:
 
 
 def smoke(json_path: Path, seed: int = 1) -> int:
-    rows = run_benchmark(sizes=(4096, 16384), seed=seed)
+    rows = run_benchmark(sizes=(4096, 16384), seed=seed, repeats=1)
     check_rows(rows)
     write_json(rows, json_path, smoke=True)
     for row in rows:

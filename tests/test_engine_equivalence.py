@@ -411,6 +411,85 @@ def test_sequential_all_ranks_pinned_to_pre_fusion_tree():
     ) == ALL_RANKS_SEQUENTIAL_PINS["eps_0.1_rng_10_qa_0.08"]
 
 
+# ---- failure-free fused multi-lane pins -------------------------------------
+#
+# sha256 prefixes of the failure-free multi-lane path (one partner stream
+# shared by L lanes, per-lane schedules, short lanes idling, one shared
+# final vote), captured before the value matrix was stored lane by lane.
+# The storage order of the (n, L) matrix must not move a single value.
+
+FUSED_MULTILANE_PINS = {
+    # estimate_all_ranks(_pin_values(), eps=0.1, rng=9): 9 lanes, 1 chunk
+    "all_ranks_9": ("984830a6b853e75e", 48),
+    # estimate_all_ranks(_pin_values(), eps=0.05, rng=10, float32): 19 lanes
+    "all_ranks_19_f32": ("5e30420022be0179", 56),
+    # approximate_quantile on a 2-lane copy, phi=(0.2, 0.65), eps=0.1, rng=7
+    "pair_f64": ("d2e48b4dccf5249e", 40),
+    "pair_f32": ("3ccd83ff9bf9e574", 40),
+    # QuantileService(_pin_values(), eps=0.1, rng=11): build, then a rebuild
+    # after every other value moved above the range
+    "service_build": ("eb2540fbc4894e83", 48),
+    "service_rebuild": ("5974563748ad3c8a", 48),
+}
+
+
+def test_fused_all_ranks_grid_pinned():
+    from repro.core.all_quantiles import DEFAULT_MAX_LANES, estimate_all_ranks
+
+    result = estimate_all_ranks(_pin_values(), eps=0.1, rng=9)
+    assert result.grid.size == 9 <= DEFAULT_MAX_LANES and result.chunks == 1
+    assert (
+        _digest(result.quantile_estimates, result.grid_values),
+        result.rounds,
+    ) == FUSED_MULTILANE_PINS["all_ranks_9"]
+
+    result = estimate_all_ranks(
+        _pin_values(), eps=0.05, rng=10, env=GossipEnv(dtype=np.float32)
+    )
+    assert result.grid.size == 19 and result.grid_values.dtype == np.float32
+    assert (
+        _digest(result.quantile_estimates, result.grid_values),
+        result.rounds,
+    ) == FUSED_MULTILANE_PINS["all_ranks_19_f32"]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["f64", "f32"])
+def test_fused_two_lane_approximate_quantile_pinned(dtype):
+    """The exact driver's Step-3 sandwich shape: two lanes, one stream."""
+    from repro.core.approx_quantile import approximate_quantile
+
+    values = _pin_values()
+    result = approximate_quantile(
+        np.column_stack([values, values]), phi=(0.2, 0.65), eps=0.1, rng=7,
+        env=GossipEnv(dtype=dtype),
+    )
+    assert result.estimates.shape == (257, 2)
+    assert result.estimates.dtype == dtype
+    key = "pair_f64" if dtype is np.float64 else "pair_f32"
+    assert (_digest(result.estimates), result.rounds) == (
+        FUSED_MULTILANE_PINS[key]
+    )
+
+
+def test_fused_service_build_and_rebuild_pinned():
+    from repro.core.service import QuantileService
+
+    service = QuantileService(_pin_values(), eps=0.1, rng=11)
+    assert (
+        _digest(service.result.grid_values, service.grid_answers),
+        service.rounds,
+    ) == FUSED_MULTILANE_PINS["service_build"]
+
+    for index in range(0, 257, 2):
+        service.update_value(index, 150.0 + index)
+    report = service.rebuild()
+    assert report.validated and report.lanes_rebuilt == 9
+    assert (_digest(service.grid_answers), report.rounds) == (
+        FUSED_MULTILANE_PINS["service_rebuild"]
+    )
+
+
 @pytest.mark.parametrize("n", [256, 4096])
 def test_fused_and_sequential_grids_agree_within_tolerance(n):
     """Fused lanes share one partner stream, so estimates differ from the
