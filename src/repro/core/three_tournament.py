@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import ThreeTournamentSchedule, three_tournament_schedule
-from repro.core.two_tournament import _lane_view, normalize_schedules, per_lane
+from repro.core.two_tournament import lane_block, normalize_schedules, per_lane
 from repro.exceptions import ConfigurationError
 from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
@@ -42,18 +42,33 @@ def median_band_thresholds(values: np.ndarray, eps: float) -> Tuple[float, float
     return lo_value, hi_value
 
 
-def _median_of_three(
-    first: np.ndarray, second: np.ndarray, third: np.ndarray
-) -> np.ndarray:
-    """Element-wise median of three arrays without sorting.
+#: Triples per pass of :func:`_median_of_three`: 32768 pulled triples of
+#: float64 (768 KiB) stay cache-resident across the kernel's four passes.
+_MEDIAN_CHUNK = 32768
+
+
+def _median_of_three(block: np.ndarray) -> np.ndarray:
+    """Element-wise median of the trailing triples of ``block``, without sorting.
 
     ``max(min(a, b), min(max(a, b), c))`` selects exactly the element a
-    3-sort would put in the middle — five element-wise passes instead of a
-    per-row sort, and bit-identical output values.
+    3-sort would put in the middle — four element-wise passes instead of a
+    per-row sort, and bit-identical output values.  The passes run chunk
+    by chunk over the contiguous triples, so each chunk is read from
+    memory once for all four instead of once per pass.  Returns
+    ``block.shape[:-1]``.
     """
-    lo = np.minimum(first, second)
-    hi = np.maximum(first, second)
-    return np.maximum(lo, np.minimum(hi, third))
+    triples = block.reshape(-1, 3)
+    medians = np.empty(triples.shape[0], dtype=block.dtype)
+    scratch = np.empty(min(_MEDIAN_CHUNK, medians.size), dtype=block.dtype)
+    for start in range(0, medians.size, _MEDIAN_CHUNK):
+        first, second, third = triples[start:start + _MEDIAN_CHUNK].T
+        lo = medians[start:start + _MEDIAN_CHUNK]
+        hi = scratch[:lo.size]
+        np.minimum(first, second, out=lo)
+        np.maximum(first, second, out=hi)
+        np.minimum(hi, third, out=hi)
+        np.maximum(lo, hi, out=lo)
+    return medians.reshape(block.shape[:-1])
 
 
 def run_three_tournament(
@@ -95,8 +110,6 @@ def run_three_tournament(
         lo_value, hi_value = median_band_thresholds(initial, epss[0])
 
     stats: List[PhaseIterationStats] = []
-    can_fail = network.can_fail
-    single = network.values.ndim == 1
     num_iterations = max((s.num_iterations for s in schedules), default=0)
     # The span covers the tournament iterations *and* the final vote — the
     # algorithm's whole round budget.  Observation only: wall time and
@@ -108,29 +121,18 @@ def run_three_tournament(
             final_samples=final_samples,
         )
         for step in range(num_iterations):
-            current = network.snapshot() if can_fail else None
-            batch = network.pull(3, label="3-tournament")
-            vals = batch.values
-            if can_fail:
-                mask = batch.ok if single else batch.ok[:, :, None]
-                fallback = current[:, None] if single else current[:, None, :]
-                vals = np.where(mask, vals, fallback)
-            vals = _lane_view(vals, single)                 # (n, 3, L)
-            live = _lane_view(network.values, single)       # (n, L)
-            medians = _median_of_three(vals[:, 0], vals[:, 1], vals[:, 2])
-            new_values = np.empty_like(live)
+            block = lane_block(network, 3, "3-tournament")  # (L, n, 3)
+            live = network.lane_rows                        # (L, n)
+            rows = _median_of_three(block)                  # (L, n)
             for lane, lane_schedule in enumerate(schedules):
                 if step >= lane_schedule.num_iterations:
-                    new_values[:, lane] = live[:, lane]      # lane idles
-                else:
-                    new_values[:, lane] = medians[:, lane]
-            updated = new_values[:, 0] if single else new_values
-            network.set_values(updated, copy=False)
+                    rows[lane] = live[lane]                 # lane idles
+            network.set_lane_rows(rows)
             if track_band:
                 n = network.n
                 iteration = schedules[0].iterations[step]
-                low = float(np.count_nonzero(updated < lo_value)) / n
-                high = float(np.count_nonzero(updated > hi_value)) / n
+                low = float(np.count_nonzero(rows[0] < lo_value)) / n
+                high = float(np.count_nonzero(rows[0] > hi_value)) / n
                 stats.append(
                     PhaseIterationStats(
                         iteration=iteration.index,
@@ -144,26 +146,15 @@ def run_three_tournament(
         # Final vote: every node samples `final_samples` values and outputs
         # the median of its sample (Algorithm 2, line 8) — one shared pull
         # batch, per-lane medians.
-        current = network.snapshot() if can_fail else None
-        batch = network.pull(final_samples, label="3-tournament-vote")
-        vals = batch.values
-        if can_fail:
-            mask = batch.ok if single else batch.ok[:, :, None]
-            fallback = current[:, None] if single else current[:, None, :]
-            vals = np.where(mask, vals, fallback)
+        block = lane_block(network, final_samples, "3-tournament-vote")
         # partition places the middle order statistic exactly where a full
-        # sort would; the selected values are identical.  Multi-lane votes
-        # partition lane by lane so each pass runs over a contiguous (n, K)
-        # block.
+        # sort would; the selected values are identical.  The block is this
+        # phase's own, so it is partitioned in place, each lane's (n, K)
+        # slab contiguous.
         mid = final_samples // 2
-        if vals.ndim == 2:
-            outputs = np.partition(vals, mid, axis=1)[:, mid]
-        else:
-            outputs = np.empty((vals.shape[0], vals.shape[2]), dtype=vals.dtype)
-            for lane in range(vals.shape[2]):
-                outputs[:, lane] = np.partition(
-                    vals[:, :, lane], mid, axis=1
-                )[:, mid]
+        block.partition(mid, axis=2)
+        rows = block[:, :, mid].copy()
+        outputs = rows[0] if network.values.ndim == 1 else rows.T
 
     return TournamentPhaseResult(
         final_values=outputs,

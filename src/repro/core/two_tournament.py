@@ -64,14 +64,20 @@ def per_lane(value, lanes: int, what: str) -> List:
     return values
 
 
-def _lane_view(array: np.ndarray, single: bool) -> np.ndarray:
-    """View a value array as lanes-last.
+def lane_block(network: GossipNetwork, k: int, label: str) -> np.ndarray:
+    """Pull ``k`` rounds and return the lanes-first ``(L, n, k)`` block.
 
-    ``single`` says whether the owning network stores 1-d (lane-less)
-    values; its arrays gain a trailing lane axis, while the arrays of a
-    true multi-lane network (including ``(n, 1)``) pass through untouched.
+    A failed pull (only possible when ``network.can_fail``) reads the
+    puller's own pre-pull value, so a node that failed every round of an
+    iteration keeps its value.  On the failure-free path the block is the
+    gather itself: contiguous, and owned by the caller.
     """
-    return array[..., None] if single else array
+    current = network.lane_rows.copy() if network.can_fail else None
+    batch = network.pull(k, label=label)
+    block = batch.by_lane
+    if current is not None:
+        block = np.where(batch.ok, block, current[:, :, None])
+    return block
 
 
 def normalize_schedules(schedule, lanes: int, schedule_class, build) -> List:
@@ -139,55 +145,38 @@ def run_two_tournament(
         lo_value, hi_value = band_thresholds(initial, phis[0], epss[0])
 
     stats: List[PhaseIterationStats] = []
-    can_fail = network.can_fail
-    single = network.values.ndim == 1
     num_iterations = max((s.num_iterations for s in schedules), default=0)
     # The span reads wall time and metric counters only; the random stream
     # is identical with or without a tracer installed.
     with get_tracer().span("two_tournament", network.metrics) as phase_span:
         phase_span.annotate(lanes=lanes, iterations=num_iterations)
         for step in range(num_iterations):
-            # The fallback value for failed pulls is the pre-iteration
-            # value; on the failure-free path every pull succeeds and the
-            # snapshot copy is skipped entirely.
-            current = network.snapshot() if can_fail else None
-            batch = network.pull(2, label="2-tournament")
-            vals = _lane_view(batch.values, single)         # (n, 2, L)
-            live = _lane_view(network.values, single)       # (n, L)
-            new_values = np.empty_like(live)
+            block = lane_block(network, 2, "2-tournament")  # (L, n, 2)
+            live = network.lane_rows                        # (L, n)
+            rows = np.empty(live.shape, dtype=live.dtype)
             for lane, lane_schedule in enumerate(schedules):
+                row = rows[lane]
                 if step >= lane_schedule.num_iterations:
-                    new_values[:, lane] = live[:, lane]      # lane idles
+                    row[:] = live[lane]                     # lane idles
                     continue
                 iteration = lane_schedule.iterations[step]
-                first = vals[:, 0, lane]
-                second = vals[:, 1, lane]
-                if can_fail:
-                    fallback = _lane_view(current, single)[:, lane]
-                    first = np.where(batch.ok[:, 0], first, fallback)
-                    second = np.where(batch.ok[:, 1], second, fallback)
-                if lane_schedule.direction == "min":
-                    winners = np.minimum(first, second)
-                else:
-                    winners = np.maximum(first, second)
-
-                if iteration.delta >= 1.0:
-                    new_values[:, lane] = winners
-                else:
-                    coin = network.rng.random(network.n)
-                    do_tournament = coin < iteration.delta
+                first = block[lane, :, 0]
+                winner = (
+                    np.minimum if lane_schedule.direction == "min"
+                    else np.maximum
+                )
+                winner(first, block[lane, :, 1], out=row)
+                if iteration.delta < 1.0:
                     # With probability 1 - delta the node copies a single
                     # random value instead (Algorithm 1, lines 9-11); we
                     # reuse the first pull for that copy, exactly one
                     # sampled value.
-                    new_values[:, lane] = np.where(
-                        do_tournament, winners, first
-                    )
+                    coin = network.rng.random(network.n)
+                    np.copyto(row, first, where=coin >= iteration.delta)
 
-            updated = new_values[:, 0] if single else new_values
-            network.set_values(updated, copy=False)
+            network.set_lane_rows(rows)
             if track_band:
-                low, band, high = measure_band(updated, lo_value, hi_value)
+                low, band, high = measure_band(rows[0], lo_value, hi_value)
                 iteration = schedules[0].iterations[step]
                 stats.append(
                     PhaseIterationStats(

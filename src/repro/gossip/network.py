@@ -32,6 +32,21 @@ O(log n)-bit message carrying both working values.  Each round is recorded
 once, with the per-lane payload bits folded into the message size.
 ``L = 1`` (a 1-d value array) is bit-identical to the historical
 single-lane partner and value streams.
+
+Lane-contiguous layout
+----------------------
+The ``(n, L)`` matrix is stored column-major: each lane is one contiguous
+column, so :attr:`GossipNetwork.lane_rows` is a free ``(L, n)`` view with
+one contiguous row per lane.  A pull gathers lane by lane straight from
+those columns into a lanes-first ``(L, n, k)`` block
+(:attr:`PullBatch.by_lane`), and the tournament kernels compute whole
+``(L, n)`` rows on it and hand them back through
+:meth:`GossipNetwork.set_lane_rows` without a copy.  No lane is ever
+copied out of a strided column, no block is transposed, and each lane's
+``(n, k)`` slab of a final vote is partitioned where it was gathered.
+The public shapes — ``(n, L)`` values, ``(n, k, L)`` pulled values — are
+views of that storage, and any memory order a caller hands in is
+accepted.
 """
 
 from __future__ import annotations
@@ -66,10 +81,11 @@ class PullBatch:
         the ``k`` rounds.  One draw shared by every lane.
     values:
         The value held by that partner at the start of the batch: ``(n, k)``
-        for a single-lane network, ``(n, k, L)`` for a multi-lane one.
-        (Within one tournament iteration every pull reads the partner's
-        value *from the previous iteration*, so reading a snapshot is
-        exactly the paper's semantics.)
+        for a single-lane network, ``(n, k, L)`` for a multi-lane one — a
+        view of the lanes-first block, see :attr:`by_lane`.  (Within one
+        tournament iteration every pull reads the partner's value *from the
+        previous iteration*, so reading a snapshot is exactly the paper's
+        semantics.)
     ok:
         ``(n, k)`` boolean array: False where the pulling node failed in
         that round and the pull therefore never happened.  Failures are
@@ -92,6 +108,18 @@ class PullBatch:
     def lanes(self) -> int:
         return 1 if self.values.ndim == 2 else int(self.values.shape[2])
 
+    @property
+    def by_lane(self) -> np.ndarray:
+        """The pulled values lanes-first: an ``(L, n, k)`` view.
+
+        Contiguous as gathered on the failure-free path, so each lane's
+        ``(n, k)`` block is one contiguous slab (``L = 1`` for a
+        single-lane network).
+        """
+        if self.values.ndim == 2:
+            return self.values[None]
+        return self.values.transpose(2, 0, 1)
+
 
 class GossipNetwork:
     """A synchronous uniform gossip network over a shared value array.
@@ -101,7 +129,8 @@ class GossipNetwork:
     values:
         Initial value of every node: length ``n`` for a single-lane network
         or an ``(n, L)`` column-stacked matrix for ``L`` lanes sharing one
-        partner stream (see the module docstring).
+        partner stream (see the module docstring).  Any memory order is
+        accepted; the network keeps its own lane-contiguous copy.
     rng:
         Seed or :class:`RandomSource` for partner selection and failures.
     metrics:
@@ -148,7 +177,7 @@ class GossipNetwork:
     ) -> None:
         env = resolve_env(env)
         self._dtype: np.dtype = env.dtype
-        array = np.asarray(values, dtype=self._dtype).copy()
+        array = np.array(values, dtype=self._dtype, order="F")
         if array.ndim not in (1, 2):
             raise ConfigurationError(
                 "values must be one-dimensional (single lane) or an "
@@ -159,7 +188,7 @@ class GossipNetwork:
         if array.shape[0] < 2:
             raise ConfigurationError("a gossip network needs at least 2 nodes")
         self._values = array
-        self._initial_values = array.copy()
+        self._initial_values = array.copy(order="F")
         self._n = int(array.shape[0])
         self._lanes = 1 if array.ndim == 1 else int(array.shape[1])
         self._rng = rng if isinstance(rng, RandomSource) else RandomSource(rng)
@@ -212,6 +241,17 @@ class GossipNetwork:
         return self._values
 
     @property
+    def lane_rows(self) -> np.ndarray:
+        """The current values lanes-first: an ``(L, n)`` view, one row per lane.
+
+        Each row is contiguous for the network's own storage; a 1-d
+        single-lane network is viewed as one row.  Live; treat as read-only.
+        """
+        if self._values.ndim == 1:
+            return self._values[None]
+        return self._values.T
+
+    @property
     def initial_values(self) -> np.ndarray:
         """The values the network was constructed with (copy kept internally)."""
         return self._initial_values
@@ -245,8 +285,8 @@ class GossipNetwork:
         return self.metrics.rounds
 
     def snapshot(self) -> np.ndarray:
-        """A copy of the current values."""
-        return self._values.copy()
+        """A lane-contiguous copy of the current values."""
+        return self._values.copy(order="F")
 
     def set_values(
         self, values: Union[Sequence[float], np.ndarray], copy: bool = True
@@ -255,7 +295,9 @@ class GossipNetwork:
 
         ``copy=False`` adopts the array without a defensive copy — for
         callers handing over a freshly built array they will not touch
-        again (the tournament phases do this every iteration).
+        again (the tournament phases do this every iteration, see
+        :meth:`set_lane_rows`).  An adopted array keeps its memory order;
+        a copy is lane-contiguous.
         """
         array = np.asarray(values, dtype=self._dtype)
         if array.shape != self._values.shape:
@@ -263,11 +305,23 @@ class GossipNetwork:
                 f"expected values of shape {self._values.shape}, "
                 f"got shape {array.shape}"
             )
-        self._values = array.copy() if copy else array
+        self._values = array.copy(order="F") if copy else array
+
+    def set_lane_rows(self, rows: np.ndarray) -> None:
+        """Adopt a freshly built lanes-first ``(L, n)`` matrix, without a copy.
+
+        The inverse of :attr:`lane_rows`: a C-ordered ``rows`` becomes the
+        lane-contiguous ``(n, L)`` storage as its transpose.
+        """
+        if rows.ndim != 2 or rows.shape[0] != self._lanes:
+            raise ConfigurationError(
+                f"expected ({self._lanes}, n) lane rows, got shape {rows.shape}"
+            )
+        self.set_values(rows[0] if self._values.ndim == 1 else rows.T, copy=False)
 
     def reset(self) -> None:
         """Restore the initial values and clear accumulated metrics."""
-        self._values = self._initial_values.copy()
+        self._values = self._initial_values.copy(order="F")
         self.metrics = NetworkMetrics(keep_history=self.metrics.keep_history)
         if self._process is not None:
             self._process.begin()
@@ -399,12 +453,13 @@ class GossipNetwork:
     def _gather(self, source: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Gather the pulled values: ``(n, k)`` or ``(n, k, L)``.
 
-        Multi-lane gathers go lane by lane from a contiguous column —
-        several 1-d gathers are ~3x faster than one row-wise gather of
-        ``(n, L)`` rows.  The lanes-first block is returned as a transposed
-        ``(n, k, L)`` view.  ``np.take(mode="clip")`` skips the per-element
-        bounds check fancy indexing pays (partners are drawn in ``[0, n)``,
-        so clipping never fires) — ~40% faster on latency-bound gathers at
+        Multi-lane gathers go lane by lane, each a 1-d gather straight from
+        the lane's contiguous column into its contiguous ``(n, k)`` slab of
+        a lanes-first ``(L, n, k)`` block, returned as the transposed
+        ``(n, k, L)`` view (:attr:`PullBatch.by_lane` undoes the
+        transpose).  ``np.take(mode="clip")`` skips the per-element bounds
+        check fancy indexing pays (partners are drawn in ``[0, n)``, so
+        clipping never fires) — ~40% faster on latency-bound gathers at
         n = 10⁶.
         """
         if source.ndim == 1:
@@ -414,12 +469,7 @@ class GossipNetwork:
             (self._lanes,) + partners.shape, dtype=self._dtype
         )
         for lane in range(self._lanes):
-            np.take(
-                np.ascontiguousarray(source[:, lane]),
-                partners,
-                out=block[lane],
-                mode="clip",
-            )
+            np.take(source[:, lane], partners, out=block[lane], mode="clip")
         return block.transpose(1, 2, 0)
 
     def _apply_faults(
@@ -453,7 +503,7 @@ class GossipNetwork:
             factor = corruption if pulled.ndim == 2 else corruption[:, :, None]
             pulled = (pulled * factor).astype(self._dtype, copy=False)
         if self._delay_history is not None:
-            self._delay_history.append(source.copy())
+            self._delay_history.append(source.copy(order="F"))
         if self._faults is not None and self._faults.reset_on_restart:
             restarted = np.logical_or.reduce([f.restarted for f in drawn])
             if np.any(restarted):

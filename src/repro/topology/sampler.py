@@ -109,7 +109,7 @@ class UniformSampler(PeerSampler):
         # Verbatim the historical pull-surface stream: one (n, k) block
         # draw, then re-draws of self-contacts.
         partners = source.uniform_partners(self.n, k)
-        own = np.arange(self.n)[:, None]
+        own = _identity_indices(self.n)[:, None]
         resample_forbidden_targets(source, partners, own, self.n)
         return partners
 

@@ -41,21 +41,15 @@ def resample_forbidden_targets(
     """
     if n < 2:
         raise ValueError("need at least 2 possible targets to exclude one")
-    forbidden = np.asarray(forbidden)
-    if targets.shape == forbidden.shape and targets.ndim == 1:
-        # Same-shape fast path (the per-round partner draw): track only the
-        # colliding *indices* between passes instead of re-comparing the
-        # full arrays.  Collisions are visited in index order, exactly like
-        # the boolean-mask assignment, so the draws are unchanged.
-        bad = np.flatnonzero(targets == forbidden)
-        while bad.size:
-            targets[bad] = source.integers(0, n, size=bad.size)
-            bad = bad[targets[bad] == forbidden[bad]]
-        return targets
-    mask = targets == forbidden
-    while np.any(mask):
-        targets[mask] = source.integers(0, n, size=int(mask.sum()))
-        mask = targets == forbidden
+    forbidden = np.broadcast_to(forbidden, targets.shape)
+    # One full compare, then only the colliding flat (C-order) indices are
+    # tracked between passes instead of re-comparing the whole block.
+    # C order is the order a boolean-mask assignment visits, so every
+    # re-draw lands on the same entry as the historical masked loop.
+    bad = np.flatnonzero(targets == forbidden)
+    while bad.size:
+        targets.flat[bad] = source.integers(0, n, size=bad.size)
+        bad = bad[targets.flat[bad] == forbidden.flat[bad]]
     return targets
 
 

@@ -93,6 +93,95 @@ def test_multilane_set_values_and_snapshot_shapes():
         net.set_values(np.zeros(16))
 
 
+# ---- lane-contiguous storage -------------------------------------------------
+
+
+def _layout_run(values, env=None):
+    """Pull batches and both tournament phases on a fresh network."""
+    net = GossipNetwork(values, rng=21, keep_history=False, env=env)
+    batches = [net.pull(k) for k in (2, 3)]
+    net = GossipNetwork(values, rng=22, keep_history=False, env=env)
+    lanes = net.lanes
+    two = run_two_tournament(
+        net, phi=list(np.linspace(0.1, 0.9, lanes)), eps=0.1, track_band=False
+    )
+    three = run_three_tournament(net, eps=0.05, track_band=False)
+    return batches, two.final_values, three.final_values
+
+
+def _assert_same_runs(first, second):
+    for a, b in zip(first[0], second[0]):
+        assert np.array_equal(a.partners, b.partners)
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert np.array_equal(a.ok, b.ok)
+    assert np.array_equal(first[1], second[1])
+    assert np.array_equal(first[2], second[2])
+
+
+@pytest.mark.parametrize("env", [None, GossipEnv(failure_model=0.2)],
+                         ids=["nofail", "fail"])
+def test_value_matrix_memory_order_does_not_change_any_draw(env):
+    """C-ordered, F-ordered and broadcast inputs give identical runs."""
+    n, lanes = 97, 5
+    column = RandomSource(4).random(n)
+    replicated = np.broadcast_to(column[:, None], (n, lanes))
+    runs = [
+        _layout_run(build(replicated), env)
+        for build in (np.ascontiguousarray, np.asfortranarray, lambda v: v)
+    ]
+    _assert_same_runs(runs[0], runs[1])
+    _assert_same_runs(runs[0], runs[2])
+
+    distinct = RandomSource(5).random((n, lanes))
+    _assert_same_runs(
+        _layout_run(np.ascontiguousarray(distinct), env),
+        _layout_run(np.asfortranarray(distinct), env),
+    )
+
+
+def test_network_stores_each_lane_contiguously():
+    net = GossipNetwork(np.ascontiguousarray(RandomSource(6).random((64, 4))),
+                        rng=1, keep_history=False)
+    assert net.values.shape == (64, 4) and net.values.flags.f_contiguous
+    assert net.lane_rows.shape == (4, 64) and net.lane_rows.flags.c_contiguous
+    assert net.snapshot().flags.f_contiguous
+    assert net.initial_values.flags.f_contiguous
+    batch = net.pull(3)
+    assert batch.values.shape == (64, 3, 4)
+    assert batch.by_lane.shape == (4, 64, 3) and batch.by_lane.flags.c_contiguous
+    for lane in range(4):
+        assert np.array_equal(batch.by_lane[lane], batch.values[:, :, lane])
+    run_three_tournament(net, eps=0.1, track_band=False)
+    assert net.values.flags.f_contiguous
+    net.reset()
+    assert net.values.flags.f_contiguous
+    with pytest.raises(ConfigurationError):
+        net.set_lane_rows(np.zeros((3, 64)))
+
+
+def test_set_values_adopts_an_outside_c_ordered_matrix():
+    n, lanes = 80, 3
+    start = RandomSource(7).random((n, lanes))
+    outside = np.ascontiguousarray(RandomSource(8).random((n, lanes)))
+    kept = outside.copy()
+    adopted = GossipNetwork(start, rng=9, keep_history=False)
+    copied = GossipNetwork(start, rng=9, keep_history=False)
+    adopted.set_values(outside, copy=False)
+    copied.set_values(outside)
+    assert adopted.values is outside
+    assert copied.values.flags.f_contiguous
+    assert np.array_equal(adopted.lane_rows, copied.lane_rows)
+    first = adopted.pull(4)
+    second = copied.pull(4)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(
+        run_three_tournament(adopted, eps=0.1, track_band=False).final_values,
+        run_three_tournament(copied, eps=0.1, track_band=False).final_values,
+    )
+    # the tournament hands back new rows; the adopted array is never written
+    assert np.array_equal(outside, kept)
+
+
 # ---- dtype threading ---------------------------------------------------------
 
 

@@ -95,24 +95,31 @@ def test_draw_targets_excluding_empty_batch():
     assert targets.size == 0
 
 
-def test_resample_forbidden_targets_matches_historical_stream():
+@pytest.mark.parametrize(
+    "n, k", [(64, None), (3, None), (64, 3), (2, 5), (3, 15)],
+    ids=["1d", "1d-small-n", "block", "block-n2", "block-n3-k15"],
+)
+def test_resample_forbidden_targets_matches_historical_stream(n, k):
     """The shared helper must consume the RNG exactly like the inline
-    masked-re-draw loop it replaced, so seeded partner draws are unchanged."""
+    masked-re-draw loop it replaced, so seeded partner draws are unchanged
+    — for a per-round partner array and for an (n, k) block compared
+    against a broadcast (n, 1) identity, over several re-draw passes."""
     from repro.utils.rand import resample_forbidden_targets
 
-    n = 64
+    shape = n if k is None else (n, k)
+    own = np.arange(n) if k is None else np.arange(n)[:, None]
     a, b = RandomSource(17), RandomSource(17)
 
-    partners = a.integers(0, n, size=n)
-    own = np.arange(n)
+    partners = a.integers(0, n, size=shape)
     mask = partners == own
     while np.any(mask):
         partners[mask] = a.integers(0, n, size=int(mask.sum()))
         mask = partners == own
 
-    helper = b.integers(0, n, size=n)
+    helper = b.integers(0, n, size=shape)
     resample_forbidden_targets(b, helper, own, n)
     assert np.array_equal(partners, helper)
+    assert a.integers(0, 2**32) == b.integers(0, 2**32)
 
 
 def test_resample_forbidden_targets_rejects_degenerate_n():
