@@ -2,7 +2,9 @@
 
 Runs push-sum (the hot protocol behind counting and the Kempe baseline)
 under both engines at increasing network sizes and reports rounds/second
-and the vectorized speedup.  Usable standalone::
+and the vectorized speedup.  At every size it first checks that both
+engines produce byte-identical estimates on the same round budget (CI
+runs ``--sizes 1000 10000``).  Usable standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --sizes 1000 10000 100000
 
@@ -29,15 +31,15 @@ from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
 from repro.utils.rand import RandomSource
 
 
-def _time_engine(runner, n: int, rounds: int, seed: int) -> float:
-    """Rounds per second for one engine at size ``n``."""
+def _run_engine(runner, n: int, rounds: int, seed: int):
+    """Rounds per second for one engine at size ``n``, and its estimates."""
     values = RandomSource(seed).random(n) * 100.0
     protocol = PushSumProtocol(values, rounds=rounds)
     start = time.perf_counter()
     result = runner(protocol, rng=seed, max_rounds=rounds + 1)
     elapsed = time.perf_counter() - start
     assert result.rounds == rounds
-    return result.rounds / elapsed
+    return result.rounds / elapsed, protocol.outputs_array()
 
 
 def run_benchmark(sizes, seed: int = 0):
@@ -46,8 +48,14 @@ def run_benchmark(sizes, seed: int = 0):
         # keep the slow loop engine's wall time bounded at large n
         loop_rounds = max(3, min(30, 300_000 // n))
         vec_rounds = 50
-        loop_rps = _time_engine(run_protocol_loop, n, loop_rounds, seed)
-        vec_rps = _time_engine(run_protocol_vectorized, n, vec_rounds, seed)
+        loop_rps, loop_estimates = _run_engine(run_protocol_loop, n, loop_rounds, seed)
+        # the engines must agree byte for byte on the same round budget
+        _, vec_estimates = _run_engine(run_protocol_vectorized, n, loop_rounds, seed)
+        if loop_estimates.tobytes() != vec_estimates.tobytes():
+            raise AssertionError(
+                f"n={n}: loop and vectorized push-sum estimates differ"
+            )
+        vec_rps, _ = _run_engine(run_protocol_vectorized, n, vec_rounds, seed)
         rows.append(
             {
                 "n": n,

@@ -3,8 +3,10 @@
 To compute the rank of a threshold value, every node contributes an
 indicator (1 if its value is at most the threshold, else 0) and push-sum
 averages the indicators; multiplying the average by ``n`` and rounding
-yields the exact integer count once the relative error of push-sum is below
-``1/(4n)``, which takes ``O(log n)`` rounds.
+yields the exact integer count once the count is off by less than 1/2,
+which a relative error below ``1/(2n)`` guarantees.  :func:`count_leq`
+budgets push-sum's rounds for a relative error of ``1/(8n)``, which takes
+``O(log n)`` rounds.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def count_leq(
     """Count, via gossip, how many node values are ``<= threshold``.
 
     Returns the per-node estimates (``n`` times the push-sum average) and the
-    rounded count from node 0 (all nodes agree up to the push-sum error).
+    count: the median of all nodes' estimates, rounded (all nodes agree up
+    to the push-sum error).
     ``exact`` reports whether *every* node's rounded estimate matches the
     true count — the condition the w.h.p. analysis guarantees.
 

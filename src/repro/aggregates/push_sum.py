@@ -9,8 +9,13 @@ one half and pushes the other half to a uniformly random node.  The ratio
 
 The paper uses this primitive (Step 5 of Algorithm 3) to count the number
 of nodes whose value is below a threshold; counts are integers, so running
-push-sum until the relative error is below ``1/(4n)`` and rounding yields
-the exact count w.h.p. in ``O(log n)`` rounds.
+push-sum until the relative error is below ``1/(2n)`` and rounding yields
+the exact count w.h.p. in ``O(log n)`` rounds
+(:func:`repro.aggregates.counting.count_leq` budgets for ``1/(8n)``).
+
+Each node's pair is stored as one complex128 element (``s`` real, ``w``
+imaginary), so a vectorized round is one halving, one copy and one
+``np.add.at`` scatter of the packed array.
 """
 
 from __future__ import annotations
@@ -80,24 +85,28 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         if array.ndim != 1 or array.size < 2:
             raise ConfigurationError("values must be a 1-d array of length >= 2")
         super().__init__(array.size)
-        self._s = array.copy()
+        # the packed (s, w) pairs; ``_s`` / ``_w`` are their real / imaginary
+        # views
+        self._sw = np.empty(self.n, dtype=np.complex128)
+        self._s = self._sw.real
+        self._w = self._sw.imag
+        self._s[:] = array
         if weights is None:
-            self._w = np.ones(self.n, dtype=float)
+            self._w[:] = 1.0
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != (self.n,):
                 raise ConfigurationError("weights must match values in length")
             if np.any(w < 0) or w.sum() <= 0:
                 raise ConfigurationError("weights must be non-negative with positive sum")
-            self._w = w.copy()
+            self._w[:] = w
         self._rounds = rounds if rounds is not None else default_push_sum_rounds(self.n)
         if self._rounds <= 0:
             raise ConfigurationError("rounds must be positive")
         if tolerance is not None and tolerance <= 0:
             raise ConfigurationError("tolerance must be positive")
         self._tolerance = tolerance
-        self._s_scratch: Optional[np.ndarray] = None
-        self._w_scratch: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
 
     # -- protocol interface -----------------------------------------------------
     def act(self, node: int, round_index: int) -> Action:
@@ -117,39 +126,38 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
 
     # -- batch (vectorized-engine) interface --------------------------------------
     def act_batch(self, round_index: int, alive: ReadOnlyArray) -> BatchAction:
+        # Halve through the float64 view: two real multiplies per pair.  A
+        # complex ``*= 0.5`` would compute ``s * 0 + w / 2`` for the weight,
+        # turning it NaN under an infinite ``s`` and dropping the sign of a
+        # -0.0 weight.
         if alive.all():
             # Failure-free fast path: in-place whole-array halving instead
             # of the boolean gathers/scatters (same values — the payload is
             # a private per-protocol scratch buffer, reused across rounds
             # to spare one large allocation per round, that later scatters
             # cannot alias).
-            if self._s_scratch is None:
-                self._s_scratch = np.empty_like(self._s)
-                self._w_scratch = np.empty_like(self._w)
-            self._s *= 0.5
-            self._w *= 0.5
-            np.copyto(self._s_scratch, self._s)
-            np.copyto(self._w_scratch, self._w)
-            s_half = self._s_scratch
-            w_half = self._w_scratch
+            if self._scratch is None:
+                self._scratch = np.empty_like(self._sw)
+            halves = self._sw.view(np.float64)
+            halves *= 0.5
+            np.copyto(self._scratch, self._sw)
+            half = self._scratch
         else:
-            s_half = self._s[alive] / 2.0
-            w_half = self._w[alive] / 2.0
-            self._s[alive] = s_half
-            self._w[alive] = w_half
-        return BatchAction(
-            "push", payload=(s_half, w_half), push_bits=self.message_bits(None)
-        )
+            half = self._sw[alive]
+            halves = half.view(np.float64)
+            halves *= 0.5
+            self._sw[alive] = half
+        return BatchAction("push", payload=half, push_bits=self.message_bits(None))
 
     def receive_batch(self, round_index, alive: ReadOnlyArray, partners, action) -> None:
-        s_half, w_half = action.payload
+        half = action.payload
         # an all-alive payload pairs with the full partner array; slicing
         # would only copy it
-        targets = partners if s_half.size == self.n else partners[alive]
+        targets = partners if half.size == self.n else partners[alive]
         # ufunc.at accumulates in index order — the same order in which the
-        # loop engine delivers — so repeated targets sum bit-identically.
-        np.add.at(self._s, targets, s_half)
-        np.add.at(self._w, targets, w_half)
+        # loop engine delivers — so repeated targets sum bit-identically; a
+        # complex add is the two float64 adds of s and w.
+        np.add.at(self._sw, targets, half)
 
     def is_done(self, round_index: int) -> bool:
         if round_index >= self._rounds:

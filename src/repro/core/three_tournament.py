@@ -147,12 +147,11 @@ def run_three_tournament(
         # the median of its sample (Algorithm 2, line 8) — one shared pull
         # batch, per-lane medians.
         block = lane_block(network, final_samples, "3-tournament-vote")
-        # partition places the middle order statistic exactly where a full
-        # sort would; the selected values are identical.  The block is this
-        # phase's own, so it is partitioned in place, each lane's (n, K)
-        # slab contiguous.
+        # The block is this phase's own, so it is sorted in place along its
+        # contiguous K axis.  A full sort of these short rows runs faster
+        # than partition(mid) and puts the same element at ``mid``.
         mid = final_samples // 2
-        block.partition(mid, axis=2)
+        block.sort(axis=2)
         rows = block[:, :, mid].copy()
         outputs = rows[0] if network.values.ndim == 1 else rows.T
 

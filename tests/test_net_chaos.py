@@ -183,8 +183,8 @@ def test_push_sum_mass_is_conserved_under_drop_and_crash():
     result = run_protocol_asyncio(protocol, rng=9, env=GossipEnv(faults=faults))
     assert result.extra["lost_messages"] > 0
     assert len(result.extra["crashed_nodes"]) > 0
-    np.testing.assert_allclose(protocol._s.sum(), values.sum(), rtol=1e-12)
-    np.testing.assert_allclose(protocol._w.sum(), float(n), rtol=1e-12)
+    np.testing.assert_allclose(protocol.total_mass, values.sum(), rtol=1e-12)
+    np.testing.assert_allclose(protocol.total_weight, float(n), rtol=1e-12)
 
 
 def test_chaos_schedule_replays_bit_for_bit():

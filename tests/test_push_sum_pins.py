@@ -158,12 +158,14 @@ EDGE_PINS = {
 
 
 @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+@pytest.mark.parametrize("mu", [None, 0.3], ids=["failure-free", "failures"])
 @pytest.mark.parametrize("case", sorted(EDGE_PINS))
-def test_push_sum_edge_values_pinned(case, engine):
+def test_push_sum_edge_values_pinned(case, mu, engine):
     values, weights = _edge_case(case)
     protocol = PushSumProtocol(values, weights=weights, rounds=12)
+    env = GossipEnv(failure_model=mu, engine=engine)
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN by design here
-        run_protocol(protocol, rng=17, max_rounds=13, env=GossipEnv(engine=engine))
+        run_protocol(protocol, rng=17, max_rounds=13, env=env)
     out = protocol.outputs_array()
     assert _digest(out) == EDGE_PINS[case]
     # after 12 rounds every node holds weight, so every estimate is s / w
