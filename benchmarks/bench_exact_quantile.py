@@ -1,11 +1,11 @@
 """E1 benchmark — Theorem 1.1: the fully simulated exact-quantile path.
 
-Times :func:`repro.core.exact_quantile.exact_quantile` with
-``fidelity="simulated"`` — every sub-protocol (tournaments, extrema,
-counting, token duplication) executed on the vectorized substrates, the
-Step-3 sandwich and Step-4 min/max spreadings fused into multi-lane runs —
-and emits a machine-readable ``BENCH_exact.json`` (n, fidelity, rounds,
-wall time, exactness) so the repo carries a perf trajectory across PRs.
+Times :func:`repro.core.exact_quantile.exact_quantile` — every
+sub-protocol (tournaments, extrema, counting, token duplication) executed
+on the vectorized substrates, the Step-3 sandwich and Step-4 min/max
+spreadings fused into multi-lane runs — and emits a machine-readable
+``BENCH_exact.json`` (n, rounds, wall time, exactness) so the repo
+carries a perf trajectory across PRs.
 float64 rows keep the historical row schema (so ``bench_trend.py`` keeps
 matching them against older commits); float32 rows carry the ``dtype`` and
 ``f32_parity`` columns of the ``exact-scale`` experiment.  The headline
@@ -34,7 +34,7 @@ from repro.experiments.exact_scale import run as run_exact_scale
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_exact.json"
 
 
-def run_benchmark(sizes, phi: float = 0.5, fidelity: str = "simulated", seed: int = 1):
+def run_benchmark(sizes, phi: float = 0.5, seed: int = 1):
     """Two rows per n (float64 + float32): wall time, rounds, exactness.
 
     Delegates the measurement to the ``exact-scale`` experiment (one trial
@@ -43,9 +43,7 @@ def run_benchmark(sizes, phi: float = 0.5, fidelity: str = "simulated", seed: in
     to the historical schema so the trend gate keeps matching them against
     pre-dtype commits.
     """
-    rows = run_exact_scale(
-        sizes=tuple(sizes), phis=(phi,), trials=1, seed=seed, fidelity=fidelity
-    )
+    rows = run_exact_scale(sizes=tuple(sizes), phis=(phi,), trials=1, seed=seed)
     legacy_only = ("dtype", "rank_error", "f32_parity")
     return [
         {k: v for k, v in row.items() if k not in legacy_only}
@@ -66,7 +64,7 @@ def write_json(rows, path: Path, smoke: bool) -> None:
 
 
 def smoke(json_path: Path, seed: int = 1) -> int:
-    """Reduced CI grid: the simulated path must stay exact and fast."""
+    """Reduced CI grid: the exact path must stay exact and fast."""
     rows = run_benchmark(sizes=(2048, 8192), seed=seed)
     for row in rows:
         assert row["correct"] == 1, row
@@ -74,7 +72,7 @@ def smoke(json_path: Path, seed: int = 1) -> int:
     write_json(rows, json_path, smoke=True)
     for row in rows:
         print(
-            f"smoke: n={row['n']:>6} simulated exact in {row['wall_s']:.2f}s "
+            f"smoke: n={row['n']:>6} exact in {row['wall_s']:.2f}s "
             f"({row['rounds']:.0f} rounds, correct)"
         )
     return 0
@@ -84,9 +82,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000])
     parser.add_argument("--phi", type=float, default=0.5)
-    parser.add_argument(
-        "--fidelity", choices=("simulated", "idealized"), default="simulated"
-    )
     parser.add_argument(
         "--json", type=Path, default=None,
         help=f"output path (default: {DEFAULT_JSON.name}, or a .smoke.json "
@@ -105,22 +100,20 @@ def main(argv=None) -> int:
     if args.json is None:
         args.json = DEFAULT_JSON
 
-    rows = run_benchmark(
-        args.sizes, phi=args.phi, fidelity=args.fidelity, seed=args.seed
-    )
+    rows = run_benchmark(args.sizes, phi=args.phi, seed=args.seed)
     for row in rows:
         assert row["correct"] == 1, f"exact quantile missed at n={row['n']}"
     write_json(rows, args.json, smoke=False)
     header = (
-        f"{'n':>9}  {'fidelity':<10}  {'dtype':<8}  {'wall':>9}  "
+        f"{'n':>9}  {'dtype':<8}  {'wall':>9}  "
         f"{'rounds':>7}  {'correct':>7}"
     )
     print(header)
     print("-" * len(header))
     for row in rows:
         print(
-            f"{row['n']:>9}  {row['fidelity']:<10}  "
-            f"{row.get('dtype', 'float64'):<8}  {row['wall_s']:>8.2f}s  "
+            f"{row['n']:>9}  {row.get('dtype', 'float64'):<8}  "
+            f"{row['wall_s']:>8.2f}s  "
             f"{row['rounds']:>7.0f}  {row['correct']:>7.0f}"
         )
     return 0

@@ -56,7 +56,7 @@ def _values(n: int, seed: int):
 
 def _run_exact(values, seed: int):
     start = time.perf_counter()
-    result = exact_quantile(values, phi=PHI, rng=seed, fidelity="simulated")
+    result = exact_quantile(values, phi=PHI, rng=seed)
     return result, time.perf_counter() - start
 
 
@@ -141,8 +141,8 @@ def check_rows(rows) -> None:
         if row["mode"] == "overhead":
             assert row["slowdown_noop"] < MAX_NOOP_SLOWDOWN, row
         if row["mode"] == "traced":
-            # simulated fidelity drives engine substrates: the per-round
-            # hook must have observed their rounds
+            # the exact driver runs every step on an engine substrate:
+            # the per-round hook must have observed their rounds
             assert row["hook_rounds"] > 0, row
             assert row["spans"] > 0 and row["events"] > 0, row
 

@@ -58,6 +58,10 @@ IGNORED = (
     "max_rank_error",
     "f32_parity",
     "rounds_per_logn",
+    # retired identity column: exact rows used to carry the driver's
+    # fidelity mode; ignoring it lets rows written without it keep
+    # matching the checked-in ones that still have it.
+    "fidelity",
     # self-rank accuracy columns: seeded error statistics, not perf metrics
     # — and not identity keys, or row matching would break on jitter.
     "mean_error",

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the experiment tables from DESIGN.md /
-EXPERIMENTS.md (with reduced parameters so the whole suite stays fast) and
+Every benchmark regenerates one of the E1–E12 experiment tables (see the
+README's "Layout"; reduced parameters so the whole suite stays fast) and
 attaches the headline shape numbers to ``benchmark.extra_info`` so they are
 recorded in pytest-benchmark's output alongside the timings.
 """

@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
+from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 from repro.utils.stats import target_rank
 
@@ -51,7 +52,6 @@ class KempeQuantileResult:
     rounds: int
     phases: int
     metrics: NetworkMetrics
-    fidelity: str
     history: List[KempePhase] = field(default_factory=list)
 
 
@@ -69,27 +69,20 @@ def kempe_exact_quantile(
     values: Union[np.ndarray, list, tuple],
     phi: float,
     rng: Union[None, int, RandomSource] = None,
-    fidelity: str = "idealized",
     failure_model: Union[None, float, FailureModel] = None,
     max_phases: Optional[int] = None,
 ) -> KempeQuantileResult:
     """Compute the exact φ-quantile with the [KDG03] selection baseline.
 
-    ``fidelity="simulated"`` runs the per-phase rank counting through the
-    push-sum substrate; ``fidelity="idealized"`` (default) computes counts
-    exactly and charges the proven O(log n) round cost per phase, so the
-    Θ(log² n) total is still reflected in the returned ``rounds``.
+    Each phase's rank counting runs on the push-sum substrate; pivot
+    selection and the final answer broadcast are charged their modelled
+    O(log n) round cost (see :func:`_pivot_selection_rounds`).
     """
-    if fidelity not in ("idealized", "simulated"):
-        raise ConfigurationError("fidelity must be 'idealized' or 'simulated'")
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError("phi must be in [0, 1]")
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 2:
-        raise ConfigurationError("values must be a 1-d array of length >= 2")
+    array = node_values(values, min_nodes=2)
 
     n = array.size
-    simulate = fidelity == "simulated"
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     env = GossipEnv(failure_model=failure_model)
     metrics = NetworkMetrics(keep_history=False)
@@ -124,21 +117,17 @@ def kempe_exact_quantile(
         metrics.charge_rounds(_pivot_selection_rounds(n), label="pivot-selection")
 
         # Rank of the pivot via gossip counting.
-        if simulate:
-            count = count_leq(
-                array, threshold=pivot, rng=source.child(),
-                rounds=counting_rounds, metrics=metrics, env=env,
-            )
-            pivot_rank = count.count
-            true_rank = int(np.searchsorted(sorted_values, pivot, side="right"))
-            if pivot_rank != true_rank:
-                # The w.h.p. guarantee failed (possible at small n); fall back
-                # to the true rank so the baseline terminates, as [KDG03]'s
-                # analysis assumes exact counts.
-                pivot_rank = true_rank
-        else:
-            pivot_rank = int(np.searchsorted(sorted_values, pivot, side="right"))
-            metrics.charge_rounds(counting_rounds, label="counting")
+        count = count_leq(
+            array, threshold=pivot, rng=source.child(),
+            rounds=counting_rounds, metrics=metrics, env=env,
+        )
+        pivot_rank = count.count
+        true_rank = int(np.searchsorted(sorted_values, pivot, side="right"))
+        if pivot_rank != true_rank:
+            # The w.h.p. guarantee failed (possible at small n); fall back
+            # to the true rank so the baseline terminates, as [KDG03]'s
+            # analysis assumes exact counts.
+            pivot_rank = true_rank
 
         before = int(candidates.size)
         if pivot_rank >= k:
@@ -186,6 +175,5 @@ def kempe_exact_quantile(
         rounds=metrics.rounds,
         phases=phase,
         metrics=metrics,
-        fidelity=fidelity,
         history=history,
     )

@@ -175,13 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--phi", type=float, required=True)
     query.add_argument("--eps", type=float, default=None,
                        help="approximation parameter; omit for the exact algorithm")
-    query.add_argument(
-        "--fidelity", choices=("idealized", "simulated"), default="idealized",
-        help="exact algorithm only: 'simulated' drives every sub-protocol "
-             "through the (vectorized) gossip substrates; 'idealized' "
-             "computes their outcomes directly and charges the proven "
-             "round cost",
-    )
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
         "--engine", choices=SIM_ENGINE_CHOICES, default=None,
@@ -451,13 +444,12 @@ def _run_query(args: argparse.Namespace) -> str:
         # sandwich tournaments + final query) on the topology; the
         # auxiliary aggregates stay complete-graph.
         result = exact_quantile(
-            values, phi=args.phi, rng=args.seed, fidelity=args.fidelity,
-            env=env,
+            values, phi=args.phi, rng=args.seed, env=env,
         )
         return (
             f"exact {args.phi}-quantile = {result.value} "
             f"(rank {result.target_rank} of {result.n}, {result.rounds} gossip "
-            f"rounds, {result.fidelity}{where})"
+            f"rounds{where})"
         )
     result = approximate_quantile(
         values, phi=args.phi, eps=args.eps, rng=args.seed, env=env

@@ -19,7 +19,8 @@ Per iteration the steps (and the substrates they run on) are:
    ``m_i`` times each (token split-and-distribute — :mod:`repro.core.tokens`);
 5. updating the target rank to ``m_i (k - R + 1)``.
 
-Implementation notes (documented deviations, see DESIGN.md §4):
+Implementation notes (documented deviations; see the README's "The fast
+exact path" section):
 
 * **Item space.**  The paper assumes all values are initially distinct and
   treats duplicated copies as items ordered just below their original.  We
@@ -42,11 +43,8 @@ Implementation notes (documented deviations, see DESIGN.md §4):
   The sandwich test ``min ≤ answer-rank ≤ max`` uses only quantities every
   node knows (k, min, max and gossip counting), so the driver re-runs an
   iteration whose sandwich missed and records the number of retries.
-* **Fidelity levels.**  ``fidelity="simulated"`` drives steps 2-4 through the
-  actual gossip substrates; ``fidelity="idealized"`` computes their outcomes
-  directly and charges their proven O(log n) round cost, which lets the
-  benchmark harness sweep larger n.  The approximate-quantile computations
-  (the paper's contribution) are always simulated.
+* **Executed rounds only.**  Every step runs on its gossip substrate, so
+  every reported round is one a substrate executed.
 * **Fused sandwich pair.**  The paper's Step 3 computes the lower and upper
   ε/2-approximate quantiles in the same O(log n)-round window — one
   O(log n)-bit message carries both working values.  The driver *executes*
@@ -57,25 +55,24 @@ Implementation notes (documented deviations, see DESIGN.md §4):
   message traffic lands in its own round record.  Step 4's min/max
   spreadings are fused the same way
   (:class:`~repro.aggregates.extrema.ExtremaPairProtocol`: one rumor
-  stream, messages carry both working values), and the idealized fidelity
-  charges the one shared window.  Seeded simulated runs therefore consume
-  a different random stream than the pre-fusion sequential pairs (same
-  documented-deviation class as the engine-stream changes below) and
-  strictly fewer rounds; the returned quantile is unchanged.
-* **Fast simulated path.**  Every simulated substrate is vectorized: the
-  tournaments run on the batched :class:`~repro.gossip.network.GossipNetwork`
+  stream, messages carry both working values).  Seeded runs therefore
+  consume a different random stream than the pre-fusion sequential pairs
+  (same documented-deviation class as the engine-stream changes below)
+  and strictly fewer rounds; the returned quantile is unchanged.
+* **Fast path.**  Every substrate is vectorized: the tournaments run on
+  the batched :class:`~repro.gossip.network.GossipNetwork`
   pull surface, extrema/counting on the vectorized gossip engine, and token
   duplication on the vectorized engine of :mod:`repro.core.tokens` (selected
   through the global engine default, so ``--engine loop`` restores the
   scalar reference path).  The vectorized token engine draws its push
   targets in batches, a different random stream from the loop engine, so
-  seeded simulated runs differ from (pre-PR-3) loop-engine runs in their
+  seeded runs differ from loop-engine runs in their
   token placements and round counts while all invariants and the returned
   quantile are unchanged.  ``env.dtype=float32`` runs the gossip key arrays
   in single precision — keys are ranks ≤ n, exactly representable in
   float32 below 2²⁴, so the computed quantile is identical while the hot
-  ``(n, k, L)`` pull gathers move half the memory.  Simulated exact
-  queries complete in seconds at n = 10⁵ and run single-threaded at
+  ``(n, k, L)`` pull gathers move half the memory.  Exact queries
+  complete in seconds at n = 10⁵ and run single-threaded at
   n = 10⁶ (see ``benchmarks/bench_exact_quantile.py`` and the
   ``exact-scale`` experiment preset).
 """
@@ -118,30 +115,11 @@ def _distinct_sorted(values: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(np.diff(values)))
 
 
-def _charged_extrema_rounds(n: int) -> int:
-    """Round cost charged for one min/max spreading in idealized fidelity."""
-    return int(math.ceil(2 * math.log2(n))) + 8
-
-
-def _charged_counting_rounds(n: int) -> int:
-    """Round cost charged for one push-sum counting in idealized fidelity."""
-    return int(math.ceil(4 * math.log2(n))) + 12
-
-
-def _charged_token_rounds(n: int, multiplicity: int) -> int:
-    """Round cost charged for one token distribution in idealized fidelity."""
-    return (
-        int(math.ceil(math.log2(max(multiplicity, 2))))
-        + int(math.ceil(math.log2(n)))
-        + 8
-    )
-
-
 def exact_quantile(
     values: Union[np.ndarray, list, tuple],
     phi: float,
     rng: Union[None, int, RandomSource] = None,
-    fidelity: str = "idealized",
+    fidelity: str = "simulated",
     eps_iteration: float = DEFAULT_ITERATION_EPS,
     max_iterations: int = 80,
     max_retries: int = 16,
@@ -157,8 +135,9 @@ def exact_quantile(
     phi:
         Target quantile in ``[0, 1]``.
     fidelity:
-        ``"idealized"`` (default) or ``"simulated"`` — see the module
-        docstring.
+        Accepted only as ``"simulated"``, the one remaining mode, so older
+        callers that pass it keep working; any other value raises
+        :class:`ConfigurationError`.
     eps_iteration:
         Approximation parameter used by the per-iteration sandwich.
     max_iterations / max_retries:
@@ -177,9 +156,8 @@ def exact_quantile(
         tournaments of Step 3 and the final query), which dominate the
         round count.  The auxiliary aggregates — extrema spreading,
         push-sum counting, token duplication — run on the ``aux`` env,
-        which is ``env`` on the complete graph (idealized fidelity charges
-        their proven complete-graph round costs; restricting them is an
-        open item on the roadmap).
+        which is ``env`` on the complete graph (restricting them is an open
+        item on the roadmap).
 
     Returns
     -------
@@ -187,10 +165,15 @@ def exact_quantile(
         The exact quantile value, total gossip rounds, and per-iteration
         bookkeeping.
     """
+    if fidelity != "simulated":
+        raise ConfigurationError(
+            f"fidelity={fidelity!r}: the idealized mode was removed; every "
+            "step now runs on its gossip substrate (omit fidelity)"
+        )
     tracer = get_tracer()
     if not tracer.active:
         return _exact_quantile_impl(
-            values, phi, rng=rng, fidelity=fidelity,
+            values, phi, rng=rng,
             eps_iteration=eps_iteration, max_iterations=max_iterations,
             max_retries=max_retries, final_samples=final_samples, env=env,
         )
@@ -199,9 +182,9 @@ def exact_quantile(
     # inside the impl nest under this one.
     metrics = NetworkMetrics(keep_history=False)
     with tracer.span("exact_quantile", metrics) as root:
-        root.annotate(phi=phi, fidelity=fidelity)
+        root.annotate(phi=phi)
         result = _exact_quantile_impl(
-            values, phi, rng=rng, fidelity=fidelity,
+            values, phi, rng=rng,
             eps_iteration=eps_iteration, max_iterations=max_iterations,
             max_retries=max_retries, final_samples=final_samples, env=env,
             _metrics=metrics,
@@ -218,7 +201,6 @@ def _exact_quantile_impl(
     values: Union[np.ndarray, list, tuple],
     phi: float,
     rng: Union[None, int, RandomSource] = None,
-    fidelity: str = "idealized",
     eps_iteration: float = DEFAULT_ITERATION_EPS,
     max_iterations: int = 80,
     max_retries: int = 16,
@@ -227,8 +209,6 @@ def _exact_quantile_impl(
     _metrics: Optional[NetworkMetrics] = None,
 ) -> ExactQuantileResult:
     """The driver body behind :func:`exact_quantile` (same contract)."""
-    if fidelity not in ("idealized", "simulated"):
-        raise ConfigurationError("fidelity must be 'idealized' or 'simulated'")
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
     if not 0.0 < eps_iteration < 0.5:
@@ -257,7 +237,6 @@ def _exact_quantile_impl(
         raise ConfigurationError(
             f"topology has {env.topology.n} nodes but values has {n}"
         )
-    simulate = fidelity == "simulated"
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     metrics = _metrics if _metrics is not None else NetworkMetrics(
         keep_history=False
@@ -363,42 +342,30 @@ def _exact_quantile_impl(
         # Like the Step-3 sandwich, the two spreadings share one O(log n)
         # window (a message carries both working values): a two-sided
         # sandwich runs the fused pair protocol, a one-sided one a single
-        # spreading, and the idealized fidelity charges one window.
+        # spreading.
         min_key: float = 1.0
         max_key: float = float("inf")
         with tracer.span("extrema", metrics) as span:
             span.annotate(iteration=iteration)
-            if simulate:
-                if lo_bounded and hi_bounded:
-                    pair = spread_extrema_pair(
-                        est_lo, est_hi, rng=source.child(),
-                        metrics=metrics, env=aux,
-                    )
-                    min_key = float(np.min(pair.lo_values))
-                    max_key = float(np.max(pair.hi_values))
-                elif lo_bounded:
-                    lo_spread = spread_extrema(
-                        est_lo, mode="min", rng=source.child(),
-                        metrics=metrics, env=aux,
-                    )
-                    min_key = float(np.min(lo_spread.values))
-                elif hi_bounded:
-                    hi_spread = spread_extrema(
-                        est_hi, mode="max", rng=source.child(),
-                        metrics=metrics, env=aux,
-                    )
-                    max_key = float(np.max(hi_spread.values))
-            else:
-                if lo_bounded:
-                    finite_lo = est_lo[np.isfinite(est_lo)]
-                    min_key = (
-                        float(np.min(finite_lo)) if finite_lo.size else 1.0
-                    )
-                if hi_bounded:
-                    max_key = float(np.max(est_hi))
-                metrics.charge_rounds(
-                    _charged_extrema_rounds(n), label="extrema"
+            if lo_bounded and hi_bounded:
+                pair = spread_extrema_pair(
+                    est_lo, est_hi, rng=source.child(),
+                    metrics=metrics, env=aux,
                 )
+                min_key = float(np.min(pair.lo_values))
+                max_key = float(np.max(pair.hi_values))
+            elif lo_bounded:
+                lo_spread = spread_extrema(
+                    est_lo, mode="min", rng=source.child(),
+                    metrics=metrics, env=aux,
+                )
+                min_key = float(np.min(lo_spread.values))
+            elif hi_bounded:
+                hi_spread = spread_extrema(
+                    est_hi, mode="max", rng=source.child(),
+                    metrics=metrics, env=aux,
+                )
+                max_key = float(np.max(hi_spread.values))
 
         # Translate the sandwich keys to *values* and keep every copy of a
         # surviving value (Step 6 restricts by value, so copies of the same
@@ -429,17 +396,12 @@ def _exact_quantile_impl(
             continue
 
         # Step 5: rank of the minimum.  Keys are exactly {1..live}, so the
-        # count is determined by the sandwich; in simulated fidelity we also
-        # run the push-sum counting substrate to pay its rounds.
+        # count is determined by the sandwich; the push-sum counting runs
+        # for its round cost and its count is not read.
         with tracer.span("counting", metrics) as span:
             span.annotate(iteration=iteration)
-            if simulate:
-                count_leq(node_keys, threshold=min_key, rng=source.child(),
-                          metrics=metrics, env=aux)
-            else:
-                metrics.charge_rounds(
-                    _charged_counting_rounds(n), label="counting"
-                )
+            count_leq(node_keys, threshold=min_key, rng=source.child(),
+                      metrics=metrics, env=aux)
 
         valued_count = upto_max - below_min
         if valued_count <= 0:
@@ -460,54 +422,41 @@ def _exact_quantile_impl(
             iteration -= 1
             continue
 
-        new_live = multiplicity * valued_count
-        new_key_values = np.repeat(key_values[below_min:upto_max], multiplicity)
-
         with tracer.span("tokens", metrics) as span:
             span.annotate(iteration=iteration, multiplicity=multiplicity,
                           survivors=valued_count)
-            if simulate:
-                # Keys are exactly {1..live}, each held by one node: an
-                # inverse permutation maps the surviving key block to its
-                # holders.
-                finite = np.isfinite(node_keys)
-                key_holder = np.empty(live, dtype=np.int64)
-                key_holder[node_keys[finite].astype(np.int64) - 1] = (
-                    np.flatnonzero(finite)
-                )
-                item_nodes = key_holder[below_min:upto_max]
-                distribution = distribute_tokens(
-                    item_nodes,
-                    multiplicity=multiplicity,
-                    n=n,
-                    rng=source.child(),
-                    metrics=metrics,
-                    env=aux,
-                )
-                # Item j owns the key block (j*multiplicity,
-                # (j+1)*multiplicity]; hand block members to the owner nodes
-                # in arbitrary order (here: ascending node order within each
-                # item, matching the historical per-node loop bit for bit).
-                node_keys = np.full(n, np.inf, dtype=key_dtype)
-                owners = distribution.owners
-                nodes = np.flatnonzero(owners >= 0)
-                items_held = owners[nodes]
-                order = np.argsort(items_held, kind="stable")
-                node_keys[nodes[order]] = (
-                    items_held[order].astype(np.int64) * multiplicity
-                    + np.arange(nodes.size, dtype=np.int64) % multiplicity
-                    + 1
-                )
-            else:
-                node_keys = np.full(n, np.inf, dtype=key_dtype)
-                node_keys[:new_live] = np.arange(
-                    1, new_live + 1, dtype=key_dtype
-                )
-                metrics.charge_rounds(
-                    _charged_token_rounds(n, multiplicity), label="tokens"
-                )
-
-        key_values = new_key_values
+            # Keys are exactly {1..live}, each held by one node: an
+            # inverse permutation maps the surviving key block to its
+            # holders.
+            finite = np.isfinite(node_keys)
+            key_holder = np.empty(live, dtype=np.int64)
+            key_holder[node_keys[finite].astype(np.int64) - 1] = (
+                np.flatnonzero(finite)
+            )
+            item_nodes = key_holder[below_min:upto_max]
+            distribution = distribute_tokens(
+                item_nodes,
+                multiplicity=multiplicity,
+                n=n,
+                rng=source.child(),
+                metrics=metrics,
+                env=aux,
+            )
+            # Item j owns the key block (j*multiplicity,
+            # (j+1)*multiplicity]; hand block members to the owner nodes
+            # in arbitrary order (here: ascending node order within each
+            # item, matching the historical per-node loop bit for bit).
+            node_keys = np.full(n, np.inf, dtype=key_dtype)
+            owners = distribution.owners
+            nodes = np.flatnonzero(owners >= 0)
+            items_held = owners[nodes]
+            order = np.argsort(items_held, kind="stable")
+            node_keys[nodes[order]] = (
+                items_held[order].astype(np.int64) * multiplicity
+                + np.arange(nodes.size, dtype=np.int64) % multiplicity
+                + 1
+            )
+        key_values = np.repeat(key_values[below_min:upto_max], multiplicity)
         k = multiplicity * (k - below_min)
         cumulative_multiplicity *= multiplicity
         history.append(
@@ -570,7 +519,6 @@ def _exact_quantile_impl(
         rounds=metrics.rounds,
         iterations=len(history),
         metrics=metrics,
-        fidelity=fidelity,
         history=history,
         retries=retries,
     )

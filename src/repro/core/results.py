@@ -133,7 +133,6 @@ class ExactQuantileResult:
     rounds: int
     iterations: int
     metrics: NetworkMetrics
-    fidelity: str
     history: List[ExactIterationStats] = field(default_factory=list)
     retries: int = 0
 

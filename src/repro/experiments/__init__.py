@@ -1,9 +1,10 @@
-"""Experiment harness: one module per reproduced claim (see DESIGN.md).
+"""Experiment harness: one module per reproduced claim (the E1–E12 battery
+in the README's "Layout" section; ``python -m repro list`` names them).
 
 Every experiment module exposes a ``run(...)`` function returning a list of
 result-row dictionaries plus module-level ``COLUMNS`` describing the table
 layout.  The benchmarks under ``benchmarks/`` call the same ``run``
-functions with reduced parameters, so the tables in EXPERIMENTS.md can be
+functions with reduced parameters, so every experiment table can be
 regenerated either through pytest-benchmark or through the CLI
 (``python -m repro <experiment>``).
 """

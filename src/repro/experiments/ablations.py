@@ -1,4 +1,4 @@
-"""E10 — ablations of the design choices called out in DESIGN.md.
+"""E10 — ablations of the paper's design choices (see the README's "Layout").
 
 Three questions the paper's construction answers implicitly; each ablation
 removes one ingredient and measures what breaks:

@@ -44,7 +44,6 @@ COLUMNS = [
 
 def _run_one_trial(
     grid: Tuple[Tuple[int, float], ...],
-    fidelity: str,
     trial_index: int,
     rng: RandomSource,
 ) -> Dict[str, float]:
@@ -52,8 +51,8 @@ def _run_one_trial(
     n, phi = grid[trial_index]
     values = distinct_uniform(n, rng=rng.child())
     truth = empirical_quantile(values, phi)
-    ours = exact_quantile(values, phi=phi, rng=rng.child(), fidelity=fidelity)
-    base = kempe_exact_quantile(values, phi=phi, rng=rng.child(), fidelity=fidelity)
+    ours = exact_quantile(values, phi=phi, rng=rng.child())
+    base = kempe_exact_quantile(values, phi=phi, rng=rng.child())
     return {
         "tournament_rounds": ours.rounds,
         "kempe_rounds": base.rounds,
@@ -67,7 +66,6 @@ def run(
     phis: Sequence[float] = (0.5,),
     trials: int = 3,
     seed: int = 1,
-    fidelity: str = "idealized",
     workers: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Run experiment E1 and return one row per (n, phi)."""
@@ -77,7 +75,7 @@ def run(
         (n, phi) for n in sizes for phi in phis for _ in range(trials)
     )
     outcomes = run_trials(
-        partial(_run_one_trial, grid, fidelity), len(grid), seed=seed,
+        partial(_run_one_trial, grid), len(grid), seed=seed,
         workers=workers,
     )
 

@@ -1,7 +1,7 @@
-"""E12 — Theorem 1.1 at scale: simulated-fidelity exact quantiles, n ≥ 10⁴.
+"""E12 — Theorem 1.1 at scale: fully simulated exact quantiles, n ≥ 10⁴.
 
 The original exact-rounds experiment (E1) sweeps small networks because the
-simulated-fidelity driver used to be gated by the loop-only token
+exact driver used to be gated by the loop-only token
 split-and-distribute step.  With every sub-protocol vectorized (tournament
 pulls, extrema, counting and tokens), the Step-3/Step-4 pairs fused into
 multi-lane runs, and an opt-in float32 key path, the *fully simulated*
@@ -10,7 +10,7 @@ comparisons against the congested-clique-style related work become
 meaningful.
 
 For each (n, φ, dtype) the experiment runs the exact algorithm end to end
-in simulated fidelity and reports round counts (the Theorem 1.1 shape
+and reports round counts (the Theorem 1.1 shape
 check: rounds / log₂ n stays bounded), duplication iterations, sandwich
 retries, wall-clock time, exactness against the offline quantile, the rank
 error of the returned value, and — for float32 rows — whether the rank
@@ -43,7 +43,6 @@ COLUMNS = [
     "n",
     "phi",
     "trials",
-    "fidelity",
     "dtype",
     "rounds",
     "rounds_per_logn",
@@ -62,14 +61,13 @@ DEFAULT_SIZES = (10_000, 100_000, 300_000, 1_000_000)
 
 def _run_one_trial(
     phi: float,
-    fidelity: str,
     dtype: Optional[str],
     truth: float,
     trial_index: int,
     rng: RandomSource,
     values: Optional[ReadOnlyArray] = None,
 ) -> Dict[str, float]:
-    """One simulated exact query; module-level so process pools can pickle it.
+    """One exact query; module-level so process pools can pickle it.
 
     ``values`` arrives as a (read-only) shared-memory view published by
     :func:`repro.experiments.runner.run_trials`; ``truth`` is the offline
@@ -81,10 +79,9 @@ def _run_one_trial(
     # noop-tracer hot path.
     timer = Tracer()
     with timer.span("exact_scale_trial") as span:
-        span.annotate(phi=phi, fidelity=fidelity, dtype=dtype or "float64")
+        span.annotate(phi=phi, dtype=dtype or "float64")
         result = exact_quantile(
-            values, phi=phi, rng=rng, fidelity=fidelity,
-            env=GossipEnv(dtype=dtype),
+            values, phi=phi, rng=rng, env=GossipEnv(dtype=dtype)
         )
     wall = timer.spans[0].wall_s
     rank_true = np.searchsorted(np.sort(values), truth, side="right")
@@ -104,7 +101,6 @@ def run(
     phis: Sequence[float] = (0.5,),
     trials: int = 1,
     seed: int = 21,
-    fidelity: str = "simulated",
     dtypes: Sequence[str] = ("float64", "float32"),
     workers: Optional[int] = None,
 ) -> List[Dict[str, float]]:
@@ -141,7 +137,7 @@ def run(
                     entropy=cell_seq.entropy, spawn_key=cell_seq.spawn_key
                 )
                 outcomes = run_trials(
-                    partial(_run_one_trial, phi, fidelity, dtype, truth),
+                    partial(_run_one_trial, phi, dtype, truth),
                     trials,
                     seed=RandomSource(replay),
                     workers=workers,
@@ -154,7 +150,6 @@ def run(
                     "n": n,
                     "phi": phi,
                     "trials": trials,
-                    "fidelity": fidelity,
                     "dtype": dtype,
                     "rounds": mean_rounds,
                     "rounds_per_logn": mean_rounds / math.log2(n),

@@ -189,9 +189,10 @@ class NetworkMetrics:
     def charge_rounds(self, count: int, label: str = "charged") -> None:
         """Charge ``count`` rounds without simulating them.
 
-        Used by the *idealized* fidelity level of the exact-quantile
-        algorithm for sub-steps whose outcome is computed exactly but whose
-        proven round cost still has to appear in the totals.
+        For rounds in which no gossip runs but time still passes: explicit
+        waits (the service's rebuild backoff) and the modelled costs of
+        baseline steps that are not simulated (Kempe's pivot selection and
+        answer broadcast).  The exact-quantile driver never charges rounds.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

@@ -19,7 +19,7 @@ cost nothing until a real tracer is installed::
 
     tracer = Tracer()
     with use_tracer(tracer):
-        exact_quantile(values, phi=0.5, fidelity="simulated")
+        exact_quantile(values, phi=0.5)
     print(render_profile(tracer))
 
 Per-round visibility comes from the engine hooks: both gossip engines

@@ -18,7 +18,7 @@ def test_returns_exact_quantile(medium_values):
 
 
 def test_simulated_fidelity_also_exact(small_values):
-    result = kempe_exact_quantile(small_values, phi=0.5, rng=1, fidelity="simulated")
+    result = kempe_exact_quantile(small_values, phi=0.5, rng=1)
     assert result.value == empirical_quantile(small_values, 0.5)
 
 
@@ -57,5 +57,3 @@ def test_validation():
         kempe_exact_quantile([1.0], phi=0.5)
     with pytest.raises(ConfigurationError):
         kempe_exact_quantile([1.0, 2.0], phi=1.5)
-    with pytest.raises(ConfigurationError):
-        kempe_exact_quantile([1.0, 2.0], phi=0.5, fidelity="other")

@@ -173,7 +173,7 @@ def test_query_exact_with_float32_dtype(tmp_path, capsys):
     np.savetxt(path, values)
     assert main([
         "query", "--input", str(path), "--phi", "0.5", "--seed", "2",
-        "--fidelity", "simulated", "--dtype", "float32",
+        "--dtype", "float32",
     ]) == 0
     out = capsys.readouterr().out
     assert "exact 0.5-quantile = 256.0" in out

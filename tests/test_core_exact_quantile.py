@@ -8,6 +8,8 @@ import pytest
 from repro.core.exact_quantile import exact_quantile
 from repro.datasets.generators import distinct_uniform, gaussian_values, zipf_values
 from repro.exceptions import ConfigurationError
+from repro.gossip.env import GossipEnv
+from repro.gossip.metrics import NetworkMetrics
 from repro.utils.stats import empirical_quantile, target_rank
 
 
@@ -34,11 +36,8 @@ def test_works_on_continuous_and_skewed_data():
 
 
 def test_simulated_fidelity_also_exact(small_values):
-    result = exact_quantile(small_values, phi=0.6, rng=6, fidelity="simulated")
+    result = exact_quantile(small_values, phi=0.6, rng=6)
     assert result.value == empirical_quantile(small_values, 0.6)
-    assert result.fidelity == "simulated"
-    # simulated runs pay for extrema/counting/token rounds explicitly
-    labels = set()
     assert result.rounds > 0
 
 
@@ -90,8 +89,8 @@ def test_summary_and_metadata(medium_values):
 def test_validation_errors(small_values):
     with pytest.raises(ConfigurationError):
         exact_quantile(small_values, phi=2.0)
-    with pytest.raises(ConfigurationError):
-        exact_quantile(small_values, phi=0.5, fidelity="magic")
+    with pytest.raises(ConfigurationError, match="removed"):
+        exact_quantile(small_values, phi=0.5, fidelity="idealized")
     with pytest.raises(ConfigurationError):
         exact_quantile(small_values, phi=0.5, eps_iteration=0.0)
     with pytest.raises(ConfigurationError):
@@ -113,9 +112,8 @@ def test_simulated_fidelity_exact_at_scale():
     exact query at n = 10⁴ returns the true quantile in seconds."""
     n = 10_000
     values = np.random.default_rng(7).permutation(n).astype(float)
-    result = exact_quantile(values, phi=0.5, rng=8, fidelity="simulated")
+    result = exact_quantile(values, phi=0.5, rng=8)
     assert result.value == empirical_quantile(values, 0.5)
-    assert result.fidelity == "simulated"
     assert result.rounds > 0
 
 
@@ -136,7 +134,7 @@ def test_simulated_loop_engine_seeded_execution_is_pinned():
     before = get_default_engine()
     set_default_engine("loop")
     try:
-        result = exact_quantile(values, phi=0.7, rng=11, fidelity="simulated")
+        result = exact_quantile(values, phi=0.7, rng=11)
     finally:
         set_default_engine(before)
     assert result.value == 358.0
@@ -157,10 +155,31 @@ def test_simulated_fidelity_engine_choice_does_not_change_the_answer():
     try:
         for engine in ("loop", "vectorized"):
             set_default_engine(engine)
-            results[engine] = exact_quantile(
-                values, phi=0.4, rng=19, fidelity="simulated"
-            )
+            results[engine] = exact_quantile(values, phi=0.4, rng=19)
     finally:
         set_default_engine(before)
     assert results["loop"].value == truth
     assert results["vectorized"].value == truth
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        GossipEnv(engine="loop"),
+        GossipEnv(engine="vectorized"),
+        GossipEnv(failure_model=0.15),
+    ],
+    ids=["loop", "vectorized", "failures"],
+)
+def test_every_reported_round_was_executed(monkeypatch, env):
+    """No sub-step is priced with charged rounds: every round in the
+    result is one a gossip substrate ran."""
+
+    def no_charges(self, count, label="charged"):
+        raise AssertionError(f"charged {count} {label!r} rounds")
+
+    monkeypatch.setattr(NetworkMetrics, "charge_rounds", no_charges)
+    values = np.random.default_rng(4).permutation(512).astype(float)
+    result = exact_quantile(values, phi=0.5, rng=20, env=env)
+    assert result.value == empirical_quantile(values, 0.5)
+    assert result.rounds == result.metrics.rounds > 0

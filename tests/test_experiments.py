@@ -146,7 +146,7 @@ def test_exact_scale_rows():
     by_dtype = {row["dtype"]: row for row in rows}
     assert set(by_dtype) == {"float64", "float32"}
     for row in rows:
-        assert row["fidelity"] == "simulated"
+        assert "fidelity" not in row
         assert row["correct"] == 1.0
         assert row["rank_error"] == 0.0
         assert row["rounds"] > 0

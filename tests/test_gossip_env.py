@@ -135,7 +135,6 @@ def test_exact_quantile_on_a_ring_keeps_its_answer():
     on the complete-graph ``aux`` env.  The answer is still exact."""
     values = np.random.default_rng(3).permutation(np.arange(1.0, 257.0))
     result = exact_quantile(
-        values, 0.3, rng=4, fidelity="simulated",
-        env=GossipEnv(topology=ring(values.size, k=8)),
+        values, 0.3, rng=4, env=GossipEnv(topology=ring(values.size, k=8)),
     )
     assert result.value == float(np.sort(values)[result.target_rank - 1])

@@ -102,7 +102,7 @@ def test_full_pipeline_under_failures():
     """Exact quantile with every substrate simulated and nodes failing."""
     values = make_workload("distinct", 256, rng=17)
     result = exact_quantile(
-        values, phi=0.3, rng=18, fidelity="simulated", env=GossipEnv(failure_model=0.15)
+        values, phi=0.3, rng=18, env=GossipEnv(failure_model=0.15)
     )
     assert result.value == empirical_quantile(values, 0.3)
     assert result.metrics.failed_node_rounds > 0

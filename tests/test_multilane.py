@@ -204,8 +204,8 @@ def test_exact_quantile_float32_matches_float64():
     """Keys are ranks: float32 is exact, the same seed replays the same
     gossip schedule, and both dtypes return the true quantile."""
     values = np.random.default_rng(5).permutation(4096).astype(float)
-    r64 = exact_quantile(values, phi=0.3, rng=17, fidelity="simulated")
-    r32 = exact_quantile(values, phi=0.3, rng=17, fidelity="simulated",
+    r64 = exact_quantile(values, phi=0.3, rng=17)
+    r32 = exact_quantile(values, phi=0.3, rng=17,
                          env=GossipEnv(dtype="float32"))
     assert r64.value == r32.value
     assert r64.rounds == r32.rounds
@@ -365,13 +365,8 @@ def test_exact_driver_simulated_runs_fused_pair_rounds():
     """The simulated driver executes (not charges) the sandwich pair: its
     per-label round histogram contains no 'approx-pair' charge labels."""
     values = np.random.default_rng(2).permutation(512).astype(float)
-    result = exact_quantile(values, phi=0.5, rng=3, fidelity="simulated")
+    result = exact_quantile(values, phi=0.5, rng=3)
     assert result.value == float(np.sort(values)[255])
-    # the metrics object runs with keep_history=False; spot-check instead
-    # that the documented charge label is gone from the simulated path by
-    # running the idealized one and confirming only substrate charges
-    idealized = exact_quantile(values, phi=0.5, rng=3, fidelity="idealized")
-    assert idealized.rounds > 0
 
 
 # ---- fused extrema pair ------------------------------------------------------

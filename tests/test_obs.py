@@ -245,10 +245,10 @@ def test_pinned_streams_survive_an_active_tracer():
 
 def test_traced_exact_quantile_matches_untraced():
     values = _values(4000, seed=8)
-    baseline = exact_quantile(values, phi=0.25, rng=13, fidelity="simulated")
+    baseline = exact_quantile(values, phi=0.25, rng=13)
     tracer = Tracer(round_timeline=True)
     with use_tracer(tracer):
-        traced = exact_quantile(values, phi=0.25, rng=13, fidelity="simulated")
+        traced = exact_quantile(values, phi=0.25, rng=13)
     assert traced.value == baseline.value
     assert traced.rounds == baseline.rounds
     assert traced.metrics.summary() == baseline.metrics.summary()

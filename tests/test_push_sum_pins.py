@@ -114,7 +114,7 @@ KEMPE_PIN = ("44e797708f7869d0", 35.36200414834243, 745)
 
 def test_simulated_exact_quantile_pinned():
     values = RandomSource(45).random(2000) * 1000.0
-    result = exact_quantile(values, phi=0.3, rng=15, fidelity="simulated")
+    result = exact_quantile(values, phi=0.3, rng=15)
     assert (
         _digest(_iteration_rows(result.history), result.retries),
         result.value,
@@ -124,7 +124,7 @@ def test_simulated_exact_quantile_pinned():
 
 def test_simulated_kempe_exact_quantile_pinned():
     values = RandomSource(46).random(N) * 100.0
-    result = kempe_exact_quantile(values, phi=0.4, rng=16, fidelity="simulated")
+    result = kempe_exact_quantile(values, phi=0.4, rng=16)
     assert (
         _digest(_iteration_rows(result.history), result.phases),
         result.value,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.kempe_quantile import kempe_exact_quantile
 from repro.core.all_quantiles import estimate_all_ranks
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
@@ -15,6 +16,9 @@ from repro.utils import node_values
 
 ENTRY_POINTS = {
     "exact_quantile": lambda values: exact_quantile(values, 0.5, rng=1),
+    "kempe_exact_quantile": lambda values: kempe_exact_quantile(
+        values, 0.5, rng=1
+    ),
     "approximate_quantile": lambda values: approximate_quantile(values, rng=1),
     "robust_approximate_quantile": lambda values: robust_approximate_quantile(
         values, 0.5, 0.1, env=GossipEnv(failure_model=0.1), rng=1
