@@ -44,8 +44,11 @@ from repro.utils.stats import rank_error
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_approx.json"
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
-#: The exact driver's default per-iteration sandwich: eps/2 accuracy around
-#: phi ± eps/2 (see repro.core.exact_quantile.DEFAULT_ITERATION_EPS).
+#: The exact driver's per-iteration sandwich at its ε cap: eps/2 accuracy
+#: around phi ± eps/2.  The driver uses this ε up to n = 512 and a smaller one
+#: above (1/64 at n = 10⁴, 1/256 at n = 10⁶; see
+#: repro.core.exact_quantile.default_iteration_eps); the rows keep the cap so
+#: the trajectory stays comparable across commits.
 EPS = 0.0625
 PHI = 0.5
 #: Runs per mode on the full grid; ``wall_s`` is their median.

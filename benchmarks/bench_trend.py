@@ -62,6 +62,14 @@ IGNORED = (
     # fidelity mode; ignoring it lets rows written without it keep
     # matching the checked-in ones that still have it.
     "fidelity",
+    # exact rows: seeded retry counts by cause (their sum, ``retries``, is
+    # already in the rows); as identity keys they would stop rows written
+    # before the split from matching.  ``iterations`` moves whenever the
+    # driver's ε does, which would unmatch every row the gated ``rounds``
+    # should be compared on.
+    "sandwich_retries",
+    "final_retries",
+    "iterations",
     # self-rank accuracy columns: seeded error statistics, not perf metrics
     # — and not identity keys, or row matching would break on jitter.
     "mean_error",

@@ -29,20 +29,35 @@ exact path" section):
   final key can be translated back.  The Step-6 restriction is applied to
   *values* exactly as in the paper: every copy of a surviving value
   survives.
-* **Per-iteration ε.**  The paper sets ε = n^{-0.05}/2, which only bites for
-  astronomically large n; at simulation scale any constant ε works and only
-  changes the (logarithmic) number of iterations, so the driver defaults to
-  ε = 1/16 and exposes the knob.
+* **Per-iteration ε.**  The paper sets ε = n^{-0.05}/2 so that a constant
+  number of duplication iterations suffices.  The driver sizes ε from n the
+  same way, with the exponent fitted to simulation scale
+  (:func:`default_iteration_eps`): about ε n values survive a sandwich and
+  each is duplicated ``m ≈ n^{0.99} / (2 ε n)`` times, so two iterations
+  multiply the answer's copies by ``m² ≈ n^{-0.02} / (4 ε²)``.  That covers
+  the final window ``2 ε n + 1`` once ε³ ≲ n^{-1.02} / 8, so the default is
+  the largest power of two ≤ min(1/16, n^{-1/3} / 2): 1/16 up to n = 512,
+  1/256 at n = 10⁶.  1/16 (``DEFAULT_ITERATION_EPS``) is the cap; an
+  explicit ``eps_iteration`` overrides the rule.
 * **Termination.**  The paper runs a fixed 25 iterations, enough for the
   cumulative multiplicity to reach n.  The driver instead stops as soon as
-  the cumulative multiplicity covers the final query window (2 ε n), which
-  is the property the correctness argument actually uses, and also stops
-  early when a single candidate value remains.
+  the cumulative multiplicity ``c`` covers the final query window
+  (2 ε n + 1), which is the property the correctness argument actually
+  uses, and also stops early when a single candidate value remains.  Ranks
+  ``[k - c + 1, k]`` then all hold the answer, so the final query aims at
+  the middle of that block, ``k - c/2``, with accuracy
+  ``max(ε/3, (c/2 - 1)/(2n))``.  That is half the block's half-width: an
+  approximation aimed near the low end of the distribution can err by
+  almost its whole nominal accuracy, so the factor of two keeps a
+  worst-case estimate on a copy of the answer.
 * **Retry safeguard.**  The paper's analysis is "with high probability"; at
   simulation scale an approximation can occasionally miss the target rank.
   The sandwich test ``min ≤ answer-rank ≤ max`` uses only quantities every
   node knows (k, min, max and gossip counting), so the driver re-runs an
-  iteration whose sandwich missed and records the number of retries.
+  iteration whose sandwich missed, with ε doubled up to the 1/16 cap (a
+  small or failure-heavy n then falls back to the cap rather than
+  exhausting ``max_retries``).  Sandwich misses and final-query misses are
+  counted separately (``sandwich_retries`` / ``final_retries``).
 * **Executed rounds only.**  Every step runs on its gossip substrate, so
   every reported round is one a substrate executed.
 * **Fused sandwich pair.**  The paper's Step 3 computes the lower and upper
@@ -100,8 +115,19 @@ from repro.utils.mathutils import ceil_pow2
 from repro.utils.rand import RandomSource
 from repro.utils.stats import target_rank
 
-#: Default per-iteration approximation parameter (see module docstring).
+#: Largest per-iteration approximation parameter (see module docstring).
 DEFAULT_ITERATION_EPS = 0.0625
+
+
+def default_iteration_eps(n: int) -> float:
+    """Largest power of two ≤ min(1/16, n^{-1/3} / 2), the driver's ε for n.
+
+    ``2^-j ≤ n^{-1/3} / 2`` iff ``8^(j-1) ≥ n``, so the exponent is found in
+    integers: no floating-point cube root can tip a power of eight (n = 512)
+    to the next ε.
+    """
+    cube_exponent = -(-(n - 1).bit_length() // 3)  # min t: 8^t >= n
+    return 2.0 ** -max(4, cube_exponent + 1)
 
 
 def _distinct_sorted(values: np.ndarray) -> int:
@@ -120,7 +146,7 @@ def exact_quantile(
     phi: float,
     rng: Union[None, int, RandomSource] = None,
     fidelity: str = "simulated",
-    eps_iteration: float = DEFAULT_ITERATION_EPS,
+    eps_iteration: Optional[float] = None,
     max_iterations: int = 80,
     max_retries: int = 16,
     final_samples: int = 15,
@@ -139,7 +165,9 @@ def exact_quantile(
         callers that pass it keep working; any other value raises
         :class:`ConfigurationError`.
     eps_iteration:
-        Approximation parameter used by the per-iteration sandwich.
+        Approximation parameter used by the per-iteration sandwich;
+        ``None`` (the default) sizes it from n with
+        :func:`default_iteration_eps`.
     max_iterations / max_retries:
         Safety budgets; exceeding them raises :class:`ConvergenceError`.
     env:
@@ -193,6 +221,8 @@ def exact_quantile(
             n=result.n,
             iterations=result.iterations,
             retries=result.retries,
+            sandwich_retries=result.sandwich_retries,
+            final_retries=result.final_retries,
         )
     return result
 
@@ -201,7 +231,7 @@ def _exact_quantile_impl(
     values: Union[np.ndarray, list, tuple],
     phi: float,
     rng: Union[None, int, RandomSource] = None,
-    eps_iteration: float = DEFAULT_ITERATION_EPS,
+    eps_iteration: Optional[float] = None,
     max_iterations: int = 80,
     max_retries: int = 16,
     final_samples: int = 15,
@@ -211,7 +241,7 @@ def _exact_quantile_impl(
     """The driver body behind :func:`exact_quantile` (same contract)."""
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
-    if not 0.0 < eps_iteration < 0.5:
+    if eps_iteration is not None and not 0.0 < eps_iteration < 0.5:
         raise ConfigurationError("eps_iteration must be in (0, 0.5)")
     env = resolve_env(env)
     env.reject("exact_quantile", "topology_process", "faults")
@@ -252,9 +282,12 @@ def _exact_quantile_impl(
     k = target_rank(n, phi)
     true_value = float(key_values[k - 1])     # used only for retry bookkeeping
     cumulative_multiplicity = 1
-    eps = float(eps_iteration)
+    eps = float(
+        default_iteration_eps(n) if eps_iteration is None else eps_iteration
+    )
     history = []
-    retries = 0
+    sandwich_retries = 0
+    final_retries = 0
     iteration = 0
 
     def run_approx(target_phi: float, accuracy: float) -> np.ndarray:
@@ -300,9 +333,9 @@ def _exact_quantile_impl(
         )
         return result.estimates[:, 0], result.estimates[:, 1]
 
-    # The final query aims eps*n/2 ranks below k with accuracy eps/3, so the
-    # answer copies must cover (5/6) eps n ranks below k; stop once the
-    # cumulative multiplicity comfortably exceeds that window.
+    # Stop once the answer's copies cover a 2 eps n + 1 rank window: the
+    # final query then aims at the middle of the block with an accuracy of
+    # at least eps/3 (see the module docstring).
     def duplication_target() -> int:
         return int(math.ceil(2.0 * eps * n)) + 1
 
@@ -385,13 +418,15 @@ def _exact_quantile_impl(
             upto_max = live
 
         # Sandwich check: the answer key k must survive the restriction.
+        # A miss widens the sandwich (up to the 1/16 cap) before the retry.
         if not (below_min < k <= upto_max):
-            retries += 1
-            if retries > max_retries:
+            sandwich_retries += 1
+            if sandwich_retries > max_retries:
                 raise ConvergenceError(
                     "exact quantile: approximation sandwich missed the target "
-                    f"rank {retries} times (n={n}, phi={phi})"
+                    f"rank {sandwich_retries} times (n={n}, phi={phi})"
                 )
+            eps = min(2.0 * eps, max(eps, DEFAULT_ITERATION_EPS))
             iteration -= 1
             continue
 
@@ -481,21 +516,24 @@ def _exact_quantile_impl(
             f"exact quantile did not converge within {max_iterations} iterations"
         )
 
-    # Final step (Algorithm 3, line 10): an approximate query aimed strictly
-    # below k lands inside the answer's block of duplicated copies, then the
-    # key translates back to a value.  Retry on the (rare, small-n) event
-    # that the approximation lands outside the block; fall back to the
-    # invariant value after `max_retries` attempts.
+    # Final step (Algorithm 3, line 10): ranks [k - c + 1, k] all hold the
+    # answer (c = cumulative multiplicity), so an approximate query aimed at
+    # the middle of that block lands on a copy, then the key translates back
+    # to a value.  Retry on the (rare, small-n) event that the approximation
+    # lands outside the block; fall back to the invariant value after
+    # `max_retries` attempts.
     answer = float("nan")
     live = key_values.size
     single_candidate = _distinct_sorted(key_values) == 1
+    half_block = cumulative_multiplicity / 2.0
+    phi_final = max(1.0 / n, (k - half_block) / n)
+    accuracy_final = max(eps / 3.0, (half_block - 1.0) / (2.0 * n))
     with tracer.span("final_query", metrics) as span:
         for _attempt in range(max_retries + 1):
-            phi_final = max(1.0 / n, k / n - eps / 2.0)
-            estimates = run_approx(phi_final, eps / 3.0)
+            estimates = run_approx(phi_final, accuracy_final)
             finite = estimates[np.isfinite(estimates)]
             if finite.size == 0:
-                retries += 1
+                final_retries += 1
                 continue
             key_estimate = int(round(float(np.median(finite))))
             key_estimate = min(max(key_estimate, 1), live)
@@ -503,7 +541,7 @@ def _exact_quantile_impl(
             if candidate == true_value or single_candidate:
                 answer = candidate
                 break
-            retries += 1
+            final_retries += 1
         else:  # pragma: no cover - exercised only under extreme randomness
             answer = true_value
         span.annotate(attempts=_attempt + 1)
@@ -520,5 +558,6 @@ def _exact_quantile_impl(
         iterations=len(history),
         metrics=metrics,
         history=history,
-        retries=retries,
+        sandwich_retries=sandwich_retries,
+        final_retries=final_retries,
     )

@@ -134,7 +134,15 @@ class ExactQuantileResult:
     iterations: int
     metrics: NetworkMetrics
     history: List[ExactIterationStats] = field(default_factory=list)
-    retries: int = 0
+    #: Iterations re-run because the sandwich missed the target rank.
+    sandwich_retries: int = 0
+    #: Final queries re-run because they missed the answer's copies.
+    final_retries: int = 0
+
+    @property
+    def retries(self) -> int:
+        """All re-runs, whatever their cause."""
+        return self.sandwich_retries + self.final_retries
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -145,4 +153,6 @@ class ExactQuantileResult:
             "rounds": self.rounds,
             "iterations": self.iterations,
             "retries": self.retries,
+            "sandwich_retries": self.sandwich_retries,
+            "final_retries": self.final_retries,
         }

@@ -11,8 +11,8 @@ meaningful.
 
 For each (n, φ, dtype) the experiment runs the exact algorithm end to end
 and reports round counts (the Theorem 1.1 shape
-check: rounds / log₂ n stays bounded), duplication iterations, sandwich
-retries, wall-clock time, exactness against the offline quantile, the rank
+check: rounds / log₂ n stays bounded), duplication iterations, retries
+(all, and split into sandwich and final-query misses), wall-clock time, exactness against the offline quantile, the rank
 error of the returned value, and — for float32 rows — whether the rank
 error matches the float64 run bit for bit (``f32_parity``: keys are ranks,
 exactly representable in float32 below 2²⁴, so parity is the documented
@@ -48,6 +48,8 @@ COLUMNS = [
     "rounds_per_logn",
     "iterations",
     "retries",
+    "sandwich_retries",
+    "final_retries",
     "wall_s",
     "correct",
     "rank_error",
@@ -90,6 +92,8 @@ def _run_one_trial(
         "rounds": float(result.rounds),
         "iterations": float(result.iterations),
         "retries": float(result.retries),
+        "sandwich_retries": float(result.sandwich_retries),
+        "final_retries": float(result.final_retries),
         "wall_s": wall,
         "correct": float(result.value == truth),
         "rank_error": float(abs(int(rank_got) - int(rank_true))) / values.size,
@@ -155,6 +159,12 @@ def run(
                     "rounds_per_logn": mean_rounds / math.log2(n),
                     "iterations": float(np.mean([o["iterations"] for o in outcomes])),
                     "retries": float(np.mean([o["retries"] for o in outcomes])),
+                    "sandwich_retries": float(
+                        np.mean([o["sandwich_retries"] for o in outcomes])
+                    ),
+                    "final_retries": float(
+                        np.mean([o["final_retries"] for o in outcomes])
+                    ),
                     "wall_s": float(np.mean([o["wall_s"] for o in outcomes])),
                     "correct": float(np.mean([o["correct"] for o in outcomes])),
                     "rank_error": mean_rank_error,

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.exact_quantile import exact_quantile
+from repro.core.exact_quantile import (
+    DEFAULT_ITERATION_EPS,
+    default_iteration_eps,
+    exact_quantile,
+)
 from repro.datasets.generators import distinct_uniform, gaussian_values, zipf_values
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
@@ -76,6 +80,8 @@ def test_eps_iteration_knob(medium_values):
     assert fine.value == coarse.value == empirical_quantile(medium_values, 0.5)
     # a sharper sandwich needs fewer duplication iterations
     assert fine.iterations <= coarse.iterations
+    # an explicit eps_iteration overrides the n-sized default
+    assert coarse.history[0].eps == 0.2
 
 
 def test_summary_and_metadata(medium_values):
@@ -84,6 +90,53 @@ def test_summary_and_metadata(medium_values):
     assert summary["value"] == result.value
     assert summary["n"] == medium_values.size
     assert result.metrics.rounds == result.rounds
+    assert summary["retries"] == (
+        summary["sandwich_retries"] + summary["final_retries"]
+    ) == result.retries
+
+
+@pytest.mark.parametrize(
+    "n,eps",
+    [(4, 1 / 16), (256, 1 / 16), (512, 1 / 16), (513, 1 / 32), (4096, 1 / 32),
+     (10_000, 1 / 64), (16_384, 1 / 64), (100_000, 1 / 128),
+     (1_000_000, 1 / 256)],
+)
+def test_default_iteration_eps_table(n, eps):
+    assert default_iteration_eps(n) == eps
+
+
+def test_default_iteration_eps_is_a_capped_power_of_two():
+    for n in list(range(4, 3000)) + [10 ** p for p in range(4, 10)]:
+        eps = default_iteration_eps(n)
+        bound = min(DEFAULT_ITERATION_EPS, n ** (-1 / 3) / 2)
+        assert math.log2(eps) == int(math.log2(eps))
+        assert eps <= bound * (1 + 1e-12)
+        assert 2 * eps > bound  # the largest such power of two
+
+
+def test_final_query_lands_on_the_answer_copies():
+    """The final query aims at the middle of the answer's block of copies
+    with an accuracy sized from that block, so it needs no second try."""
+    for seed in range(20):
+        values = distinct_uniform(256, rng=seed)
+        for phi in (0.1, 0.5, 0.9):
+            result = exact_quantile(values, phi=phi, rng=seed)
+            assert result.value == empirical_quantile(values, phi)
+            assert result.final_retries == 0, (seed, phi)
+
+
+def test_sandwich_miss_widens_eps():
+    """An iteration re-run after a sandwich miss uses a doubled ε (capped
+    at 1/16), and the history records it."""
+    n = 1024
+    values = np.random.default_rng(5).permutation(n).astype(float)
+    result = exact_quantile(values, phi=0.5, rng=11)
+    assert result.value == empirical_quantile(values, 0.5)
+    assert result.sandwich_retries >= 1
+    epss = [stats.eps for stats in result.history]
+    assert epss[0] == default_iteration_eps(n) == 1 / 32
+    assert max(epss) == 2 * epss[0] == DEFAULT_ITERATION_EPS
+    assert epss == sorted(epss)
 
 
 def test_validation_errors(small_values):
@@ -127,7 +180,9 @@ def test_simulated_loop_engine_seeded_execution_is_pinned():
     pair now *executes* in one max-of-pair window instead of running
     sequentially, so it consumes a different random stream and strictly
     fewer rounds — this seed used to take 609 rounds and 3 sandwich
-    retries)."""
+    retries), and again when the final query started aiming at the middle
+    of the answer's block of copies with an accuracy sized from the block
+    (427 rounds before, same value, iterations and retries)."""
     from repro.gossip.engine import get_default_engine, set_default_engine
 
     values = np.random.default_rng(42).permutation(512).astype(float)
@@ -138,7 +193,7 @@ def test_simulated_loop_engine_seeded_execution_is_pinned():
     finally:
         set_default_engine(before)
     assert result.value == 358.0
-    assert result.rounds == 427
+    assert result.rounds == 418
     assert result.iterations == 3
     assert result.retries == 0
 

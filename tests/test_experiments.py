@@ -151,6 +151,7 @@ def test_exact_scale_rows():
         assert row["rank_error"] == 0.0
         assert row["rounds"] > 0
         assert row["wall_s"] > 0
+        assert row["retries"] == row["sandwich_retries"] + row["final_retries"]
     # float32 keys are exact below 2**24 ranks: parity with float64 holds,
     # and the same cell seed replays the same gossip schedule exactly
     assert by_dtype["float32"]["f32_parity"] == 1.0
