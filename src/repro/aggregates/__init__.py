@@ -10,12 +10,7 @@ primitives which we implement here from scratch:
 """
 
 from repro.aggregates.push_sum import PushSumProtocol, push_sum_average, push_sum_sum
-from repro.aggregates.extrema import (
-    ExtremaPairProtocol,
-    ExtremaProtocol,
-    spread_extrema,
-    spread_extrema_pair,
-)
+from repro.aggregates.extrema import ExtremaProtocol, spread_extrema
 from repro.aggregates.counting import count_leq
 from repro.aggregates.broadcast import BroadcastProtocol, broadcast_rounds
 
@@ -23,10 +18,8 @@ __all__ = [
     "PushSumProtocol",
     "push_sum_average",
     "push_sum_sum",
-    "ExtremaPairProtocol",
     "ExtremaProtocol",
     "spread_extrema",
-    "spread_extrema_pair",
     "count_leq",
     "BroadcastProtocol",
     "broadcast_rounds",

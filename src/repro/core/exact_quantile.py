@@ -57,23 +57,22 @@ exact path" section):
   iteration whose sandwich missed, with ε doubled up to the 1/16 cap (a
   small or failure-heavy n then falls back to the cap rather than
   exhausting ``max_retries``).  Sandwich misses and final-query misses are
-  counted separately (``sandwich_retries`` / ``final_retries``).
+  counted separately (``sandwich_retries`` / ``final_retries``).  A pass
+  whose sandwich excludes no value while no duplication fits (a small-n
+  event) halves ε instead, under its own ``max_retries`` budget.
 * **Executed rounds only.**  Every step runs on its gossip substrate, so
   every reported round is one a substrate executed.
-* **Fused sandwich pair.**  The paper's Step 3 computes the lower and upper
+* **Sandwich lanes.**  The paper's Step 3 computes the lower and upper
   ε/2-approximate quantiles in the same O(log n)-round window — one
-  O(log n)-bit message carries both working values.  The driver *executes*
-  the pair that way (it used to run them sequentially and merely charge
-  max-of-pair rounds): both approximations run as the two lanes of one
-  multi-lane :class:`~repro.gossip.network.GossipNetwork`, sharing every
-  partner draw, so rounds = max(pair) by construction and each round's
-  message traffic lands in its own round record.  Step 4's min/max
-  spreadings are fused the same way
-  (:class:`~repro.aggregates.extrema.ExtremaPairProtocol`: one rumor
-  stream, messages carry both working values).  Seeded runs therefore
-  consume a different random stream than the pre-fusion sequential pairs
-  (same documented-deviation class as the engine-stream changes below)
-  and strictly fewer rounds; the returned quantile is unchanged.
+  O(log n)-bit message carries both working values — and the driver
+  executes them that way: each bounded side of the sandwich is one lane of
+  a multi-lane :class:`~repro.gossip.network.GossipNetwork` (a side whose
+  target falls off the distribution runs no lane).  The lanes share every
+  partner draw, so rounds = max over the lanes, and each round's traffic
+  lands in its own round record.  Step 4 spreads the min of the lower lane
+  and the max of the upper one as the lanes of one
+  :class:`~repro.aggregates.extrema.ExtremaProtocol` run, and the final
+  query is the same approximation with one lane.
 * **Fast path.**  Every substrate is vectorized: the tournaments run on
   the batched :class:`~repro.gossip.network.GossipNetwork`
   pull surface, extrema/counting on the vectorized gossip engine, and token
@@ -101,14 +100,13 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.aggregates.counting import count_leq
-from repro.aggregates.extrema import spread_extrema, spread_extrema_pair
-from repro.core.approx_quantile import approximate_quantile
+from repro.aggregates.extrema import spread_extrema
+from repro.core.all_quantiles import estimate_grid_subset
 from repro.core.results import ExactIterationStats, ExactQuantileResult
 from repro.core.tokens import distribute_tokens
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
 from repro.utils.mathutils import ceil_pow2
@@ -198,47 +196,6 @@ def exact_quantile(
             f"fidelity={fidelity!r}: the idealized mode was removed; every "
             "step now runs on its gossip substrate (omit fidelity)"
         )
-    tracer = get_tracer()
-    if not tracer.active:
-        return _exact_quantile_impl(
-            values, phi, rng=rng,
-            eps_iteration=eps_iteration, max_iterations=max_iterations,
-            max_retries=max_retries, final_samples=final_samples, env=env,
-        )
-    # Bind the root span to the driver's (fresh) metrics object so the
-    # span's counter deltas are the whole run's totals; the step spans
-    # inside the impl nest under this one.
-    metrics = NetworkMetrics(keep_history=False)
-    with tracer.span("exact_quantile", metrics) as root:
-        root.annotate(phi=phi)
-        result = _exact_quantile_impl(
-            values, phi, rng=rng,
-            eps_iteration=eps_iteration, max_iterations=max_iterations,
-            max_retries=max_retries, final_samples=final_samples, env=env,
-            _metrics=metrics,
-        )
-        root.annotate(
-            n=result.n,
-            iterations=result.iterations,
-            retries=result.retries,
-            sandwich_retries=result.sandwich_retries,
-            final_retries=result.final_retries,
-        )
-    return result
-
-
-def _exact_quantile_impl(
-    values: Union[np.ndarray, list, tuple],
-    phi: float,
-    rng: Union[None, int, RandomSource] = None,
-    eps_iteration: Optional[float] = None,
-    max_iterations: int = 80,
-    max_retries: int = 16,
-    final_samples: int = 15,
-    env: Optional[GossipEnv] = None,
-    _metrics: Optional[NetworkMetrics] = None,
-) -> ExactQuantileResult:
-    """The driver body behind :func:`exact_quantile` (same contract)."""
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
     if eps_iteration is not None and not 0.0 < eps_iteration < 0.5:
@@ -268,9 +225,7 @@ def _exact_quantile_impl(
             f"topology has {env.topology.n} nodes but values has {n}"
         )
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    metrics = _metrics if _metrics is not None else NetworkMetrics(
-        keep_history=False
-    )
+    metrics = NetworkMetrics(keep_history=False)
     tracer = get_tracer()
 
     # --- item (key) space setup -------------------------------------------------
@@ -288,50 +243,21 @@ def _exact_quantile_impl(
     history = []
     sandwich_retries = 0
     final_retries = 0
+    stalls = 0
     iteration = 0
 
-    def run_approx(target_phi: float, accuracy: float) -> np.ndarray:
-        """One approximate quantile computation over the current keys."""
-        working = GossipNetwork(
-            node_keys,
-            rng=source.child(),
-            metrics=metrics,
-            keep_history=False,
-            env=env,
-        )
-        result = approximate_quantile(
-            network=working,
-            phi=target_phi,
-            eps=accuracy,
-            final_samples=final_samples,
-        )
-        return result.estimates
+    def run_approx(targets: list, accuracy: float) -> np.ndarray:
+        """Approximate quantiles of the current keys, one lane per target.
 
-    def run_approx_pair(phi_a: float, phi_b: float, accuracy: float):
-        """Step 3: both approximate quantiles, executed fused.
-
-        The paper's Step 3 computes the lower and upper approximation in
-        the same O(log n)-round window — one O(log n)-bit message carries
-        both working values.  The pair runs as the two lanes of one
-        multi-lane network: one partner matrix per round shared across
-        lanes, per-lane tournament schedules with short lanes idling, so
-        rounds = max(pair) by construction and every round's messages are
-        recorded in that round (no out-of-round traffic merge).
+        The lanes share one multi-lane network — one partner draw per
+        round, one message carrying every lane's working value — so they
+        execute in one max-of-lanes window.  Returns ``(lanes, n)``.
         """
-        working = GossipNetwork(
-            np.stack([node_keys, node_keys], axis=1),
-            rng=source.child(),
-            metrics=metrics,
-            keep_history=False,
-            env=env,
+        estimates, _ = estimate_grid_subset(
+            node_keys, targets, accuracy, final_samples, source, metrics,
+            max_lanes=len(targets), env=env,
         )
-        result = approximate_quantile(
-            network=working,
-            phi=(phi_a, phi_b),
-            eps=accuracy,
-            final_samples=final_samples,
-        )
-        return result.estimates[:, 0], result.estimates[:, 1]
+        return estimates
 
     # Stop once the answer's copies cover a 2 eps n + 1 rank window: the
     # final query then aims at the middle of the block with an accuracy of
@@ -339,215 +265,208 @@ def _exact_quantile_impl(
     def duplication_target() -> int:
         return int(math.ceil(2.0 * eps * n)) + 1
 
-    while iteration < max_iterations:
-        live = key_values.size
-        distinct = _distinct_sorted(key_values)
-        if distinct <= 1 or cumulative_multiplicity >= duplication_target():
-            break
-        iteration += 1
-
-        # Step 3: sandwich the target rank between two approximate quantiles.
-        # A side whose target quantile falls off the end of the distribution
-        # imposes no restriction (equivalently: that bound is the global
-        # min / max, which every node can learn by extrema spreading).
-        phi_lo = k / n - eps / 2.0
-        phi_hi = k / n + eps / 2.0
-        lo_bounded = phi_lo > 1.0 / n
-        hi_bounded = phi_hi < 1.0
-        with tracer.span("sandwich", metrics) as span:
-            span.annotate(iteration=iteration, eps=eps,
-                          paired=lo_bounded and hi_bounded)
-            if lo_bounded and hi_bounded:
-                est_lo, est_hi = run_approx_pair(
-                    max(1.0 / n, phi_lo), min(1.0, phi_hi), eps / 2.0
-                )
-            else:
-                est_lo = (
-                    run_approx(max(1.0 / n, phi_lo), eps / 2.0)
-                    if lo_bounded else None
-                )
-                est_hi = (
-                    run_approx(min(1.0, phi_hi), eps / 2.0)
-                    if hi_bounded else None
-                )
-
-        # Step 4: every node learns the min / max of the approximations.
-        # Like the Step-3 sandwich, the two spreadings share one O(log n)
-        # window (a message carries both working values): a two-sided
-        # sandwich runs the fused pair protocol, a one-sided one a single
-        # spreading.
-        min_key: float = 1.0
-        max_key: float = float("inf")
-        with tracer.span("extrema", metrics) as span:
-            span.annotate(iteration=iteration)
-            if lo_bounded and hi_bounded:
-                pair = spread_extrema_pair(
-                    est_lo, est_hi, rng=source.child(),
-                    metrics=metrics, env=aux,
-                )
-                min_key = float(np.min(pair.lo_values))
-                max_key = float(np.max(pair.hi_values))
-            elif lo_bounded:
-                lo_spread = spread_extrema(
-                    est_lo, mode="min", rng=source.child(),
-                    metrics=metrics, env=aux,
-                )
-                min_key = float(np.min(lo_spread.values))
-            elif hi_bounded:
-                hi_spread = spread_extrema(
-                    est_hi, mode="max", rng=source.child(),
-                    metrics=metrics, env=aux,
-                )
-                max_key = float(np.max(hi_spread.values))
-
-        # Translate the sandwich keys to *values* and keep every copy of a
-        # surviving value (Step 6 restricts by value, so copies of the same
-        # value live or die together).
-        if lo_bounded:
-            min_rank = int(round(min_key)) if np.isfinite(min_key) else 1
-            min_rank = min(max(min_rank, 1), live)
-            min_value = float(key_values[min_rank - 1])
-            below_min = int(np.searchsorted(key_values, min_value, side="left"))
-        else:
-            below_min = 0
-        if hi_bounded and np.isfinite(max_key):
-            max_rank = min(max(int(round(max_key)), 1), live)
-            max_value = float(key_values[max_rank - 1])
-            upto_max = int(np.searchsorted(key_values, max_value, side="right"))
-        else:
-            upto_max = live
-
-        # Sandwich check: the answer key k must survive the restriction.
-        # A miss widens the sandwich (up to the 1/16 cap) before the retry.
-        if not (below_min < k <= upto_max):
-            sandwich_retries += 1
-            if sandwich_retries > max_retries:
-                raise ConvergenceError(
-                    "exact quantile: approximation sandwich missed the target "
-                    f"rank {sandwich_retries} times (n={n}, phi={phi})"
-                )
-            eps = min(2.0 * eps, max(eps, DEFAULT_ITERATION_EPS))
-            iteration -= 1
-            continue
-
-        # Step 5: rank of the minimum.  Keys are exactly {1..live}, so the
-        # count is determined by the sandwich; the push-sum counting runs
-        # for its round cost and its count is not read.
-        with tracer.span("counting", metrics) as span:
-            span.annotate(iteration=iteration)
-            count_leq(node_keys, threshold=min_key, rng=source.child(),
-                      metrics=metrics, env=aux)
-
-        valued_count = upto_max - below_min
-        if valued_count <= 0:
-            raise ConvergenceError("exact quantile: empty value sandwich")
-
-        # Step 7: duplicate the survivors m_i times each.
-        target_tokens = max(2.0, (n ** 0.99) / 2.0)
-        multiplicity = ceil_pow2(target_tokens / valued_count)
-        while multiplicity > 1 and multiplicity * valued_count > n:
-            multiplicity //= 2
-
-        if multiplicity == 1 and valued_count == live:
-            # No value was excluded and no duplication is possible: the
-            # sandwich is wider than the remaining data.  Sharpen eps so the
-            # next iteration makes progress (small-n safeguard; cannot occur
-            # in the paper's asymptotic regime).
-            eps = max(eps / 2.0, 2.0 / n)
-            iteration -= 1
-            continue
-
-        with tracer.span("tokens", metrics) as span:
-            span.annotate(iteration=iteration, multiplicity=multiplicity,
-                          survivors=valued_count)
-            # Keys are exactly {1..live}, each held by one node: an
-            # inverse permutation maps the surviving key block to its
-            # holders.
-            finite = np.isfinite(node_keys)
-            key_holder = np.empty(live, dtype=np.int64)
-            key_holder[node_keys[finite].astype(np.int64) - 1] = (
-                np.flatnonzero(finite)
-            )
-            item_nodes = key_holder[below_min:upto_max]
-            distribution = distribute_tokens(
-                item_nodes,
-                multiplicity=multiplicity,
-                n=n,
-                rng=source.child(),
-                metrics=metrics,
-                env=aux,
-            )
-            # Item j owns the key block (j*multiplicity,
-            # (j+1)*multiplicity]; hand block members to the owner nodes
-            # in arbitrary order (here: ascending node order within each
-            # item, matching the historical per-node loop bit for bit).
-            node_keys = np.full(n, np.inf, dtype=key_dtype)
-            owners = distribution.owners
-            nodes = np.flatnonzero(owners >= 0)
-            items_held = owners[nodes]
-            order = np.argsort(items_held, kind="stable")
-            node_keys[nodes[order]] = (
-                items_held[order].astype(np.int64) * multiplicity
-                + np.arange(nodes.size, dtype=np.int64) % multiplicity
-                + 1
-            )
-        key_values = np.repeat(key_values[below_min:upto_max], multiplicity)
-        k = multiplicity * (k - below_min)
-        cumulative_multiplicity *= multiplicity
-        history.append(
-            ExactIterationStats(
-                iteration=iteration,
-                eps=eps,
-                valued_nodes=valued_count,
-                multiplicity=multiplicity,
-                cumulative_multiplicity=cumulative_multiplicity,
-                target_rank=k,
-                distinct_candidates=_distinct_sorted(key_values),
-                rounds_so_far=metrics.rounds,
-            )
-        )
-
-    if (
-        iteration >= max_iterations
-        and _distinct_sorted(key_values) > 1
-        and cumulative_multiplicity < duplication_target()
-    ):
-        raise ConvergenceError(
-            f"exact quantile did not converge within {max_iterations} iterations"
-        )
-
-    # Final step (Algorithm 3, line 10): ranks [k - c + 1, k] all hold the
-    # answer (c = cumulative multiplicity), so an approximate query aimed at
-    # the middle of that block lands on a copy, then the key translates back
-    # to a value.  Retry on the (rare, small-n) event that the approximation
-    # lands outside the block; fall back to the invariant value after
-    # `max_retries` attempts.
-    answer = float("nan")
-    live = key_values.size
-    single_candidate = _distinct_sorted(key_values) == 1
-    half_block = cumulative_multiplicity / 2.0
-    phi_final = max(1.0 / n, (k - half_block) / n)
-    accuracy_final = max(eps / 3.0, (half_block - 1.0) / (2.0 * n))
-    with tracer.span("final_query", metrics) as span:
-        for _attempt in range(max_retries + 1):
-            estimates = run_approx(phi_final, accuracy_final)
-            finite = estimates[np.isfinite(estimates)]
-            if finite.size == 0:
-                final_retries += 1
-                continue
-            key_estimate = int(round(float(np.median(finite))))
-            key_estimate = min(max(key_estimate, 1), live)
-            candidate = float(key_values[key_estimate - 1])
-            if candidate == true_value or single_candidate:
-                answer = candidate
+    # The root span is bound to the driver's (fresh) metrics object, so its
+    # counter deltas are the whole run's totals; the step spans nest under
+    # it.  Without an active tracer every span is a no-op.
+    with tracer.span("exact_quantile", metrics) as root:
+        root.annotate(phi=phi)
+        while iteration < max_iterations:
+            live = key_values.size
+            distinct = _distinct_sorted(key_values)
+            if distinct <= 1 or cumulative_multiplicity >= duplication_target():
                 break
-            final_retries += 1
-        else:  # pragma: no cover - exercised only under extreme randomness
-            answer = true_value
-        span.annotate(attempts=_attempt + 1)
+            iteration += 1
 
-    if math.isnan(answer):
-        answer = true_value
+            # Step 3: sandwich the target rank between two approximate
+            # quantiles, one lane per side (the side's extrema mode -> its
+            # target quantile).  A side whose target quantile falls off the
+            # end of the distribution imposes no restriction (equivalently:
+            # that bound is the global min / max, which every node can learn
+            # by extrema spreading) and runs no lane.
+            phi_lo = k / n - eps / 2.0
+            phi_hi = k / n + eps / 2.0
+            sides = {}
+            if phi_lo > 1.0 / n:
+                sides["min"] = phi_lo
+            if phi_hi < 1.0:
+                sides["max"] = phi_hi
+            with tracer.span("sandwich", metrics) as span:
+                span.annotate(iteration=iteration, eps=eps, lanes=len(sides))
+                estimates = run_approx(list(sides.values()), eps / 2.0)
+
+            # Step 4: every node learns the min of the lower approximations
+            # and the max of the upper ones — one spreading, one lane per
+            # side, sharing the Step-3 window's message budget.
+            with tracer.span("extrema", metrics) as span:
+                span.annotate(iteration=iteration)
+                spread = spread_extrema(
+                    estimates.T, mode=list(sides), rng=source.child(),
+                    metrics=metrics, env=aux,
+                )
+            bounds = dict(zip(sides, spread.values.T))
+
+            # Translate the sandwich keys to *values* and keep every copy of
+            # a surviving value (Step 6 restricts by value, so copies of the
+            # same value live or die together).
+            min_key = float(np.min(bounds.get("min", 1.0)))
+            max_key = float(np.max(bounds.get("max", np.inf)))
+            if "min" in bounds:
+                min_rank = int(round(min_key)) if np.isfinite(min_key) else 1
+                min_rank = min(max(min_rank, 1), live)
+                min_value = float(key_values[min_rank - 1])
+                below_min = int(np.searchsorted(key_values, min_value, side="left"))
+            else:
+                below_min = 0
+            if np.isfinite(max_key):
+                max_rank = min(max(int(round(max_key)), 1), live)
+                max_value = float(key_values[max_rank - 1])
+                upto_max = int(np.searchsorted(key_values, max_value, side="right"))
+            else:
+                upto_max = live
+
+            # Sandwich check: the answer key k must survive the restriction.
+            # A miss widens the sandwich (up to the 1/16 cap) before the retry.
+            if not (below_min < k <= upto_max):
+                sandwich_retries += 1
+                if sandwich_retries > max_retries:
+                    raise ConvergenceError(
+                        "exact quantile: approximation sandwich missed the "
+                        f"target rank {sandwich_retries} times (n={n}, phi={phi})"
+                    )
+                eps = min(2.0 * eps, max(eps, DEFAULT_ITERATION_EPS))
+                iteration -= 1
+                continue
+
+            # Step 5: rank of the minimum.  Keys are exactly {1..live}, so
+            # the count is determined by the sandwich; the push-sum counting
+            # runs for its round cost and its count is not read.
+            with tracer.span("counting", metrics) as span:
+                span.annotate(iteration=iteration)
+                count_leq(node_keys, threshold=min_key, rng=source.child(),
+                          metrics=metrics, env=aux)
+
+            valued_count = upto_max - below_min
+            if valued_count <= 0:
+                raise ConvergenceError("exact quantile: empty value sandwich")
+
+            # Step 7: duplicate the survivors m_i times each.
+            target_tokens = max(2.0, (n ** 0.99) / 2.0)
+            multiplicity = ceil_pow2(target_tokens / valued_count)
+            while multiplicity > 1 and multiplicity * valued_count > n:
+                multiplicity //= 2
+
+            if multiplicity == 1 and valued_count == live:
+                # No value was excluded and no duplication is possible: the
+                # sandwich is wider than the remaining data.  Halve eps so
+                # the next pass makes progress (small-n safeguard; cannot
+                # occur in the paper's asymptotic regime), within the same
+                # retry budget as a sandwich miss.
+                stalls += 1
+                if stalls > max_retries:
+                    raise ConvergenceError(
+                        "exact quantile: the sandwich excluded no value "
+                        f"{stalls} times (n={n}, phi={phi})"
+                    )
+                eps /= 2.0
+                iteration -= 1
+                continue
+
+            with tracer.span("tokens", metrics) as span:
+                span.annotate(iteration=iteration, multiplicity=multiplicity,
+                              survivors=valued_count)
+                # Keys are exactly {1..live}, each held by one node: an
+                # inverse permutation maps the surviving key block to its
+                # holders.
+                finite = np.isfinite(node_keys)
+                key_holder = np.empty(live, dtype=np.int64)
+                key_holder[node_keys[finite].astype(np.int64) - 1] = (
+                    np.flatnonzero(finite)
+                )
+                item_nodes = key_holder[below_min:upto_max]
+                distribution = distribute_tokens(
+                    item_nodes,
+                    multiplicity=multiplicity,
+                    n=n,
+                    rng=source.child(),
+                    metrics=metrics,
+                    env=aux,
+                )
+                # Item j owns the key block (j*multiplicity,
+                # (j+1)*multiplicity]; hand block members to the owner nodes
+                # in arbitrary order (here: ascending node order within each
+                # item, matching the historical per-node loop bit for bit).
+                node_keys = np.full(n, np.inf, dtype=key_dtype)
+                owners = distribution.owners
+                nodes = np.flatnonzero(owners >= 0)
+                items_held = owners[nodes]
+                order = np.argsort(items_held, kind="stable")
+                node_keys[nodes[order]] = (
+                    items_held[order].astype(np.int64) * multiplicity
+                    + np.arange(nodes.size, dtype=np.int64) % multiplicity
+                    + 1
+                )
+            key_values = np.repeat(key_values[below_min:upto_max], multiplicity)
+            k = multiplicity * (k - below_min)
+            cumulative_multiplicity *= multiplicity
+            history.append(
+                ExactIterationStats(
+                    iteration=iteration,
+                    eps=eps,
+                    valued_nodes=valued_count,
+                    multiplicity=multiplicity,
+                    cumulative_multiplicity=cumulative_multiplicity,
+                    target_rank=k,
+                    distinct_candidates=_distinct_sorted(key_values),
+                    rounds_so_far=metrics.rounds,
+                )
+            )
+
+        if (
+            iteration >= max_iterations
+            and _distinct_sorted(key_values) > 1
+            and cumulative_multiplicity < duplication_target()
+        ):
+            raise ConvergenceError(
+                f"exact quantile did not converge within {max_iterations} "
+                "iterations"
+            )
+
+        # Final step (Algorithm 3, line 10): ranks [k - c + 1, k] all hold
+        # the answer (c = cumulative multiplicity), so an approximate query
+        # aimed at the middle of that block lands on a copy, then the key
+        # translates back to a value.  Retry on the (rare, small-n) event
+        # that the approximation lands outside the block; fall back to the
+        # invariant value after `max_retries` attempts.
+        live = key_values.size
+        single_candidate = _distinct_sorted(key_values) == 1
+        half_block = cumulative_multiplicity / 2.0
+        phi_final = max(1.0 / n, (k - half_block) / n)
+        accuracy_final = max(eps / 3.0, (half_block - 1.0) / (2.0 * n))
+        with tracer.span("final_query", metrics) as span:
+            for _attempt in range(max_retries + 1):
+                estimates = run_approx([phi_final], accuracy_final)[0]
+                finite = estimates[np.isfinite(estimates)]
+                if finite.size == 0:
+                    final_retries += 1
+                    continue
+                key_estimate = int(round(float(np.median(finite))))
+                key_estimate = min(max(key_estimate, 1), live)
+                candidate = float(key_values[key_estimate - 1])
+                if candidate == true_value or single_candidate:
+                    answer = candidate
+                    break
+                final_retries += 1
+            else:  # pragma: no cover - exercised only under extreme randomness
+                answer = true_value
+            span.annotate(attempts=_attempt + 1)
+
+        root.annotate(
+            n=n,
+            iterations=len(history),
+            retries=sandwich_retries + final_retries,
+            sandwich_retries=sandwich_retries,
+            final_retries=final_retries,
+        )
 
     return ExactQuantileResult(
         phi=phi,

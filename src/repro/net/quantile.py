@@ -4,7 +4,8 @@
 entirely over a live :class:`~repro.net.transport.Transport`, composing two
 gossip primitives the simulated engines already ship:
 
-1. one fused :class:`~repro.aggregates.extrema.ExtremaPairProtocol` run
+1. one two-lane :class:`~repro.aggregates.extrema.ExtremaProtocol` run
+   (a min lane and a max lane, both working values in every message)
    brackets the live value range ``[lo, hi]``;
 2. bisection by counting: each step runs
    :class:`~repro.aggregates.push_sum.PushSumProtocol` over the indicator
@@ -30,7 +31,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.aggregates.extrema import ExtremaPairProtocol
+from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol, default_push_sum_rounds
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
@@ -94,10 +95,13 @@ async def anet_approximate_quantile(
         count_rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
 
     try:
-        # Phase 1: bracket the live value range with one fused extrema run.
-        pair = ExtremaPairProtocol(array, array)
+        # Phase 1: bracket the live value range with one two-lane extrema
+        # run: lane 0 spreads the min, lane 1 the max.
+        bracket = ExtremaProtocol(
+            np.column_stack([array, array]), mode=("min", "max")
+        )
         result = await arun_protocol(
-            pair,
+            bracket,
             rng=source.child(),
             metrics=stats,
             transport=live_transport,
@@ -118,8 +122,9 @@ async def anet_approximate_quantile(
             )
         # The widest bracket any surviving node holds contains every value
         # a surviving node contributed.
-        lo_v = float(pair.lo_values_array()[live].min())
-        hi_v = float(pair.hi_values_array()[live].max())
+        bounds = bracket.outputs_array()[live]
+        lo_v = float(bounds[:, 0].min())
+        hi_v = float(bounds[:, 1].max())
 
         # Phase 2: bisection by counting over the surviving pool.  Frozen
         # (dead) mass never reaches the live pool, so live estimates

@@ -68,3 +68,14 @@ def test_monotonicity_invariant():
     run_protocol(protocol, rng=6, max_rounds=11, raise_on_budget=False)
     final = np.asarray(protocol.outputs(), dtype=float)
     assert np.all(final >= previous)
+
+
+def test_nan_is_rejected_and_infinities_spread():
+    with pytest.raises(ConfigurationError, match="NaN"):
+        spread_extrema([np.nan, 1.0, 2.0, 3.0] * 8, mode="max", rng=1)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        ExtremaProtocol(np.column_stack([np.arange(8.0), np.full(8, np.nan)]),
+                        mode=("min", "max"))
+    values = np.array([np.inf, 1.0, -np.inf, 3.0] * 8)
+    assert np.all(spread_extrema(values, mode="max", rng=2).values == np.inf)
+    assert np.all(spread_extrema(values, mode="min", rng=3).values == -np.inf)

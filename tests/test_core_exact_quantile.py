@@ -1,6 +1,7 @@
 """Tests for the exact φ-quantile algorithm (Theorem 1.1 / Algorithm 3)."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.core.exact_quantile import (
     exact_quantile,
 )
 from repro.datasets.generators import distinct_uniform, gaussian_values, zipf_values
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.stats import empirical_quantile, target_rank
@@ -238,3 +239,46 @@ def test_every_reported_round_was_executed(monkeypatch, env):
     result = exact_quantile(values, phi=0.5, rng=20, env=env)
     assert result.value == empirical_quantile(values, 0.5)
     assert result.rounds == result.metrics.rounds > 0
+
+
+# ---- small n ------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_small_n_sweep_is_exact_and_terminates():
+    """At n <= 32 a sandwich can exclude nothing while no duplication fits;
+    the driver then halves ε under the retry budget.  (Raising ε to 2/n
+    instead looped forever: n = 4, φ = 0.5 hung on most seeds.)  A
+    wall-clock alarm turns a regression into a failure, not a hung run."""
+
+    def hung(signum, frame):
+        raise AssertionError("small-n exact sweep exceeded its 60 s budget")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for n in range(4, 9):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                inputs = (
+                    rng.permutation(n).astype(float),
+                    rng.integers(0, 3, n).astype(float),
+                )
+                for values in inputs:
+                    for phi in (0.0, 0.5, 1.0):
+                        result = exact_quantile(values, phi=phi, rng=seed)
+                        assert result.value == empirical_quantile(values, phi), (
+                            n, seed, values, phi,
+                        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_stalled_sandwich_passes_are_budgeted():
+    """Passes whose sandwich excludes nothing count against
+    ``max_retries``: with no budget at all, the first one raises."""
+    values = np.random.default_rng(2).permutation(4).astype(float)
+    with pytest.raises(ConvergenceError, match="excluded no value"):
+        exact_quantile(values, phi=0.5, rng=2, max_retries=0)
+    assert exact_quantile(values, phi=0.5, rng=2).value == 1.0

@@ -2,7 +2,7 @@
 
 Covers the PR-5 surface: (n, L) column-stacked GossipNetworks sharing one
 partner stream, lane-wise tournament phases, the fused ε/2 sandwich pair of
-the exact-quantile driver, the fused Step-4 extrema pair, float32 value
+the exact-quantile driver, two-lane Step-4 extrema spreading, float32 value
 lanes, and the batched round/message accounting.
 """
 
@@ -338,8 +338,8 @@ def test_fused_pair_rank_errors_match_sequential_distribution():
 
 
 def test_fused_pair_message_accounting_lands_in_round_records():
-    """Regression for the pre-fusion bug: run_approx_pair recorded the
-    pair's merged traffic outside any round record, misattributing it
+    """Regression for the pre-fusion bug: the exact driver's sandwich pair
+    recorded its merged traffic outside any round record, misattributing it
     under keep_history=True.  The fused path records every message in the
     round that carried it, so the per-round history sums to the totals."""
     n = 256
@@ -369,52 +369,61 @@ def test_exact_driver_simulated_runs_fused_pair_rounds():
     assert result.value == float(np.sort(values)[255])
 
 
-# ---- fused extrema pair ------------------------------------------------------
+# ---- two-lane extrema spreading --------------------------------------------
 
 
 def test_extrema_pair_matches_two_single_runs():
-    from repro.aggregates.extrema import spread_extrema, spread_extrema_pair
+    from repro.aggregates.extrema import spread_extrema
 
     values = RandomSource(12).random(400) * 50.0
     lo = spread_extrema(values, mode="min", rng=1)
     hi = spread_extrema(values, mode="max", rng=2)
-    pair = spread_extrema_pair(values, values, rng=3)
+    pair = spread_extrema(
+        np.column_stack([values, values]), mode=("min", "max"), rng=3
+    )
     assert pair.converged
-    assert float(np.min(pair.lo_values)) == float(np.min(lo.values))
-    assert float(np.max(pair.hi_values)) == float(np.max(hi.values))
-    assert np.all(pair.lo_values == values.min())
-    assert np.all(pair.hi_values == values.max())
-    # fused: one round window instead of two
+    assert pair.values.shape == (400, 2)
+    assert float(np.min(pair.values[:, 0])) == float(np.min(lo.values))
+    assert float(np.max(pair.values[:, 1])) == float(np.max(hi.values))
+    assert np.all(pair.values[:, 0] == values.min())
+    assert np.all(pair.values[:, 1] == values.max())
+    # one round window instead of two
     assert pair.rounds < lo.rounds + hi.rounds
+    # one framing per message, one extra value per extra lane
+    assert pair.metrics.max_message_bits == lo.metrics.max_message_bits + 64
 
 
 def test_extrema_pair_loop_and_vectorized_bit_identical():
-    from repro.aggregates.extrema import ExtremaPairProtocol
+    from repro.aggregates.extrema import ExtremaProtocol
     from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
 
     for mu, seed in ((0.0, 4), (0.3, 5)):
         values = RandomSource(seed).random(97) * 10.0
+        lanes = np.column_stack([values, values])
         failure = mu if mu > 0 else None
         loop = run_protocol_loop(
-            ExtremaPairProtocol(values, values), rng=seed,
+            ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
             env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
         vec = run_protocol_vectorized(
-            ExtremaPairProtocol(values, values), rng=seed,
+            ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
             env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
         assert loop.outputs == vec.outputs
+        assert np.array_equal(loop.outputs_array, vec.outputs_array)
         assert loop.rounds == vec.rounds
         assert loop.metrics.summary() == vec.metrics.summary()
 
 
 def test_extrema_pair_validation():
-    from repro.aggregates.extrema import ExtremaPairProtocol
+    from repro.aggregates.extrema import ExtremaProtocol
 
     with pytest.raises(ConfigurationError):
-        ExtremaPairProtocol([1.0], [2.0])
-    with pytest.raises(ConfigurationError):
-        ExtremaPairProtocol([1.0, 2.0], [1.0, 2.0, 3.0])
+        ExtremaProtocol([[1.0, 2.0]], mode=("min", "max"))
+    with pytest.raises(ConfigurationError, match="modes"):
+        ExtremaProtocol(np.ones((4, 2)), mode=("min", "max", "max"))
+    with pytest.raises(ConfigurationError, match="mode"):
+        ExtremaProtocol(np.ones((4, 2)), mode=("min", "median"))
 
 
 # ---- batched metrics recording ----------------------------------------------

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.aggregates.extrema import spread_extrema, spread_extrema_pair
+from repro.aggregates.extrema import spread_extrema
 from repro.core.exact_quantile import exact_quantile
 from repro.gossip.env import GossipEnv
 from repro.net import net_approximate_quantile
@@ -101,8 +101,13 @@ def _extrema(run, env):
     source = RandomSource(49)
     lo, hi = source.random(301) * 10.0, source.random(301) * 10.0
     if run == "min-max":
-        pair = spread_extrema_pair(lo, hi, rng=19, env=env)
-        return pair.lo_values, pair.hi_values, pair.rounds, pair.metrics.summary()
+        result = spread_extrema(
+            np.column_stack([lo, hi]), mode=("min", "max"), rng=19, env=env
+        )
+        return (
+            result.values[:, 0], result.values[:, 1],
+            result.rounds, result.metrics.summary(),
+        )
     result = spread_extrema(lo, mode=run, rng=19, env=env)
     return result.values, result.rounds, result.metrics.summary()
 
