@@ -4,8 +4,8 @@
 (φ = 0.3).  The runs here aim at φ near 0 and 1, where one side of the
 Step-3 sandwich falls off the distribution and only the other side runs,
 plus φ = 0 and φ = 1 themselves; each is pinned failure-free and under
-μ = 0.3 node failures, on the vectorized engine at n = 2000 and on the
-loop engine at n = 512.  The extrema pins cover min and max spreading
+μ = 0.3 node failures, on the vectorized engine at n = 2000 and on
+both engines at n = 512.  The extrema pins cover min and max spreading
 and a two-lane min/max spreading on both engines, with and without
 failures, and the live backend's quantile query, whose first phase
 brackets the value range with a two-lane min/max spreading.  Each digest
@@ -62,12 +62,23 @@ EXACT_SIDE_PINS = {
     ("loop", 1.0, 0.3): ("5d88c42835e80ba5", 998.7113635876004, 335),
 }
 
+# The vectorized engine on the loop case's inputs (n = 512).
+SMALL_CASE_VECTORIZED_PINS = {
+    (0.0, 0.0): ("662b9f1794b6b5a9", 0.06693515352629298, 428),
+    (0.0, 0.3): ("8dab47c844e24487", 0.06693515352629298, 524),
+    (0.002, 0.0): ("d8504e4f0a4c5add", 0.2951516316959113, 516),
+    (0.002, 0.3): ("7794594b9676aa07", 0.2951516316959113, 522),
+    (0.998, 0.0): ("b250cb0db8d0ed9a", 998.1379607722837, 309),
+    (0.998, 0.3): ("021d47abfa9f04bc", 998.1379607722837, 444),
+    (1.0, 0.0): ("94e3ca837437bf79", 998.7113635876004, 309),
+    (1.0, 0.3): ("371deba9c75779bb", 998.7113635876004, 339),
+}
+
 EXACT_CASES = {"vectorized": (2000, 47, 17), "loop": (512, 48, 18)}
 
 
-@pytest.mark.parametrize("engine,phi,mu", sorted(EXACT_SIDE_PINS))
-def test_one_sided_exact_quantile_pinned(engine, phi, mu):
-    n, value_seed, run_seed = EXACT_CASES[engine]
+def _exact_side(case, engine, phi, mu):
+    n, value_seed, run_seed = EXACT_CASES[case]
     values = RandomSource(value_seed).random(n) * 1000.0
     result = exact_quantile(values, phi=phi, rng=run_seed, env=_env(engine, mu))
     digest = _digest(
@@ -76,7 +87,20 @@ def test_one_sided_exact_quantile_pinned(engine, phi, mu):
         result.final_retries,
         result.metrics.summary(),
     )
-    assert (digest, result.value, result.rounds) == EXACT_SIDE_PINS[engine, phi, mu]
+    return digest, result.value, result.rounds
+
+
+@pytest.mark.parametrize("engine,phi,mu", sorted(EXACT_SIDE_PINS))
+def test_one_sided_exact_quantile_pinned(engine, phi, mu):
+    assert _exact_side(engine, engine, phi, mu) == EXACT_SIDE_PINS[engine, phi, mu]
+
+
+@pytest.mark.parametrize("phi,mu", sorted(SMALL_CASE_VECTORIZED_PINS))
+def test_one_sided_exact_quantile_small_case_vectorized_pinned(phi, mu):
+    assert (
+        _exact_side("loop", "vectorized", phi, mu)
+        == SMALL_CASE_VECTORIZED_PINS[phi, mu]
+    )
 
 
 # ---- extrema spreading ------------------------------------------------------
