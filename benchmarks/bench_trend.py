@@ -16,7 +16,7 @@ Rows are matched on their identity keys (everything that is not a metric:
   ``current < baseline / threshold``.
 
 Checked-in trajectories are regenerated on the maintainer's machine each
-perf-bearing PR, so counts, ratios (``speedup_vs_loop``) and throughput
+perf-bearing PR, so counts, ratios (``speedup*``) and throughput
 rates (``*_per_sec``) are comparable across commits and gate the exit
 code by default.  Raw ``wall_s`` seconds duplicate the rate information
 and are the noisiest metric, so they gate only with ``--include-wall``.

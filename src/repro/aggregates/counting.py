@@ -48,7 +48,9 @@ def count_leq(
     count: the median of all nodes' estimates, rounded (all nodes agree up
     to the push-sum error).
     ``exact`` reports whether *every* node's rounded estimate matches the
-    true count — the condition the w.h.p. analysis guarantees.
+    true count — the condition the w.h.p. analysis guarantees.  NaN in
+    ``values`` or as ``threshold`` has no order and is rejected; ±inf are
+    ordinary values.
 
     The underlying push-sum run is batch-capable; ``env.engine`` selects
     the execution path (``None`` defers to the process-wide default, which
@@ -57,6 +59,8 @@ def count_leq(
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size < 2:
         raise ConfigurationError("values must be a 1-d array of length >= 2")
+    if np.isnan(array).any() or np.isnan(threshold):
+        raise ConfigurationError("values and threshold must not be NaN")
     n = array.size
     indicators = (array <= threshold).astype(float)
     if rounds is None:

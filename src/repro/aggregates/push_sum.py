@@ -57,11 +57,12 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
     Parameters
     ----------
     values:
-        Per-node inputs ``x_v``.
+        Per-node inputs ``x_v``.  NaN is rejected (it would poison every
+        estimate it reaches); ±inf are legal.
     weights:
         Per-node initial weights.  ``None`` means all ones (the estimate
         converges to the average).  For a *sum*, give weight 1 to a single
-        node and 0 to all others.
+        node and 0 to all others.  NaN is rejected.
     rounds:
         Number of rounds to run (a hard budget when ``tolerance`` is set).
     tolerance:
@@ -84,6 +85,8 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         array = np.asarray(values, dtype=float)
         if array.ndim != 1 or array.size < 2:
             raise ConfigurationError("values must be a 1-d array of length >= 2")
+        if np.isnan(array).any():
+            raise ConfigurationError("values must not contain NaN")
         super().__init__(array.size)
         # the packed (s, w) pairs; ``_s`` / ``_w`` are their real / imaginary
         # views
@@ -97,6 +100,8 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
             w = np.asarray(weights, dtype=float)
             if w.shape != (self.n,):
                 raise ConfigurationError("weights must match values in length")
+            if np.isnan(w).any():
+                raise ConfigurationError("weights must not contain NaN")
             if np.any(w < 0) or w.sum() <= 0:
                 raise ConfigurationError("weights must be non-negative with positive sum")
             self._w[:] = w

@@ -76,13 +76,10 @@ exact path" section):
 * **Fast path.**  Every substrate is vectorized: the tournaments run on
   the batched :class:`~repro.gossip.network.GossipNetwork`
   pull surface, extrema/counting on the vectorized gossip engine, and token
-  duplication on the vectorized engine of :mod:`repro.core.tokens` (selected
-  through the global engine default, so ``--engine loop`` restores the
-  scalar reference path).  The vectorized token engine draws its push
-  targets in batches, a different random stream from the loop engine, so
-  seeded runs differ from loop-engine runs in their
-  token placements and round counts while all invariants and the returned
-  quantile are unchanged.  ``env.dtype=float32`` runs the gossip key arrays
+  duplication on the flat token columns of :mod:`repro.core.tokens`.  Every
+  substrate is bit-identical between the loop and vectorized engines, so a
+  seeded run does not depend on ``env.engine`` (or ``--engine``).
+  ``env.dtype=float32`` runs the gossip key arrays
   in single precision — keys are ranks ≤ n, exactly representable in
   float32 below 2²⁴, so the computed quantile is identical while the hot
   ``(n, k, L)`` pull gathers move half the memory.  Exact queries

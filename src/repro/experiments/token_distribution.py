@@ -9,7 +9,7 @@ node (should stay O(1), which is what makes each phase O(1) rounds).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.utils.rand import RandomSource
 COLUMNS = [
     "n",
     "mu",
-    "engine",
     "items",
     "multiplicity",
     "trials",
@@ -39,27 +38,18 @@ def run(
     multiplicity: int = 8,
     trials: int = 3,
     seed: int = 9,
-    engine: Optional[str] = None,
 ) -> List[Dict[str, float]]:
-    """Run experiment E9 and return one row per (n, mu).
-
-    ``engine`` selects the token engine (``"loop"`` / ``"vectorized"``);
-    ``None`` defers to the global engine default, like every other
-    experiment.
-    """
+    """Run experiment E9 and return one row per (n, mu)."""
     rng = RandomSource(seed)
     rows: List[Dict[str, float]] = []
     for n in sizes:
         items = max(1, int(item_fraction * n))
         for mu in mus:
-            env = GossipEnv(
-                failure_model=mu if mu > 0 else None, engine=engine
-            )
+            env = GossipEnv(failure_model=mu if mu > 0 else None)
             phases = []
             rounds = []
             max_tokens = []
             failed = []
-            used_engine = "auto"
             for _ in range(trials):
                 trial_rng = rng.child()
                 item_nodes = trial_rng.choice(
@@ -72,7 +62,6 @@ def run(
                     rng=trial_rng.child(),
                     env=env,
                 )
-                used_engine = result.engine
                 phases.append(result.phases)
                 rounds.append(result.rounds)
                 max_tokens.append(result.max_tokens_per_node)
@@ -81,7 +70,6 @@ def run(
                 {
                     "n": n,
                     "mu": mu,
-                    "engine": used_engine,
                     "items": items,
                     "multiplicity": multiplicity,
                     "trials": trials,

@@ -195,7 +195,7 @@ class TopologyProcessFailures(FailureModel):
 
     Marks every node outside the process's active mask as failed, which lets
     surfaces that understand failures but not topology processes — notably
-    the token engines of :mod:`repro.core.tokens`, whose Section-5 merge
+    the token process of :mod:`repro.core.tokens`, whose Section-5 merge
     machinery keeps a failed pusher's token in place — run under churn while
     conserving aggregate mass.  The process evolves one round per
     ``failure_mask`` call (callers invoke it exactly once per round with

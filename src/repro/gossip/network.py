@@ -350,7 +350,6 @@ class GossipNetwork:
         self,
         k: int = 1,
         label: str = "pull",
-        payload_bits: Optional[int] = None,
         values: Optional[np.ndarray] = None,
     ) -> PullBatch:
         """Execute ``k`` pull rounds and return the pulled snapshot values.
@@ -372,7 +371,7 @@ class GossipNetwork:
             raise ConfigurationError(
                 f"values override must have shape {self._values.shape}"
             )
-        bits = self._message_bits if payload_bits is None else int(payload_bits)
+        bits = self._message_bits
         tracer = get_tracer()
         if tracer.active:
             # One event per pull *batch* (k rounds), not per round: the

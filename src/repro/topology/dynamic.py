@@ -174,7 +174,7 @@ class TopologyProcess(abc.ABC):
         """This process's join/leave schedule viewed as a failure model.
 
         Lets surfaces that understand failures but not topology processes —
-        the token split-and-distribute engines of :mod:`repro.core.tokens` —
+        the token split-and-distribute process of :mod:`repro.core.tokens` —
         run under churn: a departed node "fails" its round, which triggers
         the existing Section-5 merge machinery (a failed push keeps its
         token / its half-pair), conserving aggregate mass.  Note that under

@@ -50,3 +50,17 @@ def test_counting_rounds_logarithmic():
 def test_invalid_inputs():
     with pytest.raises(ConfigurationError):
         count_leq([1.0], threshold=0.5)
+
+
+def test_nan_is_rejected_and_infinities_count():
+    values = np.arange(1.0, 33.0)
+    values[4] = np.nan
+    with pytest.raises(ConfigurationError, match="NaN"):
+        count_leq(values, threshold=10.0, rng=1)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        count_leq(np.arange(1.0, 33.0), threshold=np.nan, rng=1)
+    values[4] = np.inf
+    values[5] = -np.inf
+    result = count_leq(values, threshold=10.0, rng=1)
+    assert result.count == 9  # 1..4, 7..10 and -inf
+    assert result.exact

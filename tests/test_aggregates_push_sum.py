@@ -85,6 +85,17 @@ def test_invalid_inputs():
         PushSumProtocol(np.arange(4.0), rounds=0)
 
 
+@pytest.mark.parametrize("engine", ("loop", "vectorized"))
+def test_nan_is_rejected_and_infinities_are_legal(engine):
+    env = GossipEnv(engine=engine)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        push_sum_average([np.nan, 1.0, 2.0, 3.0] * 8, rng=1, env=env)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        PushSumProtocol(np.arange(4.0), weights=np.array([np.nan, 1.0, 1.0, 1.0]))
+    result = push_sum_average([np.inf, 1.0, 2.0, 3.0] * 8, rng=1, env=env)
+    assert np.all(result.estimates == np.inf)
+
+
 def test_message_bits_constant_per_message():
     protocol = PushSumProtocol(np.arange(16.0), rounds=5)
     bits = protocol.message_bits((1.0, 0.5))

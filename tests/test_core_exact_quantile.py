@@ -1,5 +1,6 @@
 """Tests for the exact φ-quantile algorithm (Theorem 1.1 / Algorithm 3)."""
 
+import dataclasses
 import math
 import signal
 
@@ -199,9 +200,20 @@ def test_simulated_loop_engine_seeded_execution_is_pinned():
     assert result.retries == 0
 
 
+def _exact_run_record(result):
+    return (
+        [dataclasses.asdict(stats) for stats in result.history],
+        result.sandwich_retries,
+        result.final_retries,
+        result.metrics.summary(),
+        result.value,
+        result.rounds,
+    )
+
+
 def test_simulated_fidelity_engine_choice_does_not_change_the_answer():
-    """Loop and vectorized token engines walk different random streams but
-    must both return the exact quantile."""
+    """Forcing the loop or the vectorized engine globally runs the same
+    seeded execution: every substrate is bit-identical between them."""
     from repro.gossip.engine import get_default_engine, set_default_engine
 
     values = np.random.default_rng(3).permutation(1024).astype(float)
@@ -215,7 +227,25 @@ def test_simulated_fidelity_engine_choice_does_not_change_the_answer():
     finally:
         set_default_engine(before)
     assert results["loop"].value == truth
-    assert results["vectorized"].value == truth
+    assert _exact_run_record(results["loop"]) == _exact_run_record(
+        results["vectorized"]
+    )
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.3))
+@pytest.mark.parametrize("phi", (0.0, 0.3, 1.0))
+def test_exact_run_is_engine_invariant(phi, mu):
+    """``env.engine`` changes nothing in a seeded exact run: history, both
+    retry counters, the metrics summary, the value and the rounds."""
+    values = np.random.default_rng(61).permutation(512).astype(float)
+    failure_model = mu if mu > 0 else None
+    loop, vectorized = (
+        exact_quantile(values, phi=phi, rng=23,
+                       env=GossipEnv(failure_model=failure_model, engine=engine))
+        for engine in ("loop", "vectorized")
+    )
+    assert loop.value == empirical_quantile(values, phi)
+    assert _exact_run_record(loop) == _exact_run_record(vectorized)
 
 
 @pytest.mark.parametrize(

@@ -126,15 +126,7 @@ def test_token_distribution_rows():
     rows = token_distribution.run(sizes=(256,), mus=(0.0,), trials=1, seed=9)
     assert len(rows) == 1
     assert rows[0]["max_tokens_per_node"] <= 16
-    assert rows[0]["engine"] == "vectorized"  # the "auto" default
-
-
-def test_token_distribution_engine_axis():
-    loop_rows = token_distribution.run(
-        sizes=(256,), mus=(0.0,), trials=1, seed=9, engine="loop"
-    )
-    assert loop_rows[0]["engine"] == "loop"
-    assert loop_rows[0]["max_tokens_per_node"] <= 16
+    assert "engine" not in rows[0]
 
 
 def test_exact_scale_rows():

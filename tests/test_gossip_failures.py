@@ -209,7 +209,7 @@ def test_topology_process_failures_rejects_wrong_n():
 
 def test_topology_process_failures_replays_on_model_reuse():
     """A second run restarting its round counter must replay the schedule,
-    not continue it — seeded token-engine results stay reproducible when
+    not continue it — seeded token results stay reproducible when
     the same model object is reused."""
     from repro.topology import ChurnProcess
 

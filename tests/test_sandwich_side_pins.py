@@ -52,17 +52,19 @@ EXACT_SIDE_PINS = {
     ("vectorized", 0.998, 0.3): ("d31ee6348c72315b", 998.934366292964, 443),
     ("vectorized", 1.0, 0.0): ("249b29d681d80a2a", 999.9282631809398, 394),
     ("vectorized", 1.0, 0.3): ("e76df55d0242b4e2", 999.9282631809398, 412),
-    ("loop", 0.0, 0.0): ("5061f994542b24e6", 0.06693515352629298, 421),
-    ("loop", 0.0, 0.3): ("9f12cd24baea5a0b", 0.06693515352629298, 471),
-    ("loop", 0.002, 0.0): ("6822e64730e26974", 0.2951516316959113, 452),
-    ("loop", 0.002, 0.3): ("708f067934a31662", 0.2951516316959113, 502),
-    ("loop", 0.998, 0.0): ("ec8fb62e1b29eb2d", 998.1379607722837, 302),
-    ("loop", 0.998, 0.3): ("e7284641616b6b2c", 998.1379607722837, 336),
-    ("loop", 1.0, 0.0): ("cae774a3be00b85a", 998.7113635876004, 307),
-    ("loop", 1.0, 0.3): ("5d88c42835e80ba5", 998.7113635876004, 335),
+    ("loop", 0.0, 0.0): ("662b9f1794b6b5a9", 0.06693515352629298, 428),
+    ("loop", 0.0, 0.3): ("8dab47c844e24487", 0.06693515352629298, 524),
+    ("loop", 0.002, 0.0): ("d8504e4f0a4c5add", 0.2951516316959113, 516),
+    ("loop", 0.002, 0.3): ("7794594b9676aa07", 0.2951516316959113, 522),
+    ("loop", 0.998, 0.0): ("b250cb0db8d0ed9a", 998.1379607722837, 309),
+    ("loop", 0.998, 0.3): ("021d47abfa9f04bc", 998.1379607722837, 444),
+    ("loop", 1.0, 0.0): ("94e3ca837437bf79", 998.7113635876004, 309),
+    ("loop", 1.0, 0.3): ("371deba9c75779bb", 998.7113635876004, 339),
 }
 
-# The vectorized engine on the loop case's inputs (n = 512).
+# The vectorized engine on the loop case's inputs (n = 512).  Every
+# exact-driver substrate is bit-identical between the engines, so the
+# loop entries above carry these same values.
 SMALL_CASE_VECTORIZED_PINS = {
     (0.0, 0.0): ("662b9f1794b6b5a9", 0.06693515352629298, 428),
     (0.0, 0.3): ("8dab47c844e24487", 0.06693515352629298, 524),

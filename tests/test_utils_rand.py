@@ -133,14 +133,13 @@ def test_resample_forbidden_targets_rejects_degenerate_n():
 
 def test_scalar_rejection_pattern_is_gone_from_the_tree():
     """The scalar `while target == node` re-draw pattern must not reappear
-    outside the loop-reference token engine (kept verbatim for
-    bit-identity)."""
+    anywhere in the tree."""
     import pathlib
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     offenders = []
     for path in src.rglob("*.py"):
         text = path.read_text()
-        if "while target ==" in text and path.name != "tokens.py":
+        if "while target ==" in text:
             offenders.append(str(path))
     assert not offenders, offenders
