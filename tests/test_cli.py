@@ -49,6 +49,19 @@ def test_query_exact(tmp_path, capsys):
     assert "exact 0.25-quantile = 64.0" in out
 
 
+def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
+    """The seeded CLI answer line, pinned byte for byte (also checked in CI)."""
+    path = tmp_path / "perm2048.txt"
+    path.write_text(
+        "\n".join(map(str, np.random.default_rng(0).permutation(2048))) + "\n"
+    )
+    assert main(["query", "--input", str(path), "--phi", "0.5",
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "exact 0.5-quantile = 1023.0 (rank 1024 of 2048, 344 gossip rounds)\n"
+    )
+
+
 def test_topology_experiment_command(capsys):
     assert main([
         "topology", "--sizes", "256", "--trials", "1", "--seed", "5",
