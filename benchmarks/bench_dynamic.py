@@ -13,7 +13,7 @@ static baseline.  Usable standalone::
 Emits a machine-readable trajectory (``--json benchmarks/BENCH_dynamic.json``
 by default) that ``bench_trend.py`` diffs across PRs.  ``--smoke`` runs a
 reduced grid with hard end-to-end assertions (mass conservation under
-churn, loop/vectorized agreement); CI runs it on every push.
+churn, asyncio/vectorized agreement); CI runs it on every push.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.aggregates.push_sum import PushSumProtocol
-from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+from repro.gossip.engine import run_protocol_vectorized
 from repro.gossip.env import GossipEnv
+from repro.net import run_protocol_asyncio
 from repro.topology import ChurnProcess, EdgeResamplingProcess, build_topology
 from repro.utils.rand import RandomSource
 
@@ -134,20 +135,22 @@ def smoke(seed: int = 0):
             }
         )
         print(f"smoke: {name:20s} {result.rounds / elapsed:10.1f} rounds/s")
-    # Loop and vectorized engines must agree bit-for-bit under a process.
+    # The vectorized engine must agree bit-for-bit with the per-node
+    # asyncio engine over in-process channels under a process.
     small = 257
     env = GossipEnv(
         topology_process=ChurnProcess(n=small, churn_rate=0.2, rng=seed)
     )
     values = RandomSource(seed).random(small)
-    loop = run_protocol_loop(
+    reference = run_protocol_asyncio(
         PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13, env=env
     )
     vec = run_protocol_vectorized(
         PushSumProtocol(values, rounds=12), rng=seed, max_rounds=13, env=env
     )
-    assert loop.outputs == vec.outputs
-    print("smoke: loop == vectorized under churn OK")
+    assert reference.outputs == vec.outputs
+    assert reference.metrics.summary() == vec.metrics.summary()
+    print("smoke: asyncio == vectorized under churn OK")
     return rows
 
 

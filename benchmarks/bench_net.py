@@ -3,7 +3,8 @@
 Measures rounds/second and RPC round-trip latency quantiles of the same
 push-sum workload on both transports of :mod:`repro.net` — the in-process
 channel transport and real loopback TCP streams — and reports the
-deployment tax relative to the simulated loop engine.  Usable standalone::
+deployment tax relative to the simulated (vectorized) engine.  Usable
+standalone::
 
     PYTHONPATH=src python benchmarks/bench_net.py --sizes 32 128
 
@@ -28,7 +29,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.aggregates.push_sum import PushSumProtocol
-from repro.gossip.engine import run_protocol_loop
+from repro.gossip.engine import run_protocol_vectorized
 from repro.gossip.metrics import NetworkMetrics
 from repro.net import run_protocol_asyncio
 from repro.net.transport import ChannelTransport, TcpTransport
@@ -72,7 +73,7 @@ def _row(transport_name: str, n: int, rounds: int, seed: int, sim_rps: float):
         "rounds": run["result"].rounds,
         "wall_s": run["elapsed"],
         "rounds_per_sec": rps,
-        "slowdown_vs_simulated": sim_rps / rps,
+        "slowdown_vs_vectorized": sim_rps / rps,
         "rpc_calls": int(run["result"].extra["rpc_calls"]),
         "rpc_p50_us": float(np.quantile(latencies, 0.5) * 1e6),
         "rpc_p99_us": float(np.quantile(latencies, 0.99) * 1e6),
@@ -82,7 +83,7 @@ def _row(transport_name: str, n: int, rounds: int, seed: int, sim_rps: float):
 def _simulated_rps(n: int, rounds: int, seed: int) -> float:
     values = RandomSource(seed).random(n) * 100.0
     start = time.perf_counter()
-    result = run_protocol_loop(
+    result = run_protocol_vectorized(
         PushSumProtocol(values, rounds=rounds), rng=seed, max_rounds=rounds + 1
     )
     return result.rounds / (time.perf_counter() - start)
@@ -103,7 +104,7 @@ def smoke(seed: int = 0):
     n, rounds = 32, 10
     values = RandomSource(seed).random(n) * 100.0
     sim_metrics = NetworkMetrics()
-    sim = run_protocol_loop(
+    sim = run_protocol_vectorized(
         PushSumProtocol(values, rounds=rounds), rng=seed,
         metrics=sim_metrics, max_rounds=rounds + 1,
     )
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
                 f"{row['n']:>6}  {row['transport']:<9}  "
                 f"{row['rounds_per_sec']:>10.1f}  "
                 f"{row['rpc_p99_us']:>11.0f}  "
-                f"{row['slowdown_vs_simulated']:>7.1f}x"
+                f"{row['slowdown_vs_vectorized']:>7.1f}x"
             )
 
     json_path = args.json

@@ -12,7 +12,7 @@ responses answer from the round-start snapshot of the informed set — the
 synchronous semantics of the uniform gossip model (see
 :class:`repro.gossip.network.PullBatch`) — which makes the round outcome
 independent of delivery order and lets the vectorized engine reproduce the
-loop engine bit for bit.
+per-node asyncio engine bit for bit.
 """
 
 from __future__ import annotations

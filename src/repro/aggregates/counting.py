@@ -52,9 +52,9 @@ def count_leq(
     ``values`` or as ``threshold`` has no order and is rejected; ±inf are
     ordinary values.
 
-    The underlying push-sum run is batch-capable; ``env.engine`` selects
-    the execution path (``None`` defers to the process-wide default, which
-    dispatches counting to the vectorized engine).
+    The underlying push-sum run goes through
+    :func:`~repro.gossip.engine.run_protocol`, so ``env.engine`` selects
+    the vectorized engine (``None``) or the asyncio one.
     """
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size < 2:

@@ -40,7 +40,7 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
     uniform gossip model (see :class:`repro.gossip.network.PullBatch`).
     Because min/max merges are exact and commutative, a round's outcome is
     independent of delivery order, which is what lets the vectorized engine
-    reproduce the loop engine bit for bit.  NaN has no order and is
+    reproduce the per-node asyncio engine bit for bit.  NaN has no order and is
     rejected; ±inf are ordinary extremes.
     """
 

@@ -159,8 +159,8 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         # an all-alive payload pairs with the full partner array; slicing
         # would only copy it
         targets = partners if half.size == self.n else partners[alive]
-        # ufunc.at accumulates in index order — the same order in which the
-        # loop engine delivers — so repeated targets sum bit-identically; a
+        # ufunc.at accumulates in index order, so repeated targets sum
+        # bit-identically to the per-node asyncio engine's deliveries; a
         # complex add is the two float64 adds of s and w.
         np.add.at(self._sw, targets, half)
 

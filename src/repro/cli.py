@@ -52,12 +52,7 @@ from repro.faults import (
     MessageDuplication,
     ValueCorruption,
 )
-from repro.gossip.engine import (
-    ENGINE_CHOICES,
-    get_default_engine,
-    run_protocol,
-    set_default_engine,
-)
+from repro.gossip.engine import run_protocol
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs import (
@@ -73,11 +68,6 @@ from repro.topology import (
     build_topology,
     validate_topology_flags,
 )
-
-#: Engines a CLI flag may set as the ambient default — the asyncio backend
-#: owns an event loop per run, so it is per-call only (the ``net`` command).
-SIM_ENGINE_CHOICES = tuple(e for e in ENGINE_CHOICES if e != "asyncio")
-
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by the run-something subcommands."""
@@ -117,10 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument(
             "--workers", type=int, default=None,
             help="process-pool size for experiments with parallel trial support",
-        )
-        exp.add_argument(
-            "--engine", choices=SIM_ENGINE_CHOICES, default=None,
-            help="gossip engine: auto (default), loop, or vectorized",
         )
         exp.add_argument(
             "--topology", choices=TOPOLOGY_CHOICES, nargs="+", default=None,
@@ -177,10 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="approximation parameter; omit for the exact algorithm")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
-        "--engine", choices=SIM_ENGINE_CHOICES, default=None,
-        help="gossip engine: auto (default), loop, or vectorized",
-    )
-    query.add_argument(
         "--topology", choices=TOPOLOGY_CHOICES, default=None,
         help="gossip topology for the approximate algorithm "
              "(default: complete graph)",
@@ -222,10 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="per-grid-target accuracy (default eps / 2)",
         )
         command.add_argument("--seed", type=int, default=0)
-        command.add_argument(
-            "--engine", choices=SIM_ENGINE_CHOICES, default=None,
-            help="gossip engine: auto (default), loop, or vectorized",
-        )
         command.add_argument(
             "--dtype", choices=("float64", "float32"), default=None,
             help="gossip value dtype (default float64)",
@@ -326,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--compare", action="store_true",
-        help="also run the simulated loop engine with the same seed and "
+        help="also run the vectorized engine with the same seed and "
              "verify round counts and message/bit totals match",
     )
     net.add_argument(
@@ -692,7 +670,7 @@ def _run_net(args: argparse.Namespace) -> str:
         sim_metrics = NetworkMetrics()
         sim = run_protocol(
             make_protocol(), rng=args.seed, metrics=sim_metrics,
-            raise_on_budget=False, env=GossipEnv(engine="loop"),
+            raise_on_budget=False,
         )
         matches = (
             sim.rounds == result.rounds
@@ -703,7 +681,7 @@ def _run_net(args: argparse.Namespace) -> str:
         elif matches:
             report["parity"] = (
                 f"ok: rounds={sim.rounds}, messages={summary['messages']}, "
-                f"bits={summary['total_bits']} identical on the loop engine"
+                f"bits={summary['total_bits']} identical on the vectorized engine"
             )
         else:
             report["parity"] = (
@@ -798,21 +776,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     service = None
     with use_tracer(tracer) if tracer is not None else nullcontext():
         if args.command in ("query", "ranks", "serve"):
-            # --engine is the ambient default for the run, read by every
-            # engine-consulting substrate underneath.
-            previous_engine = get_default_engine()
-            if args.engine is not None:
-                set_default_engine(args.engine)
-            try:
-                if args.command == "query":
-                    print(_run_query(args))
-                elif args.command == "ranks":
-                    print(_run_ranks(args))
-                else:
-                    text, service = _run_serve(args)
-                    print(text)
-            finally:
-                set_default_engine(previous_engine)
+            if args.command == "query":
+                print(_run_query(args))
+            elif args.command == "ranks":
+                print(_run_ranks(args))
+            else:
+                text, service = _run_serve(args)
+                print(text)
             if args.command == "serve" and args.listen:
                 served = service
 
@@ -844,7 +814,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 run_experiment(
                     args.command,
                     output=args.output,
-                    engine=args.engine,
                     workers=args.workers,
                     **_experiment_kwargs(args),
                 )

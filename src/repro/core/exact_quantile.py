@@ -76,9 +76,7 @@ exact path" section):
 * **Fast path.**  Every substrate is vectorized: the tournaments run on
   the batched :class:`~repro.gossip.network.GossipNetwork`
   pull surface, extrema/counting on the vectorized gossip engine, and token
-  duplication on the flat token columns of :mod:`repro.core.tokens`.  Every
-  substrate is bit-identical between the loop and vectorized engines, so a
-  seeded run does not depend on ``env.engine`` (or ``--engine``).
+  duplication on the flat token columns of :mod:`repro.core.tokens`.
   ``env.dtype=float32`` runs the gossip key arrays
   in single precision — keys are ranks ≤ n, exactly representable in
   float32 below 2²⁴, so the computed quantile is identical while the hot

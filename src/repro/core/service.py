@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Union
@@ -437,15 +438,26 @@ class QuantileService:
 
         The grid answers are *not* recomputed — the drift model prices the
         divergence and the epoch machinery decides when a rebuild pays.
+        ``index`` must be an integer (an integral float is accepted); a
+        fractional index is rejected rather than truncated to a node.
         """
-        if not 0 <= int(index) < self._array.size:
+        if isinstance(index, (float, np.floating)) and float(index).is_integer():
+            node = int(index)
+        else:
+            try:
+                node = operator.index(index)
+            except TypeError:
+                raise ConfigurationError(
+                    f"index must be an integer node index, got {index!r}"
+                ) from None
+        if not 0 <= node < self._array.size:
             raise ConfigurationError(
                 f"index must be in [0, {self._array.size}), got {index}"
             )
         value = float(value)
         if not math.isfinite(value):
             raise ConfigurationError(f"value must be finite, got {value}")
-        self._array[int(index)] = value
+        self._array[node] = value
         self._pending_updates.append(value)
         self._drift_cache = None
         if self._auto_rebuild:
@@ -676,10 +688,14 @@ class QuantileService:
 
         Uses the Corollary-1.5 bracket: the midpoint implied by how many
         grid answers lie below ``value``, accurate to ``eps`` plus the
-        per-lane query accuracy.
+        per-lane query accuracy.  NaN has no rank and is rejected; ±inf
+        are ordinary values, below or above every grid answer.
         """
         started = perf_counter()
-        below = int(np.count_nonzero(self._grid_answers < float(value)))
+        value = float(value)
+        if math.isnan(value):
+            raise ConfigurationError("value must not be NaN: it has no rank")
+        below = int(np.count_nonzero(self._grid_answers < value))
         estimate = float(np.clip((below + 0.5) * self._eps, 0.0, 1.0))
         accuracy = self._eps + self._query_accuracy
         # Rank-of uses the whole ladder, so the *worst* lane drift widens
@@ -691,7 +707,7 @@ class QuantileService:
             accuracy += worst
         answer = QueryAnswer(
             phi=estimate,
-            value=float(value),
+            value=value,
             source="grid",
             accuracy=accuracy,
             degraded=stale,

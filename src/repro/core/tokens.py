@@ -22,9 +22,9 @@ splitting halves weights with array ops, push targets are drawn in one
 batch per round (self-targets re-drawn as a masked batch by
 :func:`repro.utils.rand.draw_targets_excluding`), per-node token counts
 come from ``np.bincount`` and failure merges are boolean-mask updates.
-The process has no engine choice: ``env.engine`` (anything but
-``"asyncio"``, which has no token backend) runs the same code, so a seeded
-run is the same on every engine.
+The process has no engine choice: ``env.engine`` ``None`` or
+``"vectorized"`` runs it, and ``"asyncio"``, which has no token backend,
+is rejected.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _token_failures(env: Optional[GossipEnv]) -> FailureModel:
     env.reject("token distribution", "topology", "topology_process", "faults")
     if env.engine == "asyncio":
         raise ConfigurationError(
-            "token distribution has no asyncio backend; use a simulated engine"
+            "token distribution has no asyncio backend; use the vectorized engine"
         )
     return env.failure_model
 

@@ -20,9 +20,7 @@ every round (:mod:`repro.topology.dynamic`):
 ``--failures topology`` layers position-correlated failures
 (:class:`~repro.gossip.failures.TopologyFailures`, hubs failing more) on
 top of the dynamics.  All trials dispatch through the parallel trial
-executor, so rows are identical for any ``workers`` count, and the
-``--engine`` flag picks the gossip engine (both give identical rows; the
-vectorized engine is the n >= 10^4 workhorse).
+executor, so rows are identical for any ``workers`` count.
 """
 
 from __future__ import annotations

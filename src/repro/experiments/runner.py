@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.analysis.tables import format_table, rows_to_csv
 from repro.exceptions import ConfigurationError
-from repro.gossip.engine import get_default_engine, set_default_engine
 from repro.utils.rand import RandomSource, SeedLike, spawn_rngs
 from repro.utils.views import readonly, readonly_view
 from repro.experiments import (
@@ -190,17 +189,13 @@ def _cleanup_parent_segments() -> None:  # pragma: no cover - exit hook
 atexit.register(_cleanup_parent_segments)
 
 
-def _worker_initializer(engine: str, specs: Tuple[_SharedSpec, ...] = ()) -> None:
-    """Pool initializer: re-apply the engine default, attach shared arrays.
+def _worker_initializer(specs: Tuple[_SharedSpec, ...] = ()) -> None:
+    """Pool initializer: attach shared arrays.
 
-    With the spawn/forkserver start methods a fresh interpreter would
-    otherwise fall back to the "auto" engine default and ignore an
-    ``--engine`` override.  Shared arrays are attached once per worker and
-    handed to every task as read-only keyword arguments, so large value
-    arrays cross the process boundary through shared memory instead of
-    being pickled per trial.
+    Shared arrays are attached once per worker and handed to every task as
+    read-only keyword arguments, so large value arrays cross the process
+    boundary through shared memory instead of being pickled per trial.
     """
-    set_default_engine(engine)
     _WORKER_SHARED_VIEWS.clear()
     import multiprocessing
 
@@ -295,7 +290,7 @@ def run_trials(
         with ProcessPoolExecutor(
             max_workers=min(workers, trials),
             initializer=_worker_initializer,
-            initargs=(get_default_engine(), tuple(specs)),
+            initargs=(tuple(specs),),
         ) as pool:
             if specs:
                 futures = [
@@ -315,7 +310,6 @@ def run_trials(
 def run_experiment(
     name: str,
     output: str = "table",
-    engine: Optional[str] = None,
     workers: Optional[int] = None,
     **kwargs,
 ) -> str:
@@ -328,9 +322,6 @@ def run_experiment(
     output:
         ``"table"`` (aligned text), ``"csv"``, or ``"rows"`` (repr of the raw
         row dictionaries).
-    engine:
-        Optional gossip engine override (``"auto"``, ``"loop"`` or
-        ``"vectorized"``) applied for the duration of the experiment.
     workers:
         Optional process-pool size for experiments whose ``run`` function
         supports parallel trials; asking for parallelism from one that does
@@ -358,14 +349,7 @@ def run_experiment(
             f"experiment {name!r} does not accept parameter(s) {unknown}; "
             f"it takes {sorted(accepted)}"
         )
-    previous_engine = get_default_engine()
-    if engine is not None:
-        set_default_engine(engine)
-    try:
-        rows = spec.run(**kwargs)
-    finally:
-        if engine is not None:
-            set_default_engine(previous_engine)
+    rows = spec.run(**kwargs)
     if output == "rows":
         return repr(rows)
     if output == "csv":

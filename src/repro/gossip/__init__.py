@@ -17,10 +17,10 @@ Two execution surfaces are provided:
   spreading, rumor broadcast, token distribution).  Protocols implementing
   the :class:`~repro.gossip.protocol.BatchGossipProtocol` mixin execute on
   a vectorized engine that runs each round as array gathers/scatters and is
-  bit-identical to the per-node reference loop.
+  bit-identical to the per-node asyncio engine over in-process channels.
 """
 
-from repro.gossip.env import GossipEnv
+from repro.gossip.env import ENGINE_CHOICES, GossipEnv
 from repro.gossip.failures import (
     FailureModel,
     NoFailures,
@@ -43,14 +43,9 @@ from repro.gossip.protocol import (
     GossipProtocol,
 )
 from repro.gossip.engine import (
-    ENGINE_CHOICES,
     EngineResult,
-    get_default_engine,
     run_protocol,
-    run_protocol_loop,
     run_protocol_vectorized,
-    set_default_engine,
-    supports_batch,
 )
 
 __all__ = [
@@ -77,10 +72,6 @@ __all__ = [
     "GossipProtocol",
     "ENGINE_CHOICES",
     "EngineResult",
-    "get_default_engine",
     "run_protocol",
-    "run_protocol_loop",
     "run_protocol_vectorized",
-    "set_default_engine",
-    "supports_batch",
 ]

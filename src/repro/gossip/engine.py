@@ -1,20 +1,18 @@
-"""Synchronous round engines for message-level gossip protocols.
+"""Synchronous round engine for message-level gossip protocols.
 
-Two engines execute the same synchronous-round semantics:
+:func:`run_protocol_vectorized` executes a whole round as numpy array
+gathers/scatters for protocols implementing
+:class:`~repro.gossip.protocol.BatchGossipProtocol`.  Its per-node
+reference is the asyncio engine over the in-process
+:class:`~repro.net.transport.ChannelTransport`
+(:func:`repro.net.runner.run_protocol_asyncio`), which drives the same
+protocol objects one ``act`` / ``serve_pull`` / ``on_receive`` call per
+node per round; the equivalence suite holds the two bit-identical.
 
-* :func:`run_protocol_loop` — the reference engine: a Python loop over the
-  nodes, one :meth:`~repro.gossip.protocol.GossipProtocol.act` /
-  ``on_receive`` call per node per round.  Simple, general, slow.
-* :func:`run_protocol_vectorized` — executes a whole round as numpy array
-  gathers/scatters for protocols implementing
-  :class:`~repro.gossip.protocol.BatchGossipProtocol`.  Bit-identical to
-  the loop engine (the equivalence suite enforces this) and one to two
-  orders of magnitude faster at large ``n``.
-
-:func:`run_protocol` dispatches between them; by default batch-capable
-protocols take the vectorized path.  Both engines draw their randomness
-(failure masks, then partners) through the same calls in the same order,
-so a fixed seed yields the same execution under either engine.
+:func:`run_protocol` dispatches between them: ``env.engine="asyncio"``
+runs the live backend, anything else the vectorized engine.  Both draw
+their randomness (failure masks, then partners) through the shared
+:func:`begin_round`, so a fixed seed yields the same execution on either.
 """
 
 from __future__ import annotations
@@ -24,53 +22,33 @@ from typing import Any, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ConvergenceError, ProtocolError
+from repro.exceptions import ConvergenceError, ProtocolError
 from repro.faults.injectors import FaultInjector
-from repro.gossip.env import ENGINE_CHOICES, GossipEnv, resolve_env
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.failures import FailureModel, NoFailures
-from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
-from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
+from repro.gossip.protocol import BatchAction, BatchGossipProtocol, GossipProtocol
 from repro.obs.tracer import get_tracer
 from repro.topology.dynamic import TopologyProcess, resolve_topology_process
 from repro.utils.views import readonly
 from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
 
-_default_engine = "auto"
 
+def require_batch_protocol(protocol: GossipProtocol) -> None:
+    """Raise unless ``protocol`` implements the batch contract.
 
-def set_default_engine(name: str) -> None:
-    """Set the engine :func:`run_protocol` uses when none is requested.
-
-    ``"auto"`` (the default) picks the vectorized engine for batch-capable
-    protocols and the loop engine otherwise; ``"loop"`` / ``"vectorized"``
-    force one path globally (the CLI's ``--engine`` flag sets this).
+    Every engine requires :class:`BatchGossipProtocol`: the vectorized
+    engine calls its array methods, and the asyncio engine delivers
+    concurrently, which is sound only under its delivery-order
+    independence contract.
     """
-    global _default_engine
-    if name not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; choose from {ENGINE_CHOICES}"
+    if not isinstance(protocol, BatchGossipProtocol):
+        raise ProtocolError(
+            f"protocol {protocol.name!r} does not implement BatchGossipProtocol "
+            "(act_batch / receive_batch and delivery-order independence), "
+            "which every gossip engine requires"
         )
-    if name == "asyncio":
-        raise ConfigurationError(
-            "the asyncio engine cannot be the ambient default (it owns an "
-            "event loop per run); request it per call with "
-            "GossipEnv(engine='asyncio')"
-        )
-    _default_engine = name
-
-
-def get_default_engine() -> str:
-    """The engine name :func:`run_protocol` uses when the env names none."""
-    return _default_engine
-
-
-def supports_batch(protocol: GossipProtocol) -> bool:
-    """Whether ``protocol`` can run on the vectorized engine."""
-    return isinstance(protocol, BatchGossipProtocol) and bool(
-        getattr(protocol, "supports_batch", False)
-    )
 
 
 class EngineResult:
@@ -197,7 +175,7 @@ def begin_round(
     evolution runs on its own private stream), departed nodes are folded
     into the failure mask — they neither act nor, because process samplers
     only return active targets, receive — and the partner draw still
-    consumes the engine's stream, keeping loop and vectorized runs aligned.
+    consumes the engine's stream, keeping vectorized and asyncio runs aligned.
 
     The three robustness inputs compose by OR: a node is out of a round if
     its Section-5 failure mask fires, *or* the topology process marks it
@@ -229,104 +207,6 @@ def begin_round(
     return record, failed, partners
 
 
-def run_protocol_loop(
-    protocol: GossipProtocol,
-    rng: Union[None, int, RandomSource] = None,
-    max_rounds: int = 10_000,
-    metrics: Optional[NetworkMetrics] = None,
-    raise_on_budget: bool = True,
-    on_round: Optional[Callable[[RoundRecord, float], None]] = None,
-    env: Optional[GossipEnv] = None,
-) -> EngineResult:
-    """Run ``protocol`` on the per-node reference engine.
-
-    Parameters
-    ----------
-    protocol:
-        The protocol instance (carries ``n``).
-    rng:
-        Seed or random source for partner selection and failures.
-    max_rounds:
-        Safety budget; exceeded budgets raise :class:`ConvergenceError`
-        (or return ``completed=False`` when ``raise_on_budget`` is False).
-    metrics:
-        Optionally accumulate into an existing metrics object.
-    on_round:
-        Optional per-round observer ``on_round(record, elapsed)`` invoked
-        after each executed round with that round's
-        :class:`~repro.gossip.metrics.RoundRecord` (read it, don't mutate
-        it) and the wall seconds the round took.  Defaults to the ambient
-        tracer's hook (``None`` — free — unless a tracer is installed).
-        Observation only: the hook runs after all of the round's RNG draws,
-        so seeded executions are bit-identical with or without it.
-    env:
-        The :class:`~repro.gossip.env.GossipEnv` (``None`` = the default:
-        no failures, uniform gossip on the complete graph).  Its
-        ``topology`` / ``peer_sampling`` restrict who can contact whom; under
-        its ``topology_process`` nodes outside the per-round active mask
-        neither act nor receive, so their state freezes and conserved
-        aggregates (push-sum mass/weight) are preserved; the act-suppression
-        kinds of its ``faults`` injector (crash-and-restart, message drop)
-        OR into the failure mask.  Failure model, process and injector
-        compose freely because each draws from its own stream (see
-        :func:`begin_round`).  The env is read once, before the first round.
-    """
-    n = protocol.n
-    source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
-    failures, process, faults = env.failure_model, env.topology_process, env.faults
-    hook = on_round if on_round is not None else get_tracer().on_round
-
-    round_index = 0
-    completed = protocol.is_done(round_index)
-    while not completed and round_index < max_rounds:
-        if hook is not None:
-            round_started = perf_counter()
-        record, failed, partners = begin_round(
-            protocol, round_index, n, source, failures, stats, sampler,
-            process, faults,
-        )
-
-        actions: List[Optional[Action]] = [None] * n
-        for node in range(n):
-            if failed[node]:
-                continue
-            action = protocol.act(node, round_index)
-            if not isinstance(action, Action):
-                raise ProtocolError(
-                    f"{protocol.name}: act() must return an Action, got {action!r}"
-                )
-            actions[node] = action
-
-        # Deliveries.  Pushes and pull-responses both count as one message.
-        for node in range(n):
-            action = actions[node]
-            if action is None or action.kind == "idle":
-                continue
-            partner = int(partners[node])
-            if action.kind in ("push", "pushpull"):
-                bits = protocol.message_bits(action.payload)
-                if bits is None:
-                    bits = payload_bits(action.payload, n=n)
-                stats.record_messages(1, int(bits), record)
-                protocol.on_receive(partner, action.payload, node, "push", round_index)
-                protocol.on_send_success(node, round_index)
-            if action.kind in ("pull", "pushpull"):
-                response = protocol.serve_pull(partner, node, round_index)
-                bits = protocol.message_bits(response)
-                if bits is None:
-                    bits = payload_bits(response, n=n)
-                stats.record_messages(1, int(bits), record)
-                protocol.on_receive(node, response, partner, "pull", round_index)
-
-        protocol.end_round(round_index)
-        if hook is not None:
-            hook(record, perf_counter() - round_started)
-        round_index += 1
-        completed = protocol.is_done(round_index)
-
-    return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
-
-
 def run_protocol_vectorized(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource] = None,
@@ -338,21 +218,19 @@ def run_protocol_vectorized(
 ) -> EngineResult:
     """Run a batch-capable protocol one whole round per numpy operation.
 
-    Semantically identical to :func:`run_protocol_loop` — same random
-    stream, same accounting, bit-identical outputs — but each round costs
-    a handful of array operations instead of ``O(n)`` Python calls.
-    ``on_round`` observes rounds exactly as on the loop engine (same
-    record contents, same invocation count), so hook-driven convergence
-    traces are engine-agnostic.  The env's failure model, topology process
-    and fault injector compose exactly as on the loop engine (OR of the
-    three masks, independent streams), so the equivalence holds under any
-    mix.
+    Each round costs a handful of array operations instead of ``O(n)``
+    Python calls, with the same random stream, accounting and outputs as
+    the per-node asyncio engine over channels.  ``max_rounds`` is a safety
+    budget: exceeding it raises :class:`ConvergenceError` (or returns
+    ``completed=False`` when ``raise_on_budget`` is False).  ``on_round``
+    observes each executed round as ``on_round(record, elapsed)`` after
+    all of its RNG draws (default: the ambient tracer's hook), so seeded
+    runs are bit-identical with or without it.  Under the env's
+    ``topology_process`` departed nodes neither act nor receive, so
+    conserved aggregates (push-sum mass/weight) are preserved; failure
+    model, process and fault injector compose as in :func:`begin_round`.
     """
-    if not supports_batch(protocol):
-        raise ProtocolError(
-            f"protocol {protocol.name!r} does not implement the batch API; "
-            "run it on the loop engine instead"
-        )
+    require_batch_protocol(protocol)
     n = protocol.n
     source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
     failures, process, faults = env.failure_model, env.topology_process, env.faults
@@ -423,15 +301,12 @@ def run_protocol(
 ) -> EngineResult:
     """Run ``protocol`` until it reports completion.
 
-    Dispatches to :func:`run_protocol_vectorized` when the protocol is
-    batch-capable (or ``env.engine="vectorized"`` is forced) and to
-    :func:`run_protocol_loop` otherwise.  ``env.engine="asyncio"`` runs the
-    protocol over a live transport (:func:`repro.net.run_protocol_asyncio`,
-    in-process channel by default) — never chosen by ``"auto"``, always an
-    explicit opt-in.  ``env.engine=None`` (and ``env=None``) defers to
-    :func:`get_default_engine`.  The rest of the
+    ``env.engine="asyncio"`` runs the protocol over a live transport
+    (:func:`repro.net.run_protocol_asyncio`, in-process channel by
+    default); ``None`` (and ``env=None``) or ``"vectorized"`` runs
+    :func:`run_protocol_vectorized`.  The rest of the
     :class:`~repro.gossip.env.GossipEnv` is handed to the chosen engine
-    whole (see :func:`run_protocol_loop`).
+    whole (see :func:`run_protocol_vectorized`).
 
     A failure model, a topology process and a fault injector on one env
     compose: a node sits out a round if *any* of them says so — the masks
@@ -440,20 +315,14 @@ def run_protocol(
     seeded streams), so enabling one never perturbs another's schedule.
     ``mu``-style guarantees then apply to the union rate.
     """
-    requested = env.engine if env is not None else None
-    choice = requested if requested is not None else _default_engine
-    if choice == "auto":
-        choice = "vectorized" if supports_batch(protocol) else "loop"
-    if choice == "asyncio":
+    if env is not None and env.engine == "asyncio":
         # Imported lazily: repro.net imports this module for the round
         # scaffolding, so a top-level import would be a cycle.
         from repro.net.runner import run_protocol_asyncio
 
         runner: Callable[..., EngineResult] = run_protocol_asyncio
-    elif choice == "vectorized":
-        runner = run_protocol_vectorized
     else:
-        runner = run_protocol_loop
+        runner = run_protocol_vectorized
     return runner(
         protocol,
         rng=rng,

@@ -31,10 +31,10 @@ from repro.topology.dynamic import TopologyProcess
 from repro.topology.graphs import Topology
 from repro.topology.sampler import PEER_SAMPLING_CHOICES
 
-#: Valid values for the ``engine`` field.  ``"asyncio"`` is the
-#: live-network backend (:mod:`repro.net`): the same protocol objects, each
-#: node a task speaking RPC over a real transport.
-ENGINE_CHOICES = ("auto", "loop", "vectorized", "asyncio")
+#: Valid values for the ``engine`` field (``None`` means vectorized).
+#: ``"asyncio"`` is the live-network backend (:mod:`repro.net`): the same
+#: protocol objects, each node a task speaking RPC over a real transport.
+ENGINE_CHOICES = ("vectorized", "asyncio")
 
 #: Value dtypes a gossip network may run on.  float64 is the default;
 #: float32 halves the memory traffic of the per-round ``(n, k, L)`` gathers
@@ -74,9 +74,8 @@ class GossipEnv:
         Value dtype of the gossip arrays: float64 (default, also for
         ``None``) or float32; normalized to a :class:`numpy.dtype`.
     engine:
-        ``"auto"``/``"loop"``/``"vectorized"``/``"asyncio"``, or ``None``
-        to defer to :func:`repro.gossip.engine.get_default_engine` at run
-        time.
+        ``"vectorized"`` (also for ``None``) or ``"asyncio"``, the
+        per-node live backend.
 
     The process and the injector are stateful and the env only carries
     them: every run restarts the process, while the injector's stream runs
@@ -105,6 +104,12 @@ class GossipEnv:
                 f"unsupported value dtype {dtype}; choose float32 or float64"
             )
         object.__setattr__(self, "dtype", dtype)
+        if self.engine in ("loop", "auto"):
+            raise ConfigurationError(
+                f"engine {self.engine!r} was removed: use None or 'vectorized' "
+                "(the default engine), or engine='asyncio' for the per-node "
+                "reference"
+            )
         if self.engine is not None and self.engine not in ENGINE_CHOICES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_CHOICES}"

@@ -1,9 +1,11 @@
 """Protocol abstraction for the message-level gossip engine.
 
 Protocols that need richer per-node state than a single value (push-sum,
-extrema spreading, rumor broadcast) implement :class:`GossipProtocol`.  The
-engine (:mod:`repro.gossip.engine`) drives the synchronous rounds, selects
-uniform partners, applies the failure model and performs the accounting.
+extrema spreading, rumor broadcast) implement :class:`GossipProtocol` and
+:class:`BatchGossipProtocol`.  The engines (:mod:`repro.gossip.engine`)
+drive the synchronous rounds, select uniform partners, apply the failure
+model and perform the accounting: the vectorized engine through the batch
+methods, the asyncio engine (:mod:`repro.net`) through the per-node ones.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class Action:
 class GossipProtocol(abc.ABC):
     """Base class for message-level gossip protocols.
 
-    The engine calls, in order and once per round:
+    The per-node engine (asyncio, :mod:`repro.net.runner`) calls, in order
+    and once per round:
 
     1. :meth:`act` for every node that did not fail, collecting actions;
     2. delivery: pushes are delivered via :meth:`on_receive`; pulls are
@@ -101,7 +104,7 @@ class GossipProtocol(abc.ABC):
         """A node's push could not be delivered (dead peer, lost frame).
 
         Only the live backend (:mod:`repro.net`) can observe this — on the
-        simulated engines a push either happens or the node sat the round
+        vectorized engine a push either happens or the node sat the round
         out.  The default is the Section-5 "keep your half" rule: the
         undeliverable payload is re-merged into the sender itself, so
         conserved quantities (push-sum mass and weight) survive peers dying
@@ -192,7 +195,7 @@ class BatchAction:
 
 
 class BatchGossipProtocol:
-    """Mixin marking a :class:`GossipProtocol` as vectorized-engine capable.
+    """The batch contract every engine requires of a :class:`GossipProtocol`.
 
     A batch-capable protocol implements one synchronous round as two array
     operations, mirroring the ``PullBatch`` gather idiom of
@@ -206,15 +209,14 @@ class BatchGossipProtocol:
        round-start snapshot.
 
     Implementations must be *delivery-order independent* so that the
-    vectorized round is bit-identical to the sequential loop engine: merge
-    operators must be exact and commutative (min/max), or the protocol must
-    scatter with :func:`numpy.ufunc.at` which accumulates in index order —
-    the same order in which the loop engine delivers.  The equivalence suite
-    (``tests/test_engine_equivalence.py``) locks this contract down.
+    vectorized round is bit-identical to the per-node asyncio engine over
+    in-process channels (:func:`repro.net.runner.run_protocol_asyncio`),
+    which delivers concurrently: merge operators must be exact and
+    commutative (min/max), or the protocol must scatter with
+    :func:`numpy.ufunc.at`, which accumulates in index order.  Every engine
+    requires this contract; the equivalence suite
+    (``tests/test_engine_equivalence.py``) locks it down.
     """
-
-    #: Flipping this to False opts a subclass out of vectorized dispatch.
-    supports_batch: bool = True
 
     def act_batch(self, round_index: int, alive: ReadOnlyArray) -> BatchAction:
         """Vectorized :meth:`GossipProtocol.act` over all alive nodes.

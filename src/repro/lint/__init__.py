@@ -1,6 +1,6 @@
 """repro.lint — AST-based determinism & contract linter.
 
-Every replayability guarantee the reproduction advertises (loop ≡
+Every replayability guarantee the reproduction advertises (asyncio ≡
 vectorized engine equivalence, sha256 stream pins, bit-for-bit fault
 replay) rests on coding conventions: seeded private RNG streams, stable
 sorts, and read-only shared-memory views.  This package enforces those

@@ -3,7 +3,7 @@
 :class:`repro.faults.FaultInjector` and the
 :class:`repro.topology.dynamic.TopologyProcess` subclasses document a
 replay contract: ``begin()`` replays the identical schedule on every
-run, which is what keeps loop and vectorized executions bit-identical
+run, which is what keeps vectorized and asyncio executions bit-identical
 and seeded chaos replayable.  That only works if the subsystem derives a
 private ``SeedSequence`` at construction time and rebuilds its generator
 from it — storing the *caller's* generator (or drawing from it during

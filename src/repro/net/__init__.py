@@ -1,6 +1,6 @@
 """Real-network asyncio backend: the same protocols, live transports.
 
-The simulated engines (:mod:`repro.gossip.engine`) execute synchronous
+The vectorized engine (:mod:`repro.gossip.engine`) executes synchronous
 gossip rounds as function calls.  This package executes the *same*
 :class:`~repro.gossip.protocol.GossipProtocol` implementations — push-sum,
 counting, extrema — over real message passing: every node is an asyncio
@@ -11,11 +11,11 @@ tests, loopback TCP streams by default for deployment realism).
 The protocol/transport split is the architectural contract: protocols
 never see the transport, transports never see protocol state, and the
 round scaffolding (partner draws, failure masks, message accounting) is
-shared with the simulated engines — which is what makes the simulated ≡
+shared with the vectorized engine — which is what makes the simulated ≡
 deployed equivalence suite possible (``tests/test_net_equivalence.py``
 pins round counts and :class:`~repro.gossip.metrics.NetworkMetrics`
-message/bit totals of ``engine="asyncio"`` runs against the loop and
-vectorized engines).
+message/bit totals of ``engine="asyncio"`` runs against the vectorized
+engine).
 
 The robustness layer ships as first-class subsystems:
 

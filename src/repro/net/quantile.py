@@ -2,7 +2,7 @@
 
 :func:`net_approximate_quantile` answers an ε-approximate φ-quantile query
 entirely over a live :class:`~repro.net.transport.Transport`, composing two
-gossip primitives the simulated engines already ship:
+gossip primitives the vectorized engine already runs:
 
 1. one two-lane :class:`~repro.aggregates.extrema.ExtremaProtocol` run
    (a min lane and a max lane, both working values in every message)

@@ -1,22 +1,25 @@
 """The asyncio round engine: simulated semantics over a real transport.
 
-:func:`run_protocol_asyncio` is the third engine behind
-:func:`repro.gossip.engine.run_protocol` (``engine="asyncio"``).  It runs
+:func:`run_protocol_asyncio` is the per-node engine behind
+:func:`repro.gossip.engine.run_protocol` (``engine="asyncio"``) and, over
+the in-process channel transport, the reference the vectorized engine is
+held bit-identical to.  It runs
 the *same* :class:`~repro.gossip.protocol.GossipProtocol` implementations,
 unmodified, with every node's round executed by its own asyncio task
 speaking push / pull / push-pull RPC through a
 :class:`~repro.net.transport.Transport`.
 
-Equivalence with the simulated engines is by construction, not by luck:
+Equivalence with the vectorized engine is by construction, not by luck:
 
 * the round prologue — metrics record, failure mask, partner draw — is the
-  engines' shared :func:`~repro.gossip.engine.begin_round`, so the engine
+  vectorized engine's :func:`~repro.gossip.engine.begin_round`, so the engine
   random stream is consumed identically and round counts match;
-* message/bit accounting applies the loop engine's exact formulas (one
-  message per push and per pull *response*, ``protocol.message_bits`` with
-  the ``payload_bits`` fallback), so ``NetworkMetrics`` totals match;
+* message/bit accounting is one message per push and per pull
+  *response*, sized by ``protocol.message_bits`` with the ``payload_bits``
+  fallback — the per-message sizes the vectorized engine charges in bulk —
+  so ``NetworkMetrics`` totals match;
 * rounds are synchronous: all acts happen before any delivery (a barrier,
-  as in the simulated engines), then delivery tasks run concurrently.
+  as in the vectorized engine), then delivery tasks run concurrently.
   Concurrent delivery is why the backend requires the delivery-order
   independence contract that :class:`~repro.gossip.protocol.
   BatchGossipProtocol` marks — the same contract the vectorized engine
@@ -27,8 +30,8 @@ kills the node's endpoint for its downtime (callers get connection
 refused), ``drop`` loses the frame in flight, ``delay`` holds the write,
 ``corrupt`` scales the payload in flight, ``duplicate`` delivers (and
 charges) the frame twice.  The injector's private stream is consumed one
-draw per round exactly as on the simulated engines, so a seeded chaos
-schedule replays bit-for-bit across all three engines.  Two documented
+draw per round exactly as on the vectorized engine, so a seeded chaos
+schedule replays bit-for-bit across both engines.  Two documented
 deviations from the simulated fault semantics: a dropped frame here is
 *sent and lost* (the sender still acted) rather than act-suppressed, and
 a crash-restart does not reset values (state restoration is a storage
@@ -57,7 +60,7 @@ from repro.gossip.engine import (
     begin_round,
     begin_run,
     finish_run,
-    supports_batch,
+    require_batch_protocol,
     EngineResult,
 )
 from repro.gossip.env import GossipEnv
@@ -92,7 +95,7 @@ class _NodeHost:
     """Per-run server side: answers push / pull / ping / ping-req frames.
 
     One instance serves every node (the handler receives the destination
-    id), mirroring how the simulated engines hold all node state in one
+    id), mirroring how the vectorized engine holds all node state in one
     protocol object; the per-node identity lives in the frames.
     """
 
@@ -154,12 +157,7 @@ async def arun_protocol(
     delay_unit_s: float = 0.005,
 ) -> EngineResult:
     """Async body of :func:`run_protocol_asyncio` (compose with servers)."""
-    if not supports_batch(protocol):
-        raise ProtocolError(
-            f"protocol {protocol.name!r} does not declare the delivery-order "
-            "independence contract (BatchGossipProtocol) the asyncio engine "
-            "requires; run it on the loop engine instead"
-        )
+    require_batch_protocol(protocol)
     n = protocol.n
     # Validate the run inputs before any endpoint opens.
     source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
@@ -228,7 +226,7 @@ async def arun_protocol(
                 )
             except RpcError:
                 # The pull went unanswered: the node keeps its prior value,
-                # exactly what a failed pull means on the simulated engines.
+                # exactly what a failed pull means on the vectorized engine.
                 lost += 1
             else:
                 response = reply["payload"]
@@ -271,7 +269,7 @@ async def arun_protocol(
                     stats.record_failures(extra_failed, record)
 
             # Act barrier: every live node's act-phase state transition
-            # happens before any delivery, as in the simulated engines.
+            # happens before any delivery, as in the vectorized engine.
             actions: List[Optional[Action]] = [None] * n
             for node in range(n):
                 if failed[node] or node in down:
@@ -343,7 +341,7 @@ def run_protocol_asyncio(
 ) -> EngineResult:
     """Run ``protocol`` over a live transport; the ``engine="asyncio"`` path.
 
-    Accepts every :func:`~repro.gossip.engine.run_protocol_loop` parameter
+    Accepts every :func:`~repro.gossip.engine.run_protocol_vectorized` parameter
     plus the net-specific knobs: ``transport`` (``None``/"channel" for the
     in-process transport, ``"tcp"`` for loopback TCP, or a reusable
     :class:`~repro.net.transport.Transport` instance whose kill state

@@ -140,7 +140,7 @@ class ChannelTransport(Transport):
     One cooperative yield per call keeps scheduling fair (a node cannot
     starve the loop by serving a burst of frames synchronously), but there
     is no serialization — payloads cross by reference, exactly like the
-    simulated engines.  Handlers run inside the caller's await, so per-call
+    vectorized engine.  Handlers run inside the caller's await, so per-call
     work is serialized by the event loop and protocol state needs no locks.
     """
 

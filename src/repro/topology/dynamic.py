@@ -32,7 +32,7 @@ Two design rules keep the engines deterministic and comparable:
    construction, replayed identically by every :meth:`TopologyProcess.begin`)
    that drives only the topology evolution.  Partner draws still consume the
    *engine's* stream through the per-round sampler, exactly like the static
-   path — so the loop and vectorized engines see identical schedules and
+   path — so the vectorized and asyncio engines see identical schedules and
    stay bit-identical to each other under any process.
 2. **Active targets only.**  Samplers returned by ``round_state`` never
    select an inactive partner, so departed nodes cannot absorb mass.  A node
@@ -134,7 +134,7 @@ class TopologyProcess(abc.ABC):
 
     Subclasses evolve internal state from a private random stream fixed at
     construction time.  :meth:`begin` replays that stream from its start, so
-    one instance can be run repeatedly (e.g. once on the loop engine and
+    one instance can be run repeatedly (e.g. once on the asyncio engine and
     once on the vectorized engine) and always yields the same schedule.
     """
 

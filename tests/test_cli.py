@@ -62,6 +62,22 @@ def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "--phi", "0.5"], ["ranks"], ["serve", "--phi", "0.5"],
+    ["approx-rounds"],
+], ids=lambda command: command[0])
+def test_engine_flag_is_no_longer_accepted(tmp_path, capsys, command):
+    path = tmp_path / "values.txt"
+    np.savetxt(path, np.arange(1.0, 65.0))
+    args = command + ["--engine", "vectorized"]
+    if command[0] != "approx-rounds":
+        args += ["--input", str(path)]
+    with pytest.raises(SystemExit) as raised:
+        main(args)
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 def test_topology_experiment_command(capsys):
     assert main([
         "topology", "--sizes", "256", "--trials", "1", "--seed", "5",
@@ -107,7 +123,7 @@ def test_churn_experiment_command(capsys):
     assert main([
         "churn", "--sizes", "128", "--trials", "1", "--seed", "5",
         "--topology", "complete", "--churn-rate", "0.1",
-        "--resample-every", "4", "--engine", "vectorized",
+        "--resample-every", "4",
     ]) == 0
     out = capsys.readouterr().out
     assert "churn_rate" in out
@@ -239,14 +255,13 @@ def test_ranks_sequential_mode_runs_one_pass_per_target(tmp_path, capsys):
     assert "4 grid targets in 4 single-lane tournament run(s)" in out
 
 
-def test_ranks_on_topology_with_dtype_and_engine(tmp_path, capsys):
+def test_ranks_on_topology_with_dtype(tmp_path, capsys):
     values = np.arange(1.0, 257.0)
     path = tmp_path / "values.txt"
     np.savetxt(path, values)
     assert main(["ranks", "--input", str(path), "--eps", "0.2", "--seed", "4",
                  "--topology", "small-world", "--degree", "8",
-                 "--rewire-p", "0.2", "--dtype", "float32",
-                 "--engine", "vectorized"]) == 0
+                 "--rewire-p", "0.2", "--dtype", "float32"]) == 0
     out = capsys.readouterr().out
     assert "on small-world" in out
 

@@ -172,10 +172,11 @@ def test_simulated_fidelity_exact_at_scale():
     assert result.rounds > 0
 
 
-def test_simulated_loop_engine_seeded_execution_is_pinned():
-    """With the loop engines forced globally, the simulated driver must
-    reproduce this pinned seeded execution exactly (value, rounds,
-    iterations and retries).
+def test_simulated_seeded_execution_is_pinned():
+    """The simulated driver must reproduce this pinned seeded execution
+    exactly (value, rounds, iterations and retries).  The pin was first
+    recorded with the per-node loop engine forced; the default engine
+    lands on it too.
 
     The pin was re-baselined when the Step-3 sandwich pair and the Step-4
     min/max spreadings became fused runs (a documented deviation: each
@@ -185,15 +186,8 @@ def test_simulated_loop_engine_seeded_execution_is_pinned():
     retries), and again when the final query started aiming at the middle
     of the answer's block of copies with an accuracy sized from the block
     (427 rounds before, same value, iterations and retries)."""
-    from repro.gossip.engine import get_default_engine, set_default_engine
-
     values = np.random.default_rng(42).permutation(512).astype(float)
-    before = get_default_engine()
-    set_default_engine("loop")
-    try:
-        result = exact_quantile(values, phi=0.7, rng=11)
-    finally:
-        set_default_engine(before)
+    result = exact_quantile(values, phi=0.7, rng=11)
     assert result.value == 358.0
     assert result.rounds == 418
     assert result.iterations == 3
@@ -211,51 +205,30 @@ def _exact_run_record(result):
     )
 
 
-def test_simulated_fidelity_engine_choice_does_not_change_the_answer():
-    """Forcing the loop or the vectorized engine globally runs the same
-    seeded execution: every substrate is bit-identical between them."""
-    from repro.gossip.engine import get_default_engine, set_default_engine
-
-    values = np.random.default_rng(3).permutation(1024).astype(float)
-    truth = empirical_quantile(values, 0.4)
-    before = get_default_engine()
-    results = {}
-    try:
-        for engine in ("loop", "vectorized"):
-            set_default_engine(engine)
-            results[engine] = exact_quantile(values, phi=0.4, rng=19)
-    finally:
-        set_default_engine(before)
-    assert results["loop"].value == truth
-    assert _exact_run_record(results["loop"]) == _exact_run_record(
-        results["vectorized"]
-    )
-
-
 @pytest.mark.parametrize("mu", (0.0, 0.3))
 @pytest.mark.parametrize("phi", (0.0, 0.3, 1.0))
 def test_exact_run_is_engine_invariant(phi, mu):
-    """``env.engine`` changes nothing in a seeded exact run: history, both
-    retry counters, the metrics summary, the value and the rounds."""
+    """``env.engine`` ``None`` and ``"vectorized"`` run the same seeded
+    exact execution: history, both retry counters, the metrics summary,
+    the value and the rounds."""
     values = np.random.default_rng(61).permutation(512).astype(float)
     failure_model = mu if mu > 0 else None
-    loop, vectorized = (
+    default, vectorized = (
         exact_quantile(values, phi=phi, rng=23,
                        env=GossipEnv(failure_model=failure_model, engine=engine))
-        for engine in ("loop", "vectorized")
+        for engine in (None, "vectorized")
     )
-    assert loop.value == empirical_quantile(values, phi)
-    assert _exact_run_record(loop) == _exact_run_record(vectorized)
+    assert default.value == empirical_quantile(values, phi)
+    assert _exact_run_record(default) == _exact_run_record(vectorized)
 
 
 @pytest.mark.parametrize(
     "env",
     [
-        GossipEnv(engine="loop"),
         GossipEnv(engine="vectorized"),
         GossipEnv(failure_model=0.15),
     ],
-    ids=["loop", "vectorized", "failures"],
+    ids=["vectorized", "failures"],
 )
 def test_every_reported_round_was_executed(monkeypatch, env):
     """No sub-step is priced with charged rounds: every round in the

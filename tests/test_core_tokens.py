@@ -123,13 +123,11 @@ def test_non_integer_item_nodes_are_rejected():
     assert np.array_equal(as_floats.owners, as_ints.owners)
 
 
-# ---- one process on every simulated engine ----------------------------------
+# ---- one process, on the vectorized engine only ------------------------------
 
 
 @pytest.mark.parametrize("mu", (0.0, 0.3))
 def test_engine_choice_does_not_change_the_run(mu):
-    from repro.gossip.engine import get_default_engine, set_default_engine
-
     def run(engine):
         result = distribute_tokens(
             list(range(5)), multiplicity=4, n=64, rng=1,
@@ -138,15 +136,7 @@ def test_engine_choice_does_not_change_the_run(mu):
         return (result.owners.tolist(), result.phases, result.rounds,
                 result.failed_pushes, result.metrics.summary())
 
-    reference = run(None)
-    for engine in ("auto", "loop", "vectorized"):
-        assert run(engine) == reference
-    before = get_default_engine()
-    try:
-        set_default_engine("loop")  # the ambient default `--engine` sets
-        assert run(None) == reference
-    finally:
-        set_default_engine(before)
+    assert run("vectorized") == run(None)
     with pytest.raises(ConfigurationError, match="asyncio"):
         distribute_tokens(list(range(5)), multiplicity=4, n=64,
                           env=GossipEnv(engine="asyncio"))

@@ -1,11 +1,14 @@
 """Engine-equivalence suite: the vectorized engine must be bit-identical
-to the per-node reference loop for every batch-capable protocol.
+to the per-node reference — the asyncio engine over in-process channels —
+for every batch-capable protocol.
 
 For each protocol, both engines run from identical seeds across a grid of
 network sizes and failure rates; outputs, round counts, message counts,
 bit totals and the full per-round metric history must match exactly — not
 approximately.  This is the contract that lets the rest of the library
-dispatch to the vectorized path blindly.
+dispatch to the vectorized path blindly.  Where the asyncio engine
+deliberately differs (drop and crash faults act at its transport), the
+vectorized engine is pinned absolutely instead.
 """
 
 import numpy as np
@@ -16,14 +19,9 @@ from repro.aggregates.counting import count_leq
 from repro.aggregates.extrema import ExtremaProtocol, spread_extrema
 from repro.aggregates.push_sum import PushSumProtocol, push_sum_average, push_sum_sum
 from repro.exceptions import ProtocolError
-from repro.gossip.engine import (
-    run_protocol,
-    run_protocol_loop,
-    run_protocol_vectorized,
-    supports_batch,
-)
+from repro.gossip.engine import run_protocol, run_protocol_vectorized
 from repro.gossip.env import GossipEnv
-from repro.gossip.protocol import BatchAction, BatchGossipProtocol
+from repro.gossip.protocol import Action, BatchAction, GossipProtocol
 from repro.topology import random_regular, ring, watts_strogatz
 from repro.utils.rand import RandomSource
 
@@ -71,29 +69,30 @@ GRID = [
 
 
 def _run_both(factory, n, mu, seed, topology_factory=None, peer_sampling="uniform"):
-    def env():
+    def env(engine=None):
         return GossipEnv(
             failure_model=mu if mu > 0 else None,
             topology=topology_factory(n) if topology_factory else None,
             peer_sampling=peer_sampling,
+            engine=engine,
         )
 
-    loop = run_protocol_loop(
-        factory(n, seed), rng=seed, raise_on_budget=False, env=env()
+    reference = run_protocol(
+        factory(n, seed), rng=seed, raise_on_budget=False, env=env("asyncio")
     )
     vec = run_protocol_vectorized(
         factory(n, seed), rng=seed, raise_on_budget=False, env=env()
     )
-    return loop, vec
+    return reference, vec
 
 
-def _assert_identical(loop, vec):
-    assert loop.outputs == vec.outputs  # exact, not approximate
-    assert loop.rounds == vec.rounds
-    assert loop.completed == vec.completed
-    assert loop.metrics.summary() == vec.metrics.summary()
-    assert len(loop.metrics.history) == len(vec.metrics.history)
-    for a, b in zip(loop.metrics.history, vec.metrics.history):
+def _assert_identical(reference, vec):
+    assert reference.outputs == vec.outputs  # exact, not approximate
+    assert reference.rounds == vec.rounds
+    assert reference.completed == vec.completed
+    assert reference.metrics.summary() == vec.metrics.summary()
+    assert len(reference.metrics.history) == len(vec.metrics.history)
+    for a, b in zip(reference.metrics.history, vec.metrics.history):
         assert (a.round_index, a.label) == (b.round_index, b.label)
         assert a.messages == b.messages
         assert a.bits == b.bits
@@ -103,9 +102,9 @@ def _assert_identical(loop, vec):
 
 @pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("n,mu,seed", GRID)
-def test_loop_and_vectorized_engines_are_bit_identical(factory, n, mu, seed):
-    loop, vec = _run_both(factory, n, mu, seed)
-    _assert_identical(loop, vec)
+def test_vectorized_engine_matches_asyncio_reference(factory, n, mu, seed):
+    reference, vec = _run_both(factory, n, mu, seed)
+    _assert_identical(reference, vec)
 
 
 TOPOLOGY_FACTORIES = [
@@ -124,11 +123,11 @@ def test_engines_bit_identical_on_sparse_topologies(
     factory, topology_factory, peer_sampling
 ):
     """The equivalence contract holds on every topology, not just complete."""
-    loop, vec = _run_both(
+    reference, vec = _run_both(
         factory, 96, 0.25, 7,
         topology_factory=topology_factory, peer_sampling=peer_sampling,
     )
-    _assert_identical(loop, vec)
+    _assert_identical(reference, vec)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.4])
@@ -136,7 +135,7 @@ def test_count_leq_identical_across_engines(mu):
     values = _values(80, seed=5)
     failure = mu if mu > 0 else None
     a = count_leq(values, threshold=50.0, rng=3,
-                  env=GossipEnv(failure_model=failure, engine="loop"))
+                  env=GossipEnv(failure_model=failure, engine="asyncio"))
     b = count_leq(
         values, threshold=50.0, rng=3,
         env=GossipEnv(failure_model=failure, engine="vectorized")
@@ -155,7 +154,7 @@ def test_wrapper_functions_identical_across_engines():
         (push_sum_sum, {}),
         (spread_extrema, {"mode": "min"}),
     ]:
-        a = fn(values, rng=4, env=GossipEnv(engine="loop"), **kwargs)
+        a = fn(values, rng=4, env=GossipEnv(engine="asyncio"), **kwargs)
         b = fn(values, rng=4, env=GossipEnv(engine="vectorized"), **kwargs)
         first = a.estimates if hasattr(a, "estimates") else a.values
         second = b.estimates if hasattr(b, "estimates") else b.values
@@ -164,39 +163,36 @@ def test_wrapper_functions_identical_across_engines():
         assert a.metrics.summary() == b.metrics.summary()
 
 
-def test_auto_dispatch_selects_vectorized_for_batch_protocols():
-    protocol = make_push_sum(32, seed=1)
-    assert supports_batch(protocol)
-    auto = run_protocol(make_push_sum(32, seed=1), rng=2, env=GossipEnv(engine="auto"))
+def test_default_dispatch_runs_the_vectorized_engine():
     vec = run_protocol_vectorized(make_push_sum(32, seed=1), rng=2)
-    assert auto.outputs == vec.outputs
-    assert auto.metrics.summary() == vec.metrics.summary()
+    for env in (None, GossipEnv(), GossipEnv(engine="vectorized")):
+        result = run_protocol(make_push_sum(32, seed=1), rng=2, env=env)
+        assert result.outputs == vec.outputs
+        assert result.metrics.summary() == vec.metrics.summary()
 
 
-def test_vectorized_engine_rejects_loop_only_protocols():
-    class LoopOnly(PushSumProtocol):
-        """A protocol that never implemented the batch API."""
+class _PerNodeOnly(GossipProtocol):
+    """A protocol that never implemented the batch contract."""
 
-        supports_batch = False
+    name = "per-node-only"
 
-    protocol = LoopOnly(_values(16, seed=4), rounds=3)
-    assert not supports_batch(protocol)
-    with pytest.raises(ProtocolError):
-        run_protocol_vectorized(protocol, rng=0)
-    # auto dispatch falls back to the loop engine without error
-    result = run_protocol(LoopOnly(_values(16, seed=4), rounds=3), rng=0,
-                          env=GossipEnv(engine="auto"), raise_on_budget=False)
-    assert result.rounds > 0
+    def act(self, node, round_index):
+        return Action.push(1.0)
+
+    def on_receive(self, node, payload, sender, kind, round_index):
+        pass
+
+    def is_done(self, round_index):
+        return round_index >= 2
+
+    def outputs(self):
+        return [0.0] * self.n
 
 
-def test_opting_out_of_batch_support_falls_back_to_loop():
-    class OptedOut(PushSumProtocol):
-        supports_batch = False
-
-    protocol = OptedOut(_values(16, seed=2), rounds=5)
-    assert not supports_batch(protocol)
-    with pytest.raises(ProtocolError):
-        run_protocol_vectorized(protocol, rng=1)
+@pytest.mark.parametrize("engine", [None, "vectorized", "asyncio"])
+def test_plain_gossip_protocol_is_rejected_on_every_engine(engine):
+    with pytest.raises(ProtocolError, match="BatchGossipProtocol"):
+        run_protocol(_PerNodeOnly(8), rng=0, env=GossipEnv(engine=engine))
 
 
 def test_batch_action_validation():
@@ -555,12 +551,13 @@ def _run_digest(result):
 @pytest.mark.parametrize("factory", [make_push_sum, make_extrema_max],
                          ids=lambda f: f.__name__)
 def test_engines_bit_identical_under_composed_robustness_inputs(factory):
-    """failures | topology_process | faults compose by OR on both engines.
+    """failures | topology_process | faults compose by OR, pinned absolutely.
 
     Each of the three robustness inputs draws from its own stream (engine
-    stream, process stream, injector stream), so composing all three keeps
-    loop and vectorized execution bit-identical — the strongest form of
-    the composition contract documented on run_protocol.
+    stream, process stream, injector stream).  The asyncio engine applies
+    drop and crash faults at its transport, so it is no reference here:
+    the vectorized run is held to digests that the per-node loop engine
+    also produced when it still existed.
     """
     from repro.faults import CrashRestart, FaultInjector, MessageDrop
     from repro.topology import ChurnProcess
@@ -577,13 +574,9 @@ def test_engines_bit_identical_under_composed_robustness_inputs(factory):
             ),
         )
 
-    loop = run_protocol_loop(
-        factory(n, seed), rng=seed, raise_on_budget=False, env=robustness_env()
-    )
     vec = run_protocol_vectorized(
         factory(n, seed), rng=seed, raise_on_budget=False, env=robustness_env()
     )
-    _assert_identical(loop, vec)
     assert _run_digest(vec) == COMPOSED_ROBUSTNESS_PINS[factory.__name__]
 
 

@@ -8,10 +8,16 @@ import pytest
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.gossip.engine import run_protocol
 from repro.gossip.env import GossipEnv
-from repro.gossip.protocol import Action, GossipProtocol
+from repro.gossip.messages import payload_bits
+from repro.gossip.protocol import (
+    Action,
+    BatchAction,
+    BatchGossipProtocol,
+    GossipProtocol,
+)
 
 
-class CountingProtocol(GossipProtocol):
+class CountingProtocol(GossipProtocol, BatchGossipProtocol):
     """Every node pushes '1' each round; nodes count what they receive."""
 
     name = "counting-test"
@@ -31,14 +37,24 @@ class CountingProtocol(GossipProtocol):
     def on_send_success(self, node, round_index) -> None:
         self.sent[node] += 1
 
+    def act_batch(self, round_index, alive) -> BatchAction:
+        return BatchAction("push", push_bits=self.message_bits(1))
+
+    def receive_batch(self, round_index, alive, partners, action) -> None:
+        np.add.at(self.received, partners[alive], 1)
+        self.sent[alive] += 1
+
     def is_done(self, round_index: int) -> bool:
         return round_index >= self.rounds_budget
 
     def outputs(self) -> List[Any]:
         return self.received.tolist()
 
+    def message_bits(self, payload) -> int:
+        return payload_bits(1, n=self.n)
 
-class PullEchoProtocol(GossipProtocol):
+
+class PullEchoProtocol(GossipProtocol, BatchGossipProtocol):
     """Nodes pull their partner's id; used to exercise the pull path."""
 
     name = "pull-echo"
@@ -58,16 +74,30 @@ class PullEchoProtocol(GossipProtocol):
         assert payload == sender
         self.seen[node].append(payload)
 
+    def act_batch(self, round_index, alive) -> BatchAction:
+        return BatchAction("pull", pull_bits=self.message_bits(None))
+
+    def receive_batch(self, round_index, alive, partners, action) -> None:
+        for node in np.flatnonzero(alive):
+            self.seen[node].append(int(partners[node]))
+
     def is_done(self, round_index: int) -> bool:
         return round_index >= 3
 
     def outputs(self):
         return self.seen
 
+    def message_bits(self, payload) -> int:
+        return payload_bits(self.n - 1, n=self.n)
 
-def test_push_protocol_conserves_messages():
+
+ENGINES = [None, "asyncio"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_push_protocol_conserves_messages(engine):
     protocol = CountingProtocol(50, rounds=10)
-    result = run_protocol(protocol, rng=1)
+    result = run_protocol(protocol, rng=1, env=GossipEnv(engine=engine))
     assert result.completed
     assert result.rounds == 10
     # every round every node pushes exactly one message
@@ -76,12 +106,14 @@ def test_push_protocol_conserves_messages():
     assert protocol.received.sum() == 50 * 10
 
 
-def test_pull_protocol_receives_partner_payloads():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_pull_protocol_receives_partner_payloads(engine):
     protocol = PullEchoProtocol(20)
-    result = run_protocol(protocol, rng=2)
+    result = run_protocol(protocol, rng=2, env=GossipEnv(engine=engine))
     assert result.completed
     total = sum(len(seen) for seen in protocol.seen)
     assert total == 20 * 3
+    assert result.metrics.messages == 20 * 3
     # a node never pulls from itself
     for node, seen in enumerate(protocol.seen):
         assert node not in seen
@@ -108,13 +140,17 @@ def test_round_budget_exhaustion_raises_or_reports():
     assert result.rounds == 5
 
 
-def test_invalid_action_type_raises():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_invalid_action_type_raises(engine):
     class BadProtocol(CountingProtocol):
         def act(self, node, round_index):
             return "push"
 
+        def act_batch(self, round_index, alive):
+            return "push"
+
     with pytest.raises(ProtocolError):
-        run_protocol(BadProtocol(8, rounds=2), rng=5)
+        run_protocol(BadProtocol(8, rounds=2), rng=5, env=GossipEnv(engine=engine))
 
 
 def test_action_validation():
@@ -192,17 +228,16 @@ def test_raise_on_budget_false_on_vectorized_engine():
 
 def test_engine_selection_validates_name():
     from repro.exceptions import ConfigurationError
-    from repro.gossip.engine import set_default_engine
 
     with pytest.raises(ConfigurationError):
         run_protocol(CountingProtocol(8, rounds=1), rng=1, env=GossipEnv(engine="warp"))
-    with pytest.raises(ConfigurationError):
-        set_default_engine("warp")
 
 
-def test_forced_loop_engine_matches_default_for_plain_protocols():
+def test_asyncio_engine_matches_default_for_counting_protocol():
     a = CountingProtocol(30, rounds=5)
     b = CountingProtocol(30, rounds=5)
-    run_protocol(a, rng=7, env=GossipEnv(engine="loop"))
-    run_protocol(b, rng=7)  # auto → loop for non-batch protocols
+    ra = run_protocol(a, rng=7, env=GossipEnv(engine="asyncio"))
+    rb = run_protocol(b, rng=7)
     assert np.array_equal(a.received, b.received)
+    assert np.array_equal(a.sent, b.sent)
+    assert ra.metrics.summary() == rb.metrics.summary()

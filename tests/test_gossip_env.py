@@ -62,10 +62,30 @@ def test_invalid_settings_are_rejected_at_construction(settings):
         GossipEnv(**settings)
 
 
+@pytest.mark.parametrize(
+    "engine, replacement",
+    [("loop", "engine='asyncio'"), ("auto", "'vectorized'")],
+)
+def test_removed_engine_names_are_rejected_naming_the_replacement(
+    engine, replacement
+):
+    with pytest.raises(ConfigurationError, match="was removed") as raised:
+        GossipEnv(engine=engine)
+    assert replacement in str(raised.value)
+
+
+def test_engine_choices_are_vectorized_and_asyncio():
+    from repro.gossip.env import ENGINE_CHOICES
+
+    assert ENGINE_CHOICES == ("vectorized", "asyncio")
+    for engine in (None, *ENGINE_CHOICES):
+        assert GossipEnv(engine=engine).engine == engine
+
+
 def test_env_is_frozen_and_replace_revalidates():
     env = GossipEnv(topology=ring(16, k=2))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        env.engine = "loop"
+        env.engine = "asyncio"
     process = ChurnProcess(16, churn_rate=0.1, rng=0)
     with pytest.raises(ConfigurationError):
         dataclasses.replace(env, topology_process=process)

@@ -393,15 +393,16 @@ def test_extrema_pair_matches_two_single_runs():
     assert pair.metrics.max_message_bits == lo.metrics.max_message_bits + 64
 
 
-def test_extrema_pair_loop_and_vectorized_bit_identical():
+def test_extrema_pair_asyncio_and_vectorized_bit_identical():
     from repro.aggregates.extrema import ExtremaProtocol
-    from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+    from repro.gossip.engine import run_protocol_vectorized
+    from repro.net import run_protocol_asyncio
 
     for mu, seed in ((0.0, 4), (0.3, 5)):
         values = RandomSource(seed).random(97) * 10.0
         lanes = np.column_stack([values, values])
         failure = mu if mu > 0 else None
-        loop = run_protocol_loop(
+        reference = run_protocol_asyncio(
             ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
             env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
@@ -409,10 +410,10 @@ def test_extrema_pair_loop_and_vectorized_bit_identical():
             ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
             env=GossipEnv(failure_model=failure), raise_on_budget=False,
         )
-        assert loop.outputs == vec.outputs
-        assert np.array_equal(loop.outputs_array, vec.outputs_array)
-        assert loop.rounds == vec.rounds
-        assert loop.metrics.summary() == vec.metrics.summary()
+        assert reference.outputs == vec.outputs
+        assert np.array_equal(reference.outputs_array, vec.outputs_array)
+        assert reference.rounds == vec.rounds
+        assert reference.metrics.summary() == vec.metrics.summary()
 
 
 def test_extrema_pair_validation():

@@ -1,12 +1,11 @@
 """The simulated ≡ deployed equivalence suite.
 
-The ISSUE-10 win condition: the *same* protocol subclasses, unmodified,
-run on the loop engine, the vectorized engine, and the live asyncio
-backend with identical round counts, identical per-node outputs, and
-identical :class:`NetworkMetrics` message/bit totals (faults disabled).
-The equivalence is by construction — the asyncio runner consumes the
-engines' shared round prologue — and these tests are the pin that keeps
-it that way.
+The *same* protocol subclasses, unmodified, run on the vectorized engine
+and on the live asyncio backend with identical round counts, identical
+per-node outputs, and identical :class:`NetworkMetrics` message/bit totals
+(faults disabled).  The equivalence is by construction — the asyncio
+runner consumes the vectorized engine's round prologue — and these tests
+are the pin that keeps it that way.
 """
 
 from __future__ import annotations
@@ -19,13 +18,8 @@ import pytest
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.gossip.engine import (
-    ENGINE_CHOICES,
-    get_default_engine,
-    run_protocol,
-    set_default_engine,
-)
-from repro.gossip.env import GossipEnv
+from repro.gossip.engine import run_protocol
+from repro.gossip.env import ENGINE_CHOICES, GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import Action, GossipProtocol
 from repro.net import arun_protocol, run_protocol_asyncio
@@ -45,41 +39,39 @@ def _run_engine(engine, make_protocol, seed, failure_model=None):
     return result, metrics
 
 
-def _assert_triplet_equal(make_protocol, seed):
-    """loop ≡ vectorized ≡ asyncio: rounds, outputs, message/bit totals."""
-    results = {}
-    for engine in ("loop", "vectorized", "asyncio"):
-        results[engine] = _run_engine(engine, make_protocol, seed)
-    loop_result, loop_metrics = results["loop"]
-    for engine in ("vectorized", "asyncio"):
-        result, metrics = results[engine]
-        assert result.rounds == loop_result.rounds, engine
-        assert metrics.summary() == loop_metrics.summary(), engine
-        np.testing.assert_array_equal(
-            result.outputs_array, loop_result.outputs_array, err_msg=engine
-        )
+def _assert_engines_equal(make_protocol, seed):
+    """vectorized ≡ asyncio: rounds, outputs, message/bit totals."""
+    results = {
+        engine: _run_engine(engine, make_protocol, seed)
+        for engine in ("vectorized", "asyncio")
+    }
+    vec_result, vec_metrics = results["vectorized"]
+    result, metrics = results["asyncio"]
+    assert result.rounds == vec_result.rounds
+    assert metrics.summary() == vec_metrics.summary()
+    np.testing.assert_array_equal(result.outputs_array, vec_result.outputs_array)
     return results
 
 
 @pytest.mark.parametrize("n", [8, 32])
-def test_push_sum_pins_across_all_three_engines(n):
+def test_push_sum_pins_across_both_engines(n):
     values = _values(n, seed=1)
-    results = _assert_triplet_equal(
+    results = _assert_engines_equal(
         lambda: PushSumProtocol(values, rounds=20), seed=5
     )
     result, metrics = results["asyncio"]
     assert result.rounds == 20
-    # The loop engine's accounting formulas, applied literally: one push
-    # per live node per round.
+    # The per-message accounting, applied literally: one push per live
+    # node per round.
     assert metrics.summary()["messages"] == n * 20
     assert result.extra["transport"] == "ChannelTransport"
     assert result.extra["lost_messages"] == 0
 
 
 @pytest.mark.parametrize("n", [8, 32])
-def test_extrema_pins_across_all_three_engines(n):
+def test_extrema_pins_across_both_engines(n):
     values = _values(n, seed=2)
-    results = _assert_triplet_equal(lambda: ExtremaProtocol(values), seed=9)
+    results = _assert_engines_equal(lambda: ExtremaProtocol(values), seed=9)
     result, _ = results["asyncio"]
     assert np.allclose(result.outputs_array, values.max())
 
@@ -92,42 +84,42 @@ def test_push_sum_converges_to_the_mean_over_the_network():
     )
 
 
-def test_failure_model_parity_loop_vs_asyncio():
+def test_failure_model_parity_vectorized_vs_asyncio():
     """The failure mask comes from the shared prologue, so a lossy run
     (mu=0.2) is *also* bit-identical between simulated and deployed."""
     values = _values(16, seed=4)
-    loop_result, loop_metrics = _run_engine(
-        "loop", lambda: PushSumProtocol(values, rounds=15), 7,
+    vec_result, vec_metrics = _run_engine(
+        "vectorized", lambda: PushSumProtocol(values, rounds=15), 7,
         failure_model=0.2,
     )
     net_result, net_metrics = _run_engine(
         "asyncio", lambda: PushSumProtocol(values, rounds=15), 7,
         failure_model=0.2,
     )
-    assert net_result.rounds == loop_result.rounds
-    assert net_metrics.summary() == loop_metrics.summary()
+    assert net_result.rounds == vec_result.rounds
+    assert net_metrics.summary() == vec_metrics.summary()
     assert net_metrics.summary()["failed_node_rounds"] > 0
     np.testing.assert_array_equal(
-        net_result.outputs_array, loop_result.outputs_array
+        net_result.outputs_array, vec_result.outputs_array
     )
 
 
-def test_tcp_transport_matches_the_simulated_engines():
+def test_tcp_transport_matches_the_vectorized_engine():
     """One pin over real loopback sockets: the transport is swappable
     without touching the accounting."""
     values = _values(8, seed=5)
-    loop_result, loop_metrics = _run_engine(
-        "loop", lambda: ExtremaProtocol(values), 11
+    vec_result, vec_metrics = _run_engine(
+        "vectorized", lambda: ExtremaProtocol(values), 11
     )
     metrics = NetworkMetrics()
     result = run_protocol_asyncio(
         ExtremaProtocol(values), rng=11, metrics=metrics, transport="tcp"
     )
     assert result.extra["transport"] == "TcpTransport"
-    assert result.rounds == loop_result.rounds
-    assert metrics.summary() == loop_metrics.summary()
+    assert result.rounds == vec_result.rounds
+    assert metrics.summary() == vec_metrics.summary()
     np.testing.assert_array_equal(
-        result.outputs_array, loop_result.outputs_array
+        result.outputs_array, vec_result.outputs_array
     )
 
 
@@ -138,25 +130,16 @@ def test_asyncio_is_a_first_class_engine_choice():
     assert "asyncio" in ENGINE_CHOICES
 
 
-def test_auto_never_selects_the_asyncio_engine():
+def test_default_engine_never_selects_the_asyncio_engine():
     values = _values(8)
     metrics = NetworkMetrics()
     result = run_protocol(
         PushSumProtocol(values, rounds=3), rng=0, metrics=metrics,
-        env=GossipEnv(engine="auto"),
+        env=GossipEnv(),
     )
-    # An asyncio run stamps its transport into result.extra; auto must not.
+    # An asyncio run stamps its transport into result.extra; the default
+    # (vectorized) engine must not.
     assert "transport" not in result.extra
-
-
-def test_asyncio_cannot_become_the_ambient_default_engine():
-    previous = get_default_engine()
-    try:
-        with pytest.raises(ConfigurationError):
-            set_default_engine("asyncio")
-        assert get_default_engine() == previous
-    finally:
-        set_default_engine(previous)
 
 
 def test_non_batch_protocols_are_rejected_with_a_clear_error():

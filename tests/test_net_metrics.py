@@ -168,9 +168,3 @@ def test_cli_serve_listen_probe_scrapes_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "metrics: http://127.0.0.1:" in proc.stdout
     assert "probe: scraped" in proc.stdout
-
-
-def test_cli_rejects_asyncio_as_an_ambient_engine():
-    proc = _cli("query", "--input", "x", "--phi", "0.5", "--engine", "asyncio")
-    assert proc.returncode != 0
-    assert "invalid choice" in proc.stderr

@@ -21,7 +21,8 @@ from repro.core.all_quantiles import estimate_all_ranks
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
 from repro.core.service import QuantileService
-from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+from repro.gossip.engine import run_protocol_vectorized
+from repro.net import run_protocol_asyncio
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs import (
     NULL_TRACER,
@@ -144,10 +145,10 @@ def test_totals_sum_root_spans_only():
 # -- engine hooks -------------------------------------------------------------
 
 
-ENGINES = [run_protocol_loop, run_protocol_vectorized]
+ENGINES = [run_protocol_asyncio, run_protocol_vectorized]
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ENGINES, ids=["asyncio", "vectorized"])
 def test_on_round_hook_fires_once_per_round(engine):
     calls = []
     result = engine(
@@ -163,20 +164,20 @@ def test_on_round_hook_fires_once_per_round(engine):
 
 
 def test_hook_counts_agree_across_engines():
-    loop_calls, vec_calls = [], []
-    loop = run_protocol_loop(
+    net_calls, vec_calls = [], []
+    net = run_protocol_asyncio(
         ExtremaProtocol(_values(64), mode="max"), rng=2,
-        on_round=lambda r, e: loop_calls.append(r.round_index),
+        on_round=lambda r, e: net_calls.append(r.round_index),
     )
     vec = run_protocol_vectorized(
         ExtremaProtocol(_values(64), mode="max"), rng=2,
         on_round=lambda r, e: vec_calls.append(r.round_index),
     )
-    assert loop.rounds == vec.rounds
-    assert loop_calls == vec_calls
+    assert net.rounds == vec.rounds
+    assert net_calls == vec_calls
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ENGINES, ids=["asyncio", "vectorized"])
 def test_ambient_tracer_hook_observes_engine_rounds(engine):
     tracer = Tracer(round_timeline=True)
     with use_tracer(tracer):
@@ -188,7 +189,7 @@ def test_ambient_tracer_hook_observes_engine_rounds(engine):
     assert sum(agg["rounds"] for agg in labels.values()) == result.rounds
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ENGINES, ids=["asyncio", "vectorized"])
 def test_explicit_hook_wins_over_ambient_tracer(engine):
     tracer = Tracer()
     calls = []
@@ -201,7 +202,7 @@ def test_explicit_hook_wins_over_ambient_tracer(engine):
     assert tracer.rounds_observed == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ENGINES, ids=["asyncio", "vectorized"])
 def test_hook_does_not_perturb_engine_streams(engine):
     baseline = engine(PushSumProtocol(_values(64), rounds=20), rng=9)
     with use_tracer(Tracer()):
@@ -359,7 +360,7 @@ def small_trace():
         approximate_quantile(_values(128, seed=2), phi=0.5, eps=0.2, rng=1)
         # the tournaments drive GossipNetwork pulls directly; run one
         # engine-backed protocol so the round timeline has samples too
-        run_protocol_loop(PushSumProtocol(_values(32), rounds=5), rng=1)
+        run_protocol_vectorized(PushSumProtocol(_values(32), rounds=5), rng=1)
     return tracer
 
 

@@ -19,12 +19,6 @@ def _failing_task(trial_index, rng):
     return trial_index
 
 
-def _engine_probe_task(trial_index, rng):
-    from repro.gossip.engine import get_default_engine
-
-    return get_default_engine()
-
-
 def test_run_trials_is_deterministic_across_worker_counts():
     inline = run_trials(_draw_task, 8, seed=13, workers=1)
     pooled = run_trials(_draw_task, 8, seed=13, workers=4)
@@ -60,41 +54,16 @@ def test_approx_rounds_rows_identical_for_any_worker_count():
     assert serial == parallel
 
 
-def test_run_experiment_forwards_workers_and_engine():
+def test_run_experiment_forwards_workers():
     kwargs = dict(sizes=[64], eps_values=(0.2,), phis=(0.5,), trials=2, seed=9)
     serial = run_experiment("approx-rounds", output="rows", workers=1, **kwargs)
-    parallel = run_experiment(
-        "approx-rounds", output="rows", workers=2, engine="vectorized", **kwargs
-    )
+    parallel = run_experiment("approx-rounds", output="rows", workers=2, **kwargs)
     assert serial == parallel
 
 
 def test_run_experiment_rejects_parallelism_without_support():
     with pytest.raises(ConfigurationError):
         run_experiment("tokens", output="rows", workers=4)
-
-
-def test_engine_override_propagates_to_pool_workers():
-    from repro.gossip.engine import get_default_engine, set_default_engine
-
-    before = get_default_engine()
-    set_default_engine("loop")
-    try:
-        seen = set(run_trials(_engine_probe_task, 4, seed=0, workers=2))
-    finally:
-        set_default_engine(before)
-    assert seen == {"loop"}
-
-
-def test_run_experiment_restores_default_engine():
-    from repro.gossip.engine import get_default_engine
-
-    before = get_default_engine()
-    run_experiment(
-        "approx-rounds", output="rows", engine="loop",
-        sizes=[64], eps_values=(0.2,), phis=(0.5,), trials=1, seed=1,
-    )
-    assert get_default_engine() == before
 
 
 # ---- shared-memory value arrays ---------------------------------------------

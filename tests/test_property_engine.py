@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
-from repro.gossip.engine import run_protocol_loop, run_protocol_vectorized
+from repro.gossip.engine import run_protocol, run_protocol_vectorized
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import UniformFailures
 from repro.topology.sampler import draw_uniform_round_partners
@@ -83,17 +83,18 @@ def test_metric_totals_equal_sum_of_round_records(n, rounds, mu, seed):
 )
 def test_engines_agree_for_random_configurations(n, mu, seed):
     values = RandomSource(seed).random(n) * 100.0
-    loop = run_protocol_loop(
+    reference = run_protocol(
         ExtremaProtocol(values, mode="max"), rng=seed,
-        env=GossipEnv(failure_model=mu if mu > 0 else None), raise_on_budget=False,
+        env=GossipEnv(failure_model=mu if mu > 0 else None, engine="asyncio"),
+        raise_on_budget=False,
     )
     vec = run_protocol_vectorized(
         ExtremaProtocol(values, mode="max"), rng=seed,
         env=GossipEnv(failure_model=mu if mu > 0 else None), raise_on_budget=False,
     )
-    assert loop.outputs == vec.outputs
-    assert loop.rounds == vec.rounds
-    assert loop.metrics.summary() == vec.metrics.summary()
+    assert reference.outputs == vec.outputs
+    assert reference.rounds == vec.rounds
+    assert reference.metrics.summary() == vec.metrics.summary()
 
 
 @settings(max_examples=20, deadline=None)

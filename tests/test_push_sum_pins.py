@@ -1,12 +1,13 @@
 """sha256 stream pins for push-sum and everything that counts with it.
 
-The engine-equivalence suite checks that the loop and vectorized engines
-agree with *each other*; a change to push-sum's state storage that moved
-both engines the same way would pass it.  These digests were captured
-before the ``(s, w)`` pair was packed into one complex element and pin
-the absolute streams: per-node estimates, rounds and the metrics of
+The engine-equivalence suite checks that the vectorized and asyncio
+engines agree with *each other*; a change to push-sum's state storage that
+moved both engines the same way would pass it.  These digests were
+captured before the ``(s, w)`` pair was packed into one complex element
+(on the per-node loop engine and the vectorized engine alike) and pin the
+absolute streams: per-node estimates, rounds and the metrics of
 ``push_sum_average``, ``push_sum_sum`` and ``count_leq`` in four run
-environments on both simulated engines, a simulated ``exact_quantile``
+environments on the vectorized engine, a simulated ``exact_quantile``
 with its per-iteration history, a simulated Kempe selection, and push-sum
 on signed zeros, infinities and zero weights.
 """
@@ -45,17 +46,15 @@ def _values():
     return RandomSource(44).random(N) * 100.0
 
 
-def _env(config, engine):
+def _env(config):
     if config == "failure-free":
-        return GossipEnv(engine=engine)
+        return GossipEnv()
     if config == "failures":
-        return GossipEnv(failure_model=UniformFailures(0.3), engine=engine)
+        return GossipEnv(failure_model=UniformFailures(0.3))
     if config == "sparse":
-        return GossipEnv(topology=watts_strogatz(N, 6, 0.2, rng=3), engine=engine)
+        return GossipEnv(topology=watts_strogatz(N, 6, 0.2, rng=3))
     assert config == "process"
-    return GossipEnv(
-        topology_process=ChurnProcess(n=N, churn_rate=0.1, rng=9), engine=engine
-    )
+    return GossipEnv(topology_process=ChurnProcess(n=N, churn_rate=0.1, rng=9))
 
 
 def _push_sum_average(env):
@@ -98,10 +97,9 @@ PUSH_SUM_PINS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
 @pytest.mark.parametrize("run,config", sorted(PUSH_SUM_PINS))
-def test_push_sum_streams_pinned(run, config, engine):
-    assert _digest(*RUNS[run](_env(config, engine))) == PUSH_SUM_PINS[run, config]
+def test_push_sum_streams_pinned(run, config):
+    assert _digest(*RUNS[run](_env(config))) == PUSH_SUM_PINS[run, config]
 
 
 def _iteration_rows(history):
@@ -160,13 +158,12 @@ EDGE_PINS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
 @pytest.mark.parametrize("mu", [None, 0.3], ids=["failure-free", "failures"])
 @pytest.mark.parametrize("case", sorted(EDGE_PINS))
-def test_push_sum_edge_values_pinned(case, mu, engine):
+def test_push_sum_edge_values_pinned(case, mu):
     values, weights = _edge_case(case)
     protocol = PushSumProtocol(values, weights=weights, rounds=12)
-    env = GossipEnv(failure_model=mu, engine=engine)
+    env = GossipEnv(failure_model=mu)
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN by design here
         run_protocol(protocol, rng=17, max_rounds=13, env=env)
     out = protocol.outputs_array()

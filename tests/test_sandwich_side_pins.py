@@ -4,10 +4,10 @@
 (φ = 0.3).  The runs here aim at φ near 0 and 1, where one side of the
 Step-3 sandwich falls off the distribution and only the other side runs,
 plus φ = 0 and φ = 1 themselves; each is pinned failure-free and under
-μ = 0.3 node failures, on the vectorized engine at n = 2000 and on
-both engines at n = 512.  The extrema pins cover min and max spreading
-and a two-lane min/max spreading on both engines, with and without
-failures, and the live backend's quantile query, whose first phase
+μ = 0.3 node failures, on the vectorized engine at n = 2000 and at
+n = 512.  The extrema pins cover min and max spreading and a two-lane
+min/max spreading, with and without failures, and the live backend's
+quantile query, whose first phase
 brackets the value range with a two-lane min/max spreading.  Each digest
 covers the per-node outputs (or the per-iteration history and both retry
 counters), the rounds and the metrics summary.
@@ -52,19 +52,11 @@ EXACT_SIDE_PINS = {
     ("vectorized", 0.998, 0.3): ("d31ee6348c72315b", 998.934366292964, 443),
     ("vectorized", 1.0, 0.0): ("249b29d681d80a2a", 999.9282631809398, 394),
     ("vectorized", 1.0, 0.3): ("e76df55d0242b4e2", 999.9282631809398, 412),
-    ("loop", 0.0, 0.0): ("662b9f1794b6b5a9", 0.06693515352629298, 428),
-    ("loop", 0.0, 0.3): ("8dab47c844e24487", 0.06693515352629298, 524),
-    ("loop", 0.002, 0.0): ("d8504e4f0a4c5add", 0.2951516316959113, 516),
-    ("loop", 0.002, 0.3): ("7794594b9676aa07", 0.2951516316959113, 522),
-    ("loop", 0.998, 0.0): ("b250cb0db8d0ed9a", 998.1379607722837, 309),
-    ("loop", 0.998, 0.3): ("021d47abfa9f04bc", 998.1379607722837, 444),
-    ("loop", 1.0, 0.0): ("94e3ca837437bf79", 998.7113635876004, 309),
-    ("loop", 1.0, 0.3): ("371deba9c75779bb", 998.7113635876004, 339),
 }
 
-# The vectorized engine on the loop case's inputs (n = 512).  Every
-# exact-driver substrate is bit-identical between the engines, so the
-# loop entries above carry these same values.
+# The vectorized engine on the small case's inputs (n = 512).  These
+# values were first recorded on the per-node loop engine, which every
+# exact-driver substrate matched bit for bit.
 SMALL_CASE_VECTORIZED_PINS = {
     (0.0, 0.0): ("662b9f1794b6b5a9", 0.06693515352629298, 428),
     (0.0, 0.3): ("8dab47c844e24487", 0.06693515352629298, 524),
@@ -76,7 +68,7 @@ SMALL_CASE_VECTORIZED_PINS = {
     (1.0, 0.3): ("371deba9c75779bb", 998.7113635876004, 339),
 }
 
-EXACT_CASES = {"vectorized": (2000, 47, 17), "loop": (512, 48, 18)}
+EXACT_CASES = {"vectorized": (2000, 47, 17), "small": (512, 48, 18)}
 
 
 def _exact_side(case, engine, phi, mu):
@@ -100,7 +92,7 @@ def test_one_sided_exact_quantile_pinned(engine, phi, mu):
 @pytest.mark.parametrize("phi,mu", sorted(SMALL_CASE_VECTORIZED_PINS))
 def test_one_sided_exact_quantile_small_case_vectorized_pinned(phi, mu):
     assert (
-        _exact_side("loop", "vectorized", phi, mu)
+        _exact_side("small", "vectorized", phi, mu)
         == SMALL_CASE_VECTORIZED_PINS[phi, mu]
     )
 
@@ -108,16 +100,10 @@ def test_one_sided_exact_quantile_small_case_vectorized_pinned(phi, mu):
 # ---- extrema spreading ------------------------------------------------------
 
 EXTREMA_PINS = {
-    ("min", "loop", 0.0): "cb7c1f0471d1df00",
-    ("min", "loop", 0.3): "ee36d9a691493e90",
     ("min", "vectorized", 0.0): "cb7c1f0471d1df00",
     ("min", "vectorized", 0.3): "ee36d9a691493e90",
-    ("max", "loop", 0.0): "f1952ce42ef6d22f",
-    ("max", "loop", 0.3): "0a78ce9367a1a216",
     ("max", "vectorized", 0.0): "f1952ce42ef6d22f",
     ("max", "vectorized", 0.3): "0a78ce9367a1a216",
-    ("min-max", "loop", 0.0): "4ef0d137cb6959a2",
-    ("min-max", "loop", 0.3): "5418e52bce810e92",
     ("min-max", "vectorized", 0.0): "4ef0d137cb6959a2",
     ("min-max", "vectorized", 0.3): "5418e52bce810e92",
 }

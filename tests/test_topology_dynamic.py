@@ -4,7 +4,8 @@ Locks down the :mod:`repro.topology.dynamic` contract:
 
 * a :class:`StaticProcess` is bit-identical to passing the topology
   directly (the dynamic plumbing cannot perturb static streams);
-* loop and vectorized engines stay bit-identical under every process;
+* the vectorized engine stays bit-identical to the per-node asyncio
+  engine under every process;
 * mass is conserved under churn — push-sum ``s``/``w`` totals exactly,
   token multiplicities via the failure-model adapter;
 * seeded join/leave schedules and view resamples are deterministic;
@@ -18,9 +19,10 @@ from repro.aggregates.broadcast import BroadcastProtocol
 from repro.aggregates.push_sum import PushSumProtocol, push_sum_average
 from repro.core.tokens import distribute_tokens
 from repro.exceptions import ConfigurationError
-from repro.gossip.engine import run_protocol, run_protocol_loop, run_protocol_vectorized
+from repro.gossip.engine import run_protocol, run_protocol_vectorized
 from repro.gossip.env import GossipEnv
 from repro.gossip.network import GossipNetwork
+from repro.net import run_protocol_asyncio
 from repro.topology import (
     ChurnProcess,
     EdgeResamplingProcess,
@@ -48,11 +50,11 @@ def _values(n, seed=3):
 @pytest.mark.parametrize("n,seed", [(64, 0), (129, 11)])
 def test_static_process_is_bit_identical_to_direct_topology(topo_factory, n, seed):
     topo = topo_factory(n)
-    direct = run_protocol_loop(
+    direct = run_protocol_vectorized(
         PushSumProtocol(_values(n), rounds=20), rng=seed, env=GossipEnv(topology=topo),
     )
     process = StaticProcess(topology=topo, n=n)
-    via_process = run_protocol_loop(
+    via_process = run_protocol_vectorized(
         PushSumProtocol(_values(n), rounds=20), rng=seed,
         env=GossipEnv(topology_process=process),
     )
@@ -64,9 +66,9 @@ def test_static_process_is_bit_identical_to_direct_topology(topo_factory, n, see
     lambda n: None,
     lambda n: ring(n, k=2),
 ], ids=["complete", "ring"])
-def test_static_process_loop_vectorized_equivalence(topo_factory):
+def test_static_process_asyncio_vectorized_equivalence(topo_factory):
     n, seed = 96, 5
-    loop = run_protocol_loop(
+    reference = run_protocol_asyncio(
         PushSumProtocol(_values(n), rounds=15), rng=seed,
         env=GossipEnv(topology_process=StaticProcess(topology=topo_factory(n), n=n)),
     )
@@ -74,8 +76,8 @@ def test_static_process_loop_vectorized_equivalence(topo_factory):
         PushSumProtocol(_values(n), rounds=15), rng=seed,
         env=GossipEnv(topology_process=StaticProcess(topology=topo_factory(n), n=n)),
     )
-    assert loop.outputs == vec.outputs
-    assert loop.metrics.summary() == vec.metrics.summary()
+    assert reference.outputs == vec.outputs
+    assert reference.metrics.summary() == vec.metrics.summary()
 
 
 # ---- static streams stay pinned to the PR 2/3 behaviour ----------------------
@@ -92,8 +94,8 @@ _STATIC_STREAM_PINS = {
 
 
 @pytest.mark.parametrize("topo_name", sorted(_STATIC_STREAM_PINS))
-@pytest.mark.parametrize("runner", [run_protocol_loop, run_protocol_vectorized],
-                         ids=["loop", "vectorized"])
+@pytest.mark.parametrize("runner", [run_protocol_asyncio, run_protocol_vectorized],
+                         ids=["asyncio", "vectorized"])
 def test_static_topology_streams_are_regression_pinned(topo_name, runner):
     import hashlib
 
@@ -110,7 +112,7 @@ def test_static_topology_streams_are_regression_pinned(topo_name, runner):
     assert digest == _STATIC_STREAM_PINS[topo_name]
 
 
-# ---- loop == vectorized under dynamic processes ------------------------------
+# ---- asyncio == vectorized under dynamic processes ---------------------------
 
 
 def _process_factories(n):
@@ -134,11 +136,11 @@ def _process_factories(n):
     lambda n: BroadcastProtocol(n, source=1),
 ], ids=["push-sum", "broadcast"])
 @pytest.mark.parametrize("n,seed", [(64, 0), (129, 7)])
-def test_loop_and_vectorized_agree_under_dynamic_topologies(
+def test_asyncio_and_vectorized_agree_under_dynamic_topologies(
     kind, protocol_factory, n, seed
 ):
     factory = _process_factories(n)[kind]
-    loop = run_protocol_loop(
+    reference = run_protocol_asyncio(
         protocol_factory(n), rng=seed, env=GossipEnv(topology_process=factory()),
         raise_on_budget=False,
     )
@@ -146,19 +148,19 @@ def test_loop_and_vectorized_agree_under_dynamic_topologies(
         protocol_factory(n), rng=seed, env=GossipEnv(topology_process=factory()),
         raise_on_budget=False,
     )
-    assert loop.outputs == vec.outputs
-    assert loop.rounds == vec.rounds
-    assert loop.metrics.summary() == vec.metrics.summary()
+    assert reference.outputs == vec.outputs
+    assert reference.rounds == vec.rounds
+    assert reference.metrics.summary() == vec.metrics.summary()
 
 
 def test_same_process_instance_can_be_reused_across_runs():
     n = 80
     process = ChurnProcess(n=n, churn_rate=0.3, rng=2)
-    first = run_protocol_loop(
+    first = run_protocol_vectorized(
         PushSumProtocol(_values(n), rounds=10), rng=1,
         env=GossipEnv(topology_process=process)
     )
-    second = run_protocol_loop(
+    second = run_protocol_vectorized(
         PushSumProtocol(_values(n), rounds=10), rng=1,
         env=GossipEnv(topology_process=process)
     )
@@ -169,7 +171,7 @@ def test_same_process_instance_can_be_reused_across_runs():
 
 
 @pytest.mark.parametrize("base", ["complete", "small-world"])
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ["asyncio", "vectorized"])
 def test_push_sum_mass_and_weight_conserved_under_churn(base, engine):
     n = 256
     topology = (
@@ -191,8 +193,7 @@ def test_push_sum_mass_and_weight_conserved_under_churn(base, engine):
     assert min(process.active_history) < n
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
-def test_token_multiplicities_conserved_under_churn_failures(engine):
+def test_token_multiplicities_conserved_under_churn_failures():
     n = 512
     process = ChurnProcess(n=n, churn_rate=0.2, rejoin_rate=0.5, rng=6)
     result = distribute_tokens(
@@ -200,7 +201,7 @@ def test_token_multiplicities_conserved_under_churn_failures(engine):
         multiplicity=8,
         n=n,
         rng=11,
-        env=GossipEnv(failure_model=process.as_failure_model(), engine=engine),
+        env=GossipEnv(failure_model=process.as_failure_model()),
     )
     # distribute_tokens post-conditions already assert exact multiplicities;
     # verify explicitly plus that churn interfered at all.
@@ -290,7 +291,7 @@ def test_edge_resampling_partners_come_from_current_views():
 def test_process_and_topology_are_mutually_exclusive():
     n = 32
     with pytest.raises(ConfigurationError):
-        run_protocol_loop(
+        run_protocol_vectorized(
             PushSumProtocol(_values(n), rounds=5), rng=0,
             env=GossipEnv(topology=ring(n), topology_process=ChurnProcess(n=n, rng=0)),
         )
@@ -298,7 +299,7 @@ def test_process_and_topology_are_mutually_exclusive():
 
 def test_process_size_must_match_protocol():
     with pytest.raises(ConfigurationError):
-        run_protocol_loop(
+        run_protocol_vectorized(
             PushSumProtocol(_values(32), rounds=5), rng=0,
             env=GossipEnv(topology_process=ChurnProcess(n=64, rng=0)),
         )
@@ -307,7 +308,7 @@ def test_process_size_must_match_protocol():
 def test_process_rejects_peer_sampling_override():
     n = 32
     with pytest.raises(ConfigurationError):
-        run_protocol_loop(
+        run_protocol_vectorized(
             PushSumProtocol(_values(n), rounds=5), rng=0,
             env=GossipEnv(peer_sampling="round-robin",
                           topology_process=ChurnProcess(n=n, rng=0)),
@@ -466,7 +467,7 @@ def test_degree_weighted_departures_bias_toward_hubs():
     assert inactive_rounds[order[0]] < inactive_rounds[order[-1]]
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
+@pytest.mark.parametrize("engine", ["asyncio", "vectorized"])
 def test_push_sum_mass_conserved_under_hub_weighted_churn(engine):
     """The regression the satellite asks for: conservation survives the
     worst case where the best-connected nodes are the ones leaving."""

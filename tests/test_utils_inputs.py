@@ -50,6 +50,37 @@ def test_service_update_rejects_non_finite_values(bad):
     assert service.lane_drift().max() == 0.0
 
 
+@pytest.mark.parametrize("index", [2.7, -0.5, np.float64(1.5), np.nan, "3"],
+                         ids=["2.7", "-0.5", "np-1.5", "nan", "str"])
+def test_service_update_rejects_non_integral_indices(index):
+    """A fractional index must not be truncated onto a real node."""
+    values = np.arange(1.0, 65.0)
+    service = QuantileService(values, eps=0.2, rng=1)
+    with pytest.raises(ConfigurationError, match="integer node index"):
+        service.update_value(index, 500.0)
+    assert service.lane_drift().max() == 0.0
+    assert np.array_equal(service._array, values)
+
+
+def test_service_update_accepts_integral_indices():
+    service = QuantileService(np.arange(1.0, 65.0), eps=0.2, rng=1)
+    for index, value in ((2, 500.0), (np.int64(3), 600.0), (4.0, 700.0)):
+        service.update_value(index, value)
+    assert service._array[2:5].tolist() == [500.0, 600.0, 700.0]
+    with pytest.raises(ConfigurationError, match="in \\[0, 64\\)"):
+        service.update_value(64, 1.0)
+
+
+def test_service_rank_of_rejects_nan_and_accepts_infinities():
+    service = QuantileService(np.arange(1.0, 65.0), eps=0.2, rng=1)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        service.rank_of(np.nan)
+    # below every grid answer / above all four of them
+    assert service.rank_of(-np.inf).phi == pytest.approx(0.1)
+    assert service.rank_of(np.inf).phi == pytest.approx(0.9)
+    assert not service.rank_of(np.inf).degraded
+
+
 def test_node_values_shape_and_size():
     array = node_values([3, 1, 2])
     assert array.dtype == np.float64 and array.shape == (3,)
