@@ -85,8 +85,9 @@ def test_invalid_inputs():
         PushSumProtocol(np.arange(4.0), rounds=0)
 
 
-def test_nan_is_rejected_and_infinities_are_legal():
-    env = GossipEnv()
+@pytest.mark.parametrize("engine", ("vectorized", "asyncio"))
+def test_nan_is_rejected_and_infinities_are_legal(engine):
+    env = GossipEnv(engine=engine)
     with pytest.raises(ConfigurationError, match="NaN"):
         push_sum_average([np.nan, 1.0, 2.0, 3.0] * 8, rng=1, env=env)
     with pytest.raises(ConfigurationError, match="NaN"):

@@ -7,9 +7,10 @@ captured before the ``(s, w)`` pair was packed into one complex element
 (on the per-node loop engine and the vectorized engine alike) and pin the
 absolute streams: per-node estimates, rounds and the metrics of
 ``push_sum_average``, ``push_sum_sum`` and ``count_leq`` in four run
-environments on the vectorized engine, a simulated ``exact_quantile``
+environments on the vectorized engine and on the asyncio engine over
+in-process channels, a simulated ``exact_quantile``
 with its per-iteration history, a simulated Kempe selection, and push-sum
-on signed zeros, infinities and zero weights.
+on signed zeros, infinities and zero weights on both engines.
 """
 
 import dataclasses
@@ -46,15 +47,17 @@ def _values():
     return RandomSource(44).random(N) * 100.0
 
 
-def _env(config):
+def _env(config, engine):
     if config == "failure-free":
-        return GossipEnv()
+        return GossipEnv(engine=engine)
     if config == "failures":
-        return GossipEnv(failure_model=UniformFailures(0.3))
+        return GossipEnv(failure_model=UniformFailures(0.3), engine=engine)
     if config == "sparse":
-        return GossipEnv(topology=watts_strogatz(N, 6, 0.2, rng=3))
+        return GossipEnv(topology=watts_strogatz(N, 6, 0.2, rng=3), engine=engine)
     assert config == "process"
-    return GossipEnv(topology_process=ChurnProcess(n=N, churn_rate=0.1, rng=9))
+    return GossipEnv(
+        topology_process=ChurnProcess(n=N, churn_rate=0.1, rng=9), engine=engine
+    )
 
 
 def _push_sum_average(env):
@@ -97,9 +100,10 @@ PUSH_SUM_PINS = {
 }
 
 
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
 @pytest.mark.parametrize("run,config", sorted(PUSH_SUM_PINS))
-def test_push_sum_streams_pinned(run, config):
-    assert _digest(*RUNS[run](_env(config))) == PUSH_SUM_PINS[run, config]
+def test_push_sum_streams_pinned(run, config, engine):
+    assert _digest(*RUNS[run](_env(config, engine))) == PUSH_SUM_PINS[run, config]
 
 
 def _iteration_rows(history):
@@ -158,12 +162,13 @@ EDGE_PINS = {
 }
 
 
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
 @pytest.mark.parametrize("mu", [None, 0.3], ids=["failure-free", "failures"])
 @pytest.mark.parametrize("case", sorted(EDGE_PINS))
-def test_push_sum_edge_values_pinned(case, mu):
+def test_push_sum_edge_values_pinned(case, mu, engine):
     values, weights = _edge_case(case)
     protocol = PushSumProtocol(values, weights=weights, rounds=12)
-    env = GossipEnv(failure_model=mu)
+    env = GossipEnv(failure_model=mu, engine=engine)
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN by design here
         run_protocol(protocol, rng=17, max_rounds=13, env=env)
     out = protocol.outputs_array()

@@ -6,9 +6,10 @@ Step-3 sandwich falls off the distribution and only the other side runs,
 plus φ = 0 and φ = 1 themselves; each is pinned failure-free and under
 μ = 0.3 node failures, on the vectorized engine at n = 2000 and at
 n = 512.  The extrema pins cover min and max spreading and a two-lane
-min/max spreading, with and without failures, and the live backend's
-quantile query, whose first phase
-brackets the value range with a two-lane min/max spreading.  Each digest
+min/max spreading, with and without failures, on the vectorized engine
+and on the asyncio engine over in-process channels, and the live
+backend's quantile query, whose first phase brackets the value range
+with a two-lane min/max spreading.  Each digest
 covers the per-node outputs (or the per-iteration history and both retry
 counters), the rounds and the metrics summary.
 """
@@ -100,10 +101,16 @@ def test_one_sided_exact_quantile_small_case_vectorized_pinned(phi, mu):
 # ---- extrema spreading ------------------------------------------------------
 
 EXTREMA_PINS = {
+    ("min", "asyncio", 0.0): "cb7c1f0471d1df00",
+    ("min", "asyncio", 0.3): "ee36d9a691493e90",
     ("min", "vectorized", 0.0): "cb7c1f0471d1df00",
     ("min", "vectorized", 0.3): "ee36d9a691493e90",
+    ("max", "asyncio", 0.0): "f1952ce42ef6d22f",
+    ("max", "asyncio", 0.3): "0a78ce9367a1a216",
     ("max", "vectorized", 0.0): "f1952ce42ef6d22f",
     ("max", "vectorized", 0.3): "0a78ce9367a1a216",
+    ("min-max", "asyncio", 0.0): "4ef0d137cb6959a2",
+    ("min-max", "asyncio", 0.3): "5418e52bce810e92",
     ("min-max", "vectorized", 0.0): "4ef0d137cb6959a2",
     ("min-max", "vectorized", 0.3): "5418e52bce810e92",
 }
