@@ -198,3 +198,34 @@ def test_large_instances_run_quickly():
     occupied = result.owners[result.owners >= 0]
     assert occupied.size == items.size * 32
     assert np.all(np.bincount(occupied, minlength=items.size) == 32)
+
+
+# ---- seeded stream pins -----------------------------------------------------
+
+#: sha256 prefixes of ``distribute_tokens(list(range(15)), 8, 512, rng=23)``
+#: per failure rate: the owners array, then phases, rounds, failed pushes
+#: and the metrics summary as JSON.
+TOKEN_PINS = {
+    0.0: "2ba73856a5b03bf8",
+    0.3: "a5a500cc05a89793",
+}
+
+
+def _token_digest(mu):
+    import hashlib
+    import json
+
+    result = distribute_tokens(
+        list(range(15)), 8, 512, rng=23,
+        env=GossipEnv(failure_model=mu if mu > 0 else None),
+    )
+    scalars = [result.phases, result.rounds, result.failed_pushes,
+               result.metrics.summary()]
+    digest = hashlib.sha256(np.ascontiguousarray(result.owners).tobytes())
+    digest.update(json.dumps(scalars, sort_keys=True).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mu", sorted(TOKEN_PINS))
+def test_token_streams_pinned(mu):
+    assert _token_digest(mu) == TOKEN_PINS[mu]

@@ -315,6 +315,8 @@ def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
 
 PULL_SURFACE_PINS = {
     "failures": "b621f490026767d8",
+    "churn": "737ed535c8ade215",
+    "churn_faults": "3e248ac45ce417f8",
     "churn_failures": "617233bd4a845433",
     "faults_failures": "45a9d94d482eeb83",
     "all_three": "b2c1fb1ea9c9c7f7",
@@ -338,10 +340,14 @@ def _pull_surface_digest(case):
 
     n = 97
     values = _pin_values()[:n]
-    settings = {"failure_model": 0.2}
-    if case in ("churn_failures", "all_three", "all_three_2lane"):
+    # The churn cases run a process with no failure model, which draws
+    # nothing from the network stream.
+    settings = {} if case in ("churn", "churn_faults") else {"failure_model": 0.2}
+    if case in ("churn", "churn_faults", "churn_failures", "all_three",
+                "all_three_2lane"):
         settings["topology_process"] = ChurnProcess(n, churn_rate=0.1, rng=21)
-    if case in ("faults_failures", "all_three", "all_three_2lane"):
+    if case in ("churn_faults", "faults_failures", "all_three",
+                "all_three_2lane"):
         settings["faults"] = FaultInjector(
             [
                 MessageDrop(0.1),
