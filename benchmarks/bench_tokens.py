@@ -8,8 +8,9 @@ standalone::
     PYTHONPATH=src python benchmarks/bench_tokens.py --sizes 10000 100000
 
 ``--smoke`` runs a reduced grid with hard invariant assertions (exact
-multiplicities, ≤ 1 token per node, failure-model merges under μ = 0.3);
-CI runs it on every push.
+multiplicities, ≤ 1 token per node, failure-model merges under μ = 0.3,
+and the same under churn and under crash/drop faults); CI runs it on
+every push.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.core.tokens import distribute_tokens
+from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.env import GossipEnv
+from repro.topology import ChurnProcess
 from repro.utils.rand import RandomSource
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_tokens.json"
@@ -128,6 +131,24 @@ def smoke(json_path: Path, seed: int = 0) -> int:
             f"smoke: n={row['n']:>6} mu={row['mu']:.1f} "
             f"{row['wall_s'] * 1e3:8.1f} ms  {row['phases']:>3} phases"
         )
+    # The same invariants when the env's topology process or fault
+    # injector puts pushers out of a round.
+    n, multiplicity = 2048, 8
+    for name, env in (
+        ("churn", GossipEnv(topology_process=ChurnProcess(
+            n, churn_rate=0.05, rejoin_rate=0.5, rng=seed))),
+        ("crash/drop", GossipEnv(faults=FaultInjector(
+            [MessageDrop(0.1), CrashRestart(0.05)], rng=seed))),
+    ):
+        item_nodes, rng = _workload(n, multiplicity, 0.2, seed)
+        result = distribute_tokens(
+            item_nodes, multiplicity=multiplicity, n=n, rng=rng.child(), env=env
+        )
+        _check_invariants(result, item_nodes.size, multiplicity)
+        assert result.failed_pushes > 0, name
+        assert result.phases <= 4 * np.log2(n), (name, result.phases)
+        print(f"smoke: n={n:>6} {name}: {result.phases:>3} phases, "
+              f"{result.failed_pushes} failed pushes")
     return 0
 
 

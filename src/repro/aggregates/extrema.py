@@ -21,6 +21,7 @@ from repro.gossip.env import GossipEnv
 from repro.gossip.messages import BITS_PER_VALUE, payload_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
+from repro.utils.inputs import integral
 from repro.utils.rand import RandomSource
 from repro.utils.views import ReadOnlyArray
 
@@ -77,10 +78,12 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
             [[merge.reduce(row)] for merge, row in zip(self._merges, self._best)]
         )
         self._budget = (
-            max_rounds
+            integral(max_rounds, "max_rounds")
             if max_rounds is not None
             else int(math.ceil(4 * math.log2(self.n) + 12))
         )
+        if self._budget < 1:
+            raise ConfigurationError("max_rounds must be positive")
         self._stop_when_converged = stop_when_converged
         self._snapshot = self._best.copy()
         self._scratch: Optional[np.ndarray] = None
@@ -196,7 +199,8 @@ def spread_extrema(
 
     An ``(n, L)`` matrix spreads ``L`` lanes in one run, each lane's
     extreme chosen by its entry of ``mode``; ``values`` is then ``(n, L)``
-    too.
+    too.  ``max_rounds`` must be a positive integer (default
+    ``ceil(4 log2 n + 12)``).
     """
     protocol = ExtremaProtocol(values, mode=mode, max_rounds=max_rounds)
     result = run_protocol(

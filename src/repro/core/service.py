@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Union
@@ -44,7 +43,7 @@ from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import LatencyHistogram, get_tracer
 from repro.sketches.kll import KLLSketch
 from repro.topology.dynamic import ChurnProcess
-from repro.utils.inputs import node_values
+from repro.utils.inputs import integral, node_values
 from repro.utils.rand import RandomSource
 
 #: Payload bits of one answered query: the value plus framing.
@@ -441,15 +440,7 @@ class QuantileService:
         ``index`` must be an integer (an integral float is accepted); a
         fractional index is rejected rather than truncated to a node.
         """
-        if isinstance(index, (float, np.floating)) and float(index).is_integer():
-            node = int(index)
-        else:
-            try:
-                node = operator.index(index)
-            except TypeError:
-                raise ConfigurationError(
-                    f"index must be an integer node index, got {index!r}"
-                ) from None
+        node = integral(index, "index", "an integer node index")
         if not 0 <= node < self._array.size:
             raise ConfigurationError(
                 f"index must be in [0, {self._array.size}), got {index}"

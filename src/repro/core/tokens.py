@@ -5,42 +5,46 @@ power of two.  The process has two stages, both made of phases that cost
 O(1) rounds w.h.p.:
 
 1. **Splitting** — every token of weight > 1 is split into two tokens of
-   half the weight; one stays, the other is pushed to a uniformly random
-   node.  After ``lg m_i = O(log n)`` phases all tokens have weight 1.
+   half the weight; one stays, the other is pushed to a random partner
+   (a uniformly random node in the paper's model).  After
+   ``lg m_i = O(log n)`` phases all tokens have weight 1.
 2. **Spreading** — a node holding more than one token keeps one and pushes
-   every other token to a uniformly random node, until every node holds at
+   every other token to a random partner, until every node holds at
    most one token.  Because at most ``n^{0.99}`` tokens exist, a pushed
    token fails to land alone with probability ``O(n^{-0.01})`` and
    ``O(log n)`` phases suffice w.h.p.
 
 Under the Section-5 failure model a failed push simply merges the two
 halves back (splitting stage) or keeps the token where it is (spreading
-stage), costing only a constant-factor slowdown (§5.2).
+stage), costing only a constant-factor slowdown (§5.2).  Each round's
+outage (failures, churn, crash/drop) comes from
+:func:`repro.gossip.engine.round_outage`, as on every other substrate.
 
 Token state is three flat numpy columns ``(item, weight, holder)``:
-splitting halves weights with array ops, push targets are drawn in one
-batch per round (self-targets re-drawn as a masked batch by
-:func:`repro.utils.rand.draw_targets_excluding`), per-node token counts
-come from ``np.bincount`` and failure merges are boolean-mask updates.
-The process has no engine choice: ``env.engine`` ``None`` or
-``"vectorized"`` runs it, and ``"asyncio"``, which has no token backend,
-is rejected.
+splitting halves weights with array ops, per-node token counts come from
+``np.bincount`` and failure merges are boolean-mask updates.  Only a
+round's pushers draw targets
+(:meth:`~repro.topology.sampler.PeerSampler.draw_for`).  An engine round
+would draw a partner for all n nodes, which costs about as much as a
+whole token round, so tokens are not an engine protocol; like the pull
+surface they ignore ``env.engine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
+from repro.gossip.engine import resolve_run_sampler, round_outage
 from repro.gossip.env import GossipEnv, resolve_env
-from repro.gossip.failures import FailureModel
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE, id_bits
 from repro.gossip.metrics import NetworkMetrics
+from repro.utils.inputs import integral
 from repro.utils.mathutils import is_power_of_two
-from repro.utils.rand import RandomSource, draw_targets_excluding
+from repro.utils.rand import RandomSource
 
 
 @dataclass
@@ -66,7 +70,9 @@ class TokenDistributionResult:
 
 def _validate_inputs(
     item_nodes: Union[Sequence[int], np.ndarray], multiplicity: int, n: int
-) -> np.ndarray:
+) -> Tuple[np.ndarray, int, int]:
+    n = integral(n, "n")
+    multiplicity = integral(multiplicity, "multiplicity")
     raw = np.asarray(item_nodes)
     if raw.ndim != 1 or raw.size == 0:
         raise ConfigurationError("item_nodes must be a non-empty 1-d sequence")
@@ -84,23 +90,7 @@ def _validate_inputs(
         raise ConfigurationError(
             f"cannot place {total_tokens} unit tokens on {n} nodes"
         )
-    return item_nodes
-
-
-def _token_failures(env: Optional[GossipEnv]) -> FailureModel:
-    """The failure model of a token run.
-
-    Pushes go to uniformly random nodes, so a topology, topology process
-    or fault injector on the env would be silently ignored: reject it.
-    Tokens have no live backend, so the asyncio engine is rejected too.
-    """
-    env = resolve_env(env)
-    env.reject("token distribution", "topology", "topology_process", "faults")
-    if env.engine == "asyncio":
-        raise ConfigurationError(
-            "token distribution has no asyncio backend; use the vectorized engine"
-        )
-    return env.failure_model
+    return item_nodes, multiplicity, n
 
 
 def distribute_tokens(
@@ -123,21 +113,26 @@ def distribute_tokens(
     n:
         Total number of nodes.
     env:
-        The :class:`~repro.gossip.env.GossipEnv`.  Pushes fail under its
-        ``failure_model``.  Pushes go to uniformly random nodes, so a
-        topology, topology process or fault injector on the env is
-        rejected, as is ``engine="asyncio"``.
+        The :class:`~repro.gossip.env.GossipEnv`.  A pusher sits out a
+        round when :func:`~repro.gossip.engine.round_outage` says so
+        (failure model, topology process, fault injector), and a push goes
+        to a partner drawn from the env's topology or the process's round
+        sampler.  ``env.engine`` does not apply: the token columns are the
+        one implementation.
 
-    Each round draws one failure mask and charges one message per
-    successful push; more than O(log n) phases raise
+    Each round takes one outage and charges one message per successful
+    push; more than O(log n) phases raise
     :class:`~repro.exceptions.ConvergenceError`.
     """
-    item_nodes = _validate_inputs(item_nodes, multiplicity, n)
+    item_nodes, multiplicity, n = _validate_inputs(item_nodes, multiplicity, n)
 
+    env = resolve_env(env)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    failures = _token_failures(env)
+    sampler = resolve_run_sampler(env, n)
+    failures, process, faults = env.failure_model, env.topology_process, env.faults
     stats = metrics if metrics is not None else NetworkMetrics(keep_history=False)
     rounds_before = stats.rounds
+    round_index = 0
     max_phases = int(40 + 30 * np.log2(max(n, 2)))
 
     message_bits = BITS_HEADER + BITS_PER_VALUE + id_bits(n)
@@ -171,7 +166,7 @@ def distribute_tokens(
         its token that round (the Section-5 merge semantics as a no-op
         holder update).
         """
-        nonlocal failed_pushes
+        nonlocal failed_pushes, round_index
         if sorted_index.size == 0:
             return
         # Rank of each pushed token within its origin's queue: positions
@@ -184,8 +179,13 @@ def distribute_tokens(
         rounds_needed = int(slots.max()) + 1
         for round_slot in range(rounds_needed):
             record = stats.begin_round(label="token-distribution")
-            failed = failures.failure_mask(stats.rounds - 1, n, source)
-            stats.record_failures(int(failed.sum()), record)
+            failed, round_sampler, round_faults = round_outage(
+                round_index, n, source, failures, process, faults
+            )
+            round_index += 1
+            if round_faults is not None:
+                stats.record_faults_injected(round_faults.injected)
+            stats.record_failures(int(np.count_nonzero(failed)), record)
             in_slot = slots == round_slot
             index = sorted_index[in_slot]
             origin = sorted_origins[in_slot]
@@ -194,7 +194,7 @@ def distribute_tokens(
             pushes = int(ok.sum())
             if pushes == 0:
                 continue
-            targets = draw_targets_excluding(source, n, origin[ok])
+            targets = (round_sampler or sampler).draw_for(source, origin[ok])
             token_holder[index[ok]] = targets
             stats.record_messages(pushes, message_bits, record)
 

@@ -218,10 +218,9 @@ class FaultInjector:
     The injector draws one :class:`RoundFaults` per round via :meth:`draw`,
     called by its consumer with the consumer's global round index (the
     network's ``metrics.rounds`` counter, the engine's ``round_index``).
-    Round indices that do not increase between calls restart the stream
-    (the same fresh-run heuristic as
-    :class:`~repro.gossip.failures.TopologyProcessFailures`) unless the
-    consumer called :meth:`begin` explicitly.
+    Round indices that do not increase between calls restart the stream:
+    every run indexes its rounds from 0, so a fresh run replays the
+    schedule, unless the consumer called :meth:`begin` explicitly.
     """
 
     def __init__(
@@ -315,7 +314,7 @@ class FaultInjector:
         replayed stream layout never depends on the consumer."""
         if self._last_round is not None and round_index <= self._last_round:
             # A fresh run restarted its round counter: replay from round 0,
-            # mirroring TopologyProcessFailures' reuse semantics.
+            # as a topology process replays its schedule on every begin().
             self.begin()
         self._last_round = round_index
         if self._down_until is None or self._down_until.shape[0] != n:
@@ -412,19 +411,6 @@ class FaultInjector:
     def total_injected(self) -> int:
         """Total faults injected (all kinds except restarts) since begin()."""
         return sum(self.counters.get(k, 0) for k in FAULT_KINDS)
-
-    def as_failure_model(self):
-        """This injector's act-suppression faults as a Section-5 model.
-
-        For surfaces that understand failure models but not injectors: the
-        crash/drop masks become the round's failure mask.  Message-level
-        kinds (duplicate, delay, corrupt) are still *drawn* — the stream
-        layout is consumer-independent — but have no effect through this
-        view.
-        """
-        from repro.gossip.failures import FaultInjectorFailures
-
-        return FaultInjectorFailures(self)
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,6 @@ from repro.gossip.failures import (
     NoFailures,
     PerNodeFailures,
     TopologyFailures,
-    TopologyProcessFailures,
     UniformFailures,
 )
 from repro.gossip.messages import Message, payload_bits
@@ -55,7 +54,6 @@ __all__ = [
     "UniformFailures",
     "PerNodeFailures",
     "TopologyFailures",
-    "TopologyProcessFailures",
     "Message",
     "payload_bits",
     "NetworkMetrics",

@@ -23,7 +23,7 @@ from typing import Any, Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConvergenceError, ProtocolError
-from repro.faults.injectors import FaultInjector
+from repro.faults.injectors import FaultInjector, RoundFaults
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.failures import FailureModel, NoFailures
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
@@ -125,15 +125,18 @@ def begin_run(
     env = resolve_env(env)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     stats = metrics if metrics is not None else NetworkMetrics()
-    if env.topology_process is not None:
-        resolve_topology_process(env.topology_process, protocol.n)
-        sampler = None
-    else:
-        sampler = resolve_peer_sampler(
-            env.topology, sampling=env.peer_sampling, n=protocol.n
-        )
+    sampler = resolve_run_sampler(env, protocol.n)
     protocol.begin()
     return source, env, stats, sampler
+
+
+def resolve_run_sampler(env: GossipEnv, n: int) -> Optional[PeerSampler]:
+    """The static sampler of an ``n``-node run, or ``None`` after starting
+    the env's topology process (which samples per round)."""
+    if env.topology_process is not None:
+        resolve_topology_process(env.topology_process, n)
+        return None
+    return resolve_peer_sampler(env.topology, sampling=env.peer_sampling, n=n)
 
 
 def finish_run(
@@ -157,6 +160,38 @@ def finish_run(
     )
 
 
+def round_outage(
+    round_index: int,
+    n: int,
+    source: RandomSource,
+    failures: FailureModel,
+    process: Optional[TopologyProcess] = None,
+    faults: Optional[FaultInjector] = None,
+) -> Tuple[np.ndarray, Optional[PeerSampler], Optional[RoundFaults]]:
+    """Which nodes sit out round ``round_index``, for every substrate.
+
+    A node is out if the failure model fires, *or* the topology process has
+    it departed, *or* the fault injector suppresses it (crash/drop).  The
+    failure model draws from ``source``; process and injector from their
+    own streams.  Returns the failed mask, the process's round sampler and
+    the injector's :class:`~repro.faults.injectors.RoundFaults` (``None``
+    without a process / an injector).
+    """
+    if process is None and faults is None and isinstance(failures, NoFailures):
+        return _cached_mask(n, False), None, None
+    failed = failures.failure_mask(round_index, n, source)
+    round_sampler = None
+    if process is not None:
+        state = process.round_state(round_index)
+        failed = failed | ~state.active
+        round_sampler = state.sampler
+    round_faults = None
+    if faults is not None:
+        round_faults = faults.draw(round_index, n)
+        failed = failed | round_faults.suppressed
+    return failed, round_sampler, round_faults
+
+
 def begin_round(
     protocol: GossipProtocol,
     round_index: int,
@@ -168,42 +203,20 @@ def begin_round(
     process: Optional[TopologyProcess] = None,
     faults: Optional[FaultInjector] = None,
 ) -> Tuple[RoundRecord, np.ndarray, np.ndarray]:
-    """Shared per-round prologue: accounting, failure mask, partner draw.
+    """Shared per-round prologue: accounting, :func:`round_outage`, partners.
 
-    Without a topology process this is byte-for-byte the static path.  With
-    one, the per-round sampler and active mask come from the process (whose
-    evolution runs on its own private stream), departed nodes are folded
-    into the failure mask — they neither act nor, because process samplers
-    only return active targets, receive — and the partner draw still
-    consumes the engine's stream, keeping vectorized and asyncio runs aligned.
-
-    The three robustness inputs compose by OR: a node is out of a round if
-    its Section-5 failure mask fires, *or* the topology process marks it
-    departed, *or* an attached fault injector suppresses it (crash/drop).
-    Each draws from its own stream — the failure model from the engine's,
-    process and injector from their private ones — so composing them never
-    shifts the others' draws.  The message-level fault kinds (duplication,
-    delay, corruption) have no engine-level meaning; they apply only on
+    A process's sampler only returns active targets, so departed nodes
+    neither act nor receive.  The message-level fault kinds apply only on
     the :class:`~repro.gossip.network.GossipNetwork` pull surface.
     """
     record = stats.begin_round(label=protocol.name)
-    if process is None and faults is None and isinstance(failures, NoFailures):
-        # Failure-free fast path: a shared read-only all-False mask, no
-        # per-round mask allocation or failure-count scan.
-        stats.record_failures(0, record)
-        partners = sampler.draw_round(source)
-        return record, _cached_mask(n, False), partners
-    failed = failures.failure_mask(round_index, n, source)
-    if process is not None:
-        state = process.round_state(round_index)
-        failed = failed | ~state.active
-        sampler = state.sampler
-    if faults is not None:
-        round_faults = faults.draw(round_index, n)
-        failed = failed | round_faults.suppressed
+    failed, round_sampler, round_faults = round_outage(
+        round_index, n, source, failures, process, faults
+    )
+    if round_faults is not None:
         stats.record_faults_injected(round_faults.injected)
-    stats.record_failures(int(failed.sum()), record)
-    partners = sampler.draw_round(source)
+    stats.record_failures(int(np.count_nonzero(failed)), record)
+    partners = (round_sampler or sampler).draw_round(source)
     return record, failed, partners
 
 
@@ -228,7 +241,7 @@ def run_protocol_vectorized(
     runs are bit-identical with or without it.  Under the env's
     ``topology_process`` departed nodes neither act nor receive, so
     conserved aggregates (push-sum mass/weight) are preserved; failure
-    model, process and fault injector compose as in :func:`begin_round`.
+    model, process and fault injector compose as in :func:`round_outage`.
     """
     require_batch_protocol(protocol)
     n = protocol.n
@@ -309,11 +322,8 @@ def run_protocol(
     whole (see :func:`run_protocol_vectorized`).
 
     A failure model, a topology process and a fault injector on one env
-    compose: a node sits out a round if *any* of them says so — the masks
-    are OR-ed, per round, and each source draws from its own random stream
-    (failure model: the engine stream; process and injector: their own
-    seeded streams), so enabling one never perturbs another's schedule.
-    ``mu``-style guarantees then apply to the union rate.
+    compose as in :func:`round_outage`: a node sits out a round if *any* of
+    them says so, so ``mu``-style guarantees apply to the union rate.
     """
     if env is not None and env.engine == "asyncio":
         # Imported lazily: repro.net imports this module for the round

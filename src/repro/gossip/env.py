@@ -80,8 +80,9 @@ class GossipEnv:
     The process and the injector are stateful and the env only carries
     them: every run restarts the process, while the injector's stream runs
     on across the runs that share it.  Failure model, process and injector
-    compose freely: a node sits out a round if *any* of them says so, and
-    each draws from its own stream.
+    compose freely on every substrate, by one rule
+    (:func:`~repro.gossip.engine.round_outage`): a node sits out a round if
+    *any* of them says so, and each draws from its own stream.
     """
 
     failure_model: FailureModel = NoFailures()

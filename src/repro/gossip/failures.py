@@ -190,78 +190,6 @@ class TopologyFailures(PerNodeFailures):
         return f"TopologyFailures(mu={self.mu}, mode={self.mode!r})"
 
 
-class TopologyProcessFailures(FailureModel):
-    """A :class:`~repro.topology.dynamic.TopologyProcess` as a failure model.
-
-    Marks every node outside the process's active mask as failed, which lets
-    surfaces that understand failures but not topology processes — notably
-    the token process of :mod:`repro.core.tokens`, whose Section-5 merge
-    machinery keeps a failed pusher's token in place — run under churn while
-    conserving aggregate mass.  The process evolves one round per
-    ``failure_mask`` call (callers invoke it exactly once per round with
-    increasing indices) and is restarted — replaying the same seeded
-    schedule — whenever the round index stops increasing, i.e. when the
-    model is reused for a fresh run.
-
-    ``mu`` reports the process's per-round departure rate when it has one.
-    """
-
-    def __init__(self, process) -> None:
-        self._process = process
-        self._rounds_generated = 0
-        self._last_round: Optional[int] = None
-        self.mu = float(getattr(process, "churn_rate", 0.0))
-
-    def failure_mask(self, round_index: int, n: int, rng: RandomSource) -> np.ndarray:
-        if n != self._process.n:
-            raise ConfigurationError(
-                f"topology process has {self._process.n} nodes, round has {n}"
-            )
-        if self._last_round is None or round_index <= self._last_round:
-            # First use, or a new run restarting its round counter: replay
-            # the schedule from round 0 like every other begin().
-            self._process.begin()
-            self._rounds_generated = 0
-        self._last_round = round_index
-        state = self._process.round_state(self._rounds_generated)
-        self._rounds_generated += 1
-        return ~state.active
-
-    def __repr__(self) -> str:
-        return f"TopologyProcessFailures({self._process.name})"
-
-
-class FaultInjectorFailures(FailureModel):
-    """A :class:`~repro.faults.injectors.FaultInjector` as a failure model.
-
-    Bridges the rich fault vocabulary onto surfaces that only understand
-    Section-5 failure masks: the injector's act-suppression faults (node
-    crash-and-restart, message drop) become the round's failure mask.  The
-    injector still draws its full per-round decision — the private fault
-    stream's layout is consumer-independent, so a chaos schedule replays
-    identically whether it runs through this view or through the
-    fault-aware pull surface — but message-level kinds (duplication,
-    delay, corruption) have no effect here.
-
-    ``mu`` reports the injector's combined crash/drop bound so Section-5
-    sizing (robust pull counts) stays honest.
-    """
-
-    def __init__(self, injector) -> None:
-        self._injector = injector
-        self.mu = float(injector.mu_bound())
-
-    @property
-    def injector(self):
-        return self._injector
-
-    def failure_mask(self, round_index: int, n: int, rng: RandomSource) -> np.ndarray:
-        return self._injector.draw(round_index, n).suppressed
-
-    def __repr__(self) -> str:
-        return f"FaultInjectorFailures({self._injector!r})"
-
-
 def resolve_failure_model(model: Union[None, float, FailureModel]) -> FailureModel:
     """Accept ``None``, a float ``mu`` or a model instance and normalise."""
     if model is None:

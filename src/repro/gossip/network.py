@@ -10,16 +10,17 @@ through one batched accounting call.
 One pull path
 -------------
 :meth:`GossipNetwork.pull` is one body for every mix of the three
-robustness inputs: a pull is lost (``ok = False``) if the failure model
-fires, *or* the topology process has the puller departed, *or* the fault
-injector suppresses it; the message-level faults (duplicates, delay ring,
-corruption, state-loss reset) are overlaid only when an injector is
-attached.  Process and injector draw from private streams, so each
-surface keeps its draw order on the network's stream: a static graph
-draws the ``(n, k)`` partner block, then the per-round failure masks; a
-process draws, per round, its round state, the partners, then the
-failure mask.  Failure-free pulls are one block draw, one gather and one
-batched accounting call with a broadcast all-True ``ok`` view.
+robustness inputs: a pull is lost (``ok = False``) when the engines'
+:func:`~repro.gossip.engine.round_outage` puts the puller out of the
+round (failure model, departed under the topology process, or suppressed
+by the fault injector); the message-level faults (duplicates, delay ring,
+corruption, state-loss reset) are overlaid on the injector's
+``RoundFaults`` only when one is attached.  On the network's stream a
+static graph draws the ``(n, k)`` partner block, then the per-round
+failure masks; a process draws, per round, the failure mask, then the
+partners from the round's sampler.  Failure-free pulls are one block
+draw, one gather and one batched accounting call with a broadcast
+all-True ``ok`` view.
 
 Multi-lane networks
 -------------------
@@ -60,13 +61,14 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.faults.injectors import FaultInjector, RoundFaults
 from repro.gossip.env import GossipEnv, resolve_env
+from repro.gossip.engine import resolve_run_sampler, round_outage
 from repro.gossip.failures import FailureModel, NoFailures
 from repro.gossip.messages import BITS_PER_VALUE, tournament_message_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
-from repro.topology.dynamic import TopologyProcess, resolve_topology_process
+from repro.topology.dynamic import TopologyProcess
 from repro.topology.graphs import Topology
-from repro.topology.sampler import PeerSampler, resolve_peer_sampler
+from repro.topology.sampler import PeerSampler
 from repro.utils.rand import RandomSource
 
 
@@ -201,13 +203,8 @@ class GossipNetwork:
             if faults is not None and faults.max_delay > 0
             else None
         )
-        self._process = resolve_topology_process(env.topology_process, self._n)
-        self._sampler: Optional[PeerSampler] = (
-            None if self._process is not None
-            else resolve_peer_sampler(
-                env.topology, sampling=env.peer_sampling, n=self._n
-            )
-        )
+        self._process = env.topology_process
+        self._sampler: Optional[PeerSampler] = resolve_run_sampler(env, self._n)
         self.metrics: NetworkMetrics = (
             metrics if metrics is not None
             else NetworkMetrics(keep_history=keep_history)
@@ -412,16 +409,12 @@ class GossipNetwork:
         ok = np.empty((n, k), dtype=bool)
         drawn: List[RoundFaults] = []
         for column in range(k):
-            round_index = base + column
-            if process is not None:
-                state = process.round_state(round_index)
-                partners[:, column] = state.sampler.draw_round(self._rng)
-            failed = self._failures.failure_mask(round_index, n, self._rng)
-            if process is not None:
-                failed = failed | ~state.active
-            if faults is not None:
-                round_faults = faults.draw(round_index, n)
-                failed = failed | round_faults.suppressed
+            failed, round_sampler, round_faults = round_outage(
+                base + column, n, self._rng, self._failures, process, faults
+            )
+            if round_sampler is not None:
+                partners[:, column] = round_sampler.draw_round(self._rng)
+            if round_faults is not None:
                 drawn.append(round_faults)
             ok[:, column] = ~failed
 

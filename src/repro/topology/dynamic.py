@@ -170,23 +170,6 @@ class TopologyProcess(abc.ABC):
         at 0, after :meth:`begin`.
         """
 
-    def as_failure_model(self):
-        """This process's join/leave schedule viewed as a failure model.
-
-        Lets surfaces that understand failures but not topology processes —
-        the token split-and-distribute process of :mod:`repro.core.tokens` —
-        run under churn: a departed node "fails" its round, which triggers
-        the existing Section-5 merge machinery (a failed push keeps its
-        token / its half-pair), conserving aggregate mass.  Note that under
-        this view pushes may still *target* departed nodes (the caller's own
-        partner draw is not re-routed); rejoining nodes carry whatever they
-        accumulated.  Use ``rejoin_rate > 0`` so tokens parked on a departed
-        node can eventually spread.
-        """
-        from repro.gossip.failures import TopologyProcessFailures
-
-        return TopologyProcessFailures(self)
-
 
 class StaticProcess(TopologyProcess):
     """A fixed topology wrapped as a (degenerate) dynamic process.

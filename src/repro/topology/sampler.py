@@ -8,8 +8,9 @@ choice so the engines stay topology-agnostic:
   graph, always excluding self-contacts.  Its two draw methods are
   *verbatim* the pre-topology partner code (``draw_round`` for the
   message-level engines, the ``(n, k)`` ``draw_block`` for the
-  :class:`~repro.gossip.network.GossipNetwork` pull surface), so the
-  default configuration is bit-for-bit the old behaviour.
+  :class:`~repro.gossip.network.GossipNetwork` pull surface, ``draw_for``
+  for the token pushers of :mod:`repro.core.tokens`), so the default
+  configuration is bit-for-bit the old behaviour.
 * :class:`NeighborSampler` — uniform over the node's CSR neighbor list:
   one ``random(n)`` draw and one gather per round, any topology.
 * :class:`RoundRobinSampler` — a shuffled round-robin over each node's
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.topology.graphs import Topology
-from repro.utils.rand import RandomSource, resample_forbidden_targets
+from repro.utils.rand import RandomSource, draw_targets_excluding, resample_forbidden_targets
 from repro.utils.views import readonly
 
 #: Peer-sampling strategies accepted by :func:`resolve_peer_sampler`.
@@ -94,6 +95,10 @@ class PeerSampler(abc.ABC):
             raise ConfigurationError("k must be positive")
         return np.stack([self.draw_round(source) for _ in range(k)], axis=1)
 
+    def draw_for(self, source: RandomSource, nodes: np.ndarray) -> np.ndarray:
+        """Partners of ``nodes`` only, for one round (e.g. token pushers)."""
+        return self.draw_round(source)[nodes]
+
 
 class UniformSampler(PeerSampler):
     """Uniform gossip on the complete graph (the paper's model).
@@ -112,6 +117,10 @@ class UniformSampler(PeerSampler):
         own = _identity_indices(self.n)[:, None]
         resample_forbidden_targets(source, partners, own, self.n)
         return partners
+
+    def draw_for(self, source: RandomSource, nodes: np.ndarray) -> np.ndarray:
+        # verbatim the historical token-push stream: one draw per pusher
+        return draw_targets_excluding(source, self.n, nodes)
 
 
 class NeighborSampler(PeerSampler):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,3 +34,16 @@ def node_values(
     if not np.isfinite(array).all():
         raise ConfigurationError("values must be finite (no NaN or infinity)")
     return array
+
+
+def integral(value: object, name: str, kind: str = "an integer") -> int:
+    """``value`` as an ``int``: integers and integral floats pass; bools,
+    fractions and non-numbers raise :class:`ConfigurationError`."""
+    if not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+        try:
+            return operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be {kind}, got {value!r}")

@@ -56,6 +56,22 @@ def test_budget_exhaustion_reports_not_converged():
     assert result.rounds <= 2
 
 
+@pytest.mark.parametrize("max_rounds", [0, -3, 2.5, True, "4"],
+                         ids=["zero", "negative", "fraction", "bool", "str"])
+def test_max_rounds_must_be_a_positive_integer(max_rounds):
+    with pytest.raises(ConfigurationError, match="max_rounds must be"):
+        spread_extrema(np.arange(1.0, 65.0), mode="max", rng=5,
+                       max_rounds=max_rounds)
+
+
+def test_integral_max_rounds_is_the_same_budget():
+    values = np.arange(1.0, 513.0)
+    as_float = spread_extrema(values, mode="max", rng=5, max_rounds=3.0)
+    as_int = spread_extrema(values, mode="max", rng=5, max_rounds=3)
+    assert as_float.rounds == as_int.rounds
+    np.testing.assert_array_equal(as_float.values, as_int.values)
+
+
 def test_monotonicity_invariant():
     """A node's best-seen maximum never decreases across rounds."""
     values = np.arange(1.0, 65.0)

@@ -152,6 +152,32 @@ def test_validation_errors(small_values):
         exact_quantile([1.0, 2.0, 3.0], phi=0.5)
 
 
+@pytest.mark.parametrize(
+    "budgets, message",
+    [
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+        ({"max_iterations": -2}, "max_iterations must be at least 1"),
+        ({"max_iterations": 2.5}, "max_iterations must be an integer"),
+        ({"max_retries": -1}, "max_retries must be non-negative"),
+        ({"max_retries": True}, "max_retries must be an integer"),
+    ],
+    ids=["iterations-0", "iterations-negative", "iterations-fraction",
+         "retries-negative", "retries-bool"],
+)
+def test_budgets_are_checked_up_front(small_values, budgets, message):
+    """A bad budget is a configuration error before any gossip, not a
+    ConvergenceError after it."""
+    with pytest.raises(ConfigurationError, match=message):
+        exact_quantile(small_values, phi=0.5, rng=1, **budgets)
+
+
+def test_integral_budgets_are_the_same_budgets(small_values):
+    as_floats = exact_quantile(small_values, phi=0.5, rng=1,
+                               max_iterations=80.0, max_retries=16.0)
+    as_ints = exact_quantile(small_values, phi=0.5, rng=1)
+    assert (as_floats.value, as_floats.rounds) == (as_ints.value, as_ints.rounds)
+
+
 def test_deterministic_given_seed(small_values):
     a = exact_quantile(small_values, phi=0.7, rng=13)
     b = exact_quantile(small_values, phi=0.7, rng=13)

@@ -123,7 +123,7 @@ def test_non_integer_item_nodes_are_rejected():
     assert np.array_equal(as_floats.owners, as_ints.owners)
 
 
-# ---- one process, on the vectorized engine only ------------------------------
+# ---- one process: env.engine does not apply ----------------------------------
 
 
 @pytest.mark.parametrize("mu", (0.0, 0.3))
@@ -136,10 +136,40 @@ def test_engine_choice_does_not_change_the_run(mu):
         return (result.owners.tolist(), result.phases, result.rounds,
                 result.failed_pushes, result.metrics.summary())
 
-    assert run("vectorized") == run(None)
-    with pytest.raises(ConfigurationError, match="asyncio"):
-        distribute_tokens(list(range(5)), multiplicity=4, n=64,
-                          env=GossipEnv(engine="asyncio"))
+    assert run("vectorized") == run(None) == run("asyncio")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 1.5},
+        {"n": True},
+        {"n": "16"},
+        {"multiplicity": 2.5},
+        {"multiplicity": True},
+        {"multiplicity": np.True_},
+        {"multiplicity": float("nan")},
+    ],
+    ids=["n-fraction", "n-bool", "n-str", "m-fraction", "m-bool", "m-np-bool",
+         "m-nan"],
+)
+def test_non_integral_sizes_are_configuration_errors(kwargs):
+    call = {"item_nodes": [0, 1], "multiplicity": 2, "n": 16, "rng": 1}
+    call.update(kwargs)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        distribute_tokens(**call)
+
+
+@pytest.mark.parametrize(
+    "n, multiplicity",
+    [(np.float64(16.0), 2), (16, 2.0), (np.int32(16), np.int64(2))],
+    ids=["np-float-n", "float-m", "np-ints"],
+)
+def test_integral_sizes_name_the_same_run(n, multiplicity):
+    reference = distribute_tokens([0, 1], multiplicity=2, n=16, rng=1)
+    result = distribute_tokens([0, 1], multiplicity=multiplicity, n=n, rng=1)
+    assert type(result.multiplicity) is int and result.multiplicity == 2
+    assert np.array_equal(result.owners, reference.owners)
 
 
 # ---- fixed-seed invariants --------------------------------------------------

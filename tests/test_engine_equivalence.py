@@ -312,15 +312,23 @@ def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
 # before the pull surface was collapsed into one body.  Each digest covers
 # every batch's partners, values and ok mask, the network's working values
 # after the run (state-loss resets) and the metrics summary.
+#
+# Re-pinned deliberately when every substrate took its outage from the one
+# round_outage function: under a process the round's failure mask is now
+# drawn before its partners, as in the engines' begin_round, so the three
+# cases with both a process and a failure model moved (churn_failures was
+# 617233bd4a845433, all_three b2c1fb1ea9c9c7f7, all_three_2lane
+# 6f0a15edac76d06b).  A process without a failure model draws no mask from
+# the network stream, so "churn" and "churn_faults" did not move.
 
 PULL_SURFACE_PINS = {
     "failures": "b621f490026767d8",
     "churn": "737ed535c8ade215",
     "churn_faults": "3e248ac45ce417f8",
-    "churn_failures": "617233bd4a845433",
+    "churn_failures": "044569018067259b",
     "faults_failures": "45a9d94d482eeb83",
-    "all_three": "b2c1fb1ea9c9c7f7",
-    "all_three_2lane": "6f0a15edac76d06b",
+    "all_three": "c763276c8a9377a3",
+    "all_three_2lane": "9df9b2d96bb27350",
 }
 
 

@@ -169,18 +169,6 @@ def test_counters_and_total_injected():
     assert set(injector.counters) == set(FAULT_KINDS) | {"restart"}
 
 
-def test_failure_model_view_matches_direct_draws():
-    direct = FaultInjector([MessageDrop(0.4), CrashRestart(0.2)], rng=21)
-    viewed = FaultInjector([MessageDrop(0.4), CrashRestart(0.2)], rng=21)
-    model = viewed.as_failure_model()
-    assert model.mu == viewed.mu_bound()
-    rng = RandomSource(0)
-    for r in range(5):
-        assert np.array_equal(
-            model.failure_mask(r, 32, rng), direct.draw(r, 32).suppressed
-        )
-
-
 # ------------------------------------------------------- network overlay
 
 

@@ -10,7 +10,7 @@ from repro.core.exact_quantile import exact_quantile
 from repro.core.robust import robust_approximate_quantile
 from repro.core.tokens import distribute_tokens
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultInjector, MessageDrop
+from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import NoFailures, UniformFailures
 from repro.gossip.network import GossipNetwork
@@ -116,15 +116,21 @@ def test_approximate_quantile_rejects_env_beside_a_network():
 @pytest.mark.parametrize(
     "settings",
     [
-        {"topology_process": ChurnProcess(64, churn_rate=0.1, rng=0)},
-        {"faults": FaultInjector(MessageDrop(0.1), rng=0)},
+        {"topology_process": ChurnProcess(64, churn_rate=0.05, rejoin_rate=0.5,
+                                          rng=0)},
+        {"faults": FaultInjector([MessageDrop(0.1), CrashRestart(0.05)], rng=0)},
         {"engine": "asyncio"},
     ],
     ids=["topology-process", "faults", "asyncio"],
 )
-def test_exact_quantile_rejects_unsupported_settings(settings):
-    with pytest.raises(ConfigurationError, match="exact_quantile"):
-        exact_quantile(np.arange(64.0), 0.5, rng=0, env=GossipEnv(**settings))
+def test_exact_quantile_keeps_its_answer_under_every_setting(settings):
+    """Churn, crash/drop faults and the asyncio engine reach every step of
+    Algorithm 3, and the answer stays exact."""
+    values = np.random.default_rng(3).permutation(np.arange(1.0, 65.0))
+    result = exact_quantile(values, 0.5, rng=0, env=GossipEnv(**settings))
+    assert result.value == float(np.sort(values)[result.target_rank - 1])
+    if "engine" not in settings:
+        assert result.metrics.failed_node_rounds > 0
 
 
 @pytest.mark.parametrize(
@@ -142,12 +148,19 @@ def test_robust_quantile_rejects_unsupported_settings(settings):
         )
 
 
-def test_tokens_reject_a_topology():
-    with pytest.raises(ConfigurationError, match="token distribution"):
-        distribute_tokens(
-            [0, 1], multiplicity=2, n=16, rng=0,
-            env=GossipEnv(topology=ring(16, k=2)),
-        )
+def test_tokens_keep_exact_multiplicities_on_a_ring():
+    """Pushes go to ring neighbours; at 0.5 load every item still ends up
+    with exactly ``multiplicity`` copies."""
+    result = distribute_tokens(
+        list(range(0, 256, 16)), multiplicity=8, n=256, rng=0,
+        env=GossipEnv(topology=ring(256, k=2)),
+    )
+    assert [result.copies_of(item) for item in range(16)] == [8] * 16
+    assert np.count_nonzero(result.owners >= 0) == 128
+    # A token moves at most once per phase, by at most 2 hops on ring(k=2).
+    holders = np.flatnonzero(result.owners >= 0)
+    hops = np.abs(holders - 16 * result.owners[holders])
+    assert np.minimum(hops, 256 - hops).max() <= 2 * result.phases
 
 
 def test_exact_quantile_on_a_ring_keeps_its_answer():

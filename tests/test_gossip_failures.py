@@ -8,7 +8,6 @@ from repro.gossip.failures import (
     NoFailures,
     PerNodeFailures,
     TopologyFailures,
-    TopologyProcessFailures,
     UniformFailures,
     resolve_failure_model,
 )
@@ -181,40 +180,3 @@ def test_topology_failures_validation():
         TopologyFailures(_star_degrees(16), mu=1.0)
     with pytest.raises(ConfigurationError):
         TopologyFailures(np.zeros(16), mu=0.2)  # isolated nodes
-
-
-# ---- churn schedules viewed as failure models --------------------------------
-
-
-def test_topology_process_failures_replays_the_churn_schedule():
-    from repro.topology import ChurnProcess
-
-    process = ChurnProcess(n=64, churn_rate=0.3, rng=5)
-    model = TopologyProcessFailures(process)
-    masks = [model.failure_mask(r, 64, RandomSource(0)).copy() for r in range(20)]
-
-    reference = ChurnProcess(n=64, churn_rate=0.3, rng=5)
-    reference.begin()
-    expected = [~reference.round_state(r).active for r in range(20)]
-    assert all((a == b).all() for a, b in zip(masks, expected))
-
-
-def test_topology_process_failures_rejects_wrong_n():
-    from repro.topology import ChurnProcess
-
-    model = TopologyProcessFailures(ChurnProcess(n=64, churn_rate=0.1, rng=1))
-    with pytest.raises(ConfigurationError):
-        model.failure_mask(0, 65, RandomSource(0))
-
-
-def test_topology_process_failures_replays_on_model_reuse():
-    """A second run restarting its round counter must replay the schedule,
-    not continue it — seeded token results stay reproducible when
-    the same model object is reused."""
-    from repro.topology import ChurnProcess
-
-    model = TopologyProcessFailures(ChurnProcess(n=64, churn_rate=0.3, rng=5))
-    rng = RandomSource(0)
-    first = [model.failure_mask(r, 64, rng).copy() for r in range(5)]
-    second = [model.failure_mask(r, 64, rng).copy() for r in range(5)]
-    assert all((a == b).all() for a, b in zip(first, second))

@@ -123,6 +123,33 @@ def test_tcp_transport_matches_the_vectorized_engine():
     )
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_quantile_on_asyncio_matches_the_vectorized_run(seed):
+    """Algorithm 3 end to end with extrema and counting on the asyncio
+    engine over in-process channels: the same value, rounds, per-iteration
+    history and metrics as the vectorized run."""
+    import dataclasses
+    import hashlib
+    import json
+
+    from repro.core.exact_quantile import exact_quantile
+
+    values = np.random.default_rng(seed).permutation(np.arange(1.0, 65.0))
+
+    def run(engine):
+        result = exact_quantile(values, 0.5, rng=seed,
+                                env=GossipEnv(engine=engine))
+        history = [dataclasses.asdict(stats) for stats in result.history]
+        digest = hashlib.sha256(json.dumps(
+            [history, result.metrics.summary()], sort_keys=True
+        ).encode()).hexdigest()
+        return result.value, result.rounds, digest
+
+    vectorized = run("vectorized")
+    assert vectorized[0] == float(np.sort(values)[31])
+    assert run("asyncio") == vectorized
+
+
 # -- engine dispatch -------------------------------------------------------
 
 

@@ -50,8 +50,8 @@ def test_service_update_rejects_non_finite_values(bad):
     assert service.lane_drift().max() == 0.0
 
 
-@pytest.mark.parametrize("index", [2.7, -0.5, np.float64(1.5), np.nan, "3"],
-                         ids=["2.7", "-0.5", "np-1.5", "nan", "str"])
+@pytest.mark.parametrize("index", [2.7, -0.5, np.float64(1.5), np.nan, "3", True],
+                         ids=["2.7", "-0.5", "np-1.5", "nan", "str", "bool"])
 def test_service_update_rejects_non_integral_indices(index):
     """A fractional index must not be truncated onto a real node."""
     values = np.arange(1.0, 65.0)
