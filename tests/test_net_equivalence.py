@@ -11,12 +11,16 @@ are the pin that keeps it that way.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
+from repro.core.exact_quantile import exact_quantile
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.gossip.engine import run_protocol
 from repro.gossip.env import ENGINE_CHOICES, GossipEnv
@@ -128,12 +132,6 @@ def test_exact_quantile_on_asyncio_matches_the_vectorized_run(seed):
     """Algorithm 3 end to end with extrema and counting on the asyncio
     engine over in-process channels: the same value, rounds, per-iteration
     history and metrics as the vectorized run."""
-    import dataclasses
-    import hashlib
-    import json
-
-    from repro.core.exact_quantile import exact_quantile
-
     values = np.random.default_rng(seed).permutation(np.arange(1.0, 65.0))
 
     def run(engine):
