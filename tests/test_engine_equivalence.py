@@ -305,6 +305,109 @@ def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
     assert failed.rounds == 38
 
 
+# ---- failure-free tournament accounting pins --------------------------------
+#
+# (rounds, metrics.summary()) of every failure-free tournament case behind
+# the digest pins above, plus the robust variant and the median rule,
+# captured on the pull-surface tree before the tournaments moved onto the
+# gossip engines.  Round counts come from the schedules and failure-free
+# message / bit accounting does not depend on the partner stream, so these
+# must hold across any re-pin of the digests.
+
+
+def _failure_free(rounds, messages, total_bits, max_message_bits):
+    return {
+        "rounds": rounds,
+        "messages": messages,
+        "total_bits": total_bits,
+        "max_message_bits": max_message_bits,
+        "failed_node_rounds": 0,
+        "queries": 0,
+        "query_bits": 0,
+    }
+
+
+TOURNAMENT_ACCOUNTING_PINS = {
+    "two_tournament": (2, _failure_free(2, 514, 45746, 89)),
+    "three_tournament": (33, _failure_free(33, 8481, 754809, 89)),
+    "approx": (38, _failure_free(38, 9766, 869174, 89)),
+    "all_ranks_9": (48, _failure_free(48, 12336, 7413936, 601)),
+    "all_ranks_19_f32": (56, _failure_free(56, 14392, 17860472, 1241)),
+    "pair_f64": (40, _failure_free(40, 10280, 1572840, 153)),
+    "pair_f32": (40, _failure_free(40, 10280, 1572840, 153)),
+    "service_build": (48, _failure_free(48, 12336, 7413936, 601)),
+    "service_rebuild": (48, _failure_free(96, 24672, 14827872, 601)),
+    "all_ranks_seq_eps_0.2_rng_9": (156, _failure_free(156, 40092, 3568188, 89)),
+    "all_ranks_seq_eps_0.1_rng_10_qa_0.08": (
+        381, _failure_free(381, 97917, 8714613, 89)
+    ),
+    "robust": (49, _failure_free(49, 12593, 1120777, 89)),
+    "median_rule": (75, _failure_free(75, 19275, 1715475, 89)),
+}
+
+
+def _tournament_accounting(case):
+    """Run one accounting case: its rounds and its metrics summary."""
+    from repro.baselines.median_rule import median_rule
+    from repro.core.all_quantiles import estimate_all_ranks
+    from repro.core.approx_quantile import approximate_quantile
+    from repro.core.robust import robust_approximate_quantile
+    from repro.core.service import QuantileService
+    from repro.core.three_tournament import run_three_tournament
+    from repro.core.two_tournament import run_two_tournament
+    from repro.gossip.metrics import NetworkMetrics
+    from repro.gossip.network import GossipNetwork
+
+    values = _pin_values()
+    if case in ("two_tournament", "three_tournament"):
+        metrics = NetworkMetrics(keep_history=False)
+        if case == "two_tournament":
+            network = GossipNetwork(values, rng=5, metrics=metrics)
+            run_two_tournament(network, phi=0.3, eps=0.1)
+        else:
+            network = GossipNetwork(values, rng=6, metrics=metrics)
+            run_three_tournament(network, eps=0.05)
+        return metrics.rounds, metrics.summary()
+    if case.startswith("service"):
+        service = QuantileService(values, eps=0.1, rng=11)
+        if case == "service_build":
+            return service.rounds, service.gossip_metrics.summary()
+        for index in range(0, 257, 2):
+            service.update_value(index, 150.0 + index)
+        report = service.rebuild()
+        return report.rounds, service.gossip_metrics.summary()
+    runs = {
+        "approx": lambda: approximate_quantile(values, phi=0.35, eps=0.1, rng=7),
+        "all_ranks_9": lambda: estimate_all_ranks(values, eps=0.1, rng=9),
+        "all_ranks_19_f32": lambda: estimate_all_ranks(
+            values, eps=0.05, rng=10, env=GossipEnv(dtype=np.float32)
+        ),
+        "pair_f64": lambda: approximate_quantile(
+            np.column_stack([values, values]), phi=(0.2, 0.65), eps=0.1,
+            rng=7, env=GossipEnv(dtype=np.float64),
+        ),
+        "pair_f32": lambda: approximate_quantile(
+            np.column_stack([values, values]), phi=(0.2, 0.65), eps=0.1,
+            rng=7, env=GossipEnv(dtype=np.float32),
+        ),
+        "all_ranks_seq_eps_0.2_rng_9": lambda: estimate_all_ranks(
+            values, eps=0.2, rng=9, max_lanes=1
+        ),
+        "all_ranks_seq_eps_0.1_rng_10_qa_0.08": lambda: estimate_all_ranks(
+            values, eps=0.1, rng=10, query_accuracy=0.08, max_lanes=1
+        ),
+        "robust": lambda: robust_approximate_quantile(values, 0.35, 0.1, rng=7),
+        "median_rule": lambda: median_rule(values, rng=7),
+    }
+    result = runs[case]()
+    return result.rounds, result.metrics.summary()
+
+
+@pytest.mark.parametrize("case", sorted(TOURNAMENT_ACCOUNTING_PINS))
+def test_failure_free_tournament_accounting_pinned(case):
+    assert _tournament_accounting(case) == TOURNAMENT_ACCOUNTING_PINS[case]
+
+
 # ---- composed pull-surface pins ---------------------------------------------
 #
 # sha256 prefixes of GossipNetwork.pull under each composition of the three
