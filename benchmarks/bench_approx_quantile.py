@@ -6,10 +6,9 @@ Times the exact-quantile driver's sandwich workload — the lower and upper
 * ``sequential``: two single-lane :func:`approximate_quantile` runs, the
   pre-fusion execution (the pair used to be *charged* max-of-pair rounds
   but executed back to back);
-* ``fused``: one two-lane run on a multi-lane
-  :class:`~repro.gossip.network.GossipNetwork` — one partner matrix per
-  round shared across lanes, per-lane schedules, rounds = max(pair) by
-  construction.  A ``fused-f32`` variant additionally runs the lanes in
+* ``fused``: one two-lane tournament run (:mod:`repro.core.tournament`)
+  — one partner draw per round shared across lanes, per-lane schedules,
+  rounds = max(pair) by construction.  A ``fused-f32`` variant additionally runs the lanes in
   float32 (exact for rank keys below 2²⁴).
 
 Emits ``BENCH_approx.json`` (mode, n, rounds, wall time, speedup of the

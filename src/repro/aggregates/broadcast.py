@@ -9,8 +9,8 @@ The protocol is the first *mixed-kind* batch protocol: informed nodes
 push-pull while uninformed nodes only pull, so one vectorized round carries
 a per-node kind array (``BatchAction(kind="mixed")``).  Pushes and pull
 responses answer from the round-start snapshot of the informed set — the
-synchronous semantics of the uniform gossip model (see
-:class:`repro.gossip.network.PullBatch`) — which makes the round outcome
+synchronous semantics of the uniform gossip model (as in
+:mod:`repro.core.tournament`) — which makes the round outcome
 independent of delivery order and lets the vectorized engine reproduce the
 per-node asyncio engine bit for bit.
 """

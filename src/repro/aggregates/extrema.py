@@ -38,7 +38,7 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
 
     Pushes and pull responses both carry the sender's best values *as of
     the start of the round* — the synchronous snapshot semantics of the
-    uniform gossip model (see :class:`repro.gossip.network.PullBatch`).
+    uniform gossip model (as in :mod:`repro.core.tournament`).
     Because min/max merges are exact and commutative, a round's outcome is
     independent of delivery order, which is what lets the vectorized engine
     reproduce the per-node asyncio engine bit for bit.  NaN has no order and is

@@ -17,10 +17,8 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.gossip.env import GossipEnv
-from repro.gossip.failures import FailureModel
+from repro.gossip.failures import FailureModel, resolve_failure_model
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
 from repro.utils.stats import empirical_quantile
 
@@ -65,7 +63,8 @@ def sampling_quantile(
     materialises the outputs of at most ``max_observers`` nodes (the
     algorithm is symmetric, so observer nodes are statistically identical to
     the rest), while the round and message accounting covers all ``n``
-    nodes.
+    nodes.  The rounds are charged, not simulated, so ``failure_model`` is
+    only validated.
     """
     if not 0.0 <= phi <= 1.0:
         raise ConfigurationError("phi must be in [0, 1]")
@@ -79,15 +78,16 @@ def sampling_quantile(
         rounds = sampling_rounds(n, eps, constant)
     observers = int(min(n, max(1, max_observers)))
 
-    network = GossipNetwork(array, rng=rng, keep_history=False,
-                            env=GossipEnv(failure_model=failure_model))
+    resolve_failure_model(failure_model)
     # Values never change in this baseline, so each pull is an iid draw from
-    # the static value array; we account every round on the network and draw
-    # the observer samples directly.
-    network.charge_rounds(rounds, label="sampling")
-    network.metrics.record_messages(rounds * n, 64 + max(1, int(math.ceil(math.log2(n)))))
+    # the static value array; every round is charged and the observer
+    # samples are drawn directly.
+    metrics = NetworkMetrics(keep_history=False)
+    metrics.charge_rounds(rounds, label="sampling")
+    metrics.record_messages(rounds * n, 64 + max(1, int(math.ceil(math.log2(n)))))
 
-    draws = network.rng.integers(0, n, size=(observers, rounds))
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    draws = source.integers(0, n, size=(observers, rounds))
     samples = array[draws]
     estimates = np.array(
         [empirical_quantile(samples[i], phi) for i in range(observers)], dtype=float
@@ -100,6 +100,6 @@ def sampling_quantile(
         estimates=estimates,
         estimate=float(np.median(estimates)),
         rounds=rounds,
-        metrics=network.metrics,
+        metrics=metrics,
         observers=observers,
     )

@@ -18,11 +18,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.three_tournament import median_of_three
+from repro.core.tournament import PullWindow, lane_rows, run_windows
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import FailureModel
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
+from repro.utils.inputs import integral, node_values
 from repro.utils.rand import RandomSource
 from repro.utils.stats import quantile_of_value
 
@@ -49,33 +51,31 @@ def median_rule(
     failure_model: Union[None, float, FailureModel] = None,
     constant: float = 3.0,
 ) -> MedianRuleResult:
-    """Run the 3-sample median rule for ``iterations`` (default c·log2 n) rounds."""
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size < 2:
-        raise ConfigurationError("values must be a 1-d array of length >= 2")
+    """Run the 3-sample median rule for ``iterations`` (default c·log2 n)
+    rounds of three pulls each, on the gossip engine."""
+    array = node_values(values)
     n = array.size
     if iterations is None:
         iterations = int(math.ceil(constant * math.log2(n)))
+    iterations = integral(iterations, "iterations", "a positive integer")
     if iterations < 1:
         raise ConfigurationError("iterations must be positive")
 
-    network = GossipNetwork(array, rng=rng, keep_history=False,
-                            env=GossipEnv(failure_model=failure_model))
-    for _ in range(iterations):
-        current = network.snapshot()
-        batch = network.pull(3, label="median-rule")
-        pulled = np.where(batch.ok, batch.values, current[:, None])
-        network.set_values(np.sort(pulled, axis=1)[:, 1])
-
-    final = network.snapshot()
+    metrics = NetworkMetrics(keep_history=False)
+    step = PullWindow(3, median_of_three, label="median-rule")
+    rows = run_windows(
+        lane_rows(array, np.dtype(float)), [step] * iterations, rng, metrics,
+        GossipEnv(failure_model=failure_model),
+    )
+    final = rows[0]
     uniques, counts = np.unique(final, return_counts=True)
     winner = float(uniques[int(np.argmax(counts))])
     return MedianRuleResult(
         n=n,
         iterations=iterations,
-        rounds=network.metrics.rounds,
+        rounds=metrics.rounds,
         values=final,
-        metrics=network.metrics,
+        metrics=metrics,
         consensus_quantile=quantile_of_value(array, winner),
         consensus_fraction=float(np.max(counts)) / n,
     )

@@ -8,16 +8,16 @@ an additive O(ε), in ``(1/eps) * O(log log n + log 1/eps)`` rounds overall.
 One-pass execution
 ------------------
 The grid is embarrassingly fusable: all ``L = ceil(1/eps) - 1`` targets are
-queries over the *same* value multiset, so they column-stack into a single
-multi-lane :class:`~repro.gossip.network.GossipNetwork` whose lanes run
+queries over the *same* value multiset, so they column-stack into one
+multi-lane tournament run (:mod:`repro.core.tournament`) whose lanes run
 their per-target ``(phi, eps)`` schedules on one shared partner stream —
 exactly the machinery the exact-quantile driver uses for its ε/2 sandwich
 pair, applied to the whole grid.  A fused run executes max-of-lanes rounds
 instead of the sequential sum, collapsing the corollary's ``1/eps`` factor
 out of the round count (each message now carries the lanes' working
 values, which the payload-bit accounting charges honestly).  Lanes are
-chunked (``max_lanes``) so the per-round ``(n, k, L)`` gather blocks stay
-memory-bounded at large ``n``; the default keeps a 3-pull round under
+chunked (``max_lanes``) so each window's ``(k, L, n)`` pulled rows stay
+memory-bounded at large ``n``; the default keeps a 3-pull window under
 ~0.75 KiB per node in float64.
 
 ``max_lanes=1`` is the single-lane reference: one tournament per grid
@@ -34,18 +34,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.approx_quantile import approximate_quantile
+from repro.core.approx_quantile import run_approximation
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
 
-#: Default lane-chunk width of the fused path.  A 3-pull tournament round
-#: gathers ``(n, 3, L)`` values; at L = 32 lanes of float64 that is 768
-#: bytes per node per round — a full 10⁶-node grid pass stays under ~1 GiB
+#: Default lane-chunk width of the fused path.  A 3-pull tournament window
+#: gathers ``(3, L, n)`` values; at L = 32 lanes of float64 that is 768
+#: bytes per node per window — a full 10⁶-node grid pass stays under ~1 GiB
 #: of transient gather blocks instead of the unchunked grid's L ≈ 1/eps
 #: lanes blowing up memory at fine eps.
 DEFAULT_MAX_LANES = 32
@@ -144,14 +143,12 @@ def estimate_all_ranks(
         accumulate into (its ``keep_history`` wins).  ``rounds`` and
         ``round_windows`` report only this computation's rounds either way.
     env:
-        The :class:`~repro.gossip.env.GossipEnv` of every underlying
-        network (the complete graph when omitted — the paper's model).  A
-        ``faults`` injector's private stream is shared across chunks (round
-        indices keep increasing through the shared metrics object), so a
-        seeded chaos schedule spans the whole grid pass and replays
-        bit-for-bit.  A ``topology_process`` would restart with every chunk
-        and is rejected; ``engine`` is unused (the tournaments run on the
-        engine-agnostic pull surface).
+        The :class:`~repro.gossip.env.GossipEnv` every chunk runs in, on
+        its engine (the complete graph when omitted — the paper's model).
+        Like every engine run, each tournament phase indexes its rounds
+        from 0, so a ``faults`` injector replays its schedule per phase and
+        a seeded chaos pass replays bit-for-bit.  A ``topology_process``
+        would restart with every chunk and is rejected.
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
@@ -226,20 +223,14 @@ def estimate_grid_subset(
     for start in range(0, targets.size, max_lanes):
         chunk = targets[start:start + max_lanes]
         lanes = chunk.size
-        # Every lane starts from the same value multiset; the network copies
-        # the broadcast view into its own (n, lanes) matrix.
+        # Every lane starts from the same value multiset.
         stacked = np.broadcast_to(array[:, None], (n, lanes))
-        network = GossipNetwork(
-            stacked, rng=source.child(), metrics=metrics, env=env
-        )
         window_start = metrics.rounds
         with tracer.span("grid_chunk", metrics) as span:
             span.annotate(start=start, lanes=lanes)
-            result = approximate_quantile(
-                network=network,
-                phi=[float(phi) for phi in chunk],
-                eps=query_accuracy,
-                final_samples=final_samples,
+            result = run_approximation(
+                stacked, [float(phi) for phi in chunk], query_accuracy,
+                final_samples, source.child(), metrics=metrics, env=env,
             )
         windows.append((window_start, metrics.rounds))
         per_grid.append(np.asarray(result.estimates).T)  # (lanes, n)

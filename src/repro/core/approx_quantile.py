@@ -27,12 +27,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.results import ApproxQuantileResult
-from repro.core.three_tournament import DEFAULT_FINAL_SAMPLES, run_three_tournament
+from repro.core.three_tournament import (
+    DEFAULT_FINAL_SAMPLES,
+    run_three_tournament,
+    vote_size,
+)
 from repro.core.two_tournament import per_lane, run_two_tournament
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource
@@ -53,13 +56,12 @@ def min_supported_eps(n: int) -> float:
 
 
 def approximate_quantile(
-    values: Union[np.ndarray, list, tuple, None] = None,
+    values: Union[np.ndarray, list, tuple],
     phi: Union[float, Sequence[float]] = 0.5,
     eps: Union[float, Sequence[float]] = 0.1,
     rng: Union[None, int, RandomSource] = None,
     final_samples: int = DEFAULT_FINAL_SAMPLES,
     track_bands: bool = False,
-    network: Optional[GossipNetwork] = None,
     metrics: Optional[NetworkMetrics] = None,
     keep_history: bool = False,
     env: Optional[GossipEnv] = None,
@@ -69,8 +71,8 @@ def approximate_quantile(
     Parameters
     ----------
     values:
-        One value per node, or an ``(n, L)`` matrix for a fused multi-lane
-        run.  Alternatively pass an existing ``network``.
+        One finite value per node, or an ``(n, L)`` matrix for a fused
+        multi-lane run.
     phi:
         Target quantile in ``[0, 1]`` — one per lane for multi-lane runs.
     eps:
@@ -85,20 +87,15 @@ def approximate_quantile(
     track_bands:
         Record per-iteration band occupancies (slower; single-lane runs
         only, used by experiments).
-    network / metrics:
-        Advanced: run on an existing network (its value array is consumed)
-        and/or accumulate rounds into an existing metrics object.
-    keep_history:
-        Keep per-round records on the constructed network's metrics object
-        (previously hardcoded off, which silently discarded round
-        attribution whenever no explicit ``metrics`` was supplied).  Only
-        valid when the network is constructed here.
+    metrics / keep_history:
+        Accumulate rounds into an existing metrics object, or keep
+        per-round records on a fresh one (``keep_history`` applies only
+        when ``metrics`` is not given).
     env:
-        The :class:`~repro.gossip.env.GossipEnv` of the constructed network
-        (only valid when the network is constructed here; a supplied
-        ``network`` already carries its own).  Under its failure model the
-        plain algorithm degrades gracefully (failed pulls keep the previous
-        value); the variant with the Section-5 guarantees is
+        The :class:`~repro.gossip.env.GossipEnv`.  Both phases run on its
+        engine.  Under its failure model the plain algorithm degrades
+        gracefully (a failed pull reads the puller's own value); the
+        variant with the Section-5 guarantees is
         :func:`repro.core.robust.robust_approximate_quantile`.  On a sparse
         ``topology`` pulls are drawn from graph neighbors instead of
         uniformly: the paper's guarantees assume the complete graph, and
@@ -112,30 +109,27 @@ def approximate_quantile(
         accounting.  Multi-lane runs return ``(n, L)`` estimates and one
         representative estimate per lane.
     """
-    if network is None:
-        if values is None:
-            raise ConfigurationError("either values or network must be given")
-        network = GossipNetwork(
-            node_values(values, lanes=True),
-            rng=rng,
-            metrics=metrics,
-            keep_history=keep_history,
-            env=env,
-        )
-    elif values is not None:
-        raise ConfigurationError("pass either values or network, not both")
-    elif keep_history:
-        raise ConfigurationError(
-            "keep_history applies to the constructed network; configure the "
-            "supplied network (or its metrics object) instead"
-        )
-    elif env is not None:
-        raise ConfigurationError(
-            "env applies to the constructed network; pass it to the "
-            "GossipNetwork constructor when supplying an existing network"
-        )
+    if metrics is None:
+        metrics = NetworkMetrics(keep_history=keep_history)
+    return run_approximation(
+        node_values(values, lanes=True), phi, eps, final_samples, rng,
+        metrics, env, track_bands,
+    )
 
-    lanes = network.lanes
+
+def run_approximation(
+    values: np.ndarray,
+    phi: Union[float, Sequence[float]],
+    eps: Union[float, Sequence[float]],
+    final_samples: int,
+    rng: Union[None, int, RandomSource],
+    metrics: NetworkMetrics,
+    env: Optional[GossipEnv] = None,
+    track_bands: bool = False,
+) -> ApproxQuantileResult:
+    """The body of :func:`approximate_quantile`, which also takes
+    non-finite values: the exact driver's non-holders gossip +inf keys."""
+    lanes = 1 if values.ndim == 1 else values.shape[1]
     phis = per_lane(phi, lanes, "phi")
     epss = per_lane(eps, lanes, "eps")
     for lane_phi in phis:
@@ -144,31 +138,31 @@ def approximate_quantile(
     for lane_eps in epss:
         if not 0.0 < lane_eps < 0.5:
             raise ConfigurationError(f"eps must be in (0, 0.5), got {lane_eps}")
-
-    rounds_before = network.metrics.rounds
-
-    with get_tracer().span("approx_quantile", network.metrics) as span:
-        span.annotate(n=network.n, lanes=lanes)
+    final_samples = vote_size(final_samples)
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    rounds_before = metrics.rounds
+    with get_tracer().span("approx_quantile", metrics) as span:
+        span.annotate(n=values.shape[0], lanes=lanes)
         phase1 = run_two_tournament(
-            network, phi=phis, eps=epss, track_band=track_bands
+            values, phi=phis, eps=epss, track_band=track_bands,
+            rng=source, metrics=metrics, env=env,
         )
         phase2 = run_three_tournament(
-            network,
+            phase1.final_values,
             eps=[lane_eps / 4.0 for lane_eps in epss],
             final_samples=final_samples,
             track_band=track_bands,
+            rng=source,
+            metrics=metrics,
+            env=env,
         )
-
-    estimates = phase2.final_values
-    rounds = network.metrics.rounds - rounds_before
-
     return ApproxQuantileResult(
         phi=phi if np.isscalar(phi) else tuple(phis),
         eps=eps if np.isscalar(eps) else tuple(epss),
-        n=network.n,
-        estimates=estimates,
-        rounds=rounds,
-        metrics=network.metrics,
+        n=values.shape[0],
+        estimates=phase2.final_values,
+        rounds=metrics.rounds - rounds_before,
+        metrics=metrics,
         phase1=phase1,
         phase2=phase2,
     )

@@ -66,21 +66,20 @@ exact path" section):
   ε/2-approximate quantiles in the same O(log n)-round window — one
   O(log n)-bit message carries both working values — and the driver
   executes them that way: each bounded side of the sandwich is one lane of
-  a multi-lane :class:`~repro.gossip.network.GossipNetwork` (a side whose
-  target falls off the distribution runs no lane).  The lanes share every
+  a multi-lane tournament run (a side whose target falls off the
+  distribution runs no lane).  The lanes share every
   partner draw, so rounds = max over the lanes, and each round's traffic
   lands in its own round record.  Step 4 spreads the min of the lower lane
   and the max of the upper one as the lanes of one
   :class:`~repro.aggregates.extrema.ExtremaProtocol` run, and the final
   query is the same approximation with one lane.
-* **Fast path.**  Every substrate is vectorized: the tournaments run on
-  the batched :class:`~repro.gossip.network.GossipNetwork`
-  pull surface, extrema/counting on the vectorized gossip engine, and token
-  duplication on the flat token columns of :mod:`repro.core.tokens`.
-  ``env.dtype=float32`` runs the gossip key arrays
-  in single precision — keys are ranks ≤ n, exactly representable in
-  float32 below 2²⁴, so the computed quantile is identical while the hot
-  ``(n, k, L)`` pull gathers move half the memory.  Exact queries
+* **Fast path.**  Every substrate is vectorized: the tournaments
+  (:mod:`repro.core.tournament`), extrema and counting run on the
+  vectorized gossip engine, and token duplication on the flat token
+  columns of :mod:`repro.core.tokens`.  ``env.dtype=float32`` runs the
+  gossip key arrays in single precision — keys are ranks ≤ n, exactly
+  representable in float32 below 2²⁴, so the computed quantile is
+  identical while the hot pull gathers move half the memory.  Exact queries
   complete in seconds at n = 10⁵ and run single-threaded at
   n = 10⁶ (see ``benchmarks/bench_exact_quantile.py`` and the
   ``exact-scale`` experiment preset).
@@ -170,8 +169,8 @@ def exact_quantile(
         The :class:`~repro.gossip.env.GossipEnv`.  Its ``failure_model``,
         ``topology_process`` and ``faults`` apply to every substrate
         (:func:`~repro.gossip.engine.round_outage`); ``engine="asyncio"``
-        runs extrema and counting on the asyncio engine, with the same
-        result.  Its ``dtype`` is the dtype of the gossip key arrays: keys
+        runs the tournaments, extrema and counting on the asyncio engine,
+        with the same result (token duplication keeps its flat columns).  Its ``dtype`` is the dtype of the gossip key arrays: keys
         are ranks ≤ n, exactly representable in float32 for n < 2²⁴, so
         the answer is unchanged; the key→value table and the returned
         quantile stay full precision.

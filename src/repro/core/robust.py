@@ -11,23 +11,27 @@ throughout, so all concentration arguments carry over with ``n`` replaced by
 the good-node count.
 
 After the final vote, ``t`` extra spreading rounds let all but an expected
-``n / 2^t`` nodes adopt an answer from a node that already has one.
+``n / 2^t`` nodes adopt an answer from a node that already has one.  Every
+iteration, the vote and each spreading round is one pull window of
+:class:`~repro.core.tournament.TournamentProtocol` on the env's engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.schedules import three_tournament_schedule, two_tournament_schedule
+from repro.core.three_tournament import vote_size
+from repro.core.tournament import PullWindow, WindowPulls, lane_rows, run_windows
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
-from repro.utils.inputs import node_values
+from repro.utils.inputs import integral, node_values
 from repro.utils.rand import RandomSource
 
 
@@ -39,6 +43,17 @@ def default_pulls_per_iteration(mu: float) -> int:
         return 4
     scale = 1.0 / (1.0 - mu)
     return max(4, int(math.ceil(4.0 * scale * math.log(4.0 * scale))) + 1)
+
+
+def first_pulls(
+    mask: np.ndarray, pulled: np.ndarray, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which nodes (rows) have at least ``count`` pulls in ``mask``, and
+    those nodes' first ``count`` such pulled values in pull order, one row
+    per chosen node."""
+    chosen = mask.sum(axis=1) >= count
+    keep = mask & (np.cumsum(mask, axis=1) <= count) & chosen[:, None]
+    return chosen, pulled[keep].reshape(-1, count)
 
 
 @dataclass
@@ -93,10 +108,11 @@ def robust_approximate_quantile(
         its ``failure_model`` is the Section-5 model, its ``dtype`` the
         network's value dtype (the returned estimates stay float64), and
         its optional ``faults`` injector is layered on top — the Theorem-1.4
-        machinery was designed for exactly this abuse:
-        ``pulls_per_iteration`` sizing uses the *combined* suppression bound
-        (the failure model's mu unioned with the injector's crash/drop
-        bound) so good-pull counting stays honest under injected chaos.
+        machinery was designed for exactly this abuse: the default
+        ``pulls_per_iteration`` and the final vote are sized from the
+        *combined* suppression bound (the failure model's mu unioned with
+        the injector's crash/drop bound), so good-pull counting stays
+        honest under injected chaos.
         The analysis is for the complete graph, so a ``topology`` or
         ``topology_process`` is rejected.
     """
@@ -106,105 +122,87 @@ def robust_approximate_quantile(
         raise ConfigurationError("phi must be in [0, 1]")
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
-    model = env.failure_model
+    # Size pulls and the vote for the union suppression rate: a pull can be
+    # lost to the failure model OR to an injected crash/drop, independently.
+    mu = env.failure_model.mu
+    if env.faults is not None:
+        mu = min(1.0 - (1.0 - mu) * (1.0 - env.faults.mu_bound()), 0.999)
     if pulls_per_iteration is None:
-        # Size pulls for the union suppression rate: a pull can be lost to
-        # the failure model OR to an injected crash/drop, independently.
-        mu = model.mu
-        if env.faults is not None:
-            mu = min(1.0 - (1.0 - mu) * (1.0 - env.faults.mu_bound()), 0.999)
         pulls_per_iteration = default_pulls_per_iteration(mu)
-    if pulls_per_iteration < 3:
+    k_pulls = integral(pulls_per_iteration, "pulls_per_iteration")
+    if k_pulls < 3:
         raise ConfigurationError("pulls_per_iteration must be at least 3")
-    if final_samples < 1 or final_samples % 2 == 0:
-        raise ConfigurationError("final_samples must be a positive odd integer")
+    final_samples = vote_size(final_samples)
+    spread_rounds = integral(extra_spread_rounds, "extra_spread_rounds")
+    if spread_rounds < 0:
+        raise ConfigurationError("extra_spread_rounds must be non-negative")
 
     array = node_values(values, min_nodes=4)
     n = array.size
-    network = GossipNetwork(array, rng=rng, keep_history=False, env=env)
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    coins = source.child()
+    # A node is good while it keeps collecting enough good pulls: pulls that
+    # happened and reached a node that was good at the window's start.
     good = np.ones(n, dtype=bool)
-    k_pulls = int(pulls_per_iteration)
 
-    def good_pull_mask(batch) -> np.ndarray:
-        """Which pulls are good: the puller acted and the partner was good."""
-        return batch.ok & good[batch.partners]
+    def first_good(pulls: WindowPulls, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The good nodes with ``count`` good pulls, and those pulls' values."""
+        goodmask = pulls.ok_block() & good[pulls.partner_block()] & good[:, None]
+        return first_pulls(goodmask, pulls.block()[0], count)
 
-    def first_good(batch, goodmask, count: int):
-        """Indices (per node) of the first ``count`` good pulls, or None."""
-        chosen = np.full((n, count), -1, dtype=int)
-        enough = np.zeros(n, dtype=bool)
-        for node in range(n):
-            cols = np.nonzero(goodmask[node])[0]
-            if cols.size >= count:
-                chosen[node] = cols[:count]
-                enough[node] = True
-        return chosen, enough
+    def two_step(iteration, pulls: WindowPulls) -> np.ndarray:
+        nonlocal good
+        rows = pulls.snapshot.copy()
+        good, picked = first_good(pulls, 2)
+        first = picked[:, 0]
+        winners = winner(first, picked[:, 1])
+        if iteration.delta < 1.0:
+            winners = np.where(coins.random(first.size) < iteration.delta, winners, first)
+        rows[0, good] = winners
+        return rows
 
-    # ---- Phase I: robust 2-TOURNAMENT -----------------------------------------
-    schedule1 = two_tournament_schedule(phi, eps)
-    take_min = schedule1.direction == "min"
-    for iteration in schedule1.iterations:
-        current = network.snapshot()
-        batch = network.pull(k_pulls, label="robust-2-tournament")
-        goodmask = good_pull_mask(batch)
-        chosen, enough = first_good(batch, goodmask, 2)
-        new_good = good & enough
-        new_values = current.copy()
-        idx = np.nonzero(new_good)[0]
-        if idx.size:
-            first = batch.values[idx, chosen[idx, 0]]
-            second = batch.values[idx, chosen[idx, 1]]
-            winners = np.minimum(first, second) if take_min else np.maximum(first, second)
-            if iteration.delta >= 1.0:
-                new_values[idx] = winners
-            else:
-                coin = network.rng.random(idx.size)
-                new_values[idx] = np.where(coin < iteration.delta, winners, first)
-        good = new_good
-        network.set_values(new_values)
+    def three_step(pulls: WindowPulls) -> np.ndarray:
+        nonlocal good
+        rows = pulls.snapshot.copy()
+        good, picked = first_good(pulls, 3)
+        rows[0, good] = np.sort(picked, axis=1, kind="stable")[:, 1]
+        return rows
 
-    # ---- Phase II: robust 3-TOURNAMENT ----------------------------------------
-    schedule2 = three_tournament_schedule(eps / 4.0, n)
-    for _iteration in schedule2.iterations:
-        current = network.snapshot()
-        batch = network.pull(k_pulls, label="robust-3-tournament")
-        goodmask = good_pull_mask(batch)
-        chosen, enough = first_good(batch, goodmask, 3)
-        new_good = good & enough
-        new_values = current.copy()
-        idx = np.nonzero(new_good)[0]
-        if idx.size:
-            picked = np.stack(
-                [batch.values[idx, chosen[idx, j]] for j in range(3)], axis=1
-            )
-            new_values[idx] = np.sort(picked, axis=1, kind="stable")[:, 1]
-        good = new_good
-        network.set_values(new_values)
+    def vote(pulls: WindowPulls) -> np.ndarray:
+        voters, picked = first_good(pulls, final_samples)
+        estimates = np.full((1, n), np.nan, dtype=pulls.snapshot.dtype)
+        estimates[0, voters] = np.sort(picked, axis=1, kind="stable")[:, final_samples // 2]
+        return estimates
 
-    # ---- Final vote ------------------------------------------------------------
-    vote_pulls = max(k_pulls, int(math.ceil(final_samples / max(1e-9, 1.0 - model.mu))) + 2)
-    current = network.snapshot()
-    batch = network.pull(vote_pulls, label="robust-vote")
-    goodmask = good_pull_mask(batch)
-    chosen, enough = first_good(batch, goodmask, final_samples)
-    estimates = np.full(n, np.nan)
-    idx = np.nonzero(good & enough)[0]
-    if idx.size:
-        picked = np.stack(
-            [batch.values[idx, chosen[idx, j]] for j in range(final_samples)], axis=1
-        )
-        estimates[idx] = np.sort(picked, axis=1, kind="stable")[:, final_samples // 2]
-
-    # ---- Extra spreading rounds (the "+t" of Theorem 1.4) ----------------------
-    for _ in range(int(extra_spread_rounds)):
-        have = np.isfinite(estimates)
-        if np.all(have):
-            break
-        batch = network.pull(1, label="robust-spread", values=estimates)
-        pulled = batch.values[:, 0]
-        adopt = (~have) & batch.ok[:, 0] & np.isfinite(pulled)
+    def spread(pulls: WindowPulls) -> np.ndarray:
+        estimates = pulls.snapshot.copy()
+        pulled = pulls.rows()[0]
+        adopt = ~np.isfinite(estimates) & pulls.ok[0] & np.isfinite(pulled)
         estimates[adopt] = pulled[adopt]
+        return estimates
 
+    schedule1 = two_tournament_schedule(phi, eps)
+    winner = np.minimum if schedule1.direction == "min" else np.maximum
+    schedule2 = three_tournament_schedule(eps / 4.0, n)
+    vote_pulls = max(k_pulls, int(math.ceil(final_samples / max(1e-9, 1.0 - mu))) + 2)
+    windows = [
+        PullWindow(k_pulls, partial(two_step, iteration), label="robust-2-tournament")
+        for iteration in schedule1.iterations
+    ]
+    windows += [
+        PullWindow(k_pulls, three_step, label="robust-3-tournament")
+    ] * schedule2.num_iterations
+    windows.append(PullWindow(vote_pulls, vote, label="robust-vote"))
+    # The "+t" of Theorem 1.4: answer-less nodes adopt a pulled answer,
+    # until every node has one.
+    windows += [
+        PullWindow(1, spread, label="robust-spread",
+                   run_if=lambda rows: not np.isfinite(rows).all())
+    ] * spread_rounds
+
+    metrics = NetworkMetrics(keep_history=False)
+    rows = run_windows(lane_rows(array, env.dtype), windows, source, metrics, env)
+    estimates = rows[0].astype(float)
     finite = estimates[np.isfinite(estimates)]
     estimate = float(np.median(finite)) if finite.size else float("nan")
     return RobustQuantileResult(
@@ -213,8 +211,8 @@ def robust_approximate_quantile(
         n=n,
         estimates=estimates,
         estimate=estimate,
-        rounds=network.metrics.rounds,
-        metrics=network.metrics,
+        rounds=metrics.rounds,
+        metrics=metrics,
         good_fraction=float(np.mean(good)),
         answered_fraction=float(np.mean(np.isfinite(estimates))),
         pulls_per_iteration=k_pulls,

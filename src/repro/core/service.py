@@ -367,9 +367,9 @@ class QuantileService:
         Subsequent rebuild gossip runs under the new injector; the build
         already happened, so this is the chaos-starts-mid-life knob — e.g.
         build clean, then measure how epoch rebuilds behave under injected
-        faults.  Round indices keep increasing through the service metrics,
-        so a schedule wrapping the new injector's specs sees the service's
-        true round clock, not zero.
+        faults.  Like every engine run, each rebuild phase indexes its
+        rounds from 0, so a time-windowed schedule (``Burst``, ``Ramp``)
+        sees the phase's round clock.
         """
         self._env = dataclasses.replace(self._env, faults=faults)
 

@@ -9,24 +9,36 @@ and doubly exponentially afterwards, reaching ``O(n^{-1/3})`` after
 nodes and output the median of the sample — then lands inside the band with
 high probability (Lemma 2.17).
 
-Like Algorithm 1 the phase is lane-wise: on a multi-lane network each lane
-runs its own ``eps`` schedule on the shared partner stream (short lanes
-idle, rounds = max over lanes) and the final vote is one shared
-``K``-round pull whose per-lane sample medians become the per-lane outputs.
+Like Algorithm 1 the phase runs as pull windows of
+:class:`~repro.core.tournament.TournamentProtocol` and is lane-wise: on an
+``(n, L)`` input each lane runs its own ``eps`` schedule on the shared
+partner stream (short lanes idle, rounds = max over lanes) and the final
+vote is one shared ``K``-round window whose per-lane sample medians
+become the per-lane outputs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import ThreeTournamentSchedule, three_tournament_schedule
-from repro.core.two_tournament import lane_block, normalize_schedules, per_lane
+from repro.core.tournament import PullWindow, WindowPulls, lane_rows
+from repro.core.two_tournament import (
+    check_track_band,
+    measure_band,
+    normalize_schedules,
+    per_lane,
+    run_phase,
+)
 from repro.exceptions import ConfigurationError
-from repro.gossip.network import GossipNetwork
-from repro.obs.tracer import get_tracer
+from repro.gossip.env import GossipEnv, resolve_env
+from repro.gossip.metrics import NetworkMetrics
+from repro.utils.inputs import integral
+from repro.utils.rand import RandomSource
 from repro.utils.stats import empirical_quantile
 
 #: Default size of the final vote.  The paper only requires K = O(1); an odd
@@ -42,122 +54,108 @@ def median_band_thresholds(values: np.ndarray, eps: float) -> Tuple[float, float
     return lo_value, hi_value
 
 
-#: Triples per pass of :func:`_median_of_three`: 32768 pulled triples of
-#: float64 (768 KiB) stay cache-resident across the kernel's four passes.
-_MEDIAN_CHUNK = 32768
+def vote_size(final_samples: object) -> int:
+    """``final_samples`` checked: a positive odd integer."""
+    samples = integral(final_samples, "final_samples", "a positive odd integer")
+    if samples < 1 or samples % 2 == 0:
+        raise ConfigurationError("final_samples must be a positive odd integer")
+    return samples
 
 
-def _median_of_three(block: np.ndarray) -> np.ndarray:
-    """Element-wise median of the trailing triples of ``block``, without sorting.
+def median_of_three(pulls: WindowPulls, active: Sequence[bool] = ()) -> np.ndarray:
+    """Each node's median of its three pulls, per lane (a window kernel).
 
     ``max(min(a, b), min(max(a, b), c))`` selects exactly the element a
-    3-sort would put in the middle — four element-wise passes instead of a
-    per-row sort, and bit-identical output values.  The passes run chunk
-    by chunk over the contiguous triples, so each chunk is read from
-    memory once for all four instead of once per pass.  Returns
-    ``block.shape[:-1]``.
+    3-sort would put in the middle: four element-wise passes over
+    contiguous ``(L, n)`` rows.  Lanes flagged False in ``active`` idle
+    (keep their values).
     """
-    triples = block.reshape(-1, 3)
-    medians = np.empty(triples.shape[0], dtype=block.dtype)
-    scratch = np.empty(min(_MEDIAN_CHUNK, medians.size), dtype=block.dtype)
-    for start in range(0, medians.size, _MEDIAN_CHUNK):
-        first, second, third = triples[start:start + _MEDIAN_CHUNK].T
-        lo = medians[start:start + _MEDIAN_CHUNK]
-        hi = scratch[:lo.size]
-        np.minimum(first, second, out=lo)
-        np.maximum(first, second, out=hi)
-        np.minimum(hi, third, out=hi)
-        np.maximum(lo, hi, out=lo)
-    return medians.reshape(block.shape[:-1])
+    first, second, third = pulls.rows()
+    rows = np.minimum(first, second)
+    np.maximum(first, second, out=second)
+    np.minimum(second, third, out=second)
+    np.maximum(rows, second, out=rows)
+    for lane, running in enumerate(active):
+        if not running:
+            rows[lane] = pulls.snapshot[lane]
+    return rows
+
+
+def final_vote(pulls: WindowPulls) -> np.ndarray:
+    """Each node's middle sample of its ``K`` pulls, per lane (a window kernel).
+
+    A full sort of these short contiguous rows runs faster than
+    ``partition(mid)`` and puts the same element at ``mid``.
+    """
+    block = pulls.block()                                   # (L, n, K)
+    block.sort(axis=2)
+    return block[:, :, block.shape[2] // 2].copy()
 
 
 def run_three_tournament(
-    network: GossipNetwork,
+    values: Union[Sequence[float], np.ndarray],
     eps: Union[float, Sequence[float]],
     schedule: Union[
         None, ThreeTournamentSchedule, Sequence[ThreeTournamentSchedule]
     ] = None,
     final_samples: int = DEFAULT_FINAL_SAMPLES,
     track_band: bool = True,
+    rng: Union[None, int, RandomSource] = None,
+    metrics: Optional[NetworkMetrics] = None,
+    env: Optional[GossipEnv] = None,
 ) -> TournamentPhaseResult:
-    """Run Algorithm 2 on ``network`` (in place).
+    """Run Algorithm 2 over ``values``.
 
     Returns a :class:`TournamentPhaseResult` whose ``final_values`` are the
     per-node *outputs* of the algorithm: the median of ``final_samples``
-    uniformly sampled values after the tournament iterations (per lane on a
-    multi-lane network).  The band statistics track the fraction of nodes
+    uniformly sampled values after the tournament iterations (per lane on
+    an ``(n, L)`` input).  The band statistics track the fraction of nodes
     outside the ``[1/2 - eps, 1/2 + eps]`` band of the phase's *input*
-    values after every iteration (single-lane runs only).
+    values after every iteration (single-lane runs only).  ``rng``,
+    ``metrics`` and ``env`` are as for
+    :func:`~repro.core.two_tournament.run_two_tournament`.
     """
-    if final_samples < 1 or final_samples % 2 == 0:
-        raise ConfigurationError("final_samples must be a positive odd integer")
-    lanes = network.lanes
+    final_samples = vote_size(final_samples)
+    env = resolve_env(env)
+    rows = lane_rows(values, env.dtype)
+    lanes, n = rows.shape
     epss = per_lane(eps, lanes, "eps")
     schedules = normalize_schedules(
         schedule,
         lanes,
         ThreeTournamentSchedule,
-        lambda lane: three_tournament_schedule(epss[lane], network.n),
+        lambda lane: three_tournament_schedule(epss[lane], n),
     )
-
-    if track_band:
-        if lanes != 1:
-            raise ConfigurationError(
-                "track_band is a single-lane instrument; run fused lanes "
-                "with track_band=False"
-            )
-        initial = network.snapshot()
-        lo_value, hi_value = median_band_thresholds(initial, epss[0])
-
+    check_track_band(track_band, lanes)
+    band = median_band_thresholds(rows[0], epss[0]) if track_band else None
     stats: List[PhaseIterationStats] = []
-    num_iterations = max((s.num_iterations for s in schedules), default=0)
-    # The span covers the tournament iterations *and* the final vote — the
-    # algorithm's whole round budget.  Observation only: wall time and
-    # counter snapshots, never the RNG.
-    with get_tracer().span("three_tournament", network.metrics) as phase_span:
-        phase_span.annotate(
-            lanes=lanes,
-            iterations=num_iterations,
-            final_samples=final_samples,
+
+    def step(index: int, pulls: WindowPulls) -> np.ndarray:
+        rows = median_of_three(
+            pulls, [index < s.num_iterations for s in schedules]
         )
-        for step in range(num_iterations):
-            block = lane_block(network, 3, "3-tournament")  # (L, n, 3)
-            live = network.lane_rows                        # (L, n)
-            rows = _median_of_three(block)                  # (L, n)
-            for lane, lane_schedule in enumerate(schedules):
-                if step >= lane_schedule.num_iterations:
-                    rows[lane] = live[lane]                 # lane idles
-            network.set_lane_rows(rows)
-            if track_band:
-                n = network.n
-                iteration = schedules[0].iterations[step]
-                low = float(np.count_nonzero(rows[0] < lo_value)) / n
-                high = float(np.count_nonzero(rows[0] > hi_value)) / n
-                stats.append(
-                    PhaseIterationStats(
-                        iteration=iteration.index,
-                        predicted=iteration.l_after,
-                        high_fraction=high,
-                        low_fraction=low,
-                        band_fraction=1.0 - low - high,
-                    )
+        if track_band:
+            low, inside, high = measure_band(rows[0], *band)
+            stats.append(
+                PhaseIterationStats(
+                    iteration=schedules[0].iterations[index].index,
+                    predicted=schedules[0].iterations[index].l_after,
+                    high_fraction=high,
+                    low_fraction=low,
+                    band_fraction=inside,
                 )
+            )
+        return rows
 
-        # Final vote: every node samples `final_samples` values and outputs
-        # the median of its sample (Algorithm 2, line 8) — one shared pull
-        # batch, per-lane medians.
-        block = lane_block(network, final_samples, "3-tournament-vote")
-        # The block is this phase's own, so it is sorted in place along its
-        # contiguous K axis.  A full sort of these short rows runs faster
-        # than partition(mid) and puts the same element at ``mid``.
-        mid = final_samples // 2
-        block.sort(axis=2)
-        rows = block[:, :, mid].copy()
-        outputs = rows[0] if network.values.ndim == 1 else rows.T
-
-    return TournamentPhaseResult(
-        final_values=outputs,
-        iterations=num_iterations,
-        rounds=3 * num_iterations + final_samples,
-        stats=stats,
-    )
+    iterations = max((s.num_iterations for s in schedules), default=0)
+    windows = [
+        PullWindow(3, partial(step, index), label="3-tournament")
+        for index in range(iterations)
+    ]
+    # Final vote: every node samples `final_samples` values and outputs the
+    # median of its sample (Algorithm 2, line 8) — one shared window,
+    # per-lane medians.  The span covers the iterations *and* the vote, the
+    # algorithm's whole round budget.
+    windows.append(PullWindow(final_samples, final_vote, label="3-tournament-vote"))
+    return run_phase("three_tournament", values, rows, windows, iterations,
+                     stats, rng, metrics, env, final_samples=final_samples)

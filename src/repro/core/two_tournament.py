@@ -9,25 +9,31 @@ above-band mass lands at ``T = 1/2 - eps`` instead of overshooting, which
 places the entire band ``[phi - eps, phi + eps]`` onto the quantiles around
 the median (Lemma 2.11).
 
-The phase is *lane-wise*: on a multi-lane network (see
-:class:`~repro.gossip.network.GossipNetwork`) each lane runs its own
-``(phi, eps)`` schedule on the shared partner stream.  Lane schedules may
-differ in length; a lane whose schedule is exhausted idles (keeps its
-values) while the longer lanes finish, so the fused phase executes
-``max``-of-lanes rounds — the paper's Step-3 accounting, by construction.
+Each iteration is one two-round pull window of
+:class:`~repro.core.tournament.TournamentProtocol`, so the phase runs on
+either gossip engine.  The phase is *lane-wise*: on an ``(n, L)`` input
+each lane runs its own ``(phi, eps)`` schedule on the shared partner
+stream.  Lane schedules may differ in length; a lane whose schedule is
+exhausted idles (keeps its values) while the longer lanes finish, so the
+fused phase executes ``max``-of-lanes rounds — the paper's Step-3
+accounting, by construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import TwoTournamentSchedule, two_tournament_schedule
+from repro.core.tournament import PullWindow, WindowPulls, lane_rows, run_windows
 from repro.exceptions import ConfigurationError
-from repro.gossip.network import GossipNetwork
+from repro.gossip.env import GossipEnv, resolve_env
+from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
+from repro.utils.rand import RandomSource
 from repro.utils.stats import empirical_quantile
 
 
@@ -64,22 +70,6 @@ def per_lane(value, lanes: int, what: str) -> List:
     return values
 
 
-def lane_block(network: GossipNetwork, k: int, label: str) -> np.ndarray:
-    """Pull ``k`` rounds and return the lanes-first ``(L, n, k)`` block.
-
-    A failed pull (only possible when ``network.can_fail``) reads the
-    puller's own pre-pull value, so a node that failed every round of an
-    iteration keeps its value.  On the failure-free path the block is the
-    gather itself: contiguous, and owned by the caller.
-    """
-    current = network.lane_rows.copy() if network.can_fail else None
-    batch = network.pull(k, label=label)
-    block = batch.by_lane
-    if current is not None:
-        block = np.where(batch.ok, block, current[:, :, None])
-    return block
-
-
 def normalize_schedules(schedule, lanes: int, schedule_class, build) -> List:
     """One schedule per lane from a None / single / sequence argument.
 
@@ -104,28 +94,71 @@ def normalize_schedules(schedule, lanes: int, schedule_class, build) -> List:
     return schedules
 
 
+def check_track_band(track_band: bool, lanes: int) -> None:
+    """Band tracking is a single-lane instrument."""
+    if track_band and lanes != 1:
+        raise ConfigurationError(
+            "track_band is a single-lane instrument; run fused lanes "
+            "with track_band=False"
+        )
+
+
+def run_phase(
+    name: str,
+    values: Union[Sequence[float], np.ndarray],
+    rows: np.ndarray,
+    windows: List[PullWindow],
+    iterations: int,
+    stats: List[PhaseIterationStats],
+    rng: Union[None, int, RandomSource],
+    metrics: Optional[NetworkMetrics],
+    env: GossipEnv,
+    **annotations: int,
+) -> TournamentPhaseResult:
+    """Run a phase's windows under a ``name`` tracer span.
+
+    The span reads wall time and metric counters only; the random stream
+    is identical with or without a tracer installed.
+    """
+    with get_tracer().span(name, metrics) as span:
+        span.annotate(lanes=rows.shape[0], iterations=iterations, **annotations)
+        rows = run_windows(rows, windows, rng, metrics, env)
+    return TournamentPhaseResult(
+        final_values=rows[0] if np.ndim(values) == 1 else rows.T,
+        iterations=iterations,
+        rounds=sum(window.rounds for window in windows),
+        stats=stats,
+    )
+
+
 def run_two_tournament(
-    network: GossipNetwork,
+    values: Union[Sequence[float], np.ndarray],
     phi: Union[float, Sequence[float]],
     eps: Union[float, Sequence[float]],
     schedule: Union[
         None, TwoTournamentSchedule, Sequence[TwoTournamentSchedule]
     ] = None,
     track_band: bool = True,
+    rng: Union[None, int, RandomSource] = None,
+    metrics: Optional[NetworkMetrics] = None,
+    env: Optional[GossipEnv] = None,
 ) -> TournamentPhaseResult:
-    """Run Algorithm 1 on ``network`` (in place) and return phase statistics.
+    """Run Algorithm 1 over ``values`` and return the phase statistics.
 
-    The network's value array is overwritten with the post-phase values.
-    Nodes whose pull failed in a round (only possible when the network has a
-    failure model attached) keep their previous value for that iteration;
-    the failure-aware variant with the Section-5 guarantees lives in
-    :mod:`repro.core.robust`.
+    ``values`` is one value per node or an ``(n, L)`` matrix of lanes;
+    ``final_values`` has the same shape, in ``env.dtype``.  Rounds run on
+    the env's engine and accumulate into ``metrics`` when given.  A node
+    whose pull failed (failure model, churn, faults) reads its own value
+    for that pull; the failure-aware variant with the Section-5 guarantees
+    lives in :mod:`repro.core.robust`.
 
-    On a multi-lane network ``phi`` / ``eps`` (or ``schedule``) may be
+    On a multi-lane input ``phi`` / ``eps`` (or ``schedule``) may be
     per-lane sequences; band tracking is a single-lane instrument and must
     be disabled for fused runs.
     """
-    lanes = network.lanes
+    env = resolve_env(env)
+    rows = lane_rows(values, env.dtype)
+    lanes = rows.shape[0]
     phis = per_lane(phi, lanes, "phi")
     epss = per_lane(eps, lanes, "eps")
     schedules = normalize_schedules(
@@ -134,65 +167,49 @@ def run_two_tournament(
         TwoTournamentSchedule,
         lambda lane: two_tournament_schedule(phis[lane], epss[lane]),
     )
-
-    if track_band:
-        if lanes != 1:
-            raise ConfigurationError(
-                "track_band is a single-lane instrument; run fused lanes "
-                "with track_band=False"
-            )
-        initial = network.snapshot()
-        lo_value, hi_value = band_thresholds(initial, phis[0], epss[0])
-
+    check_track_band(track_band, lanes)
+    band = band_thresholds(rows[0], phis[0], epss[0]) if track_band else None
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    # The δ coin has its own stream, drawn in the same order on both engines.
+    coins = source.child()
     stats: List[PhaseIterationStats] = []
-    num_iterations = max((s.num_iterations for s in schedules), default=0)
-    # The span reads wall time and metric counters only; the random stream
-    # is identical with or without a tracer installed.
-    with get_tracer().span("two_tournament", network.metrics) as phase_span:
-        phase_span.annotate(lanes=lanes, iterations=num_iterations)
-        for step in range(num_iterations):
-            block = lane_block(network, 2, "2-tournament")  # (L, n, 2)
-            live = network.lane_rows                        # (L, n)
-            rows = np.empty(live.shape, dtype=live.dtype)
-            for lane, lane_schedule in enumerate(schedules):
-                row = rows[lane]
-                if step >= lane_schedule.num_iterations:
-                    row[:] = live[lane]                     # lane idles
-                    continue
-                iteration = lane_schedule.iterations[step]
-                first = block[lane, :, 0]
-                winner = (
-                    np.minimum if lane_schedule.direction == "min"
-                    else np.maximum
-                )
-                winner(first, block[lane, :, 1], out=row)
-                if iteration.delta < 1.0:
-                    # With probability 1 - delta the node copies a single
-                    # random value instead (Algorithm 1, lines 9-11); we
-                    # reuse the first pull for that copy, exactly one
-                    # sampled value.
-                    coin = network.rng.random(network.n)
-                    np.copyto(row, first, where=coin >= iteration.delta)
 
-            network.set_lane_rows(rows)
-            if track_band:
-                low, band, high = measure_band(rows[0], lo_value, hi_value)
-                iteration = schedules[0].iterations[step]
-                stats.append(
-                    PhaseIterationStats(
-                        iteration=iteration.index,
-                        predicted=iteration.h_after
-                        if iteration.delta >= 1.0
-                        else schedules[0].threshold,
-                        high_fraction=high,
-                        low_fraction=low,
-                        band_fraction=band,
-                    )
+    def step(index: int, pulls: WindowPulls) -> np.ndarray:
+        pulled = pulls.rows()                               # (2, L, n)
+        rows = np.empty_like(pulls.snapshot)
+        for lane, lane_schedule in enumerate(schedules):
+            row = rows[lane]
+            if index >= lane_schedule.num_iterations:
+                row[:] = pulls.snapshot[lane]               # lane idles
+                continue
+            delta = lane_schedule.iterations[index].delta
+            first = pulled[0, lane]
+            winner = np.minimum if lane_schedule.direction == "min" else np.maximum
+            winner(first, pulled[1, lane], out=row)
+            if delta < 1.0:
+                # With probability 1 - delta the node copies a single random
+                # value instead (Algorithm 1, lines 9-11): its first pull.
+                np.copyto(row, first, where=coins.random(pulls.n) >= delta)
+        if track_band:
+            low, inside, high = measure_band(rows[0], *band)
+            iteration = schedules[0].iterations[index]
+            stats.append(
+                PhaseIterationStats(
+                    iteration=iteration.index,
+                    predicted=iteration.h_after
+                    if iteration.delta >= 1.0
+                    else schedules[0].threshold,
+                    high_fraction=high,
+                    low_fraction=low,
+                    band_fraction=inside,
                 )
+            )
+        return rows
 
-    return TournamentPhaseResult(
-        final_values=network.snapshot(),
-        iterations=num_iterations,
-        rounds=2 * num_iterations,
-        stats=stats,
-    )
+    iterations = max((s.num_iterations for s in schedules), default=0)
+    windows = [
+        PullWindow(2, partial(step, index), label="2-tournament")
+        for index in range(iterations)
+    ]
+    return run_phase("two_tournament", values, rows, windows, iterations,
+                     stats, source, metrics, env)

@@ -27,7 +27,6 @@ from repro.core.schedules import two_tournament_schedule
 from repro.core.three_tournament import run_three_tournament
 from repro.core.two_tournament import run_two_tournament
 from repro.datasets.generators import distinct_uniform
-from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
 from repro.utils.stats import fraction_within_eps, rank_error
 
@@ -54,7 +53,6 @@ def _full_pipeline(
     final_samples: int = 15,
 ) -> np.ndarray:
     """Run the two-phase algorithm with individual ingredients switched off."""
-    network = GossipNetwork(values, rng=rng, keep_history=False)
     if not skip_phase1:
         schedule = two_tournament_schedule(phi, eps)
         if not truncate_last and schedule.iterations:
@@ -69,9 +67,12 @@ def _full_pipeline(
                 threshold=schedule.threshold,
                 iterations=forced,
             )
-        run_two_tournament(network, phi=phi, eps=eps, schedule=schedule, track_band=False)
+        values = run_two_tournament(
+            values, phi=phi, eps=eps, schedule=schedule, track_band=False, rng=rng
+        ).final_values
     phase2 = run_three_tournament(
-        network, eps=eps / 4.0, final_samples=final_samples, track_band=False
+        values, eps=eps / 4.0, final_samples=final_samples, track_band=False,
+        rng=rng,
     )
     return phase2.final_values
 

@@ -20,7 +20,6 @@ from repro.core.schedules import (
 )
 from repro.core.two_tournament import run_two_tournament
 from repro.datasets.generators import distinct_uniform
-from repro.gossip.network import GossipNetwork
 from repro.utils.rand import RandomSource
 
 COLUMNS = [
@@ -50,9 +49,9 @@ def run(
                 schedule1 = two_tournament_schedule(phi, eps)
                 schedule2 = three_tournament_schedule(eps / 4.0, n)
                 values = distinct_uniform(n, rng=rng.child())
-                network = GossipNetwork(values, rng=rng.child(), keep_history=False)
                 phase = run_two_tournament(
-                    network, phi=phi, eps=eps, schedule=schedule1, track_band=True
+                    values, phi=phi, eps=eps, schedule=schedule1, track_band=True,
+                    rng=rng.child(),
                 )
                 deviations = []
                 for stat, iteration in zip(phase.stats, schedule1.iterations):

@@ -22,11 +22,11 @@ with amnesia.  This module provides that vocabulary as two layers:
   :class:`RoundFaults` decision per round, keeps per-kind injection
   counters, and reports every faulty round as a ``repro.obs`` point event.
 
-Consumers apply what their surface can express:
-:class:`~repro.gossip.network.GossipNetwork` applies all five kinds on its
-pull surface; the round engines (:mod:`repro.gossip.engine`) fold the
-act-suppression kinds (``crash``, ``drop``) into their existing
-failure-mask plumbing.  The injector draws *every* kind each round
+Consumers apply what their surface can express: the round engines
+(:mod:`repro.gossip.engine`) fold the act-suppression kinds (``crash``,
+``drop``) into the failure mask and hand the round's decision to the
+protocol, where the tournament pull windows (:mod:`repro.core.tournament`)
+apply the other kinds too.  The injector draws *every* kind each round
 regardless of consumer, so the private stream layout — and therefore the
 replay — is independent of which surface consumes it.
 """
@@ -104,8 +104,8 @@ class MessageDuplication(_UniformSpec):
 
 class MessageDelay(_UniformSpec):
     """A message arrives late: the pulled payload is the partner's value
-    from up to ``max_delay`` value-update windows (pull batches) ago,
-    served from the network's bounded snapshot ring."""
+    from up to ``max_delay`` value-update windows (pull windows) ago,
+    served from a bounded snapshot ring."""
 
     kind = "delay"
 
@@ -125,9 +125,9 @@ class CrashRestart(_UniformSpec):
     """A node crashes (per-round probability ``rate``), stays down for
     ``downtime`` rounds, then restarts.  While down it neither acts nor
     responds (folded into the failure mask).  With ``reset_values=True``
-    (the default) the restart loses in-protocol state: the network resets
-    the node's working values to its initial values — crash-and-restart
-    mid-protocol, not a mere long failure."""
+    (the default) the restart loses in-protocol state: a tournament node
+    holds its initial values again at the next window boundary —
+    crash-and-restart mid-protocol, not a mere long failure."""
 
     kind = "crash"
 
@@ -216,8 +216,8 @@ class FaultInjector:
         fault schedule on every seeded run — chaos runs replay bit-for-bit.
 
     The injector draws one :class:`RoundFaults` per round via :meth:`draw`,
-    called by its consumer with the consumer's global round index (the
-    network's ``metrics.rounds`` counter, the engine's ``round_index``).
+    called by its consumer with the run's round index (the engine's
+    ``round_index``).
     Round indices that do not increase between calls restart the stream:
     every run indexes its rounds from 0, so a fresh run replays the
     schedule, unless the consumer called :meth:`begin` explicitly.

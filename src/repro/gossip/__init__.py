@@ -6,18 +6,14 @@ node with a push or a pull, messages of O(log n) bits, and (optionally) the
 failure model of Section 5 in which node ``v`` fails in round ``i`` with a
 pre-determined probability ``p_{v,i} <= mu``.
 
-Two execution surfaces are provided:
-
-* :class:`~repro.gossip.network.GossipNetwork` — a vectorised *pull surface*
-  over a shared value array.  The tournament algorithms only ever pull a
-  value from a random node, so the whole round can be executed as a numpy
-  gather; the network keeps exact round / message / bit accounting.
-* :func:`~repro.gossip.engine.run_protocol` — a message-level engine for
-  protocols whose state is richer than a single value (push-sum, extrema
-  spreading, rumor broadcast, token distribution).  Protocols implementing
-  the :class:`~repro.gossip.protocol.BatchGossipProtocol` mixin execute on
-  a vectorized engine that runs each round as array gathers/scatters and is
-  bit-identical to the per-node asyncio engine over in-process channels.
+Every protocol — the tournaments' pull windows
+(:mod:`repro.core.tournament`), push-sum, extrema spreading, rumor
+broadcast — runs on :func:`~repro.gossip.engine.run_protocol`.  Protocols
+implement the :class:`~repro.gossip.protocol.BatchGossipProtocol` mixin and
+execute on a vectorized engine that runs each round as array
+gathers/scatters, bit-identical to the per-node asyncio engine over
+in-process channels.  :class:`~repro.gossip.network.GossipNetwork` is a
+handle for timing the pull kernel alone.
 """
 
 from repro.gossip.env import ENGINE_CHOICES, GossipEnv

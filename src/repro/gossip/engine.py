@@ -206,8 +206,10 @@ def begin_round(
     """Shared per-round prologue: accounting, :func:`round_outage`, partners.
 
     A process's sampler only returns active targets, so departed nodes
-    neither act nor receive.  The message-level fault kinds apply only on
-    the :class:`~repro.gossip.network.GossipNetwork` pull surface.
+    neither act nor receive.  The injector's decision for the round goes to
+    :meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`, where a
+    protocol applies the message-level kinds it can express (the pull
+    windows of :mod:`repro.core.tournament` apply all of them).
     """
     record = stats.begin_round(label=protocol.name)
     failed, round_sampler, round_faults = round_outage(
@@ -215,6 +217,7 @@ def begin_round(
     )
     if round_faults is not None:
         stats.record_faults_injected(round_faults.injected)
+        protocol.on_round_faults(round_index, round_faults)
     stats.record_failures(int(np.count_nonzero(failed)), record)
     partners = (round_sampler or sampler).draw_round(source)
     return record, failed, partners
@@ -292,7 +295,10 @@ def run_protocol_vectorized(
                 stats.record_messages(active, int(action.push_bits), record)
             if action.kind in ("pull", "pushpull"):
                 stats.record_messages(active, int(action.pull_bits), record)
-            protocol.receive_batch(round_index, alive, partners, action)
+            extra = protocol.receive_batch(round_index, alive, partners, action)
+            for count, bits in extra or ():
+                if count:
+                    stats.record_messages(int(count), int(bits), record)
 
         protocol.end_round(round_index)
         if hook is not None:

@@ -68,8 +68,8 @@ class GossipEnv:
         ``peer_sampling`` beside it is rejected.
     faults:
         Optional :class:`~repro.faults.FaultInjector`; its act-suppression
-        kinds OR into the failure mask, and the pull surface applies the
-        full fault vocabulary.
+        kinds OR into the failure mask, and the tournament pull windows
+        apply the full fault vocabulary on the vectorized engine.
     dtype:
         Value dtype of the gossip arrays: float64 (default, also for
         ``None``) or float32; normalized to a :class:`numpy.dtype`.

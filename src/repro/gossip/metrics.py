@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, SupportsInt, Tuple, Union, cast
-
-import numpy as np
-
-#: Per-round counts accepted by :meth:`NetworkMetrics.record_rounds_batch`:
-#: nothing (zero), one scalar for every round, or a length-``count`` sequence.
-CountsLike = Union[None, int, Sequence[int], np.ndarray]
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -83,75 +77,6 @@ class NetworkMetrics:
             record.bits += count * bits_each
             if bits_each > record.max_message_bits:
                 record.max_message_bits = bits_each
-
-    def record_rounds_batch(
-        self,
-        count: int,
-        label: str = "",
-        messages: CountsLike = None,
-        bits_each: int = 0,
-        failures: CountsLike = None,
-    ) -> None:
-        """Record ``count`` whole rounds in one call.
-
-        Equivalent to ``count`` iterations of :meth:`begin_round` +
-        :meth:`record_messages` + :meth:`record_failures`, but the totals
-        are accumulated once instead of per round — this is the batched
-        accounting behind the :class:`~repro.gossip.network.GossipNetwork`
-        pull surface.  ``messages`` / ``failures`` may be ``None`` (zero),
-        a scalar applied to every round, or a per-round sequence of length
-        ``count``.  History records are still appended individually when
-        ``keep_history`` is set, so per-round breakdowns are unchanged.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if bits_each < 0:
-            raise ValueError("counts and bits must be non-negative")
-        if count == 0:
-            return
-        per_round_messages = self._per_round(messages, count, "messages")
-        per_round_failures = self._per_round(failures, count, "failures")
-        total_messages = int(sum(per_round_messages))
-        total_failures = int(sum(per_round_failures))
-        base = self.rounds
-        self.rounds += count
-        self.messages += total_messages
-        self.total_bits += total_messages * bits_each
-        # begin_round + record_messages per round would have raised the
-        # max regardless of the message count; mirror that exactly.
-        if bits_each > self.max_message_bits:
-            self.max_message_bits = bits_each
-        self.failed_node_rounds += total_failures
-        offsets = range(count) if self.keep_history else range(count - 1, count)
-        record = None
-        for offset in offsets:
-            record = RoundRecord(
-                round_index=base + offset,
-                messages=int(per_round_messages[offset]),
-                bits=int(per_round_messages[offset]) * bits_each,
-                max_message_bits=bits_each,
-                failed_nodes=int(per_round_failures[offset]),
-                label=label,
-            )
-            if self.keep_history:
-                self.history.append(record)
-        self._current = record
-
-    @staticmethod
-    def _per_round(counts: CountsLike, rounds: int, what: str) -> List[int]:
-        if counts is None:
-            return [0] * rounds
-        if np.isscalar(counts):
-            value = int(cast(SupportsInt, counts))
-            if value < 0:
-                raise ValueError(f"{what} must be non-negative")
-            return [value] * rounds
-        values = [int(c) for c in cast(Iterable[int], counts)]
-        if len(values) != rounds:
-            raise ValueError(f"need one {what} entry per round, got {len(values)}")
-        if any(v < 0 for v in values):
-            raise ValueError(f"{what} must be non-negative")
-        return values
 
     def record_query(self, bits: int, count: int = 1) -> None:
         """Record ``count`` answered quantile queries of ``bits`` payload each.

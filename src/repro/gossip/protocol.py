@@ -16,6 +16,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from repro.faults.injectors import RoundFaults
 from repro.utils.views import ReadOnlyArray
 
 
@@ -115,6 +116,11 @@ class GossipProtocol(abc.ABC):
         """
         self.on_receive(node, payload, node, "push", round_index)
 
+    def on_round_faults(self, round_index: int, faults: RoundFaults) -> None:
+        """The injector's decision for this round, before any act (vectorized
+        engine only).  Crash and drop are already in the failure mask; a
+        protocol may apply the message-level kinds too.  Default: ignore."""
+
     def end_round(self, round_index: int) -> None:
         """Called after all deliveries of a round."""
 
@@ -198,8 +204,7 @@ class BatchGossipProtocol:
     """The batch contract every engine requires of a :class:`GossipProtocol`.
 
     A batch-capable protocol implements one synchronous round as two array
-    operations, mirroring the ``PullBatch`` gather idiom of
-    :mod:`repro.gossip.network`:
+    operations:
 
     1. :meth:`act_batch` applies the act-phase state transition for every
        alive node (e.g. push-sum halves its pairs) and returns a
@@ -244,10 +249,11 @@ class BatchGossipProtocol:
         protocol applies pushes to ``partners[alive]`` and pull responses to
         the alive nodes themselves.
 
-        For uniform-kind actions the return value is ignored (the engine
-        accounts ``push_bits`` / ``pull_bits`` itself).  For ``"mixed"``
-        actions the method must return an iterable of ``(count, bits_each)``
-        message groups covering every message the round delivered; the
-        engine records them (zero-count groups are skipped).
+        For uniform-kind actions the engine accounts ``push_bits`` /
+        ``pull_bits`` itself, and charges any ``(count, bits_each)`` groups
+        returned on top (duplicate deliveries).  For ``"mixed"`` actions the
+        method must return an iterable of ``(count, bits_each)`` message
+        groups covering every message the round delivered; the engine
+        records them (zero-count groups are skipped).
         """
         raise NotImplementedError

@@ -6,11 +6,10 @@ choice so the engines stay topology-agnostic:
 
 * :class:`UniformSampler` — the paper's uniform gossip on the complete
   graph, always excluding self-contacts.  Its two draw methods are
-  *verbatim* the pre-topology partner code (``draw_round`` for the
-  message-level engines, the ``(n, k)`` ``draw_block`` for the
-  :class:`~repro.gossip.network.GossipNetwork` pull surface, ``draw_for``
-  for the token pushers of :mod:`repro.core.tokens`), so the default
-  configuration is bit-for-bit the old behaviour.
+  *verbatim* the pre-topology partner code (``draw_round`` for the gossip
+  engines, ``draw_for`` for the token pushers of
+  :mod:`repro.core.tokens`), so the default configuration is bit-for-bit
+  the old behaviour.
 * :class:`NeighborSampler` — uniform over the node's CSR neighbor list:
   one ``random(n)`` draw and one gather per round, any topology.
 * :class:`RoundRobinSampler` — a shuffled round-robin over each node's
@@ -78,7 +77,7 @@ def _require_gossipable(topology: Topology) -> None:
 
 
 class PeerSampler(abc.ABC):
-    """Draws each node's partner for one (or ``k``) synchronous rounds."""
+    """Draws each node's partner for one synchronous round."""
 
     def __init__(self, n: int) -> None:
         if n < 2:
@@ -89,12 +88,6 @@ class PeerSampler(abc.ABC):
     def draw_round(self, source: RandomSource) -> np.ndarray:
         """Length-``n`` partner array for one round."""
 
-    def draw_block(self, source: RandomSource, k: int) -> np.ndarray:
-        """``(n, k)`` partner array for ``k`` consecutive rounds."""
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        return np.stack([self.draw_round(source) for _ in range(k)], axis=1)
-
     def draw_for(self, source: RandomSource, nodes: np.ndarray) -> np.ndarray:
         """Partners of ``nodes`` only, for one round (e.g. token pushers)."""
         return self.draw_round(source)[nodes]
@@ -103,20 +96,12 @@ class PeerSampler(abc.ABC):
 class UniformSampler(PeerSampler):
     """Uniform gossip on the complete graph (the paper's model).
 
-    Both draws exclude self-contacts: a node contacts a uniformly random
+    Every draw excludes self-contacts: a node contacts a uniformly random
     *other* node.
     """
 
     def draw_round(self, source: RandomSource) -> np.ndarray:
         return draw_uniform_round_partners(source, self.n)
-
-    def draw_block(self, source: RandomSource, k: int) -> np.ndarray:
-        # Verbatim the historical pull-surface stream: one (n, k) block
-        # draw, then re-draws of self-contacts.
-        partners = source.uniform_partners(self.n, k)
-        own = _identity_indices(self.n)[:, None]
-        resample_forbidden_targets(source, partners, own, self.n)
-        return partners
 
     def draw_for(self, source: RandomSource, nodes: np.ndarray) -> np.ndarray:
         # verbatim the historical token-push stream: one draw per pusher
@@ -145,16 +130,6 @@ class NeighborSampler(PeerSampler):
             (u * self._degrees).astype(np.int64), self._degrees - 1
         )
         return self._indices[self._starts + offsets]
-
-    def draw_block(self, source: RandomSource, k: int) -> np.ndarray:
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        u = source.random((self.n, k))
-        offsets = np.minimum(
-            (u * self._degrees[:, None]).astype(np.int64),
-            (self._degrees - 1)[:, None],
-        )
-        return self._indices[self._starts[:, None] + offsets]
 
 
 class RoundRobinSampler(PeerSampler):

@@ -130,20 +130,6 @@ class RandomSource:
     def permutation(self, x) -> np.ndarray:
         return self._generator.permutation(x)
 
-    def uniform_partners(self, n: int, count: int) -> np.ndarray:
-        """Sample, for each of ``n`` nodes, ``count`` uniformly random partners.
-
-        Returns an ``(n, count)`` integer array.  Partners are sampled with
-        replacement from all ``n`` nodes, self-contacts included; the
-        network's :class:`~repro.topology.sampler.UniformSampler` re-draws
-        those afterwards.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self._generator.integers(0, n, size=(n, count))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(entropy={self._seq.entropy})"
 

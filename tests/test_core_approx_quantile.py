@@ -6,7 +6,6 @@ import pytest
 from repro.core.approx_quantile import approximate_quantile, min_supported_eps
 from repro.datasets.generators import distinct_uniform, zipf_values
 from repro.exceptions import ConfigurationError
-from repro.gossip.network import GossipNetwork
 from repro.utils.stats import fraction_within_eps, rank_error
 
 
@@ -72,15 +71,15 @@ def test_track_bands_collects_stats(medium_values):
     assert len(result.phase2.stats) == result.phase2.iterations
 
 
-def test_existing_network_and_shared_metrics(medium_values):
+def test_shared_metrics(medium_values):
     from repro.gossip.metrics import NetworkMetrics
 
     shared = NetworkMetrics(keep_history=False)
-    network = GossipNetwork(medium_values, rng=8, metrics=shared, keep_history=False)
-    result = approximate_quantile(network=network, phi=0.5, eps=0.1)
-    assert shared.rounds == result.rounds
-    with pytest.raises(ConfigurationError):
-        approximate_quantile(values=medium_values, network=network)
+    shared.charge_rounds(5)
+    result = approximate_quantile(medium_values, phi=0.5, eps=0.1, rng=8,
+                                  metrics=shared)
+    assert result.metrics is shared
+    assert shared.rounds == result.rounds + 5
 
 
 def test_validation_errors(medium_values):
@@ -90,8 +89,8 @@ def test_validation_errors(medium_values):
         approximate_quantile(medium_values, phi=0.5, eps=0.0)
     with pytest.raises(ConfigurationError):
         approximate_quantile(medium_values, phi=0.5, eps=0.7)
-    with pytest.raises(ConfigurationError):
-        approximate_quantile()
+    with pytest.raises(TypeError):
+        approximate_quantile()  # values are required
 
 
 def test_min_supported_eps_decreases_with_n():

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.robust import default_pulls_per_iteration, robust_approximate_quantile
+from repro.core.robust import (
+    default_pulls_per_iteration,
+    first_pulls,
+    robust_approximate_quantile,
+)
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultInjector, MessageDrop
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import PerNodeFailures
 from repro.utils.stats import rank_error
@@ -108,3 +113,32 @@ def test_validation_errors(medium_values):
             medium_values, phi=0.5, eps=0.1,
             env=GossipEnv(failure_model=0.1), final_samples=4
         )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vote_is_sized_for_injected_drops_too(seed):
+    """The final vote is sized from the union suppression rate of the
+    failure model and the injector, as the pull counts are: under a 0.6
+    injected drop rate nearly every node still answers, as under a 0.6
+    failure model."""
+    values = np.random.default_rng(0).permutation(2000).astype(float)
+    result = robust_approximate_quantile(
+        values, 0.5, 0.1, rng=seed,
+        env=GossipEnv(faults=FaultInjector(MessageDrop(0.6), rng=seed)),
+    )
+    assert result.answered_fraction > 0.95
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_first_pulls_matches_a_per_node_loop(count):
+    rng = np.random.default_rng(count)
+    mask = rng.random((200, 7)) < 0.6
+    pulled = rng.random((200, 7))
+    chosen, picked = first_pulls(mask, pulled, count)
+    expected = []
+    for node in range(200):
+        columns = np.nonzero(mask[node])[0]
+        assert chosen[node] == (columns.size >= count)
+        if columns.size >= count:
+            expected.append(pulled[node, columns[:count]])
+    assert np.array_equal(picked, np.array(expected).reshape(-1, count))

@@ -10,7 +10,7 @@ from repro.core.three_tournament import (
     run_three_tournament,
 )
 from repro.exceptions import ConfigurationError
-from repro.gossip.network import GossipNetwork
+from repro.gossip.metrics import NetworkMetrics
 from repro.utils.stats import rank_error
 
 
@@ -23,8 +23,7 @@ def test_median_band_thresholds():
 
 def test_outputs_are_near_median(medium_values):
     eps = 0.1
-    network = GossipNetwork(medium_values, rng=1, keep_history=False)
-    result = run_three_tournament(network, eps=eps)
+    result = run_three_tournament(medium_values, eps=eps, rng=1)
     # every node's output is an eps-approximate median of the *input* values
     errors = [rank_error(medium_values, float(v), 0.5) for v in result.final_values]
     assert np.mean(errors) < eps
@@ -33,8 +32,7 @@ def test_outputs_are_near_median(medium_values):
 
 def test_out_of_band_mass_shrinks(medium_values):
     eps = 0.1
-    network = GossipNetwork(medium_values, rng=2, keep_history=False)
-    result = run_three_tournament(network, eps=eps, track_band=True)
+    result = run_three_tournament(medium_values, eps=eps, track_band=True, rng=2)
     first = result.stats[0]
     last = result.stats[-1]
     assert last.high_fraction < first.high_fraction
@@ -49,18 +47,19 @@ def test_out_of_band_mass_shrinks(medium_values):
 def test_round_accounting_includes_final_vote(medium_values):
     eps = 0.1
     schedule = three_tournament_schedule(eps, medium_values.size)
-    network = GossipNetwork(medium_values, rng=3, keep_history=False)
-    result = run_three_tournament(network, eps=eps, schedule=schedule, final_samples=7)
+    metrics = NetworkMetrics(keep_history=False)
+    result = run_three_tournament(
+        medium_values, eps=eps, schedule=schedule, final_samples=7, rng=3,
+        metrics=metrics,
+    )
     assert result.rounds == schedule.rounds + 7
-    assert network.rounds == result.rounds
+    assert metrics.rounds == result.rounds
 
 
 def test_final_samples_validation(small_values):
-    network = GossipNetwork(small_values, rng=4, keep_history=False)
-    with pytest.raises(ConfigurationError):
-        run_three_tournament(network, eps=0.1, final_samples=4)
-    with pytest.raises(ConfigurationError):
-        run_three_tournament(network, eps=0.1, final_samples=0)
+    for bad in (4, 0, 7.5, True):
+        with pytest.raises(ConfigurationError):
+            run_three_tournament(small_values, eps=0.1, final_samples=bad, rng=4)
 
 
 def test_default_final_samples_is_odd():
@@ -68,14 +67,12 @@ def test_default_final_samples_is_odd():
 
 
 def test_outputs_come_from_original_values(medium_values):
-    network = GossipNetwork(medium_values, rng=5, keep_history=False)
-    result = run_three_tournament(network, eps=0.15)
+    result = run_three_tournament(medium_values, eps=0.15, rng=5)
     assert set(np.unique(result.final_values)).issubset(set(medium_values.tolist()))
 
 
 def test_schedule_length_matches(medium_values):
     eps = 0.05
     schedule = three_tournament_schedule(eps, medium_values.size)
-    network = GossipNetwork(medium_values, rng=6, keep_history=False)
-    result = run_three_tournament(network, eps=eps, schedule=schedule)
+    result = run_three_tournament(medium_values, eps=eps, schedule=schedule, rng=6)
     assert result.iterations == schedule.num_iterations

@@ -6,7 +6,7 @@ import pytest
 from repro.core.schedules import two_tournament_schedule
 from repro.core.two_tournament import band_thresholds, measure_band, run_two_tournament
 from repro.datasets.generators import distinct_uniform
-from repro.gossip.network import GossipNetwork
+from repro.gossip.metrics import NetworkMetrics
 
 
 def test_band_thresholds_and_measure_band():
@@ -23,8 +23,7 @@ def test_band_thresholds_and_measure_band():
 def test_phase_shifts_band_to_the_median(medium_values):
     """After Phase I the above-band mass sits near T = 1/2 - eps (Lemma 2.5/2.6)."""
     phi, eps = 0.25, 0.1
-    network = GossipNetwork(medium_values, rng=1, keep_history=False)
-    result = run_two_tournament(network, phi=phi, eps=eps, track_band=True)
+    result = run_two_tournament(medium_values, phi=phi, eps=eps, track_band=True, rng=1)
     assert result.iterations > 0
     final = result.stats[-1]
     # |H_t|/n should be within eps/2 of T = 1/2 - eps (Lemma 2.6)
@@ -35,8 +34,7 @@ def test_phase_shifts_band_to_the_median(medium_values):
 
 def test_band_mass_never_collapses(medium_values):
     phi, eps = 0.7, 0.1
-    network = GossipNetwork(medium_values, rng=2, keep_history=False)
-    result = run_two_tournament(network, phi=phi, eps=eps, track_band=True)
+    result = run_two_tournament(medium_values, phi=phi, eps=eps, track_band=True, rng=2)
     for stat in result.stats:
         assert stat.band_fraction > eps
 
@@ -44,21 +42,21 @@ def test_band_mass_never_collapses(medium_values):
 def test_round_accounting_matches_schedule(medium_values):
     phi, eps = 0.25, 0.1
     schedule = two_tournament_schedule(phi, eps)
-    network = GossipNetwork(medium_values, rng=3, keep_history=False)
-    result = run_two_tournament(network, phi=phi, eps=eps, schedule=schedule)
+    metrics = NetworkMetrics(keep_history=False)
+    result = run_two_tournament(
+        medium_values, phi=phi, eps=eps, schedule=schedule, rng=3, metrics=metrics
+    )
     assert result.rounds == schedule.rounds
-    assert network.rounds == schedule.rounds
+    assert metrics.rounds == schedule.rounds
 
 
 def test_values_stay_within_original_support(medium_values):
-    network = GossipNetwork(medium_values, rng=4, keep_history=False)
-    result = run_two_tournament(network, phi=0.3, eps=0.1)
+    result = run_two_tournament(medium_values, phi=0.3, eps=0.1, rng=4)
     assert set(np.unique(result.final_values)).issubset(set(medium_values.tolist()))
 
 
 def test_empty_schedule_leaves_values_untouched(small_values):
-    network = GossipNetwork(small_values, rng=5, keep_history=False)
-    result = run_two_tournament(network, phi=0.5, eps=0.1)
+    result = run_two_tournament(small_values, phi=0.5, eps=0.1, rng=5)
     assert result.iterations == 0
     assert np.array_equal(result.final_values, small_values)
 
@@ -67,16 +65,14 @@ def test_trajectory_tracks_schedule(medium_values):
     """Measured heavy-side fractions stay close to the deterministic h_i."""
     phi, eps = 0.2, 0.1
     schedule = two_tournament_schedule(phi, eps)
-    network = GossipNetwork(medium_values, rng=6, keep_history=False)
-    result = run_two_tournament(network, phi=phi, eps=eps, schedule=schedule, track_band=True)
+    result = run_two_tournament(medium_values, phi=phi, eps=eps, schedule=schedule, track_band=True, rng=6)
     for stat in result.stats[:-1]:
         assert abs(stat.high_fraction - stat.predicted) < 0.08
 
 
 def test_direction_max_for_high_phi(medium_values):
     phi, eps = 0.85, 0.05
-    network = GossipNetwork(medium_values, rng=7, keep_history=False)
-    result = run_two_tournament(network, phi=phi, eps=eps, track_band=True)
+    result = run_two_tournament(medium_values, phi=phi, eps=eps, track_band=True, rng=7)
     final = result.stats[-1]
     # for phi > 1/2 the *low* side is driven to T
     assert abs(final.low_fraction - (0.5 - eps)) < eps

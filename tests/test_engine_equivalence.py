@@ -217,11 +217,27 @@ def test_malformed_act_batch_raises_protocol_error():
 
 # ---- single-lane (L = 1) stream pins ----------------------------------------
 #
-# sha256 prefixes of seeded single-lane GossipNetwork / tournament /
-# approximate-quantile runs, captured on the pre-multi-lane tree (PR 4).
-# The multi-lane pull surface, the batched round accounting, the
-# no-failure fast paths and the sort-free median selection must all leave
-# the default L = 1 float64 streams bit-for-bit unchanged.
+# sha256 prefixes of seeded single-lane pull / tournament /
+# approximate-quantile runs, first captured on the pre-multi-lane tree;
+# the multi-lane layout, the no-failure fast paths and the sort-free median
+# selection all left them bit-for-bit unchanged.
+#
+# Re-pinned deliberately when the tournaments moved onto the gossip
+# engines: every window now draws its partners one round at a time through
+# the engines' begin_round (failure mask, then partners) instead of one
+# (n, k) block, a failed pull reads the puller's own value instead of NaN,
+# and the δ coin comes from a child stream taken at construction.  Old →
+# new:
+#   pull_nofail       6103f313a9ed90fb → dee9bf3d074e7ae0
+#   pull_fail         8391e438e169129c → 01debec6fcf6a96a
+#                     (messages / failed node-rounds 717 / 311 → 688 / 340)
+#   two_tournament    2d6c2f3cef779455 → baf88d4c38491513
+#   three_tournament  ee662e3d13add2d8 → f0312b6e0b6791dd
+#   approx            b5967131d573f010 → 368495df96e9d38e
+#                     (estimate 32.56950035748125 → 39.43717620275427)
+#   approx_fail       45a282331a888ed4 → c1e9742d46cbaff0
+# The failure-free rounds and accounting did not move
+# (TOURNAMENT_ACCOUNTING_PINS).
 
 def _digest(*arrays):
     import hashlib
@@ -237,16 +253,16 @@ def _pin_values():
 
 
 SINGLE_LANE_PINS = {
-    "pull_nofail": "6103f313a9ed90fb",
-    "pull_fail": "8391e438e169129c",
-    "two_tournament": "2d6c2f3cef779455",
-    "three_tournament": "ee662e3d13add2d8",
-    "approx": "b5967131d573f010",
-    "approx_fail": "45a282331a888ed4",
+    "pull_nofail": "dee9bf3d074e7ae0",
+    "pull_fail": "01debec6fcf6a96a",
+    "two_tournament": "baf88d4c38491513",
+    "three_tournament": "f0312b6e0b6791dd",
+    "approx": "368495df96e9d38e",
+    "approx_fail": "c1e9742d46cbaff0",
 }
 
 
-def test_single_lane_pull_stream_pinned_to_pre_multilane_tree():
+def test_single_lane_pull_stream_pinned():
     from repro.gossip.network import GossipNetwork
 
     net = GossipNetwork(_pin_values(), rng=12)
@@ -260,43 +276,41 @@ def test_single_lane_pull_stream_pinned_to_pre_multilane_tree():
     assert _digest(batch.partners, batch.values, batch.ok) == (
         SINGLE_LANE_PINS["pull_fail"]
     )
-    # the batched accounting reproduces the per-round records exactly
+    # one message per successful pull, one failed node-round per lost one
     assert net.metrics.summary() == {
         "rounds": 4,
-        "messages": 717,
-        "total_bits": 63813,
+        "messages": int(batch.ok.sum()),
+        "total_bits": int(batch.ok.sum()) * 89,
         "max_message_bits": 89,
-        "failed_node_rounds": 311,
+        "failed_node_rounds": int((~batch.ok).sum()),
         "queries": 0,
         "query_bits": 0,
     }
+    assert (net.metrics.messages, net.metrics.failed_node_rounds) == (688, 340)
 
 
-def test_single_lane_tournament_streams_pinned_to_pre_multilane_tree():
+def test_single_lane_tournament_streams_pinned():
     from repro.core.three_tournament import run_three_tournament
     from repro.core.two_tournament import run_two_tournament
-    from repro.gossip.network import GossipNetwork
 
-    net = GossipNetwork(_pin_values(), rng=5, keep_history=False)
-    two = run_two_tournament(net, phi=0.3, eps=0.1)
+    two = run_two_tournament(_pin_values(), phi=0.3, eps=0.1, rng=5)
     assert (_digest(two.final_values), two.rounds) == (
         SINGLE_LANE_PINS["two_tournament"], 2
     )
 
-    net = GossipNetwork(_pin_values(), rng=6, keep_history=False)
-    three = run_three_tournament(net, eps=0.05)
+    three = run_three_tournament(_pin_values(), eps=0.05, rng=6)
     assert (_digest(three.final_values), three.rounds) == (
         SINGLE_LANE_PINS["three_tournament"], 33
     )
 
 
-def test_single_lane_approximate_quantile_pinned_to_pre_multilane_tree():
+def test_single_lane_approximate_quantile_pinned():
     from repro.core.approx_quantile import approximate_quantile
 
     result = approximate_quantile(_pin_values(), phi=0.35, eps=0.1, rng=7)
     assert _digest(result.estimates) == SINGLE_LANE_PINS["approx"]
     assert result.rounds == 38
-    assert result.estimate == 32.56950035748125
+    assert result.estimate == 39.43717620275427
 
     failed = approximate_quantile(
         _pin_values(), phi=0.35, eps=0.1, rng=7, env=GossipEnv(failure_model=0.25)
@@ -356,17 +370,14 @@ def _tournament_accounting(case):
     from repro.core.three_tournament import run_three_tournament
     from repro.core.two_tournament import run_two_tournament
     from repro.gossip.metrics import NetworkMetrics
-    from repro.gossip.network import GossipNetwork
 
     values = _pin_values()
     if case in ("two_tournament", "three_tournament"):
         metrics = NetworkMetrics(keep_history=False)
         if case == "two_tournament":
-            network = GossipNetwork(values, rng=5, metrics=metrics)
-            run_two_tournament(network, phi=0.3, eps=0.1)
+            run_two_tournament(values, phi=0.3, eps=0.1, rng=5, metrics=metrics)
         else:
-            network = GossipNetwork(values, rng=6, metrics=metrics)
-            run_three_tournament(network, eps=0.05)
+            run_three_tournament(values, eps=0.05, rng=6, metrics=metrics)
         return metrics.rounds, metrics.summary()
     if case.startswith("service"):
         service = QuantileService(values, eps=0.1, rng=11)
@@ -408,36 +419,45 @@ def test_failure_free_tournament_accounting_pinned(case):
     assert _tournament_accounting(case) == TOURNAMENT_ACCOUNTING_PINS[case]
 
 
-# ---- composed pull-surface pins ---------------------------------------------
+# ---- composed pull-window pins ---------------------------------------------
 #
-# sha256 prefixes of GossipNetwork.pull under each composition of the three
-# robustness inputs (failure model, churn process, fault injector), captured
-# before the pull surface was collapsed into one body.  Each digest covers
-# every batch's partners, values and ok mask, the network's working values
-# after the run (state-loss resets) and the metrics summary.
+# sha256 prefixes of three pull windows (3, 2 and 4 rounds) under each
+# composition of the three robustness inputs (failure model, churn process,
+# fault injector).  Each window's kernel records the window's partners,
+# pulled values and ok mask and returns every node's value plus one, so
+# delayed pulls see older windows; the digest covers those, the rows after
+# the run (state-loss resets) and the metrics summary.
 #
-# Re-pinned deliberately when every substrate took its outage from the one
-# round_outage function: under a process the round's failure mask is now
-# drawn before its partners, as in the engines' begin_round, so the three
-# cases with both a process and a failure model moved (churn_failures was
-# 617233bd4a845433, all_three b2c1fb1ea9c9c7f7, all_three_2lane
-# 6f0a15edac76d06b).  A process without a failure model draws no mask from
-# the network stream, so "churn" and "churn_faults" did not move.
+# Ported from GossipNetwork.pull, whose three batches ran as three pulls
+# with set_values(values + 1.0) between them; the windows now run in one
+# engine run, so round indices continue across them.  Re-pinned
+# deliberately with the rest of the tournament streams: per-round partner
+# draws, own-value failed pulls, corruption applied to delivered copies
+# only, and a state-loss restart handing the window's kernel the node's
+# initial lanes as its own values.  Old → new:
+#   failures         b621f490026767d8 → cdd9c7a6a5dd4a5e
+#   churn            737ed535c8ade215 → 4d9bdbd91980a3ba
+#   churn_faults     3e248ac45ce417f8 → 7e655cb1873a7e1f
+#   churn_failures   044569018067259b → f34c2888f2c79dfd
+#   faults_failures  45a9d94d482eeb83 → 50862553484dd48d
+#   all_three        c763276c8a9377a3 → 86d9816c3b32753a
+#   all_three_2lane  9df9b2d96bb27350 → 2663baf429582037
 
 PULL_SURFACE_PINS = {
-    "failures": "b621f490026767d8",
-    "churn": "737ed535c8ade215",
-    "churn_faults": "3e248ac45ce417f8",
-    "churn_failures": "044569018067259b",
-    "faults_failures": "45a9d94d482eeb83",
-    "all_three": "c763276c8a9377a3",
-    "all_three_2lane": "9df9b2d96bb27350",
+    "failures": "cdd9c7a6a5dd4a5e",
+    "churn": "4d9bdbd91980a3ba",
+    "churn_faults": "7e655cb1873a7e1f",
+    "churn_failures": "f34c2888f2c79dfd",
+    "faults_failures": "50862553484dd48d",
+    "all_three": "86d9816c3b32753a",
+    "all_three_2lane": "2663baf429582037",
 }
 
 
 def _pull_surface_digest(case):
     import json
 
+    from repro.core.tournament import PullWindow, lane_rows, run_windows
     from repro.faults import (
         CrashRestart,
         FaultInjector,
@@ -446,13 +466,13 @@ def _pull_surface_digest(case):
         MessageDuplication,
         ValueCorruption,
     )
-    from repro.gossip.network import GossipNetwork
+    from repro.gossip.metrics import NetworkMetrics
     from repro.topology import ChurnProcess
 
     n = 97
     values = _pin_values()[:n]
     # The churn cases run a process with no failure model, which draws
-    # nothing from the network stream.
+    # nothing from the run's stream.
     settings = {} if case in ("churn", "churn_faults") else {"failure_model": 0.2}
     if case in ("churn", "churn_faults", "churn_failures", "all_three",
                 "all_three_2lane"):
@@ -471,20 +491,24 @@ def _pull_surface_digest(case):
         )
     if case == "all_three_2lane":
         values = np.column_stack([values, values[::-1]])
-    net = GossipNetwork(values, rng=17, env=GossipEnv(**settings))
     arrays = []
-    for k in (3, 2, 4):
-        batch = net.pull(k)
-        arrays += [batch.partners, batch.values, batch.ok]
-        # advance the working values so delayed pulls see older windows
-        net.set_values(net.values + 1.0)
-    arrays.append(net.values)
-    summary = json.dumps(net.metrics.summary(), sort_keys=True)
-    return _digest(*arrays, np.frombuffer(summary.encode(), dtype=np.uint8))
+
+    def record_and_advance(pulls):
+        arrays.extend([pulls.partner_block(), pulls.block(), pulls.ok_block()])
+        return pulls.snapshot + 1.0
+
+    metrics = NetworkMetrics()
+    rows = run_windows(
+        lane_rows(values, np.dtype(float)),
+        [PullWindow(k, record_and_advance) for k in (3, 2, 4)],
+        17, metrics, GossipEnv(**settings),
+    )
+    summary = json.dumps(metrics.summary(), sort_keys=True)
+    return _digest(*arrays, rows, np.frombuffer(summary.encode(), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("case", sorted(PULL_SURFACE_PINS))
-def test_composed_pull_surface_pinned(case):
+def test_composed_pull_windows_pinned(case):
     assert _pull_surface_digest(case) == PULL_SURFACE_PINS[case]
 
 
@@ -494,12 +518,15 @@ def test_composed_pull_surface_pinned(case):
 #: fused rewrite: digest(quantile_estimates, grid_values) plus total rounds.
 #: ``max_lanes=1`` — one single-lane tournament per grid target, each on its
 #: own child stream — is the reference that must keep landing on them.
+#: Digests re-pinned with the single-lane pins when the tournaments moved
+#: onto the gossip engines (59043aafe49dd809 → aafa2e112a738b41,
+#: 79d60d7bcca8279b → 44b0ba55bbab0b67); the rounds did not move.
 ALL_RANKS_SEQUENTIAL_PINS = {
     # estimate_all_ranks(_pin_values(), eps=0.2, rng=9, max_lanes=1)
-    "eps_0.2_rng_9": ("59043aafe49dd809", 156),
+    "eps_0.2_rng_9": ("aafa2e112a738b41", 156),
     # estimate_all_ranks(_pin_values(), eps=0.1, rng=10, query_accuracy=0.08,
     #                    max_lanes=1)
-    "eps_0.1_rng_10_qa_0.08": ("79d60d7bcca8279b", 381),
+    "eps_0.1_rng_10_qa_0.08": ("44b0ba55bbab0b67", 381),
 }
 
 
@@ -530,19 +557,27 @@ def test_sequential_all_ranks_pinned_to_pre_fusion_tree():
 # shared by L lanes, per-lane schedules, short lanes idling, one shared
 # final vote), captured before the value matrix was stored lane by lane.
 # The storage order of the (n, L) matrix must not move a single value.
+# Digests re-pinned with the single-lane pins when the tournaments moved
+# onto the gossip engines; the rounds did not move.  Old → new:
+#   all_ranks_9       984830a6b853e75e → 582e4b0fbf6a80d6
+#   all_ranks_19_f32  5e30420022be0179 → 349c6759ea8218bb
+#   pair_f64          d2e48b4dccf5249e → f69cc9c1152fc93d
+#   pair_f32          3ccd83ff9bf9e574 → 220b37cd5323bc3e
+#   service_build     eb2540fbc4894e83 → d3664864cdf48967
+#   service_rebuild   5974563748ad3c8a → 077cd22c333ae12a
 
 FUSED_MULTILANE_PINS = {
     # estimate_all_ranks(_pin_values(), eps=0.1, rng=9): 9 lanes, 1 chunk
-    "all_ranks_9": ("984830a6b853e75e", 48),
+    "all_ranks_9": ("582e4b0fbf6a80d6", 48),
     # estimate_all_ranks(_pin_values(), eps=0.05, rng=10, float32): 19 lanes
-    "all_ranks_19_f32": ("5e30420022be0179", 56),
+    "all_ranks_19_f32": ("349c6759ea8218bb", 56),
     # approximate_quantile on a 2-lane copy, phi=(0.2, 0.65), eps=0.1, rng=7
-    "pair_f64": ("d2e48b4dccf5249e", 40),
-    "pair_f32": ("3ccd83ff9bf9e574", 40),
+    "pair_f64": ("f69cc9c1152fc93d", 40),
+    "pair_f32": ("220b37cd5323bc3e", 40),
     # QuantileService(_pin_values(), eps=0.1, rng=11): build, then a rebuild
     # after every other value moved above the range
-    "service_build": ("eb2540fbc4894e83", 48),
-    "service_rebuild": ("5974563748ad3c8a", 48),
+    "service_build": ("d3664864cdf48967", 48),
+    "service_rebuild": ("077cd22c333ae12a", 48),
 }
 
 

@@ -1,4 +1,4 @@
-"""Fault-injection subsystem: specs, schedules, injector, network overlay."""
+"""Fault-injection subsystem: specs, schedules, injector, pull-window overlay."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from repro.faults import (
     TargetedByDegree,
     ValueCorruption,
 )
+from repro.core.tournament import PullWindow, lane_rows, run_windows
 from repro.gossip.env import GossipEnv
-from repro.gossip.network import GossipNetwork
+from repro.gossip.metrics import NetworkMetrics
 from repro.utils.rand import RandomSource
 
 
@@ -169,133 +170,139 @@ def test_counters_and_total_injected():
     assert set(injector.counters) == set(FAULT_KINDS) | {"restart"}
 
 
-# ------------------------------------------------------- network overlay
+# ------------------------------------------------- pull-window overlay
+
+
+def _pull_windows(values, faults=None, sizes=(1,), advance=None, rng=17):
+    """Run pull windows of the given sizes in one engine run.
+
+    Returns each window's pulls, the rows after the run and the metrics.
+    A window's kernel keeps the values, or returns ``advance(pulls)``.
+    """
+    delivered = []
+
+    def kernel(pulls):
+        delivered.append(pulls)
+        return pulls.snapshot if advance is None else advance(pulls)
+
+    metrics = NetworkMetrics()
+    rows = run_windows(
+        lane_rows(values, np.dtype(float)),
+        [PullWindow(k, kernel) for k in sizes],
+        rng, metrics, GossipEnv(faults=faults),
+    )
+    return delivered, rows, metrics
 
 
 def test_attaching_injector_leaves_engine_stream_untouched():
     """A p=0 injector consumes only its private stream: partners and
-    delivered values stay bit-identical to the fault-free network."""
-    clean = GossipNetwork(_values(), rng=17)
-    chaotic = GossipNetwork(
-        _values(), rng=17,
-        env=GossipEnv(
-            faults=FaultInjector([MessageDrop(0.0), ValueCorruption(0.0)], rng=5)
-        ),
+    delivered values stay bit-identical to the fault-free run."""
+    injector = FaultInjector([MessageDrop(0.0), ValueCorruption(0.0)], rng=5)
+    (a,), _, _ = _pull_windows(_values(), sizes=(3,))
+    (b,), _, _ = _pull_windows(_values(), injector, sizes=(3,))
+    assert np.array_equal(a.partner_block(), b.partner_block())
+    assert np.array_equal(a.block(), b.block())
+    assert b.ok_block().all()
+    assert injector.total_injected == 0
+
+
+def test_pull_window_drop_suppresses_every_pull():
+    values = _values()
+    (pulls,), rows, metrics = _pull_windows(
+        values, FaultInjector(MessageDrop(1.0), rng=5), sizes=(2,)
     )
-    a = clean.pull(3)
-    b = chaotic.pull(3)
-    assert np.array_equal(a.partners, b.partners)
-    assert np.array_equal(a.values, b.values)
-    assert b.ok.all()
-    assert chaotic.faults.total_injected == 0
+    assert not pulls.ok_block().any()
+    # a pull that did not happen reads the puller's own value
+    assert np.array_equal(pulls.block()[0], np.repeat(values[:, None], 2, axis=1))
+    assert metrics.failed_node_rounds == 2 * 64
+    assert metrics.messages == 0
 
 
-def test_network_drop_suppresses_and_masks():
-    net = GossipNetwork(
-        _values(), rng=17, env=GossipEnv(faults=FaultInjector(MessageDrop(1.0), rng=5))
-    )
-    batch = net.pull(2)
-    assert not batch.ok.any()
-    assert np.isnan(batch.values).all()
-    assert net.metrics.failed_node_rounds == 2 * 64
+def test_pull_window_duplicates_charged_as_extra_messages():
+    injector = FaultInjector(MessageDuplication(1.0), rng=5)
+    _, _, clean = _pull_windows(_values(), sizes=(3,))
+    _, _, duped = _pull_windows(_values(), injector, sizes=(3,))
+    assert duped.messages == 2 * clean.messages
+    assert duped.total_bits == 2 * clean.total_bits
+    assert duped.faults_injected == 3 * 64
 
 
-def test_network_duplicates_charged_as_extra_messages():
-    clean = GossipNetwork(_values(), rng=17)
-    duped = GossipNetwork(
-        _values(), rng=17,
-        env=GossipEnv(faults=FaultInjector(MessageDuplication(1.0), rng=5)),
-    )
-    clean.pull(3)
-    duped.pull(3)
-    assert duped.metrics.messages == 2 * clean.metrics.messages
-    assert duped.metrics.total_bits == 2 * clean.metrics.total_bits
-    assert duped.metrics.faults_injected == 3 * 64
-
-
-def test_network_delay_serves_snapshot_ring():
+def test_pull_window_delay_serves_snapshot_ring():
     values = np.arange(16, dtype=float)
-    net = GossipNetwork(
-        values, rng=17,
-        env=GossipEnv(faults=FaultInjector(MessageDelay(1.0, max_delay=2), rng=5)),
+    (first, second), _, _ = _pull_windows(
+        values,
+        FaultInjector(MessageDelay(1.0, max_delay=2), rng=5),
+        sizes=(1, 1),
+        # overwrite every value when the first window closes
+        advance=lambda pulls: pulls.snapshot + 1000.0,
     )
-    # First batch: the ring is empty, so even delayed pulls are on time.
-    first = net.pull(1)
-    assert np.array_equal(
-        first.values[first.ok], values[first.partners][first.ok]
-    )
-    # Overwrite every value; delayed pulls must now serve the *old* values
-    # from the ring, not the current ones.
-    net.set_values(values + 1000.0)
-    second = net.pull(1)
-    delayed = second.values[second.ok]
+    # First window: the ring is empty, so even delayed pulls are on time.
+    partners, pulled = first.partner_block(), first.block()[0]
+    assert np.array_equal(pulled, values[partners])
+    # Second window: delayed pulls serve the *old* values from the ring,
+    # not the current ones.
+    delayed = second.block()[0][second.ok_block()]
     assert delayed.size
     assert np.all(delayed < 1000.0)
 
 
-def test_network_corruption_scales_payload_not_sender_state():
+def test_pull_window_corruption_scales_payload_not_sender_state():
     values = np.full(32, 10.0)
-    net = GossipNetwork(
-        values, rng=17,
-        env=GossipEnv(faults=FaultInjector(ValueCorruption(1.0, magnitude=0.5), rng=5)),
+    (pulls,), rows, _ = _pull_windows(
+        values, FaultInjector(ValueCorruption(1.0, magnitude=0.5), rng=5)
     )
-    batch = net.pull(1)
-    good = batch.values[batch.ok]
+    good = pulls.block()[0][pulls.ok_block()]
     assert np.all((good >= 5.0) & (good <= 15.0))
     assert not np.any(good == 10.0)
     # the sender's stored state is untouched — only the copies in flight
-    assert np.array_equal(net.snapshot(), values)
+    assert np.array_equal(pulls.snapshot[0], values)
+    assert np.array_equal(rows[0], values)
 
 
-def test_network_crash_restart_resets_values():
+def test_pull_window_crash_restart_resets_values():
     values = np.arange(8, dtype=float)
-    net = GossipNetwork(
-        values, rng=17,
-        env=GossipEnv(faults=FaultInjector(
+    (_, second), rows, _ = _pull_windows(
+        values,
+        FaultInjector(
             Burst(CrashRestart(1.0, downtime=1, reset_values=True), 0, 1),
             rng=5,
-        )),
+        ),
+        sizes=(1, 1),
+        advance=lambda pulls: pulls.snapshot + 500.0,
     )
-    net.set_values(values + 500.0)
-    net.pull(1)          # round 0: everyone crashes
-    assert np.array_equal(net.snapshot(), values + 500.0)
-    net.pull(1)          # round 1: everyone restarts -> state loss
-    assert np.array_equal(net.snapshot(), values)
+    # round 0: everyone crashes, and the working values move on
+    assert np.array_equal(second.source[0], values + 500.0)
+    # round 1: everyone restarts -> state loss at the window boundary, so
+    # the second window's kernel works from the initial values
+    assert np.array_equal(second.snapshot[0], values)
+    assert np.array_equal(rows[0], values + 500.0)
 
 
-def test_network_reset_rewinds_injector():
-    net = GossipNetwork(
-        _values(), rng=17, env=GossipEnv(faults=FaultInjector(MessageDrop(0.5), rng=5))
-    )
-    first = net.pull(4)
-    injected = net.faults.total_injected
-    net.reset()
-    assert net.faults.total_injected == 0
-    second = net.pull(4)
-    # The injector replays its schedule; the engine stream deliberately
-    # does NOT rewind (reset() keeps the network's partner stream moving),
-    # so only the fault counters — not the partners — must match.
-    assert net.faults.total_injected == injected
-    assert first.ok.sum() != 0 or second.ok.sum() != 0
+def test_each_run_replays_the_injector():
+    injector = FaultInjector(MessageDrop(0.5), rng=5)
+    (first,), _, _ = _pull_windows(_values(), injector, sizes=(4,))
+    injected = injector.total_injected
+    (second,), _, _ = _pull_windows(_values(), injector, sizes=(4,))
+    # Every run indexes its rounds from 0, so the injector replays its
+    # schedule; the run's own stream is seeded the same, so the whole
+    # window repeats.
+    assert injector.total_injected == injected
+    assert np.array_equal(first.ok_block(), second.ok_block())
+    assert np.array_equal(first.partner_block(), second.partner_block())
 
 
 def test_seeded_chaos_replays_bit_for_bit():
     def run():
-        net = GossipNetwork(
-            _values(), rng=17,
-            env=GossipEnv(faults=FaultInjector(
-                [MessageDrop(0.2), MessageDelay(0.2), ValueCorruption(0.2)],
-                rng=5,
-            )),
+        injector = FaultInjector(
+            [MessageDrop(0.2), MessageDelay(0.2), ValueCorruption(0.2)],
+            rng=5,
         )
-        batch = net.pull(5)
-        return batch, dict(net.faults.counters)
+        (pulls,), _, _ = _pull_windows(_values(), injector, sizes=(5,))
+        return pulls, dict(injector.counters)
 
     first, counters_a = run()
     second, counters_b = run()
-    assert np.array_equal(first.partners, second.partners)
-    assert np.array_equal(first.ok, second.ok)
-    assert np.array_equal(
-        first.values[first.ok], second.values[second.ok]
-    )
+    assert np.array_equal(first.partner_block(), second.partner_block())
+    assert np.array_equal(first.ok_block(), second.ok_block())
+    assert np.array_equal(first.block(), second.block())
     assert counters_a == counters_b

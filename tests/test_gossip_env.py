@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
 from repro.core.robust import robust_approximate_quantile
 from repro.core.tokens import distribute_tokens
@@ -93,24 +92,21 @@ def test_env_is_frozen_and_replace_revalidates():
     assert moved.topology_process is process
 
 
-def test_network_reads_its_settings_from_the_env():
-    topology = ring(32, k=2)
+def test_pull_windows_read_their_settings_from_the_env():
     injector = FaultInjector(MessageDrop(0.1), rng=1)
     env = GossipEnv(
-        failure_model=0.2, topology=topology, faults=injector, dtype="float32"
+        failure_model=0.2, topology=ring(32, k=2), faults=injector,
+        dtype="float32",
     )
     network = GossipNetwork(np.arange(32.0), rng=0, env=env)
-    assert network.topology is topology
-    assert network.faults is injector
-    assert network.dtype == np.dtype(np.float32)
-    assert network.failure_model is env.failure_model
-    assert network.can_fail
-
-
-def test_approximate_quantile_rejects_env_beside_a_network():
-    network = GossipNetwork(np.arange(32.0), rng=0)
-    with pytest.raises(ConfigurationError, match="env"):
-        approximate_quantile(network=network, env=GossipEnv(failure_model=0.1))
+    batch = network.pull(3)
+    assert network.values.dtype == np.dtype(np.float32)
+    # pulls go to ring neighbours only, and the failure model and the
+    # injector both take pulls away
+    offsets = np.abs(batch.partners - np.arange(32)[:, None])
+    assert np.all(np.minimum(offsets, 32 - offsets)[batch.ok] <= 2)
+    assert not batch.ok.all()
+    assert injector.rounds_drawn == 3
 
 
 @pytest.mark.parametrize(

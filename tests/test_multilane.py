@@ -1,9 +1,9 @@
 """Multi-lane tournament fast path: fused sandwich runs, dtypes, accounting.
 
-Covers the PR-5 surface: (n, L) column-stacked GossipNetworks sharing one
+Covers the PR-5 surface: (n, L) column-stacked value lanes sharing one
 partner stream, lane-wise tournament phases, the fused ε/2 sandwich pair of
 the exact-quantile driver, two-lane Step-4 extrema spreading, float32 value
-lanes, and the batched round/message accounting.
+lanes, and the per-round message accounting.
 """
 
 import numpy as np
@@ -12,6 +12,12 @@ import pytest
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
 from repro.core.three_tournament import run_three_tournament
+from repro.core.tournament import (
+    PullWindow,
+    TournamentProtocol,
+    lane_rows,
+    run_windows,
+)
 from repro.core.two_tournament import run_two_tournament
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
@@ -31,11 +37,10 @@ def keys(n):
 def test_multilane_pull_shares_one_partner_matrix():
     values = np.stack([keys(64), keys(64)[::-1].copy()], axis=1)
     net = GossipNetwork(values, rng=3, keep_history=False)
-    assert net.lanes == 2
+    assert net.values.shape == (64, 2)
     batch = net.pull(4)
     assert batch.partners.shape == (64, 4)
     assert batch.values.shape == (64, 4, 2)
-    assert batch.lanes == 2
     # each lane reads its own column through the same partner matrix
     for lane in range(2):
         expected = values[:, lane][batch.partners]
@@ -68,9 +73,12 @@ def test_multilane_failures_apply_to_every_lane():
     batch = net.pull(2)
     failed = ~batch.ok
     assert failed.sum() > 50
-    # a failed node-round NaNs both lanes
-    assert np.all(np.isnan(batch.values[failed]))
-    assert np.all(np.isfinite(batch.values[batch.ok]))
+    # a failed node-round reads the puller's own value in both lanes
+    pullers = np.nonzero(failed)[0]
+    assert np.array_equal(batch.values[failed], values[pullers])
+    assert np.array_equal(
+        batch.values[batch.ok], values[batch.partners[batch.ok]]
+    )
 
 
 def test_multilane_partner_stream_matches_single_lane():
@@ -82,30 +90,22 @@ def test_multilane_partner_stream_matches_single_lane():
     assert np.array_equal(single.pull(5).partners, double.pull(5).partners)
 
 
-def test_multilane_set_values_and_snapshot_shapes():
-    values = np.stack([keys(16), keys(16)], axis=1)
-    net = GossipNetwork(values, rng=2, keep_history=False)
-    snap = net.snapshot()
-    assert snap.shape == (16, 2)
-    net.set_values(np.zeros((16, 2)))
-    assert np.all(net.values == 0.0)
-    with pytest.raises(ConfigurationError):
-        net.set_values(np.zeros(16))
-
-
 # ---- lane-contiguous storage -------------------------------------------------
 
 
 def _layout_run(values, env=None):
-    """Pull batches and both tournament phases on a fresh network."""
+    """Pull batches and both tournament phases from fresh streams."""
     net = GossipNetwork(values, rng=21, keep_history=False, env=env)
     batches = [net.pull(k) for k in (2, 3)]
-    net = GossipNetwork(values, rng=22, keep_history=False, env=env)
-    lanes = net.lanes
+    source = RandomSource(22)
+    lanes = values.shape[1]
     two = run_two_tournament(
-        net, phi=list(np.linspace(0.1, 0.9, lanes)), eps=0.1, track_band=False
+        values, phi=list(np.linspace(0.1, 0.9, lanes)), eps=0.1,
+        track_band=False, rng=source, env=env,
     )
-    three = run_three_tournament(net, eps=0.05, track_band=False)
+    three = run_three_tournament(
+        two.final_values, eps=0.05, track_band=False, rng=source, env=env
+    )
     return batches, two.final_values, three.final_values
 
 
@@ -139,47 +139,37 @@ def test_value_matrix_memory_order_does_not_change_any_draw(env):
     )
 
 
-def test_network_stores_each_lane_contiguously():
-    net = GossipNetwork(np.ascontiguousarray(RandomSource(6).random((64, 4))),
-                        rng=1, keep_history=False)
+def test_lanes_are_stored_as_contiguous_rows():
+    values = np.ascontiguousarray(RandomSource(6).random((64, 4)))
+    for build in (np.ascontiguousarray, np.asfortranarray):
+        rows = lane_rows(build(values), np.dtype(float))
+        assert rows.shape == (4, 64) and rows.flags.c_contiguous
+        assert np.array_equal(rows, values.T)
+    net = GossipNetwork(values, rng=1, keep_history=False)
     assert net.values.shape == (64, 4) and net.values.flags.f_contiguous
-    assert net.lane_rows.shape == (4, 64) and net.lane_rows.flags.c_contiguous
-    assert net.snapshot().flags.f_contiguous
-    assert net.initial_values.flags.f_contiguous
     batch = net.pull(3)
     assert batch.values.shape == (64, 3, 4)
-    assert batch.by_lane.shape == (4, 64, 3) and batch.by_lane.flags.c_contiguous
     for lane in range(4):
-        assert np.array_equal(batch.by_lane[lane], batch.values[:, :, lane])
-    run_three_tournament(net, eps=0.1, track_band=False)
-    assert net.values.flags.f_contiguous
-    net.reset()
-    assert net.values.flags.f_contiguous
-    with pytest.raises(ConfigurationError):
-        net.set_lane_rows(np.zeros((3, 64)))
+        assert np.array_equal(batch.values[:, :, lane],
+                              values[:, lane][batch.partners])
+    result = run_three_tournament(values, eps=0.1, track_band=False, rng=1)
+    # (n, L) outputs are lane-contiguous views of the protocol's rows
+    assert result.final_values.shape == (64, 4)
+    assert result.final_values.flags.f_contiguous
 
 
-def test_set_values_adopts_an_outside_c_ordered_matrix():
+def test_protocol_adopts_rows_and_never_writes_them():
     n, lanes = 80, 3
-    start = RandomSource(7).random((n, lanes))
-    outside = np.ascontiguousarray(RandomSource(8).random((n, lanes)))
-    kept = outside.copy()
-    adopted = GossipNetwork(start, rng=9, keep_history=False)
-    copied = GossipNetwork(start, rng=9, keep_history=False)
-    adopted.set_values(outside, copy=False)
-    copied.set_values(outside)
-    assert adopted.values is outside
-    assert copied.values.flags.f_contiguous
-    assert np.array_equal(adopted.lane_rows, copied.lane_rows)
-    first = adopted.pull(4)
-    second = copied.pull(4)
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(
-        run_three_tournament(adopted, eps=0.1, track_band=False).final_values,
-        run_three_tournament(copied, eps=0.1, track_band=False).final_values,
-    )
-    # the tournament hands back new rows; the adopted array is never written
-    assert np.array_equal(outside, kept)
+    rows = np.ascontiguousarray(RandomSource(8).random((lanes, n)))
+    kept = rows.copy()
+    windows = [PullWindow(3, lambda pulls: np.median(pulls.rows(), axis=0)),
+               PullWindow(4, lambda pulls: pulls.block().max(axis=2))]
+    protocol = TournamentProtocol(rows, windows)
+    assert protocol.rows is rows
+    final = run_windows(rows, windows, 9)
+    # the windows hand back new rows; the adopted array is never written
+    assert np.array_equal(rows, kept)
+    assert final is not rows and final.shape == (lanes, n)
 
 
 # ---- dtype threading ---------------------------------------------------------
@@ -187,9 +177,11 @@ def test_set_values_adopts_an_outside_c_ordered_matrix():
 
 def test_float32_network_stores_and_pulls_float32():
     net = GossipNetwork(keys(64), rng=7, env=GossipEnv(dtype="float32"))
-    assert net.dtype == np.dtype(np.float32)
     assert net.values.dtype == np.dtype(np.float32)
     assert net.pull(2).values.dtype == np.dtype(np.float32)
+    result = run_three_tournament(keys(64), eps=0.1, rng=7,
+                                  env=GossipEnv(dtype="float32"))
+    assert result.final_values.dtype == np.dtype(np.float32)
 
 
 def test_float32_lanes_follow_the_same_partner_stream():
@@ -241,11 +233,9 @@ def test_two_tournament_lanes_match_independent_runs_statistically():
     n = 2048
     rng = RandomSource(3)
     base = rng.random(n) * 100.0
-    network = GossipNetwork(
-        np.stack([base, base], axis=1), rng=4, keep_history=False
-    )
     result = run_two_tournament(
-        network, phi=(0.25, 0.75), eps=(0.1, 0.1), track_band=False
+        np.stack([base, base], axis=1), phi=(0.25, 0.75), eps=(0.1, 0.1),
+        track_band=False, rng=4,
     )
     assert result.final_values.shape == (n, 2)
     # lane 0 drives values downward (min direction), lane 1 upward
@@ -262,32 +252,27 @@ def test_fused_phase_executes_max_of_lane_schedules():
     schedules = [two_tournament_schedule(p, 0.05) for p in lane_phis]
     lengths = [s.num_iterations for s in schedules]
     assert lengths[0] != lengths[1]
-    network = GossipNetwork(
-        np.stack([base, base], axis=1), rng=9, keep_history=False
-    )
+    metrics = NetworkMetrics(keep_history=False)
     result = run_two_tournament(
-        network, phi=lane_phis, eps=(0.05, 0.05), track_band=False
+        np.stack([base, base], axis=1), phi=lane_phis, eps=(0.05, 0.05),
+        track_band=False, rng=9, metrics=metrics,
     )
     assert result.iterations == max(lengths)
-    assert network.rounds == 2 * max(lengths)
+    assert metrics.rounds == 2 * max(lengths)
 
 
 def test_track_band_rejected_on_multilane_networks():
-    network = GossipNetwork(
-        np.stack([keys(64), keys(64)], axis=1), rng=1, keep_history=False
-    )
+    lanes = np.stack([keys(64), keys(64)], axis=1)
     with pytest.raises(ConfigurationError):
-        run_two_tournament(network, phi=0.5, eps=0.1, track_band=True)
+        run_two_tournament(lanes, phi=0.5, eps=0.1, track_band=True, rng=1)
     with pytest.raises(ConfigurationError):
-        run_three_tournament(network, eps=0.1, track_band=True)
+        run_three_tournament(lanes, eps=0.1, track_band=True, rng=1)
 
 
 def test_per_lane_parameter_validation():
-    network = GossipNetwork(
-        np.stack([keys(64), keys(64)], axis=1), rng=1, keep_history=False
-    )
+    lanes = np.stack([keys(64), keys(64)], axis=1)
     with pytest.raises(ConfigurationError):
-        run_two_tournament(network, phi=(0.5,), eps=0.1, track_band=False)
+        run_two_tournament(lanes, phi=(0.5,), eps=0.1, track_band=False, rng=1)
     with pytest.raises(ConfigurationError):
         approximate_quantile(
             np.stack([keys(64), keys(64)], axis=1),
@@ -344,13 +329,10 @@ def test_fused_pair_message_accounting_lands_in_round_records():
     round that carried it, so the per-round history sums to the totals."""
     n = 256
     shared = NetworkMetrics(keep_history=True)
-    network = GossipNetwork(
-        np.stack([keys(n), keys(n)], axis=1),
-        rng=6,
-        metrics=shared,
-        keep_history=True,
+    result = approximate_quantile(
+        np.stack([keys(n), keys(n)], axis=1), phi=(0.45, 0.55), eps=0.05,
+        rng=6, metrics=shared,
     )
-    result = approximate_quantile(network=network, phi=(0.45, 0.55), eps=0.05)
     assert result.rounds == shared.rounds
     assert len(shared.history) == shared.rounds
     assert sum(r.messages for r in shared.history) == shared.messages
@@ -425,40 +407,3 @@ def test_extrema_pair_validation():
         ExtremaProtocol(np.ones((4, 2)), mode=("min", "max", "max"))
     with pytest.raises(ConfigurationError, match="mode"):
         ExtremaProtocol(np.ones((4, 2)), mode=("min", "median"))
-
-
-# ---- batched metrics recording ----------------------------------------------
-
-
-def test_record_rounds_batch_equals_per_round_recording():
-    batched = NetworkMetrics(keep_history=True)
-    batched.record_rounds_batch(
-        3, label="x", messages=[10, 0, 7], bits_each=80, failures=[1, 2, 0]
-    )
-    reference = NetworkMetrics(keep_history=True)
-    for messages, failed in ((10, 1), (0, 2), (7, 0)):
-        record = reference.begin_round(label="x")
-        reference.record_failures(failed, record)
-        reference.record_messages(messages, 80, record)
-    assert batched.summary() == reference.summary()
-    assert len(batched.history) == len(reference.history)
-    for a, b in zip(batched.history, reference.history):
-        assert (a.round_index, a.label, a.messages, a.bits, a.failed_nodes) == (
-            b.round_index, b.label, b.messages, b.bits, b.failed_nodes
-        )
-
-
-def test_record_rounds_batch_scalar_and_validation():
-    metrics = NetworkMetrics(keep_history=False)
-    metrics.record_rounds_batch(4, label="y", messages=5, bits_each=10)
-    assert metrics.rounds == 4
-    assert metrics.messages == 20
-    assert metrics.total_bits == 200
-    metrics.record_rounds_batch(0)  # no-op
-    assert metrics.rounds == 4
-    with pytest.raises(ValueError):
-        metrics.record_rounds_batch(-1)
-    with pytest.raises(ValueError):
-        metrics.record_rounds_batch(2, messages=[1])
-    with pytest.raises(ValueError):
-        metrics.record_rounds_batch(2, messages=-3)

@@ -224,3 +224,59 @@ def test_arun_protocol_composes_inside_an_existing_loop():
 
     result = asyncio.run(go())
     assert result.rounds == 5
+
+
+# ---- tournaments on the asyncio engine --------------------------------------
+
+
+def _tournament_runs(engine, seed, monkeypatch):
+    """The three tournament entry points at n = 64 on one engine."""
+    from importlib import import_module
+
+    from repro.core.approx_quantile import approximate_quantile
+    from repro.core.robust import robust_approximate_quantile
+
+    values = _values(64, seed=seed)
+    approx = approximate_quantile(
+        np.column_stack([values, values]), phi=(0.2, 0.65), eps=0.1,
+        rng=seed, env=GossipEnv(engine=engine),
+    )
+    robust = robust_approximate_quantile(
+        values, 0.5, 0.1, rng=seed,
+        env=GossipEnv(failure_model=0.2, engine=engine),
+    )
+    # median_rule takes a failure model rather than an env; run it in an
+    # env on the requested engine.
+    median_rule_module = import_module("repro.baselines.median_rule")
+    monkeypatch.setattr(
+        median_rule_module, "GossipEnv",
+        lambda failure_model: GossipEnv(failure_model=failure_model,
+                                        engine=engine),
+    )
+    median = median_rule_module.median_rule(values, rng=seed)
+    return [
+        (result_values, result.rounds, result.metrics.summary())
+        for result, result_values in (
+            (approx, approx.estimates),
+            (robust, robust.estimates),
+            (median, median.values),
+        )
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tournaments_on_asyncio_match_the_vectorized_run(seed, monkeypatch):
+    """A 2-lane approximate quantile, the robust variant under failures and
+    the median rule run as pull windows on the asyncio engine over
+    in-process channels: the same estimates, rounds and metrics as on the
+    vectorized engine."""
+    vectorized = _tournament_runs("vectorized", seed, monkeypatch)
+    deployed = _tournament_runs("asyncio", seed, monkeypatch)
+    for (vec_values, vec_rounds, vec_summary), (values, rounds, summary) in zip(
+        vectorized, deployed
+    ):
+        np.testing.assert_array_equal(values, vec_values)
+        assert rounds == vec_rounds
+        assert summary == vec_summary
+    robust_summary = vectorized[1][2]
+    assert robust_summary["failed_node_rounds"] > 0

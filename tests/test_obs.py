@@ -232,11 +232,9 @@ def test_pinned_streams_survive_an_active_tracer():
         assert _digest(batch.partners, batch.values, batch.ok) == (
             SINGLE_LANE_PINS["pull_nofail"]
         )
-        net = GossipNetwork(_pin_values(), rng=5, keep_history=False)
-        two = run_two_tournament(net, phi=0.3, eps=0.1)
+        two = run_two_tournament(_pin_values(), phi=0.3, eps=0.1, rng=5)
         assert _digest(two.final_values) == SINGLE_LANE_PINS["two_tournament"]
-        net = GossipNetwork(_pin_values(), rng=6, keep_history=False)
-        three = run_three_tournament(net, eps=0.05)
+        three = run_three_tournament(_pin_values(), eps=0.05, rng=6)
         assert _digest(three.final_values) == (
             SINGLE_LANE_PINS["three_tournament"]
         )
@@ -358,8 +356,8 @@ def small_trace():
     tracer = Tracer(round_timeline=True)
     with use_tracer(tracer):
         approximate_quantile(_values(128, seed=2), phi=0.5, eps=0.2, rng=1)
-        # the tournaments drive GossipNetwork pulls directly; run one
-        # engine-backed protocol so the round timeline has samples too
+        # the tournaments run on the engine too; one more protocol run
+        # adds push-sum rounds to the timeline
         run_protocol_vectorized(PushSumProtocol(_values(32), rounds=5), rng=1)
     return tracer
 

@@ -28,7 +28,7 @@ def test_pull_batch_partners_are_valid_and_never_self(n, k, seed):
     assert batch.partners.max() < n
     own = np.arange(n)[:, None]
     assert not np.any(batch.partners == own)
-    assert network.rounds == k
+    assert network.metrics.rounds == k
 
 
 @settings(max_examples=30, deadline=None)

@@ -113,7 +113,10 @@ def _iteration_rows(history):
 #: Re-pinned when the driver began sizing its per-iteration ε from n
 #: (1/32 at n = 2000, was 1/16) and its final query from the answer's
 #: copies: 477 rounds over 3 iterations became 345 over 2, same value.
-EXACT_PIN = ("8e24754f228d50d9", 286.11269466977893, 345)
+#: Re-pinned again when the tournaments moved onto the gossip engines
+#: (per-round partner draws): 8e24754f228d50d9 / 345 rounds →
+#: 34bbfb904e05b4f8 / 367 rounds, same value, no retries on either.
+EXACT_PIN = ("34bbfb904e05b4f8", 286.11269466977893, 367)
 KEMPE_PIN = ("44e797708f7869d0", 35.36200414834243, 745)
 
 

@@ -351,22 +351,29 @@ def test_churn_never_drops_below_min_active():
         assert process.active.sum() >= 3
 
 
-# ---- GossipNetwork pull surface ----------------------------------------------
+# ---- pull windows ------------------------------------------------------------
 
 
 def test_gossip_network_pull_under_churn_targets_active_nodes():
     n = 128
+    values = _values(n)
     process = ChurnProcess(n=n, churn_rate=0.3, rng=4)
-    network = GossipNetwork(
-        _values(n), rng=2, env=GossipEnv(topology_process=process)
-    )
+    network = GossipNetwork(values, rng=2, env=GossipEnv(topology_process=process))
     batch = network.pull(k=6)
     assert batch.partners.shape == (n, 6)
-    assert np.isnan(batch.values[~batch.ok]).all()
-    assert np.isfinite(batch.values[batch.ok]).all()
-    assert network.rounds == 6
-    # departed pullers are marked failed
+    # a departed puller's pull reads its own value
+    pullers = np.nonzero(~batch.ok)[0]
+    assert np.array_equal(batch.values[~batch.ok], values[pullers])
+    assert np.array_equal(batch.values[batch.ok], values[batch.partners[batch.ok]])
+    assert network.metrics.rounds == 6
+    # departed pullers are marked failed, and only active nodes are pulled
     assert (~batch.ok).any()
+    process.begin()  # replay the schedule
+    for column in range(6):
+        active = process.round_state(column).active
+        ok = batch.ok[:, column]
+        assert np.array_equal(ok, active)
+        assert np.all(active[batch.partners[ok, column]])
 
 
 def test_gossip_network_rejects_topology_and_process_together():
@@ -389,19 +396,17 @@ def test_gossip_network_rejects_ineffective_overrides_under_process():
         )
 
 
-def test_gossip_network_reset_restarts_the_process():
+def test_each_pull_run_restarts_the_process():
     n = 64
-    network = GossipNetwork(
-        _values(n), rng=2,
-        env=GossipEnv(topology_process=ChurnProcess(n=n, churn_rate=0.3, rng=4)),
-    )
+    process = ChurnProcess(n=n, churn_rate=0.3, rng=4)
+    network = GossipNetwork(_values(n), rng=2, env=GossipEnv(topology_process=process))
     first = network.pull(k=4).ok.copy()
-    history_before = list(network.topology_process.active_history)
-    network.reset()
-    # begin() replays the schedule from round 0 (partner rng differs, the
-    # active pattern is schedule-driven and must match)
+    history_before = list(process.active_history)
+    # every run begins the process, which replays the schedule from round 0
+    # (partner rng differs, the active pattern is schedule-driven and must
+    # match)
     second = network.pull(k=4).ok.copy()
-    assert network.topology_process.active_history == history_before
+    assert process.active_history == history_before
     assert first.shape == second.shape
 
 

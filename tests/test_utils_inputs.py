@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.kempe_quantile import kempe_exact_quantile
+from repro.baselines.median_rule import median_rule
 from repro.core.all_quantiles import estimate_all_ranks
 from repro.core.approx_quantile import approximate_quantile
 from repro.core.exact_quantile import exact_quantile
@@ -30,6 +31,7 @@ ENTRY_POINTS = {
     "net_approximate_quantile": lambda values: net_approximate_quantile(
         values, rng=1
     ),
+    "median_rule": lambda values: median_rule(values, rng=1),
 }
 
 
@@ -40,6 +42,50 @@ def test_entry_points_reject_non_finite_values(entry, bad):
     values[17] = bad
     with pytest.raises(ConfigurationError, match="finite"):
         ENTRY_POINTS[entry](values)
+
+
+#: Integer inputs of the tournament entry points, each called with a bad
+#: value: fractional, bool, or (where it must be at least 0 / odd) out of
+#: range.  Every one must raise ConfigurationError, never TypeError or a
+#: silent truncation.
+INTEGER_INPUTS = {
+    "median_rule(iterations)": lambda bad: median_rule(
+        np.arange(64.0), rng=1, iterations=bad
+    ),
+    "approximate_quantile(final_samples)": lambda bad: approximate_quantile(
+        np.arange(64.0), rng=1, final_samples=bad
+    ),
+    "robust(final_samples)": lambda bad: robust_approximate_quantile(
+        np.arange(64.0), 0.5, 0.1, rng=1, final_samples=bad
+    ),
+    "robust(pulls_per_iteration)": lambda bad: robust_approximate_quantile(
+        np.arange(64.0), 0.5, 0.1, rng=1, pulls_per_iteration=bad
+    ),
+    "robust(extra_spread_rounds)": lambda bad: robust_approximate_quantile(
+        np.arange(64.0), 0.5, 0.1, rng=1, extra_spread_rounds=bad
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.5, np.float64(4.5), True, -1, "7"],
+                         ids=["2.5", "3.5", "np-4.5", "bool", "-1", "str"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_tournament_integer_inputs_raise_configuration_errors(entry, bad):
+    with pytest.raises(ConfigurationError):
+        INTEGER_INPUTS[entry](bad)
+
+
+def test_tournament_integer_inputs_accept_integral_numbers():
+    values = np.arange(64.0)
+    assert median_rule(values, rng=1, iterations=np.float64(3.0)).iterations == 3
+    assert approximate_quantile(values, rng=1, final_samples=15.0).rounds == (
+        approximate_quantile(values, rng=1).rounds
+    )
+    robust = robust_approximate_quantile(
+        values, 0.5, 0.1, rng=1, pulls_per_iteration=np.int64(5),
+        extra_spread_rounds=0.0,
+    )
+    assert robust.pulls_per_iteration == 5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

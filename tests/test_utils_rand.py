@@ -38,22 +38,6 @@ def test_spawn_negative_count_raises():
         RandomSource(0).spawn(-1)
 
 
-def test_uniform_partners_shape_and_range():
-    rng = RandomSource(5)
-    partners = rng.uniform_partners(50, 3)
-    assert partners.shape == (50, 3)
-    assert partners.min() >= 0
-    assert partners.max() < 50
-
-
-def test_uniform_partners_validation():
-    rng = RandomSource(5)
-    with pytest.raises(ValueError):
-        rng.uniform_partners(0, 2)
-    with pytest.raises(ValueError):
-        rng.uniform_partners(5, -1)
-
-
 def test_spawn_rngs_and_iter_trial_rngs():
     rngs = spawn_rngs(9, 4)
     assert len(rngs) == 4
