@@ -145,10 +145,10 @@ def estimate_all_ranks(
     env:
         The :class:`~repro.gossip.env.GossipEnv` every chunk runs in, on
         its engine (the complete graph when omitted — the paper's model).
-        Like every engine run, each tournament phase indexes its rounds
-        from 0, so a ``faults`` injector replays its schedule per phase and
-        a seeded chaos pass replays bit-for-bit.  A ``topology_process``
-        would restart with every chunk and is rejected.
+        Every chunk meets a ``faults`` injector on the round count of
+        ``metrics``, so the chunks share one round clock and a seeded chaos
+        pass replays bit-for-bit.  A ``topology_process`` would restart
+        with every chunk and is rejected.
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")

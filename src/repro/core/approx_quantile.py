@@ -10,7 +10,10 @@ The algorithm composes the two tournament phases:
   value whose original rank lies in ``[(phi - eps) n, (phi + eps) n]``.
 
 Total round complexity: ``O(log log n + log 1/eps)``, with every message a
-single value (O(log n) bits).
+single value (O(log n) bits).  Both phases and the final vote run as one
+plan of pull windows (:mod:`repro.core.tournament`), so one engine run —
+one round clock, one delay ring, one set of initial values for state-loss
+restarts — carries the whole approximation.
 
 Multi-lane runs: ``phi`` (and ``eps``) may be per-lane sequences on an
 ``(n, L)`` value matrix — every lane computes its own quantile on one
@@ -29,12 +32,13 @@ import numpy as np
 from repro.core.results import ApproxQuantileResult
 from repro.core.three_tournament import (
     DEFAULT_FINAL_SAMPLES,
-    run_three_tournament,
+    three_tournament_plan,
     vote_size,
 )
-from repro.core.two_tournament import per_lane, run_two_tournament
+from repro.core.tournament import lane_rows
+from repro.core.two_tournament import per_lane, run_plans, two_tournament_plan
 from repro.exceptions import ConfigurationError
-from repro.gossip.env import GossipEnv
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
@@ -140,22 +144,21 @@ def run_approximation(
             raise ConfigurationError(f"eps must be in (0, 0.5), got {lane_eps}")
     final_samples = vote_size(final_samples)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    env = resolve_env(env)
+    rows = lane_rows(values, env.dtype)
+    plan1 = two_tournament_plan(rows, phis, epss, None, track_bands, source)
+    plan2 = three_tournament_plan(
+        lanes, values.shape[0], [lane_eps / 4.0 for lane_eps in epss], None,
+        final_samples, track_bands,
+    )
     rounds_before = metrics.rounds
     with get_tracer().span("approx_quantile", metrics) as span:
         span.annotate(n=values.shape[0], lanes=lanes)
-        phase1 = run_two_tournament(
-            values, phi=phis, eps=epss, track_band=track_bands,
-            rng=source, metrics=metrics, env=env,
-        )
-        phase2 = run_three_tournament(
-            phase1.final_values,
-            eps=[lane_eps / 4.0 for lane_eps in epss],
-            final_samples=final_samples,
-            track_band=track_bands,
-            rng=source,
-            metrics=metrics,
-            env=env,
-        )
+        final = run_plans(rows, [plan1, plan2], source, metrics, env)
+    # Phase II began from Phase I's output.
+    assert plan2.phase.input is not None
+    phase1 = plan1.result(values, plan2.phase.input)
+    phase2 = plan2.result(values, final)
     return ApproxQuantileResult(
         phi=phi if np.isscalar(phi) else tuple(phis),
         eps=eps if np.isscalar(eps) else tuple(epss),

@@ -170,9 +170,10 @@ def exact_quantile(
         ``topology_process`` and ``faults`` apply to every substrate
         (:func:`~repro.gossip.engine.round_outage`); ``engine="asyncio"``
         runs the tournaments, extrema and counting on the asyncio engine,
-        with the same result (token duplication keeps its flat columns).  Its ``dtype`` is the dtype of the gossip key arrays: keys
-        are ranks ≤ n, exactly representable in float32 for n < 2²⁴, so
-        the answer is unchanged; the key→value table and the returned
+        with the same result (token duplication keeps its flat columns).
+        Its ``dtype`` is the dtype of the gossip key arrays: keys are
+        ranks ≤ n, exactly representable in float32 for n < 2²⁴, so the
+        answer is unchanged; the key→value table and the returned
         quantile stay full precision.
 
         Topology (a documented deviation): the ``topology`` /

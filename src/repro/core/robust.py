@@ -18,6 +18,7 @@ iteration, the vote and each spreading round is one pull window of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -174,10 +175,17 @@ def robust_approximate_quantile(
         estimates[0, voters] = np.sort(picked, axis=1, kind="stable")[:, final_samples // 2]
         return estimates
 
+    spreads = itertools.count()
+
     def spread(pulls: WindowPulls) -> np.ndarray:
-        estimates = pulls.snapshot.copy()
+        # The rows are answers now: a restart does not hand a node its
+        # input back (``source``, not ``snapshot``), and a pull delayed to
+        # before the vote finds no answer.
+        answered_windows = next(spreads)
+        estimates = pulls.source.copy()
         pulled = pulls.rows()[0]
         adopt = ~np.isfinite(estimates) & pulls.ok[0] & np.isfinite(pulled)
+        adopt &= pulls.depth(0) <= answered_windows
         estimates[adopt] = pulled[adopt]
         return estimates
 

@@ -367,9 +367,9 @@ class QuantileService:
         Subsequent rebuild gossip runs under the new injector; the build
         already happened, so this is the chaos-starts-mid-life knob — e.g.
         build clean, then measure how epoch rebuilds behave under injected
-        faults.  Like every engine run, each rebuild phase indexes its
-        rounds from 0, so a time-windowed schedule (``Burst``, ``Ramp``)
-        sees the phase's round clock.
+        faults.  Round indices keep increasing through the service metrics,
+        so a schedule wrapping the new injector's specs sees the service's
+        true round clock, not zero.
         """
         self._env = dataclasses.replace(self._env, faults=faults)
 
@@ -588,12 +588,19 @@ class QuantileService:
 
     @staticmethod
     def _lane_answers(grid_values: np.ndarray) -> np.ndarray:
-        """Median-of-nodes representative answer per lane (NaN when empty)."""
+        """Median-of-nodes representative answer per lane (NaN when empty).
+
+        The lanes are increasing targets, so the finite answers are put in
+        increasing order: sorting never raises the largest rank error
+        against monotone true quantiles.
+        """
         answers = np.empty(grid_values.shape[0], dtype=float)
         for row in range(grid_values.shape[0]):
             lane = grid_values[row]
             finite = lane[np.isfinite(lane)]
             answers[row] = float(np.median(finite)) if finite.size else float("nan")
+        answered = np.isfinite(answers)
+        answers[answered] = np.sort(answers[answered], kind="stable")
         return answers
 
     def _validate_answers(

@@ -26,13 +26,14 @@ import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import ThreeTournamentSchedule, three_tournament_schedule
-from repro.core.tournament import PullWindow, WindowPulls, lane_rows
+from repro.core.tournament import Phase, PullWindow, WindowPulls, lane_rows
 from repro.core.two_tournament import (
+    PhasePlan,
     check_track_band,
     measure_band,
     normalize_schedules,
     per_lane,
-    run_phase,
+    run_plans,
 )
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv, resolve_env
@@ -92,6 +93,68 @@ def final_vote(pulls: WindowPulls) -> np.ndarray:
     return block[:, :, block.shape[2] // 2].copy()
 
 
+def three_tournament_plan(
+    lanes: int,
+    n: int,
+    eps: Union[float, Sequence[float]],
+    schedule: Union[
+        None, ThreeTournamentSchedule, Sequence[ThreeTournamentSchedule]
+    ],
+    final_samples: int,
+    track_band: bool,
+) -> PhasePlan:
+    """Algorithm 2 over ``(lanes, n)`` rows as pull windows, vote included;
+    band statistics are measured against the rows the phase starts from."""
+    final_samples = vote_size(final_samples)
+    epss = per_lane(eps, lanes, "eps")
+    schedules = normalize_schedules(
+        schedule,
+        lanes,
+        ThreeTournamentSchedule,
+        lambda lane: three_tournament_schedule(epss[lane], n),
+    )
+    check_track_band(track_band, lanes)
+    bands: List[Tuple[float, float]] = []
+    stats: List[PhaseIterationStats] = []
+
+    def step(index: int, pulls: WindowPulls) -> np.ndarray:
+        rows = median_of_three(
+            pulls, [index < s.num_iterations for s in schedules]
+        )
+        if track_band:
+            if not bands:
+                assert phase.input is not None          # set when the phase began
+                bands.append(median_band_thresholds(phase.input[0], epss[0]))
+            low, inside, high = measure_band(rows[0], *bands[0])
+            stats.append(
+                PhaseIterationStats(
+                    iteration=schedules[0].iterations[index].index,
+                    predicted=schedules[0].iterations[index].l_after,
+                    high_fraction=high,
+                    low_fraction=low,
+                    band_fraction=inside,
+                )
+            )
+        return rows
+
+    iterations = max((s.num_iterations for s in schedules), default=0)
+    # The span covers the iterations *and* the vote, the algorithm's whole
+    # round budget.
+    phase = Phase("three_tournament", {
+        "lanes": lanes, "iterations": iterations, "final_samples": final_samples,
+    })
+    windows = [
+        PullWindow(3, partial(step, index), label="3-tournament", phase=phase)
+        for index in range(iterations)
+    ]
+    # Final vote: every node samples `final_samples` values and outputs the
+    # median of its sample (Algorithm 2, line 8) — one shared window,
+    # per-lane medians.
+    windows.append(PullWindow(final_samples, final_vote, label="3-tournament-vote",
+                              phase=phase))
+    return PhasePlan(phase, windows, iterations, stats)
+
+
 def run_three_tournament(
     values: Union[Sequence[float], np.ndarray],
     eps: Union[float, Sequence[float]],
@@ -115,47 +178,7 @@ def run_three_tournament(
     ``metrics`` and ``env`` are as for
     :func:`~repro.core.two_tournament.run_two_tournament`.
     """
-    final_samples = vote_size(final_samples)
     env = resolve_env(env)
     rows = lane_rows(values, env.dtype)
-    lanes, n = rows.shape
-    epss = per_lane(eps, lanes, "eps")
-    schedules = normalize_schedules(
-        schedule,
-        lanes,
-        ThreeTournamentSchedule,
-        lambda lane: three_tournament_schedule(epss[lane], n),
-    )
-    check_track_band(track_band, lanes)
-    band = median_band_thresholds(rows[0], epss[0]) if track_band else None
-    stats: List[PhaseIterationStats] = []
-
-    def step(index: int, pulls: WindowPulls) -> np.ndarray:
-        rows = median_of_three(
-            pulls, [index < s.num_iterations for s in schedules]
-        )
-        if track_band:
-            low, inside, high = measure_band(rows[0], *band)
-            stats.append(
-                PhaseIterationStats(
-                    iteration=schedules[0].iterations[index].index,
-                    predicted=schedules[0].iterations[index].l_after,
-                    high_fraction=high,
-                    low_fraction=low,
-                    band_fraction=inside,
-                )
-            )
-        return rows
-
-    iterations = max((s.num_iterations for s in schedules), default=0)
-    windows = [
-        PullWindow(3, partial(step, index), label="3-tournament")
-        for index in range(iterations)
-    ]
-    # Final vote: every node samples `final_samples` values and outputs the
-    # median of its sample (Algorithm 2, line 8) — one shared window,
-    # per-lane medians.  The span covers the iterations *and* the vote, the
-    # algorithm's whole round budget.
-    windows.append(PullWindow(final_samples, final_vote, label="3-tournament-vote"))
-    return run_phase("three_tournament", values, rows, windows, iterations,
-                     stats, rng, metrics, env, final_samples=final_samples)
+    plan = three_tournament_plan(*rows.shape, eps, schedule, final_samples, track_band)
+    return plan.result(values, run_plans(rows, [plan], rng, metrics, env))

@@ -14,21 +14,23 @@ asyncio engine its request went unanswered) reads the puller's own values.
 The per-node engine records who answered; a response is the partner's
 window-start row, so both engines gather from that frozen snapshot.
 
-On the vectorized engine the round's injected faults reach the protocol
+Both engines hand the round's injected faults to the protocol
 (:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`):
 duplicates are charged as extra messages, a pull delayed by ``d`` reads
 the window-start snapshot ``d`` windows back (a ring of ``max_delay``
 snapshots; deeper delays serve the oldest one held), corruption scales
 only the delivered copies, and a node restarted from a ``reset_values``
-crash holds its initial lanes at the window boundary.  The asyncio engine
-applies faults at its transport instead (see :mod:`repro.net.runner`).
+crash holds its initial lanes at the window boundary.  The injector sees
+a plan's rounds on the clock of the metrics it accumulates into, so the
+chunks of a rank grid or a service's rebuilds share one round clock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass, field
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,6 +107,17 @@ class WindowPulls:
             row[:, hit] = row[:, hit] * faults.corruption[hit]
         return pulled
 
+    def depth(self, column: int) -> np.ndarray:
+        """How many windows back each node's pull of round ``column`` read:
+        0 for this window's start, ``d`` for a pull delayed by ``d`` (at
+        most the ring's length)."""
+        depth = np.zeros(self.n, dtype=np.int64)
+        for faulted, faults in self._faults:
+            if faulted == column and self._ring:
+                late = self.ok[column] & (faults.delay > 0)
+                depth[late] = np.minimum(faults.delay[late], len(self._ring))
+        return depth
+
     def block(self) -> np.ndarray:
         """The pulled values as ``(L, n, k)``, each node's ``k`` samples
         contiguous (the vote layout): one gather per lane."""
@@ -118,6 +131,17 @@ class WindowPulls:
         return pulled
 
 
+@dataclass(eq=False)
+class Phase:
+    """Consecutive windows of a plan (one algorithm of a composition) that
+    run under one tracer span ``name``, annotated with ``meta``; its
+    :attr:`input` is set to the rows it starts from."""
+
+    name: str
+    meta: Dict[str, Any] = field(default_factory=dict)
+    input: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True)
 class PullWindow:
     """``rounds`` pull rounds labelled ``label``, then ``kernel``.
@@ -125,12 +149,14 @@ class PullWindow:
     The kernel returns the nodes' new ``(L, n)`` rows: a fresh array, or
     ``pulls.snapshot`` itself.  ``run_if`` (optional) is checked on the
     rows when the window is due; if it returns False the run ends there.
+    ``phase`` (optional) is the :class:`Phase` the window belongs to.
     """
 
     rounds: int
     kernel: Callable[[WindowPulls], np.ndarray]
     label: str = "pull"
     run_if: Optional[Callable[[np.ndarray], bool]] = None
+    phase: Optional[Phase] = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -155,7 +181,7 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
     ``rows`` is adopted and never written in place; after the run
     :attr:`rows` holds the last window's output.  ``faults`` is the env's
     injector, which sizes the delay ring and says whether restarts lose
-    state.
+    state; ``metrics`` (optional) is what the phase spans measure.
     """
 
     def __init__(
@@ -163,6 +189,7 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         rows: np.ndarray,
         windows: Sequence[PullWindow],
         faults: Optional[FaultInjector] = None,
+        metrics: Optional[NetworkMetrics] = None,
     ) -> None:
         super().__init__(rows.shape[1])
         self.rows = self._initial = rows
@@ -179,14 +206,31 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         self._pulls: List[Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]] = []
         self._pending: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._round_faults: Optional[RoundFaults] = None
+        self._metrics = metrics
+        self._phase: Optional[Phase] = None
+        self._span = ExitStack()
         self.name = self._windows[0].label if self._windows else "tournament"
 
     def is_done(self, round_index: int) -> bool:
         if self._window < len(self._windows) and not self._pulls:
-            run_if = self._windows[self._window].run_if
-            if run_if is not None and not run_if(self.rows):
+            window = self._windows[self._window]
+            if window.run_if is not None and not window.run_if(self.rows):
                 self._window = len(self._windows)
-        return self._window >= len(self._windows)
+            elif window.phase is not self._phase:
+                self.enter(window.phase)
+        done = self._window >= len(self._windows)
+        if done:
+            self.enter(None)
+        return done
+
+    def enter(self, phase: Optional[Phase]) -> None:
+        """Close the open phase's span; begin ``phase`` (``None``: no phase)."""
+        self._span.close()
+        self._phase = phase
+        if phase is not None:
+            phase.input = self.rows
+            span = self._span.enter_context(get_tracer().span(phase.name, self._metrics))
+            span.annotate(**phase.meta)
 
     def on_round_faults(self, round_index: int, faults: RoundFaults) -> None:
         self._round_faults = faults
@@ -267,9 +311,17 @@ def run_windows(
     metrics: Optional[NetworkMetrics] = None,
     env: Optional[GossipEnv] = None,
 ) -> np.ndarray:
-    """Run ``windows`` over ``rows`` on the env's engine; return the final rows."""
+    """Run ``windows`` over ``rows`` on the env's engine; return the final rows.
+
+    The env's injector sees the plan's rounds on the clock of ``metrics``.
+    """
     env = resolve_env(env)
-    protocol = TournamentProtocol(rows, windows, env.faults)
-    run_protocol(protocol, rng=rng, max_rounds=sum(w.rounds for w in windows),
-                 metrics=metrics, env=env)
+    protocol = TournamentProtocol(rows, windows, env.faults, metrics)
+    origin = metrics.rounds if metrics is not None else 0
+    try:
+        with env.faults.clock_from(origin) if env.faults else nullcontext():
+            run_protocol(protocol, rng=rng, max_rounds=sum(w.rounds for w in windows),
+                         metrics=metrics, env=env)
+    finally:
+        protocol.enter(None)
     return protocol.rows

@@ -11,7 +11,8 @@ the median (Lemma 2.11).
 
 Each iteration is one two-round pull window of
 :class:`~repro.core.tournament.TournamentProtocol`, so the phase runs on
-either gossip engine.  The phase is *lane-wise*: on an ``(n, L)`` input
+either gossip engine, alone or ahead of Algorithm 2 in one plan.  The
+phase is *lane-wise*: on an ``(n, L)`` input
 each lane runs its own ``(phi, eps)`` schedule on the shared partner
 stream.  Lane schedules may differ in length; a lane whose schedule is
 exhausted idles (keeps its values) while the longer lanes finish, so the
@@ -21,6 +22,7 @@ accounting, by construction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import TwoTournamentSchedule, two_tournament_schedule
-from repro.core.tournament import PullWindow, WindowPulls, lane_rows, run_windows
+from repro.core.tournament import Phase, PullWindow, WindowPulls, lane_rows, run_windows
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
@@ -103,61 +105,55 @@ def check_track_band(track_band: bool, lanes: int) -> None:
         )
 
 
-def run_phase(
-    name: str,
-    values: Union[Sequence[float], np.ndarray],
+@dataclass
+class PhasePlan:
+    """One tournament phase as pull windows, and what it reports."""
+
+    phase: Phase
+    windows: List[PullWindow]
+    iterations: int
+    stats: List[PhaseIterationStats]
+
+    def result(self, values: Union[Sequence[float], np.ndarray],
+               rows: np.ndarray) -> TournamentPhaseResult:
+        """The phase's result, given the ``(L, n)`` rows it ended with."""
+        return TournamentPhaseResult(
+            final_values=rows[0] if np.ndim(values) == 1 else rows.T,
+            iterations=self.iterations,
+            rounds=sum(window.rounds for window in self.windows),
+            stats=self.stats,
+        )
+
+
+def run_plans(
     rows: np.ndarray,
-    windows: List[PullWindow],
-    iterations: int,
-    stats: List[PhaseIterationStats],
+    plans: Sequence[PhasePlan],
     rng: Union[None, int, RandomSource],
     metrics: Optional[NetworkMetrics],
     env: GossipEnv,
-    **annotations: int,
-) -> TournamentPhaseResult:
-    """Run a phase's windows under a ``name`` tracer span.
-
-    The span reads wall time and metric counters only; the random stream
-    is identical with or without a tracer installed.
-    """
-    with get_tracer().span(name, metrics) as span:
-        span.annotate(lanes=rows.shape[0], iterations=iterations, **annotations)
-        rows = run_windows(rows, windows, rng, metrics, env)
-    return TournamentPhaseResult(
-        final_values=rows[0] if np.ndim(values) == 1 else rows.T,
-        iterations=iterations,
-        rounds=sum(window.rounds for window in windows),
-        stats=stats,
-    )
+) -> np.ndarray:
+    """Run the phases' windows as one plan; return the final rows.  A
+    phase without windows still leaves its (empty) tracer span."""
+    for plan in plans:
+        if not plan.windows:
+            with get_tracer().span(plan.phase.name, metrics) as span:
+                span.annotate(**plan.phase.meta)
+    windows = [window for plan in plans for window in plan.windows]
+    return run_windows(rows, windows, rng, metrics, env)
 
 
-def run_two_tournament(
-    values: Union[Sequence[float], np.ndarray],
+def two_tournament_plan(
+    rows: np.ndarray,
     phi: Union[float, Sequence[float]],
     eps: Union[float, Sequence[float]],
     schedule: Union[
         None, TwoTournamentSchedule, Sequence[TwoTournamentSchedule]
-    ] = None,
-    track_band: bool = True,
-    rng: Union[None, int, RandomSource] = None,
-    metrics: Optional[NetworkMetrics] = None,
-    env: Optional[GossipEnv] = None,
-) -> TournamentPhaseResult:
-    """Run Algorithm 1 over ``values`` and return the phase statistics.
-
-    ``values`` is one value per node or an ``(n, L)`` matrix of lanes;
-    ``final_values`` has the same shape, in ``env.dtype``.  Rounds run on
-    the env's engine and accumulate into ``metrics`` when given.  A node
-    whose pull failed (failure model, churn, faults) reads its own value
-    for that pull; the failure-aware variant with the Section-5 guarantees
-    lives in :mod:`repro.core.robust`.
-
-    On a multi-lane input ``phi`` / ``eps`` (or ``schedule``) may be
-    per-lane sequences; band tracking is a single-lane instrument and must
-    be disabled for fused runs.
-    """
-    env = resolve_env(env)
-    rows = lane_rows(values, env.dtype)
+    ],
+    track_band: bool,
+    source: RandomSource,
+) -> PhasePlan:
+    """Algorithm 1 over the ``(L, n)`` ``rows`` as pull windows.  The δ
+    coin is a child of ``source``, drawn in the same order on both engines."""
     lanes = rows.shape[0]
     phis = per_lane(phi, lanes, "phi")
     epss = per_lane(eps, lanes, "eps")
@@ -169,8 +165,6 @@ def run_two_tournament(
     )
     check_track_band(track_band, lanes)
     band = band_thresholds(rows[0], phis[0], epss[0]) if track_band else None
-    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    # The δ coin has its own stream, drawn in the same order on both engines.
     coins = source.child()
     stats: List[PhaseIterationStats] = []
 
@@ -207,9 +201,41 @@ def run_two_tournament(
         return rows
 
     iterations = max((s.num_iterations for s in schedules), default=0)
+    phase = Phase("two_tournament", {"lanes": lanes, "iterations": iterations})
     windows = [
-        PullWindow(2, partial(step, index), label="2-tournament")
+        PullWindow(2, partial(step, index), label="2-tournament", phase=phase)
         for index in range(iterations)
     ]
-    return run_phase("two_tournament", values, rows, windows, iterations,
-                     stats, source, metrics, env)
+    return PhasePlan(phase, windows, iterations, stats)
+
+
+def run_two_tournament(
+    values: Union[Sequence[float], np.ndarray],
+    phi: Union[float, Sequence[float]],
+    eps: Union[float, Sequence[float]],
+    schedule: Union[
+        None, TwoTournamentSchedule, Sequence[TwoTournamentSchedule]
+    ] = None,
+    track_band: bool = True,
+    rng: Union[None, int, RandomSource] = None,
+    metrics: Optional[NetworkMetrics] = None,
+    env: Optional[GossipEnv] = None,
+) -> TournamentPhaseResult:
+    """Run Algorithm 1 over ``values`` and return the phase statistics.
+
+    ``values`` is one value per node or an ``(n, L)`` matrix of lanes;
+    ``final_values`` has the same shape, in ``env.dtype``.  Rounds run on
+    the env's engine and accumulate into ``metrics`` when given.  A node
+    whose pull failed (failure model, churn, faults) reads its own value
+    for that pull; the failure-aware variant with the Section-5 guarantees
+    lives in :mod:`repro.core.robust`.
+
+    On a multi-lane input ``phi`` / ``eps`` (or ``schedule``) may be
+    per-lane sequences; band tracking is a single-lane instrument and must
+    be disabled for fused runs.
+    """
+    env = resolve_env(env)
+    rows = lane_rows(values, env.dtype)
+    source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    plan = two_tournament_plan(rows, phi, eps, schedule, track_band, source)
+    return plan.result(values, run_plans(rows, [plan], source, metrics, env))

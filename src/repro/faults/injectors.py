@@ -34,8 +34,9 @@ replay — is independent of which surface consumes it.
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -220,7 +221,9 @@ class FaultInjector:
     ``round_index``).
     Round indices that do not increase between calls restart the stream:
     every run indexes its rounds from 0, so a fresh run replays the
-    schedule, unless the consumer called :meth:`begin` explicitly.
+    schedule, unless the consumer called :meth:`begin` explicitly.  A
+    consumer that runs one computation as several runs moves their round
+    0 to its own round count with :meth:`clock_from`.
     """
 
     def __init__(
@@ -265,6 +268,7 @@ class FaultInjector:
         self._rng: Optional[RandomSource] = None
         self._down_until: Optional[np.ndarray] = None
         self._last_round: Optional[int] = None
+        self._origin = 0
         self.counters: Dict[str, int] = {}
         self.rounds_drawn = 0
         self.begin()
@@ -308,10 +312,21 @@ class FaultInjector:
                 survive *= 1.0 - min(p, 1.0)
         return min(1.0 - survive, 0.999)
 
+    @contextmanager
+    def clock_from(self, origin: int) -> Iterator["FaultInjector"]:
+        """Within the block, round ``r`` of a run is round ``origin + r`` of
+        the schedule."""
+        previous, self._origin = self._origin, int(origin)
+        try:
+            yield self
+        finally:
+            self._origin = previous
+
     def draw(self, round_index: int, n: int) -> RoundFaults:
         """The concrete fault decision for one round (consumes the private
         stream only).  Draw order is fixed by :data:`FAULT_KINDS`, so the
         replayed stream layout never depends on the consumer."""
+        round_index += self._origin
         if self._last_round is not None and round_index <= self._last_round:
             # A fresh run restarted its round counter: replay from round 0,
             # as a topology process replays its schedule on every begin().

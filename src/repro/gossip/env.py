@@ -69,7 +69,7 @@ class GossipEnv:
     faults:
         Optional :class:`~repro.faults.FaultInjector`; its act-suppression
         kinds OR into the failure mask, and the tournament pull windows
-        apply the full fault vocabulary on the vectorized engine.
+        apply the full fault vocabulary on either engine.
     dtype:
         Value dtype of the gossip arrays: float64 (default, also for
         ``None``) or float32; normalized to a :class:`numpy.dtype`.

@@ -117,8 +117,9 @@ class GossipProtocol(abc.ABC):
         self.on_receive(node, payload, node, "push", round_index)
 
     def on_round_faults(self, round_index: int, faults: RoundFaults) -> None:
-        """The injector's decision for this round, before any act (vectorized
-        engine only).  Crash and drop are already in the failure mask; a
+        """The injector's decision for this round, before any act, on
+        either engine.  The engine applies crash and drop (the vectorized
+        one in the failure mask, the asyncio one at its transport); a
         protocol may apply the message-level kinds too.  Default: ignore."""
 
     def end_round(self, round_index: int) -> None:

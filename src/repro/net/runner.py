@@ -27,15 +27,22 @@ Equivalence with the vectorized engine is by construction, not by luck:
 
 Faults (``env.faults``) are reinterpreted at the transport level: ``crash``
 kills the node's endpoint for its downtime (callers get connection
-refused), ``drop`` loses the frame in flight, ``delay`` holds the write,
-``corrupt`` scales the payload in flight, ``duplicate`` delivers (and
-charges) the frame twice.  The injector's private stream is consumed one
-draw per round exactly as on the vectorized engine, so a seeded chaos
-schedule replays bit-for-bit across both engines.  Two documented
-deviations from the simulated fault semantics: a dropped frame here is
-*sent and lost* (the sender still acted) rather than act-suppressed, and
-a crash-restart does not reset values (state restoration is a storage
-concern the live backend does not model).
+refused), ``drop`` loses the frame in flight (a pull request goes
+unanswered), ``delay`` holds a push's write, ``corrupt`` scales a push's
+payload in flight, ``duplicate`` delivers (and charges) the frame twice
+(a pull response is charged twice).  The injector's private stream is
+consumed one draw per round exactly as on the vectorized engine, so a
+seeded chaos schedule replays bit-for-bit across both engines, and each
+round's decision also goes to
+:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`: a protocol
+that applies the message-level kinds to its pulls itself (the tournament
+pull windows: delayed and corrupted responses, state-loss restarts) does
+so identically on both engines.  Two documented deviations from the
+simulated fault semantics: a dropped frame here is *sent and lost* (the
+sender still acted, so it is not counted as a failed node) rather than
+act-suppressed, and outside such a protocol a crash-restart does not
+reset values (state restoration is a storage concern the live backend
+does not model).
 
 When a push cannot be delivered — dead peer, exhausted retries — the
 engine invokes the protocol's graceful-degradation hook
@@ -218,6 +225,10 @@ async def arun_protocol(
                     lost += 1
                     protocol.on_send_failure(node, action.payload, round_index)
         if action.kind in ("pull", "pushpull"):
+            if rf is not None and rf.dropped[node]:
+                # Lost request: the node keeps its prior value, exactly what
+                # a failed pull means on the vectorized engine.
+                return lost + 1
             try:
                 reply = await rpc.call(
                     node,
@@ -225,13 +236,14 @@ async def arun_protocol(
                     {"kind": "pull", "src": node, "round": round_index},
                 )
             except RpcError:
-                # The pull went unanswered: the node keeps its prior value,
-                # exactly what a failed pull means on the vectorized engine.
+                # The pull went unanswered: the same.
                 lost += 1
             else:
                 response = reply["payload"]
                 bits = _message_bits(protocol, response, n)
                 stats.record_messages(1, bits, record)
+                if rf is not None and rf.duplicated[node]:
+                    stats.record_messages(1, bits, record)
                 protocol.on_receive(node, response, partner, "pull", round_index)
         return lost
 
@@ -260,6 +272,8 @@ async def arun_protocol(
                 protocol, round_index, n, source, failures, stats, sampler,
                 process, None,
             )
+            if rf is not None:
+                protocol.on_round_faults(round_index, rf)
             down = live_transport.down
             if down:
                 extra_failed = sum(

@@ -6,6 +6,8 @@ import pytest
 from repro.core.approx_quantile import approximate_quantile, min_supported_eps
 from repro.datasets.generators import distinct_uniform, zipf_values
 from repro.exceptions import ConfigurationError
+from repro.faults import Burst, CrashRestart, FaultInjector, MessageDrop
+from repro.gossip.env import GossipEnv
 from repro.utils.stats import fraction_within_eps, rank_error
 
 
@@ -104,3 +106,27 @@ def test_deterministic_given_seed(medium_values):
     b = approximate_quantile(medium_values, phi=0.6, eps=0.1, rng=42)
     assert a.estimate == b.estimate
     assert np.array_equal(a.estimates, b.estimates)
+
+
+def _failed_per_round(values, faults):
+    result = approximate_quantile(values, 0.3, 0.1, rng=4, keep_history=True,
+                                  env=GossipEnv(faults=faults))
+    return [record.failed_nodes for record in result.metrics.history]
+
+
+def test_both_phases_run_on_one_round_clock(medium_values):
+    """Phase II continues Phase I's round clock: a burst that starts after
+    Phase I's last round hits Phase II's first rounds, and a crash
+    downtime that spans the phase boundary carries over."""
+    n = medium_values.size
+    phase1 = approximate_quantile(medium_values, 0.3, 0.1, rng=4).phase1.rounds
+    failed = _failed_per_round(
+        medium_values, FaultInjector(Burst(MessageDrop(1.0), phase1, phase1 + 2), rng=1)
+    )
+    assert [round_ for round_, count in enumerate(failed) if count] == [phase1, phase1 + 1]
+    assert failed[phase1] == failed[phase1 + 1] == n
+    crash = Burst(CrashRestart(1.0, downtime=3, reset_values=False), phase1 - 1, phase1)
+    failed = _failed_per_round(medium_values, FaultInjector(crash, rng=1))
+    assert [round_ for round_, count in enumerate(failed) if count] == [
+        phase1 - 1, phase1, phase1 + 1
+    ]

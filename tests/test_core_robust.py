@@ -9,7 +9,7 @@ from repro.core.robust import (
     robust_approximate_quantile,
 )
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultInjector, MessageDrop
+from repro.faults import CrashRestart, FaultInjector, MessageDelay, MessageDrop
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import PerNodeFailures
 from repro.utils.stats import rank_error
@@ -127,6 +127,37 @@ def test_vote_is_sized_for_injected_drops_too(seed):
         env=GossipEnv(faults=FaultInjector(MessageDrop(0.6), rng=seed)),
     )
     assert result.answered_fraction > 0.95
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("delay", [False, True])
+def test_spread_rounds_only_pass_vote_answers_on(seed, delay):
+    """After the vote the rows are answers: a node restarted from a
+    state-loss crash keeps its answer (it does not get its input back),
+    and no pull — delayed to before the vote or not — hands a node a
+    value that is not some node's vote median.  A run without spread
+    rounds is a prefix of the run with them, so it shows the vote."""
+    values = np.random.default_rng(0).permutation(2000).astype(float)
+    specs = [CrashRestart(0.05, downtime=2)]
+    if delay:
+        specs.append(MessageDelay(0.3, max_delay=3))
+    faults = FaultInjector(specs, rng=seed)
+
+    def estimates(spread_rounds):
+        result = robust_approximate_quantile(
+            values, 0.5, 0.1, rng=seed, extra_spread_rounds=spread_rounds,
+            env=GossipEnv(faults=faults),
+        )
+        return result.estimates, faults.counters["restart"]
+
+    voted, restarts_by_vote = estimates(0)
+    spread, restarts = estimates(12)
+    answered = np.isfinite(voted)
+    assert 0.5 < answered.mean() < 1.0      # the spread rounds have work to do
+    assert restarts > restarts_by_vote      # and nodes restart during them
+    assert np.array_equal(spread[answered], voted[answered])
+    assert np.isin(spread[np.isfinite(spread)], voted[answered]).all()
+    assert np.isfinite(spread).mean() > answered.mean()
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])

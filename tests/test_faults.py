@@ -291,6 +291,19 @@ def test_each_run_replays_the_injector():
     assert np.array_equal(first.partner_block(), second.partner_block())
 
 
+def test_plans_sharing_metrics_share_one_round_clock():
+    """Plans that accumulate into one metrics object meet the injector on
+    its round count: a burst over rounds [3, 5) hits the second plan."""
+    injector = FaultInjector(Burst(MessageDrop(1.0), 3, 5), rng=5)
+    metrics = NetworkMetrics()
+    rows = lane_rows(_values(), np.dtype(float))
+    for rounds in (3, 2):
+        run_windows(rows, [PullWindow(rounds, lambda pulls: pulls.snapshot)],
+                    17, metrics, GossipEnv(faults=injector))
+    failed = [record.failed_nodes for record in metrics.history]
+    assert failed == [0, 0, 0, 64, 64]
+
+
 def test_seeded_chaos_replays_bit_for_bit():
     def run():
         injector = FaultInjector(

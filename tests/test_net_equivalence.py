@@ -280,3 +280,57 @@ def test_tournaments_on_asyncio_match_the_vectorized_run(seed, monkeypatch):
         assert summary == vec_summary
     robust_summary = vectorized[1][2]
     assert robust_summary["failed_node_rounds"] > 0
+
+
+def _faulted_tournament_runs(engine, seed):
+    """A 2-lane approximate quantile and the robust variant at n = 64 under
+    drops, corruption, duplicates and delays, with each run's injector."""
+    from repro.core.approx_quantile import approximate_quantile
+    from repro.core.robust import robust_approximate_quantile
+    from repro.faults import (
+        FaultInjector, MessageDelay, MessageDrop, MessageDuplication, ValueCorruption,
+    )
+
+    def env():
+        faults = FaultInjector(
+            [MessageDrop(0.2), ValueCorruption(0.2), MessageDuplication(0.2),
+             MessageDelay(0.2, max_delay=2)],
+            rng=seed,
+        )
+        return GossipEnv(faults=faults, engine=engine)
+
+    values = _values(64, seed=seed)
+    approx_env, robust_env = env(), env()
+    approx = approximate_quantile(
+        np.column_stack([values, values]), phi=(0.2, 0.65), eps=0.1,
+        rng=seed, env=approx_env,
+    )
+    robust = robust_approximate_quantile(values, 0.5, 0.1, rng=seed, env=robust_env)
+    return [
+        (result.estimates, result.rounds, result.metrics.summary(),
+         run_env.faults.counters["drop"])
+        for result, run_env in ((approx, approx_env), (robust, robust_env))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tournaments_under_message_faults_on_asyncio_match_the_vectorized_run(seed):
+    """Both engines hand each round's faults to the pull windows, which
+    apply corruption, delays and duplicate charges to the pulls alike; a
+    dropped pull reads the puller's own value on both.  Estimates, rounds
+    and message/bit totals agree.  The one difference is by design: the
+    vectorized engine counts a dropped puller as a failed node, the
+    asyncio engine as a request lost in flight."""
+    vectorized = _faulted_tournament_runs("vectorized", seed)
+    deployed = _faulted_tournament_runs("asyncio", seed)
+    for (vec_values, vec_rounds, vec_summary, drops), (values, rounds, summary, _) in zip(
+        vectorized, deployed
+    ):
+        np.testing.assert_array_equal(values, vec_values)
+        assert rounds == vec_rounds
+        assert drops > 0
+        assert vec_summary["failed_node_rounds"] == drops
+        assert summary["failed_node_rounds"] == 0
+        vec_summary.pop("failed_node_rounds")
+        summary.pop("failed_node_rounds")
+        assert summary == vec_summary
