@@ -279,6 +279,38 @@ def test_seeded_lifecycle_replays_bit_for_bit():
     assert first[1:] == second[1:]
 
 
+#: sha256 prefix over ``(value, accuracy, degraded, epoch)`` of every answer
+#: in :func:`_served_answers`: quantile queries and rank-of probes after
+#: churn and a shift (some degraded), then again after a faulted
+#: incremental rebuild.  The served answers of a seeded lifecycle must not move.
+SERVICE_ANSWER_PIN = "b279778fc2ef367b"
+
+
+def _served_answers():
+    import hashlib
+
+    injector = FaultInjector([MessageDrop(0.15), ValueCorruption(0.2)], rng=23)
+    service, values, churn = _service(seed=17, churn_rate=0.05, faults=injector)
+    service.advance_churn(12)
+    _shift_band(service, values, churn, seed=17)
+    phis = (0.0, 0.1, 0.25, 0.37, 0.5, 0.75, 0.9, 1.0)
+    probes = (-1.0, 25.0, 50.0, 250.0)
+    answers = service.batch_quantiles(phis)
+    answers += [service.rank_of(value) for value in probes]
+    service.rebuild(incremental=True)
+    answers += service.batch_quantiles(phis)
+    answers += [service.rank_of(value) for value in probes]
+    digest = hashlib.sha256()
+    for answer in answers:
+        digest.update(np.array([answer.value, answer.accuracy]).tobytes())
+        digest.update(np.array([answer.degraded, answer.epoch], dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_seeded_lifecycle_answers_pinned():
+    assert _served_answers() == SERVICE_ANSWER_PIN
+
+
 def test_sketch_staleness_widens_accuracy_across_epochs():
     """Departures fold into the sketch bound at the epoch commit: a KLL
     sketch has no deletions, so departed values stay in forever and the
