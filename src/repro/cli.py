@@ -15,7 +15,8 @@ Compute a quantile of a file of numbers (one per line)::
     python -m repro query --phi 0.9 --eps 0.05 --input values.txt
 
 Let every node estimate its own rank in one fused pass, or stand up a
-quantile service that answers many φ queries from a single pass::
+quantile service that answers many φ queries from the ε-grid of a single
+pass (each answer is the nearest grid target's, with its rank accuracy)::
 
     python -m repro ranks --eps 0.05 --input values.txt
     python -m repro serve --eps 0.05 --phi 0.1 0.5 0.9 --input values.txt
@@ -230,11 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--phi", type=float, nargs="+", required=True,
         help="quantile targets to answer from the one pass",
-    )
-    serve.add_argument(
-        "--sketch-k", type=int, default=None, dest="sketch_k",
-        help="attach a mergeable KLL sketch of this capacity for phi "
-             "targets finer than the eps-grid",
     )
     serve.add_argument(
         "--churn-rate", type=float, default=None, dest="churn_rate",
@@ -507,7 +503,6 @@ def _run_serve(args: argparse.Namespace):
         query_accuracy=args.query_accuracy,
         max_lanes=args.max_lanes,
         env=GossipEnv(topology=topology, dtype=args.dtype, faults=faults),
-        sketch_k=args.sketch_k,
         churn_process=churn,
         auto_rebuild=(args.rebuild == "auto"),
     )
@@ -525,7 +520,7 @@ def _run_serve(args: argparse.Namespace):
         flag = ", degraded" if answer.degraded else ""
         lines.append(
             f"phi={answer.phi:g} -> {answer.value} "
-            f"({answer.source}, rank accuracy ±{answer.accuracy:.4f}, "
+            f"(rank accuracy ±{answer.accuracy:.4f}, "
             f"epoch {answer.epoch}{flag})"
         )
     summary = service.summary()

@@ -10,13 +10,11 @@ a single answer message whose payload bits are accounted per query through
 "millions of users" shape: 10⁶ queries against one pass cost the same
 gossip rounds as one query.
 
-Ad-hoc φ targets finer than the ε-grid can optionally be served from the
-in-repo mergeable KLL sketch (:mod:`repro.sketches.kll`): pass
-``sketch_k`` and queries whose grid bracket is coarser than the sketch's
-rank-error bound are answered from the sketch instead (the
-composable-aggregation style of the histogrammar line of work).  Building
-the sketch is a per-item stream fold — opt-in, priced at its
-``message_bits()`` once, and independent of the gossip round count.
+The grid is the only answer store: a φ between two grid targets is served
+from the nearer one, its bound widened by the distance.  Departures and
+value updates are priced per lane as rank drift; a lane drifted past
+``eps / 2`` answers degraded, and past ``eps`` an epoch rebuild re-runs
+the stale lanes.
 """
 
 from __future__ import annotations
@@ -41,13 +39,17 @@ from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import LatencyHistogram, get_tracer
-from repro.sketches.kll import KLLSketch
 from repro.topology.dynamic import ChurnProcess
 from repro.utils.inputs import integral, node_values
 from repro.utils.rand import RandomSource
 
 #: Payload bits of one answered query: the value plus framing.
 ANSWER_BITS = BITS_HEADER + BITS_PER_VALUE
+
+#: Gossip attempts per rebuild before it gives up and stays degraded.
+REBUILD_ATTEMPTS = 3
+#: Rounds charged after the first failed rebuild attempt; doubles per retry.
+REBUILD_BACKOFF = 8
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,15 @@ class QueryAnswer:
         The requested quantile.
     value:
         The served estimate.
-    source:
-        ``"grid"`` (nearest fused grid lane) or ``"sketch"`` (KLL refinement
-        for φ finer than the grid).
     accuracy:
         Additive rank-accuracy bound of the answer: grid distance plus the
-        per-lane query accuracy for grid answers, the sketch's rank-error
-        bound for sketch answers.
+        per-lane query accuracy.
     grid_index:
-        Index of the serving grid lane (grid answers only).
+        Index of the serving grid lane (quantile answers only).
     """
 
     phi: float
     value: float
-    source: str
     accuracy: float
     grid_index: Optional[int] = None
     #: True when the answer comes from an estimate that has gone stale
@@ -145,31 +142,16 @@ class QuantileService:
         The :class:`~repro.gossip.env.GossipEnv` of the build pass *and*
         every rebuild.  Its optional ``faults`` injector is the
         chaos-testing hook: rebuilds whose answers fail the rank self-check
-        under injected faults retry with exponential backoff (see
-        ``max_rebuild_retries`` / ``rebuild_backoff``).
-    sketch_k:
-        Optional KLL compactor capacity.  When given, a mergeable sketch of
-        the value stream is folded at build time and queries whose grid
-        bracket is coarser than the sketch's rank-error bound (~``3 / k``)
-        are answered from it.
+        under injected faults retry up to :data:`REBUILD_ATTEMPTS` times,
+        backing off :data:`REBUILD_BACKOFF` rounds, doubled per retry.
     churn_process:
         Optional :class:`~repro.topology.dynamic.ChurnProcess` modelling
         node departures after the build.  :meth:`advance_churn` steps it;
         departed values then no longer back the served estimates, which the
         per-lane drift model turns into widened (degraded) answers and,
-        past ``rebuild_threshold``, epoch rebuilds.  A rebuild under churn
-        runs on the active subset, which an ``n``-node static topology
-        cannot describe, so ``env.topology`` is rejected beside it.
-    staleness_threshold:
-        Per-lane rank drift above which a lane's answers are served as
-        degraded (default ``eps / 2``).
-    rebuild_threshold:
-        Max-lane drift above which :meth:`maybe_rebuild` triggers an
-        incremental rebuild (default ``eps``).
-    max_rebuild_retries:
-        Gossip attempts per rebuild before giving up and staying degraded.
-    rebuild_backoff:
-        Rounds charged after a failed rebuild attempt; doubles per retry.
+        past ``eps``, epoch rebuilds.  A rebuild under churn runs on the
+        active subset, which an ``n``-node static topology cannot
+        describe, so ``env.topology`` is rejected beside it.
     auto_rebuild:
         When True, :meth:`advance_churn` / :meth:`update_value` call
         :meth:`maybe_rebuild` themselves — the self-healing mode the CLI's
@@ -187,12 +169,7 @@ class QuantileService:
         max_lanes: int = DEFAULT_MAX_LANES,
         keep_history: bool = False,
         env: Optional[GossipEnv] = None,
-        sketch_k: Optional[int] = None,
         churn_process: Optional[ChurnProcess] = None,
-        staleness_threshold: Optional[float] = None,
-        rebuild_threshold: Optional[float] = None,
-        max_rebuild_retries: int = 3,
-        rebuild_backoff: int = 8,
         auto_rebuild: bool = False,
     ) -> None:
         source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
@@ -217,10 +194,6 @@ class QuantileService:
                 )
             if churn_process.active is None:
                 churn_process.begin()
-        if max_rebuild_retries < 1:
-            raise ConfigurationError("max_rebuild_retries must be at least 1")
-        if rebuild_backoff < 0:
-            raise ConfigurationError("rebuild_backoff must be non-negative")
         build_metrics = NetworkMetrics(keep_history=keep_history)
         with get_tracer().span("service_build", build_metrics) as span:
             span.annotate(n=int(self._array.size), eps=float(eps))
@@ -241,15 +214,8 @@ class QuantileService:
         self._final_samples = int(final_samples)
         self._max_lanes = int(max_lanes)
         self._churn = churn_process
-        self._staleness_threshold = (
-            self._eps / 2.0 if staleness_threshold is None
-            else float(staleness_threshold)
-        )
-        self._rebuild_threshold = (
-            self._eps if rebuild_threshold is None else float(rebuild_threshold)
-        )
-        self._max_rebuild_retries = int(max_rebuild_retries)
-        self._rebuild_backoff = int(rebuild_backoff)
+        #: Per-lane rank drift above which a lane answers degraded.
+        self._staleness_threshold = self._eps / 2.0
         self._auto_rebuild = bool(auto_rebuild)
         # One representative served value per grid lane: the median of the
         # per-node lane outputs (all nodes agree up to the ε guarantee, so
@@ -261,22 +227,10 @@ class QuantileService:
             self._sorted_active(), self._grid_answers
         )
 
-        self._sketch: Optional[KLLSketch] = None
-        self._sketch_k = sketch_k
-        if sketch_k is not None:
-            with get_tracer().span("sketch_build") as span:
-                span.annotate(k=int(sketch_k), items=int(self._array.size))
-                sketch = KLLSketch(k=sketch_k, rng=source.child())
-                sketch.extend(float(value) for value in self._array)
-                self._sketch = sketch
-
         self.query_metrics = NetworkMetrics(keep_history=False)
         #: Serving-side latency histogram: one observation per answered
         #: query (quantile / rank_of), wall seconds.
         self.query_latency = LatencyHistogram()
-        #: Answer-source counters: how many queries each backing store served.
-        self.answers_grid = 0
-        self.answers_sketch = 0
         #: How many served answers carried ``degraded=True``.
         self.answers_degraded = 0
         #: Completed epoch rebuilds.
@@ -286,12 +240,7 @@ class QuantileService:
         self.epoch = 0
         #: Grid lanes whose last rebuild failed validation (kept degraded).
         self._suspect_lanes: set = set()
-        #: Values updated since the epoch baseline (for the sketch fold).
-        self._pending_updates: List[float] = []
-        #: Cumulative departures folded into the sketch staleness bound.
-        self._sketch_departed = 0
         self._drift_cache: Optional[np.ndarray] = None
-        self._commit_epoch(advance=False)
 
     # -- build-time facts ---------------------------------------------------------
     @property
@@ -328,29 +277,8 @@ class QuantileService:
         return self._result
 
     @property
-    def sketch(self) -> Optional[KLLSketch]:
-        return self._sketch
-
-    @property
     def queries_answered(self) -> int:
         return self.query_metrics.queries
-
-    def sketch_accuracy(self) -> Optional[float]:
-        """The sketch's additive rank-error bound as a fraction, if attached.
-
-        Widened by the fraction of epoch departures: a KLL sketch supports
-        no deletions, so every value that has since left the network stays
-        folded in and can misplace ranks by up to ``1/count`` each.
-        """
-        if self._sketch is None or self._sketch.count == 0:
-            return None
-        base = self._sketch.error_bound() / float(self._sketch.count)
-        return base + self._sketch_staleness()
-
-    def _sketch_staleness(self) -> float:
-        if self._sketch is None or self._sketch.count == 0:
-            return 0.0
-        return self._sketch_departed / float(self._sketch.count)
 
     # -- the staleness / epoch lifecycle -----------------------------------------
     @property
@@ -386,27 +314,13 @@ class QuantileService:
         below = np.searchsorted(sorted_values, answers, side="left")
         return below / max(sorted_values.size, 1)
 
-    def _commit_epoch(self, advance: bool = True) -> None:
-        """Start a fresh epoch: fold departures and updates into the sketch.
+    def _commit_epoch(self) -> None:
+        """Start a fresh epoch.
 
         Lane drift baselines are set per lane when its answer is committed,
         so a lane that was not rebuilt keeps its drift across epochs.
         """
-        active = self._active_mask()
-        if advance:
-            # Departures relative to the *previous* baseline go stale in
-            # the sketch forever (no deletions); fold updates as a delta
-            # sketch merged across the epoch boundary.
-            self._sketch_departed += int(
-                np.count_nonzero(self._epoch_active & ~active)
-            )
-            if self._sketch is not None and self._pending_updates:
-                delta = KLLSketch(k=self._sketch_k, rng=self._source.child())
-                delta.extend(self._pending_updates)
-                self._sketch.merge(delta)
-            self.epoch += 1
-        self._epoch_active = active.copy()
-        self._pending_updates = []
+        self.epoch += 1
         self._suspect_lanes.clear()
         self._drift_cache = None
 
@@ -449,7 +363,6 @@ class QuantileService:
         if not math.isfinite(value):
             raise ConfigurationError(f"value must be finite, got {value}")
         self._array[node] = value
-        self._pending_updates.append(value)
         self._drift_cache = None
         if self._auto_rebuild:
             return self.maybe_rebuild()
@@ -483,17 +396,15 @@ class QuantileService:
 
     @property
     def degraded(self) -> bool:
-        """Whether any part of the serving state is currently stale."""
-        if self._grid_answers.size and self.stale_lanes().size:
-            return True
-        return self._sketch_staleness() > self._staleness_threshold
+        """Whether any grid lane is currently stale."""
+        return bool(self.stale_lanes().size)
 
     def maybe_rebuild(self) -> Optional[RebuildReport]:
-        """Rebuild incrementally iff drift crossed the rebuild threshold."""
+        """Rebuild incrementally iff some lane drifted past ``eps``."""
         drift = self.lane_drift()
         finite = drift[np.isfinite(drift)]
         worst = float(finite.max()) if finite.size else 0.0
-        if np.any(np.isinf(drift)) or worst > self._rebuild_threshold:
+        if np.any(np.isinf(drift)) or worst > self._eps:
             return self.rebuild(incremental=True)
         return None
 
@@ -505,14 +416,12 @@ class QuantileService:
         lane is still fresh.  Each attempt's answers must pass a rank
         self-check against the current active values; attempts broken by
         injected faults are retried after charging exponential-backoff
-        rounds, and after ``max_rebuild_retries`` failures the old answers
+        rounds, and after :data:`REBUILD_ATTEMPTS` failures the old answers
         stay in place (degraded, but the service keeps answering).
         """
         grid = self._result.grid
         metrics = self.gossip_metrics
-        full_chunks = (
-            int(math.ceil(grid.size / self._max_lanes)) if grid.size else 0
-        )
+        full_chunks = int(math.ceil(grid.size / self._max_lanes))
         if incremental:
             lanes = self.stale_lanes()
             mode = "incremental"
@@ -540,7 +449,7 @@ class QuantileService:
         answers = None
         valid = None
         tracer = get_tracer()
-        while attempts < self._max_rebuild_retries:
+        while attempts < REBUILD_ATTEMPTS:
             attempts += 1
             with tracer.span("service_rebuild", metrics) as span:
                 span.annotate(
@@ -557,11 +466,11 @@ class QuantileService:
             valid = self._validate_answers(sorted_now, targets, answers)
             if bool(valid.all()):
                 break
-            if attempts < self._max_rebuild_retries:
+            if attempts < REBUILD_ATTEMPTS:
                 # Exponential backoff, charged as real rounds: the round
                 # index advances deterministically past e.g. a Burst fault
                 # window, so the retry meets a different fault schedule.
-                wait = self._rebuild_backoff * (2 ** (attempts - 1))
+                wait = REBUILD_BACKOFF * (2 ** (attempts - 1))
                 metrics.charge_rounds(wait, label="rebuild_backoff")
                 backoff_rounds += wait
 
@@ -623,63 +532,16 @@ class QuantileService:
         return ok & np.isfinite(answers)
 
     # -- the serving surface ------------------------------------------------------
-    def quantile(self, phi: float, prefer: str = "auto") -> QueryAnswer:
-        """Answer one φ-quantile query (no gossip; one accounted message).
-
-        ``prefer`` selects the backing store: ``"grid"`` forces the fused
-        grid bracket, ``"sketch"`` forces the KLL sketch (error if none is
-        attached), ``"auto"`` (default) serves from whichever carries the
-        tighter rank-accuracy bound for this φ.
-        """
+    def quantile(self, phi: float) -> QueryAnswer:
+        """Answer one φ-quantile query (no gossip; one accounted message)."""
         started = perf_counter()
         if not 0.0 <= phi <= 1.0:
             raise ConfigurationError("phi must be in [0, 1]")
-        if prefer not in ("auto", "grid", "sketch"):
-            raise ConfigurationError(
-                f"unknown answer source {prefer!r}; choose auto, grid or sketch"
-            )
-        if prefer == "sketch" and self._sketch is None:
-            raise ConfigurationError(
-                "no sketch attached; construct the service with sketch_k"
-            )
-        grid_answer = self._grid_bracket(phi)
-        sketch_bound = self.sketch_accuracy()
-        use_sketch = prefer == "sketch" or (
-            prefer == "auto"
-            and sketch_bound is not None
-            and (grid_answer is None or sketch_bound < grid_answer.accuracy)
-        )
-        if use_sketch:
-            answer = QueryAnswer(
-                phi=float(phi),
-                value=float(self._sketch.query(phi)),
-                source="sketch",
-                accuracy=float(sketch_bound),
-                degraded=self._sketch_staleness() > self._staleness_threshold,
-                epoch=self.epoch,
-            )
-        elif grid_answer is not None:
-            answer = grid_answer
-        else:
-            raise ConfigurationError(
-                "the grid is empty and no sketch is attached; nothing can "
-                "serve this query"
-            )
-        self.query_metrics.record_query(ANSWER_BITS)
-        if answer.source == "sketch":
-            self.answers_sketch += 1
-        else:
-            self.answers_grid += 1
-        if answer.degraded:
-            self.answers_degraded += 1
-        self.query_latency.observe(perf_counter() - started)
-        return answer
+        return self._served(self._grid_bracket(phi), started)
 
-    def batch_quantiles(
-        self, phis: Sequence[float], prefer: str = "auto"
-    ) -> List[QueryAnswer]:
+    def batch_quantiles(self, phis: Sequence[float]) -> List[QueryAnswer]:
         """Answer many concurrent φ queries — zero additional gossip rounds."""
-        return [self.quantile(phi, prefer=prefer) for phi in phis]
+        return [self.quantile(phi) for phi in phis]
 
     def rank_of(self, value: float) -> QueryAnswer:
         """Estimate the quantile (rank / n) of an arbitrary value.
@@ -706,13 +568,15 @@ class QuantileService:
         answer = QueryAnswer(
             phi=estimate,
             value=value,
-            source="grid",
             accuracy=accuracy,
             degraded=stale,
             epoch=self.epoch,
         )
+        return self._served(answer, started)
+
+    def _served(self, answer: QueryAnswer, started: float) -> QueryAnswer:
+        """Account one answered query: its message, degraded count, latency."""
         self.query_metrics.record_query(ANSWER_BITS)
-        self.answers_grid += 1
         if answer.degraded:
             self.answers_degraded += 1
         self.query_latency.observe(perf_counter() - started)
@@ -722,17 +586,13 @@ class QuantileService:
         """Every node's own-rank estimate from the build pass (no message)."""
         return self._result.quantile_estimates
 
-    def _grid_bracket(self, phi: float) -> Optional[QueryAnswer]:
+    def _grid_bracket(self, phi: float) -> QueryAnswer:
         grid = self._result.grid
-        if grid.size == 0:
-            return None
         index = int(np.argmin(np.abs(grid - phi)))
         distance = float(abs(grid[index] - phi))
         accuracy = distance + self._query_accuracy
         # A stale lane answers with its bound widened by the estimated rank
-        # drift (capped at 1), never tighter than the fault-free bound —
-        # and the auto source selection then naturally prefers a fresher
-        # sketch over a drifted grid lane.
+        # drift (capped at 1), never tighter than the fault-free bound.
         lane_drift = float(min(self.lane_drift()[index], 1.0))
         stale = lane_drift > self._staleness_threshold
         if stale:
@@ -740,7 +600,6 @@ class QuantileService:
         return QueryAnswer(
             phi=float(phi),
             value=float(self._grid_answers[index]),
-            source="grid",
             accuracy=accuracy,
             grid_index=index,
             degraded=stale,
@@ -759,9 +618,6 @@ class QuantileService:
             "gossip_bits": self.gossip_metrics.total_bits,
             "queries_answered": self.queries_answered,
             "query_bits": self.query_metrics.total_bits,
-            "sketch_items": self._sketch.size if self._sketch else 0,
-            "answers_grid": self.answers_grid,
-            "answers_sketch": self.answers_sketch,
             "epoch": self.epoch,
             "rebuilds": self.rebuilds,
             "answers_degraded": self.answers_degraded,

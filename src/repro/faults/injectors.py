@@ -301,15 +301,21 @@ class FaultInjector:
     def mu_bound(self) -> float:
         """An upper bound on the per-round act-suppression probability.
 
-        Combines the maximum crash and drop intensities by union; the
-        Section-5 surfaces (:func:`repro.core.robust.default_pulls_per_iteration`)
-        use it to size their pull counts.  Capped just below 1.
+        A crashed node stays down for the injector's ``downtime`` rounds
+        (the largest of its crash specs), so it is down in a round iff it
+        crashed in one of the last ``downtime`` rounds: a crash spec of rate
+        ``p`` suppresses at most ``1 - (1 - p)**downtime`` of the nodes.
+        The crash and drop bounds combine by union; the Section-5 surfaces
+        (:func:`repro.core.robust.default_pulls_per_iteration`) use the
+        result to size their pull counts.  Capped just below 1.
         """
+        crashes = self._by_kind["crash"]
+        downtime = max((int(getattr(s, "downtime", 1)) for s in crashes), default=1)
         survive = 1.0
-        for kind in ("crash", "drop"):
+        for kind, rounds in (("crash", downtime), ("drop", 1)):
             for spec in self._by_kind[kind]:
                 p = float(getattr(spec, "p", 0.0))
-                survive *= 1.0 - min(p, 1.0)
+                survive *= (1.0 - min(p, 1.0)) ** rounds
         return min(1.0 - survive, 0.999)
 
     @contextmanager

@@ -25,16 +25,12 @@ The robustness layer ships as first-class subsystems:
 * :mod:`repro.net.failure_detector` — SWIM-style suspicion (direct ping →
   indirect ping-req through k proxies → suspect → confirm), piggybacked
   on gossip pushes;
-* :mod:`repro.net.membership` — newscast membership views reusing
-  :class:`~repro.topology.dynamic.EdgeResamplingProcess` semantics, with
-  live exclusion of confirmed-dead peers;
 * :mod:`repro.net.quantile` — a live quantile query that completes with
   honestly widened bounds when peers die mid-run (the PR-8 degraded
   answer contract).
 """
 
 from repro.net.failure_detector import SwimFailureDetector
-from repro.net.membership import NewscastMembership
 from repro.net.metrics_http import MetricsServer, fetch_metrics
 from repro.net.quantile import (
     NetQuantileAnswer,
@@ -54,7 +50,6 @@ __all__ = [
     "ChannelTransport",
     "MetricsServer",
     "NetQuantileAnswer",
-    "NewscastMembership",
     "PeerUnreachable",
     "RetryPolicy",
     "RpcClient",

@@ -3,12 +3,10 @@
 The appendix reduces the message size of the buffer-doubling algorithm by
 compacting buffers the way streaming quantile sketches do: sort the buffer
 and keep every second element, doubling the weight of the survivors.  This
-subpackage implements that compactor, weighted rank queries over compacted
-buffers, and a simplified KLL-style mergeable sketch for comparison.
+subpackage implements that compactor and weighted rank queries over the
+compacted buffer.
 """
 
 from repro.sketches.compactor import CompactingBuffer, compact
-from repro.sketches.weighted_buffer import WeightedBuffer
-from repro.sketches.kll import KLLSketch
 
-__all__ = ["CompactingBuffer", "compact", "WeightedBuffer", "KLLSketch"]
+__all__ = ["CompactingBuffer", "compact"]

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -290,18 +292,10 @@ def test_serve_command_answers_queries(tmp_path, capsys):
     assert "phi=0.25 ->" in out
     assert "phi=0.5 ->" in out
     assert "phi=0.9 ->" in out
+    assert re.search(r"^phi=0.5 -> \S+ \(rank accuracy ±0\.\d{4}, epoch 0\)$",
+                     out, re.MULTILINE)
     assert "served 3 queries" in out
     assert "zero additional rounds" in out
-
-
-def test_serve_command_with_sketch(tmp_path, capsys):
-    values = np.arange(1.0, 257.0)
-    path = tmp_path / "values.txt"
-    np.savetxt(path, values)
-    assert main(["serve", "--input", str(path), "--eps", "0.25", "--seed", "4",
-                 "--phi", "0.37", "--sketch-k", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "(sketch, rank accuracy" in out
 
 
 def test_serve_rejects_rewire_p_on_mismatched_topology(tmp_path):

@@ -40,7 +40,6 @@ def test_grid_answers_track_true_quantiles(service, small_values):
 def test_quantile_query_serves_from_grid(service, small_values):
     answer = service.quantile(0.5)
     assert isinstance(answer, QueryAnswer)
-    assert answer.source == "grid"
     assert answer.grid_index == 4
     assert answer.phi == 0.5
     assert abs(answer.value - _true_quantile(small_values, 0.5)) <= (
@@ -74,7 +73,7 @@ def test_rank_of_inverts_the_grid(service, small_values):
     # small_values is a permutation of 1..256, so value v has rank v/256
     for value, expected in [(64.0, 0.25), (128.0, 0.5), (230.0, 0.9)]:
         answer = service.rank_of(value)
-        assert answer.source == "grid"
+        assert answer.grid_index is None  # the whole ladder answers
         assert abs(answer.phi - expected) <= answer.accuracy
         assert answer.accuracy == pytest.approx(0.1 + 0.05)
     assert service.queries_answered == 3
@@ -93,38 +92,9 @@ def test_self_quantiles_come_from_the_build_pass(service, small_values):
     assert service.queries_answered == 0  # reading estimates is free
 
 
-def test_sketch_serves_phi_finer_than_grid(small_values):
-    service = QuantileService(small_values, eps=0.25, rng=5, sketch_k=200)
-    bound = service.sketch_accuracy()
-    assert bound is not None and bound < 0.125  # tighter than eps/2
-    # auto prefers the sketch once its bound beats the grid bracket
-    answer = service.quantile(0.37)
-    assert answer.source == "sketch"
-    assert answer.accuracy == pytest.approx(bound)
-    # forcing the grid still works
-    forced = service.quantile(0.37, prefer="grid")
-    assert forced.source == "grid"
-    assert service.queries_answered == 2
-
-
-def test_sketch_answers_are_accurate(small_values):
-    service = QuantileService(small_values, eps=0.25, rng=6, sketch_k=200)
-    for phi in (0.1, 0.37, 0.62, 0.9):
-        answer = service.quantile(phi, prefer="sketch")
-        target = _true_quantile(small_values, phi)
-        assert abs(answer.value - target) <= 0.1 * small_values.size
-
-
-def test_prefer_sketch_without_sketch_is_an_error(service):
-    with pytest.raises(ConfigurationError):
-        service.quantile(0.5, prefer="sketch")
-
-
 def test_query_validation(service):
     with pytest.raises(ConfigurationError):
         service.quantile(1.5)
-    with pytest.raises(ConfigurationError):
-        service.quantile(0.5, prefer="oracle")
 
 
 def test_summary_keys(service):
@@ -140,9 +110,6 @@ def test_summary_keys(service):
         "gossip_bits": service.gossip_metrics.total_bits,
         "queries_answered": 1,
         "query_bits": ANSWER_BITS,
-        "sketch_items": 0,
-        "answers_grid": 1,
-        "answers_sketch": 0,
         "epoch": 0,
         "rebuilds": 0,
         "answers_degraded": 0,
@@ -214,7 +181,7 @@ def test_sequential_build_serves_identically_shaped_answers(small_values):
     service = QuantileService(small_values, eps=0.2, rng=9, max_lanes=1)
     assert service.result.chunks == service.grid.size
     answer = service.quantile(0.4)
-    assert answer.source == "grid"
+    assert answer.grid_index == 1
     assert np.isfinite(answer.value)
 
 

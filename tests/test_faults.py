@@ -56,8 +56,22 @@ def test_mu_bound_unions_crash_and_drop_only():
     injector = FaultInjector(
         [MessageDrop(0.2), CrashRestart(0.1), ValueCorruption(0.9)], rng=0
     )
-    assert injector.mu_bound() == pytest.approx(1.0 - 0.8 * 0.9)
+    # CrashRestart's default downtime is 4 rounds
+    assert injector.mu_bound() == pytest.approx(1.0 - 0.8 * 0.9**4)
     assert FaultInjector(MessageDrop(1.0), rng=0).mu_bound() == 0.999
+
+
+@pytest.mark.parametrize("specs", [
+    [CrashRestart(0.1, downtime=4)],
+    [CrashRestart(0.05, downtime=2), MessageDrop(0.1)],
+    [CrashRestart(0.02, downtime=10)],
+], ids=["crash", "crash_drop", "long_downtime"])
+def test_mu_bound_covers_nodes_down_from_earlier_crashes(specs):
+    """A crashed node stays down for its downtime, so far more nodes are
+    down in a round than crash in it; the bound must cover them."""
+    injector = FaultInjector(specs, rng=3)
+    suppressed = [injector.draw(r, 2000).suppressed.mean() for r in range(400)]
+    assert injector.mu_bound() >= float(np.mean(suppressed))
 
 
 # ------------------------------------------------------------ schedules

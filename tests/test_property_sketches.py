@@ -1,12 +1,8 @@
-"""Property-based tests for the sketch substrate (hypothesis)."""
+"""Property-based tests for the Appendix A compactor (hypothesis)."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sketches.compactor import CompactingBuffer, compact
-from repro.sketches.kll import KLLSketch
-from repro.sketches.weighted_buffer import WeightedBuffer
-from repro.utils.rand import RandomSource
 
 float_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -48,60 +44,3 @@ def test_compacting_buffer_preserves_sample_count(values, capacity):
     # truncation, never by more than one per compaction
     assert buffer.represented_samples <= len(values)
     assert buffer.represented_samples >= len(values) - buffer.weight * buffer.compactions
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-            st.floats(min_value=0.1, max_value=10.0),
-        ),
-        min_size=1,
-        max_size=100,
-    ),
-    phi=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_weighted_buffer_query_rank_roundtrip(pairs, phi):
-    buffer = WeightedBuffer.from_pairs(pairs)
-    answer = buffer.query(phi)
-    # the returned value's weighted quantile covers phi from above
-    assert buffer.quantile_of(answer) >= phi - 1e-9
-    values = [v for v, _ in pairs]
-    assert min(values) <= answer <= max(values)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    data=st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=50,
-        max_size=400,
-        unique=True,
-    ),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_kll_rank_error_within_bound(data, seed):
-    sketch = KLLSketch(k=64, rng=RandomSource(seed))
-    sketch.extend(data)
-    arr = np.asarray(data)
-    for phi in (0.25, 0.5, 0.75):
-        estimate = sketch.query(phi)
-        true_rank = float(np.sum(arr <= estimate))
-        target = phi * arr.size
-        assert abs(true_rank - target) <= sketch.error_bound() + 1.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    left=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=10, max_size=200),
-    right=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=10, max_size=200),
-)
-def test_kll_merge_counts_add_up(left, right):
-    a = KLLSketch(k=32, rng=RandomSource(1))
-    b = KLLSketch(k=32, rng=RandomSource(2))
-    a.extend(left)
-    b.extend(right)
-    a.merge(b)
-    assert a.count == len(left) + len(right)
-    assert a.size <= 3 * 32 + len(a._levels) * 2  # space stays O(k)
