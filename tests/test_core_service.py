@@ -202,3 +202,73 @@ def test_rebuilds_meet_attached_faults_on_the_service_round_clock(small_values):
     service.rebuild(incremental=False)
     failed = [record.failed_nodes for record in service.gossip_metrics.history]
     assert [round_ for round_, count in enumerate(failed) if count] == [built, built + 1]
+
+
+# ------------------------------------------- the grid as the only store
+
+
+def test_every_phi_is_served_by_its_nearest_lane(service):
+    """Any φ in [0, 1], on or between grid targets or beyond the outer
+    ones, is answered by the nearest lane with the distance added."""
+    for phi in np.linspace(0.0, 1.0, 101):
+        answer = service.quantile(float(phi))
+        index = int(np.argmin(np.abs(service.grid - phi)))
+        distance = abs(float(service.grid[index]) - phi)
+        assert answer.grid_index == index
+        assert answer.value == service.grid_answers[index]
+        assert answer.accuracy == pytest.approx(distance + 0.05)
+        assert not answer.degraded
+    assert service.queries_answered == 101
+
+
+def test_grid_answers_pass_the_rebuild_self_check(medium_values):
+    """The build's grid answers meet the tolerance a rebuild validates
+    against: every lane's true rank is within eps + query_accuracy."""
+    service = QuantileService(medium_values, eps=0.1, rng=5)
+    ordered = np.sort(medium_values)
+    valid = service._validate_answers(ordered, service.grid, service.grid_answers)
+    assert valid.all()
+
+
+@pytest.mark.parametrize("phi", [-0.01, float("nan"), float("inf")])
+def test_quantile_rejects_phi_outside_unit_interval(service, phi):
+    with pytest.raises(ConfigurationError, match="phi"):
+        service.quantile(phi)
+    assert service.queries_answered == 0
+
+
+def test_batch_quantiles_answers_like_single_queries(small_values):
+    phis = [0.0, 0.12, 0.5, 0.77, 1.0]
+    batched = QuantileService(small_values, eps=0.1, rng=3)
+    single = QuantileService(small_values, eps=0.1, rng=3)
+    assert batched.batch_quantiles(phis) == [single.quantile(phi) for phi in phis]
+    assert batched.queries_answered == single.queries_answered == len(phis)
+
+
+def test_query_accuracy_sets_the_on_grid_bound(small_values):
+    service = QuantileService(small_values, eps=0.1, rng=3, query_accuracy=0.02)
+    assert service.quantile(0.5).accuracy == pytest.approx(0.02)
+    assert service.rank_of(128.0).accuracy == pytest.approx(0.1 + 0.02)
+
+
+def test_rank_of_is_monotone_in_value(service):
+    probes = np.linspace(-10.0, 270.0, 57)
+    ranks = [service.rank_of(float(value)).phi for value in probes]
+    assert np.all(np.diff(ranks) >= 0)
+    assert ranks[0] == pytest.approx(0.05)
+    assert ranks[-1] == pytest.approx(0.95)
+
+
+def test_service_surface_has_no_second_answer_source():
+    """Ten constructor parameters, and answers carry no source tag: every
+    answer comes from the grid."""
+    import dataclasses
+    import inspect
+
+    parameters = list(inspect.signature(QuantileService.__init__).parameters)
+    assert parameters[1:] == [
+        "values", "eps", "rng", "query_accuracy", "final_samples",
+        "max_lanes", "keep_history", "env", "churn_process", "auto_rebuild",
+    ]
+    fields = [field.name for field in dataclasses.fields(QueryAnswer)]
+    assert fields == ["phi", "value", "accuracy", "grid_index", "degraded", "epoch"]

@@ -74,6 +74,41 @@ def test_mu_bound_covers_nodes_down_from_earlier_crashes(specs):
     assert injector.mu_bound() >= float(np.mean(suppressed))
 
 
+def test_mu_bound_of_a_one_round_crash_is_its_rate():
+    assert FaultInjector(CrashRestart(0.1, downtime=1), rng=0).mu_bound() == (
+        pytest.approx(0.1)
+    )
+
+
+def test_mu_bound_grows_with_crash_downtime():
+    bounds = [
+        FaultInjector(CrashRestart(0.1, downtime=d), rng=0).mu_bound()
+        for d in range(1, 9)
+    ]
+    assert bounds == pytest.approx([1.0 - 0.9**d for d in range(1, 9)])
+    assert np.all(np.diff(bounds) > 0)
+
+
+def test_mu_bound_stays_below_one_under_long_downtime():
+    """A long downtime drives the union towards 1; the bound is capped
+    just below it, as for a certain drop."""
+    injector = FaultInjector(CrashRestart(0.5, downtime=20), rng=0)
+    assert injector.mu_bound() == 0.999
+
+
+def test_mu_bound_ignores_faults_that_suppress_no_act():
+    injector = FaultInjector(
+        [MessageDelay(0.5), MessageDuplication(0.5), ValueCorruption(0.5)],
+        rng=0,
+    )
+    assert injector.mu_bound() == 0.0
+
+
+def test_mu_bound_bounds_a_scheduled_crash_at_full_intensity():
+    injector = FaultInjector(Burst(CrashRestart(0.1, downtime=3), 0, 5), rng=0)
+    assert injector.mu_bound() == pytest.approx(1.0 - 0.9**3)
+
+
 # ------------------------------------------------------------ schedules
 
 

@@ -1,5 +1,7 @@
 """QuantileService lifecycle: churn staleness, degraded answers, epochs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,3 +353,141 @@ def test_unrebuilt_lanes_keep_their_drift_across_rebuilds():
         # threshold) of drift beyond its stated accuracy
         assert np.all(errors <= bounds + eps / 2.0 + 1.0 / n), step
     assert service.epoch >= 1
+
+
+# ------------------------------------------- derived staleness thresholds
+
+
+def _lift_lowest(service, values, count):
+    """Move the ``count`` lowest values above every other value: each
+    lane's answer loses exactly ``count / n`` of the mass below it."""
+    for index in np.argsort(values)[:count]:
+        service.update_value(int(index), 1000.0 + float(index))
+    return count / values.size
+
+
+def _fresh(n=96, seed=7, **kwargs):
+    values = RandomSource(seed).random(n) * 100.0
+    service = QuantileService(
+        values.copy(), eps=EPS, rng=seed, max_lanes=4, **kwargs
+    )
+    return service, values
+
+
+def test_every_lane_drifts_by_the_moved_mass():
+    service, values = _fresh()
+    moved = _lift_lowest(service, values, 5)
+    assert np.allclose(service.lane_drift(), moved)
+
+
+def test_lanes_go_stale_just_past_half_eps():
+    """The staleness threshold is eps / 2: 7/96 of moved mass keeps every
+    lane fresh, 8/96 makes every lane stale."""
+    for count, stale in ((7, False), (8, True)):
+        service, values = _fresh()
+        moved = _lift_lowest(service, values, count)
+        assert (moved > EPS / 2) is stale
+        assert service.degraded is stale
+        assert service.stale_lanes().size == (service.grid.size if stale else 0)
+        assert service.quantile(0.5).degraded is stale
+
+
+def test_maybe_rebuild_waits_until_drift_passes_eps():
+    """Between eps / 2 and eps the service answers degraded but does not
+    rebuild; past eps it rebuilds the stale lanes as a new epoch."""
+    service, values = _fresh()
+    _lift_lowest(service, values, 14)   # 0.146 <= eps
+    assert service.degraded
+    assert service.maybe_rebuild() is None
+    assert service.epoch == 0
+
+    service, values = _fresh()
+    _lift_lowest(service, values, 15)   # 0.156 > eps
+    report = service.maybe_rebuild()
+    assert report is not None and report.validated
+    assert report.lanes_rebuilt == service.grid.size
+    assert service.epoch == 1
+    assert not service.degraded
+
+
+def test_degraded_answer_widens_by_exactly_its_lane_drift():
+    """A stale answer keeps its epoch and value; only its bound grows, by
+    the estimated drift of the serving lane."""
+    service, values = _fresh()
+    fresh = {phi: service.quantile(phi) for phi in (0.1, 0.45, 0.9)}
+    moved = _lift_lowest(service, values, 10)
+    for phi, before in fresh.items():
+        after = service.quantile(phi)
+        assert after.degraded
+        assert after.epoch == 0
+        assert after.value == before.value
+        assert after.accuracy == pytest.approx(before.accuracy + moved)
+    assert service.summary()["answers_degraded"] == 3
+
+
+def test_rank_of_widens_by_the_worst_lane_drift():
+    service, values = _fresh()
+    fresh = service.rank_of(50.0)
+    assert fresh.accuracy == pytest.approx(EPS + EPS / 2)
+    moved = _lift_lowest(service, values, 10)
+    stale = service.rank_of(50.0)
+    assert stale.degraded
+    assert stale.accuracy == pytest.approx(fresh.accuracy + moved)
+
+
+def test_auto_rebuild_from_update_value_fires_only_past_eps():
+    service, values = _fresh(auto_rebuild=True)
+    order = np.argsort(values)
+    reports = [
+        service.update_value(int(index), 1000.0 + float(index))
+        for index in order[:15]
+    ]
+    # the 15th lifted value is the first to push the drift past eps
+    assert all(report is None for report in reports[:14])
+    assert reports[14] is not None and reports[14].validated
+    assert service.epoch == 1
+
+
+def test_failed_rebuild_charges_doubling_backoff_on_the_round_clock():
+    """The backoff waits are real, labelled rounds on the service clock:
+    8 rounds after the first failed attempt, 16 after the second."""
+    service, values = _fresh(keep_history=True)
+    _lift_lowest(service, values, 20)
+    service.attach_faults(FaultInjector(MessageDrop(1.0), rng=1))
+    start = service.gossip_metrics.rounds
+    report = service.rebuild(incremental=True)
+    history = service.gossip_metrics.history[start:]
+    labels = [record.label == "rebuild_backoff" for record in history]
+    runs = []
+    for waiting, group in itertools.groupby(labels):
+        if waiting:
+            runs.append(len(list(group)))
+    assert runs == [8, 16]
+    assert report.rounds == len(history)
+
+
+def test_suspect_lanes_widen_answers_by_at_most_one():
+    """A lane whose rebuild failed has infinite drift; its answers stay
+    finite, widened by the full unit rank range."""
+    service, values = _fresh()
+    _lift_lowest(service, values, 20)
+    service.attach_faults(FaultInjector(MessageDrop(1.0), rng=1))
+    report = service.rebuild(incremental=True)
+    assert not report.validated
+    suspect = np.flatnonzero(np.isinf(service.lane_drift()))
+    assert 0 < suspect.size == service.grid.size - report.lanes_rebuilt
+    for lane in suspect:
+        answer = service.quantile(float(service.grid[lane]))
+        assert answer.degraded
+        assert np.isfinite(answer.value)
+        assert answer.accuracy == pytest.approx(EPS / 2 + 1.0)
+    assert service.rank_of(50.0).accuracy == pytest.approx(EPS + EPS / 2 + 1.0)
+
+
+def test_advance_churn_needs_a_process_and_non_negative_rounds():
+    plain, _ = _fresh()
+    with pytest.raises(ConfigurationError, match="no churn process"):
+        plain.advance_churn(1)
+    churned, _, _ = _service(n=64)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        churned.advance_churn(-1)
