@@ -36,7 +36,7 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -285,36 +285,42 @@ class FaultInjector:
     def _kind_probabilities(
         self, kind: str, round_index: int, n: int
     ) -> Optional[np.ndarray]:
-        specs = self._by_kind[kind]
-        if not specs:
-            return None
+        union = self._cumulative_probabilities(kind, round_index, n)
+        return union[-1] if union else None
+
+    def _cumulative_probabilities(
+        self, kind: str, round_index: int, n: int
+    ) -> List[np.ndarray]:
+        """Per spec of ``kind``, in order: the probability that it or an
+        earlier spec fires.  The last entry is the kind's union."""
+        cumulative = []
         survive = np.ones(n)
-        for spec in specs:
+        for spec in self._by_kind[kind]:
             probs = np.asarray(spec.probabilities(round_index, n), dtype=float)
             if probs.shape != (n,):
                 raise ConfigurationError(
                     f"{spec!r} produced shape {probs.shape}, expected ({n},)"
                 )
-            survive *= 1.0 - np.clip(probs, 0.0, 1.0)
-        return 1.0 - survive
+            survive = survive * (1.0 - np.clip(probs, 0.0, 1.0))
+            cumulative.append(1.0 - survive)
+        return cumulative
 
     def mu_bound(self) -> float:
         """An upper bound on the per-round act-suppression probability.
 
-        A crashed node stays down for the injector's ``downtime`` rounds
-        (the largest of its crash specs), so it is down in a round iff it
-        crashed in one of the last ``downtime`` rounds: a crash spec of rate
-        ``p`` suppresses at most ``1 - (1 - p)**downtime`` of the nodes.
-        The crash and drop bounds combine by union; the Section-5 surfaces
+        A node crashed by a spec stays down for that spec's ``downtime``
+        rounds, so it is down in a round only if it crashed in one of the
+        last ``downtime`` rounds: crash spec ``i`` (rate ``p_i``) suppresses
+        at most ``1 - (1 - p_i)**downtime_i`` of the nodes.  The crash and
+        drop bounds combine by union; the Section-5 surfaces
         (:func:`repro.core.robust.default_pulls_per_iteration`) use the
         result to size their pull counts.  Capped just below 1.
         """
-        crashes = self._by_kind["crash"]
-        downtime = max((int(getattr(s, "downtime", 1)) for s in crashes), default=1)
         survive = 1.0
-        for kind, rounds in (("crash", downtime), ("drop", 1)):
+        for kind in ("crash", "drop"):
             for spec in self._by_kind[kind]:
                 p = float(getattr(spec, "p", 0.0))
+                rounds = int(getattr(spec, "downtime", 1)) if kind == "crash" else 1
                 survive *= (1.0 - min(p, 1.0)) ** rounds
         return min(1.0 - survive, 0.999)
 
@@ -364,18 +370,21 @@ class FaultInjector:
 
         restarted = zeros_bool
         crashed = zeros_bool
-        probs = self._kind_probabilities("crash", round_index, n)
-        if probs is not None:
+        cumulative = self._cumulative_probabilities("crash", round_index, n)
+        if cumulative:
             restarted = self._down_until == round_index
             was_down = self._down_until > round_index
-            fresh = (rng.random(n) < probs) & ~was_down
+            u = rng.random(n)
+            fresh = (u < cumulative[-1]) & ~was_down
             if np.any(fresh):
-                downtime = max(
-                    int(getattr(s, "downtime", 1))
-                    for s in self._by_kind["crash"]
-                )
-                # A node crashing at round r is down for rounds
+                # The uniform that decides a crash also picks its spec:
+                # the first whose running union covers it.  A node that
+                # crashes at round r is down for that spec's rounds
                 # [r, r + downtime) and restarts at round r + downtime.
+                specs = self._by_kind["crash"]
+                downtime = np.full(n, int(getattr(specs[-1], "downtime", 1)))
+                for spec, below in zip(specs[-2::-1], cumulative[-2::-1]):
+                    downtime[u < below] = int(getattr(spec, "downtime", 1))
                 self._down_until = np.where(
                     fresh, round_index + downtime, self._down_until
                 )

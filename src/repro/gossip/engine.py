@@ -12,11 +12,15 @@ node per round; the equivalence suite holds the two bit-identical.
 :func:`run_protocol` dispatches between them: ``env.engine="asyncio"``
 runs the live backend, anything else the vectorized engine.  Both draw
 their randomness (failure masks, then partners) through the shared
-:func:`begin_round`, so a fixed seed yields the same execution on either.
+:func:`draw_round_inputs`, called from :func:`begin_round` or, one round
+ahead, from the vectorized engine's prefetch thread, so a fixed seed
+yields the same execution on either.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple, Union
 
@@ -29,7 +33,7 @@ from repro.gossip.failures import FailureModel, NoFailures
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
 from repro.gossip.protocol import BatchAction, BatchGossipProtocol, GossipProtocol
 from repro.obs.tracer import get_tracer
-from repro.topology.dynamic import TopologyProcess, resolve_topology_process
+from repro.topology.dynamic import RoundState, TopologyProcess, resolve_topology_process
 from repro.utils.views import readonly
 from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
@@ -160,6 +164,53 @@ def finish_run(
     )
 
 
+#: A round's draws from the run's stream: failure mask, partners.
+RoundInputs = Tuple[Optional[np.ndarray], np.ndarray]
+
+
+def draw_round_inputs(
+    round_index: int,
+    n: int,
+    source: RandomSource,
+    failures: FailureModel,
+    sampler: PeerSampler,
+) -> RoundInputs:
+    """A round's draws from the run's stream, in stream order.
+
+    The failure model's mask (``None`` under :class:`NoFailures`, which
+    draws nothing), then every node's partner.  Nothing else a round needs
+    touches ``source``, so this is the one function that decides the run
+    stream's layout: :func:`begin_round` calls it inline, and the prefetch
+    worker of :func:`run_protocol_vectorized` calls it one round ahead.
+    """
+    mask = _draw_failure_mask(round_index, n, source, failures)
+    return mask, sampler.draw_round(source)
+
+
+def _draw_failure_mask(
+    round_index: int, n: int, source: RandomSource, failures: FailureModel
+) -> Optional[np.ndarray]:
+    if isinstance(failures, NoFailures):
+        return None
+    return failures.failure_mask(round_index, n, source)
+
+
+def _fold_outage(
+    n: int,
+    mask: Optional[np.ndarray],
+    state: Optional[RoundState],
+    round_faults: Optional[RoundFaults],
+) -> np.ndarray:
+    """The union of the failure mask, the departed and the suppressed."""
+    failed = mask
+    if state is not None:
+        failed = ~state.active if failed is None else failed | ~state.active
+    if round_faults is not None:
+        suppressed = round_faults.suppressed
+        failed = suppressed if failed is None else failed | suppressed
+    return _cached_mask(n, False) if failed is None else failed
+
+
 def round_outage(
     round_index: int,
     n: int,
@@ -177,19 +228,11 @@ def round_outage(
     the injector's :class:`~repro.faults.injectors.RoundFaults` (``None``
     without a process / an injector).
     """
-    if process is None and faults is None and isinstance(failures, NoFailures):
-        return _cached_mask(n, False), None, None
-    failed = failures.failure_mask(round_index, n, source)
-    round_sampler = None
-    if process is not None:
-        state = process.round_state(round_index)
-        failed = failed | ~state.active
-        round_sampler = state.sampler
-    round_faults = None
-    if faults is not None:
-        round_faults = faults.draw(round_index, n)
-        failed = failed | round_faults.suppressed
-    return failed, round_sampler, round_faults
+    mask = _draw_failure_mask(round_index, n, source, failures)
+    state = process.round_state(round_index) if process is not None else None
+    round_faults = faults.draw(round_index, n) if faults is not None else None
+    failed = _fold_outage(n, mask, state, round_faults)
+    return failed, state.sampler if state is not None else None, round_faults
 
 
 def begin_round(
@@ -202,25 +245,65 @@ def begin_round(
     sampler: Optional[PeerSampler],
     process: Optional[TopologyProcess] = None,
     faults: Optional[FaultInjector] = None,
+    drawn: Optional[Callable[[], RoundInputs]] = None,
 ) -> Tuple[RoundRecord, np.ndarray, np.ndarray]:
-    """Shared per-round prologue: accounting, :func:`round_outage`, partners.
+    """Shared per-round prologue: accounting, the round's outage, partners.
 
-    A process's sampler only returns active targets, so departed nodes
-    neither act nor receive.  The injector's decision for the round goes to
+    The outage composes as in :func:`round_outage`.  A process's sampler
+    only returns active targets, so departed nodes neither act nor
+    receive.  The injector's decision for the round goes to
     :meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`, where a
     protocol applies the message-level kinds it can express (the pull
     windows of :mod:`repro.core.tournament` apply all of them).
+
+    ``drawn`` hands over the round's :func:`draw_round_inputs` when they
+    were drawn ahead (the prefetch of :func:`run_protocol_vectorized`);
+    it is called where the inline draw would run.
     """
     record = stats.begin_round(label=protocol.name)
-    failed, round_sampler, round_faults = round_outage(
-        round_index, n, source, failures, process, faults
-    )
+    state = process.round_state(round_index) if process is not None else None
+    if drawn is None:
+        round_sampler = sampler if state is None else state.sampler
+        assert round_sampler is not None  # only a process leaves no sampler
+        mask, partners = draw_round_inputs(
+            round_index, n, source, failures, round_sampler
+        )
+    else:
+        mask, partners = drawn()
+    round_faults = faults.draw(round_index, n) if faults is not None else None
+    failed = _fold_outage(n, mask, state, round_faults)
     if round_faults is not None:
         stats.record_faults_injected(round_faults.injected)
         protocol.on_round_faults(round_index, round_faults)
     stats.record_failures(int(np.count_nonzero(failed)), record)
-    partners = (round_sampler or sampler).draw_round(source)
     return record, failed, partners
+
+
+#: Smallest ``n`` whose run draws each round's inputs one round ahead on
+#: the prefetch thread.  On two vCPUs a thread hand-off costs about 0.1 ms
+#: per round and a draw about 4.6 ns per node, so the overlap pays from
+#: about 2**16 nodes; smaller runs draw inline.
+PREFETCH_MIN_NODES = 1 << 16
+
+#: ``(pid, executor)`` of this process's prefetch thread.
+_PREFETCHER: Optional[Tuple[int, ThreadPoolExecutor]] = None
+
+
+def _prefetch_thread() -> ThreadPoolExecutor:
+    """This process's one draw thread, started on first use.
+
+    Keyed by pid: a forked child (a ``run_trials`` pool worker) inherits
+    the parent's executor but not its thread, and a task queued there
+    would never run, so the child starts its own.
+    """
+    global _PREFETCHER
+    pid = os.getpid()
+    if _PREFETCHER is None or _PREFETCHER[0] != pid:
+        _PREFETCHER = (
+            pid,
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="gossip-prefetch"),
+        )
+    return _PREFETCHER[1]
 
 
 def run_protocol_vectorized(
@@ -245,66 +328,105 @@ def run_protocol_vectorized(
     ``topology_process`` departed nodes neither act nor receive, so
     conserved aggregates (push-sum mass/weight) are preserved; failure
     model, process and fault injector compose as in :func:`round_outage`.
+
+    Prefetch: in uniform gossip who contacts whom never depends on node
+    state, so while round ``r`` runs, one background thread draws round
+    ``r + 1``'s :func:`draw_round_inputs` (failure mask, then partners)
+    from the same stream, in the same order as the inline draw: every
+    seeded run is byte-identical either way.  The compute-bound draw then
+    overlaps the memory-bound gathers and scatters on the second core.
+    A run prefetches when ``n >= PREFETCH_MIN_NODES`` (below it the
+    hand-off costs more than the draw), it has no ``topology_process``
+    (whose round state picks the round's sampler) and its sampler keeps no
+    per-round state (uniform and neighbour do, round-robin does not).
+    The bookkeeping stays on the calling thread in the inline order.  A
+    draw still in flight is joined before ``on_round`` runs, so the hook
+    never shares the machine with it.  The draw for the round after the
+    last is speculative: when the run ends, raising or not, it is joined
+    and the stream is rolled back to its state after the last draw a
+    round used, so a caller reusing ``rng`` sees the sequential state.
     """
     require_batch_protocol(protocol)
     n = protocol.n
     source, env, stats, sampler = begin_run(protocol, rng, metrics, env)
     failures, process, faults = env.failure_model, env.topology_process, env.faults
     hook = on_round if on_round is not None else get_tracer().on_round
+    prefetch = n >= PREFETCH_MIN_NODES and sampler is not None and sampler.stateless
+    bit_generator = source.generator.bit_generator
+    pending: Optional[Future] = None
+    used_state: Any = None
 
     round_index = 0
     completed = protocol.is_done(round_index)
-    while not completed and round_index < max_rounds:
-        if hook is not None:
-            round_started = perf_counter()
-        record, failed, partners = begin_round(
-            protocol, round_index, n, source, failures, stats, sampler,
-            process, faults,
-        )
-        # rounds without failures reuse a shared all-True mask and skip the
-        # negation and population-count passes
-        alive = _cached_mask(n, True) if record.failed_nodes == 0 else ~failed
-
-        action = protocol.act_batch(round_index, alive)
-        if not isinstance(action, BatchAction):
-            raise ProtocolError(
-                f"{protocol.name}: act_batch() must return a BatchAction, "
-                f"got {action!r}"
+    try:
+        while not completed and round_index < max_rounds:
+            if hook is not None:
+                round_started = perf_counter()
+            # this round consumes the draw made ahead, so it is no longer
+            # speculative
+            drawn = pending.result if pending is not None else None
+            pending = None
+            record, failed, partners = begin_round(
+                protocol, round_index, n, source, failures, stats, sampler,
+                process, faults, drawn,
             )
-        active = n - record.failed_nodes
-        if action.kind == "mixed" and active > 0:
-            if action.kinds is None or action.kinds.shape != (n,):
-                raise ProtocolError(
-                    f"{protocol.name}: mixed act_batch() must set a length-n "
-                    "kinds array"
+            if prefetch and round_index + 1 < max_rounds:
+                used_state = bit_generator.state
+                pending = _prefetch_thread().submit(
+                    draw_round_inputs, round_index + 1, n, source, failures, sampler
                 )
-            # Per-message sizes can depend on the partner (e.g. an empty
-            # pull response), so accounting is delegated: receive_batch
-            # returns the (count, bits_each) message groups it delivered.
-            deliveries = protocol.receive_batch(round_index, alive, partners, action)
-            if deliveries is None:
-                raise ProtocolError(
-                    f"{protocol.name}: mixed receive_batch() must return "
-                    "(count, bits) message groups"
-                )
-            for count, bits in deliveries:
-                if count:
-                    stats.record_messages(int(count), int(bits), record)
-        elif action.kind != "idle" and active > 0:
-            if action.kind in ("push", "pushpull"):
-                stats.record_messages(active, int(action.push_bits), record)
-            if action.kind in ("pull", "pushpull"):
-                stats.record_messages(active, int(action.pull_bits), record)
-            extra = protocol.receive_batch(round_index, alive, partners, action)
-            for count, bits in extra or ():
-                if count:
-                    stats.record_messages(int(count), int(bits), record)
+            # rounds without failures reuse a shared all-True mask and skip
+            # the negation and population-count passes
+            alive = _cached_mask(n, True) if record.failed_nodes == 0 else ~failed
 
-        protocol.end_round(round_index)
-        if hook is not None:
-            hook(record, perf_counter() - round_started)
-        round_index += 1
-        completed = protocol.is_done(round_index)
+            action = protocol.act_batch(round_index, alive)
+            if not isinstance(action, BatchAction):
+                raise ProtocolError(
+                    f"{protocol.name}: act_batch() must return a BatchAction, "
+                    f"got {action!r}"
+                )
+            active = n - record.failed_nodes
+            if action.kind == "mixed" and active > 0:
+                if action.kinds is None or action.kinds.shape != (n,):
+                    raise ProtocolError(
+                        f"{protocol.name}: mixed act_batch() must set a length-n "
+                        "kinds array"
+                    )
+                # Per-message sizes can depend on the partner (e.g. an empty
+                # pull response), so accounting is delegated: receive_batch
+                # returns the (count, bits_each) message groups it delivered.
+                deliveries = protocol.receive_batch(round_index, alive, partners, action)
+                if deliveries is None:
+                    raise ProtocolError(
+                        f"{protocol.name}: mixed receive_batch() must return "
+                        "(count, bits) message groups"
+                    )
+                for count, bits in deliveries:
+                    if count:
+                        stats.record_messages(int(count), int(bits), record)
+            elif action.kind != "idle" and active > 0:
+                if action.kind in ("push", "pushpull"):
+                    stats.record_messages(active, int(action.push_bits), record)
+                if action.kind in ("pull", "pushpull"):
+                    stats.record_messages(active, int(action.pull_bits), record)
+                extra = protocol.receive_batch(round_index, alive, partners, action)
+                for count, bits in extra or ():
+                    if count:
+                        stats.record_messages(int(count), int(bits), record)
+
+            protocol.end_round(round_index)
+            if hook is not None:
+                if pending is not None:
+                    wait((pending,))
+                hook(record, perf_counter() - round_started)
+            round_index += 1
+            completed = protocol.is_done(round_index)
+    finally:
+        if pending is not None:
+            # The draw for a round that never ran: wait for it, leave its
+            # error (if any) unread with it, and roll the stream back.
+            wait((pending,))
+            bit_generator.state = used_state
 
     return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
 

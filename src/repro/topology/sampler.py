@@ -79,6 +79,11 @@ def _require_gossipable(topology: Topology) -> None:
 class PeerSampler(abc.ABC):
     """Draws each node's partner for one synchronous round."""
 
+    #: True when :meth:`draw_round` reads nothing but the stream it is
+    #: given, so a round's draw may run ahead of the round (the prefetch of
+    #: :func:`repro.gossip.engine.run_protocol_vectorized`).
+    stateless = False
+
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ConfigurationError("a peer sampler needs at least 2 nodes")
@@ -100,6 +105,8 @@ class UniformSampler(PeerSampler):
     *other* node.
     """
 
+    stateless = True
+
     def draw_round(self, source: RandomSource) -> np.ndarray:
         return draw_uniform_round_partners(source, self.n)
 
@@ -110,6 +117,8 @@ class UniformSampler(PeerSampler):
 
 class NeighborSampler(PeerSampler):
     """Uniform choice over each node's neighbor list, vectorized via CSR."""
+
+    stateless = True
 
     def __init__(self, topology: Topology) -> None:
         if topology.is_complete:
