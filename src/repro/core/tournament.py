@@ -14,15 +14,32 @@ asyncio engine its request went unanswered) reads the puller's own values.
 The per-node engine records who answered; a response is the partner's
 window-start row, so both engines gather from that frozen snapshot.
 
+Who pulls whom never depends on state, so a window's pulls need not wait
+for it to close.  A window declares its :attr:`PullWindow.layout`:
+
+* ``"rows"`` (the two- and three-tournaments, the median rule, the robust
+  spread, :meth:`~repro.gossip.network.GossipNetwork.pull`) is *streamed*
+  when it has at most :data:`STREAM_MAX_LANES` lanes: each round is
+  gathered into the window's ``(k, L, n)`` buffer as the round ends, so on
+  the vectorized engine the gather runs while the prefetch thread draws
+  the next round's partners.  A wider window (a service's rank grid) is
+  gathered at the close, where each lane's row serves all ``k`` rounds
+  from cache.
+* ``"block"`` (the ``K``-sample vote, the robust variant's first-good
+  windows) is gathered when the window closes, straight into the
+  ``(L, n, K)`` layout its kernel reads.
+
 Both engines hand the round's injected faults to the protocol
-(:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`):
-duplicates are charged as extra messages, a pull delayed by ``d`` reads
-the window-start snapshot ``d`` windows back (a ring of ``max_delay``
-snapshots; deeper delays serve the oldest one held), corruption scales
-only the delivered copies, and a node restarted from a ``reset_values``
-crash holds its initial lanes at the window boundary.  The injector sees
-a plan's rounds on the clock of the metrics it accumulates into, so the
-chunks of a rank grid or a service's rebuilds share one round clock.
+(:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`), and one
+function, :func:`deliver`, gathers rounds and applies their faults — a
+streamed round as it ends, the rest at the close: a pull delayed by ``d``
+reads the window-start snapshot ``d`` windows back (a ring of
+``max_delay`` snapshots; deeper delays serve the oldest one held), and
+corruption scales only the delivered copies.  Duplicates are charged as
+extra messages, and a node restarted from a ``reset_values`` crash holds
+its initial lanes at the window boundary.  The injector sees a plan's rounds on the clock of the
+metrics it accumulates into, so the chunks of a rank grid or a service's
+rebuilds share one round clock.
 """
 
 from __future__ import annotations
@@ -30,7 +47,10 @@ from __future__ import annotations
 from collections import deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import zip_longest
+from typing import (
+    Any, Callable, Deque, Dict, List, Literal, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -46,6 +66,51 @@ from repro.utils.rand import RandomSource
 from repro.utils.views import ReadOnlyArray
 
 
+#: One round's pulls: whom each node pulled, whether the pull happened,
+#: and the round's injected faults (``None`` without an injector).
+Pulls = Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]
+
+#: Most lanes a ``rows`` window streams.  A streamed round hides one
+#: partner draw behind its ``L`` gathers, but it gathers each lane's row
+#: once per round, where a gather at the close reuses the row, still
+#: cache-resident, for all ``k`` rounds.  On two vCPUs (2 MiB L2 each),
+#: ten 3-round windows on the vectorized engine took, closed → streamed:
+#: 31 → 25 ms (1 lane), 40 → 30 (2) and 61 → 48 (4) at n = 10⁵, even at
+#: 8 lanes, 480 → 540 ms at 19; at n = 10⁶, 445 → 318 ms (1 lane), even
+#: at 4 and 8.
+STREAM_MAX_LANES = 4
+
+
+def deliver(
+    source: np.ndarray,
+    rounds: Sequence[Pulls],
+    ring: Sequence[np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Write what ``rounds`` of pulls delivered into ``out`` (``(k, L, n)``).
+
+    Each node reads its partner's ``source`` values; then, under a round's
+    faults, a pull delayed by ``d`` reads the ``ring`` entry ``d`` windows
+    back (the oldest held, if fewer) instead, and a corrupted pull's copy
+    is scaled.
+    """
+    # Lane-major, so each lane's row stays cache-resident for its rounds'
+    # gathers; mode="clip" skips the bounds check (partners are in range).
+    for lane, row in enumerate(source):
+        for column, (partners, _, _) in enumerate(rounds):
+            np.take(row, partners, out=out[column, lane], mode="clip")
+    for (partners, ok, faults), pulled in zip(rounds, out):
+        if faults is None:
+            continue
+        if ring:
+            for delay in np.unique(faults.delay[ok & (faults.delay > 0)]):
+                stale = ring[-int(min(delay, len(ring)))]
+                late = ok & (faults.delay == delay)
+                pulled[:, late] = stale[:, partners[late]]
+        hit = ok & (faults.corruption != 1.0)
+        pulled[:, hit] = pulled[:, hit] * faults.corruption[hit]
+
+
 class WindowPulls:
     """What one window's pulls delivered, handed to the window's kernel.
 
@@ -55,6 +120,11 @@ class WindowPulls:
     each node's own values at the window's end — ``source``, except that a
     node restarted from a state-loss crash holds its initial lanes — and is
     what a kernel keeps for a node (or a lane) it does not update.
+
+    ``pulled`` is a streamed window's ``(k, L, n)`` buffer, every round
+    already :func:`deliver`-ed into it as the round ended; without it
+    :meth:`rows` gathers at the close.  Either way :meth:`rows` and
+    :meth:`block` return the same values.
     """
 
     def __init__(
@@ -65,13 +135,16 @@ class WindowPulls:
         faults: Sequence[Optional[RoundFaults]] = (),
         ring: Sequence[np.ndarray] = (),
         snapshot: Optional[np.ndarray] = None,
+        pulled: Optional[np.ndarray] = None,
     ) -> None:
         self.source = source
         self.snapshot = source if snapshot is None else snapshot
         self.partners = partners
         self.ok = ok
-        self._faults = [(column, f) for column, f in enumerate(faults) if f is not None]
+        self._rounds: List[Pulls] = list(zip_longest(partners, ok, faults))
+        self._faulted = any(f is not None for f in faults)
         self._ring = ring
+        self._pulled = pulled
 
     @property
     def n(self) -> int:
@@ -88,40 +161,35 @@ class WindowPulls:
 
     def rows(self) -> np.ndarray:
         """The pulled values as ``(k, L, n)``: one contiguous row per round
-        and lane (the two- and three-tournament layout)."""
-        lanes, n = self.source.shape
-        pulled = np.empty((len(self.partners), lanes, n), dtype=self.source.dtype)
-        # Lane-major, so each lane's row stays cache-resident for its k
-        # gathers; mode="clip" skips the bounds check (partners are in range).
-        for lane, row in enumerate(self.source):
-            for column, partners in enumerate(self.partners):
-                np.take(row, partners, out=pulled[column, lane], mode="clip")
-        for column, faults in self._faults:
-            ok, partners, row = self.ok[column], self.partners[column], pulled[column]
-            if self._ring:
-                for delay in np.unique(faults.delay[ok & (faults.delay > 0)]):
-                    stale = self._ring[-int(min(delay, len(self._ring)))]
-                    late = ok & (faults.delay == delay)
-                    row[:, late] = stale[:, partners[late]]
-            hit = ok & (faults.corruption != 1.0)
-            row[:, hit] = row[:, hit] * faults.corruption[hit]
-        return pulled
+        and lane (the two- and three-tournament layout).
+
+        This is the window's one buffer (gathered on the first call if the
+        window was not streamed): a kernel may write into it, and the next
+        window gets a fresh one.
+        """
+        if self._pulled is None:
+            self._pulled = np.empty((len(self.partners),) + self.source.shape,
+                                    dtype=self.source.dtype)
+            deliver(self.source, self._rounds, self._ring, self._pulled)
+        return self._pulled
 
     def depth(self, column: int) -> np.ndarray:
         """How many windows back each node's pull of round ``column`` read:
         0 for this window's start, ``d`` for a pull delayed by ``d`` (at
         most the ring's length)."""
         depth = np.zeros(self.n, dtype=np.int64)
-        for faulted, faults in self._faults:
-            if faulted == column and self._ring:
-                late = self.ok[column] & (faults.delay > 0)
-                depth[late] = np.minimum(faults.delay[late], len(self._ring))
+        _, ok, faults = self._rounds[column]
+        if faults is not None and self._ring:
+            late = ok & (faults.delay > 0)
+            depth[late] = np.minimum(faults.delay[late], len(self._ring))
         return depth
 
     def block(self) -> np.ndarray:
         """The pulled values as ``(L, n, k)``, each node's ``k`` samples
-        contiguous (the vote layout): one gather per lane."""
-        if self._faults:
+        contiguous (the vote layout), in a fresh array: :meth:`rows`
+        transposed if the window was streamed or faulted, else one gather
+        per lane."""
+        if self._pulled is not None or self._faulted:
             return np.ascontiguousarray(self.rows().transpose(1, 2, 0))
         partners = self.partner_block()
         pulled = np.empty((self.source.shape[0],) + partners.shape,
@@ -150,6 +218,15 @@ class PullWindow:
     ``pulls.snapshot`` itself.  ``run_if`` (optional) is checked on the
     rows when the window is due; if it returns False the run ends there.
     ``phase`` (optional) is the :class:`Phase` the window belongs to.
+
+    ``layout`` says when the pulls are gathered, not what the kernel may
+    read (:meth:`WindowPulls.rows` and :meth:`WindowPulls.block` work on
+    either): ``"rows"``, for kernels that read :meth:`WindowPulls.rows`,
+    streams each round into the window's ``(k, L, n)`` buffer as the
+    round ends (up to :data:`STREAM_MAX_LANES` lanes); ``"block"``
+    gathers once at the close, for kernels that read
+    :meth:`WindowPulls.block` (streaming a vote and transposing it costs
+    more than the overlap saves).
     """
 
     rounds: int
@@ -157,10 +234,15 @@ class PullWindow:
     label: str = "pull"
     run_if: Optional[Callable[[np.ndarray], bool]] = None
     phase: Optional[Phase] = None
+    layout: Literal["rows", "block"] = "rows"
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("a pull window needs at least one round")
+        if self.layout not in ("rows", "block"):
+            raise ConfigurationError(
+                f"a pull window's layout is 'rows' or 'block', not {self.layout!r}"
+            )
 
 
 def lane_rows(values: Union[Sequence[float], np.ndarray], dtype: np.dtype) -> np.ndarray:
@@ -203,8 +285,9 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         )
         self._reset = faults is not None and faults.reset_on_restart
         self._window = 0
-        self._pulls: List[Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]] = []
+        self._pulls: List[Pulls] = []
         self._pending: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._pulled: Optional[np.ndarray] = None
         self._round_faults: Optional[RoundFaults] = None
         self._metrics = metrics
         self._phase: Optional[Phase] = None
@@ -240,6 +323,16 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         self._pulls.append((partners, ok, self._round_faults))
         self._pending = self._round_faults = None
         window = self._windows[self._window]
+        if window.layout == "rows" and self.rows.shape[0] <= STREAM_MAX_LANES:
+            # Streamed: deliver the round now (on the vectorized engine,
+            # while the next round's partners are drawn).  The ring only
+            # grows at a window's close, so it reads as at the window start.
+            if self._pulled is None:
+                self._pulled = np.empty((window.rounds,) + self.rows.shape,
+                                        dtype=self.rows.dtype)
+            column = len(self._pulls) - 1
+            deliver(self.rows, self._pulls[column:], self._ring or (),
+                    self._pulled[column:column + 1])
         if len(self._pulls) < window.rounds:
             return
         partner_rows, ok_rows, faults = (list(column) for column in zip(*self._pulls))
@@ -252,8 +345,9 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
             restarted = np.logical_or.reduce([f.restarted for f in drawn])
             own = np.where(restarted, self._initial, self.rows)
         ring = tuple(self._ring) if self._ring is not None else ()
+        pulled, self._pulled = self._pulled, None
         rows = window.kernel(
-            WindowPulls(self.rows, partner_rows, ok_rows, faults, ring, own)
+            WindowPulls(self.rows, partner_rows, ok_rows, faults, ring, own, pulled)
         )
         if self._ring is not None and drawn:
             self._ring.append(self.rows)
