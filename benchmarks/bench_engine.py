@@ -51,20 +51,21 @@ WINDOW_ROUNDS = 3
 
 
 def _push_sum(n: int, rounds: int, seed: int):
-    """A push-sum protocol of ``rounds`` rounds, and how to read its result."""
+    """A push-sum protocol of ``rounds`` rounds, how to read its result, and
+    the rounds it must run."""
     values = RandomSource(seed).random(n) * 100.0
     protocol = PushSumProtocol(values, rounds=rounds)
-    return protocol, protocol.outputs_array
+    return protocol, protocol.outputs_array, rounds
 
 
 def _tournament(n: int, rounds: int, seed: int):
-    """Two lanes through ``rounds // 3`` median-of-three windows."""
+    """Two lanes through ``rounds // 3`` median-of-three windows (whole
+    windows only, so ``rounds`` rounded down to a multiple of 3)."""
     values = RandomSource(seed).random((n, 2)) * 100.0
     windows = [PullWindow(WINDOW_ROUNDS, median_of_three, label="bench-3-pull")]
-    protocol = TournamentProtocol(
-        lane_rows(values, np.dtype(float)), windows * (rounds // WINDOW_ROUNDS)
-    )
-    return protocol, lambda: protocol.rows
+    count = rounds // WINDOW_ROUNDS
+    protocol = TournamentProtocol(lane_rows(values, np.dtype(float)), windows * count)
+    return protocol, lambda: protocol.rows, count * WINDOW_ROUNDS
 
 
 PROTOCOLS = {"push-sum": _push_sum, "tournament": _tournament}
@@ -72,11 +73,11 @@ PROTOCOLS = {"push-sum": _push_sum, "tournament": _tournament}
 
 def _run_engine(runner, build, n: int, rounds: int, seed: int):
     """Rounds per second for one engine run at size ``n``, and its result."""
-    protocol, result_of = build(n, rounds, seed)
+    protocol, result_of, expected = build(n, rounds, seed)
     start = time.perf_counter()
     result = runner(protocol, rng=seed, max_rounds=rounds + 1)
     elapsed = time.perf_counter() - start
-    assert result.completed
+    assert result.rounds == expected
     return result.rounds / elapsed, result_of()
 
 

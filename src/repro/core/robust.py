@@ -194,14 +194,13 @@ def robust_approximate_quantile(
     schedule2 = three_tournament_schedule(eps / 4.0, n)
     vote_pulls = max(k_pulls, int(math.ceil(final_samples / max(1e-9, 1.0 - mu))) + 2)
     windows = [
-        PullWindow(k_pulls, partial(two_step, iteration), label="robust-2-tournament",
-                   layout="block")
+        PullWindow(k_pulls, partial(two_step, iteration), label="robust-2-tournament")
         for iteration in schedule1.iterations
     ]
     windows += [
-        PullWindow(k_pulls, three_step, label="robust-3-tournament", layout="block")
+        PullWindow(k_pulls, three_step, label="robust-3-tournament")
     ] * schedule2.num_iterations
-    windows.append(PullWindow(vote_pulls, vote, label="robust-vote", layout="block"))
+    windows.append(PullWindow(vote_pulls, vote, label="robust-vote"))
     # The "+t" of Theorem 1.4: answer-less nodes adopt a pulled answer,
     # until every node has one.
     windows += [

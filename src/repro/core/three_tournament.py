@@ -151,7 +151,7 @@ def three_tournament_plan(
     # median of its sample (Algorithm 2, line 8) — one shared window,
     # per-lane medians.
     windows.append(PullWindow(final_samples, final_vote, label="3-tournament-vote",
-                              phase=phase, layout="block"))
+                              phase=phase))
     return PhasePlan(phase, windows, iterations, stats)
 
 

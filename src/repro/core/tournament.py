@@ -15,31 +15,26 @@ The per-node engine records who answered; a response is the partner's
 window-start row, so both engines gather from that frozen snapshot.
 
 Who pulls whom never depends on state, so a window's pulls need not wait
-for it to close.  A window declares its :attr:`PullWindow.layout`:
-
-* ``"rows"`` (the two- and three-tournaments, the median rule, the robust
-  spread, :meth:`~repro.gossip.network.GossipNetwork.pull`) is *streamed*
-  when it has at most :data:`STREAM_MAX_LANES` lanes: each round is
-  gathered into the window's ``(k, L, n)`` buffer as the round ends, so on
-  the vectorized engine the gather runs while the prefetch thread draws
-  the next round's partners.  A wider window (a service's rank grid) is
-  gathered at the close, where each lane's row serves all ``k`` rounds
-  from cache.
-* ``"block"`` (the ``K``-sample vote, the robust variant's first-good
-  windows) is gathered when the window closes, straight into the
-  ``(L, n, K)`` layout its kernel reads.
+for it to close.  A window of at most :data:`STREAM_MAX_LANES` lanes (a
+tournament, the vote, the robust variant, the median rule,
+:meth:`~repro.gossip.network.GossipNetwork.pull`) is *streamed*: each
+round is gathered into the window's ``(k, L, n)`` buffer as the round
+ends, so on the vectorized engine the gather runs while the prefetch
+thread draws the next round's partners.  A wider window (a service's rank
+grid) is gathered when it closes, where each lane's row serves all ``k``
+rounds from cache.
 
 Both engines hand the round's injected faults to the protocol
 (:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`), and one
 function, :func:`deliver`, gathers rounds and applies their faults — a
-streamed round as it ends, the rest at the close: a pull delayed by ``d``
-reads the window-start snapshot ``d`` windows back (a ring of
-``max_delay`` snapshots; deeper delays serve the oldest one held), and
-corruption scales only the delivered copies.  Duplicates are charged as
-extra messages, and a node restarted from a ``reset_values`` crash holds
-its initial lanes at the window boundary.  The injector sees a plan's rounds on the clock of the
-metrics it accumulates into, so the chunks of a rank grid or a service's
-rebuilds share one round clock.
+streamed round as it ends, a wide window's rounds at the close: a pull
+delayed by ``d`` reads the window-start snapshot ``d`` windows back (a
+ring of ``max_delay`` snapshots; deeper delays serve the oldest one
+held), and corruption scales only the delivered copies.  Duplicates are
+charged as extra messages, and a node restarted from a ``reset_values``
+crash holds its initial lanes at the window boundary.  The injector sees
+a plan's rounds on the clock of the metrics it accumulates into, so the
+chunks of a rank grid or a service's rebuilds share one round clock.
 """
 
 from __future__ import annotations
@@ -48,9 +43,7 @@ from collections import deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import (
-    Any, Callable, Deque, Dict, List, Literal, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,14 +63,16 @@ from repro.utils.views import ReadOnlyArray
 #: and the round's injected faults (``None`` without an injector).
 Pulls = Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]
 
-#: Most lanes a ``rows`` window streams.  A streamed round hides one
-#: partner draw behind its ``L`` gathers, but it gathers each lane's row
-#: once per round, where a gather at the close reuses the row, still
+#: Most lanes a window streams.  A streamed round hides one partner draw
+#: behind its ``L`` gathers, but it gathers each lane's row once per
+#: round, where a gather at the close reuses the row, still
 #: cache-resident, for all ``k`` rounds.  On two vCPUs (2 MiB L2 each),
 #: ten 3-round windows on the vectorized engine took, closed → streamed:
 #: 31 → 25 ms (1 lane), 40 → 30 (2) and 61 → 48 (4) at n = 10⁵, even at
 #: 8 lanes, 480 → 540 ms at 19; at n = 10⁶, 445 → 318 ms (1 lane), even
-#: at 4 and 8.
+#: at 4 and 8.  Two 15-round votes at n = 10⁶, streamed and transposed
+#: for :meth:`WindowPulls.block`, took 605–876 ms against 890–1251 closed
+#: (1 lane) and 1042–1102 against 1406–1415 (2 lanes).
 STREAM_MAX_LANES = 4
 
 
@@ -124,7 +119,8 @@ class WindowPulls:
     ``pulled`` is a streamed window's ``(k, L, n)`` buffer, every round
     already :func:`deliver`-ed into it as the round ended; without it
     :meth:`rows` gathers at the close.  Either way :meth:`rows` and
-    :meth:`block` return the same values.
+    :meth:`block` return the same values until a kernel writes into
+    :meth:`rows`.
     """
 
     def __init__(
@@ -186,9 +182,13 @@ class WindowPulls:
 
     def block(self) -> np.ndarray:
         """The pulled values as ``(L, n, k)``, each node's ``k`` samples
-        contiguous (the vote layout), in a fresh array: :meth:`rows`
-        transposed if the window was streamed or faulted, else one gather
-        per lane."""
+        contiguous (the vote layout), in a fresh array.
+
+        For a streamed or faulted window this is a transposed copy of
+        :meth:`rows`, so it carries anything a kernel wrote into
+        :meth:`rows` before; for a wide fault-free window, one gather per
+        lane from the partners.
+        """
         if self._pulled is not None or self._faulted:
             return np.ascontiguousarray(self.rows().transpose(1, 2, 0))
         partners = self.partner_block()
@@ -218,15 +218,6 @@ class PullWindow:
     ``pulls.snapshot`` itself.  ``run_if`` (optional) is checked on the
     rows when the window is due; if it returns False the run ends there.
     ``phase`` (optional) is the :class:`Phase` the window belongs to.
-
-    ``layout`` says when the pulls are gathered, not what the kernel may
-    read (:meth:`WindowPulls.rows` and :meth:`WindowPulls.block` work on
-    either): ``"rows"``, for kernels that read :meth:`WindowPulls.rows`,
-    streams each round into the window's ``(k, L, n)`` buffer as the
-    round ends (up to :data:`STREAM_MAX_LANES` lanes); ``"block"``
-    gathers once at the close, for kernels that read
-    :meth:`WindowPulls.block` (streaming a vote and transposing it costs
-    more than the overlap saves).
     """
 
     rounds: int
@@ -234,15 +225,10 @@ class PullWindow:
     label: str = "pull"
     run_if: Optional[Callable[[np.ndarray], bool]] = None
     phase: Optional[Phase] = None
-    layout: Literal["rows", "block"] = "rows"
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("a pull window needs at least one round")
-        if self.layout not in ("rows", "block"):
-            raise ConfigurationError(
-                f"a pull window's layout is 'rows' or 'block', not {self.layout!r}"
-            )
 
 
 def lane_rows(values: Union[Sequence[float], np.ndarray], dtype: np.dtype) -> np.ndarray:
@@ -323,7 +309,7 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         self._pulls.append((partners, ok, self._round_faults))
         self._pending = self._round_faults = None
         window = self._windows[self._window]
-        if window.layout == "rows" and self.rows.shape[0] <= STREAM_MAX_LANES:
+        if self.rows.shape[0] <= STREAM_MAX_LANES:
             # Streamed: deliver the round now (on the vectorized engine,
             # while the next round's partners are drawn).  The ring only
             # grows at a window's close, so it reads as at the window start.

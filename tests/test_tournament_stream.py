@@ -1,10 +1,9 @@
-"""Streamed pull windows: a ``rows`` window is gathered round by round.
+"""Streamed pull windows: a narrow window is gathered round by round.
 
-``TournamentProtocol.end_round`` delivers each round of a ``rows`` window
-of at most ``STREAM_MAX_LANES`` lanes into the window's ``(k, L, n)``
-buffer as the round ends, and ``WindowPulls.rows()`` hands that buffer to
-the kernel; a wider ``rows`` window and a ``block`` window gather once at
-the close.  Every test runs on both engines, the vectorized one with its
+``TournamentProtocol.end_round`` delivers each round of a window of at
+most ``STREAM_MAX_LANES`` lanes into the window's ``(k, L, n)`` buffer as
+the round ends, and ``WindowPulls.rows()`` hands that buffer to the
+kernel; a wider window gathers once at the close.  Every test runs on both engines, the vectorized one with its
 prefetch thread forced on, and checks what was delivered against a
 gather recomputed here from ``source``, the recorded partners and the
 round's recorded faults.
@@ -22,7 +21,6 @@ from repro.core.tournament import (
     lane_rows,
     run_windows,
 )
-from repro.exceptions import ConfigurationError
 from repro.faults import (
     CrashRestart,
     FaultInjector,
@@ -174,9 +172,9 @@ def test_streamed_rows_match_across_engines(monkeypatch, lanes):
 
 
 def test_rounds_are_delivered_as_they_end(env_engine, monkeypatch):
-    """A narrow ``rows`` window delivers each round before the engine's
-    round hook runs; a wider ``rows`` window and a ``block`` window deliver
-    all their rounds at once, when the kernel asks."""
+    """A narrow window delivers each round before the engine's round hook
+    runs; a wider window delivers all its rounds at once, when the kernel
+    asks."""
     events = []
     delivering = tournament.deliver
 
@@ -194,11 +192,11 @@ def test_rounds_are_delivered_as_they_end(env_engine, monkeypatch):
     def hook(record, elapsed):
         events.append("round")
 
-    narrow = [PullWindow(3, kernel), PullWindow(2, kernel, layout="block")]
+    narrow = [PullWindow(3, kernel), PullWindow(2, kernel)]
     _run(_values(STREAM_MAX_LANES), narrow, env_engine, on_round=hook)
     assert events == ["deliver 1", "round", "deliver 1", "round", "deliver 1",
                       "close", "round",
-                      "round", "close", "deliver 2", "round"]
+                      "deliver 1", "round", "deliver 1", "close", "round"]
     events.clear()
     _run(_values(STREAM_MAX_LANES + 1), [PullWindow(3, kernel)], env_engine,
          on_round=hook)
@@ -248,19 +246,21 @@ def test_network_pull_returns_its_batch(env_engine, lanes):
 
 
 @pytest.mark.parametrize("case", ["none", "delay", "corruption"])
-def test_block_window_gathers_at_close(env_engine, round_faults, case):
-    """A ``block`` window's ``block()`` is byte-equal to a partner-block
-    gather (fault-free) or to the transposed reference (faulted)."""
+@pytest.mark.parametrize("lanes", [STREAM_MAX_LANES, STREAM_MAX_LANES + 1])
+def test_block_equals_the_partner_gather(env_engine, round_faults, lanes, case):
+    """``block()`` of a streamed window (a transposed copy of its buffer)
+    and of a wide one (gathered from the partners at the close) is
+    byte-equal to a partner-block gather (fault-free) or to the transposed
+    reference (faulted)."""
     injector = FAULTS[case]()
-    values = _values(4)
+    values = _values(lanes)
     delivered = []
 
     def kernel(pulls):
         delivered.append(pulls)
         return pulls.snapshot + 1.0
 
-    _run(values, [PullWindow(k, kernel, layout="block") for k in (3, 4, 5)],
-         env_engine, injector)
+    _run(values, [PullWindow(k, kernel) for k in (3, 4, 15)], env_engine, injector)
     if injector is None:
         for pulls in delivered:
             partners = pulls.partner_block()
@@ -270,6 +270,23 @@ def test_block_window_gathers_at_close(env_engine, round_faults, case):
     _check_windows(delivered, round_faults, injector, lane_rows(values, np.dtype(float)))
 
 
-def test_layout_is_checked():
-    with pytest.raises(ConfigurationError, match="layout"):
-        PullWindow(2, lambda pulls: pulls.snapshot, layout="lanes")
+def test_block_reflects_writes_into_a_streamed_buffer(env_engine):
+    """A streamed window's ``block()`` is a fresh copy of its buffer, so it
+    carries what a kernel wrote into ``rows()`` before, and writing into
+    it leaves ``rows()`` alone."""
+    seen = []
+
+    def kernel(pulls):
+        delivered = pulls.rows().copy()
+        pulls.rows()[1] = -1.0
+        block = pulls.block()
+        seen.append((delivered, block.copy(), pulls))
+        block[...] = -2.0
+        return pulls.snapshot
+
+    _run(_values(2), [PullWindow(3, kernel)], env_engine)
+    (delivered, block, pulls), = seen
+    assert (block[:, :, 1] == -1.0).all()
+    assert block[:, :, [0, 2]].tobytes() == delivered[[0, 2]].transpose(1, 2, 0).tobytes()
+    assert (pulls.rows()[1] == -1.0).all()
+    assert pulls.rows()[[0, 2]].tobytes() == delivered[[0, 2]].tobytes()
