@@ -70,9 +70,8 @@ Pulls = Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]
 #: ten 3-round windows on the vectorized engine took, closed → streamed:
 #: 31 → 25 ms (1 lane), 40 → 30 (2) and 61 → 48 (4) at n = 10⁵, even at
 #: 8 lanes, 480 → 540 ms at 19; at n = 10⁶, 445 → 318 ms (1 lane), even
-#: at 4 and 8.  Two 15-round votes at n = 10⁶, streamed and transposed
-#: for :meth:`WindowPulls.block`, took 605–876 ms against 890–1251 closed
-#: (1 lane) and 1042–1102 against 1406–1415 (2 lanes).
+#: at 4 and 8.  One 15-round vote at n = 10⁶ took 378–430 → 234–292 ms
+#: (1 lane) and 671–713 → 427–484 ms (2 lanes).
 STREAM_MAX_LANES = 4
 
 
@@ -119,8 +118,7 @@ class WindowPulls:
     ``pulled`` is a streamed window's ``(k, L, n)`` buffer, every round
     already :func:`deliver`-ed into it as the round ended; without it
     :meth:`rows` gathers at the close.  Either way :meth:`rows` and
-    :meth:`block` return the same values until a kernel writes into
-    :meth:`rows`.
+    :meth:`block` return the same values.
     """
 
     def __init__(
@@ -182,15 +180,17 @@ class WindowPulls:
 
     def block(self) -> np.ndarray:
         """The pulled values as ``(L, n, k)``, each node's ``k`` samples
-        contiguous (the vote layout), in a fresh array.
+        along the last axis (the vote layout).
 
-        For a streamed or faulted window this is a transposed copy of
-        :meth:`rows`, so it carries anything a kernel wrote into
-        :meth:`rows` before; for a wide fault-free window, one gather per
-        lane from the partners.
+        Once the window's :meth:`rows` buffer exists (the window was
+        streamed or faulted, or :meth:`rows` was called), this is that
+        buffer seen through a transpose, a view: writes into either show
+        in the other, and a kernel that sorts it in place sorts the
+        window's own buffer.  Otherwise it is a fresh array, one gather
+        per lane with each node's samples contiguous.
         """
         if self._pulled is not None or self._faulted:
-            return np.ascontiguousarray(self.rows().transpose(1, 2, 0))
+            return self.rows().transpose(1, 2, 0)
         partners = self.partner_block()
         pulled = np.empty((self.source.shape[0],) + partners.shape,
                           dtype=self.source.dtype)

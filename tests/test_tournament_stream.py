@@ -248,7 +248,7 @@ def test_network_pull_returns_its_batch(env_engine, lanes):
 @pytest.mark.parametrize("case", ["none", "delay", "corruption"])
 @pytest.mark.parametrize("lanes", [STREAM_MAX_LANES, STREAM_MAX_LANES + 1])
 def test_block_equals_the_partner_gather(env_engine, round_faults, lanes, case):
-    """``block()`` of a streamed window (a transposed copy of its buffer)
+    """``block()`` of a streamed window (a transposed view of its buffer)
     and of a wide one (gathered from the partners at the close) is
     byte-equal to a partner-block gather (fault-free) or to the transposed
     reference (faulted)."""
@@ -270,23 +270,38 @@ def test_block_equals_the_partner_gather(env_engine, round_faults, lanes, case):
     _check_windows(delivered, round_faults, injector, lane_rows(values, np.dtype(float)))
 
 
-def test_block_reflects_writes_into_a_streamed_buffer(env_engine):
-    """A streamed window's ``block()`` is a fresh copy of its buffer, so it
-    carries what a kernel wrote into ``rows()`` before, and writing into
-    it leaves ``rows()`` alone."""
+def test_block_is_a_view_of_the_window_buffer(env_engine):
+    """A streamed window's ``block()`` is its buffer seen through a
+    transpose, so writes into either show in the other."""
     seen = []
 
     def kernel(pulls):
         delivered = pulls.rows().copy()
         pulls.rows()[1] = -1.0
         block = pulls.block()
-        seen.append((delivered, block.copy(), pulls))
-        block[...] = -2.0
+        block[:, :, 2] = -2.0
+        seen.append((delivered, block.copy(), pulls.rows().copy()))
         return pulls.snapshot
 
-    _run(_values(2), [PullWindow(3, kernel)], env_engine)
-    (delivered, block, pulls), = seen
-    assert (block[:, :, 1] == -1.0).all()
-    assert block[:, :, [0, 2]].tobytes() == delivered[[0, 2]].transpose(1, 2, 0).tobytes()
-    assert (pulls.rows()[1] == -1.0).all()
-    assert pulls.rows()[[0, 2]].tobytes() == delivered[[0, 2]].tobytes()
+    _run(_values(STREAM_MAX_LANES), [PullWindow(3, kernel)], env_engine)
+    (delivered, block, rows), = seen
+    assert block[:, :, 0].tobytes() == rows[0].tobytes() == delivered[0].tobytes()
+    assert (block[:, :, 1] == -1.0).all() and (rows[1] == -1.0).all()
+    assert (block[:, :, 2] == -2.0).all() and (rows[2] == -2.0).all()
+
+
+def test_block_of_a_wide_window_is_fresh(env_engine):
+    """A wide fault-free window's ``block()``, asked for before ``rows()``,
+    is a gather of its own that ``rows()`` never sees."""
+    seen = []
+
+    def kernel(pulls):
+        block = pulls.block()
+        delivered = block.copy()
+        block[...] = -1.0
+        seen.append((delivered, pulls.rows().copy()))
+        return pulls.snapshot
+
+    _run(_values(STREAM_MAX_LANES + 1), [PullWindow(3, kernel)], env_engine)
+    (delivered, rows), = seen
+    assert rows.transpose(1, 2, 0).tobytes() == delivered.tobytes()
