@@ -11,7 +11,8 @@ The paper uses this primitive (Step 5 of Algorithm 3) to count the number
 of nodes whose value is below a threshold; counts are integers, so running
 push-sum until the relative error is below ``1/(2n)`` and rounding yields
 the exact count w.h.p. in ``O(log n)`` rounds
-(:func:`repro.aggregates.counting.count_leq` budgets for ``1/(8n)``).
+(:func:`repro.aggregates.counting.count_rounds` is that budget, calibrated
+on a failure-rate table).
 
 Each node's pair is stored as one complex128 element (``s`` real, ``w``
 imaginary), so a vectorized round is one halving, one copy and one

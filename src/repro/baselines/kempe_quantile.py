@@ -19,7 +19,6 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.aggregates.counting import count_leq
-from repro.aggregates.push_sum import default_push_sum_rounds
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.env import GossipEnv
 from repro.gossip.failures import FailureModel
@@ -43,7 +42,12 @@ class KempePhase:
 
 @dataclass
 class KempeQuantileResult:
-    """Outcome of the gossip randomized-selection baseline."""
+    """Outcome of the gossip randomized-selection baseline.
+
+    ``count_misses`` is the number of phases whose gossip count of the
+    pivot's rank was not the true rank, so the selection fell back to the
+    true rank (an oracle [KDG03]'s exact-count analysis assumes away).
+    """
 
     phi: float
     n: int
@@ -53,6 +57,7 @@ class KempeQuantileResult:
     phases: int
     metrics: NetworkMetrics
     history: List[KempePhase] = field(default_factory=list)
+    count_misses: int = 0
 
 
 def _pivot_selection_rounds(n: int) -> int:
@@ -74,7 +79,8 @@ def kempe_exact_quantile(
 ) -> KempeQuantileResult:
     """Compute the exact φ-quantile with the [KDG03] selection baseline.
 
-    Each phase's rank counting runs on the push-sum substrate; pivot
+    Each phase's rank counting runs on the push-sum substrate with
+    :func:`~repro.aggregates.counting.count_leq`'s default budget; pivot
     selection and the final answer broadcast are charged their modelled
     O(log n) round cost (see :func:`_pivot_selection_rounds`).
     """
@@ -90,7 +96,6 @@ def kempe_exact_quantile(
         max_phases = int(10 * math.log2(n)) + 20
 
     k = target_rank(n, phi)
-    counting_rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
 
     # Candidate interval, maintained as value bounds (inclusive).
     lo_value, hi_value = -math.inf, math.inf
@@ -99,6 +104,7 @@ def kempe_exact_quantile(
     sorted_values = np.sort(array)
 
     phase = 0
+    count_misses = 0
     answer = None
     while phase < max_phases:
         candidates_mask = (array > lo_value) & (array <= hi_value) if math.isfinite(
@@ -118,8 +124,7 @@ def kempe_exact_quantile(
 
         # Rank of the pivot via gossip counting.
         count = count_leq(
-            array, threshold=pivot, rng=source.child(),
-            rounds=counting_rounds, metrics=metrics, env=env,
+            array, threshold=pivot, rng=source.child(), metrics=metrics, env=env,
         )
         pivot_rank = count.count
         true_rank = int(np.searchsorted(sorted_values, pivot, side="right"))
@@ -128,6 +133,7 @@ def kempe_exact_quantile(
             # to the true rank so the baseline terminates, as [KDG03]'s
             # analysis assumes exact counts.
             pivot_rank = true_rank
+            count_misses += 1
 
         before = int(candidates.size)
         if pivot_rank >= k:
@@ -176,4 +182,5 @@ def kempe_exact_quantile(
         phases=phase,
         metrics=metrics,
         history=history,
+        count_misses=count_misses,
     )

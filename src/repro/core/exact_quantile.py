@@ -14,7 +14,9 @@ Per iteration the steps (and the substrates they run on) are:
    (Theorem 2.1 — :mod:`repro.core.approx_quantile`);
 2. spreading the global ``min``/``max`` of the per-node approximations
    (rumor spreading — :mod:`repro.aggregates.extrema`);
-3. counting the rank ``R`` of ``min`` (push-sum — :mod:`repro.aggregates.counting`);
+3. counting the rank ``R`` of ``min`` (push-sum — :mod:`repro.aggregates.counting`,
+   on the calibrated budget :func:`~repro.aggregates.counting.count_rounds`:
+   65 rounds at n = 10⁶, stretched by ``(1 - mu)**-1.25`` under failures);
 4. discarding values outside ``[min, max]`` and duplicating the survivors
    ``m_i`` times each (token split-and-distribute — :mod:`repro.core.tokens`);
 5. updating the target rank to ``m_i (k - R + 1)``.
@@ -339,7 +341,8 @@ def exact_quantile(
 
             # Step 5: rank of the minimum.  Keys are exactly {1..live}, so
             # the count is determined by the sandwich; the push-sum counting
-            # runs for its round cost and its count is not read.
+            # runs for its round cost (count_leq's calibrated budget) and its
+            # count is not read.
             with tracer.span("counting", metrics) as span:
                 span.annotate(iteration=iteration)
                 count_leq(node_keys, threshold=min_key, rng=source.child(),

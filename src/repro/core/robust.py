@@ -125,9 +125,7 @@ def robust_approximate_quantile(
         raise ConfigurationError("eps must be in (0, 0.5)")
     # Size pulls and the vote for the union suppression rate: a pull can be
     # lost to the failure model OR to an injected crash/drop, independently.
-    mu = env.failure_model.mu
-    if env.faults is not None:
-        mu = min(1.0 - (1.0 - mu) * (1.0 - env.faults.mu_bound()), 0.999)
+    mu = env.mu_bound()
     if pulls_per_iteration is None:
         pulls_per_iteration = default_pulls_per_iteration(mu)
     k_pulls = integral(pulls_per_iteration, "pulls_per_iteration")

@@ -312,9 +312,10 @@ class FaultInjector:
         rounds, so it is down in a round only if it crashed in one of the
         last ``downtime`` rounds: crash spec ``i`` (rate ``p_i``) suppresses
         at most ``1 - (1 - p_i)**downtime_i`` of the nodes.  The crash and
-        drop bounds combine by union; the Section-5 surfaces
-        (:func:`repro.core.robust.default_pulls_per_iteration`) use the
-        result to size their pull counts.  Capped just below 1.
+        drop bounds combine by union, and
+        :meth:`repro.gossip.env.GossipEnv.mu_bound` unions the result with
+        the failure model's ``mu`` to size the Section-5 pull counts and
+        the counting budget.  Capped just below 1.
         """
         survive = 1.0
         for kind in ("crash", "drop"):

@@ -135,6 +135,21 @@ class GossipEnv:
                     "the process with the desired strategy instead"
                 )
 
+    def mu_bound(self) -> float:
+        """A bound on the rate at which a node sits out a round.
+
+        A node is out if the failure model fails it (rate at most
+        ``failure_model.mu``) or the fault injector crashes or drops it
+        (:meth:`~repro.faults.FaultInjector.mu_bound`), independently, so
+        the two bounds combine by union, capped just below 1.  The
+        Section-5 pull counts and the push-sum counting budget are sized
+        from it.
+        """
+        mu = self.failure_model.mu
+        if self.faults is not None:
+            mu = min(1.0 - (1.0 - mu) * (1.0 - self.faults.mu_bound()), 0.999)
+        return mu
+
     def reject(self, caller: str, *names: str) -> None:
         """Raise unless every named setting is unset on this env.
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.aggregates.counting import count_leq
+from repro.aggregates.counting import count_leq, count_rounds
 from repro.exceptions import ConfigurationError
+from repro.faults import CrashRestart, FaultInjector
 from repro.gossip.env import GossipEnv
+from repro.utils.rand import RandomSource
 
 
 def test_count_leq_exact_on_clean_run():
@@ -44,7 +46,45 @@ def test_counting_under_failures_still_close():
 def test_counting_rounds_logarithmic():
     values = np.arange(1.0, 257.0)
     result = count_leq(values, threshold=100.0, rng=7)
-    assert result.rounds < 120  # O(log n) with moderate constants
+    # ceil(2.7 log2 n + 11)
+    assert result.rounds == count_rounds(256) == 33
+    assert result.exact
+
+
+@pytest.mark.parametrize("n,mu,rounds", [
+    (32, 0.0, 25), (1_000, 0.0, 38), (10_000, 0.0, 47), (1_000_000, 0.0, 65),
+    (32, 0.15, 31), (1_000, 0.15, 47), (10_000, 0.15, 58), (1_000_000, 0.15, 80),
+])
+def test_count_rounds_table(n, mu, rounds):
+    assert count_rounds(n, mu) == rounds
+
+
+def test_count_rounds_rejects_bad_arguments():
+    with pytest.raises(ConfigurationError):
+        count_rounds(1)
+    with pytest.raises(ConfigurationError):
+        count_rounds(64, mu=1.0)
+    with pytest.raises(ConfigurationError):
+        count_rounds(64, mu=-0.1)
+
+
+def test_count_leq_budget_follows_the_env_mu_bound():
+    values = np.arange(1.0, 1001.0)
+    faults = FaultInjector(CrashRestart(0.05, downtime=2), rng=0)
+    for env in (GossipEnv(failure_model=0.15), GossipEnv(faults=faults)):
+        result = count_leq(values, threshold=500.0, rng=8, env=env)
+        assert result.rounds == count_rounds(1000, env.mu_bound())
+    assert count_leq(values, 500.0, rng=8, rounds=5).rounds == 5
+
+
+@pytest.mark.parametrize("n,seeds", [(1_000, 200), (10_000, 20)])
+@pytest.mark.parametrize("mu", [0.0, 0.15])
+def test_count_leq_is_exact_at_its_default_budget(n, seeds, mu):
+    env = GossipEnv(failure_model=mu if mu > 0 else None)
+    for seed in range(seeds):
+        values = RandomSource(seed).random(n)
+        threshold = 0.5 if seed % 2 == 0 else 0.05
+        assert count_leq(values, threshold, rng=seed, env=env).exact, seed
 
 
 def test_invalid_inputs():

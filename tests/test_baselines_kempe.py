@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.aggregates.counting import count_leq
+from repro.baselines import kempe_quantile
 from repro.baselines.kempe_quantile import kempe_exact_quantile
 from repro.datasets.generators import distinct_uniform
 from repro.exceptions import ConfigurationError
@@ -50,6 +52,27 @@ def test_candidates_shrink_monotonically(medium_values):
 def test_extreme_phis(small_values):
     assert kempe_exact_quantile(small_values, phi=0.0, rng=7).value == small_values.min()
     assert kempe_exact_quantile(small_values, phi=1.0, rng=8).value == small_values.max()
+
+
+def test_counts_at_the_default_budget_need_no_fallback(medium_values):
+    result = kempe_exact_quantile(medium_values, phi=0.5, rng=9)
+    assert result.count_misses == 0
+
+
+def test_count_misses_reports_each_true_rank_fallback(monkeypatch, medium_values):
+    # Two push-sum rounds cannot count exactly, so phases fall back to the
+    # true rank; each fallback is one count whose rounded count is wrong.
+    wrong = []
+
+    def short_count(values, threshold, **kwargs):
+        result = count_leq(values, threshold, rounds=2, **kwargs)
+        wrong.append(result.count != int(np.count_nonzero(values <= threshold)))
+        return result
+
+    monkeypatch.setattr(kempe_quantile, "count_leq", short_count)
+    result = kempe_exact_quantile(medium_values, phi=0.5, rng=9)
+    assert result.count_misses == sum(wrong) > 0
+    assert result.value == empirical_quantile(medium_values, 0.5)
 
 
 def test_validation():

@@ -58,7 +58,11 @@ def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
     engines: the sandwich (112) and final-query (52 → 50) rounds follow
     the schedules, but the new partner stream keeps a different survivor
     set, whose token spreading took 94 rounds instead of 46 (extrema 16 →
-    18).  No retries on either tree; the answer is unchanged."""
+    18).  No retries on either tree; the answer is unchanged.
+
+    Re-pinned 392 → 356 rounds when Step 5 began counting on
+    ``count_rounds``' budget: two counts of 59 → 41 rounds at n = 2048;
+    every other phase and the answer are unchanged."""
     path = tmp_path / "perm2048.txt"
     path.write_text(
         "\n".join(map(str, np.random.default_rng(0).permutation(2048))) + "\n"
@@ -66,7 +70,7 @@ def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
     assert main(["query", "--input", str(path), "--phi", "0.5",
                  "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
-        "exact 0.5-quantile = 1023.0 (rank 1024 of 2048, 392 gossip rounds)\n"
+        "exact 0.5-quantile = 1023.0 (rank 1024 of 2048, 356 gossip rounds)\n"
     )
 
 

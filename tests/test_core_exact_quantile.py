@@ -213,11 +213,14 @@ def test_simulated_seeded_execution_is_pinned():
     of the answer's block of copies with an accuracy sized from the block
     (427 rounds before, same value, iterations and retries), and when the
     tournaments moved onto the gossip engines with per-round partner
-    draws (418 rounds before, same value, iterations and retries)."""
+    draws (418 rounds before, same value, iterations and retries), and
+    when Step 5 began counting on ``count_rounds``' budget (411 rounds
+    before: three counts of 51 → 36 rounds; same value, iterations and
+    retries)."""
     values = np.random.default_rng(42).permutation(512).astype(float)
     result = exact_quantile(values, phi=0.7, rng=11)
     assert result.value == 358.0
-    assert result.rounds == 411
+    assert result.rounds == 366
     assert result.iterations == 3
     assert result.retries == 0
 

@@ -34,6 +34,18 @@ def test_failure_model_and_dtype_are_normalized():
     assert GossipEnv(failure_model=model).failure_model is model
 
 
+def test_mu_bound_unions_the_failure_model_and_the_injector():
+    assert GossipEnv().mu_bound() == 0.0
+    assert GossipEnv(failure_model=0.2).mu_bound() == 0.2
+    faults = FaultInjector([MessageDrop(0.1), CrashRestart(0.05, downtime=2)], rng=0)
+    assert GossipEnv(faults=faults).mu_bound() == faults.mu_bound()
+    assert GossipEnv(failure_model=0.2, faults=faults).mu_bound() == pytest.approx(
+        1.0 - 0.8 * (1.0 - faults.mu_bound())
+    )
+    saturated = FaultInjector(MessageDrop(1.0), rng=0)
+    assert GossipEnv(failure_model=0.5, faults=saturated).mu_bound() == 0.999
+
+
 @pytest.mark.parametrize(
     "settings",
     [

@@ -84,6 +84,11 @@ RUNS = {
     "count_leq": _count_leq,
 }
 
+#: The count_leq pins were re-pinned when its default budget became
+#: count_rounds (47 → 33 rounds at n = 257, 47 → 51 under μ = 0.3):
+#: failure-free dcc7eb4c316d28e2 → 881fc9635d26aa06, failures
+#: 187a364c69e39d67 → ad7be5c3fd3a954b, sparse 74977b2ebf2813ed →
+#: c40ab7f427711916, process c37a863970553bf5 → d6424f2bbb232f64.
 PUSH_SUM_PINS = {
     ("push_sum_average", "failure-free"): "46dd936cdb52dabf",
     ("push_sum_average", "failures"): "396d974ab530e5d2",
@@ -93,10 +98,10 @@ PUSH_SUM_PINS = {
     ("push_sum_sum", "failures"): "dfd3ac4529e64347",
     ("push_sum_sum", "sparse"): "dcbc36e9160474f5",
     ("push_sum_sum", "process"): "18b3a63a5c6b09f9",
-    ("count_leq", "failure-free"): "dcc7eb4c316d28e2",
-    ("count_leq", "failures"): "187a364c69e39d67",
-    ("count_leq", "sparse"): "74977b2ebf2813ed",
-    ("count_leq", "process"): "c37a863970553bf5",
+    ("count_leq", "failure-free"): "881fc9635d26aa06",
+    ("count_leq", "failures"): "ad7be5c3fd3a954b",
+    ("count_leq", "sparse"): "c40ab7f427711916",
+    ("count_leq", "process"): "d6424f2bbb232f64",
 }
 
 
@@ -116,8 +121,13 @@ def _iteration_rows(history):
 #: Re-pinned again when the tournaments moved onto the gossip engines
 #: (per-round partner draws): 8e24754f228d50d9 / 345 rounds →
 #: 34bbfb904e05b4f8 / 367 rounds, same value, no retries on either.
-EXACT_PIN = ("34bbfb904e05b4f8", 286.11269466977893, 367)
-KEMPE_PIN = ("44e797708f7869d0", 35.36200414834243, 745)
+#: Re-pinned when Step 5 began counting on count_rounds' budget (59 → 41
+#: rounds per count at n = 2000): 34bbfb904e05b4f8 / 367 rounds →
+#: 956578287a020d28 / 331, same value, no retries on either.  The Kempe
+#: selection's ten counts went 47 → 33 rounds each: 44e797708f7869d0 /
+#: 745 rounds → b8f9afac1cd7c051 / 605, same value and phases.
+EXACT_PIN = ("956578287a020d28", 286.11269466977893, 331)
+KEMPE_PIN = ("b8f9afac1cd7c051", 35.36200414834243, 605)
 
 
 def test_simulated_exact_quantile_pinned():
