@@ -1,17 +1,18 @@
 """Benchmark: vectorized gossip engine throughput, checked against asyncio.
 
-Runs two protocols on the vectorized engine at increasing network sizes
-and reports rounds/second:
+Runs push-sum and three tournament plans on the vectorized engine at
+increasing network sizes and reports rounds/second:
 
 * push-sum, the hot protocol behind counting and the Kempe baseline;
-* a two-lane tournament plan, 3-round ``TournamentProtocol`` windows
-  whose median-of-three kernel reads the rows streamed in as each round
-  ends.
+* tournament plans of 3-round ``TournamentProtocol`` windows, each closed
+  by a median-of-three kernel, over 2 and 4 lanes (streamed: each round is
+  gathered node-major as it ends) and over 5 lanes (wide: gathered
+  lane-major when the window closes), printed as ``pull-L``.
 
 At every size it first checks that the vectorized engine and its per-node
 reference — the asyncio engine over in-process channels — produce
 byte-identical results on the same round budget: push-sum estimates, and
-the tournament plan's final rows (CI runs ``--sizes 1000 10000``).
+each tournament plan's final rows (CI runs ``--sizes 1000 10000``).
 Usable standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --sizes 1000 10000 100000
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.three_tournament import median_of_three
-from repro.core.tournament import PullWindow, TournamentProtocol, lane_rows
+from repro.core.tournament import STREAM_MAX_LANES, PullWindow, TournamentProtocol, lane_rows
 from repro.gossip.engine import run_protocol_vectorized
 from repro.net import run_protocol_asyncio
 from repro.utils.rand import RandomSource
@@ -61,17 +62,26 @@ def _push_sum(n: int, rounds: int, seed: int):
     return protocol, protocol.outputs_array, rounds
 
 
-def _tournament(n: int, rounds: int, seed: int):
-    """Two lanes through ``rounds // 3`` median-of-three windows (whole
-    windows only, so ``rounds`` rounded down to a multiple of 3)."""
-    values = RandomSource(seed).random((n, 2)) * 100.0
-    windows = [PullWindow(WINDOW_ROUNDS, median_of_three, label="bench-3-pull")]
-    count = rounds // WINDOW_ROUNDS
-    protocol = TournamentProtocol(lane_rows(values, np.dtype(float)), windows * count)
-    return protocol, lambda: protocol.rows, count * WINDOW_ROUNDS
+def _tournament(lanes: int):
+    """A plan builder: ``lanes`` lanes through ``rounds // 3``
+    median-of-three windows (whole windows only, so ``rounds`` rounded
+    down to a multiple of 3)."""
+    def build(n: int, rounds: int, seed: int):
+        values = RandomSource(seed).random((n, lanes)) * 100.0
+        windows = [PullWindow(WINDOW_ROUNDS, median_of_three, label="bench-3-pull")]
+        count = rounds // WINDOW_ROUNDS
+        protocol = TournamentProtocol(lane_rows(values, np.dtype(float)), windows * count)
+        return protocol, lambda: protocol.rows, count * WINDOW_ROUNDS
+
+    return build
 
 
-PROTOCOLS = {"push-sum": _push_sum, "tournament": _tournament}
+PROTOCOLS = {
+    "push-sum": _push_sum,
+    "pull-2": _tournament(2),
+    f"pull-{STREAM_MAX_LANES}": _tournament(STREAM_MAX_LANES),
+    f"pull-{STREAM_MAX_LANES + 1}": _tournament(STREAM_MAX_LANES + 1),
+}
 
 
 def _run_engine(runner, build, n: int, rounds: int, seed: int):

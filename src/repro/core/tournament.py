@@ -18,11 +18,14 @@ Who pulls whom never depends on state, so a window's pulls need not wait
 for it to close.  A window of at most :data:`STREAM_MAX_LANES` lanes (a
 tournament, the vote, the robust variant, the median rule,
 :meth:`~repro.gossip.network.GossipNetwork.pull`) is *streamed*: each
-round is gathered into the window's ``(k, L, n)`` buffer as the round
-ends, so on the vectorized engine the gather runs while the prefetch
-thread draws the next round's partners.  A wider window (a service's rank
-grid) is gathered when it closes, where each lane's row serves all ``k``
-rounds from cache.
+round is gathered into the window's buffer as the round ends, so on the
+vectorized engine the gather runs while the prefetch thread draws the next
+round's partners.  The buffer is stored node-major, ``(k, n, L)``, so a
+round is one gather that moves each partner's ``L`` values together, and
+it is reused by the next window of the same shape once the kernel that
+read it has returned.  A wider window (a service's rank grid) is gathered
+lane-major when it closes, where each lane's row serves all ``k`` rounds
+from cache.
 
 Both engines hand the round's injected faults to the protocol
 (:meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`), and one
@@ -39,6 +42,7 @@ chunks of a rank grid or a service's rebuilds share one round clock.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
@@ -64,15 +68,31 @@ from repro.utils.views import ReadOnlyArray
 Pulls = Tuple[np.ndarray, np.ndarray, Optional[RoundFaults]]
 
 #: Most lanes a window streams.  A streamed round hides one partner draw
-#: behind its ``L`` gathers, but it gathers each lane's row once per
-#: round, where a gather at the close reuses the row, still
-#: cache-resident, for all ``k`` rounds.  On two vCPUs (2 MiB L2 each),
-#: ten 3-round windows on the vectorized engine took, closed → streamed:
-#: 31 → 25 ms (1 lane), 40 → 30 (2) and 61 → 48 (4) at n = 10⁵, even at
-#: 8 lanes, 480 → 540 ms at 19; at n = 10⁶, 445 → 318 ms (1 lane), even
-#: at 4 and 8.  One 15-round vote at n = 10⁶ took 378–430 → 234–292 ms
-#: (1 lane) and 671–713 → 427–484 ms (2 lanes).
+#: behind its gather, one node-major take of all ``L`` lanes, where a
+#: gather at the close takes lane by lane and reuses each lane's row,
+#: still cache-resident, for all ``k`` rounds.  On a shared VM with two
+#: vCPUs of an Intel Xeon (4 MiB L2 each, 105 MiB L3), ten 3-round windows
+#: on the vectorized engine took, closed → streamed (medians of 5):
+#: 33 → 36 ms (1 lane), 57 → 50 (2), 95–141 → 81 (4), 161 → 183 (8) and
+#: 464 → 318 (19) at n = 10⁵; 592 → 410 ms (1), 1110 → 699 (2),
+#: 2010 → 1039 (4) and 3545 → 1965 (8) at n = 10⁶.  One 15-round vote at
+#: n = 10⁶ took 509 → 298 ms (1 lane) and 737 → 456 ms (2 lanes).  The
+#: cap stays at 4 (8 lanes lose at n = 10⁵) until a service build with
+#: its 19-lane windows and vote streamed is measured end to end.
 STREAM_MAX_LANES = 4
+
+
+def window_buffer(rounds: int, rows: np.ndarray) -> np.ndarray:
+    """An empty ``(k, L, n)`` pull buffer for ``rounds`` rounds over ``rows``.
+
+    Up to :data:`STREAM_MAX_LANES` lanes it is stored node-major, as
+    ``(k, n, L)``, and returned as that array's transpose; a wider one is
+    lane-major.
+    """
+    lanes, n = rows.shape
+    if lanes > STREAM_MAX_LANES:
+        return np.empty((rounds, lanes, n), dtype=rows.dtype)
+    return np.empty((rounds, n, lanes), dtype=rows.dtype).transpose(0, 2, 1)
 
 
 def deliver(
@@ -88,11 +108,20 @@ def deliver(
     back (the oldest held, if fewer) instead, and a corrupted pull's copy
     is scaled.
     """
-    # Lane-major, so each lane's row stays cache-resident for its rounds'
-    # gathers; mode="clip" skips the bounds check (partners are in range).
-    for lane, row in enumerate(source):
-        for column, (partners, _, _) in enumerate(rounds):
-            np.take(row, partners, out=out[column, lane], mode="clip")
+    # mode="clip" skips the bounds check (partners are in range).
+    if out.shape[1] > 1 and out.strides[1] < out.strides[2]:
+        # Node-major: one gather per round reads each partner's L values
+        # from one cache line of the (n, L) rows (source.T itself when the
+        # rows are node-major already, else one copy).
+        packed = np.asfortranarray(source).T
+        for pulled, (partners, _, _) in zip(out, rounds):
+            np.take(packed, partners, axis=0, out=pulled.T, mode="clip")
+    else:
+        # Lane-major, so each lane's row stays cache-resident for its
+        # rounds' gathers.
+        for lane, row in enumerate(source):
+            for column, (partners, _, _) in enumerate(rounds):
+                np.take(row, partners, out=out[column, lane], mode="clip")
     for (partners, ok, faults), pulled in zip(rounds, out):
         if faults is None:
             continue
@@ -115,8 +144,8 @@ class WindowPulls:
     node restarted from a state-loss crash holds its initial lanes — and is
     what a kernel keeps for a node (or a lane) it does not update.
 
-    ``pulled`` is a streamed window's ``(k, L, n)`` buffer, every round
-    already :func:`deliver`-ed into it as the round ended; without it
+    ``pulled`` is a streamed window's buffer (:func:`window_buffer`), every
+    round already :func:`deliver`-ed into it as the round ended; without it
     :meth:`rows` gathers at the close.  Either way :meth:`rows` and
     :meth:`block` return the same values.
     """
@@ -154,16 +183,18 @@ class WindowPulls:
         return np.stack(self.ok, axis=1)
 
     def rows(self) -> np.ndarray:
-        """The pulled values as ``(k, L, n)``: one contiguous row per round
-        and lane (the two- and three-tournament layout).
+        """The pulled values as ``(k, L, n)``, one ``(L, n)`` slab per round
+        (the two- and three-tournament layout).
 
         This is the window's one buffer (gathered on the first call if the
-        window was not streamed): a kernel may write into it, and the next
-        window gets a fresh one.
+        window was not streamed), a view of a node-major ``(k, n, L)`` array
+        up to :data:`STREAM_MAX_LANES` lanes and lane-major above.  A kernel
+        may write into it.  A streamed window's buffer is reused by the next
+        window of the same shape: from then on this object gathers its pulls
+        again, so an array it returned earlier holds the later window's.
         """
         if self._pulled is None:
-            self._pulled = np.empty((len(self.partners),) + self.source.shape,
-                                    dtype=self.source.dtype)
+            self._pulled = window_buffer(len(self.partners), self.source)
             deliver(self.source, self._rounds, self._ring, self._pulled)
         return self._pulled
 
@@ -185,9 +216,10 @@ class WindowPulls:
         Once the window's :meth:`rows` buffer exists (the window was
         streamed or faulted, or :meth:`rows` was called), this is that
         buffer seen through a transpose, a view: writes into either show
-        in the other, and a kernel that sorts it in place sorts the
-        window's own buffer.  Otherwise it is a fresh array, one gather
-        per lane with each node's samples contiguous.
+        in the other, a kernel that sorts it in place sorts the window's
+        own buffer, and it is valid as long as :meth:`rows`' buffer is.
+        Otherwise it is a fresh array, one gather per lane with each
+        node's samples contiguous.
         """
         if self._pulled is not None or self._faulted:
             return self.rows().transpose(1, 2, 0)
@@ -273,7 +305,12 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         self._window = 0
         self._pulls: List[Pulls] = []
         self._pending: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._pulled: Optional[np.ndarray] = None
+        # A streamed window's buffer and the rows it gathers from, packed
+        # node-major (the window-start rows, or one copy of them).
+        self._stream: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # A closed streamed window's buffer and (weakly) the WindowPulls
+        # that still reads it, until a window of the same shape takes it.
+        self._spare: Optional[Tuple[np.ndarray, weakref.ref[WindowPulls]]] = None
         self._round_faults: Optional[RoundFaults] = None
         self._metrics = metrics
         self._phase: Optional[Phase] = None
@@ -313,12 +350,12 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
             # Streamed: deliver the round now (on the vectorized engine,
             # while the next round's partners are drawn).  The ring only
             # grows at a window's close, so it reads as at the window start.
-            if self._pulled is None:
-                self._pulled = np.empty((window.rounds,) + self.rows.shape,
-                                        dtype=self.rows.dtype)
+            if self._stream is None:
+                self._stream = (self._buffer(window.rounds), np.asfortranarray(self.rows))
+            buffer, packed = self._stream
             column = len(self._pulls) - 1
-            deliver(self.rows, self._pulls[column:], self._ring or (),
-                    self._pulled[column:column + 1])
+            deliver(packed, self._pulls[column:], self._ring or (),
+                    buffer[column:column + 1])
         if len(self._pulls) < window.rounds:
             return
         partner_rows, ok_rows, faults = (list(column) for column in zip(*self._pulls))
@@ -331,10 +368,14 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
             restarted = np.logical_or.reduce([f.restarted for f in drawn])
             own = np.where(restarted, self._initial, self.rows)
         ring = tuple(self._ring) if self._ring is not None else ()
-        pulled, self._pulled = self._pulled, None
-        rows = window.kernel(
-            WindowPulls(self.rows, partner_rows, ok_rows, faults, ring, own, pulled)
-        )
+        pulled = self._stream[0] if self._stream is not None else None
+        self._stream = None
+        pulls = WindowPulls(self.rows, partner_rows, ok_rows, faults, ring, own, pulled)
+        rows = window.kernel(pulls)
+        # Keep the buffer for the next window unless the new rows live in it.
+        self._spare = None
+        if pulled is not None and not np.may_share_memory(rows, pulled):
+            self._spare = (pulled, weakref.ref(pulls))
         if self._ring is not None and drawn:
             self._ring.append(self.rows)
         tracer = get_tracer()
@@ -347,6 +388,20 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         self._window += 1
         if self._window < len(self._windows):
             self.name = self._windows[self._window].label
+
+    def _buffer(self, rounds: int) -> np.ndarray:
+        """A streamed window's buffer: the spare, if it has the window's
+        shape (its old :class:`WindowPulls` then gathers anew when read),
+        else a fresh :func:`window_buffer`."""
+        spare, self._spare = self._spare, None
+        if spare is not None:
+            buffer, owner = spare
+            if buffer.shape == (rounds,) + self.rows.shape:
+                pulls = owner()
+                if pulls is not None:
+                    pulls._pulled = None
+                return buffer
+        return window_buffer(rounds, self.rows)
 
     # -- per-node interface (asyncio engine) --------------------------------------
     def act(self, node: int, round_index: int) -> Action:

@@ -170,7 +170,9 @@ def two_tournament_plan(
 
     def step(index: int, pulls: WindowPulls) -> np.ndarray:
         pulled = pulls.rows()                               # (2, L, n)
-        rows = np.empty_like(pulls.snapshot)
+        # in the pulls' layout, so a streamed next window gathers from
+        # node-major rows without a copy
+        rows = np.empty_like(pulled[0])
         for lane, lane_schedule in enumerate(schedules):
             row = rows[lane]
             if index >= lane_schedule.num_iterations:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.aggregates.counting import count_leq, count_rounds
 from repro.exceptions import ConfigurationError
-from repro.faults import CrashRestart, FaultInjector
+from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.env import GossipEnv
+from repro.gossip.metrics import NetworkMetrics
 from repro.utils.rand import RandomSource
 
 
@@ -66,6 +67,19 @@ def test_count_rounds_rejects_bad_arguments():
         count_rounds(64, mu=1.0)
     with pytest.raises(ConfigurationError):
         count_rounds(64, mu=-0.1)
+    assert count_rounds(1000, 0.9) == 675
+    with pytest.raises(ConfigurationError, match="mu = 0.91"):
+        count_rounds(1000, 0.91)
+
+
+def test_count_leq_refuses_a_budget_when_almost_nothing_is_delivered():
+    """Dropping every message gives mu = 0.999: the count raises, naming
+    mu, before any round runs."""
+    env = GossipEnv(faults=FaultInjector(MessageDrop(1.0), rng=0))
+    metrics = NetworkMetrics()
+    with pytest.raises(ConfigurationError, match="mu = 0.999"):
+        count_leq(np.arange(1.0, 1001.0), 500.0, rng=8, metrics=metrics, env=env)
+    assert metrics.rounds == 0
 
 
 def test_count_leq_budget_follows_the_env_mu_bound():

@@ -1,12 +1,13 @@
 """Streamed pull windows: a narrow window is gathered round by round.
 
 ``TournamentProtocol.end_round`` delivers each round of a window of at
-most ``STREAM_MAX_LANES`` lanes into the window's ``(k, L, n)`` buffer as
-the round ends, and ``WindowPulls.rows()`` hands that buffer to the
-kernel; a wider window gathers once at the close.  Every test runs on both engines, the vectorized one with its
-prefetch thread forced on, and checks what was delivered against a
-gather recomputed here from ``source``, the recorded partners and the
-round's recorded faults.
+most ``STREAM_MAX_LANES`` lanes into the window's node-major buffer as the
+round ends, and ``WindowPulls.rows()`` hands that buffer to the kernel as
+a ``(k, L, n)`` view; the next window of the same shape reuses it.  A
+wider window gathers lane-major once at the close.  Every test runs on
+both engines, the vectorized one with its prefetch thread forced on, and
+checks what was delivered against a gather recomputed here from
+``source``, the recorded partners and the round's recorded faults.
 """
 
 import numpy as np
@@ -76,6 +77,16 @@ def _values(lanes, seed=3):
     return values[:, 0] if lanes == 1 else values
 
 
+def _recorder(delivered):
+    """A kernel that records its pulls with copies of ``rows()`` and
+    ``block()`` as it received them, and advances every value by one."""
+    def kernel(pulls):
+        delivered.append((pulls, pulls.rows().copy(), pulls.block().copy()))
+        return pulls.snapshot + 1.0
+
+    return kernel
+
+
 def _reference(pulls, faults, ring):
     """``(k, L, n)``: each round's pulls by fancy indexing into ``source``,
     then the ring read of a delayed pull and the scaling of a corrupted one."""
@@ -93,11 +104,12 @@ def _reference(pulls, faults, ring):
     return expected
 
 
-def _run(values, windows, env_engine, injector=None, rng=17, on_round=None):
+def _run(values, windows, env_engine, injector=None, rng=17, on_round=None,
+         dtype=np.float64):
     """Run ``windows`` over ``values``; return the final rows and metrics."""
-    rows = lane_rows(values, np.dtype(float))
+    rows = lane_rows(values, np.dtype(dtype))
     metrics = NetworkMetrics()
-    env = GossipEnv(faults=injector, engine=env_engine)
+    env = GossipEnv(faults=injector, engine=env_engine, dtype=dtype)
     if on_round is None:
         return run_windows(rows, windows, rng, metrics, env), metrics
     protocol = TournamentProtocol(rows, windows, injector, metrics)
@@ -106,15 +118,31 @@ def _run(values, windows, env_engine, injector=None, rng=17, on_round=None):
     return protocol.rows, metrics
 
 
-def _check_windows(delivered, seen, injector, initial):
-    """Every window's ``rows()`` equals the reference; the snapshot holds a
-    restarted node's initial lanes."""
+def _expected(delivered, seen, injector):
+    """Each window's round faults and reference ``(k, L, n)`` pulls."""
     start, ring = 0, []
     depth = injector.max_delay if injector is not None else 0
     for pulls in delivered:
         k = len(pulls.partners)
         faults = [seen.get(r) for r in range(start, start + k)]
-        expected = _reference(pulls, faults, ring[-depth:] if depth else [])
+        yield faults, _reference(pulls, faults, ring[-depth:] if depth else [])
+        if injector is not None:
+            ring.append(pulls.source)
+        start += k
+
+
+def _check_at_close(recorded, seen, injector):
+    """Every window's kernel received the reference rows and block."""
+    pulls = [entry[0] for entry in recorded]
+    for (_, rows, block), (_, expected) in zip(recorded, _expected(pulls, seen, injector)):
+        assert rows.tobytes() == expected.tobytes()
+        assert block.tobytes() == expected.transpose(1, 2, 0).tobytes()
+
+
+def _check_windows(delivered, seen, injector, initial):
+    """Every window's ``rows()`` equals the reference; the snapshot holds a
+    restarted node's initial lanes."""
+    for pulls, (faults, expected) in zip(delivered, _expected(delivered, seen, injector)):
         assert pulls.rows().tobytes() == expected.tobytes()
         assert pulls.block().tobytes() == expected.transpose(1, 2, 0).tobytes()
         restarted = np.zeros(pulls.n, dtype=bool)
@@ -123,27 +151,31 @@ def _check_windows(delivered, seen, injector, initial):
                 restarted |= round_faults.restarted
         assert np.array_equal(pulls.snapshot,
                               np.where(restarted, initial, pulls.source))
-        if injector is not None:
-            ring.append(pulls.source)
-        start += k
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("case", sorted(FAULTS))
-@pytest.mark.parametrize("lanes", [1, STREAM_MAX_LANES, STREAM_MAX_LANES + 1])
-def test_streamed_rows_equal_the_reference_gather(env_engine, round_faults, lanes, case):
+@pytest.mark.parametrize("lanes", [1, 2, 3, STREAM_MAX_LANES, STREAM_MAX_LANES + 1])
+def test_streamed_rows_equal_the_reference_gather(env_engine, round_faults, lanes,
+                                                  case, dtype):
+    """A streamed window of 2 to ``STREAM_MAX_LANES`` lanes is gathered
+    node-major; every layout delivers the lane-major reference."""
     injector = FAULTS[case]()
     values = _values(lanes)
-    delivered = []
-
-    def advance(pulls):
-        delivered.append(pulls)
-        return pulls.snapshot + 1.0
-
-    _, metrics = _run(values, [PullWindow(k, advance) for k in SIZES],
-                      env_engine, injector)
+    recorded = []
+    _, metrics = _run(values, [PullWindow(k, _recorder(recorded)) for k in SIZES],
+                      env_engine, injector, dtype=dtype)
+    delivered = [entry[0] for entry in recorded]
     assert [len(p.partners) for p in delivered] == list(SIZES)
     assert metrics.rounds == sum(SIZES)
-    _check_windows(delivered, round_faults, injector, lane_rows(values, np.dtype(float)))
+    for pulls in delivered:
+        assert pulls.rows().dtype == dtype
+        # node-major: each round's (L, n) slab is an (n, L) C-ordered array
+        # (one lane is both layouts)
+        node_major = pulls.rows()[0].T.flags.c_contiguous
+        assert node_major == (lanes <= STREAM_MAX_LANES)
+    _check_at_close(recorded, round_faults, injector)
+    _check_windows(delivered, round_faults, injector, lane_rows(values, np.dtype(dtype)))
     if case == "crash-reset":
         assert any(f.restarted.any() for f in round_faults.values())
     elif case != "none":
@@ -204,25 +236,29 @@ def test_rounds_are_delivered_as_they_end(env_engine, monkeypatch):
 
 
 def test_in_place_kernel_writes_stay_in_their_window(env_engine, round_faults):
-    """``median_of_three`` writes into ``rows()``; the next window still
-    receives exactly what its own pulls delivered."""
+    """``median_of_three`` writes into ``rows()``; the next window reuses
+    that buffer and still receives exactly what its own pulls delivered."""
     injector = FaultInjector([MessageDelay(0.3, max_delay=2),
                               ValueCorruption(0.3)], rng=5)
     delivered, buffers = [], []
 
     def kernel(pulls):
         delivered.append(pulls)
-        buffers.append((pulls.rows(), pulls.rows().copy()))
-        return median_of_three(pulls)
+        buffer = pulls.rows()
+        received = buffer.copy()
+        rows = median_of_three(pulls)
+        buffers.append((buffer, received, buffer.copy()))
+        return rows
 
     values = _values(4)
     _run(values, [PullWindow(3, kernel)] * 4, env_engine, injector)
-    for (buffer, received), later in zip(buffers, buffers[1:]):
-        assert not np.shares_memory(buffer, later[0])
-        # the kernel really wrote into its buffer
-        assert buffer.tobytes() != received.tobytes()
+    for (buffer, received, written), later in zip(buffers, buffers[1:]):
+        # the kernel really wrote into its buffer, and the next window
+        # gathered into that same, written-over buffer
+        assert written.tobytes() != received.tobytes()
+        assert np.shares_memory(buffer, later[0])
     start, ring = 0, []
-    for pulls, (_, received) in zip(delivered, buffers):
+    for pulls, (_, received, _) in zip(delivered, buffers):
         faults = [round_faults[r] for r in range(start, start + 3)]
         expected = _reference(pulls, faults, ring[-2:])
         assert received.tobytes() == expected.tobytes()
@@ -305,3 +341,61 @@ def test_block_of_a_wide_window_is_fresh(env_engine):
     _run(_values(STREAM_MAX_LANES + 1), [PullWindow(3, kernel)], env_engine)
     (delivered, rows), = seen
     assert rows.transpose(1, 2, 0).tobytes() == delivered.tobytes()
+
+
+MIXED = (2, 3, 3, 15, 2, 2, 3, 15, 15, 3)
+
+
+@pytest.mark.parametrize("case", ["none", "delay", "crash-reset"])
+@pytest.mark.parametrize("lanes", [1, 2, STREAM_MAX_LANES, STREAM_MAX_LANES + 1])
+def test_mixed_window_sizes_deliver_their_own_rows(env_engine, round_faults, lanes, case):
+    """A plan mixing 2-, 3- and 15-round windows (the tournaments and the
+    vote) delivers every window its own pulls, whether its buffer is fresh
+    or one a same-shaped window left behind."""
+    injector = FAULTS[case]()
+    recorded = []
+    _run(_values(lanes), [PullWindow(k, _recorder(recorded)) for k in MIXED],
+         env_engine, injector)
+    assert [len(entry[0].partners) for entry in recorded] == list(MIXED)
+    _check_at_close(recorded, round_faults, injector)
+
+
+def test_retained_window_pulls_read_their_own_pulls(env_engine, round_faults):
+    """A ``WindowPulls`` kept past later windows, whose buffer a later
+    window took over, still reads its own pulls."""
+    injector = FAULTS["delay"]()
+    delivered, buffers = [], []
+
+    def kernel(pulls):
+        delivered.append(pulls)
+        buffers.append(pulls.rows())
+        return pulls.snapshot + 1.0
+
+    values = _values(2)
+    _run(values, [PullWindow(k, kernel) for k in MIXED], env_engine, injector)
+    # consecutive same-shaped windows shared one buffer
+    assert np.shares_memory(buffers[1], buffers[2])
+    assert np.shares_memory(buffers[4], buffers[5])
+    _check_windows(delivered, round_faults, injector, lane_rows(values, np.dtype(float)))
+
+
+def test_kernel_output_viewing_its_buffer_survives_the_next_window(env_engine):
+    """A kernel may return a view of ``rows()``: that buffer is not reused,
+    so the rows it returned stay intact while the next window runs."""
+    outputs, delivered = [], []
+
+    def first_round(pulls):
+        rows = pulls.rows()[0]
+        outputs.append((rows, rows.copy()))
+        return rows
+
+    def later(pulls):
+        delivered.append(pulls)
+        return pulls.snapshot + 1.0
+
+    _run(_values(2), [PullWindow(3, first_round), PullWindow(3, later),
+                      PullWindow(3, later)], env_engine)
+    (rows, returned), = outputs
+    assert rows.tobytes() == returned.tobytes()
+    assert delivered[0].source.tobytes() == returned.tobytes()
+    assert not np.shares_memory(rows, delivered[0].rows())
