@@ -1,18 +1,22 @@
 """Benchmark: vectorized gossip engine throughput, checked against asyncio.
 
-Runs push-sum and three tournament plans on the vectorized engine at
-increasing network sizes and reports rounds/second:
+Runs push-sum, three tournament plans and an extrema spreading on the
+vectorized engine at increasing network sizes and reports rounds/second:
 
 * push-sum, the hot protocol behind counting and the Kempe baseline;
 * tournament plans of 3-round ``TournamentProtocol`` windows, each closed
   by a median-of-three kernel, over 2 and 4 lanes (streamed: each round is
   gathered node-major as it ends) and over 5 lanes (wide: gathered
-  lane-major when the window closes), printed as ``pull-L``.
+  lane-major when the window closes), printed as ``pull-L``;
+* ``extrema-2``: the exact driver's Step 4, a two-lane min/max
+  ``ExtremaProtocol`` over float32 rank keys, run for the whole round
+  budget (``stop_when_converged=False``).
 
 At every size it first checks that the vectorized engine and its per-node
 reference — the asyncio engine over in-process channels — produce
-byte-identical results on the same round budget: push-sum estimates, and
-each tournament plan's final rows (CI runs ``--sizes 1000 10000``).
+byte-identical results on the same round budget: push-sum estimates, each
+tournament plan's final rows and the float32 extrema outputs (CI runs
+``--sizes 1000 10000``).
 Usable standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --sizes 1000 10000 100000
@@ -41,6 +45,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 
 import numpy as np
 
+from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.three_tournament import median_of_three
 from repro.core.tournament import STREAM_MAX_LANES, PullWindow, TournamentProtocol, lane_rows
@@ -76,11 +81,25 @@ def _tournament(lanes: int):
     return build
 
 
+def _extrema(n: int, rounds: int, seed: int):
+    """Two lanes of float32 rank keys 1..n in random node order, spreading
+    their min and max for exactly ``rounds`` rounds."""
+    source = RandomSource(seed)
+    keys = np.column_stack(
+        [source.permutation(n) + 1, source.permutation(n) + 1]
+    ).astype(np.float32)
+    protocol = ExtremaProtocol(
+        keys, mode=("min", "max"), max_rounds=rounds, stop_when_converged=False
+    )
+    return protocol, protocol.outputs_array, rounds
+
+
 PROTOCOLS = {
     "push-sum": _push_sum,
     "pull-2": _tournament(2),
     f"pull-{STREAM_MAX_LANES}": _tournament(STREAM_MAX_LANES),
     f"pull-{STREAM_MAX_LANES + 1}": _tournament(STREAM_MAX_LANES + 1),
+    "extrema-2": _extrema,
 }
 
 

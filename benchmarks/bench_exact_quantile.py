@@ -5,12 +5,10 @@ sub-protocol (tournaments, extrema, counting, token duplication) executed
 on the vectorized substrates, the Step-3 sandwich and Step-4 min/max
 spreadings fused into multi-lane runs — and emits a machine-readable
 ``BENCH_exact.json`` (n, rounds, wall time, exactness) so the repo
-carries a perf trajectory across PRs.
-float64 rows keep the historical row schema (so ``bench_trend.py`` keeps
-matching them against older commits); float32 rows carry the ``dtype`` and
-``f32_parity`` columns of the ``exact-scale`` experiment.  The headline
-numbers: the fused float64 path is ≥ 2x the pre-fusion wall clock at
-n = 10⁵, and n = 10⁶ completes single-threaded.  Usable standalone::
+carries a perf trajectory across PRs.  The driver gossips its rank keys in
+float32 below 2²⁴ nodes, so there is one row per n.  The headline numbers:
+the fused path is ≥ 2x the pre-fusion wall clock at n = 10⁵, and
+n = 10⁶ completes single-threaded.  Usable standalone::
 
     PYTHONPATH=src python benchmarks/bench_exact_quantile.py --sizes 10000 100000
 
@@ -35,21 +33,13 @@ DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_exact.json"
 
 
 def run_benchmark(sizes, phi: float = 0.5, seed: int = 1):
-    """Two rows per n (float64 + float32): wall time, rounds, exactness.
+    """One row per n: wall time, rounds, exactness.
 
     Delegates the measurement to the ``exact-scale`` experiment (one trial
     per n) so the benchmark and the experiment cannot drift apart; this
-    script only owns the JSON/assertion layer.  float64 rows are stripped
-    to the historical schema so the trend gate keeps matching them against
-    pre-dtype commits.
+    script only owns the JSON/assertion layer.
     """
-    rows = run_exact_scale(sizes=tuple(sizes), phis=(phi,), trials=1, seed=seed)
-    legacy_only = ("dtype", "rank_error", "f32_parity")
-    return [
-        {k: v for k, v in row.items() if k not in legacy_only}
-        if row.get("dtype") == "float64" else row
-        for row in rows
-    ]
+    return run_exact_scale(sizes=tuple(sizes), phis=(phi,), trials=1, seed=seed)
 
 
 def write_json(rows, path: Path, smoke: bool) -> None:
@@ -104,16 +94,12 @@ def main(argv=None) -> int:
     for row in rows:
         assert row["correct"] == 1, f"exact quantile missed at n={row['n']}"
     write_json(rows, args.json, smoke=False)
-    header = (
-        f"{'n':>9}  {'dtype':<8}  {'wall':>9}  "
-        f"{'rounds':>7}  {'correct':>7}"
-    )
+    header = f"{'n':>9}  {'wall':>9}  {'rounds':>7}  {'correct':>7}"
     print(header)
     print("-" * len(header))
     for row in rows:
         print(
-            f"{row['n']:>9}  {row.get('dtype', 'float64'):<8}  "
-            f"{row['wall_s']:>8.2f}s  "
+            f"{row['n']:>9}  {row['wall_s']:>8.2f}s  "
             f"{row['rounds']:>7.0f}  {row['correct']:>7.0f}"
         )
     return 0

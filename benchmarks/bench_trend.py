@@ -21,7 +21,9 @@ rates (``*_per_sec``) are comparable across commits and gate the exit
 code by default.  Raw ``wall_s`` seconds duplicate the rate information
 and are the noisiest metric, so they gate only with ``--include-wall``.
 Files or rows without a baseline counterpart are reported and skipped —
-a new benchmark cannot fail the check.
+a new benchmark cannot fail the check — and so are baseline rows that no
+current row matches (a retired row, such as the exact benchmark's float32
+rows after the driver made float32 keys its only path).
 
 Usage::
 
@@ -156,11 +158,13 @@ def compare(
             continue
         base_rows = {_identity(row): row for row in base.get("rows", [])}
         matched = 0
+        seen = set()
         for row in cur.get("rows", []):
             ref = base_rows.get(_identity(row))
             if ref is None:
                 continue
             matched += 1
+            seen.add(_identity(row))
             for key, value in row.items():
                 direction = _metric_direction(key)
                 if direction is None or key not in ref:
@@ -183,6 +187,12 @@ def compare(
                         f"({ratio:.2f}x worse, threshold {threshold}x)"
                     )
         notes.append(f"{name}: compared {matched} matching row(s)")
+        retired = len(base_rows) - len(seen)
+        if retired:
+            notes.append(
+                f"{name}: skipped {retired} baseline row(s) with no current "
+                "counterpart (retired)"
+            )
     return regressions, notes
 
 

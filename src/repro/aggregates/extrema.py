@@ -42,7 +42,9 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
     Because min/max merges are exact and commutative, a round's outcome is
     independent of delivery order, which is what lets the vectorized engine
     reproduce the per-node asyncio engine bit for bit.  NaN has no order and is
-    rejected; ±inf are ordinary extremes.
+    rejected; ±inf are ordinary extremes.  float32 values (the exact
+    driver's rank keys) spread as float32; any other input is cast to
+    float64.
     """
 
     def __init__(
@@ -52,7 +54,9 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
         max_rounds: Optional[int] = None,
         stop_when_converged: bool = True,
     ) -> None:
-        array = np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype != np.float32:
+            array = np.asarray(array, dtype=float)
         if array.ndim not in (1, 2) or array.shape[0] < 2 or array.size == 0:
             raise ConfigurationError(
                 "values must be a 1-d array or an (n, lanes) matrix with n >= 2"
@@ -75,7 +79,8 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
         ]
         self._best = np.array(array[None] if self._scalar else array.T, order="C")
         self._target = np.array(
-            [[merge.reduce(row)] for merge, row in zip(self._merges, self._best)]
+            [[merge.reduce(row)] for merge, row in zip(self._merges, self._best)],
+            dtype=self._best.dtype,
         )
         self._budget = (
             integral(max_rounds, "max_rounds")
@@ -139,7 +144,7 @@ class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
             # skips the bounds check; partners are in range by construction)
             # — all into a reusable scratch buffer, merged in place
             if self._scratch is None:
-                self._scratch = np.empty(self.n)
+                self._scratch = np.empty(self.n, dtype=self._best.dtype)
             for merge, best, snapshot, pushed in lanes:
                 merge.at(best, partners, pushed)
                 np.take(snapshot, partners, out=self._scratch, mode="clip")

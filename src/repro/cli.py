@@ -140,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "hubs fail more)",
         )
         exp.add_argument(
-            "--dtype", choices=("float64", "float32"), nargs="+", default=None,
-            help="gossip value dtypes to sweep (experiments with a dtype "
-                 "axis only; float32 halves the hot-path memory traffic)",
-        )
-        exp.add_argument(
             "--fault-kinds", choices=FAULT_KINDS, nargs="+", default=None,
             dest="fault_kinds",
             help="fault kinds to inject (chaos experiment only)",
@@ -174,9 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rewiring probability of the small-world topology")
     query.add_argument(
         "--dtype", choices=("float64", "float32"), default=None,
-        help="gossip value dtype (default float64; float32 halves the "
-             "simulator's memory traffic — the exact algorithm's rank keys "
-             "stay exact below 2^24 nodes)",
+        help="gossip value dtype of an approximate query (--eps; default "
+             "float64, float32 halves the simulator's memory traffic); an "
+             "exact query always gossips rank keys, in float32 below 2^24 "
+             "nodes",
     )
     _add_obs_flags(query)
 
@@ -381,10 +377,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
         kwargs["resample_every"] = tuple(args.resample_every)
     if args.failures is not None:
         kwargs["failures"] = args.failures
-    if args.dtype is not None:
-        # forwarded only when given: experiments without a dtype axis keep
-        # rejecting the flag with a clear unknown-kwarg error
-        kwargs["dtypes"] = tuple(args.dtype)
     if args.fault_kinds is not None:
         kwargs["fault_kinds"] = tuple(args.fault_kinds)
     if args.fault_intensity is not None:

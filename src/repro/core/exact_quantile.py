@@ -78,13 +78,16 @@ exact path" section):
 * **Fast path.**  Every substrate is vectorized: the tournaments
   (:mod:`repro.core.tournament`), extrema and counting run on the
   vectorized gossip engine, and token duplication on the flat token
-  columns of :mod:`repro.core.tokens`.  ``env.dtype=float32`` runs the
-  gossip key arrays in single precision — keys are ranks ≤ n, exactly
-  representable in float32 below 2²⁴, so the computed quantile is
-  identical while the hot pull gathers move half the memory.  Exact queries
-  complete in seconds at n = 10⁵ and run single-threaded at
-  n = 10⁶ (see ``benchmarks/bench_exact_quantile.py`` and the
-  ``exact-scale`` experiment preset).
+  columns of :mod:`repro.core.tokens`.  The gossip keys are ranks ≤ n,
+  so the driver stores them in float32 while every rank is exact in it
+  (n < 2²⁴, :func:`rank_key_dtype`) and in float64 above: the sandwich
+  tournaments, the Step-4 extrema lanes and the final query compare
+  exact integers either way, so the dtype changes the speed (the hot
+  gathers and scatters move half the memory) but never the answer.
+  ``env.dtype`` does not apply to the keys.  Push-sum counting keeps its
+  own float64 mass.  Exact queries complete in seconds at n = 10⁵ and run
+  single-threaded at n = 10⁶ (see ``benchmarks/bench_exact_quantile.py``
+  and the ``exact-scale`` experiment preset).
 * **Robustness.**  The env's failure model, churn process and fault
   injector reach every step (Section 5), through one outage rule.
 """
@@ -124,6 +127,12 @@ def default_iteration_eps(n: int) -> float:
     """
     cube_exponent = -(-(n - 1).bit_length() // 3)  # min t: 8^t >= n
     return 2.0 ** -max(4, cube_exponent + 1)
+
+
+def rank_key_dtype(n: int) -> np.dtype:
+    """The gossip key dtype for n nodes: float32 while every rank 1..n is
+    exactly representable in it (n < 2²⁴), else float64."""
+    return np.dtype(np.float32 if n < 2 ** 24 else np.float64)
 
 
 def _distinct_sorted(values: np.ndarray) -> int:
@@ -173,9 +182,9 @@ def exact_quantile(
         (:func:`~repro.gossip.engine.round_outage`); ``engine="asyncio"``
         runs the tournaments, extrema and counting on the asyncio engine,
         with the same result (token duplication keeps its flat columns).
-        Its ``dtype`` is the dtype of the gossip key arrays: keys are
-        ranks ≤ n, exactly representable in float32 for n < 2²⁴, so the
-        answer is unchanged; the key→value table and the returned
+        Its ``dtype`` is ignored: the gossip keys are ranks, stored in
+        :func:`rank_key_dtype` (float32 for n < 2²⁴), so every env dtype
+        gives the same result; the key→value table and the returned
         quantile stay full precision.
 
         Topology (a documented deviation): the ``topology`` /
@@ -209,19 +218,13 @@ def exact_quantile(
         raise ConfigurationError("max_iterations must be at least 1")
     if max_retries < 0:
         raise ConfigurationError("max_retries must be non-negative")
-    env = resolve_env(env)
+    array = node_values(values, min_nodes=4)
+    n = array.size
+    key_dtype = rank_key_dtype(n)
+    env = dataclasses.replace(resolve_env(env), dtype=key_dtype)
     # The documented topology deviation: the auxiliary substrates (extrema,
     # counting, tokens) stay on the complete graph.
     aux = dataclasses.replace(env, topology=None, peer_sampling="uniform")
-    key_dtype = env.dtype
-
-    array = node_values(values, min_nodes=4)
-    n = array.size
-    if key_dtype == np.dtype(np.float32) and n >= 2 ** 24:
-        raise ConfigurationError(
-            "float32 keys are exact only below 2**24 ranks; use float64 "
-            f"for n = {n}"
-        )
     if env.topology is not None and env.topology.n != n:
         raise ConfigurationError(
             f"topology has {env.topology.n} nodes but values has {n}"

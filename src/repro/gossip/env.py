@@ -38,8 +38,8 @@ ENGINE_CHOICES = ("vectorized", "asyncio")
 
 #: Value dtypes a gossip network may run on.  float64 is the default;
 #: float32 halves the memory traffic of the per-round ``(n, k, L)`` gathers
-#: and is exact for integer-valued payloads below 2**24 (e.g. the
-#: exact-quantile driver's rank keys).
+#: and is exact for integer-valued payloads below 2**24 (which is why the
+#: exact-quantile driver always gossips its rank keys in it).
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -72,7 +72,10 @@ class GossipEnv:
         apply the full fault vocabulary on either engine.
     dtype:
         Value dtype of the gossip arrays: float64 (default, also for
-        ``None``) or float32; normalized to a :class:`numpy.dtype`.
+        ``None``) or float32; normalized to a :class:`numpy.dtype`.  The
+        exact-quantile driver's rank keys ignore it: they are float32
+        below 2²⁴ nodes and float64 above
+        (:func:`~repro.core.exact_quantile.rank_key_dtype`).
     engine:
         ``"vectorized"`` (also for ``None``) or ``"asyncio"``, the
         per-node live backend.

@@ -95,3 +95,56 @@ def test_nan_is_rejected_and_infinities_spread():
     values = np.array([np.inf, 1.0, -np.inf, 3.0] * 8)
     assert np.all(spread_extrema(values, mode="max", rng=2).values == np.inf)
     assert np.all(spread_extrema(values, mode="min", rng=3).values == -np.inf)
+
+
+# ---- float32 lanes (the exact driver's rank keys) ----------------------------
+
+
+def _rank_lanes(n, seed, dtype):
+    """Two lanes of rank keys 1..n in random node order, as ``(n, 2)``."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack(
+        [rng.permutation(n) + 1, rng.permutation(n) + 1]
+    ).astype(dtype)
+
+
+def _spread_lanes(dtype, engine, faults):
+    from repro.faults import CrashRestart, FaultInjector
+    from repro.gossip.engine import run_protocol
+
+    injector = (
+        FaultInjector(CrashRestart(0.1, downtime=2), rng=8) if faults else None
+    )
+    protocol = ExtremaProtocol(_rank_lanes(128, 4, dtype), mode=("min", "max"))
+    result = run_protocol(
+        protocol, rng=9, max_rounds=protocol._budget + 1,
+        raise_on_budget=False, env=GossipEnv(engine=engine, faults=injector),
+    )
+    return result, protocol.outputs_array()
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+def test_float32_lanes_stay_float32(engine):
+    result, outputs = _spread_lanes(np.float32, engine, faults=False)
+    assert outputs.dtype == np.float32
+    assert outputs.shape == (128, 2)
+    assert np.all(outputs[:, 0] == 1.0) and np.all(outputs[:, 1] == 128.0)
+
+
+def test_other_inputs_spread_as_float64():
+    assert ExtremaProtocol(np.arange(8)).outputs_array().dtype == np.float64
+    assert ExtremaProtocol(
+        np.arange(8, dtype=np.float16)
+    ).outputs_array().dtype == np.float64
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "crash-restart"])
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+def test_float32_lanes_replay_the_float64_run(engine, faults):
+    """Rank keys are exact in float32: the same rounds, and the same
+    per-node values after a cast."""
+    single, single_out = _spread_lanes(np.float32, engine, faults)
+    double, double_out = _spread_lanes(np.float64, engine, faults)
+    assert single.rounds == double.rounds
+    assert single.metrics.summary() == double.metrics.summary()
+    np.testing.assert_array_equal(single_out.astype(np.float64), double_out)

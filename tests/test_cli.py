@@ -231,19 +231,12 @@ def test_query_approximate_with_float32_dtype(tmp_path, capsys):
     assert "approximate 0.5-quantile" in capsys.readouterr().out
 
 
-def test_exact_scale_experiment_accepts_dtype_axis(capsys):
-    assert main([
-        "exact-scale", "--sizes", "512", "--trials", "1", "--seed", "4",
-        "--dtype", "float64", "float32",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "f32_parity" in out
-    assert "float32" in out
-
-
-def test_experiment_without_dtype_axis_rejects_dtype():
-    with pytest.raises(ConfigurationError):
-        main(["schedules", "--sizes", "256", "--dtype", "float32"])
+def test_experiments_take_no_dtype_flag(capsys):
+    """No experiment sweeps a dtype: the exact driver's keys are float32
+    ranks whatever the env says."""
+    with pytest.raises(SystemExit):
+        main(["exact-scale", "--sizes", "512", "--dtype", "float32"])
+    assert "--dtype" in capsys.readouterr().err
 
 
 def test_ranks_command(tmp_path, capsys):

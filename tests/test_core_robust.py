@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.robust import (
+    ROBUST_MAX_MU,
     default_pulls_per_iteration,
     first_pulls,
     robust_approximate_quantile,
@@ -21,6 +22,24 @@ def test_default_pulls_grow_with_mu():
     assert default_pulls_per_iteration(0.9) > default_pulls_per_iteration(0.5)
     with pytest.raises(ConfigurationError):
         default_pulls_per_iteration(1.0)
+
+
+def test_default_pulls_raise_above_the_mu_ceiling():
+    assert default_pulls_per_iteration(ROBUST_MAX_MU) == 149
+    with pytest.raises(ConfigurationError, match="mu = 0.91"):
+        default_pulls_per_iteration(0.91)
+
+
+def test_all_dropping_injector_raises_before_any_round(medium_values):
+    """Dropping every message gives mu = 0.999: the robust query raises,
+    naming mu, instead of sizing 33 178-pull windows; no round runs, so
+    the injector never fires."""
+    faults = FaultInjector(MessageDrop(1.0), rng=0)
+    with pytest.raises(ConfigurationError, match="mu = 0.999"):
+        robust_approximate_quantile(
+            medium_values, phi=0.5, eps=0.1, rng=1, env=GossipEnv(faults=faults)
+        )
+    assert not any(faults.counters.values())
 
 
 def test_accurate_under_moderate_failures(medium_values):

@@ -133,45 +133,27 @@ def test_exact_scale_rows():
     from repro.experiments import exact_scale
 
     rows = exact_scale.run(sizes=(1024,), phis=(0.5,), trials=1, seed=21)
-    # default dtype sweep: one float64 row and one float32 parity row
-    assert len(rows) == 2
-    by_dtype = {row["dtype"]: row for row in rows}
-    assert set(by_dtype) == {"float64", "float32"}
-    for row in rows:
-        assert "fidelity" not in row
-        assert row["correct"] == 1.0
-        assert row["rank_error"] == 0.0
-        assert row["rounds"] > 0
-        assert row["wall_s"] > 0
-        assert row["retries"] == row["sandwich_retries"] + row["final_retries"]
-    # float32 keys are exact below 2**24 ranks: parity with float64 holds,
-    # and the same cell seed replays the same gossip schedule exactly
-    assert by_dtype["float32"]["f32_parity"] == 1.0
-    assert "f32_parity" not in by_dtype["float64"]
-    assert by_dtype["float32"]["rounds"] == by_dtype["float64"]["rounds"]
-
-
-def test_exact_scale_parity_independent_of_dtype_order():
-    from repro.experiments import exact_scale
-
-    rows = exact_scale.run(sizes=(512,), phis=(0.5,), trials=1, seed=21,
-                           dtypes=("float32", "float64"))
-    f32 = next(row for row in rows if row["dtype"] == "float32")
-    assert f32["f32_parity"] == 1.0
-
-
-def test_exact_scale_single_dtype_axis():
-    from repro.experiments import exact_scale
-
-    rows = exact_scale.run(sizes=(512,), phis=(0.5,), trials=1, seed=3,
-                           dtypes=("float64",))
+    # one row per (n, phi): the keys are float32 ranks, there is no dtype axis
     assert len(rows) == 1
-    assert rows[0]["dtype"] == "float64"
-    assert "f32_parity" not in rows[0]
+    row = rows[0]
+    assert list(row) == exact_scale.COLUMNS
+    assert row["correct"] == 1.0
+    assert row["rank_error"] == 0.0
+    assert row["wall_s"] > 0
+    assert row["retries"] == row["sandwich_retries"] + row["final_retries"]
+    # the float64 row of the retired dtype axis, seed for seed
+    assert (row["rounds"], row["iterations"], row["sandwich_retries"]) == (
+        457.0, 3.0, 1.0
+    )
+
+
+def test_exact_scale_has_no_dtype_axis():
     import pytest
-    from repro.exceptions import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        exact_scale.run(sizes=(512,), dtypes=("float16",))
+
+    from repro.experiments import exact_scale
+
+    with pytest.raises(TypeError):
+        exact_scale.run(sizes=(512,), dtypes=("float64",))
 
 
 def test_exact_scale_rows_identical_for_any_worker_count():

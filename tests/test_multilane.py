@@ -6,11 +6,13 @@ the exact-quantile driver, two-lane Step-4 extrema spreading, float32 value
 lanes, and the per-round message accounting.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.approx_quantile import approximate_quantile
-from repro.core.exact_quantile import exact_quantile
+from repro.core.exact_quantile import exact_quantile, rank_key_dtype
 from repro.core.three_tournament import run_three_tournament
 from repro.core.tournament import (
     PullWindow,
@@ -192,30 +194,60 @@ def test_float32_lanes_follow_the_same_partner_stream():
     assert np.array_equal(a.pull(3).partners, b.pull(3).partners)
 
 
-def test_exact_quantile_float32_matches_float64():
-    """Keys are ranks: float32 is exact, the same seed replays the same
-    gossip schedule, and both dtypes return the true quantile."""
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+def test_exact_quantile_ignores_env_dtype(engine):
+    """The driver's keys are ranks in :func:`rank_key_dtype`, whatever the
+    env says: float32 and float64 envs give the identical result."""
+    values = np.random.default_rng(5).permutation(64).astype(float)
+
+    def run(dtype):
+        result = exact_quantile(values, phi=0.3, rng=17,
+                                env=GossipEnv(dtype=dtype, engine=engine))
+        return (result.value, result.rounds, result.iterations,
+                result.history, result.metrics.summary())
+
+    assert run("float32") == run("float64")
+
+
+def test_rank_key_dtype_is_float32_below_2_pow_24():
+    """Every rank 1..n is exact in float32 up to n = 2**24 - 1; at 2**24
+    the keys switch to float64.  No gossip runs."""
+    assert rank_key_dtype(2 ** 24 - 1) == np.dtype(np.float32)
+    assert rank_key_dtype(2 ** 24) == np.dtype(np.float64)
+    assert float(np.float32(2 ** 24 - 1)) == 2 ** 24 - 1
+    assert float(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
+
+
+def test_exact_driver_gossips_float32_keys(monkeypatch):
+    """A spy on the sandwich rows and the Step-4 lanes at n = 4096: the
+    driver gossips float32 keys under the default float64 env."""
+    # the package re-exports the functions under the module names
+    approx_module = importlib.import_module("repro.core.approx_quantile")
+    exact_module = importlib.import_module("repro.core.exact_quantile")
+    row_dtypes, lane_dtypes = [], []
+    build_rows = approx_module.lane_rows
+    spread = exact_module.spread_extrema
+
+    def spy_rows(values, dtype):
+        rows = build_rows(values, dtype)
+        row_dtypes.append(rows.dtype)
+        return rows
+
+    def spy_spread(values, **kwargs):
+        result = spread(values, **kwargs)
+        lane_dtypes.append((np.asarray(values).dtype, result.values.dtype))
+        return result
+
+    monkeypatch.setattr(approx_module, "lane_rows", spy_rows)
+    monkeypatch.setattr(exact_module, "spread_extrema", spy_spread)
     values = np.random.default_rng(5).permutation(4096).astype(float)
-    r64 = exact_quantile(values, phi=0.3, rng=17)
-    r32 = exact_quantile(values, phi=0.3, rng=17,
-                         env=GossipEnv(dtype="float32"))
-    assert r64.value == r32.value
-    assert r64.rounds == r32.rounds
-    assert r64.iterations == r32.iterations
-
-
-def test_exact_quantile_float32_guard_above_2_pow_24():
-    """n >= 2**24 float32 keys are rejected up front (ranks would round).
-
-    A zero-stride view fakes the 2**24-entry array without allocating it;
-    ``np.asarray`` passes it through untouched, so the guard fires before
-    any real work."""
-    big = np.lib.stride_tricks.as_strided(
-        np.zeros(1), shape=(2 ** 24,), strides=(0,)
-    )
-    with pytest.raises(ConfigurationError) as excinfo:
-        exact_quantile(big, phi=0.5, env=GossipEnv(dtype="float32"))
-    assert "float32" in str(excinfo.value)
+    result = exact_quantile(values, phi=0.3, rng=17)
+    assert result.value == float(np.sort(values)[1228])
+    # one sandwich per pass plus the final query
+    assert len(row_dtypes) >= result.iterations + 1
+    assert set(row_dtypes) == {np.dtype(np.float32)}
+    assert len(lane_dtypes) >= result.iterations
+    assert set(lane_dtypes) == {(np.dtype(np.float32), np.dtype(np.float32))}
 
 
 def test_unsupported_dtype_rejected():
