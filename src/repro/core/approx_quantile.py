@@ -25,7 +25,7 @@ is max-of-lanes by construction.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from repro.core.three_tournament import (
     three_tournament_plan,
     vote_size,
 )
-from repro.core.tournament import lane_rows
-from repro.core.two_tournament import per_lane, run_plans, two_tournament_plan
+from repro.core.tournament import lane_rows, run_windows
+from repro.core.two_tournament import PhasePlan, per_lane, plan_windows, two_tournament_plan
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
@@ -133,35 +133,21 @@ def run_approximation(
 ) -> ApproxQuantileResult:
     """The body of :func:`approximate_quantile`, which also takes
     non-finite values: the exact driver's non-holders gossip +inf keys."""
-    lanes = 1 if values.ndim == 1 else values.shape[1]
-    phis = per_lane(phi, lanes, "phi")
-    epss = per_lane(eps, lanes, "eps")
-    for lane_phi in phis:
-        if not 0.0 <= lane_phi <= 1.0:
-            raise ConfigurationError(f"phi must be in [0, 1], got {lane_phi}")
-    for lane_eps in epss:
-        if not 0.0 < lane_eps < 0.5:
-            raise ConfigurationError(f"eps must be in (0, 0.5), got {lane_eps}")
-    final_samples = vote_size(final_samples)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     env = resolve_env(env)
     rows = lane_rows(values, env.dtype)
-    plan1 = two_tournament_plan(rows, phis, epss, None, track_bands, source)
-    plan2 = three_tournament_plan(
-        lanes, values.shape[0], [lane_eps / 4.0 for lane_eps in epss], None,
-        final_samples, track_bands,
-    )
+    plan1, plan2 = approximation_plans(rows, phi, eps, final_samples, track_bands, source)
     rounds_before = metrics.rounds
     with get_tracer().span("approx_quantile", metrics) as span:
-        span.annotate(n=values.shape[0], lanes=lanes)
-        final = run_plans(rows, [plan1, plan2], source, metrics, env)
+        span.annotate(n=values.shape[0], lanes=rows.shape[0])
+        final = run_windows(rows, plan_windows([plan1, plan2], metrics), source, metrics, env)
     # Phase II began from Phase I's output.
     assert plan2.phase.input is not None
     phase1 = plan1.result(values, plan2.phase.input)
     phase2 = plan2.result(values, final)
     return ApproxQuantileResult(
-        phi=phi if np.isscalar(phi) else tuple(phis),
-        eps=eps if np.isscalar(eps) else tuple(epss),
+        phi=phi if np.isscalar(phi) else tuple(phi),
+        eps=eps if np.isscalar(eps) else tuple(eps),
         n=values.shape[0],
         estimates=phase2.final_values,
         rounds=metrics.rounds - rounds_before,
@@ -169,3 +155,27 @@ def run_approximation(
         phase1=phase1,
         phase2=phase2,
     )
+
+
+def approximation_plans(
+    rows: np.ndarray,
+    phi: Union[float, Sequence[float]],
+    eps: Union[float, Sequence[float]],
+    final_samples: int,
+    track_bands: bool,
+    source: RandomSource,
+) -> Tuple[PhasePlan, PhasePlan]:
+    """Algorithm 1, then Algorithm 2 at ``eps / 4``, as pull-window plans
+    over the ``(L, n)`` ``rows``: the one plan of every ε-approximation,
+    simulated (:func:`run_approximation`) or live
+    (:func:`repro.net.quantile.anet_approximate_quantile`).  Algorithm 1's
+    schedules validate ``phi`` and ``eps``; its δ coin is a child of
+    ``source``."""
+    lanes, n = rows.shape
+    epss = per_lane(eps, lanes, "eps")
+    plan1 = two_tournament_plan(rows, phi, epss, None, track_bands, source)
+    plan2 = three_tournament_plan(
+        lanes, n, [lane_eps / 4.0 for lane_eps in epss], None,
+        vote_size(final_samples), track_bands,
+    )
+    return plan1, plan2

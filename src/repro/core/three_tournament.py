@@ -26,14 +26,14 @@ import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import ThreeTournamentSchedule, three_tournament_schedule
-from repro.core.tournament import Phase, PullWindow, WindowPulls, lane_rows
+from repro.core.tournament import Phase, PullWindow, WindowPulls, lane_rows, run_windows
 from repro.core.two_tournament import (
     PhasePlan,
     check_track_band,
     measure_band,
     normalize_schedules,
     per_lane,
-    run_plans,
+    plan_windows,
 )
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv, resolve_env
@@ -184,4 +184,5 @@ def run_three_tournament(
     env = resolve_env(env)
     rows = lane_rows(values, env.dtype)
     plan = three_tournament_plan(*rows.shape, eps, schedule, final_samples, track_band)
-    return plan.result(values, run_plans(rows, [plan], rng, metrics, env))
+    windows = plan_windows([plan], metrics)
+    return plan.result(values, run_windows(rows, windows, rng, metrics, env))

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -439,6 +439,25 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
         return [self.serve_pull(node, node, 0) for node in range(self.n)]
 
 
+@contextmanager
+def windows_run(
+    rows: np.ndarray,
+    windows: Sequence[PullWindow],
+    metrics: Optional[NetworkMetrics],
+    env: Optional[GossipEnv],
+) -> Iterator[Tuple[TournamentProtocol, int, GossipEnv]]:
+    """The protocol, round budget and resolved env of one plan run, with
+    the env's injector on the clock of ``metrics`` inside the block."""
+    env = resolve_env(env)
+    protocol = TournamentProtocol(rows, windows, env.faults, metrics)
+    origin = metrics.rounds if metrics is not None else 0
+    try:
+        with env.faults.clock_from(origin) if env.faults else nullcontext():
+            yield protocol, sum(w.rounds for w in windows), env
+    finally:
+        protocol.enter(None)
+
+
 def run_windows(
     rows: np.ndarray,
     windows: Sequence[PullWindow],
@@ -450,13 +469,26 @@ def run_windows(
 
     The env's injector sees the plan's rounds on the clock of ``metrics``.
     """
-    env = resolve_env(env)
-    protocol = TournamentProtocol(rows, windows, env.faults, metrics)
-    origin = metrics.rounds if metrics is not None else 0
-    try:
-        with env.faults.clock_from(origin) if env.faults else nullcontext():
-            run_protocol(protocol, rng=rng, max_rounds=sum(w.rounds for w in windows),
-                         metrics=metrics, env=env)
-    finally:
-        protocol.enter(None)
+    with windows_run(rows, windows, metrics, env) as (protocol, budget, env):
+        run_protocol(protocol, rng=rng, max_rounds=budget, metrics=metrics, env=env)
+    return protocol.rows
+
+
+async def arun_windows(
+    rows: np.ndarray,
+    windows: Sequence[PullWindow],
+    rng: Union[None, int, RandomSource],
+    metrics: Optional[NetworkMetrics] = None,
+    env: Optional[GossipEnv] = None,
+    **live: Any,
+) -> np.ndarray:
+    """:func:`run_windows` inside a running event loop: the plan runs on
+    :func:`repro.net.runner.arun_protocol`, which takes ``live``'s
+    ``transport``, ``retry`` and ``detector``."""
+    # Imported lazily: repro.net imports the gossip engine, as this module does.
+    from repro.net.runner import arun_protocol
+
+    with windows_run(rows, windows, metrics, env) as (protocol, budget, env):
+        await arun_protocol(protocol, rng=rng, max_rounds=budget, metrics=metrics,
+                            env=env, **live)
     return protocol.rows

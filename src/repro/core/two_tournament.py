@@ -125,21 +125,16 @@ class PhasePlan:
         )
 
 
-def run_plans(
-    rows: np.ndarray,
-    plans: Sequence[PhasePlan],
-    rng: Union[None, int, RandomSource],
-    metrics: Optional[NetworkMetrics],
-    env: GossipEnv,
-) -> np.ndarray:
-    """Run the phases' windows as one plan; return the final rows.  A
-    phase without windows still leaves its (empty) tracer span."""
+def plan_windows(
+    plans: Sequence[PhasePlan], metrics: Optional[NetworkMetrics]
+) -> List[PullWindow]:
+    """The phases' windows as one plan to run.  A phase without windows
+    leaves its (empty) tracer span here, as the run will not open it."""
     for plan in plans:
         if not plan.windows:
             with get_tracer().span(plan.phase.name, metrics) as span:
                 span.annotate(**plan.phase.meta)
-    windows = [window for plan in plans for window in plan.windows]
-    return run_windows(rows, windows, rng, metrics, env)
+    return [window for plan in plans for window in plan.windows]
 
 
 def two_tournament_plan(
@@ -240,4 +235,5 @@ def run_two_tournament(
     rows = lane_rows(values, env.dtype)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     plan = two_tournament_plan(rows, phi, eps, schedule, track_band, source)
-    return plan.result(values, run_plans(rows, [plan], source, metrics, env))
+    windows = plan_windows([plan], metrics)
+    return plan.result(values, run_windows(rows, windows, source, metrics, env))

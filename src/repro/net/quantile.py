@@ -1,26 +1,34 @@
 """Quantile queries over the live backend, with graceful degradation.
 
-:func:`net_approximate_quantile` answers an ε-approximate φ-quantile query
-entirely over a live :class:`~repro.net.transport.Transport`, composing two
-gossip primitives the vectorized engine already runs:
+:func:`net_approximate_quantile` runs the simulated path's algorithm over
+a live :class:`~repro.net.transport.Transport`: the pull-window plan of
+Algorithms 1 and 2 (:func:`~repro.core.approx_quantile.approximation_plans`,
+O(log log n + log 1/ε) rounds, Theorem 1.2) runs as one
+:class:`~repro.core.tournament.TournamentProtocol`
+(:func:`~repro.core.tournament.arun_windows`).  The querier, the
+lowest-numbered live node, takes its output as the candidate, and one
+push-sum run (Kempe et al.) over the indicators ``value <= candidate``
+counts the fraction of the live pool at or below it.  The querier accepts
+when its own counted fraction is within ``eps`` of ``phi``; otherwise the
+tournament runs again on the same advancing stream, up to
+:data:`ATTEMPTS` times, because the tournaments' guarantee is asymptotic.
+If every attempt misses, the last candidate is returned with its accuracy
+widened to the counted rank error; it never claims ``eps``.
 
-1. one two-lane :class:`~repro.aggregates.extrema.ExtremaProtocol` run
-   (a min lane and a max lane, both working values in every message)
-   brackets the live value range ``[lo, hi]``;
-2. bisection by counting: each step runs
-   :class:`~repro.aggregates.push_sum.PushSumProtocol` over the indicator
-   vector ``values <= mid`` and narrows the bracket until the rank
-   uncertainty is within ``eps`` of the target rank — Step 5 of
-   Algorithm 3's counting trick, aimed at a quantile instead of a rank.
+Degradation: when peers die mid-query (transport kills from a chaos
+injector, or a pre-wounded transport session), the query *completes*.  A
+dead peer's pulls go unanswered, push-sum mass parked on it stays frozen
+(``on_send_failure`` self-merges keep the live pool conserved), and the
+answer's ``accuracy`` is widened by ``crashed / n`` — each dead peer can
+displace the target rank by at most one — with ``degraded=True``.  If the
+querier dies during the count, the next live node reads its own count of
+the candidate, which travels with the count.  Fewer than two live peers
+is a lost quorum, a :class:`~repro.exceptions.ConfigurationError`.
 
-The point of the module is the PR-8 degradation contract under churn:
-when peers die mid-query (transport kills from a chaos injector, or a
-pre-wounded transport session), the query *completes* instead of raising.
-Push-sum mass parked on dead peers stays frozen (the engine's
-``on_send_failure`` self-merge keeps the live pool conserved), counts are
-taken over the surviving pool, and the answer's ``accuracy`` is widened by
-``crashed / n`` — each dead peer can displace the target rank by at most
-one — with ``degraded=True``.  Honest bounds, never silently tight ones.
+The answer and its acceptance read only what the querier holds after
+gossip.  Which nodes are live (the querier, ``n_live``, the ``crashed / n``
+term) still comes from the transport's kill state; taking it from the
+SWIM detector's suspected and confirmed sets is open work (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -31,27 +39,37 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol, default_push_sum_rounds
+from repro.core.approx_quantile import approximation_plans
+from repro.core.three_tournament import DEFAULT_FINAL_SAMPLES
+from repro.core.tournament import arun_windows, lane_rows
+from repro.core.two_tournament import plan_windows
 from repro.exceptions import ConfigurationError
-from repro.gossip.env import GossipEnv
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
 from repro.net.failure_detector import SwimFailureDetector
 from repro.net.rpc import RetryPolicy
 from repro.net.runner import arun_protocol
 from repro.net.transport import Transport, resolve_transport
+from repro.obs.tracer import get_tracer
 from repro.utils.inputs import node_values
 from repro.utils.rand import RandomSource, SeedLike
+
+#: Most tournaments one query runs before it answers with a widened bound.
+#: Over 200 seeds at n = 32 (φ = 0.5, ε = 0.1, on channels), 160 queries
+#: answered on the first attempt, 39 on the second and 1 on the third.
+ATTEMPTS = 3
 
 
 @dataclass
 class NetQuantileAnswer:
     """A live-network quantile answer with honest degradation accounting.
 
-    ``accuracy`` is the additive rank-accuracy bound as a fraction of the
-    *initial* population: ``eps`` when nothing went wrong, widened by
-    ``len(crashed) / n`` when peers died — a dead peer's frozen value can
-    displace the live target rank by at most one position.
+    ``counted_rank`` is the querier's push-sum count of the live values at
+    or below ``value``, as a fraction of the live pool, after ``attempts``
+    tournaments.  ``accuracy`` is the additive rank-accuracy bound as a
+    fraction of all ``n`` peers: ``eps`` (the counted rank error if every
+    attempt missed) plus ``len(crashed) / n``.
     """
 
     phi: float
@@ -62,10 +80,20 @@ class NetQuantileAnswer:
     accuracy: float
     degraded: bool
     rounds: int
-    bisection_steps: int
+    attempts: int
     crashed: Tuple[int, ...]
-    rank_bracket: Tuple[float, float]
+    counted_rank: float
     metrics: NetworkMetrics = field(repr=False)
+
+
+def _live(transport: Transport, n: int) -> np.ndarray:
+    """The live nodes, in id order; fewer than two is a lost quorum."""
+    live = np.array([v for v in range(n) if not transport.is_down(v)], dtype=np.int64)
+    if live.size < 2:
+        raise ConfigurationError(
+            f"only {live.size} of {n} peers are live; no quorum to answer from"
+        )
+    return live
 
 
 async def anet_approximate_quantile(
@@ -78,114 +106,53 @@ async def anet_approximate_quantile(
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
     metrics: Optional[NetworkMetrics] = None,
-    max_bisection_steps: int = 40,
-    count_rounds: Optional[int] = None,
 ) -> NetQuantileAnswer:
     """Async body of :func:`net_approximate_quantile`."""
-    array = node_values(values, min_nodes=2)
-    if not 0.0 <= phi <= 1.0:
-        raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
-    if not 0.0 < eps < 0.5:
-        raise ConfigurationError(f"eps must be in (0, 0.5), got {eps}")
+    array = node_values(values)
     n = array.size
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
+    rows = lane_rows(array, resolve_env(env).dtype)
     stats = metrics if metrics is not None else NetworkMetrics()
+    rounds_before = stats.rounds
     live_transport, owned = resolve_transport(transport, n)
-    if count_rounds is None:
-        count_rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
-
+    live_run = dict(transport=live_transport, retry=retry, detector=detector)
+    count_rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
     try:
-        # Phase 1: bracket the live value range with one two-lane extrema
-        # run: lane 0 spreads the min, lane 1 the max.
-        bracket = ExtremaProtocol(
-            np.column_stack([array, array]), mode=("min", "max")
-        )
-        result = await arun_protocol(
-            bracket,
-            rng=source.child(),
-            metrics=stats,
-            transport=live_transport,
-            env=env,
-            retry=retry,
-            detector=detector,
-            raise_on_budget=False,
-        )
-        rounds = result.rounds
-        live = np.array(
-            [v for v in range(n) if not live_transport.is_down(v)],
-            dtype=np.int64,
-        )
-        if live.size < 2:
-            raise ConfigurationError(
-                "fewer than 2 peers survived the extrema phase; no quorum "
-                "to answer from"
-            )
-        # The widest bracket any surviving node holds contains every value
-        # a surviving node contributed.
-        bounds = bracket.outputs_array()[live]
-        lo_v = float(bounds[:, 0].min())
-        hi_v = float(bounds[:, 1].max())
-
-        # Phase 2: bisection by counting over the surviving pool.  Frozen
-        # (dead) mass never reaches the live pool, so live estimates
-        # converge to the live indicator average; times n_live, a count.
-        n_live = int(live.size)
-        target = phi * n_live
-        lo_rank, hi_rank = 0.0, float(n_live)
-        answer = hi_v
-        steps = 0
-        while (
-            steps < max_bisection_steps
-            and (hi_rank - lo_rank) > eps * n_live
-            and (hi_v - lo_v) > 0.0
-        ):
-            mid = 0.5 * (lo_v + hi_v)
-            if mid <= lo_v or mid >= hi_v:
+        for attempt in range(1, ATTEMPTS + 1):
+            # An attempt is a fresh run on the live pool: it meets the env's
+            # fault schedule from its round 0, as each live gossip run does.
+            attempt_stats = NetworkMetrics(keep_history=stats.keep_history)
+            plans = approximation_plans(rows, phi, eps, DEFAULT_FINAL_SAMPLES,
+                                        False, source)
+            final = await arun_windows(rows, plan_windows(plans, attempt_stats),
+                                       source, attempt_stats, env, **live_run)
+            candidate = float(final[0, _live(live_transport, n)[0]])
+            counter = PushSumProtocol((array <= candidate).astype(float),
+                                      rounds=count_rounds)
+            with get_tracer().span("counting", attempt_stats) as span:
+                span.annotate(attempt=attempt)
+                await arun_protocol(counter, rng=source.child(), metrics=attempt_stats,
+                                    env=env, raise_on_budget=False, **live_run)
+            stats.merge(attempt_stats)
+            live = _live(live_transport, n)
+            counted = float(counter.outputs_array()[live[0]])
+            if abs(counted - phi) <= eps:
                 break
-            counter = PushSumProtocol(
-                (array <= mid).astype(float), rounds=count_rounds
-            )
-            count_run = await arun_protocol(
-                counter,
-                rng=source.child(),
-                metrics=stats,
-                transport=live_transport,
-                env=env,
-                retry=retry,
-                detector=detector,
-                raise_on_budget=False,
-            )
-            rounds += count_run.rounds
-            steps += 1
-            survivors = np.array(
-                [v for v in live if not live_transport.is_down(int(v))],
-                dtype=np.int64,
-            )
-            if survivors.size < 2:
-                break
-            estimates = count_run.outputs_array[survivors]
-            count = float(np.median(estimates)) * n_live
-            if count >= target:
-                hi_v, hi_rank, answer = mid, count, mid
-            else:
-                lo_v, lo_rank = mid, count
-            live = survivors
 
         crashed = tuple(sorted(live_transport.down))
-        degraded = bool(crashed)
-        accuracy = eps + (len(crashed) / float(n))
+        error = abs(counted - phi)
         return NetQuantileAnswer(
             phi=phi,
             eps=eps,
             n=n,
             n_live=int(live.size),
-            value=float(answer),
-            accuracy=float(accuracy),
-            degraded=degraded,
-            rounds=int(rounds),
-            bisection_steps=steps,
+            value=candidate,
+            accuracy=max(eps, error) + len(crashed) / float(n),
+            degraded=bool(crashed) or error > eps,
+            rounds=stats.rounds - rounds_before,
+            attempts=attempt,
             crashed=crashed,
-            rank_bracket=(float(lo_rank), float(hi_rank)),
+            counted_rank=counted,
             metrics=stats,
         )
     finally:
@@ -203,8 +170,6 @@ def net_approximate_quantile(
     retry: Optional[RetryPolicy] = None,
     detector: Optional[SwimFailureDetector] = None,
     metrics: Optional[NetworkMetrics] = None,
-    max_bisection_steps: int = 40,
-    count_rounds: Optional[int] = None,
     run_timeout_s: float = 120.0,
 ) -> NetQuantileAnswer:
     """ε-approximate φ-quantile over a live transport, degradation included.
@@ -212,27 +177,13 @@ def net_approximate_quantile(
     Pass a shared :class:`~repro.net.transport.Transport` instance to carry
     kill state into the query (peers already down answer nothing and the
     result is honestly widened), and/or an ``env`` whose ``faults`` injector
-    kills peers *during* it.  Every gossip run of the query (the extrema
-    bracket and each counting step) runs in ``env``.  ``run_timeout_s``
-    bounds the whole query in wall time.
+    kills peers *during* it.  Every gossip run of the query (each
+    tournament and each count) runs in ``env``.  ``run_timeout_s`` bounds
+    the whole query in wall time.
     """
     if run_timeout_s <= 0:
         raise ConfigurationError("run_timeout_s must be positive")
-    return asyncio.run(
-        asyncio.wait_for(
-            anet_approximate_quantile(
-                values,
-                phi=phi,
-                eps=eps,
-                rng=rng,
-                transport=transport,
-                env=env,
-                retry=retry,
-                detector=detector,
-                metrics=metrics,
-                max_bisection_steps=max_bisection_steps,
-                count_rounds=count_rounds,
-            ),
-            run_timeout_s,
-        )
+    query = anet_approximate_quantile(
+        values, phi, eps, rng, transport, env, retry, detector, metrics
     )
+    return asyncio.run(asyncio.wait_for(query, run_timeout_s))

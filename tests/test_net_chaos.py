@@ -240,7 +240,7 @@ def test_quantile_completes_with_widened_bounds_under_crash_chaos():
     # band around phi.
     achieved_rank = float(np.mean(values <= answer.value))
     assert abs(achieved_rank - answer.phi) <= answer.accuracy
-    assert answer.bisection_steps > 0
+    assert answer.attempts >= 1
     assert answer.rounds > 0
 
 

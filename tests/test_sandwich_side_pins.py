@@ -8,8 +8,8 @@ plus φ = 0 and φ = 1 themselves; each is pinned failure-free and under
 n = 512.  The extrema pins cover min and max spreading and a two-lane
 min/max spreading, with and without failures, on the vectorized engine
 and on the asyncio engine over in-process channels, and the live
-backend's quantile query, whose first phase brackets the value range
-with a two-lane min/max spreading.  Each digest
+backend's quantile query (tournaments, then a push-sum count of the
+answer).  Each digest
 covers the per-node outputs (or the per-iteration history and both retry
 counters), the rounds and the metrics summary.
 """
@@ -180,19 +180,19 @@ def test_extrema_streams_pinned(run, engine, mu):
     assert _digest(*_extrema(run, _env(engine, mu))) == EXTREMA_PINS[run, engine, mu]
 
 
-# ---- the live backend's min/max bracket -------------------------------------
+# ---- the live backend's quantile query --------------------------------------
 
-NET_QUANTILE_PIN = ("42d28b605b8a4229", 4.106471569807326)
+NET_QUANTILE_PIN = ("bab9fe82e40673a0", 5.47904460184225)
 
 
-def test_net_quantile_bracket_pinned():
+def test_net_quantile_pinned():
     values = RandomSource(50).random(16) * 10.0
     answer = net_approximate_quantile(values, phi=0.5, eps=0.1, rng=21)
     assert (
         _digest(
             answer.rounds,
-            answer.bisection_steps,
-            list(answer.rank_bracket),
+            answer.attempts,
+            answer.counted_rank,
             answer.metrics.summary(),
         ),
         answer.value,
