@@ -145,10 +145,9 @@ def estimate_all_ranks(
     env:
         The :class:`~repro.gossip.env.GossipEnv` every chunk runs in, on
         its engine (the complete graph when omitted — the paper's model).
-        Every chunk meets a ``faults`` injector on the round count of
-        ``metrics``, so the chunks share one round clock and a seeded chaos
-        pass replays bit-for-bit.  A ``topology_process`` would restart
-        with every chunk and is rejected.
+        Every chunk meets the env's ``faults`` and ``topology_process`` on
+        the round count of ``metrics``, so the chunks share one round clock
+        and a seeded chaos pass replays bit-for-bit.
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError("eps must be in (0, 0.5)")
@@ -159,8 +158,6 @@ def estimate_all_ranks(
         raise ConfigurationError("query_accuracy must be in (0, 0.5)")
     if max_lanes < 1:
         raise ConfigurationError("max_lanes must be at least 1")
-    if env is not None:
-        env.reject("estimate_all_ranks", "topology_process")
     n = array.size
 
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)

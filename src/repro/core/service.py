@@ -192,8 +192,6 @@ class QuantileService:
                     f"churn process has {churn_process.n} nodes but values "
                     f"has {self._array.size}"
                 )
-            if churn_process.active is None:
-                churn_process.begin()
         build_metrics = NetworkMetrics(keep_history=keep_history)
         with get_tracer().span("service_build", build_metrics) as span:
             span.annotate(n=int(self._array.size), eps=float(eps))
@@ -302,7 +300,7 @@ class QuantileService:
         self._env = dataclasses.replace(self._env, faults=faults)
 
     def _active_mask(self) -> np.ndarray:
-        if self._churn is not None and self._churn.active is not None:
+        if self._churn is not None:
             return self._churn.active
         return np.ones(self._array.size, dtype=bool)
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.gossip.engine import resolve_run_sampler, round_outage
+from repro.gossip.engine import round_outage, start_schedules
 from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.messages import BITS_HEADER, BITS_PER_VALUE, id_bits
 from repro.gossip.metrics import NetworkMetrics
@@ -117,8 +117,9 @@ def distribute_tokens(
         round when :func:`~repro.gossip.engine.round_outage` says so
         (failure model, topology process, fault injector), and a push goes
         to a partner drawn from the env's topology or the process's round
-        sampler.  ``env.engine`` does not apply: the token columns are the
-        one implementation.
+        sampler.  Its schedules see the rounds on the clock of ``metrics``
+        (:func:`~repro.gossip.engine.start_schedules`).  ``env.engine``
+        does not apply: the token columns are the one implementation.
 
     Each round takes one outage and charges one message per successful
     push; more than O(log n) phases raise
@@ -128,11 +129,10 @@ def distribute_tokens(
 
     env = resolve_env(env)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
-    sampler = resolve_run_sampler(env, n)
-    failures, process, faults = env.failure_model, env.topology_process, env.faults
     stats = metrics if metrics is not None else NetworkMetrics(keep_history=False)
+    sampler = start_schedules(env, n, stats)
+    failures, process, faults = env.failure_model, env.topology_process, env.faults
     rounds_before = stats.rounds
-    round_index = 0
     max_phases = int(40 + 30 * np.log2(max(n, 2)))
 
     message_bits = BITS_HEADER + BITS_PER_VALUE + id_bits(n)
@@ -166,7 +166,7 @@ def distribute_tokens(
         its token that round (the Section-5 merge semantics as a no-op
         holder update).
         """
-        nonlocal failed_pushes, round_index
+        nonlocal failed_pushes
         if sorted_index.size == 0:
             return
         # Rank of each pushed token within its origin's queue: positions
@@ -180,9 +180,8 @@ def distribute_tokens(
         for round_slot in range(rounds_needed):
             record = stats.begin_round(label="token-distribution")
             failed, round_sampler, round_faults = round_outage(
-                round_index, n, source, failures, process, faults
+                record.round_index, n, source, failures, process, faults
             )
-            round_index += 1
             if round_faults is not None:
                 stats.record_faults_injected(round_faults.injected)
             stats.record_failures(int(np.count_nonzero(failed)), record)

@@ -35,16 +35,17 @@ delayed by ``d`` reads the window-start snapshot ``d`` windows back (a
 ring of ``max_delay`` snapshots; deeper delays serve the oldest one
 held), and corruption scales only the delivered copies.  Duplicates are
 charged as extra messages, and a node restarted from a ``reset_values``
-crash holds its initial lanes at the window boundary.  The injector sees
-a plan's rounds on the clock of the metrics it accumulates into, so the
-chunks of a rank grid or a service's rebuilds share one round clock.
+crash holds its initial lanes at the window boundary.  Like every run, a
+plan meets the env's schedules on the clock of the metrics it accumulates
+into (:func:`~repro.gossip.engine.start_schedules`), so the chunks of a
+rank grid or a service's rebuilds share one round clock.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -446,14 +447,12 @@ def windows_run(
     metrics: Optional[NetworkMetrics],
     env: Optional[GossipEnv],
 ) -> Iterator[Tuple[TournamentProtocol, int, GossipEnv]]:
-    """The protocol, round budget and resolved env of one plan run, with
-    the env's injector on the clock of ``metrics`` inside the block."""
+    """The protocol, round budget and resolved env of one plan run; the
+    open phase span closes with the block."""
     env = resolve_env(env)
     protocol = TournamentProtocol(rows, windows, env.faults, metrics)
-    origin = metrics.rounds if metrics is not None else 0
     try:
-        with env.faults.clock_from(origin) if env.faults else nullcontext():
-            yield protocol, sum(w.rounds for w in windows), env
+        yield protocol, sum(w.rounds for w in windows), env
     finally:
         protocol.enter(None)
 
@@ -465,10 +464,7 @@ def run_windows(
     metrics: Optional[NetworkMetrics] = None,
     env: Optional[GossipEnv] = None,
 ) -> np.ndarray:
-    """Run ``windows`` over ``rows`` on the env's engine; return the final rows.
-
-    The env's injector sees the plan's rounds on the clock of ``metrics``.
-    """
+    """Run ``windows`` over ``rows`` on the env's engine; return the final rows."""
     with windows_run(rows, windows, metrics, env) as (protocol, budget, env):
         run_protocol(protocol, rng=rng, max_rounds=budget, metrics=metrics, env=env)
     return protocol.rows

@@ -34,9 +34,8 @@ replay — is independent of which surface consumes it.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -214,16 +213,14 @@ class FaultInjector:
         Seed for the private fault stream.  Like a
         :class:`~repro.topology.dynamic.TopologyProcess`, :meth:`begin`
         replays the stream from its start, so one injector yields the same
-        fault schedule on every seeded run — chaos runs replay bit-for-bit.
+        fault schedule on every seeded computation — chaos runs replay
+        bit-for-bit.
 
     The injector draws one :class:`RoundFaults` per round via :meth:`draw`,
-    called by its consumer with the run's round index (the engine's
-    ``round_index``).
-    Round indices that do not increase between calls restart the stream:
-    every run indexes its rounds from 0, so a fresh run replays the
-    schedule, unless the consumer called :meth:`begin` explicitly.  A
-    consumer that runs one computation as several runs moves their round
-    0 to its own round count with :meth:`clock_from`.
+    called with the round's index on the metrics clock of the run.  Only
+    :meth:`begin` restarts the stream, and the engines call it only when a
+    run begins at metrics round 0
+    (:func:`~repro.gossip.engine.start_schedules`).
     """
 
     def __init__(
@@ -267,8 +264,6 @@ class FaultInjector:
             self._seed_seq = np.random.SeedSequence(rng)
         self._rng: Optional[RandomSource] = None
         self._down_until: Optional[np.ndarray] = None
-        self._last_round: Optional[int] = None
-        self._origin = 0
         self.counters: Dict[str, int] = {}
         self.rounds_drawn = 0
         self.begin()
@@ -277,7 +272,6 @@ class FaultInjector:
         """Reset to round 0, replaying the identical seeded fault schedule."""
         self._rng = RandomSource(self._seed_seq)
         self._down_until = None
-        self._last_round = None
         self.rounds_drawn = 0
         self.counters = {kind: 0 for kind in FAULT_KINDS}
         self.counters["restart"] = 0
@@ -325,26 +319,10 @@ class FaultInjector:
                 survive *= (1.0 - min(p, 1.0)) ** rounds
         return min(1.0 - survive, 0.999)
 
-    @contextmanager
-    def clock_from(self, origin: int) -> Iterator["FaultInjector"]:
-        """Within the block, round ``r`` of a run is round ``origin + r`` of
-        the schedule."""
-        previous, self._origin = self._origin, int(origin)
-        try:
-            yield self
-        finally:
-            self._origin = previous
-
     def draw(self, round_index: int, n: int) -> RoundFaults:
         """The concrete fault decision for one round (consumes the private
         stream only).  Draw order is fixed by :data:`FAULT_KINDS`, so the
         replayed stream layout never depends on the consumer."""
-        round_index += self._origin
-        if self._last_round is not None and round_index <= self._last_round:
-            # A fresh run restarted its round counter: replay from round 0,
-            # as a topology process replays its schedule on every begin().
-            self.begin()
-        self._last_round = round_index
         if self._down_until is None or self._down_until.shape[0] != n:
             # First draw, or the population changed (e.g. a service epoch
             # rebuild over the churn survivors): node identities differ, so

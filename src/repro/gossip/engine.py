@@ -124,21 +124,36 @@ def begin_run(
 
     Returns the run's stream, its (resolved) environment, the metrics
     accumulator and the static peer sampler (``None`` under a topology
-    process, which supplies a sampler per round).
+    process, which supplies a sampler per round), after
+    :func:`start_schedules`.
     """
     env = resolve_env(env)
     source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
     stats = metrics if metrics is not None else NetworkMetrics()
-    sampler = resolve_run_sampler(env, protocol.n)
+    sampler = start_schedules(env, protocol.n, stats)
     protocol.begin()
     return source, env, stats, sampler
 
 
-def resolve_run_sampler(env: GossipEnv, n: int) -> Optional[PeerSampler]:
-    """The static sampler of an ``n``-node run, or ``None`` after starting
-    the env's topology process (which samples per round)."""
-    if env.topology_process is not None:
-        resolve_topology_process(env.topology_process, n)
+def start_schedules(
+    env: GossipEnv, n: int, stats: NetworkMetrics
+) -> Optional[PeerSampler]:
+    """Put an ``n``-node run on the round clock of ``stats``; return its
+    static peer sampler (``None`` under a topology process).
+
+    The env's injector, topology process and failure model see each round
+    at the index of its ``stats`` record, so the runs that accumulate into
+    one metrics object meet one schedule.  A run that begins at metrics
+    round 0 restarts the injector and the process, which replay from their
+    start; nothing else restarts them.
+    """
+    process = resolve_topology_process(env.topology_process, n)
+    if stats.rounds == 0:
+        if env.faults is not None:
+            env.faults.begin()
+        if process is not None:
+            process.begin()
+    if process is not None:
         return None
     return resolve_peer_sampler(env.topology, sampling=env.peer_sampling, n=n)
 
@@ -221,7 +236,8 @@ def round_outage(
 ) -> Tuple[np.ndarray, Optional[PeerSampler], Optional[RoundFaults]]:
     """Which nodes sit out round ``round_index``, for every substrate.
 
-    A node is out if the failure model fires, *or* the topology process has
+    ``round_index`` is on the metrics clock (:func:`start_schedules`).  A
+    node is out if the failure model fires, *or* the topology process has
     it departed, *or* the fault injector suppresses it (crash/drop).  The
     failure model draws from ``source``; process and injector from their
     own streams.  Returns the failed mask, the process's round sampler and
@@ -249,9 +265,10 @@ def begin_round(
 ) -> Tuple[RoundRecord, np.ndarray, np.ndarray]:
     """Shared per-round prologue: accounting, the round's outage, partners.
 
-    The outage composes as in :func:`round_outage`.  A process's sampler
-    only returns active targets, so departed nodes neither act nor
-    receive.  The injector's decision for the round goes to
+    The outage composes as in :func:`round_outage`, at the index of the
+    round's metrics record; ``round_index`` is the protocol's own.  A
+    process's sampler only returns active targets, so departed nodes
+    neither act nor receive.  The injector's decision for the round goes to
     :meth:`~repro.gossip.protocol.GossipProtocol.on_round_faults`, where a
     protocol applies the message-level kinds it can express (the pull
     windows of :mod:`repro.core.tournament` apply all of them).
@@ -261,16 +278,15 @@ def begin_round(
     it is called where the inline draw would run.
     """
     record = stats.begin_round(label=protocol.name)
-    state = process.round_state(round_index) if process is not None else None
+    clock = record.round_index
+    state = process.round_state(clock) if process is not None else None
     if drawn is None:
         round_sampler = sampler if state is None else state.sampler
         assert round_sampler is not None  # only a process leaves no sampler
-        mask, partners = draw_round_inputs(
-            round_index, n, source, failures, round_sampler
-        )
+        mask, partners = draw_round_inputs(clock, n, source, failures, round_sampler)
     else:
         mask, partners = drawn()
-    round_faults = faults.draw(round_index, n) if faults is not None else None
+    round_faults = faults.draw(clock, n) if faults is not None else None
     failed = _fold_outage(n, mask, state, round_faults)
     if round_faults is not None:
         stats.record_faults_injected(round_faults.injected)
@@ -373,7 +389,8 @@ def run_protocol_vectorized(
             if prefetch and round_index + 1 < max_rounds:
                 used_state = bit_generator.state
                 pending = _prefetch_thread().submit(
-                    draw_round_inputs, round_index + 1, n, source, failures, sampler
+                    draw_round_inputs, record.round_index + 1, n, source, failures,
+                    sampler,
                 )
             # rounds without failures reuse a shared all-True mask and skip
             # the negation and population-count passes

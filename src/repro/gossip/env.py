@@ -81,8 +81,9 @@ class GossipEnv:
         per-node live backend.
 
     The process and the injector are stateful and the env only carries
-    them: every run restarts the process, while the injector's stream runs
-    on across the runs that share it.  Failure model, process and injector
+    them; they run on the metrics clock of its runs
+    (:func:`~repro.gossip.engine.start_schedules`), so the runs of one
+    computation continue one schedule.  Failure model, process and injector
     compose freely on every substrate, by one rule
     (:func:`~repro.gossip.engine.round_outage`): a node sits out a round if
     *any* of them says so, and each draws from its own stream.

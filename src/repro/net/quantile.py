@@ -119,21 +119,19 @@ async def anet_approximate_quantile(
     count_rounds = default_push_sum_rounds(n, relative_error=1.0 / (8.0 * n))
     try:
         for attempt in range(1, ATTEMPTS + 1):
-            # An attempt is a fresh run on the live pool: it meets the env's
-            # fault schedule from its round 0, as each live gossip run does.
-            attempt_stats = NetworkMetrics(keep_history=stats.keep_history)
+            # Every attempt and count accumulates into ``stats``, so the
+            # query meets the env's fault schedule on one round clock.
             plans = approximation_plans(rows, phi, eps, DEFAULT_FINAL_SAMPLES,
                                         False, source)
-            final = await arun_windows(rows, plan_windows(plans, attempt_stats),
-                                       source, attempt_stats, env, **live_run)
+            final = await arun_windows(rows, plan_windows(plans, stats),
+                                       source, stats, env, **live_run)
             candidate = float(final[0, _live(live_transport, n)[0]])
             counter = PushSumProtocol((array <= candidate).astype(float),
                                       rounds=count_rounds)
-            with get_tracer().span("counting", attempt_stats) as span:
+            with get_tracer().span("counting", stats) as span:
                 span.annotate(attempt=attempt)
-                await arun_protocol(counter, rng=source.child(), metrics=attempt_stats,
+                await arun_protocol(counter, rng=source.child(), metrics=stats,
                                     env=env, raise_on_budget=False, **live_run)
-            stats.merge(attempt_stats)
             live = _live(live_transport, n)
             counted = float(counter.outputs_array()[live[0]])
             if abs(counted - phi) <= eps:
@@ -178,8 +176,11 @@ def net_approximate_quantile(
     kill state into the query (peers already down answer nothing and the
     result is honestly widened), and/or an ``env`` whose ``faults`` injector
     kills peers *during* it.  Every gossip run of the query (each
-    tournament and each count) runs in ``env``.  ``run_timeout_s`` bounds
-    the whole query in wall time.
+    tournament and each count) runs in ``env`` and accumulates into
+    ``metrics``, on whose round clock the injector's schedule runs: it
+    restarts only if ``metrics`` is fresh, so a crash schedule covers the
+    whole query, retries included.  ``run_timeout_s`` bounds the whole
+    query in wall time.
     """
     if run_timeout_s <= 0:
         raise ConfigurationError("run_timeout_s must be positive")

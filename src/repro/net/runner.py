@@ -255,7 +255,8 @@ async def arun_protocol(
                 round_started = perf_counter()
             rf: Optional[RoundFaults] = None
             if faults is not None:
-                rf = faults.draw(round_index, n)
+                # the round begin_round is about to open, on the metrics clock
+                rf = faults.draw(stats.rounds, n)
                 stats.record_faults_injected(rf.injected)
                 for node in np.flatnonzero(rf.crashed):
                     node = int(node)

@@ -30,10 +30,12 @@ Two design rules keep the engines deterministic and comparable:
 
 1. **Separate random streams.**  A process owns a private stream (fixed at
    construction, replayed identically by every :meth:`TopologyProcess.begin`)
-   that drives only the topology evolution.  Partner draws still consume the
-   *engine's* stream through the per-round sampler, exactly like the static
-   path — so the vectorized and asyncio engines see identical schedules and
-   stay bit-identical to each other under any process.
+   that drives only the topology evolution; the runs of one computation
+   continue one schedule (:func:`~repro.gossip.engine.start_schedules`).
+   Partner draws still consume the *engine's* stream through the per-round
+   sampler, exactly like the static path — so the vectorized and asyncio
+   engines see identical schedules and stay bit-identical to each other
+   under any process.
 2. **Active targets only.**  Samplers returned by ``round_state`` never
    select an inactive partner, so departed nodes cannot absorb mass.  A node
    whose neighbors are all departed is excluded from the round's active mask
@@ -133,9 +135,10 @@ class TopologyProcess(abc.ABC):
     """Per-round supplier of the active-node mask and partner sampler.
 
     Subclasses evolve internal state from a private random stream fixed at
-    construction time.  :meth:`begin` replays that stream from its start, so
-    one instance can be run repeatedly (e.g. once on the asyncio engine and
-    once on the vectorized engine) and always yields the same schedule.
+    construction time, and begin at construction.  :meth:`begin` replays
+    that stream from its start, so one instance can be run repeatedly (e.g.
+    once on the asyncio engine and once on the vectorized engine, each on
+    fresh metrics) and always yields the same schedule.
     """
 
     def __init__(self, n: int, rng: SeedLike = None) -> None:
@@ -166,18 +169,20 @@ class TopologyProcess(abc.ABC):
     def round_state(self, round_index: int) -> RoundState:
         """Evolve to round ``round_index`` and return its :class:`RoundState`.
 
-        Engines call this once per round with consecutive indices starting
-        at 0, after :meth:`begin`.
+        Engines call this once per round, with consecutive indices on the
+        run's metrics clock (:func:`~repro.gossip.engine.start_schedules`).
         """
 
 
 class StaticProcess(TopologyProcess):
     """A fixed topology wrapped as a (degenerate) dynamic process.
 
-    Every round is all-active with one sampler resolved per run, so driving
-    an engine through ``GossipEnv(topology_process=StaticProcess(topo))``
-    is bit-identical to ``GossipEnv(topology=topo)`` — the sanity anchor
-    for the dynamic plumbing (pinned by ``tests/test_topology_dynamic.py``).
+    Every round is all-active with one sampler resolved per :meth:`begin`,
+    so driving a run on fresh metrics through
+    ``GossipEnv(topology_process=StaticProcess(topo))`` is bit-identical to
+    ``GossipEnv(topology=topo)`` — the sanity anchor for the dynamic
+    plumbing (pinned by ``tests/test_topology_dynamic.py``).  The runs of
+    one computation share the sampler, so a round-robin one keeps cycling.
     """
 
     def __init__(
@@ -191,19 +196,17 @@ class StaticProcess(TopologyProcess):
         super().__init__(topology.n if topology is not None else n, rng=0)
         self.topology = topology
         self.peer_sampling = peer_sampling
-        self._state: Optional[RoundState] = None
+        self.begin()
 
     def _reset(self) -> None:
-        # A fresh sampler per run, exactly like resolve_peer_sampler in the
-        # static engine path (round-robin samplers are stateful).
+        # A fresh sampler per begin(), as resolve_peer_sampler gives each
+        # static run (round-robin samplers are stateful).
         sampler = resolve_peer_sampler(
             self.topology, sampling=self.peer_sampling, n=self.n
         )
         self._state = RoundState(np.ones(self.n, dtype=bool), sampler)
 
     def round_state(self, round_index: int) -> RoundState:
-        if self._state is None:
-            raise ConfigurationError("call begin() before round_state()")
         return self._state
 
 
@@ -326,14 +329,11 @@ class ChurnProcess(TopologyProcess):
                     "leave_weights entries must be in [0, 1]"
                 )
             self._leave_weights = weights.copy()
-        self.active_history: List[int] = []
-        self._active: Optional[np.ndarray] = None
-        self._state: Optional[RoundState] = None
-        self._mask_round = -1
+        self.begin()
 
     @property
-    def active(self) -> Optional[np.ndarray]:
-        """The current active mask (None before :meth:`begin`)."""
+    def active(self) -> np.ndarray:
+        """The current active mask."""
         return self._active
 
     @property
@@ -348,9 +348,8 @@ class ChurnProcess(TopologyProcess):
 
     def _reset(self) -> None:
         self._active = np.ones(self.n, dtype=bool)
-        self._state = None
-        self._mask_round = -1
-        self.active_history = []
+        self._state: Optional[RoundState] = None
+        self.active_history: List[int] = []
 
     def _evolve(self) -> bool:
         """Advance the mask one round; returns True when it changed."""
@@ -387,12 +386,9 @@ class ChurnProcess(TopologyProcess):
         )
 
     def round_state(self, round_index: int) -> RoundState:
-        if self._active is None:
-            raise ConfigurationError("call begin() before round_state()")
         changed = self._evolve()
-        if changed or self._mask_round < 0:
+        if changed or self._state is None:
             self._state = self._build_state()
-        self._mask_round = round_index
         self.active_history.append(int(self._state.active.sum()))
         return self._state
 
@@ -442,19 +438,17 @@ class EdgeResamplingProcess(TopologyProcess):
         self.view_size = int(view_size)
         self.resample_every = int(resample_every)
         self.symmetrize = bool(symmetrize)
-        self.resamples = 0
         self._all_active = np.ones(n, dtype=bool)
-        self._state: Optional[RoundState] = None
-        self._topology: Optional[Topology] = None
+        self.begin()
 
     def _reset(self) -> None:
-        self._state = None
-        self._topology = None
+        self._state: Optional[RoundState] = None
+        self._topology: Optional[Topology] = None
         self.resamples = 0
 
     @property
     def topology(self) -> Optional[Topology]:
-        """The current round graph (None before :meth:`begin`)."""
+        """The current round graph (None before the first round)."""
         return self._topology if self._state is not None else None
 
     def _resample_views(self) -> None:
@@ -491,8 +485,6 @@ class EdgeResamplingProcess(TopologyProcess):
         self.resamples += 1
 
     def round_state(self, round_index: int) -> RoundState:
-        if self._rng is None:
-            raise ConfigurationError("call begin() before round_state()")
         if self._state is None or round_index % self.resample_every == 0:
             self._resample_views()
         return self._state
@@ -501,7 +493,7 @@ class EdgeResamplingProcess(TopologyProcess):
 def resolve_topology_process(
     process: Optional[TopologyProcess], n: int
 ) -> Optional[TopologyProcess]:
-    """Validate a process against a protocol size and start its run."""
+    """Validate a process against a protocol size."""
     if process is None:
         return None
     if not isinstance(process, TopologyProcess):
@@ -512,5 +504,4 @@ def resolve_topology_process(
         raise ConfigurationError(
             f"topology process has {process.n} nodes but the run has {n}"
         )
-    process.begin()
     return process

@@ -9,7 +9,7 @@ from repro.core.all_quantiles import (
     rank_grid,
     true_self_quantiles,
 )
-from repro.datasets.generators import zipf_values
+from repro.datasets.generators import distinct_uniform, zipf_values
 from repro.exceptions import ConfigurationError
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
@@ -203,13 +203,30 @@ def test_unknown_engine_is_rejected_at_env_construction():
         GossipEnv(engine="turbo")
 
 
-def test_topology_process_is_rejected(small_values):
-    process = ChurnProcess(small_values.size, churn_rate=0.1, rng=0)
-    with pytest.raises(ConfigurationError, match="topology_process"):
-        estimate_all_ranks(
-            small_values, eps=0.25, rng=18,
-            env=GossipEnv(topology_process=process),
-        )
+@pytest.mark.parametrize("churn_rate", [0.01, 0.05])
+def test_churn_pass_answers_on_one_schedule(churn_rate):
+    n, eps = 2000, 0.1
+    values = distinct_uniform(n, rng=7)
+    ordered = np.sort(values)
+    for seed in range(5):
+        process = ChurnProcess(n, churn_rate=churn_rate, rng=seed)
+        result = estimate_all_ranks(values, eps=eps, rng=seed,
+                                    env=GossipEnv(topology_process=process))
+        # one process round per metrics round: the pass met one schedule
+        assert len(process.active_history) == result.rounds
+        # each grid target's median estimate over the nodes sits within eps
+        median = np.median(result.grid_values, axis=1)
+        ranks = np.searchsorted(ordered, median, side="right") / n
+        assert float(np.abs(ranks - result.grid).max()) <= eps
+
+
+def test_grid_chunks_continue_one_churn_schedule(small_values):
+    process = ChurnProcess(small_values.size, churn_rate=0.05, rng=0)
+    result = estimate_all_ranks(small_values, eps=0.1, rng=18, max_lanes=3,
+                                env=GossipEnv(topology_process=process))
+    assert result.chunks == 3
+    # a chunk that restarted the process would leave only its own rounds
+    assert len(process.active_history) == result.rounds
 
 
 def test_invalid_peer_sampling_is_rejected(small_values):

@@ -27,6 +27,7 @@ from repro.exceptions import ProtocolError
 from repro.experiments.runner import run_trials
 from repro.gossip import engine
 from repro.gossip.env import GossipEnv
+from repro.gossip.metrics import NetworkMetrics
 from repro.gossip.failures import NoFailures
 from repro.topology import watts_strogatz
 from repro.topology.sampler import NeighborSampler
@@ -110,7 +111,7 @@ def _push_sum(env, source):
 
 def test_neighbor_sampled_run_matches_its_inline_run(monkeypatch):
     env = GossipEnv(topology=watts_strogatz(200, 6, 0.2, rng=3), failure_model=0.2)
-    assert isinstance(engine.resolve_run_sampler(env, 200), NeighborSampler)
+    assert isinstance(engine.start_schedules(env, 200, NetworkMetrics()), NeighborSampler)
     inline = _push_sum(env, RandomSource(8))
     monkeypatch.setattr(engine, "PREFETCH_MIN_NODES", 2)
     assert np.array_equal(_push_sum(env, RandomSource(8)), inline)
@@ -189,7 +190,7 @@ def test_a_raising_protocol_leaves_no_draw_in_flight(prefetch):
     # the last draw ahead, round 4's, finished and was rolled back
     assert prefetch == [1, 2, 3, 4]
     sequential = RandomSource(10)
-    sampler = engine.resolve_run_sampler(GossipEnv(), 200)
+    sampler = engine.start_schedules(GossipEnv(), 200, NetworkMetrics())
     for round_index in range(4):
         engine.draw_round_inputs(round_index, 200, sequential, NoFailures(), sampler)
     assert np.array_equal(after, sequential.random(4))

@@ -16,7 +16,9 @@ from repro.faults import (
     TargetedByDegree,
     ValueCorruption,
 )
+from repro.core.exact_quantile import exact_quantile
 from repro.core.tournament import PullWindow, lane_rows, run_windows
+from repro.datasets.generators import distinct_uniform
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.rand import RandomSource
@@ -203,13 +205,19 @@ def test_draw_replays_bit_for_bit_after_begin():
         assert np.array_equal(a.corruption, b.corruption)
 
 
-def test_non_increasing_round_index_restarts_stream():
+def test_draws_continue_the_stream_until_begin_replays_it():
     injector = FaultInjector(MessageDrop(0.5), rng=7)
-    first = injector.draw(0, 32).dropped
-    injector.draw(1, 32)
-    again = injector.draw(0, 32).dropped
-    assert np.array_equal(first, again)
-    assert injector.counters["drop"] == int(first.sum())
+    first = [injector.draw(r, 32).dropped for r in range(3)]
+    # Draws at increasing indices continue the stream, and so does a draw
+    # at a repeated index: nothing but begin() restarts it.
+    assert not np.array_equal(first[0], first[1])
+    assert not np.array_equal(injector.draw(0, 32).dropped, first[0])
+    assert injector.rounds_drawn == 4
+    injector.begin()
+    assert injector.rounds_drawn == 0 and injector.counters["drop"] == 0
+    again = [injector.draw(r, 32).dropped for r in range(3)]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert injector.counters["drop"] == sum(int(d.sum()) for d in first)
 
 
 def test_fault_kind_draw_order_is_pinned():
@@ -365,8 +373,8 @@ def test_each_run_replays_the_injector():
     (first,), _, _ = _pull_windows(_values(), injector, sizes=(4,))
     injected = injector.total_injected
     (second,), _, _ = _pull_windows(_values(), injector, sizes=(4,))
-    # Every run indexes its rounds from 0, so the injector replays its
-    # schedule; the run's own stream is seeded the same, so the whole
+    # Each run begins on fresh metrics, at round 0, so the injector replays
+    # its schedule; the run's own stream is seeded the same, so the whole
     # window repeats.
     assert injector.total_injected == injected
     assert np.array_equal(first.ok_block(), second.ok_block())
@@ -384,6 +392,37 @@ def test_plans_sharing_metrics_share_one_round_clock():
                     17, metrics, GossipEnv(faults=injector))
     failed = [record.failed_nodes for record in metrics.history]
     assert failed == [0, 0, 0, 64, 64]
+
+
+class _CrashRounds(FaultInjector):
+    """An injector that notes each round index at which it crashed a node."""
+
+    def __init__(self, *args, **kwargs):
+        self.crash_rounds = []
+        super().__init__(*args, **kwargs)
+
+    def draw(self, round_index, n):
+        faults = super().draw(round_index, n)
+        if faults.crashed.any():
+            self.crash_rounds.append(round_index)
+        return faults
+
+
+@pytest.mark.parametrize("n,engine", [
+    (256, "vectorized"), (256, "asyncio"), (4096, "vectorized"),
+])
+def test_burst_covers_only_its_rounds_of_the_whole_computation(n, engine):
+    """The exact driver's substrates (tournaments, counts, extrema, tokens)
+    meet one fault schedule on the metrics clock: a burst over rounds
+    [0, 5) crashes nodes in those rounds of the computation only, and the
+    injector draws once per round it ran."""
+    injector = _CrashRounds(Burst(CrashRestart(0.2, downtime=1), 0, 5), rng=3)
+    values = distinct_uniform(n, rng=3)
+    result = exact_quantile(values, 0.5, rng=3,
+                            env=GossipEnv(faults=injector, engine=engine))
+    assert injector.crash_rounds == [0, 1, 2, 3, 4]
+    assert injector.rounds_drawn == result.rounds
+    assert result.value == np.sort(values)[n // 2 - 1]
 
 
 def test_seeded_chaos_replays_bit_for_bit():

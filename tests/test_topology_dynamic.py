@@ -396,18 +396,23 @@ def test_gossip_network_rejects_ineffective_overrides_under_process():
         )
 
 
-def test_each_pull_run_restarts_the_process():
+def test_pulls_on_one_network_continue_the_process():
     n = 64
     process = ChurnProcess(n=n, churn_rate=0.3, rng=4)
     network = GossipNetwork(_values(n), rng=2, env=GossipEnv(topology_process=process))
-    first = network.pull(k=4).ok.copy()
-    history_before = list(process.active_history)
-    # every run begins the process, which replays the schedule from round 0
-    # (partner rng differs, the active pattern is schedule-driven and must
-    # match)
-    second = network.pull(k=4).ok.copy()
-    assert process.active_history == history_before
-    assert first.shape == second.shape
+    network.pull(k=4)
+    first = list(process.active_history)
+    assert len(first) == 4
+    # the second pull runs on the network's metrics rounds 4-7, so it
+    # continues the schedule instead of replaying it
+    network.pull(k=4)
+    assert len(process.active_history) == 8
+    assert process.active_history[:4] == first
+    assert process.active_history[4:] != first
+    # a fresh network's pull begins at metrics round 0: the schedule replays
+    fresh = GossipNetwork(_values(n), rng=3, env=GossipEnv(topology_process=process))
+    fresh.pull(k=4)
+    assert process.active_history == first
 
 
 # ---- push_sum convenience wrapper --------------------------------------------
