@@ -1,15 +1,21 @@
 """Failure-rate table of the push-sum counting budget (Step 5 of Algorithm 3).
 
 For each cell (n, μ) it runs the real :class:`PushSumProtocol` on the
-vectorized engine over indicator inputs (a seeded random set of
-``round(f n)`` ones, f = 0.5 on even seeds and 0.05 on odd ones) and
-records, per seed, the first round at which every node's
-``rint(n * estimate)`` equals the true count.  A row gives the
-:func:`~repro.aggregates.counting.count_rounds` budget, the median / p99 /
-max of that statistic, and the misses: seeds whose count is not exact at
+vectorized engine over :func:`~repro.aggregates.counting.count_indicators`
+inputs, the centered indicators (float32 up to
+:data:`~repro.aggregates.counting.COUNT_FLOAT32_MAX_N` nodes) that
+:func:`~repro.aggregates.counting.count_leq` pushes, for a seeded random
+set of ``round(f n)`` values below the threshold, f cycling over
+``FRACTIONS`` with the seed.  It records, per seed, the first round at
+which every node's rounded estimate equals the true count.  A row gives
+the :func:`~repro.aggregates.counting.count_rounds` budget, the median /
+p99 / max of that statistic, the misses (seeds whose count is not exact at
 every node after exactly the budget's rounds, which is what
-:func:`~repro.aggregates.counting.count_leq` returns.  A seed not exact
-within ``1.5 x`` the budget is recorded at that horizon plus one.
+:func:`~repro.aggregates.counting.count_leq` returns) and ``max_error``,
+the worst ``|estimate - count|`` over the nodes and seeds at the budget.
+A count is exact while that error is below 1/2; float32 rounding grows it
+with n, and peaks at the near-full fraction.  A seed not exact within
+``1.5 x`` the budget is recorded at that horizon plus one.
 
 The ``fit`` block reads the budget's constants off the table: the
 least-squares line of the μ = 0 medians over log₂ n, the exponent ``c``
@@ -17,11 +23,12 @@ for which a μ cell's median is the μ = 0 median times ``(1 - μ)**-c``
 (the median over the μ cells), and the smallest offset ``b`` for which
 ``(a log₂ n + b) / (1 - μ)**c`` with the module's ``a`` and ``c`` stays
 ``MARGIN`` rounds above every cell's maximum.  The
-script exits non-zero if a cell misses at its budget or its slowest seed
-reaches it, so ``--smoke`` (CI) checks the budget on a reduced grid.
+script exits non-zero if a cell misses at its budget, its slowest seed
+reaches it, or its ``max_error`` reaches ``ERROR_GATE``, so ``--smoke``
+(CI) checks the budget on a reduced grid.
 Usable standalone::
 
-    PYTHONPATH=src python benchmarks/bench_count_budget.py           # ~4 min
+    PYTHONPATH=src python benchmarks/bench_count_budget.py           # ~7 min
     PYTHONPATH=src python benchmarks/bench_count_budget.py --smoke
 """
 
@@ -42,9 +49,11 @@ import numpy as np
 
 from repro.aggregates.counting import (
     COUNT_FAILURE_TARGET,
+    COUNT_FLOAT32_MAX_N,
     COUNT_ROUNDS_MU_EXPONENT,
     COUNT_ROUNDS_OFFSET,
     COUNT_ROUNDS_SLOPE,
+    count_indicators,
     count_leq,
     count_rounds,
 )
@@ -54,17 +63,20 @@ from repro.gossip.env import GossipEnv
 from repro.utils.rand import RandomSource
 
 DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_count_budget.json"
-#: Indicator fractions, alternating over seeds.
-FRACTIONS = (0.5, 0.05)
+#: Fractions of values at most the threshold, cycling over seeds; float32
+#: rounding peaks at the near-full one.
+FRACTIONS = (0.5, 0.05, 0.999)
 #: (n, μ, seeds) of the full table: ≥ 1000 seeds up to n = 10⁴ without
-#: failures and at μ = 0.15, the tail beyond it, and the failure stretch
-#: at μ = 0.3 and 0.5.
+#: failures and at μ = 0.15, the tail beyond it, the failure stretch at
+#: μ = 0.3 and 0.5, and the float32 counts' largest size,
+#: ``COUNT_FLOAT32_MAX_N``, with and without failures.
 CELLS = (
     (32, 0.0, 2000),
     (1_000, 0.0, 1000),
     (10_000, 0.0, 1000),
     (100_000, 0.0, 100),
     (1_000_000, 0.0, 20),
+    (COUNT_FLOAT32_MAX_N, 0.0, 21),
     (32, 0.15, 1000),
     (1_000, 0.15, 1000),
     (10_000, 0.15, 1000),
@@ -73,9 +85,13 @@ CELLS = (
     (10_000, 0.3, 300),
     (1_000, 0.5, 1000),
     (10_000, 0.5, 300),
+    (COUNT_FLOAT32_MAX_N, 0.5, 12),
 )
 #: Rounds by which a budget should clear its cell's slowest seed.
 MARGIN = 2
+#: Largest ``max_error`` a cell may reach: half the 1/2 that keeps a
+#: rounded count exact.
+ERROR_GATE = 0.25
 SMOKE_CELLS = (
     (32, 0.0, 200),
     (1_000, 0.0, 50),
@@ -87,34 +103,40 @@ SMOKE_CELLS = (
 
 class _ExactProbe(PushSumProtocol):
     """Push-sum that notes the first round its rounded count is exact at
-    every node, and whether it is exact after ``budget`` rounds.  It stops
-    once it has seen both (or at its round cap)."""
+    every node, and whether it is exact after ``budget`` rounds and by how
+    much it is off there.  It reads its estimates as
+    :func:`~repro.aggregates.counting.count_leq` does, and stops once it
+    has seen the first exact round and the budget (or at its round cap)."""
 
     def __init__(self, indicators: np.ndarray, budget: int, horizon: int) -> None:
         super().__init__(indicators, rounds=horizon)
-        self._count = float(indicators.sum())
+        self._count = float(np.count_nonzero(indicators > 0))
         self._budget = budget
         self.first_exact = horizon + 1
         self.exact_at_budget = False
+        self.error_at_budget = math.inf
 
     def is_done(self, round_index: int) -> bool:
         if round_index > 0:
-            estimates = self.outputs_array() * self.n
+            estimates = (self.outputs_array() + 0.5) * self.n
             exact = bool(np.all(np.rint(estimates) == self._count))
             if exact and self.first_exact > round_index:
                 self.first_exact = round_index
             if round_index == self._budget:
                 self.exact_at_budget = exact
+                self.error_at_budget = float(np.max(np.abs(estimates - self._count)))
             if round_index >= self._budget and self.first_exact <= round_index:
                 return True
         return super().is_done(round_index)
 
 
-def _indicators(n: int, seed: int) -> np.ndarray:
-    ones = int(round(FRACTIONS[seed % len(FRACTIONS)] * n))
-    indicators = np.zeros(n)
-    indicators[RandomSource(seed).permutation(n)[:ones]] = 1.0
-    return indicators
+def _values(n: int, seed: int) -> np.ndarray:
+    """``round(f n)`` zeros at seeded random nodes, ones elsewhere: the
+    zeros are the values at most the threshold 0.5."""
+    below = int(round(FRACTIONS[seed % len(FRACTIONS)] * n))
+    values = np.ones(n)
+    values[RandomSource(seed).permutation(n)[:below]] = 0.0
+    return values
 
 
 def _run_rng(seed: int) -> RandomSource:
@@ -131,18 +153,23 @@ def run_cell(n: int, mu: float, seeds: int) -> dict:
     horizon = math.ceil(1.5 * budget)
     firsts = np.empty(seeds, dtype=int)
     misses = 0
+    max_error = 0.0
     start = time.perf_counter()
     for seed in range(seeds):
-        indicators = _indicators(n, seed)
-        probe = _ExactProbe(indicators, budget, horizon)
+        values = _values(n, seed)
+        probe = _ExactProbe(count_indicators(values, 0.5), budget, horizon)
         run_protocol(probe, rng=_run_rng(seed), max_rounds=horizon + 1, env=env)
         firsts[seed] = probe.first_exact
         misses += not probe.exact_at_budget
+        max_error = max(max_error, probe.error_at_budget)
         if seed == 0:
             # the probe's state at the budget is count_leq's result
-            result = count_leq(indicators, 0.5, rng=_run_rng(seed), env=env)
+            result = count_leq(values, 0.5, rng=_run_rng(seed), env=env)
             assert result.rounds == budget, (result.rounds, budget)
             assert result.exact == probe.exact_at_budget, (n, mu)
+            count = np.count_nonzero(values <= 0.5)
+            error = float(np.max(np.abs(result.estimates - count)))
+            assert error == probe.error_at_budget, (n, mu)
     firsts.sort()
     return {
         "n": n,
@@ -153,6 +180,7 @@ def run_cell(n: int, mu: float, seeds: int) -> dict:
         "p99": _nearest_rank(firsts, 0.99),
         "max": int(firsts[-1]),
         "misses": misses,
+        "max_error": max_error,
         "wall_s": time.perf_counter() - start,
     }
 
@@ -182,6 +210,8 @@ def fit(rows) -> dict:
         "offset_needed": round(float(needed), 3),
         "margin": MARGIN,
         "failure_target": COUNT_FAILURE_TARGET,
+        "float32_max_n": COUNT_FLOAT32_MAX_N,
+        "error_gate": ERROR_GATE,
     }
 
 
@@ -214,7 +244,7 @@ def main(argv=None) -> int:
 
     header = (
         f"{'n':>9}  {'mu':>4}  {'seeds':>5}  {'budget':>6}  {'median':>6}  "
-        f"{'p99':>4}  {'max':>4}  {'misses':>6}"
+        f"{'p99':>4}  {'max':>4}  {'misses':>6}  {'max_error':>9}"
     )
     print(header)
     print("-" * len(header))
@@ -225,11 +255,15 @@ def main(argv=None) -> int:
         print(
             f"{n:>9}  {mu:>4.2f}  {seeds:>5}  {row['budget']:>6}  "
             f"{row['median']:>6.1f}  {row['p99']:>4}  {row['max']:>4}  "
-            f"{row['misses']:>6}",
+            f"{row['misses']:>6}  {row['max_error']:>9.4f}",
             flush=True,
         )
     write_json(rows, args.json or default, smoke=args.smoke)
-    failed = [row for row in rows if row["misses"] or row["max"] >= row["budget"]]
+    failed = [
+        row for row in rows
+        if row["misses"] or row["max"] >= row["budget"]
+        or row["max_error"] >= ERROR_GATE
+    ]
     for row in failed:
         print(f"budget not cleared: {row}", file=sys.stderr)
     return 1 if failed else 0

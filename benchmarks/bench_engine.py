@@ -4,6 +4,8 @@ Runs push-sum, three tournament plans and an extrema spreading on the
 vectorized engine at increasing network sizes and reports rounds/second:
 
 * push-sum, the hot protocol behind counting and the Kempe baseline;
+* ``count-f32``: push-sum over ``count_leq``'s centered float32
+  indicators, the complex64 pairs Step 5 of Algorithm 3 pushes;
 * tournament plans of 3-round ``TournamentProtocol`` windows, each closed
   by a median-of-three kernel, over 2 and 4 lanes (streamed: each round is
   gathered node-major as it ends) and over 5 lanes (wide: gathered
@@ -14,9 +16,9 @@ vectorized engine at increasing network sizes and reports rounds/second:
 
 At every size it first checks that the vectorized engine and its per-node
 reference — the asyncio engine over in-process channels — produce
-byte-identical results on the same round budget: push-sum estimates, each
-tournament plan's final rows and the float32 extrema outputs (CI runs
-``--sizes 1000 10000``).
+byte-identical results on the same round budget: the float64 and float32
+push-sum estimates, each tournament plan's final rows and the float32
+extrema outputs (CI runs ``--sizes 1000 10000``).
 Usable standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --sizes 1000 10000 100000
@@ -45,6 +47,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 
 import numpy as np
 
+from repro.aggregates.counting import count_indicators
 from repro.aggregates.extrema import ExtremaProtocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.three_tournament import median_of_three
@@ -64,6 +67,15 @@ def _push_sum(n: int, rounds: int, seed: int):
     the rounds it must run."""
     values = RandomSource(seed).random(n) * 100.0
     protocol = PushSumProtocol(values, rounds=rounds)
+    return protocol, protocol.outputs_array, rounds
+
+
+def _count(n: int, rounds: int, seed: int):
+    """Push-sum over ``count_leq``'s indicators of a random half of the
+    nodes: float32 ±1/2, packed into complex64 pairs."""
+    indicators = count_indicators(RandomSource(seed).random(n), 0.5)
+    assert indicators.dtype == np.float32
+    protocol = PushSumProtocol(indicators, rounds=rounds)
     return protocol, protocol.outputs_array, rounds
 
 
@@ -96,6 +108,7 @@ def _extrema(n: int, rounds: int, seed: int):
 
 PROTOCOLS = {
     "push-sum": _push_sum,
+    "count-f32": _count,
     "pull-2": _tournament(2),
     f"pull-{STREAM_MAX_LANES}": _tournament(STREAM_MAX_LANES),
     f"pull-{STREAM_MAX_LANES + 1}": _tournament(STREAM_MAX_LANES + 1),

@@ -14,9 +14,13 @@ the exact count w.h.p. in ``O(log n)`` rounds
 (:func:`repro.aggregates.counting.count_rounds` is that budget, calibrated
 on a failure-rate table).
 
-Each node's pair is stored as one complex128 element (``s`` real, ``w``
+Each node's pair is stored as one complex element (``s`` real, ``w``
 imaginary), so a vectorized round is one halving, one copy and one
-``np.add.at`` scatter of the packed array.
+``np.add.at`` scatter of the packed array.  The pair follows the input's
+dtype: float32 values pack into complex64 (half the bytes per round; the
+counting indicators of :func:`repro.aggregates.counting.count_leq` up to
+:data:`~repro.aggregates.counting.COUNT_FLOAT32_MAX_N` nodes), anything
+else into complex128.  Estimates are divided in float64 either way.
 """
 
 from __future__ import annotations
@@ -59,11 +63,13 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
     ----------
     values:
         Per-node inputs ``x_v``.  NaN is rejected (it would poison every
-        estimate it reaches); ±inf are legal.
+        estimate it reaches); ±inf are legal.  float32 values gossip as
+        float32 ``(s, w)`` pairs; any other input is cast to float64.
     weights:
-        Per-node initial weights.  ``None`` means all ones (the estimate
-        converges to the average).  For a *sum*, give weight 1 to a single
-        node and 0 to all others.  NaN is rejected.
+        Per-node initial weights, cast to the values' dtype.  ``None``
+        means all ones (the estimate converges to the average).  For a
+        *sum*, give weight 1 to a single node and 0 to all others.  NaN is
+        rejected.
     rounds:
         Number of rounds to run (a hard budget when ``tolerance`` is set).
     tolerance:
@@ -83,7 +89,9 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         rounds: Optional[int] = None,
         tolerance: Optional[float] = None,
     ) -> None:
-        array = np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype != np.float32:
+            array = np.asarray(array, dtype=float)
         if array.ndim != 1 or array.size < 2:
             raise ConfigurationError("values must be a 1-d array of length >= 2")
         if np.isnan(array).any():
@@ -91,14 +99,14 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         super().__init__(array.size)
         # the packed (s, w) pairs; ``_s`` / ``_w`` are their real / imaginary
         # views
-        self._sw = np.empty(self.n, dtype=np.complex128)
+        self._sw = np.empty(self.n, dtype=np.result_type(array.dtype, 1j))
         self._s = self._sw.real
         self._w = self._sw.imag
         self._s[:] = array
         if weights is None:
             self._w[:] = 1.0
         else:
-            w = np.asarray(weights, dtype=float)
+            w = np.asarray(weights, dtype=array.dtype)
             if w.shape != (self.n,):
                 raise ConfigurationError("weights must match values in length")
             if np.isnan(w).any():
@@ -132,7 +140,7 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
 
     # -- batch (vectorized-engine) interface --------------------------------------
     def act_batch(self, round_index: int, alive: ReadOnlyArray) -> BatchAction:
-        # Halve through the float64 view: two real multiplies per pair.  A
+        # Halve through the real view: two real multiplies per pair.  A
         # complex ``*= 0.5`` would compute ``s * 0 + w / 2`` for the weight,
         # turning it NaN under an infinite ``s`` and dropping the sign of a
         # -0.0 weight.
@@ -144,13 +152,13 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
             # cannot alias).
             if self._scratch is None:
                 self._scratch = np.empty_like(self._sw)
-            halves = self._sw.view(np.float64)
+            halves = self._sw.view(self._s.dtype)
             halves *= 0.5
             np.copyto(self._scratch, self._sw)
             half = self._scratch
         else:
             half = self._sw[alive]
-            halves = half.view(np.float64)
+            halves = half.view(self._s.dtype)
             halves *= 0.5
             self._sw[alive] = half
         return BatchAction("push", payload=half, push_bits=self.message_bits(None))
@@ -162,7 +170,7 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
         targets = partners if half.size == self.n else partners[alive]
         # ufunc.at accumulates in index order, so repeated targets sum
         # bit-identically to the per-node asyncio engine's deliveries; a
-        # complex add is the two float64 adds of s and w.
+        # complex add is the two real adds of s and w.
         np.add.at(self._sw, targets, half)
 
     def is_done(self, round_index: int) -> bool:
@@ -174,15 +182,18 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
 
     def relative_spread(self) -> float:
         """Relative spread of the current estimates: ``(max - min) / |mean|``."""
-        estimates = np.where(
-            self._w > 0, self._s / np.maximum(self._w, 1e-300), 0.0
-        )
+        estimates = self.outputs_array()
         spread = float(estimates.max() - estimates.min())
         scale = abs(float(estimates.mean()))
         return spread / max(scale, 1e-300)
 
     def outputs_array(self) -> np.ndarray:
-        return np.where(self._w > 0, self._s / np.maximum(self._w, 1e-300), 0.0)
+        # Divide in float64 whatever the pair's dtype: in float32 the
+        # 1e-300 floor underflows to 0, and a float32 quotient would add
+        # its own rounding to every estimate.
+        s = np.asarray(self._s, dtype=np.float64)
+        w = np.asarray(self._w, dtype=np.float64)
+        return np.where(w > 0, s / np.maximum(w, 1e-300), 0.0)
 
     def outputs(self) -> List[float]:
         return [float(e) for e in self.outputs_array()]
@@ -194,12 +205,12 @@ class PushSumProtocol(BatchGossipProtocol, GossipProtocol):
     @property
     def total_mass(self) -> float:
         """Invariant: the total ``s`` mass is conserved by every round."""
-        return float(self._s.sum())
+        return float(self._s.sum(dtype=np.float64))
 
     @property
     def total_weight(self) -> float:
         """Invariant: the total ``w`` mass is conserved by every round."""
-        return float(self._w.sum())
+        return float(self._w.sum(dtype=np.float64))
 
 
 @dataclass

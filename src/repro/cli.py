@@ -29,7 +29,7 @@ import asyncio
 import json
 import sys
 from contextlib import nullcontext
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -564,8 +564,13 @@ async def _serve_listen(render, port: int, probe: bool) -> None:
         await server.stop()
 
 
-def _run_net(args: argparse.Namespace) -> str:
-    """The ``net`` subcommand: one protocol run on the asyncio backend."""
+def _run_net(args: argparse.Namespace) -> Tuple[str, Optional[str]]:
+    """The ``net`` subcommand: one protocol run on the asyncio backend.
+
+    Returns the report text and, when ``--compare`` found the deployed
+    run's accounting different from the vectorized engine's, the
+    mismatch (the ``summary()`` fields that differ), else ``None``.
+    """
     from repro.aggregates.extrema import ExtremaProtocol
     from repro.aggregates.push_sum import PushSumProtocol
     from repro.net import MetricsServer, SwimFailureDetector, arun_protocol
@@ -653,31 +658,31 @@ def _run_net(args: argparse.Namespace) -> str:
             for kind, count in sorted(faults.counters.items())
             if count
         }
+    mismatch = None
     if args.compare:
         sim_metrics = NetworkMetrics()
         sim = run_protocol(
             make_protocol(), rng=args.seed, metrics=sim_metrics,
             raise_on_budget=False,
         )
-        matches = (
-            sim.rounds == result.rounds
-            and sim_metrics.summary() == summary
-        )
+        simulated = dict(sim_metrics.summary(), run_rounds=sim.rounds)
+        deployed = dict(summary, run_rounds=result.rounds)
+        differing = [key for key in deployed if simulated[key] != deployed[key]]
         if faults is not None or args.swim:
             report["parity"] = "n/a (faults/detector change the live run)"
-        elif matches:
+        elif not differing:
             report["parity"] = (
                 f"ok: rounds={sim.rounds}, messages={summary['messages']}, "
                 f"bits={summary['total_bits']} identical on the vectorized engine"
             )
         else:
-            report["parity"] = (
-                f"MISMATCH: simulated rounds={sim.rounds} "
-                f"messages={sim_metrics.summary()['messages']} vs deployed "
-                f"rounds={result.rounds} messages={summary['messages']}"
+            mismatch = "MISMATCH: " + ", ".join(
+                f"{key} simulated={simulated[key]} deployed={deployed[key]}"
+                for key in differing
             )
+            report["parity"] = mismatch
     if args.json:
-        return json.dumps(report, indent=2, sort_keys=True)
+        return json.dumps(report, indent=2, sort_keys=True), mismatch
     lines = [
         f"{report['protocol']} over {args.transport} transport: "
         f"n={n}, {report['rounds']} rounds, {report['messages']} messages, "
@@ -702,7 +707,7 @@ def _run_net(args: argparse.Namespace) -> str:
         )
     if "parity" in report:
         lines.append(f"parity: {report['parity']}")
-    return "\n".join(lines)
+    return "\n".join(lines), mismatch
 
 
 def _make_tracer(args: argparse.Namespace) -> Optional[Tracer]:
@@ -761,6 +766,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     tracer = _make_tracer(args)
     service = None
+    status = 0
     with use_tracer(tracer) if tracer is not None else nullcontext():
         if args.command in ("query", "ranks", "serve"):
             if args.command == "query":
@@ -795,7 +801,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     )
                 )
         elif args.command == "net":
-            print(_run_net(args))
+            text, mismatch = _run_net(args)
+            print(text)
+            if mismatch is not None:
+                print(f"parity: {mismatch}", file=sys.stderr)
+                status = 1
         else:
             print(
                 run_experiment(
@@ -806,7 +816,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
             )
     _export_observability(args, tracer, service=service)
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

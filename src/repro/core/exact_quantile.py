@@ -84,10 +84,13 @@ exact path" section):
   tournaments, the Step-4 extrema lanes and the final query compare
   exact integers either way, so the dtype changes the speed (the hot
   gathers and scatters move half the memory) but never the answer.
-  ``env.dtype`` does not apply to the keys.  Push-sum counting keeps its
-  own float64 mass.  Exact queries complete in seconds at n = 10⁵ and run
-  single-threaded at n = 10⁶ (see ``benchmarks/bench_exact_quantile.py``
-  and the ``exact-scale`` experiment preset).
+  ``env.dtype`` does not apply to the keys.  Push-sum counting compares
+  the float32 keys as they are and pushes its own centered indicators,
+  float32 up to :data:`~repro.aggregates.counting.COUNT_FLOAT32_MAX_N`
+  nodes (:func:`~repro.aggregates.counting.count_indicators`).  Exact
+  queries complete in seconds at n = 10⁵ and run single-threaded at
+  n = 10⁶ (see ``benchmarks/bench_exact_quantile.py`` and the
+  ``exact-scale`` experiment preset).
 * **Robustness.**  The env's failure model, churn process and fault
   injector reach every step (Section 5), through one outage rule.
 """

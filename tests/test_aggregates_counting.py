@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.aggregates.counting import count_leq, count_rounds
+from repro.aggregates.counting import (
+    COUNT_FLOAT32_MAX_N,
+    count_indicators,
+    count_leq,
+    count_rounds,
+)
 from repro.exceptions import ConfigurationError
 from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.env import GossipEnv
@@ -117,4 +122,44 @@ def test_nan_is_rejected_and_infinities_count():
     values[5] = -np.inf
     result = count_leq(values, threshold=10.0, rng=1)
     assert result.count == 9  # 1..4, 7..10 and -inf
+    assert result.exact
+
+
+def test_count_indicators_switch_to_float64_above_the_float32_bound():
+    at_bound = count_indicators(np.zeros(COUNT_FLOAT32_MAX_N), 0.5)
+    assert at_bound.dtype == np.float32
+    assert np.all(at_bound == 0.5)
+    above = count_indicators(np.ones(COUNT_FLOAT32_MAX_N + 1), 0.5)
+    assert above.dtype == np.float64
+    assert np.all(above == -0.5)
+
+
+def test_count_indicators_compare_float32_values_exactly():
+    # float32(0.1) lies above the float64 threshold 0.1; comparing in
+    # float32 would round the threshold onto it
+    values = np.array([0.1, 0.0, 0.2], dtype=np.float32)
+    indicators = count_indicators(values, 0.1)
+    assert indicators.tolist() == [-0.5, 0.5, -0.5]
+    assert count_leq(values, 0.1, rng=1).count == 1
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+def test_float32_and_float64_values_count_alike(engine):
+    keys = RandomSource(3).permutation(300) + 1.0
+    env = GossipEnv(engine=engine)
+    wide = count_leq(keys, 120.0, rng=4, env=env)
+    narrow = count_leq(keys.astype(np.float32), 120.0, rng=4, env=env)
+    assert narrow.estimates.tobytes() == wide.estimates.tobytes()
+    assert (narrow.count, narrow.exact) == (120, True)
+
+
+def test_count_leq_is_exact_at_the_float32_bound_near_full():
+    """The largest float32 count with its worst-case fraction, 1 - 2⁻¹⁰ of
+    the nodes at most the threshold."""
+    n = COUNT_FLOAT32_MAX_N
+    keys = (RandomSource(5).permutation(n) + 1).astype(np.float32)
+    below = n - n // 1024
+    result = count_leq(keys, float(below), rng=6)
+    assert result.rounds == count_rounds(n)
+    assert result.count == below
     assert result.exact

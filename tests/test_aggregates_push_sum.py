@@ -1,5 +1,7 @@
 """Tests for the push-sum aggregation substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.aggregates.push_sum import (
 from repro.exceptions import ConfigurationError
 from repro.gossip.engine import run_protocol
 from repro.gossip.env import GossipEnv
+from repro.utils.rand import RandomSource
 
 
 def test_default_rounds_grow_with_n_and_accuracy():
@@ -101,3 +104,38 @@ def test_message_bits_constant_per_message():
     bits = protocol.message_bits((1.0, 0.5))
     assert bits == protocol.message_bits((100.0, 2.0))
     assert bits > 64
+
+
+def test_float32_values_gossip_as_complex64_pairs():
+    values = np.arange(64, dtype=np.float32)
+    protocol = PushSumProtocol(values, weights=np.ones(64), rounds=5)
+    assert protocol._sw.dtype == np.complex64
+    assert PushSumProtocol(values.astype(int), rounds=5)._sw.dtype == np.complex128
+
+
+@pytest.mark.parametrize("mu", [None, 0.3], ids=["failure-free", "failures"])
+def test_float32_push_sum_reads_out_float64_on_both_engines(mu):
+    """A float32 sum (weight on node 0 only) divides in float64: the
+    zero weights of the first rounds raise no RuntimeWarning, and both
+    engines agree byte for byte."""
+    values = (RandomSource(8).random(300) * 100.0).astype(np.float32)
+    weights = np.zeros(300)
+    weights[0] = 1.0
+    outputs = []
+    for engine in ("vectorized", "asyncio"):
+        protocol = PushSumProtocol(values, weights=weights, rounds=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = protocol.outputs_array()
+            run_protocol(
+                protocol, rng=9, max_rounds=61,
+                env=GossipEnv(failure_model=mu, engine=engine),
+            )
+            out = protocol.outputs_array()
+            spread = protocol.relative_spread()
+        assert start.dtype == out.dtype == np.float64
+        assert np.count_nonzero(start) == 1
+        assert spread < 1e-3
+        outputs.append(out.tobytes())
+    assert outputs[0] == outputs[1]
+    assert np.allclose(out, values.astype(float).sum(), rtol=1e-3)

@@ -137,6 +137,25 @@ def test_cli_net_compare_pins_parity():
     assert "parity: ok" in proc.stdout
 
 
+def test_cli_net_compare_fails_and_names_a_mismatch(monkeypatch, capsys):
+    from repro import cli
+
+    simulated = cli.run_protocol
+
+    def one_message_more(protocol, **kwargs):
+        result = simulated(protocol, **kwargs)
+        kwargs["metrics"].messages += 1
+        return result
+
+    monkeypatch.setattr(cli, "run_protocol", one_message_more)
+    assert cli.main(["net", "--n", "8", "--seed", "3", "--compare"]) == 1
+    out, err = capsys.readouterr()
+    assert "parity: MISMATCH: messages simulated=" in out
+    assert "parity: MISMATCH: messages simulated=" in err
+    # only the skewed field is named
+    assert "total_bits" not in err and "rounds" not in err
+
+
 def test_cli_net_json_reports_the_run(tmp_path):
     proc = _cli(
         "net", "--n", "8", "--seed", "3", "--protocol", "extrema", "--json"

@@ -89,6 +89,12 @@ RUNS = {
 #: failure-free dcc7eb4c316d28e2 → 881fc9635d26aa06, failures
 #: 187a364c69e39d67 → ad7be5c3fd3a954b, sparse 74977b2ebf2813ed →
 #: c40ab7f427711916, process c37a863970553bf5 → d6424f2bbb232f64.
+#: Re-pinned when count_leq began pushing centered float32 indicators
+#: (±1/2, complex64 pairs up to COUNT_FLOAT32_MAX_N nodes), same rounds
+#: and counts, each digest shared by both engines: failure-free
+#: 881fc9635d26aa06 → be3147c930bc4d37, failures ad7be5c3fd3a954b →
+#: de594dabc0d4fe41, sparse c40ab7f427711916 → d1280879fb935b8e, process
+#: d6424f2bbb232f64 → 551fb631749ef0bc.
 PUSH_SUM_PINS = {
     ("push_sum_average", "failure-free"): "46dd936cdb52dabf",
     ("push_sum_average", "failures"): "396d974ab530e5d2",
@@ -98,10 +104,10 @@ PUSH_SUM_PINS = {
     ("push_sum_sum", "failures"): "dfd3ac4529e64347",
     ("push_sum_sum", "sparse"): "dcbc36e9160474f5",
     ("push_sum_sum", "process"): "18b3a63a5c6b09f9",
-    ("count_leq", "failure-free"): "881fc9635d26aa06",
-    ("count_leq", "failures"): "ad7be5c3fd3a954b",
-    ("count_leq", "sparse"): "c40ab7f427711916",
-    ("count_leq", "process"): "d6424f2bbb232f64",
+    ("count_leq", "failure-free"): "be3147c930bc4d37",
+    ("count_leq", "failures"): "de594dabc0d4fe41",
+    ("count_leq", "sparse"): "d1280879fb935b8e",
+    ("count_leq", "process"): "551fb631749ef0bc",
 }
 
 
@@ -194,3 +200,18 @@ def test_push_sum_edge_values_pinned(case, mu, engine):
         assert np.isposinf(out).all()
     else:
         assert np.isnan(out).all()
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+@pytest.mark.parametrize("mu", [None, 0.3], ids=["failure-free", "failures"])
+@pytest.mark.parametrize("case", sorted(EDGE_PINS))
+def test_float32_push_sum_edge_values_match_the_float64_pins(case, mu, engine):
+    """The complex64 pairs halve through their float32 view: the same
+    signed zeros, infinities and NaNs, read out as float64."""
+    values, weights = _edge_case(case)
+    protocol = PushSumProtocol(values.astype(np.float32), weights=weights, rounds=12)
+    assert protocol._sw.dtype == np.complex64
+    env = GossipEnv(failure_model=mu, engine=engine)
+    with np.errstate(invalid="ignore"):
+        run_protocol(protocol, rng=17, max_rounds=13, env=env)
+    assert _digest(protocol.outputs_array()) == EDGE_PINS[case]
