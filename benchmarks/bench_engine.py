@@ -4,8 +4,8 @@ Runs push-sum, three tournament plans and an extrema spreading on the
 vectorized engine at increasing network sizes and reports rounds/second:
 
 * push-sum, the hot protocol behind counting and the Kempe baseline;
-* ``count-f32``: push-sum over ``count_leq``'s centered float32
-  indicators, the complex64 pairs Step 5 of Algorithm 3 pushes;
+* ``count``: push-sum over ``count_leq``'s centered indicators, the
+  float32 (complex64) pairs Step 5 of Algorithm 3 pushes at these sizes;
 * tournament plans of 3-round ``TournamentProtocol`` windows, each closed
   by a median-of-three kernel, over 2 and 4 lanes (streamed: each round is
   gathered node-major as it ends) and over 5 lanes (wide: gathered
@@ -72,9 +72,9 @@ def _push_sum(n: int, rounds: int, seed: int):
 
 def _count(n: int, rounds: int, seed: int):
     """Push-sum over ``count_leq``'s indicators of a random half of the
-    nodes: float32 ±1/2, packed into complex64 pairs."""
+    nodes: ±1/2, float32 (complex64 pairs) up to ``COUNT_FLOAT32_MAX_N``
+    nodes."""
     indicators = count_indicators(RandomSource(seed).random(n), 0.5)
-    assert indicators.dtype == np.float32
     protocol = PushSumProtocol(indicators, rounds=rounds)
     return protocol, protocol.outputs_array, rounds
 
@@ -108,7 +108,7 @@ def _extrema(n: int, rounds: int, seed: int):
 
 PROTOCOLS = {
     "push-sum": _push_sum,
-    "count-f32": _count,
+    "count": _count,
     "pull-2": _tournament(2),
     f"pull-{STREAM_MAX_LANES}": _tournament(STREAM_MAX_LANES),
     f"pull-{STREAM_MAX_LANES + 1}": _tournament(STREAM_MAX_LANES + 1),
