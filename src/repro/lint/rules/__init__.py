@@ -11,6 +11,7 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     async_private_stream,
     bare_suppression,
     no_blocking_in_loop,
+    no_pickle_in_net,
     no_unawaited_send,
     private_stream,
     rng_discipline,
@@ -23,6 +24,7 @@ __all__ = [
     "async_private_stream",
     "bare_suppression",
     "no_blocking_in_loop",
+    "no_pickle_in_net",
     "no_unawaited_send",
     "private_stream",
     "rng_discipline",

@@ -25,6 +25,8 @@ The robustness layer ships as first-class subsystems:
 * :mod:`repro.net.failure_detector` — SWIM-style suspicion (direct ping →
   indirect ping-req through k proxies → suspect → confirm), piggybacked
   on gossip pushes;
+* :mod:`repro.net.codec` — the TCP transport's fixed binary wire format:
+  frames are decoded field by field, never unpickled;
 * :mod:`repro.net.quantile` — a live quantile query that completes with
   honestly widened bounds when peers die mid-run (the PR-8 degraded
   answer contract).

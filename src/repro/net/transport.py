@@ -6,11 +6,12 @@ Two implementations behind one asyncio interface:
   registered handler directly.  No serialization, no sockets; the fast
   path for tests and for the equivalence suite, where only the *message
   pattern* matters.
-* :class:`TcpTransport` — loopback TCP: every node runs a real
-  ``asyncio.start_server`` stream server on ``127.0.0.1`` and calls are
-  length-prefixed pickled frames over pooled connections.  The deployment-
-  realistic path (serialization boundaries, kernel buffers, connection
-  refusal on dead peers).
+* :class:`TcpTransport` — loopback TCP: every node runs a real server
+  on ``127.0.0.1`` and calls are length-prefixed frames of the fixed
+  binary codec (:mod:`repro.net.codec`) over pooled connections, matched
+  to their replies by request id.  The deployment-realistic path
+  (serialization boundaries, kernel buffers, connection refusal on dead
+  peers); nothing read off a socket is unpickled.
 
 Both support killing a node — ``mode="refuse"`` fails callers immediately
 (the TCP analogue: connection refused), ``mode="silent"`` swallows the
@@ -29,11 +30,18 @@ containment.
 from __future__ import annotations
 
 import asyncio
-import pickle
-import struct
+import functools
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ReproError
+from repro.net.codec import (
+    LENGTH,
+    MAX_FRAME_BYTES,
+    FrameError,
+    decode_reply,
+    decode_request,
+    encode,
+)
 
 #: A registered per-node frame handler: ``handler(dst, frame) -> reply``.
 Handler = Callable[[int, Dict[str, Any]], Awaitable[Dict[str, Any]]]
@@ -149,37 +157,180 @@ class ChannelTransport(Transport):
         return await self._handler_for(dst)(dst, frame)
 
 
-class TcpTransport(Transport):
-    """Loopback TCP transport: one stream server per node, pooled clients.
+def _frames(
+    buffer: bytearray, decode: Callable[[bytes], Tuple[int, Dict[str, Any]]]
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Cut every complete frame off the front of ``buffer`` and decode it.
 
-    Frames are pickled dicts behind a 4-byte big-endian length prefix.
-    Each (src, dst) pair keeps one pooled connection guarded by a lock —
-    requests on a pair are serialized, pairs proceed concurrently — which
-    matches the one-outstanding-call-per-partner pattern of synchronous
-    gossip rounds while exercising real sockets end to end.
+    Raises :class:`~repro.net.codec.FrameError` on a malformed body or a
+    length prefix over :data:`~repro.net.codec.MAX_FRAME_BYTES`, without
+    waiting for that frame's bytes.
     """
+    frames = []
+    offset = 0
+    while len(buffer) - offset >= LENGTH.size:
+        (length,) = LENGTH.unpack_from(buffer, offset)
+        if length > MAX_FRAME_BYTES:
+            raise FrameError(f"length prefix {length} exceeds {MAX_FRAME_BYTES}")
+        end = offset + LENGTH.size + length
+        if len(buffer) < end:
+            break
+        frames.append(decode(bytes(buffer[offset + LENGTH.size:end])))
+        offset = end
+    del buffer[:offset]
+    return frames
 
-    _LEN = struct.Struct("!I")
+
+class _Client(asyncio.Protocol):
+    """One pooled (src, dst) connection: requests out, replies in by id."""
+
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._next_id = 0
+        self.closed = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        try:
+            replies = _frames(self._buffer, decode_reply)
+        except FrameError:
+            self.close()
+            return
+        for req_id, reply in replies:
+            # A reply whose caller's deadline already fired finds no future.
+            future = self._pending.pop(req_id, None)
+            if future is not None and not future.done():
+                future.set_result(reply)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed = True
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(ConnectionResetError("connection closed"))
+
+    async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        req_id = self._next_id
+        self._next_id = (req_id + 1) & 0xFFFFFFFF
+        data = encode(req_id, frame)
+        if self.closed or self._transport is None:
+            raise ConnectionResetError("connection closed")
+        future = asyncio.get_running_loop().create_future()
+        self._pending[req_id] = future
+        self._transport.write(data)
+        try:
+            return await future
+        finally:
+            self._pending.pop(req_id, None)
+
+    def close(self) -> None:
+        self.closed = True
+        if self._transport is not None:
+            self._transport.close()
+
+
+class _Server(asyncio.Protocol):
+    """One accepted connection to ``node``: each request's handler runs as
+    its own task and its reply goes back under the request's id."""
+
+    def __init__(self, owner: "TcpTransport", node: int) -> None:
+        self._owner = owner
+        self._node = node
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._tasks: Set["asyncio.Task[None]"] = set()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._owner._server_conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        try:
+            requests = _frames(self._buffer, decode_request)
+        except FrameError:
+            # Malformed input ends this connection and nothing else.
+            self.close()
+            return
+        owner, node = self._owner, self._node
+        loop = asyncio.get_running_loop()
+        for req_id, frame in requests:
+            if node in owner._down:
+                # refuse: drop the connection; silent: swallow the frame.
+                if node in owner._silent:
+                    continue
+                self.close()
+                return
+            task = loop.create_task(self._answer(req_id, frame))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+
+    async def _answer(self, req_id: int, frame: Dict[str, Any]) -> None:
+        try:
+            reply = await self._owner._handler_for(self._node)(self._node, frame)
+            data = encode(req_id, reply)
+        except Exception as exc:
+            # A reply that cannot be sent closes the connection, so the
+            # caller fails fast instead of waiting out its deadline.
+            self.close()
+            asyncio.get_running_loop().call_exception_handler({
+                "message": f"node {self._node} could not answer a frame",
+                "exception": exc,
+                "protocol": self,
+            })
+            return
+        if self._transport is not None and not self._transport.is_closing():
+            self._transport.write(data)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._owner._server_conns.discard(self)
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+    async def retire(self) -> None:
+        """Close the connection and cancel its in-flight handlers."""
+        self.close()
+        tasks = tuple(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+
+class TcpTransport(Transport):
+    """Loopback TCP transport: one server per node, pooled clients.
+
+    Frames are the fixed binary codec of :mod:`repro.net.codec` behind a
+    4-byte big-endian length prefix, spoken by one ``asyncio.Protocol``
+    pair; nothing read off a socket is unpickled.  Each (src, dst) pair
+    keeps one pooled connection; every request carries an id its reply
+    echoes, so concurrent calls on a pair resolve their own futures with
+    no lock.  A malformed or oversized frame closes that connection and
+    nothing else.
+    """
 
     def __init__(self, n: int, host: str = "127.0.0.1") -> None:
         super().__init__(n)
         self.host = host
         self._servers: Dict[int, asyncio.AbstractServer] = {}
         self._ports: Dict[int, int] = {}
-        self._pool: Dict[
-            Tuple[int, int],
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter],
-        ] = {}
-        self._locks: Dict[Tuple[int, int], asyncio.Lock] = {}
-        self._conn_tasks: Set["asyncio.Task[None]"] = set()
+        self._pool: Dict[Tuple[int, int], _Client] = {}
+        self._server_conns: Set[_Server] = set()
         self._started = False
 
     async def start(self) -> None:
         if self._started:
             return
+        loop = asyncio.get_running_loop()
         for node in range(self.n):
-            server = await asyncio.start_server(
-                self._serve_connection(node), host=self.host, port=0
+            server = await loop.create_server(
+                functools.partial(_Server, self, node), host=self.host, port=0
             )
             self._servers[node] = server
             self._ports[node] = server.sockets[0].getsockname()[1]
@@ -189,91 +340,36 @@ class TcpTransport(Transport):
         self._check_node(node)
         return self._ports[node]
 
-    def _serve_connection(
-        self, node: int
-    ) -> Callable[[asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]]:
-        async def serve(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                self._conn_tasks.add(task)
-            try:
-                while True:
-                    frame = await self._read_frame(reader)
-                    if frame is None:
-                        break
-                    if node in self._down:
-                        # refuse: drop the connection; silent: swallow.
-                        if node in self._silent:
-                            continue
-                        break
-                    reply = await self._handler_for(node)(node, frame)
-                    await self._write_frame(writer, reply)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-            except asyncio.CancelledError:
-                # stop() retires handlers by cancellation; ending the task
-                # *cancelled* would make the stream machinery re-raise from
-                # its done-callback at loop teardown, so finish cleanly.
-                pass
-            finally:
-                if task is not None:
-                    self._conn_tasks.discard(task)
-                writer.close()
-
-        return serve
-
-    async def _read_frame(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Dict[str, Any]]:
-        try:
-            header = await reader.readexactly(self._LEN.size)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        (length,) = self._LEN.unpack(header)
-        body = await reader.readexactly(length)
-        return pickle.loads(body)
-
-    async def _write_frame(
-        self, writer: asyncio.StreamWriter, frame: Dict[str, Any]
-    ) -> None:
-        body = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-        writer.write(self._LEN.pack(len(body)) + body)
-        await writer.drain()
-
-    async def _connection(
-        self, src: int, dst: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        key = (src, dst)
+    async def _connection(self, key: Tuple[int, int]) -> _Client:
         pooled = self._pool.get(key)
-        if pooled is not None and not pooled[1].is_closing():
+        if pooled is not None and not pooled.closed:
             return pooled
-        reader, writer = await asyncio.open_connection(self.host, self._ports[dst])
-        self._pool[key] = (reader, writer)
-        return reader, writer
+        _, client = await asyncio.get_running_loop().create_connection(
+            _Client, self.host, self._ports[key[1]]
+        )
+        # A concurrent call on the pair may have dialled first; keep one.
+        pooled = self._pool.get(key)
+        if pooled is not None and not pooled.closed:
+            client.close()
+            return pooled
+        self._pool[key] = client
+        return client
 
     async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
         if not self._started:
             raise ReproError("TcpTransport.call before start()")
         key = (src, dst)
-        lock = self._locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            try:
-                reader, writer = await self._connection(src, dst)
-                await self._write_frame(writer, frame)
-                reply = await self._read_frame(reader)
-            except (ConnectionError, OSError) as exc:
-                self._pool.pop(key, None)
-                self.refused += 1
-                raise PeerUnreachable(f"node {dst} is unreachable: {exc}") from exc
-        if reply is None:
-            # The server closed on us: a killed ("refuse") peer dropped the
+        try:
+            client = await self._connection(key)
+            return await client.request(frame)
+        except OSError as exc:
+            # Refused, or closed on us: a killed ("refuse") peer drops the
             # connection after reading the frame.
-            self._pool.pop(key, None)
+            pooled = self._pool.get(key)
+            if pooled is not None and pooled.closed:
+                del self._pool[key]
             self.refused += 1
-            raise PeerUnreachable(f"node {dst} closed the connection")
-        return reply
+            raise PeerUnreachable(f"node {dst} is unreachable: {exc}") from exc
 
     def kill(self, node: int, mode: str = "refuse") -> None:
         super().kill(node, mode=mode)
@@ -281,29 +377,24 @@ class TcpTransport(Transport):
             # Drop the peer's pooled inbound connections so the very next
             # frame fails fast instead of waiting on a half-open stream.
             for key in [k for k in self._pool if k[1] == node]:
-                self._pool.pop(key)[1].close()
+                self._pool.pop(key).close()
 
     async def stop(self) -> None:
-        for _, writer in self._pool.values():
-            writer.close()
+        for client in self._pool.values():
+            client.close()
         self._pool.clear()
         for server in self._servers.values():
             server.close()
-        # Retire the per-connection handler tasks ourselves: left to the
-        # event loop's shutdown they would die *cancelled* mid-read, and
-        # Python 3.11's stream done-callback re-raises that as loud
-        # "Exception in callback" noise.
-        if self._conn_tasks:
-            tasks = tuple(self._conn_tasks)
-            await asyncio.wait(tasks, timeout=0.2)
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            self._conn_tasks.clear()
+        # Close the accepted connections and cancel their in-flight
+        # handlers ourselves rather than leave them to loop teardown.
+        await asyncio.gather(*(conn.retire() for conn in tuple(self._server_conns)))
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
         self._started = False
+        # Let the closed transports' connection_lost callbacks run (they
+        # release the sockets) before a caller closes the loop.
+        await asyncio.sleep(0)
 
 
 def resolve_transport(transport: Optional[object], n: int) -> Tuple[Transport, bool]:

@@ -48,6 +48,10 @@ RULE_FIXTURES = {
         "net/tp_no_blocking_in_loop.py",
         "net/nm_no_blocking_in_loop.py",
     ),
+    "no-pickle-in-net": (
+        "net/tp_no_pickle_in_net.py",
+        "net/nm_no_pickle_in_net.py",
+    ),
 }
 
 
@@ -130,6 +134,24 @@ def test_wallclock_allows_loop_time_inside_net_transport():
     """Containment: repro.net.transport is the one module that may read
     loop.time() — per-RPC latency is a transport property."""
     result = lint_paths([str(FIXTURES / "net" / "transport.py")])
+    assert result.exit_code == 0
+    assert result.findings == []
+
+
+def test_no_pickle_in_net_catches_dynamic_and_aliased_imports():
+    """``importlib.import_module("marshal")`` and ``from shelve import
+    open as ...`` are flagged, and so is each call through them."""
+    result = lint_paths([str(FIXTURES / "net" / "tp_no_pickle_in_net_dynamic.py")])
+    assert result.exit_code != 0
+    flagged = [finding for finding in result.findings
+               if finding.rule == "no-pickle-in-net"]
+    assert len(flagged) == 3
+    assert {finding.rule for finding in result.findings} == {"no-pickle-in-net"}
+
+
+def test_no_pickle_in_net_is_inert_outside_repro_net():
+    """Scoping near miss: pickle outside repro.net is not network input."""
+    result = lint_paths([str(FIXTURES / "core" / "nm_no_pickle_outside_net.py")])
     assert result.exit_code == 0
     assert result.findings == []
 

@@ -20,6 +20,7 @@ from repro.net import (
     RpcTimeout,
     TcpTransport,
 )
+from repro.net.codec import LENGTH, MAX_FRAME_BYTES, FrameError, encode
 
 TIMEOUT_S = 20.0
 
@@ -30,6 +31,26 @@ def run(coro, timeout_s: float = TIMEOUT_S):
 
 async def _echo(dst, frame):
     return {"echo": frame["x"], "served_by": dst}
+
+
+class _Peers:
+    """Serves gossip frames, as the runner's node host does: records every
+    push and answers a pull with ``(dst, src / 7)``."""
+
+    def __init__(self):
+        self.pushed = {}
+
+    async def __call__(self, dst, frame):
+        if frame["kind"] == "push":
+            self.pushed[(frame["src"], dst)] = frame["payload"]
+            return {"ok": True}
+        if frame["kind"] == "pull":
+            return {"payload": (float(dst), frame["src"] / 7.0)}
+        return {"ok": True}
+
+
+def _pull(src, round_index=0):
+    return {"kind": "pull", "src": src, "round": round_index}
 
 
 def _register_all(transport, handler=_echo):
@@ -44,38 +65,203 @@ def _register_all(transport, handler=_echo):
 def test_roundtrip(cls):
     async def go():
         transport = cls(4)
-        _register_all(transport)
+        _register_all(transport, _Peers())
         await transport.start()
+        await transport.start()  # idempotent
         try:
-            reply = await transport.call(0, 3, {"x": 42})
-            assert reply == {"echo": 42, "served_by": 3}
+            reply = await transport.call(0, 3, _pull(0))
+            assert reply == {"payload": (3.0, 0.0)}
             # Latency was recorded via the loop clock.
             assert len(transport.latencies_s) == 1
             assert transport.latencies_s[0] >= 0.0
             assert transport.calls == 1
         finally:
             await transport.stop()
+            await transport.stop()  # idempotent
 
     run(go())
 
 
 def test_tcp_concurrent_pairs_and_payload_fidelity():
-    """Many pairs in flight at once over real sockets; tuples survive the
-    pickle framing bit-for-bit."""
+    """Many pairs in flight at once over real sockets; pushed and pulled
+    float tuples survive the binary framing bit-for-bit."""
 
     async def go():
         transport = TcpTransport(6)
-        _register_all(transport)
+        peers = _Peers()
+        _register_all(transport, peers)
+        await transport.start()
+        try:
+            pushes = [
+                {"kind": "push", "src": src, "round": 0,
+                 "payload": (float(src), src / 7.0, -0.0)}
+                for src in range(6)
+            ]
+            replies = await asyncio.gather(
+                *(transport.call(src, (src + 1) % 6, pushes[src])
+                  for src in range(6)),
+                *(transport.call(src, (src + 2) % 6, _pull(src))
+                  for src in range(6)),
+            )
+            assert replies[:6] == [{"ok": True}] * 6
+            for src, reply in enumerate(replies[6:]):
+                assert reply["payload"] == (float((src + 2) % 6), src / 7.0)
+            for src in range(6):
+                pushed = peers.pushed[(src, (src + 1) % 6)]
+                assert np.array(pushed).tobytes() == np.array(
+                    pushes[src]["payload"]).tobytes()
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def test_tcp_concurrent_calls_on_one_pair_resolve_by_request_id():
+    """Replies that come back out of order on one pooled connection still
+    reach their own callers."""
+
+    async def slower_for_earlier_rounds(dst, frame):
+        await asyncio.sleep(0.01 * (3 - frame["round"]))
+        return {"payload": float(frame["round"])}
+
+    async def go():
+        transport = TcpTransport(2)
+        _register_all(transport, slower_for_earlier_rounds)
         await transport.start()
         try:
             replies = await asyncio.gather(
-                *(
-                    transport.call(src, (src + 1) % 6, {"x": (src, src / 7.0)})
-                    for src in range(6)
-                )
+                *(transport.call(0, 1, _pull(0, round_index=r)) for r in range(3))
             )
-            for src, reply in enumerate(replies):
-                assert reply["echo"] == (src, src / 7.0)
+            assert [reply["payload"] for reply in replies] == [0.0, 1.0, 2.0]
+            assert list(transport._pool) == [(0, 1)]
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def test_tcp_rejects_an_unencodable_frame_before_writing():
+    """A frame outside the codec raises the typed error at the caller; the
+    pair's connection stays usable."""
+
+    async def go():
+        transport = TcpTransport(2)
+        _register_all(transport, _Peers())
+        await transport.start()
+        try:
+            await transport.call(0, 1, _pull(0))
+            with pytest.raises(FrameError):
+                await transport.call(0, 1, {"x": 1})
+            with pytest.raises(FrameError):
+                await transport.call(
+                    0, 1, {"kind": "push", "src": 0, "round": 0, "payload": "s"}
+                )
+            assert await transport.call(0, 1, _pull(0)) == {"payload": (1.0, 0.0)}
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def test_tcp_reply_outside_the_codec_fails_the_caller_fast():
+    """A handler whose reply cannot be encoded closes that connection: the
+    caller gets PeerUnreachable at once, the loop's exception handler gets
+    the error, and the node keeps serving other pairs."""
+
+    async def bad_reply(dst, frame):
+        if frame["src"] == 0:
+            return {"payload": "not floats"}
+        return {"ok": True}
+
+    async def go():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context["exception"])
+        )
+        transport = TcpTransport(3)
+        _register_all(transport, bad_reply)
+        await transport.start()
+        try:
+            with pytest.raises(PeerUnreachable):
+                await asyncio.wait_for(
+                    transport.call(0, 2, {"kind": "ping", "src": 0}), 5.0
+                )
+            assert [type(exc) for exc in reported] == [FrameError]
+            assert await transport.call(1, 2, {"kind": "ping", "src": 1}) == {"ok": True}
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def _random_bytes():
+    garbage = np.random.default_rng(0).bytes(64)
+    # The length prefix alone is over the cap: the server cannot wait
+    # for the rest of such a frame.
+    assert LENGTH.unpack_from(garbage)[0] > MAX_FRAME_BYTES
+    return garbage
+
+
+_PULL_BODY = encode(1, _pull(0))[LENGTH.size:]
+
+MALFORMED = {
+    # A whole frame whose body is too short for its kind.
+    "truncated-frame": LENGTH.pack(len(_PULL_BODY) - 1) + _PULL_BODY[:-1],
+    "unknown-kind": LENGTH.pack(5) + b"\x00\x00\x00\x01\x63",
+    "oversized-length": LENGTH.pack(MAX_FRAME_BYTES + 1),
+    "random-bytes": _random_bytes(),
+}
+
+
+@pytest.mark.parametrize("garbage", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_closes_only_its_connection(garbage):
+    """Raw bytes that are no frame end that one connection: the node keeps
+    serving its pooled connections and every other pair."""
+
+    async def go():
+        transport = TcpTransport(3)
+        _register_all(transport, _Peers())
+        await transport.start()
+        try:
+            await transport.call(1, 0, _pull(1))
+            pooled = transport._pool[(1, 0)]
+            reader, writer = await asyncio.open_connection(
+                transport.host, transport.port_of(0)
+            )
+            writer.write(garbage)
+            await writer.drain()
+            try:
+                # The server hangs up without waiting for more bytes.
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            except ConnectionResetError:
+                pass
+            writer.close()
+            assert await transport.call(2, 0, _pull(2)) == {"payload": (0.0, 2 / 7.0)}
+            assert await transport.call(1, 0, _pull(1)) == {"payload": (0.0, 1 / 7.0)}
+            assert transport._pool[(1, 0)] is pooled
+            assert transport.refused == 0
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def test_an_eof_mid_frame_closes_only_its_connection():
+    """A frame cut off by the peer's EOF is dropped with its connection."""
+
+    async def go():
+        transport = TcpTransport(2)
+        _register_all(transport, _Peers())
+        await transport.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                transport.host, transport.port_of(0)
+            )
+            writer.write(encode(1, _pull(1))[:-3])
+            writer.write_eof()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            assert await transport.call(1, 0, _pull(1)) == {"payload": (0.0, 1 / 7.0)}
         finally:
             await transport.stop()
 
@@ -99,36 +285,39 @@ def test_transport_validates_nodes():
 def test_kill_refuse_then_revive(cls):
     async def go():
         transport = cls(3)
-        _register_all(transport)
+        _register_all(transport, _Peers())
         await transport.start()
         try:
             transport.kill(1, mode="refuse")
             assert transport.is_down(1)
             assert transport.down == {1}
             with pytest.raises(PeerUnreachable):
-                await transport.call(0, 1, {"x": 1})
+                await transport.call(0, 1, {"kind": "ping", "src": 0})
             assert transport.refused >= 1
             transport.revive(1)
-            reply = await transport.call(0, 1, {"x": 2})
-            assert reply["echo"] == 2
+            reply = await transport.call(0, 1, _pull(0, round_index=2))
+            assert reply["payload"] == (1.0, 0.0)
         finally:
             await transport.stop()
 
     run(go())
 
 
-def test_kill_silent_hangs_until_caller_deadline():
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_kill_silent_hangs_until_caller_deadline(cls):
     """A "silent" kill models a hung process: the frame is swallowed and
     only the caller's own deadline notices — the SWIM timeout path."""
 
     async def go():
-        transport = ChannelTransport(3)
-        _register_all(transport)
+        transport = cls(3)
+        _register_all(transport, _Peers())
         await transport.start()
         try:
             transport.kill(2, mode="silent")
             with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(transport.call(0, 2, {"x": 1}), 0.05)
+                await asyncio.wait_for(
+                    transport.call(0, 2, {"kind": "ping", "src": 0}), 0.05
+                )
         finally:
             await transport.stop()
 
@@ -249,10 +438,11 @@ def test_rpc_exhaustion_raises_rpc_error():
     run(go())
 
 
-def test_rpc_deadline_on_silent_peer_raises_timeout():
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_rpc_deadline_on_silent_peer_raises_timeout(cls):
     async def go():
-        transport = ChannelTransport(2)
-        _register_all(transport)
+        transport = cls(2)
+        _register_all(transport, _Peers())
         await transport.start()
         client = RpcClient(
             transport,
@@ -260,7 +450,7 @@ def test_rpc_deadline_on_silent_peer_raises_timeout():
         )
         transport.kill(1, mode="silent")
         with pytest.raises(RpcTimeout):
-            await client.call(0, 1, {"kind": "ping"})
+            await client.call(0, 1, {"kind": "ping", "src": 0})
         await transport.stop()
 
     run(go())
