@@ -10,8 +10,9 @@ than ``--threshold`` (default 1.5×).
 Rows are matched on their identity keys (everything that is not a metric:
 ``n``, ``engine``, ``scenario``, ...).  Metrics come in two flavours:
 
-* lower-is-better — ``wall_s``, ``rounds``, ``phases``: regression when
-  ``current > threshold * baseline``;
+* lower-is-better — ``wall_s``, ``rounds``, ``phases``, ``slowdown*``
+  and the RPC latency quantiles ``rpc_p50_us`` / ``rpc_p99_us``:
+  regression when ``current > threshold * baseline``;
 * higher-is-better — ``*_per_sec``, ``speedup*``: regression when
   ``current < baseline / threshold``.
 
@@ -19,7 +20,8 @@ Checked-in trajectories are regenerated on the maintainer's machine each
 perf-bearing PR, so counts, ratios (``speedup*``) and throughput
 rates (``*_per_sec``) are comparable across commits and gate the exit
 code by default.  Raw ``wall_s`` seconds duplicate the rate information
-and are the noisiest metric, so they gate only with ``--include-wall``.
+and are the noisiest metric, so they gate only with ``--include-wall``,
+and so do the RPC latency quantiles, which are wall-clock readings too.
 Files or rows without a baseline counterpart are reported and skipped —
 a new benchmark cannot fail the check — and so are baseline rows that no
 current row matches (a retired row, such as the exact benchmark's float32
@@ -44,12 +46,12 @@ BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 
 #: Metric key patterns, by direction.
-LOWER_IS_BETTER = ("wall_s", "rounds", "phases")
+LOWER_IS_BETTER = ("wall_s", "rounds", "phases", "rpc_p50_us", "rpc_p99_us")
 LOWER_IS_BETTER_PREFIXES = ("slowdown",)
 HIGHER_IS_BETTER_SUFFIXES = ("_per_sec",)
 HIGHER_IS_BETTER_PREFIXES = ("speedup",)
 #: Wall-clock metrics are machine-dependent; gated only with --include-wall.
-WALL_CLOCK = ("wall_s",)
+WALL_CLOCK = ("wall_s", "rpc_p50_us", "rpc_p99_us")
 #: Numeric keys that are neither identity nor gated metrics.
 #: ``rounds_per_logn`` duplicates the gated ``rounds`` metric and would
 #: otherwise act as an identity key, breaking row matching whenever the

@@ -11,8 +11,9 @@ The event-loop clock (``loop.time()``) gets the same treatment with its
 own containment: only :mod:`repro.net.transport` may read it (per-RPC
 latency is a transport property).  Protocol, runner or detector code
 timing itself off the loop clock would couple seeded behaviour to
-scheduling jitter — deadlines belong to ``asyncio.wait_for``, latency
-measurement to the transport.
+scheduling jitter — a deadline is a loop timer (``loop.call_later``, as
+the RPC client arms one per attempt), latency measurement belongs to the
+transport.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class WallclockRule(Rule):
                             node,
                             f"{dotted}() reads the event-loop clock outside "
                             "repro.net.transport; RPC latency is measured "
-                            "by the transport — use asyncio.wait_for for "
-                            "deadlines instead of hand-rolled clock math",
+                            "by the transport — arm a loop timer "
+                            "(loop.call_later) for a deadline instead of "
+                            "hand-rolled clock math",
                         )
                     )
         return iter(findings)

@@ -1,10 +1,14 @@
 """RPC with per-call deadlines and seeded, replayable backoff retries.
 
-Every call gets a deadline (``asyncio.wait_for``) and up to ``attempts``
-tries separated by jittered exponential backoff.  The jitter is the part
-that usually ruins determinism — most stacks draw it from a shared
-process-global RNG, so the schedule depends on which task happened to draw
-first.  Here every delay is derived *statelessly* from
+Every call gets up to ``attempts`` tries separated by jittered exponential
+backoff, and every attempt a deadline: a loop timer that cancels the
+calling task (:class:`_Deadline`), so an attempt runs in its caller's task
+and no wrapper task is created per attempt, as ``asyncio.wait_for`` does
+before Python 3.12.
+
+The jitter is the part that usually ruins determinism — most stacks draw
+it from a shared process-global RNG, so the schedule depends on which task
+happened to draw first.  Here every delay is derived *statelessly* from
 ``SeedSequence([entropy, node, seq, attempt])``: the node id, the node's
 own call sequence number and the attempt index fully determine the delay,
 so retry schedules replay exactly no matter how the event loop interleaves
@@ -99,6 +103,45 @@ class RetryPolicy:
         )
 
 
+class _Deadline:
+    """One attempt's deadline: a timer that cancels the calling task.
+
+    The attempt catches the :class:`asyncio.CancelledError` and asks
+    :meth:`expired` whether the cancellation was this timer's; only then
+    is it an :class:`asyncio.TimeoutError`.  Tasks that count cancel
+    requests (``Task.uncancel``) get this one taken back, so an enclosing
+    ``asyncio.timeout`` or ``TaskGroup`` counts only its own, and a
+    cancellation requested by anyone else propagates.
+    """
+
+    __slots__ = ("_task", "_handle", "_requested", "_fired")
+
+    def __init__(self, timeout_s: float) -> None:
+        task = asyncio.current_task()
+        if task is None:
+            raise RuntimeError("an RPC deadline needs a running task")
+        self._task = task
+        cancelling = getattr(task, "cancelling", None)
+        self._requested = cancelling() if cancelling is not None else 0
+        self._fired = False
+        self._handle = asyncio.get_running_loop().call_later(timeout_s, self._fire)
+
+    def _fire(self) -> None:
+        self._fired = True
+        self._task.cancel()
+
+    def cancel(self) -> None:
+        """Disarm the timer (the attempt is over, either way)."""
+        self._handle.cancel()
+
+    def expired(self) -> bool:
+        """Whether the cancellation the attempt caught is this deadline's."""
+        if not self._fired:
+            return False
+        uncancel = getattr(self._task, "uncancel", None)
+        return uncancel is None or uncancel() <= self._requested
+
+
 class RpcClient:
     """Retrying caller over a :class:`~repro.net.transport.Transport`.
 
@@ -139,14 +182,19 @@ class RpcClient:
             if attempt:
                 self.retries += 1
                 await asyncio.sleep(policy.backoff_s(src, seq, attempt - 1))
+            # The deadline bounds the whole attempt: the dial, the wait on
+            # a silent peer and the reply.
+            timer = _Deadline(deadline)
             try:
-                return await asyncio.wait_for(
-                    self.transport.call(src, dst, frame), deadline
-                )
+                return await self.transport.call(src, dst, frame)
             except PeerUnreachable as exc:
                 last = exc
-            except asyncio.TimeoutError as exc:
-                last = exc
+            except asyncio.CancelledError:
+                if not timer.expired():
+                    raise
+                last = asyncio.TimeoutError()
+            finally:
+                timer.cancel()
         self.failures += 1
         if isinstance(last, asyncio.TimeoutError):
             raise RpcTimeout(

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import asyncio
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -115,7 +115,11 @@ class _NodeHost:
         self.detector = detector
         self.rpc: Optional[RpcClient] = None
 
-    async def handle(self, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(
+        self, dst: int, frame: Dict[str, Any]
+    ) -> Union[Dict[str, Any], Awaitable[Dict[str, Any]]]:
+        """Answer one frame: push, pull and ping at once, without awaiting;
+        ping-req returns an awaitable, since it waits on an indirect probe."""
         kind = frame.get("kind")
         if kind == "push":
             suspected = frame.get("sus")
@@ -133,21 +137,24 @@ class _NodeHost:
         if kind == "ping":
             return {"ok": True}
         if kind == "ping-req":
-            # Indirect probe: ping the target on the requester's behalf.
-            if self.rpc is None:
-                return {"ok": False}
-            try:
-                await self.rpc.call(
-                    dst,
-                    int(frame["target"]),
-                    {"kind": "ping", "src": dst},
-                    timeout_s=float(frame.get("timeout_s", 0.05)),
-                    attempts=1,
-                )
-                return {"ok": True}
-            except RpcError:
-                return {"ok": False}
+            return self._ping_req(dst, frame)
         raise ProtocolError(f"unknown frame kind {kind!r}")
+
+    async def _ping_req(self, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+        # Indirect probe: ping the target on the requester's behalf.
+        if self.rpc is None:
+            return {"ok": False}
+        try:
+            await self.rpc.call(
+                dst,
+                int(frame["target"]),
+                {"kind": "ping", "src": dst},
+                timeout_s=float(frame.get("timeout_s", 0.05)),
+                attempts=1,
+            )
+            return {"ok": True}
+        except RpcError:
+            return {"ok": False}
 
 
 async def arun_protocol(

@@ -2,7 +2,7 @@
 
 Two implementations behind one asyncio interface:
 
-* :class:`ChannelTransport` — in-process: a call awaits the destination's
+* :class:`ChannelTransport` — in-process: a call runs the destination's
   registered handler directly.  No serialization, no sockets; the fast
   path for tests and for the equivalence suite, where only the *message
   pattern* matters.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.net.codec import (
@@ -43,8 +43,13 @@ from repro.net.codec import (
     encode,
 )
 
-#: A registered per-node frame handler: ``handler(dst, frame) -> reply``.
-Handler = Callable[[int, Dict[str, Any]], Awaitable[Dict[str, Any]]]
+#: A registered per-node frame handler: ``handler(dst, frame)`` returns the
+#: reply dict, or an awaitable of it when answering has to wait (an
+#: ``async def`` handler, the runner's indirect probe).  A dict reply is
+#: sent at once; only an awaitable one is answered from a task.
+Handler = Callable[
+    [int, Dict[str, Any]], Union[Dict[str, Any], Awaitable[Dict[str, Any]]]
+]
 
 
 class PeerUnreachable(ReproError):
@@ -143,18 +148,22 @@ class Transport:
 
 
 class ChannelTransport(Transport):
-    """In-process transport: a call awaits the peer's handler directly.
+    """In-process transport: a call runs the peer's handler directly.
 
     One cooperative yield per call keeps scheduling fair (a node cannot
     starve the loop by serving a burst of frames synchronously), but there
     is no serialization — payloads cross by reference, exactly like the
-    vectorized engine.  Handlers run inside the caller's await, so per-call
-    work is serialized by the event loop and protocol state needs no locks.
+    vectorized engine.  Handlers run inside the caller's task (an
+    awaitable reply is awaited there), so per-call work is serialized by
+    the event loop and protocol state needs no locks.
     """
 
     async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
         await asyncio.sleep(0)
-        return await self._handler_for(dst)(dst, frame)
+        reply = self._handler_for(dst)(dst, frame)
+        if isinstance(reply, dict):
+            return reply
+        return await reply
 
 
 def _frames(
@@ -235,8 +244,9 @@ class _Client(asyncio.Protocol):
 
 
 class _Server(asyncio.Protocol):
-    """One accepted connection to ``node``: each request's handler runs as
-    its own task and its reply goes back under the request's id."""
+    """One accepted connection to ``node``: each request is answered under
+    its id as soon as it is read, or, when the handler returns an
+    awaitable, from a task of its own once that resolves."""
 
     def __init__(self, owner: "TcpTransport", node: int) -> None:
         self._owner = owner
@@ -258,7 +268,6 @@ class _Server(asyncio.Protocol):
             self.close()
             return
         owner, node = self._owner, self._node
-        loop = asyncio.get_running_loop()
         for req_id, frame in requests:
             if node in owner._down:
                 # refuse: drop the connection; silent: swallow the frame.
@@ -266,26 +275,39 @@ class _Server(asyncio.Protocol):
                     continue
                 self.close()
                 return
-            task = loop.create_task(self._answer(req_id, frame))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            try:
+                reply = owner._handler_for(node)(node, frame)
+                if not isinstance(reply, dict):
+                    task = asyncio.get_running_loop().create_task(
+                        self._answer(req_id, reply)
+                    )
+                    self._tasks.add(task)
+                    task.add_done_callback(self._tasks.discard)
+                    continue
+                data = encode(req_id, reply)
+            except Exception as exc:
+                self._fail(exc)
+                return
+            self._transport.write(data)
 
-    async def _answer(self, req_id: int, frame: Dict[str, Any]) -> None:
+    async def _answer(self, req_id: int, pending: Awaitable[Dict[str, Any]]) -> None:
         try:
-            reply = await self._owner._handler_for(self._node)(self._node, frame)
-            data = encode(req_id, reply)
+            data = encode(req_id, await pending)
         except Exception as exc:
-            # A reply that cannot be sent closes the connection, so the
-            # caller fails fast instead of waiting out its deadline.
-            self.close()
-            asyncio.get_running_loop().call_exception_handler({
-                "message": f"node {self._node} could not answer a frame",
-                "exception": exc,
-                "protocol": self,
-            })
+            self._fail(exc)
             return
         if self._transport is not None and not self._transport.is_closing():
             self._transport.write(data)
+
+    def _fail(self, exc: Exception) -> None:
+        # A reply that cannot be sent closes the connection, so the caller
+        # fails fast instead of waiting out its deadline.
+        self.close()
+        asyncio.get_running_loop().call_exception_handler({
+            "message": f"node {self._node} could not answer a frame",
+            "exception": exc,
+            "protocol": self,
+        })
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._owner._server_conns.discard(self)
@@ -295,7 +317,7 @@ class _Server(asyncio.Protocol):
             self._transport.close()
 
     async def retire(self) -> None:
-        """Close the connection and cancel its in-flight handlers."""
+        """Close the connection and cancel its handlers still waiting."""
         self.close()
         tasks = tuple(self._tasks)
         for task in tasks:

@@ -27,6 +27,7 @@ from repro.net import (
     ChannelTransport,
     RetryPolicy,
     SwimFailureDetector,
+    TcpTransport,
     arun_protocol,
     net_approximate_quantile,
     run_protocol_asyncio,
@@ -51,14 +52,16 @@ def _values(n: int, seed: int = 0) -> np.ndarray:
 # -- SWIM failure detection ------------------------------------------------
 
 
-def _swim_run(kill=(), rounds=12, mode="refuse"):
+def _swim_run(kill=(), rounds=12, mode="refuse", transport_cls=ChannelTransport,
+              ping_timeout_s=0.02):
     """One seeded detector run over a push-sum workload; returns
     (detector, result).  ``kill`` nodes go down before round 0."""
     n = 16
     values = _values(n, seed=3)
-    transport = ChannelTransport(n)
+    transport = transport_cls(n)
     detector = SwimFailureDetector(
-        n, rng=5, k_indirect=2, ping_timeout_s=0.02, confirm_after_rounds=2
+        n, rng=5, k_indirect=2, ping_timeout_s=ping_timeout_s,
+        confirm_after_rounds=2,
     )
 
     async def go():
@@ -100,6 +103,33 @@ def test_swim_silent_peers_are_caught_by_the_ping_deadline():
     detector, result = _swim_run(kill=(5,), mode="silent")
     assert 5 in detector.suspected
     assert 5 in detector.confirmed
+
+
+def test_swim_over_tcp_catches_a_silent_peer_through_ping_req():
+    """Over TCP, ping-req is the one frame a node answers from a task, as
+    it waits on its own ping of the target.  The silent peer is suspected
+    and confirmed through that path, and no live peer is suspected."""
+    detector, result = _swim_run(
+        kill=(5,), mode="silent", transport_cls=TcpTransport,
+        ping_timeout_s=0.1,
+    )
+    assert result.extra["suspected"] == [5]
+    assert result.extra["confirmed_dead"] == [5]
+    assert detector.stats.false_positives_cleared == 0
+    # Each failed direct ping of node 5 sent two ping-reqs; each made its
+    # proxy ping node 5 and came back answered ("not reached").  So the
+    # calls are 15 live pushers' 12 pushes, the direct pings and two per
+    # ping-req, and the failures are the direct pings of node 5, the
+    # proxies' pings of it and the pushes to it, but no ping-req.
+    stats = detector.stats
+    assert stats.indirect_pings > 0
+    assert result.extra["rpc_calls"] == (
+        15 * 12 + stats.direct_pings + 2 * stats.indirect_pings
+    )
+    assert result.extra["rpc_failures"] == (
+        stats.indirect_pings // 2 + stats.indirect_pings
+        + result.extra["lost_messages"]
+    )
 
 
 def test_swim_zero_false_positives_on_a_healthy_network():

@@ -11,6 +11,8 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.aggregates.push_sum import PushSumProtocol
+from repro.core.tournament import PullWindow, TournamentProtocol, lane_rows
 from repro.net import (
     ChannelTransport,
     PeerUnreachable,
@@ -19,6 +21,7 @@ from repro.net import (
     RpcError,
     RpcTimeout,
     TcpTransport,
+    arun_protocol,
 )
 from repro.net.codec import LENGTH, MAX_FRAME_BYTES, FrameError, encode
 
@@ -188,6 +191,41 @@ def test_tcp_reply_outside_the_codec_fails_the_caller_fast():
                 )
             assert [type(exc) for exc in reported] == [FrameError]
             assert await transport.call(1, 2, {"kind": "ping", "src": 1}) == {"ok": True}
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+def test_tcp_inline_handler_error_fails_the_caller_fast():
+    """A handler answering without awaiting that raises, or returns a
+    reply outside the codec, closes that connection and reaches the loop's
+    exception handler, as an awaited reply does; other pairs keep being
+    served."""
+
+    def bad_inline(dst, frame):
+        if frame["src"] == 0:
+            return {"payload": "not floats"}
+        if frame["src"] == 1:
+            raise ValueError("handler bug")
+        return {"ok": True}
+
+    async def go():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context["exception"])
+        )
+        transport = TcpTransport(4)
+        _register_all(transport, bad_inline)
+        await transport.start()
+        try:
+            for src in (0, 1):
+                with pytest.raises(PeerUnreachable):
+                    await asyncio.wait_for(
+                        transport.call(src, 3, {"kind": "ping", "src": src}), 5.0
+                    )
+            assert [type(exc) for exc in reported] == [FrameError, ValueError]
+            assert await transport.call(2, 3, {"kind": "ping", "src": 2}) == {"ok": True}
         finally:
             await transport.stop()
 
@@ -469,3 +507,142 @@ def test_rpc_sequence_numbers_are_per_source_node():
         await transport.stop()
 
     run(go())
+
+
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_rpc_reply_after_its_deadline_is_dropped(cls):
+    """A reply that comes back after the attempt's deadline reaches no
+    caller; the next call on the same pair gets its own reply."""
+
+    async def slow_round_zero(dst, frame):
+        if frame["round"] == 0:
+            await asyncio.sleep(0.1)
+        return {"payload": float(frame["round"])}
+
+    async def go():
+        transport = cls(2)
+        _register_all(transport, slow_round_zero)
+        await transport.start()
+        client = RpcClient(transport, RetryPolicy(attempts=1, timeout_s=0.02))
+        try:
+            with pytest.raises(RpcTimeout):
+                await client.call(0, 1, _pull(0, round_index=0))
+            # Let the late reply arrive (TCP) before the next call.
+            await asyncio.sleep(0.15)
+            reply = await client.call(0, 1, _pull(0, round_index=1))
+            assert reply == {"payload": 1.0}
+            assert len(transport.latencies_s) == 1
+            if cls is TcpTransport:
+                assert list(transport._pool) == [(0, 1)]
+                assert transport._pool[(0, 1)]._pending == {}
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_rpc_deadline_timer_is_cancelled_by_the_reply(cls):
+    """Each attempt arms one loop timer for its deadline, and the reply
+    disarms it."""
+
+    async def go():
+        transport = cls(2)
+        _register_all(transport, _Peers())
+        await transport.start()
+        client = RpcClient(transport, RetryPolicy(timeout_s=0.75))
+        loop = asyncio.get_running_loop()
+        timers = []
+        call_later = loop.call_later
+
+        def spy(delay, callback, *args, **kwargs):
+            handle = call_later(delay, callback, *args, **kwargs)
+            timers.append((delay, handle))
+            return handle
+
+        loop.call_later = spy
+        try:
+            for src in range(2):
+                await client.call(src, 1 - src, _pull(src))
+        finally:
+            del loop.call_later
+            await transport.stop()
+        deadlines = [handle for delay, handle in timers if delay == 0.75]
+        assert len(deadlines) == 2
+        assert all(handle.cancelled() for handle in deadlines)
+
+    run(go())
+
+
+def test_rpc_caller_cancellation_is_not_a_timeout():
+    """Cancelling the calling task mid-attempt cancels the call; the
+    deadline only turns its own expiry into a timeout."""
+
+    async def go():
+        transport = ChannelTransport(2)
+        _register_all(transport, _Peers())
+        await transport.start()
+        client = RpcClient(transport, RetryPolicy(timeout_s=5.0, attempts=3))
+        transport.kill(1, mode="silent")
+        caller = asyncio.ensure_future(client.call(0, 1, {"kind": "ping", "src": 0}))
+        await asyncio.sleep(0.01)
+        caller.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await caller
+        assert client.retries == 0
+        assert client.failures == 0
+        await transport.stop()
+
+    run(go())
+
+
+# -- tasks per RPC ---------------------------------------------------------
+
+ROUND_N = 32
+_ROUND_VALUES = np.random.default_rng(8).random(ROUND_N)
+
+#: One live round of each kind at n = 32: every node sends one RPC.
+ONE_ROUND = {
+    "pull": lambda: TournamentProtocol(
+        lane_rows(_ROUND_VALUES, np.float64),
+        [PullWindow(1, lambda pulls: pulls.rows()[0])],
+    ),
+    "push": lambda: PushSumProtocol(_ROUND_VALUES, rounds=1),
+}
+
+
+@pytest.mark.parametrize("kind", ONE_ROUND)
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_a_live_round_creates_at_most_one_task_per_rpc(cls, kind):
+    """The round's delivery task is the only task an RPC costs: no task
+    for its deadline, none for answering a gossip frame."""
+
+    async def go():
+        transport = cls(ROUND_N)
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            created.append(task)
+            return task
+
+        try:
+            # The first run dials every pair the round uses; the counted
+            # run replays the same partners over the warm connections.
+            await arun_protocol(ONE_ROUND[kind](), rng=5, transport=transport)
+            loop.set_task_factory(counting_factory)
+            try:
+                result = await arun_protocol(
+                    ONE_ROUND[kind](), rng=5, transport=transport
+                )
+            finally:
+                loop.set_task_factory(None)
+        finally:
+            await transport.stop()
+        assert result.rounds == 1
+        assert result.extra["rpc_calls"] == ROUND_N
+        assert 0 < len(created) <= result.extra["rpc_calls"]
+
+    run(go())
+
