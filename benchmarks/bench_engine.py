@@ -10,9 +10,10 @@ vectorized engine at increasing network sizes and reports rounds/second:
   by a median-of-three kernel, over 2 and 4 lanes (streamed: each round is
   gathered node-major as it ends) and over 5 lanes (wide: gathered
   lane-major when the window closes), printed as ``pull-L``;
-* ``extrema-2``: the exact driver's Step 4, a two-lane min/max
-  ``ExtremaProtocol`` over float32 rank keys, run for the whole round
-  budget (``stop_when_converged=False``).
+* ``extrema-2``: the exact driver's Step 4, a two-lane min/max spread
+  over float32 rank keys: ``spread_protocol``'s one-round pull windows on
+  ``TournamentProtocol`` (the max lane stored negated, streamed
+  node-major), one window per round of the budget.
 
 At every size it first checks that the vectorized engine and its per-node
 reference — the asyncio engine over in-process channels — produce
@@ -48,7 +49,7 @@ if str(SRC) not in sys.path:  # pragma: no cover - environment dependent
 import numpy as np
 
 from repro.aggregates.counting import count_indicators
-from repro.aggregates.extrema import ExtremaProtocol
+from repro.aggregates.extrema import spread_protocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.three_tournament import median_of_three
 from repro.core.tournament import STREAM_MAX_LANES, PullWindow, TournamentProtocol, lane_rows
@@ -100,10 +101,8 @@ def _extrema(n: int, rounds: int, seed: int):
     keys = np.column_stack(
         [source.permutation(n) + 1, source.permutation(n) + 1]
     ).astype(np.float32)
-    protocol = ExtremaProtocol(
-        keys, mode=("min", "max"), max_rounds=rounds, stop_when_converged=False
-    )
-    return protocol, protocol.outputs_array, rounds
+    protocol = spread_protocol(keys, mode=("min", "max"), rounds=rounds)
+    return protocol, lambda: protocol.rows, rounds
 
 
 PROTOCOLS = {

@@ -1,184 +1,161 @@
-"""Extrema (min/max) spreading by push-pull rumor spreading.
+"""Extrema (min/max) spreading by pull rumor spreading.
 
 Step 4 of Algorithm 3 requires every node to learn the global minimum and
-maximum of a set of values.  Forwarding the best value seen so far with
-push-pull gossip informs all nodes in ``O(log n)`` rounds w.h.p.
-[FG85, Pit87]; under the Section-5 failure model the same holds with a
-constant-factor slowdown [ES09].
+maximum of a set of values.  In every round each node pulls one uniformly
+random partner and keeps the smaller (or larger) of its own and the pulled
+value, so the informed set about doubles per round until half the nodes
+hold the extreme and then the uninformed share squares: from one holder
+the extreme reaches every node in ``log₂ n + O(log log n)`` rounds w.h.p.
+(Karp, Schindelhauer, Shenker and Vöcking, FOCS 2000), and under the
+Section-5 failure model with a constant-factor slowdown [ES09].
+
+Each round is a one-round :class:`~repro.core.tournament.PullWindow` of
+:class:`~repro.core.tournament.TournamentProtocol`, the substrate every
+tournament runs on, so a spread meets delays, corruption, duplication and
+restarts exactly as a tournament window does, on either engine.  The run
+lasts :func:`spread_rounds` rounds, a budget every node knows; whether it
+reached every node is reported, for verifiers only, as ``converged``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.tournament import (
+    PullWindow,
+    TournamentProtocol,
+    WindowPulls,
+    lane_rows,
+    run_windows,
+)
 from repro.exceptions import ConfigurationError
-from repro.gossip.engine import run_protocol
-from repro.gossip.env import GossipEnv
-from repro.gossip.messages import BITS_PER_VALUE, payload_bits
+from repro.gossip.env import GossipEnv, resolve_env
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
 from repro.utils.inputs import integral
 from repro.utils.rand import RandomSource
-from repro.utils.views import ReadOnlyArray
+
+#: Rounds per log₂ n of :func:`spread_rounds`.
+SPREAD_ROUNDS_SLOPE = 1.0
+#: Rounds added to the slope term of :func:`spread_rounds`.
+SPREAD_ROUNDS_OFFSET = 16.5
+#: Exponent ``c`` of :func:`spread_rounds`' failure stretch ``(1 - mu)**-c``.
+SPREAD_ROUNDS_MU_EXPONENT = 1.25
+#: Largest μ :func:`spread_rounds` budgets for, as for counting.
+SPREAD_MAX_MU = 0.9
 
 
-class ExtremaProtocol(BatchGossipProtocol, GossipProtocol):
-    """Push-pull forwarding of the extreme (min or max) value seen so far.
+def spread_rounds(n: int, mu: float = 0.0) -> int:
+    """Pull rounds after which an extreme held by one node has reached all
+    ``n`` nodes w.h.p.
 
-    ``values`` is one value per node, or an ``(n, L)`` matrix of ``L``
-    lanes that spread in one run: every message carries one working value
-    per lane under one framing (Step 4 of Algorithm 3 spreads the min of
-    the lower sandwich estimates and the max of the upper ones in the same
-    O(log n) window).  ``mode`` is ``"min"`` or ``"max"`` for every lane,
-    or one mode per lane.  Lanes are stored lanes-first, ``(L, n)``.
+    ``ceil((a log₂ n + b) / (1 - mu)**c)`` with ``a`` =
+    :data:`SPREAD_ROUNDS_SLOPE`, ``b`` = :data:`SPREAD_ROUNDS_OFFSET` and
+    ``c`` = :data:`SPREAD_ROUNDS_MU_EXPONENT`: 22 rounds at n = 32, 27 at
+    10³, 30 at 10⁴ and 37 at 10⁶ without failures.  Pull spreading from one
+    holder informs every node in ``log₂ n + O(log log n)`` rounds w.h.p.
+    (Karp et al., FOCS 2000).  The constants are read off the failure-rate
+    table ``benchmarks/BENCH_spread_budget.json``
+    (``benchmarks/bench_spread_budget.py``), which records the first round
+    at which both lanes of a min/max spread, each from one holder, have
+    reached every node: its μ = 0 median is about 1.1 log₂ n + 2.6, and
+    ``b`` keeps every cell's budget at least two rounds above the slowest
+    of its seeds (≥ 1000 seeds per cell up to n = 10⁴, 100 at 10⁵ and
+    12–20 at 10⁶), with zero misses at the budget.  The tail is heavy: one
+    of the 100 seeds at n = 10⁵ took 31 rounds against a 99th percentile
+    of 26, and it sets ``b``.  A node that sits out a round with
+    probability ``mu`` (the env's
+    :meth:`~repro.gossip.env.GossipEnv.mu_bound`) pulls nothing in it.  In
+    the table's μ = 0.15, 0.3 and 0.5 cells that stretches the median by
+    1.21–1.32×, 1.56× and 2.21–2.32×, about ``(1 - mu)**-1.24``, so the
+    budget stretches by ``(1 - mu)**-1.25``.  Above ``mu`` =
+    :data:`SPREAD_MAX_MU` it raises instead.
 
-    Pushes and pull responses both carry the sender's best values *as of
-    the start of the round* — the synchronous snapshot semantics of the
-    uniform gossip model (as in :mod:`repro.core.tournament`).
-    Because min/max merges are exact and commutative, a round's outcome is
-    independent of delivery order, which is what lets the vectorized engine
-    reproduce the per-node asyncio engine bit for bit.  NaN has no order and is
-    rejected; ±inf are ordinary extremes.  float32 values (the exact
-    driver's rank keys) spread as float32; any other input is cast to
-    float64.
+    The table is for uniform gossip on the complete graph, where the exact
+    driver's Step 4 runs.
     """
-
-    def __init__(
-        self,
-        values: Union[Sequence[float], np.ndarray],
-        mode: Union[str, Sequence[str]] = "max",
-        max_rounds: Optional[int] = None,
-        stop_when_converged: bool = True,
-    ) -> None:
-        array = np.asarray(values)
-        if array.dtype != np.float32:
-            array = np.asarray(array, dtype=float)
-        if array.ndim not in (1, 2) or array.shape[0] < 2 or array.size == 0:
-            raise ConfigurationError(
-                "values must be a 1-d array or an (n, lanes) matrix with n >= 2"
-            )
-        if np.isnan(array).any():
-            raise ConfigurationError("values must not contain NaN")
-        lanes = 1 if array.ndim == 1 else array.shape[1]
-        modes = (mode,) * lanes if isinstance(mode, str) else tuple(mode)
-        if len(modes) != lanes:
-            raise ConfigurationError(
-                f"got {len(modes)} modes for {lanes} value lanes"
-            )
-        if any(lane_mode not in ("min", "max") for lane_mode in modes):
-            raise ConfigurationError("mode must be 'min' or 'max'")
-        super().__init__(array.shape[0])
-        self.name = "extrema-" + "-".join(modes)
-        self._scalar = array.ndim == 1
-        self._merges = [
-            np.maximum if lane_mode == "max" else np.minimum for lane_mode in modes
-        ]
-        self._best = np.array(array[None] if self._scalar else array.T, order="C")
-        self._target = np.array(
-            [[merge.reduce(row)] for merge, row in zip(self._merges, self._best)],
-            dtype=self._best.dtype,
+    if n < 2:
+        raise ConfigurationError("n must be at least 2")
+    if not 0.0 <= mu <= SPREAD_MAX_MU:
+        raise ConfigurationError(
+            f"mu = {mu:g} is outside [0, {SPREAD_MAX_MU}]: no spreading "
+            "budget when nearly every node sits out every round"
         )
-        self._budget = (
-            integral(max_rounds, "max_rounds")
-            if max_rounds is not None
-            else int(math.ceil(4 * math.log2(self.n) + 12))
-        )
-        if self._budget < 1:
-            raise ConfigurationError("max_rounds must be positive")
-        self._stop_when_converged = stop_when_converged
-        self._snapshot = self._best.copy()
-        self._scratch: Optional[np.ndarray] = None
+    return int(math.ceil(
+        (SPREAD_ROUNDS_SLOPE * math.log2(n) + SPREAD_ROUNDS_OFFSET)
+        / (1.0 - mu) ** SPREAD_ROUNDS_MU_EXPONENT
+    ))
 
-    def begin(self) -> None:
-        np.copyto(self._snapshot, self._best)
 
-    def end_round(self, round_index: int) -> None:
-        np.copyto(self._snapshot, self._best)
+def _keep_smaller(pulls: WindowPulls) -> np.ndarray:
+    """One round: each node keeps the smaller of its own and its pulled
+    values, lane by lane (a pull that did not happen read its own).
 
-    def _payload(self, rows: np.ndarray, node: int):
-        """A node's values as a message: a float for a 1-d input, else an
-        L-tuple."""
-        if self._scalar:
-            return float(rows[0, node])
-        return tuple(float(value) for value in rows[:, node])
+    The new rows take the pull buffer's layout (node-major up to
+    :data:`~repro.core.tournament.STREAM_MAX_LANES` lanes), so the next
+    round gathers from them without a copy.
+    """
+    pulled = pulls.rows()[0]
+    return np.minimum(pulls.snapshot, pulled, out=np.empty_like(pulled))
 
-    def act(self, node: int, round_index: int) -> Action:
-        return Action.pushpull(self._payload(self._snapshot, node))
 
-    def serve_pull(self, node: int, requester: int, round_index: int):
-        return self._payload(self._snapshot, node)
+def _lanes(values, mode) -> Tuple[np.ndarray, np.ndarray]:
+    """The validated input as ``(L, n)`` rows with every max lane negated,
+    so every lane keeps the smaller value, and the ``(L, 1)`` lane signs."""
+    array = np.asarray(values)
+    if array.dtype != np.float32:
+        array = np.asarray(array, dtype=float)
+    if np.isnan(array).any():
+        raise ConfigurationError("values must not contain NaN")
+    rows = lane_rows(array, array.dtype)
+    modes = (mode,) * len(rows) if isinstance(mode, str) else tuple(mode)
+    if len(modes) != len(rows):
+        raise ConfigurationError(f"got {len(modes)} modes for {len(rows)} value lanes")
+    if any(lane_mode not in ("min", "max") for lane_mode in modes):
+        raise ConfigurationError("mode must be 'min' or 'max'")
+    signs = np.array([[-1 if lane_mode == "max" else 1] for lane_mode in modes],
+                     dtype=rows.dtype)
+    rows *= signs
+    return rows, signs
 
-    def on_receive(self, node, payload, sender, kind, round_index) -> None:
-        if payload is None:
-            return
-        received = (payload,) if self._scalar else payload
-        for lane, (merge, value) in enumerate(zip(self._merges, received)):
-            self._best[lane, node] = merge(self._best[lane, node], value)
 
-    def message_bits(self, payload) -> int:
-        # one framing + sender id, one scalar working value per lane
-        return payload_bits(0.0, n=self.n) + (len(self._best) - 1) * BITS_PER_VALUE
+def _plan(mode: Union[str, Sequence[str]], rounds: int) -> List[PullWindow]:
+    """``rounds`` one-round windows, labelled ``extrema-<modes>``."""
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    return [PullWindow(1, _keep_smaller, label="extrema-" + "-".join(modes))] * rounds
 
-    # -- batch (vectorized-engine) interface --------------------------------------
-    def act_batch(self, round_index: int, alive: ReadOnlyArray) -> BatchAction:
-        bits = self.message_bits(None)
-        # all-alive rounds ship the snapshot itself (read-only) instead of
-        # a boolean-masked copy
-        payload = self._snapshot if alive.all() else self._snapshot[:, alive]
-        return BatchAction(
-            "pushpull",
-            payload=payload,
-            push_bits=bits,
-            pull_bits=bits,
-        )
 
-    def receive_batch(self, round_index, alive: ReadOnlyArray, partners, action) -> None:
-        lanes = zip(self._merges, self._best, self._snapshot, action.payload)
-        if action.payload.shape[1] == self.n:
-            # pushes: scatter each node's snapshot value onto its partner,
-            # then pulls: gather each partner's snapshot value (take-clip
-            # skips the bounds check; partners are in range by construction)
-            # — all into a reusable scratch buffer, merged in place
-            if self._scratch is None:
-                self._scratch = np.empty(self.n, dtype=self._best.dtype)
-            for merge, best, snapshot, pushed in lanes:
-                merge.at(best, partners, pushed)
-                np.take(snapshot, partners, out=self._scratch, mode="clip")
-                merge(best, self._scratch, out=best)
-            return
-        targets = partners[alive]
-        for merge, best, snapshot, pushed in lanes:
-            # pushes: scatter each alive node's snapshot value onto its partner
-            merge.at(best, targets, pushed)
-            # pull responses: gather each partner's snapshot value
-            best[alive] = merge(best[alive], snapshot[targets])
+def _budget(n: int, rounds: Optional[int], env: GossipEnv) -> int:
+    if rounds is None:
+        return spread_rounds(n, env.mu_bound())
+    rounds = integral(rounds, "rounds")
+    if rounds < 1:
+        raise ConfigurationError("rounds must be positive")
+    return rounds
 
-    def is_done(self, round_index: int) -> bool:
-        if round_index >= self._budget:
-            return True
-        if self._stop_when_converged and round_index > 0:
-            return self.converged
-        return False
 
-    def outputs_array(self) -> np.ndarray:
-        """Per-node values: ``(n,)`` for a 1-d input, else ``(n, L)``."""
-        return self._best[0].copy() if self._scalar else self._best.T.copy()
-
-    def outputs(self) -> List:
-        return [self._payload(self._best, node) for node in range(self.n)]
-
-    @property
-    def converged(self) -> bool:
-        return bool(np.all(self._best == self._target))
+def spread_protocol(
+    values: Union[Sequence[float], np.ndarray],
+    mode: Union[str, Sequence[str]] = "max",
+    rounds: Optional[int] = None,
+    env: Optional[GossipEnv] = None,
+) -> TournamentProtocol:
+    """:func:`spread_extrema`'s protocol, to run on any engine (the live
+    ``net --protocol extrema``); its rows hold the max lanes negated."""
+    rows, _ = _lanes(values, mode)
+    env = resolve_env(env)
+    return TournamentProtocol(rows, _plan(mode, _budget(rows.shape[1], rounds, env)),
+                              env.faults)
 
 
 @dataclass
 class ExtremaResult:
-    """Per-node extremum estimates plus accounting."""
+    """Per-node extremum estimates plus accounting.  ``converged`` (every
+    node holds its lanes' global extreme) is for verifiers: the run lasts
+    its budget whatever it says."""
 
     values: np.ndarray
     rounds: int
@@ -196,29 +173,30 @@ def spread_extrema(
     values: Union[Sequence[float], np.ndarray],
     mode: Union[str, Sequence[str]] = "max",
     rng: Union[None, int, RandomSource] = None,
-    max_rounds: Optional[int] = None,
+    rounds: Optional[int] = None,
     metrics: Optional[NetworkMetrics] = None,
     env: Optional[GossipEnv] = None,
 ) -> ExtremaResult:
     """Spread the global min or max of ``values`` to every node.
 
-    An ``(n, L)`` matrix spreads ``L`` lanes in one run, each lane's
-    extreme chosen by its entry of ``mode``; ``values`` is then ``(n, L)``
-    too.  ``max_rounds`` must be a positive integer (default
-    ``ceil(4 log2 n + 12)``).
+    An ``(n, L)`` matrix spreads ``L`` lanes in one run (one message
+    carries a value per lane), each lane's extreme chosen by its entry of
+    ``mode``; ``values`` is then ``(n, L)`` too.  ``rounds`` defaults to
+    :func:`spread_rounds` at the env's
+    :meth:`~repro.gossip.env.GossipEnv.mu_bound`.  NaN has no order and is
+    rejected; ±inf are ordinary extremes.  float32 values (the exact
+    driver's rank keys) spread as float32; any other input is cast to
+    float64.
     """
-    protocol = ExtremaProtocol(values, mode=mode, max_rounds=max_rounds)
-    result = run_protocol(
-        protocol,
-        rng=rng,
-        max_rounds=protocol._budget + 1,
-        metrics=metrics,
-        raise_on_budget=False,
-        env=env,
-    )
+    rows, signs = _lanes(values, mode)
+    env = resolve_env(env)
+    rounds = _budget(rows.shape[1], rounds, env)
+    metrics = metrics if metrics is not None else NetworkMetrics()
+    signed = run_windows(rows, _plan(mode, rounds), rng, metrics, env)
+    spread = np.ascontiguousarray((signed * signs).T)
     return ExtremaResult(
-        values=result.outputs_array,
-        rounds=result.rounds,
-        metrics=result.metrics,
-        converged=protocol.converged,
+        values=spread[:, 0].copy() if np.ndim(values) == 1 else spread,
+        rounds=rounds,
+        metrics=metrics,
+        converged=bool(np.all(signed == rows.min(axis=1, keepdims=True))),
     )

@@ -44,15 +44,8 @@ from repro.core.service import QuantileService
 from repro.exceptions import ConfigurationError
 from repro.experiments.churn_sweep import FAILURE_CHOICES
 from repro.experiments.runner import REGISTRY, run_experiment
-from repro.faults import (
-    FAULT_KINDS,
-    CrashRestart,
-    FaultInjector,
-    MessageDelay,
-    MessageDrop,
-    MessageDuplication,
-    ValueCorruption,
-)
+from repro.experiments.chaos import build_injector
+from repro.faults import FAULT_KINDS
 from repro.gossip.engine import run_protocol
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
@@ -329,22 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_fault_injector(
-    kinds: Sequence[str], rate: float, seed
-) -> FaultInjector:
-    """One spec per requested kind, all at ``rate``, seeded for replay."""
-    spec_types = {
-        "drop": MessageDrop,
-        "duplicate": MessageDuplication,
-        "delay": MessageDelay,
-        "crash": CrashRestart,
-        "corrupt": ValueCorruption,
-    }
-    return FaultInjector(
-        [spec_types[kind](rate) for kind in kinds], rng=seed
-    )
-
-
 def _experiment_kwargs(args: argparse.Namespace) -> dict:
     kwargs = {}
     if args.trials is not None:
@@ -385,24 +362,7 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _run_query(args: argparse.Namespace) -> str:
-    values = np.loadtxt(args.input, dtype=float).ravel()
-    # query has no topology defaults: a hyper-parameter without --topology
-    # (or one its family ignores) would be silently dropped — reject it.
-    validate_topology_flags(
-        [args.topology] if args.topology is not None else None,
-        degree=args.degree,
-        rewire_p=args.rewire_p,
-        require_topology=True,
-    )
-    topology = None
-    if args.topology is not None:
-        topology = build_topology(
-            args.topology,
-            values.size,
-            degree=args.degree,
-            rewire_p=args.rewire_p,
-            rng=args.seed,
-        )
+    values, topology = _load_values_and_topology(args)
     env = GossipEnv(topology=topology, dtype=args.dtype)
     where = f" on {args.topology}" if topology is not None else ""
     if args.eps is None:
@@ -427,7 +387,8 @@ def _run_query(args: argparse.Namespace) -> str:
 
 
 def _load_values_and_topology(args: argparse.Namespace):
-    """Shared ranks/serve front end: value file + validated topology flags."""
+    """Shared query/ranks/serve front end: value file + validated topology
+    flags."""
     values = np.loadtxt(args.input, dtype=float).ravel()
     validate_topology_flags(
         [args.topology] if args.topology is not None else None,
@@ -483,7 +444,7 @@ def _run_serve(args: argparse.Namespace):
     values, topology = _load_values_and_topology(args)
     faults = None
     if args.faults:
-        faults = _build_fault_injector(args.faults, args.fault_rate, args.seed)
+        faults = build_injector(args.faults, args.fault_rate, args.seed)
     churn = None
     if args.churn_rate is not None:
         churn = ChurnProcess(values.size, churn_rate=args.churn_rate,
@@ -571,7 +532,7 @@ def _run_net(args: argparse.Namespace) -> Tuple[str, Optional[str]]:
     run's accounting different from the vectorized engine's, the
     mismatch (the ``summary()`` fields that differ), else ``None``.
     """
-    from repro.aggregates.extrema import ExtremaProtocol
+    from repro.aggregates.extrema import spread_protocol
     from repro.aggregates.push_sum import PushSumProtocol
     from repro.net import MetricsServer, SwimFailureDetector, arun_protocol
     from repro.net.transport import ChannelTransport, TcpTransport
@@ -582,14 +543,14 @@ def _run_net(args: argparse.Namespace) -> Tuple[str, Optional[str]]:
         values = np.random.default_rng(args.seed).normal(size=args.n)
     n = values.size
 
+    faults = None
+    if args.faults:
+        faults = build_injector(args.faults, args.fault_rate, args.seed)
+
     def make_protocol():
         if args.protocol == "push-sum":
             return PushSumProtocol(values, rounds=args.rounds)
-        return ExtremaProtocol(values)
-
-    faults = None
-    if args.faults:
-        faults = _build_fault_injector(args.faults, args.fault_rate, args.seed)
+        return spread_protocol(values, env=GossipEnv(faults=faults))
     detector = (
         SwimFailureDetector(n, rng=args.seed, ping_timeout_s=0.05)
         if args.swim

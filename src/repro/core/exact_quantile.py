@@ -13,7 +13,8 @@ Per iteration the steps (and the substrates they run on) are:
 1. two ε/2-approximate quantile computations around the current target rank
    (Theorem 2.1 — :mod:`repro.core.approx_quantile`);
 2. spreading the global ``min``/``max`` of the per-node approximations
-   (rumor spreading — :mod:`repro.aggregates.extrema`);
+   (pull rumor spreading — :mod:`repro.aggregates.extrema`, on the
+   calibrated budget :func:`~repro.aggregates.extrema.spread_rounds`);
 3. counting the rank ``R`` of ``min`` (push-sum — :mod:`repro.aggregates.counting`,
    on the calibrated budget :func:`~repro.aggregates.counting.count_rounds`:
    65 rounds at n = 10⁶, stretched by ``(1 - mu)**-1.25`` under failures);
@@ -72,11 +73,13 @@ exact path" section):
   distribution runs no lane).  The lanes share every
   partner draw, so rounds = max over the lanes, and each round's traffic
   lands in its own round record.  Step 4 spreads the min of the lower lane
-  and the max of the upper one as the lanes of one
-  :class:`~repro.aggregates.extrema.ExtremaProtocol` run, and the final
-  query is the same approximation with one lane.
-* **Fast path.**  Every substrate is vectorized: the tournaments
-  (:mod:`repro.core.tournament`), extrema and counting run on the
+  and the max of the upper one as the lanes of one pull-window plan on the
+  same substrate (:func:`~repro.aggregates.extrema.spread_extrema`: one
+  one-round window per round, the max lane stored negated so both lanes
+  keep the smaller value) for :func:`~repro.aggregates.extrema.spread_rounds`
+  rounds, and the final query is the same approximation with one lane.
+* **Fast path.**  Every substrate is vectorized: the tournaments and the
+  extrema windows (:mod:`repro.core.tournament`) and counting run on the
   vectorized gossip engine, and token duplication on the flat token
   columns of :mod:`repro.core.tokens`.  The gossip keys are ranks ≤ n,
   so the driver stores them in float32 while every rank is exact in it
@@ -304,7 +307,8 @@ def exact_quantile(
 
             # Step 4: every node learns the min of the lower approximations
             # and the max of the upper ones — one spreading, one lane per
-            # side, sharing the Step-3 window's message budget.
+            # side, sharing the Step-3 window's message budget, for the
+            # node-known spread_rounds budget.
             with tracer.span("extrema", metrics) as span:
                 span.annotate(iteration=iteration)
                 spread = spread_extrema(

@@ -211,12 +211,9 @@ def robust_approximate_quantile(
         PullWindow(k_pulls, three_step, label="robust-3-tournament")
     ] * schedule2.num_iterations
     windows.append(PullWindow(vote_pulls, vote, label="robust-vote"))
-    # The "+t" of Theorem 1.4: answer-less nodes adopt a pulled answer,
-    # until every node has one.
-    windows += [
-        PullWindow(1, spread, label="robust-spread",
-                   run_if=lambda rows: not np.isfinite(rows).all())
-    ] * spread_rounds
+    # The "+t" of Theorem 1.4: t rounds in which answer-less nodes adopt a
+    # pulled answer.
+    windows += [PullWindow(1, spread, label="robust-spread")] * spread_rounds
 
     metrics = NetworkMetrics(keep_history=False)
     rows = run_windows(lane_rows(array, env.dtype), windows, source, metrics, env)

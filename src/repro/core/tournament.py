@@ -248,15 +248,13 @@ class PullWindow:
     """``rounds`` pull rounds labelled ``label``, then ``kernel``.
 
     The kernel returns the nodes' new ``(L, n)`` rows: a fresh array, or
-    ``pulls.snapshot`` itself.  ``run_if`` (optional) is checked on the
-    rows when the window is due; if it returns False the run ends there.
-    ``phase`` (optional) is the :class:`Phase` the window belongs to.
+    ``pulls.snapshot`` itself.  ``phase`` (optional) is the
+    :class:`Phase` the window belongs to.
     """
 
     rounds: int
     kernel: Callable[[WindowPulls], np.ndarray]
     label: str = "pull"
-    run_if: Optional[Callable[[np.ndarray], bool]] = None
     phase: Optional[Phase] = None
 
     def __post_init__(self) -> None:
@@ -321,9 +319,7 @@ class TournamentProtocol(BatchGossipProtocol, GossipProtocol):
     def is_done(self, round_index: int) -> bool:
         if self._window < len(self._windows) and not self._pulls:
             window = self._windows[self._window]
-            if window.run_if is not None and not window.run_if(self.rows):
-                self._window = len(self._windows)
-            elif window.phase is not self._phase:
+            if window.phase is not self._phase:
                 self.enter(window.phase)
         done = self._window >= len(self._windows)
         if done:

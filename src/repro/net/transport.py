@@ -21,7 +21,10 @@ faults.
 
 This module is the *only* place in the repository allowed to read the
 event-loop clock (``loop.time()``): per-RPC latencies are a transport
-property, measured here and exposed via :attr:`Transport.latencies_s` so
+property, measured here on the wire (TCP: from a frame's write to the
+read of its reply; channels: around the peer's handler, after the call's
+one yield), so they leave out the loop's pass through the round's other
+calls, and exposed via :attr:`Transport.latencies_s` so
 benchmarks can report p99 RPC latency without protocol or runner code
 ever touching a clock.  The ``wallclock`` lint rule enforces exactly this
 containment.
@@ -66,7 +69,7 @@ class Transport:
         self._handlers: Dict[int, Handler] = {}
         self._down: Set[int] = set()
         self._silent: Set[int] = set()
-        #: Completed-call round-trip latencies in seconds (loop clock).
+        #: Completed-call latencies on the wire in seconds (loop clock).
         self.latencies_s: List[float] = []
         self.calls = 0
         self.refused = 0
@@ -120,8 +123,6 @@ class Transport:
         """Deliver ``frame`` to ``dst`` and await its reply."""
         self._check_node(src)
         self._check_node(dst)
-        loop = asyncio.get_running_loop()
-        started = loop.time()
         self.calls += 1
         if dst in self._down:
             if dst in self._silent:
@@ -129,9 +130,7 @@ class Transport:
                 await asyncio.Event().wait()
             self.refused += 1
             raise PeerUnreachable(f"node {dst} is down")
-        reply = await self._deliver(src, dst, frame)
-        self.latencies_s.append(loop.time() - started)
-        return reply
+        return await self._deliver(src, dst, frame)
 
     async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
         raise NotImplementedError
@@ -160,10 +159,13 @@ class ChannelTransport(Transport):
 
     async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
         await asyncio.sleep(0)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
         reply = self._handler_for(dst)(dst, frame)
-        if isinstance(reply, dict):
-            return reply
-        return await reply
+        if not isinstance(reply, dict):
+            reply = await reply
+        self.latencies_s.append(loop.time() - started)
+        return reply
 
 
 def _frames(
@@ -191,13 +193,18 @@ def _frames(
 
 
 class _Client(asyncio.Protocol):
-    """One pooled (src, dst) connection: requests out, replies in by id."""
+    """One pooled (src, dst) connection: requests out, replies in by id.
 
-    def __init__(self) -> None:
+    A reply read for a waiting caller appends the time since its request
+    was written to ``latencies``."""
+
+    def __init__(self, latencies: List[float]) -> None:
         self._transport: Optional[asyncio.Transport] = None
         self._buffer = bytearray()
-        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
+        # request id -> (the caller's future, the loop time of the write)
+        self._pending: Dict[int, Tuple["asyncio.Future[Dict[str, Any]]", float]] = {}
         self._next_id = 0
+        self._latencies = latencies
         self.closed = False
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -210,16 +217,18 @@ class _Client(asyncio.Protocol):
         except FrameError:
             self.close()
             return
+        now = asyncio.get_running_loop().time()
         for req_id, reply in replies:
             # A reply whose caller's deadline already fired finds no future.
-            future = self._pending.pop(req_id, None)
+            future, written = self._pending.pop(req_id, (None, now))
             if future is not None and not future.done():
                 future.set_result(reply)
+                self._latencies.append(now - written)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.closed = True
         pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future, _ in pending.values():
             if not future.done():
                 future.set_exception(ConnectionResetError("connection closed"))
 
@@ -229,8 +238,9 @@ class _Client(asyncio.Protocol):
         data = encode(req_id, frame)
         if self.closed or self._transport is None:
             raise ConnectionResetError("connection closed")
-        future = asyncio.get_running_loop().create_future()
-        self._pending[req_id] = future
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._pending[req_id] = (future, loop.time())
         self._transport.write(data)
         try:
             return await future
@@ -367,7 +377,7 @@ class TcpTransport(Transport):
         if pooled is not None and not pooled.closed:
             return pooled
         _, client = await asyncio.get_running_loop().create_connection(
-            _Client, self.host, self._ports[key[1]]
+            functools.partial(_Client, self.latencies_s), self.host, self._ports[key[1]]
         )
         # A concurrent call on the pair may have dialled first; keep one.
         pooled = self._pool.get(key)

@@ -62,7 +62,11 @@ def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
 
     Re-pinned 392 → 356 rounds when Step 5 began counting on
     ``count_rounds``' budget: two counts of 59 → 41 rounds at n = 2048;
-    every other phase and the answer are unchanged."""
+    every other phase and the answer are unchanged.
+
+    Re-pinned 356 → 394 rounds when Step 4 became one-round pull windows
+    on ``spread_rounds``' budget: two spreads of 18 rounds in all → 28
+    each at n = 2048; every other phase and the answer are unchanged."""
     path = tmp_path / "perm2048.txt"
     path.write_text(
         "\n".join(map(str, np.random.default_rng(0).permutation(2048))) + "\n"
@@ -70,7 +74,7 @@ def test_seeded_exact_query_prints_the_golden_line(tmp_path, capsys):
     assert main(["query", "--input", str(path), "--phi", "0.5",
                  "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
-        "exact 0.5-quantile = 1023.0 (rank 1024 of 2048, 356 gossip rounds)\n"
+        "exact 0.5-quantile = 1023.0 (rank 1024 of 2048, 394 gossip rounds)\n"
     )
 
 

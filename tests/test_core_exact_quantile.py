@@ -216,11 +216,14 @@ def test_simulated_seeded_execution_is_pinned():
     draws (418 rounds before, same value, iterations and retries), and
     when Step 5 began counting on ``count_rounds``' budget (411 rounds
     before: three counts of 51 → 36 rounds; same value, iterations and
-    retries)."""
+    retries), and when Step 4 became one-round pull windows on
+    ``spread_rounds``' budget (366 rounds before: three spreads of 26
+    rounds each at n = 512 against push-pull with an oracle stop; same
+    value, iterations and retries)."""
     values = np.random.default_rng(42).permutation(512).astype(float)
     result = exact_quantile(values, phi=0.7, rng=11)
     assert result.value == 358.0
-    assert result.rounds == 366
+    assert result.rounds == 432
     assert result.iterations == 3
     assert result.retries == 0
 

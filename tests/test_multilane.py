@@ -408,34 +408,31 @@ def test_extrema_pair_matches_two_single_runs():
 
 
 def test_extrema_pair_asyncio_and_vectorized_bit_identical():
-    from repro.aggregates.extrema import ExtremaProtocol
+    from repro.aggregates.extrema import spread_protocol
     from repro.gossip.engine import run_protocol_vectorized
     from repro.net import run_protocol_asyncio
 
     for mu, seed in ((0.0, 4), (0.3, 5)):
         values = RandomSource(seed).random(97) * 10.0
         lanes = np.column_stack([values, values])
-        failure = mu if mu > 0 else None
+        env = GossipEnv(failure_model=mu if mu > 0 else None)
         reference = run_protocol_asyncio(
-            ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
-            env=GossipEnv(failure_model=failure), raise_on_budget=False,
+            spread_protocol(lanes, mode=("min", "max"), env=env), rng=seed, env=env,
         )
         vec = run_protocol_vectorized(
-            ExtremaProtocol(lanes, mode=("min", "max")), rng=seed,
-            env=GossipEnv(failure_model=failure), raise_on_budget=False,
+            spread_protocol(lanes, mode=("min", "max"), env=env), rng=seed, env=env,
         )
         assert reference.outputs == vec.outputs
-        assert np.array_equal(reference.outputs_array, vec.outputs_array)
         assert reference.rounds == vec.rounds
         assert reference.metrics.summary() == vec.metrics.summary()
 
 
 def test_extrema_pair_validation():
-    from repro.aggregates.extrema import ExtremaProtocol
+    from repro.aggregates.extrema import spread_extrema
 
     with pytest.raises(ConfigurationError):
-        ExtremaProtocol([[1.0, 2.0]], mode=("min", "max"))
+        spread_extrema([[1.0, 2.0]], mode=("min", "max"))
     with pytest.raises(ConfigurationError, match="modes"):
-        ExtremaProtocol(np.ones((4, 2)), mode=("min", "max", "max"))
+        spread_extrema(np.ones((4, 2)), mode=("min", "max", "max"))
     with pytest.raises(ConfigurationError, match="mode"):
-        ExtremaProtocol(np.ones((4, 2)), mode=("min", "median"))
+        spread_extrema(np.ones((4, 2)), mode=("min", "median"))

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.aggregates.extrema import ExtremaProtocol
+from repro.aggregates.extrema import spread_protocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.tournament import PullWindow, TournamentProtocol, lane_rows
 from repro.exceptions import ReproError
@@ -200,8 +200,8 @@ _VALUES = np.random.default_rng(4).random(N)
 @pytest.mark.parametrize(
     "protocol,lanes",
     [
-        (ExtremaProtocol(_VALUES), 1),
-        (ExtremaProtocol(np.stack([_VALUES, -_VALUES], axis=1),
+        (spread_protocol(_VALUES), 1),
+        (spread_protocol(np.stack([_VALUES, -_VALUES], axis=1),
                          mode=("min", "max")), 2),
         (TournamentProtocol(lane_rows(_VALUES, np.float64),
                             [PullWindow(1, lambda pulls: pulls.rows()[0])]), 1),

@@ -13,12 +13,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from repro.aggregates.extrema import ExtremaProtocol
+from repro.aggregates.extrema import spread_protocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.exact_quantile import exact_quantile
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -75,9 +76,10 @@ def test_push_sum_pins_across_both_engines(n):
 @pytest.mark.parametrize("n", [8, 32])
 def test_extrema_pins_across_both_engines(n):
     values = _values(n, seed=2)
-    results = _assert_engines_equal(lambda: ExtremaProtocol(values), seed=9)
+    results = _assert_engines_equal(lambda: spread_protocol(values), seed=9)
     result, _ = results["asyncio"]
-    assert np.allclose(result.outputs_array, values.max())
+    # the protocol stores the max lane negated
+    assert np.all(result.outputs_array == -values.max())
 
 
 def test_push_sum_converges_to_the_mean_over_the_network():
@@ -113,11 +115,11 @@ def test_tcp_transport_matches_the_vectorized_engine():
     without touching the accounting."""
     values = _values(8, seed=5)
     vec_result, vec_metrics = _run_engine(
-        "vectorized", lambda: ExtremaProtocol(values), 11
+        "vectorized", lambda: spread_protocol(values), 11
     )
     metrics = NetworkMetrics()
     result = run_protocol_asyncio(
-        ExtremaProtocol(values), rng=11, metrics=metrics, transport="tcp"
+        spread_protocol(values), rng=11, metrics=metrics, transport="tcp"
     )
     assert result.extra["transport"] == "TcpTransport"
     assert result.rounds == vec_result.rounds
@@ -145,6 +147,45 @@ def test_exact_quantile_on_asyncio_matches_the_vectorized_run(seed):
 
     vectorized = run("vectorized")
     assert vectorized[0] == float(np.sort(values)[31])
+    assert run("asyncio") == vectorized
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_exact_quantile_under_corruption_agrees_across_engines(seed, monkeypatch):
+    """Under ``ValueCorruption(0.05)`` at n = 256 both engines spread the
+    same corrupted Step-4 lanes and end the same way.  A corrupted copy of
+    a sandwich bound spreads like any extreme, so the bounds drift and a
+    full query runs thousands of rounds; one pass with no retries keeps
+    the asyncio run to about a second and still ends in a typed error."""
+    from repro.exceptions import ReproError
+    from repro.faults import FaultInjector, ValueCorruption
+
+    exact_module = importlib.import_module("repro.core.exact_quantile")
+    spread = exact_module.spread_extrema
+    values = np.random.default_rng(seed).permutation(256).astype(float)
+
+    def run(engine):
+        spreads = []
+
+        def spy(lanes, **kwargs):
+            result = spread(lanes, **kwargs)
+            spreads.append((result.values.tobytes(), result.rounds))
+            return result
+
+        monkeypatch.setattr(exact_module, "spread_extrema", spy)
+        env = GossipEnv(engine=engine,
+                        faults=FaultInjector(ValueCorruption(0.05), rng=seed))
+        try:
+            result = exact_quantile(values, 0.5, rng=seed, env=env,
+                                    max_iterations=1, max_retries=0)
+        except ReproError as exc:
+            outcome = (type(exc).__name__, str(exc))
+        else:
+            outcome = (result.value, result.rounds, result.metrics.summary())
+        return outcome, spreads
+
+    vectorized = run("vectorized")
+    assert vectorized[1]
     assert run("asyncio") == vectorized
 
 

@@ -7,6 +7,7 @@ wedged transport can fail the test but never hang the suite.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.net import (
     arun_protocol,
 )
 from repro.net.codec import LENGTH, MAX_FRAME_BYTES, FrameError, encode
+from repro.net.transport import _Client
 
 TIMEOUT_S = 20.0
 
@@ -646,3 +648,61 @@ def test_a_live_round_creates_at_most_one_task_per_rpc(cls, kind):
 
     run(go())
 
+
+
+# -- latency clock ---------------------------------------------------------
+
+#: How long the hog blocks the loop; the wire latencies stay far below it.
+HOG_S = 0.05
+
+
+def _hog():
+    """Block the event loop, as a burst of other callbacks would."""
+    time.sleep(HOG_S)
+
+
+def test_channel_latency_leaves_out_the_loop_pass_before_delivery():
+    """A call's latency is taken around the peer's handler: a callback
+    the loop runs between the call's start and its delivery is not in it."""
+
+    async def go():
+        transport = ChannelTransport(2)
+        _register_all(transport, lambda dst, frame: {"payload": 1.0})
+        await transport.start()
+        # The call starts, yields once, and resumes after the hog.
+        call = asyncio.ensure_future(transport.call(0, 1, _pull(0)))
+        asyncio.get_running_loop().call_soon(_hog)
+        assert await call == {"payload": 1.0}
+        await transport.stop()
+        return transport.latencies_s
+
+    latencies = run(go())
+    assert len(latencies) == 1
+    assert latencies[0] < HOG_S / 5
+
+
+def test_tcp_latency_stops_when_the_reply_is_read(monkeypatch):
+    """A TCP call's latency runs from the frame's write to the read of its
+    reply: a callback queued before the caller resumes is not in it."""
+    read_reply = _Client.data_received
+
+    def read_then_hog(self, data):
+        asyncio.get_running_loop().call_soon(_hog)
+        read_reply(self, data)
+
+    async def go():
+        transport = TcpTransport(2)
+        _register_all(transport, lambda dst, frame: {"payload": 1.0})
+        await transport.start()
+        try:
+            await transport.call(0, 1, _pull(0))  # dial, untimed below
+            transport.latencies_s.clear()
+            monkeypatch.setattr(_Client, "data_received", read_then_hog)
+            assert await transport.call(0, 1, _pull(0)) == {"payload": 1.0}
+        finally:
+            await transport.stop()
+        return transport.latencies_s
+
+    latencies = run(go())
+    assert len(latencies) == 1
+    assert latencies[0] < HOG_S / 5

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.aggregates.extrema import ExtremaProtocol
+from repro.aggregates.extrema import spread_protocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.core.all_quantiles import estimate_all_ranks
 from repro.core.approx_quantile import approximate_quantile
@@ -166,11 +166,11 @@ def test_on_round_hook_fires_once_per_round(engine):
 def test_hook_counts_agree_across_engines():
     net_calls, vec_calls = [], []
     net = run_protocol_asyncio(
-        ExtremaProtocol(_values(64), mode="max"), rng=2,
+        spread_protocol(_values(64), mode="max"), rng=2,
         on_round=lambda r, e: net_calls.append(r.round_index),
     )
     vec = run_protocol_vectorized(
-        ExtremaProtocol(_values(64), mode="max"), rng=2,
+        spread_protocol(_values(64), mode="max"), rng=2,
         on_round=lambda r, e: vec_calls.append(r.round_index),
     )
     assert net.rounds == vec.rounds

@@ -9,7 +9,7 @@ the sum of its per-round records.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.aggregates.extrema import ExtremaProtocol
+from repro.aggregates.extrema import spread_protocol
 from repro.aggregates.push_sum import PushSumProtocol
 from repro.gossip.engine import run_protocol, run_protocol_vectorized
 from repro.gossip.env import GossipEnv
@@ -83,14 +83,13 @@ def test_metric_totals_equal_sum_of_round_records(n, rounds, mu, seed):
 )
 def test_engines_agree_for_random_configurations(n, mu, seed):
     values = RandomSource(seed).random(n) * 100.0
+    env = GossipEnv(failure_model=mu if mu > 0 else None)
     reference = run_protocol(
-        ExtremaProtocol(values, mode="max"), rng=seed,
-        env=GossipEnv(failure_model=mu if mu > 0 else None, engine="asyncio"),
-        raise_on_budget=False,
+        spread_protocol(values, mode="max", env=env), rng=seed,
+        env=GossipEnv(failure_model=env.failure_model, engine="asyncio"),
     )
     vec = run_protocol_vectorized(
-        ExtremaProtocol(values, mode="max"), rng=seed,
-        env=GossipEnv(failure_model=mu if mu > 0 else None), raise_on_budget=False,
+        spread_protocol(values, mode="max", env=env), rng=seed, env=env,
     )
     assert reference.outputs == vec.outputs
     assert reference.rounds == vec.rounds

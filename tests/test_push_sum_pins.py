@@ -132,7 +132,11 @@ def _iteration_rows(history):
 #: 956578287a020d28 / 331, same value, no retries on either.  The Kempe
 #: selection's ten counts went 47 → 33 rounds each: 44e797708f7869d0 /
 #: 745 rounds → b8f9afac1cd7c051 / 605, same value and phases.
-EXACT_PIN = ("956578287a020d28", 286.11269466977893, 331)
+#: Re-pinned when Step 4 became one-round pull windows on spread_rounds'
+#: budget (28 rounds per spread at n = 2000, push-pull with an oracle
+#: stop before): 956578287a020d28 / 331 rounds → 43fad03639e1239b / 373,
+#: same value, iterations and retries; the Kempe pin runs no spread.
+EXACT_PIN = ("43fad03639e1239b", 286.11269466977893, 373)
 KEMPE_PIN = ("b8f9afac1cd7c051", 35.36200414834243, 605)
 
 

@@ -87,30 +87,53 @@ def _env(engine, mu):
 #   small 0.002/0.3: 9075c3ef0f7b747a / 541 → ab7669e312f6e3ab / 556
 #   small 0.998/0.3: f07f9bb1f62a3681 / 506 → 881f16497095fd94 / 521
 #   small 1.0/0.3: 754f948f15fb1af6 / 476 → e9f06880c862e7a7 / 491
+#
+# Re-pinned again when Step 4 became one-round pull windows on
+# spread_rounds' budget instead of push-pull with an oracle stop (28 rounds
+# per spread at n = 2000 and 26 at n = 512 failure-free, 43 and 40 under
+# μ = 0.3).  Every answer, every retry and every per-iteration field but
+# ``rounds_so_far`` is unchanged; the rounds move by the spreads alone.
+# Old → new:
+#   side 0.0/0.0: d7529efa62d4a9c2 / 344 → 6bb86ade90cea2ab / 394
+#   side 0.0/0.3: 2f12b4de756a5ce6 / 443 → 578aec873ea71e59 / 508
+#   side 0.002/0.0: 6b883cca41ea6227 / 326 → 693cb4b14a7bc5a0 / 378
+#   side 0.002/0.3: f42218ea6408583f / 454 → 9392af5b489a8fbd / 511
+#   side 0.998/0.0: 7e14a0faaf90f5d6 / 369 → 5a50d98503276ce8 / 409
+#   side 0.998/0.3: e7324032e121fa7c / 457 → 70c9c3da34de605a / 515
+#   side 1.0/0.0: b8448fb99132ae7b / 295 → 415981cb9857d68b / 348
+#   side 1.0/0.3: f54297a5a28bc501 / 407 → b56a360889213712 / 478
+#   small 0.0/0.0: 9a7d4bb58aa42781 / 290 → b2df6dc8905243c1 / 333
+#   small 0.0/0.3: bbdaf4589db3cc81 / 584 → c85d7c5dabdca6a6 / 706
+#   small 0.002/0.0: 0f77d92e5fcbb790 / 307 → 9260fffd7411b1d3 / 357
+#   small 0.002/0.3: ab7669e312f6e3ab / 556 → 9b6f824dc75c2129 / 650
+#   small 0.998/0.0: 92518b42d120ad6d / 271 → f440a996e1c4e661 / 321
+#   small 0.998/0.3: 881f16497095fd94 / 521 → 0671e2ea0903b052 / 616
+#   small 1.0/0.0: d8e1f5cdf2728b7b / 273 → fb549d9067305f34 / 316
+#   small 1.0/0.3: e9f06880c862e7a7 / 491 → be67630abbcb596c / 590
 
 EXACT_SIDE_PINS = {
-    ("vectorized", 0.0, 0.0): ("d7529efa62d4a9c2", 0.2944940824465281, 344),
-    ("vectorized", 0.0, 0.3): ("2f12b4de756a5ce6", 0.2944940824465281, 443),
-    ("vectorized", 0.002, 0.0): ("6b883cca41ea6227", 1.5050135063167103, 326),
-    ("vectorized", 0.002, 0.3): ("f42218ea6408583f", 1.5050135063167103, 454),
-    ("vectorized", 0.998, 0.0): ("7e14a0faaf90f5d6", 998.934366292964, 369),
-    ("vectorized", 0.998, 0.3): ("e7324032e121fa7c", 998.934366292964, 457),
-    ("vectorized", 1.0, 0.0): ("b8448fb99132ae7b", 999.9282631809398, 295),
-    ("vectorized", 1.0, 0.3): ("f54297a5a28bc501", 999.9282631809398, 407),
+    ("vectorized", 0.0, 0.0): ("6bb86ade90cea2ab", 0.2944940824465281, 394),
+    ("vectorized", 0.0, 0.3): ("578aec873ea71e59", 0.2944940824465281, 508),
+    ("vectorized", 0.002, 0.0): ("693cb4b14a7bc5a0", 1.5050135063167103, 378),
+    ("vectorized", 0.002, 0.3): ("9392af5b489a8fbd", 1.5050135063167103, 511),
+    ("vectorized", 0.998, 0.0): ("5a50d98503276ce8", 998.934366292964, 409),
+    ("vectorized", 0.998, 0.3): ("70c9c3da34de605a", 998.934366292964, 515),
+    ("vectorized", 1.0, 0.0): ("415981cb9857d68b", 999.9282631809398, 348),
+    ("vectorized", 1.0, 0.3): ("b56a360889213712", 999.9282631809398, 478),
 }
 
 # The vectorized engine on the small case's inputs (n = 512).  These
 # values were first recorded on the per-node loop engine, which every
 # exact-driver substrate matched bit for bit.
 SMALL_CASE_VECTORIZED_PINS = {
-    (0.0, 0.0): ("9a7d4bb58aa42781", 0.06693515352629298, 290),
-    (0.0, 0.3): ("bbdaf4589db3cc81", 0.06693515352629298, 584),
-    (0.002, 0.0): ("0f77d92e5fcbb790", 0.2951516316959113, 307),
-    (0.002, 0.3): ("ab7669e312f6e3ab", 0.2951516316959113, 556),
-    (0.998, 0.0): ("92518b42d120ad6d", 998.1379607722837, 271),
-    (0.998, 0.3): ("881f16497095fd94", 998.1379607722837, 521),
-    (1.0, 0.0): ("d8e1f5cdf2728b7b", 998.7113635876004, 273),
-    (1.0, 0.3): ("e9f06880c862e7a7", 998.7113635876004, 491),
+    (0.0, 0.0): ("b2df6dc8905243c1", 0.06693515352629298, 333),
+    (0.0, 0.3): ("c85d7c5dabdca6a6", 0.06693515352629298, 706),
+    (0.002, 0.0): ("9260fffd7411b1d3", 0.2951516316959113, 357),
+    (0.002, 0.3): ("9b6f824dc75c2129", 0.2951516316959113, 650),
+    (0.998, 0.0): ("f440a996e1c4e661", 998.1379607722837, 321),
+    (0.998, 0.3): ("0671e2ea0903b052", 998.1379607722837, 616),
+    (1.0, 0.0): ("fb549d9067305f34", 998.7113635876004, 316),
+    (1.0, 0.3): ("be67630abbcb596c", 998.7113635876004, 590),
 }
 
 EXACT_CASES = {"vectorized": (2000, 47, 17), "small": (512, 48, 18)}
@@ -144,19 +167,28 @@ def test_one_sided_exact_quantile_small_case_vectorized_pinned(phi, mu):
 
 # ---- extrema spreading ------------------------------------------------------
 
+# Re-pinned when spread_extrema became one-round pull windows run for
+# spread_rounds' budget (push-pull with an oracle stop before); the
+# engines still agree.  Old → new (both engines):
+#   max/0.0: f1952ce42ef6d22f → 67242d3ec7960a66
+#   max/0.3: 0a78ce9367a1a216 → 45202c061de60889
+#   min/0.0: cb7c1f0471d1df00 → e60c2a5f9574eabf
+#   min/0.3: ee36d9a691493e90 → 6520d6041be77077
+#   min-max/0.0: 4ef0d137cb6959a2 → 6606e736b935abdc
+#   min-max/0.3: 5418e52bce810e92 → 3fccec84934001b4
 EXTREMA_PINS = {
-    ("min", "asyncio", 0.0): "cb7c1f0471d1df00",
-    ("min", "asyncio", 0.3): "ee36d9a691493e90",
-    ("min", "vectorized", 0.0): "cb7c1f0471d1df00",
-    ("min", "vectorized", 0.3): "ee36d9a691493e90",
-    ("max", "asyncio", 0.0): "f1952ce42ef6d22f",
-    ("max", "asyncio", 0.3): "0a78ce9367a1a216",
-    ("max", "vectorized", 0.0): "f1952ce42ef6d22f",
-    ("max", "vectorized", 0.3): "0a78ce9367a1a216",
-    ("min-max", "asyncio", 0.0): "4ef0d137cb6959a2",
-    ("min-max", "asyncio", 0.3): "5418e52bce810e92",
-    ("min-max", "vectorized", 0.0): "4ef0d137cb6959a2",
-    ("min-max", "vectorized", 0.3): "5418e52bce810e92",
+    ("min", "asyncio", 0.0): "e60c2a5f9574eabf",
+    ("min", "asyncio", 0.3): "6520d6041be77077",
+    ("min", "vectorized", 0.0): "e60c2a5f9574eabf",
+    ("min", "vectorized", 0.3): "6520d6041be77077",
+    ("max", "asyncio", 0.0): "67242d3ec7960a66",
+    ("max", "asyncio", 0.3): "45202c061de60889",
+    ("max", "vectorized", 0.0): "67242d3ec7960a66",
+    ("max", "vectorized", 0.3): "45202c061de60889",
+    ("min-max", "asyncio", 0.0): "6606e736b935abdc",
+    ("min-max", "asyncio", 0.3): "3fccec84934001b4",
+    ("min-max", "vectorized", 0.0): "6606e736b935abdc",
+    ("min-max", "vectorized", 0.3): "3fccec84934001b4",
 }
 
 
