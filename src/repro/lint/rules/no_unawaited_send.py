@@ -10,8 +10,8 @@ Two patterns are flagged, as *statements* whose value is discarded:
 * anywhere in ``repro``: a bare call to a function defined with
   ``async def`` in the same module;
 * inside :mod:`repro.net`: a bare method call whose name is one of the
-  backend's coroutine send/serve verbs (``call``, ``run_round``) —
-  cross-module sends the first pattern cannot see.
+  backend's coroutine send/serve verbs (``call``, ``call_all``,
+  ``run_round``) — cross-module sends the first pattern cannot see.
 
 Scheduling the coroutine on purpose (``asyncio.create_task``, ``gather``,
 ``await``) never matches: those consume the coroutine.
@@ -27,8 +27,9 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Coroutine method names on the repro.net surfaces (RpcClient.call,
-#: Transport.call, SwimFailureDetector.run_round).
-_NET_SEND_METHODS = ("call", "run_round")
+#: RpcClient.call_all — a round's wave —, Transport.call,
+#: SwimFailureDetector.run_round).
+_NET_SEND_METHODS = ("call", "call_all", "run_round")
 
 
 def _local_async_defs(tree: ast.Module) -> Set[str]:

@@ -3,10 +3,11 @@
 The vectorized engine (:mod:`repro.gossip.engine`) executes synchronous
 gossip rounds as function calls.  This package executes the *same*
 :class:`~repro.gossip.protocol.GossipProtocol` implementations — push-sum,
-counting, extrema — over real message passing: every node is an asyncio
-task speaking push / pull / push-pull RPC through a
+counting, extrema — over real message passing: every node speaks
+push / pull / push-pull RPC through a
 :class:`~repro.net.transport.Transport` (in-process channels for fast
-tests, loopback TCP streams by default for deployment realism).
+tests, loopback TCP streams by default for deployment realism), and a
+round's frames go out together as one awaited wave.
 
 The protocol/transport split is the architectural contract: protocols
 never see the transport, transports never see protocol state, and the

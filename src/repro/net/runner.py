@@ -5,9 +5,10 @@
 the in-process channel transport, the reference the vectorized engine is
 held bit-identical to.  It runs
 the *same* :class:`~repro.gossip.protocol.GossipProtocol` implementations,
-unmodified, with every node's round executed by its own asyncio task
-speaking push / pull / push-pull RPC through a
-:class:`~repro.net.transport.Transport`.
+unmodified, with every node speaking push / pull / push-pull RPC through
+a :class:`~repro.net.transport.Transport`.  A round costs no task: its
+frames start in one pass as one :meth:`~repro.net.rpc.RpcClient.call_all`
+wave, which the round awaits once.
 
 Equivalence with the vectorized engine is by construction, not by luck:
 
@@ -19,18 +20,23 @@ Equivalence with the vectorized engine is by construction, not by luck:
   fallback — the per-message sizes the vectorized engine charges in bulk —
   so ``NetworkMetrics`` totals match;
 * rounds are synchronous: all acts happen before any delivery (a barrier,
-  as in the vectorized engine), then delivery tasks run concurrently.
-  Concurrent delivery is why the backend requires the delivery-order
-  independence contract that :class:`~repro.gossip.protocol.
-  BatchGossipProtocol` marks — the same contract the vectorized engine
-  already relies on.
+  as in the vectorized engine), then the round's frames are in flight
+  together.  Peers serve pulls as the frames arrive, so the backend
+  requires the delivery-order independence contract that
+  :class:`~repro.gossip.protocol.BatchGossipProtocol` marks — the same
+  contract the vectorized engine already relies on.  Received pushes are
+  merged at the barrier in sender order, then each sender's outcome
+  (``on_send_success`` / ``on_send_failure``, a pull's ``on_receive``)
+  is applied in node order, so a run's float merges are the same on
+  every transport.
 
 Faults (``env.faults``) are reinterpreted at the transport level: ``crash``
 kills the node's endpoint for its downtime (callers get connection
 refused), ``drop`` loses the frame in flight (a pull request goes
 unanswered), ``delay`` holds a push's write, ``corrupt`` scales a push's
-payload in flight, ``duplicate`` delivers (and charges) the frame twice
-(a pull response is charged twice).  The injector's private stream is
+payload in flight, ``duplicate`` sends (and charges) a push twice in the
+same wave, unless the first copy failed (a pull response is charged
+twice).  The injector's private stream is
 consumed one draw per round exactly as on the vectorized engine, so a
 seeded chaos schedule replays bit-for-bit across both engines, and each
 round's decision also goes to
@@ -56,8 +62,9 @@ with honestly widened bounds (:mod:`repro.net.quantile`).
 from __future__ import annotations
 
 import asyncio
+from operator import itemgetter
 from time import perf_counter
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +82,7 @@ from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
 from repro.gossip.protocol import Action, GossipProtocol
 from repro.net.failure_detector import SwimFailureDetector
-from repro.net.rpc import RetryPolicy, RpcClient, RpcError
+from repro.net.rpc import Outgoing, RetryPolicy, RpcClient, RpcError
 from repro.net.transport import Transport, resolve_transport
 from repro.obs.tracer import get_tracer
 from repro.utils.rand import RandomSource
@@ -103,7 +110,10 @@ class _NodeHost:
 
     One instance serves every node (the handler receives the destination
     id), mirroring how the vectorized engine holds all node state in one
-    protocol object; the per-node identity lives in the frames.
+    protocol object; the per-node identity lives in the frames.  A push is
+    acknowledged on arrival and queued in :attr:`inbox`; the runner merges
+    the queue at the round barrier in sender order, so a merge's float
+    order does not depend on which socket the loop read first.
     """
 
     def __init__(
@@ -114,6 +124,16 @@ class _NodeHost:
         self.protocol = protocol
         self.detector = detector
         self.rpc: Optional[RpcClient] = None
+        #: Pushes received and not merged yet: (src, dst, payload, round).
+        self.inbox: List[Tuple[int, int, Any, int]] = []
+
+    def merge_pushes(self) -> None:
+        """Deliver the queued pushes, in sender order (a sender's in the
+        order they arrived)."""
+        inbox, self.inbox = self.inbox, []
+        inbox.sort(key=itemgetter(0))
+        for src, dst, payload, round_index in inbox:
+            self.protocol.on_receive(dst, payload, src, "push", round_index)
 
     def handle(
         self, dst: int, frame: Dict[str, Any]
@@ -125,8 +145,8 @@ class _NodeHost:
             suspected = frame.get("sus")
             if suspected and self.detector is not None:
                 self.detector.merge_digest(suspected, int(frame["round"]))
-            self.protocol.on_receive(
-                dst, frame["payload"], int(frame["src"]), "push", int(frame["round"])
+            self.inbox.append(
+                (int(frame["src"]), dst, frame["payload"], int(frame["round"]))
             )
             return {"ok": True}
         if kind == "pull":
@@ -190,67 +210,99 @@ async def arun_protocol(
     lost_pushes = 0
     fault_killed: set = set()
 
-    async def deliver_node_round(
-        node: int,
-        action: Action,
-        partner: int,
+    async def deliver_round(
+        actions: List[Optional[Action]],
+        partners: np.ndarray,
         round_index: int,
         rf: Optional[RoundFaults],
+        record: RoundRecord,
         suspicion: Optional[List[int]],
     ) -> int:
+        """One round's deliveries: every frame starts in one pass, the
+        round awaits them as one wave, then the received pushes are merged
+        in sender order and each sender's outcome is applied in node
+        order.  Returns the frames lost."""
         lost = 0
-        if action.kind in ("push", "pushpull"):
-            payload = action.payload
-            if rf is not None and rf.corruption[node] != 1.0:
-                payload = _scale_payload(payload, float(rf.corruption[node]))
-            bits = _message_bits(protocol, action.payload, n)
-            frame = {
-                "kind": "push",
-                "src": node,
-                "round": round_index,
-                "payload": payload,
-            }
-            if suspicion:
-                frame["sus"] = suspicion
-            if rf is not None and rf.delay[node] > 0:
-                # A held write: the frame leaves late but within the round
-                # barrier, so synchronous semantics survive bounded delays.
-                await asyncio.sleep(delay_unit_s * int(rf.delay[node]))
-            if rf is not None and rf.dropped[node]:
-                # Lost datagram: sent, never delivered.
-                lost += 1
-                protocol.on_send_failure(node, action.payload, round_index)
-            else:
-                try:
-                    await rpc.call(node, partner, frame)
-                    stats.record_messages(1, bits, record)
-                    protocol.on_send_success(node, round_index)
-                    if rf is not None and rf.duplicated[node]:
-                        await rpc.call(node, partner, frame)
-                        stats.record_messages(1, bits, record)
-                except RpcError:
+        calls: List[Outgoing] = []
+        # (node, partner, kind, duplicated) per node that sends, in order.
+        sends: List[Tuple[int, int, str, bool]] = []
+        for node, action in enumerate(actions):
+            if action is None or action.kind == "idle":
+                continue
+            partner = int(partners[node])
+            dropped = rf is not None and bool(rf.dropped[node])
+            twice = rf is not None and bool(rf.duplicated[node])
+            if action.kind in ("push", "pushpull"):
+                if dropped:
+                    # Lost datagram: sent, never delivered.
                     lost += 1
                     protocol.on_send_failure(node, action.payload, round_index)
-        if action.kind in ("pull", "pushpull"):
-            if rf is not None and rf.dropped[node]:
-                # Lost request: the node keeps its prior value, exactly what
-                # a failed pull means on the vectorized engine.
-                return lost + 1
-            try:
-                reply = await rpc.call(
-                    node,
-                    partner,
-                    {"kind": "pull", "src": node, "round": round_index},
-                )
-            except RpcError:
-                # The pull went unanswered: the same.
+                else:
+                    payload = action.payload
+                    delay_s = 0.0
+                    if rf is not None:
+                        if rf.corruption[node] != 1.0:
+                            payload = _scale_payload(
+                                payload, float(rf.corruption[node])
+                            )
+                        # A held write: the frame leaves late but within the
+                        # round barrier, so synchronous semantics survive
+                        # bounded delays.
+                        delay_s = delay_unit_s * int(rf.delay[node])
+                    frame = {
+                        "kind": "push",
+                        "src": node,
+                        "round": round_index,
+                        "payload": payload,
+                    }
+                    if suspicion:
+                        frame["sus"] = suspicion
+                    calls.append((node, partner, frame, delay_s))
+                    if twice:
+                        calls.append((node, partner, frame, delay_s))
+                    sends.append((node, partner, "push", twice))
+            if action.kind in ("pull", "pushpull"):
+                if dropped:
+                    # Lost request: the node keeps its prior value, exactly
+                    # what a failed pull means on the vectorized engine.
+                    lost += 1
+                else:
+                    calls.append((
+                        node, partner,
+                        {"kind": "pull", "src": node, "round": round_index},
+                        0.0,
+                    ))
+                    sends.append((node, partner, "pull", twice))
+        outcomes = iter(await rpc.call_all(calls))
+        host.merge_pushes()
+        for node, partner, kind, twice in sends:
+            outcome = next(outcomes)
+            if kind == "push":
+                payload = actions[node].payload  # type: ignore[union-attr]
+                again = next(outcomes) if twice else None
+                if isinstance(outcome, RpcError):
+                    # Dead peer or exhausted retries; the duplicate met the
+                    # same peer in the same round, so it is not charged.
+                    lost += 1
+                    protocol.on_send_failure(node, payload, round_index)
+                    continue
+                bits = _message_bits(protocol, payload, n)
+                stats.record_messages(1, bits, record)
+                protocol.on_send_success(node, round_index)
+                if twice:
+                    if isinstance(again, RpcError):
+                        lost += 1
+                        protocol.on_send_failure(node, payload, round_index)
+                    else:
+                        stats.record_messages(1, bits, record)
+            elif isinstance(outcome, RpcError):
+                # The pull went unanswered: the node keeps its prior value.
                 lost += 1
             else:
-                response = reply["payload"]
+                response = outcome["payload"]
                 bits = _message_bits(protocol, response, n)
-                stats.record_messages(1, bits, record)
-                if rf is not None and rf.duplicated[node]:
-                    stats.record_messages(1, bits, record)
+                # A duplicated response is charged twice, delivered once.
+                stats.record_messages(2 if twice else 1, bits, record)
                 protocol.on_receive(node, response, partner, "pull", round_index)
         return lost
 
@@ -305,16 +357,9 @@ async def arun_protocol(
                 actions[node] = action
 
             suspicion = detector.digest() if detector is not None else None
-            deliveries = [
-                deliver_node_round(
-                    node, actions[node], int(partners[node]), round_index,
-                    rf, suspicion,
-                )
-                for node in range(n)
-                if actions[node] is not None and actions[node].kind != "idle"
-            ]
-            if deliveries:
-                lost_pushes += sum(await asyncio.gather(*deliveries))
+            lost_pushes += await deliver_round(
+                actions, partners, round_index, rf, record, suspicion
+            )
 
             if detector is not None:
                 probers = [
@@ -339,6 +384,7 @@ async def arun_protocol(
     result.extra["lost_messages"] = lost_pushes
     result.extra["rpc_calls"] = rpc.calls
     result.extra["rpc_retries"] = rpc.retries
+    result.extra["rpc_timeouts"] = rpc.timeouts
     result.extra["rpc_failures"] = rpc.failures
     result.extra["crashed_nodes"] = sorted(live_transport.down)
     if detector is not None:

@@ -1,17 +1,26 @@
 """Transports: how one node's frame reaches another node.
 
-Two implementations behind one asyncio interface:
+Two implementations behind one interface, :meth:`Transport.send`, which
+starts a call without awaiting it and hands the reply to a callback:
 
-* :class:`ChannelTransport` — in-process: a call runs the destination's
-  registered handler directly.  No serialization, no sockets; the fast
-  path for tests and for the equivalence suite, where only the *message
-  pattern* matters.
+* :class:`ChannelTransport` — in-process: the destination's registered
+  handler runs from a ``call_soon`` callback, one loop pass after the
+  send.  No serialization, no sockets; the fast path for tests and for
+  the equivalence suite, where only the *message pattern* matters.
 * :class:`TcpTransport` — loopback TCP: every node runs a real server
   on ``127.0.0.1`` and calls are length-prefixed frames of the fixed
   binary codec (:mod:`repro.net.codec`) over pooled connections, matched
-  to their replies by request id.  The deployment-realistic path
-  (serialization boundaries, kernel buffers, connection refusal on dead
-  peers); nothing read off a socket is unpickled.
+  to their replies by request id.  A send on a warm pooled connection
+  writes at once; only a pair's first send dials, from a task.  The
+  deployment-realistic path (serialization boundaries, kernel buffers,
+  connection refusal on dead peers); nothing read off a socket is
+  unpickled.
+
+A started call answers at most once, and a call whose caller cancels it
+(its deadline fired, its caller was cancelled) answers never: a late
+reply reaches no one.  :meth:`Transport.call` awaits one call, for tests
+and tools; the runner and the SWIM detector go through
+:class:`~repro.net.rpc.RpcClient`, which adds deadlines and retries.
 
 Both support killing a node — ``mode="refuse"`` fails callers immediately
 (the TCP analogue: connection refused), ``mode="silent"`` swallows the
@@ -22,9 +31,9 @@ faults.
 This module is the *only* place in the repository allowed to read the
 event-loop clock (``loop.time()``): per-RPC latencies are a transport
 property, measured here on the wire (TCP: from a frame's write to the
-read of its reply; channels: around the peer's handler, after the call's
-one yield), so they leave out the loop's pass through the round's other
-calls, and exposed via :attr:`Transport.latencies_s` so
+read of its reply; channels: around the peer's handler, in its
+``call_soon`` callback), so they leave out the loop's pass through the
+round's other calls, and exposed via :attr:`Transport.latencies_s` so
 benchmarks can report p99 RPC latency without protocol or runner code
 ever touching a clock.  The ``wallclock`` lint rule enforces exactly this
 containment.
@@ -34,7 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union,
+)
 
 from repro.exceptions import ReproError
 from repro.net.codec import (
@@ -55,8 +66,62 @@ Handler = Callable[
 ]
 
 
+#: Where a started call's outcome goes: the reply dict, or the exception
+#: that ended the call (:class:`PeerUnreachable`, a handler's error).
+Reply = Callable[[Union[Dict[str, Any], BaseException]], None]
+
+
 class PeerUnreachable(ReproError):
     """The destination node is down and refusing frames (fail-fast path)."""
+
+
+class Request:
+    """One started call: where its reply goes until it is answered, and
+    what :meth:`cancel` undoes — a scheduled answer, a handler or dial
+    task, a TCP connection's pending entry."""
+
+    __slots__ = ("_reply", "waiter", "pending", "req_id", "written")
+
+    def __init__(self, reply: Reply) -> None:
+        self._reply: Optional[Reply] = reply
+        #: The scheduled answer, or the task answering or dialling.
+        self.waiter: Optional[Union[asyncio.Handle, "asyncio.Task[Any]"]] = None
+        #: The TCP connection's pending map holding this request, once written.
+        self.pending: Optional[Dict[int, "Request"]] = None
+        self.req_id = 0
+        self.written = 0.0
+
+    @property
+    def live(self) -> bool:
+        """Whether the call still wants its answer."""
+        return self._reply is not None
+
+    def answer(self, result: Union[Dict[str, Any], BaseException]) -> None:
+        """Hand the outcome to the caller, once; a no-op after cancel()."""
+        reply = self._reply
+        if reply is not None:
+            self._reply = None
+            reply(result)
+
+    def cancel(self) -> None:
+        """Abandon the call: whatever answers later reaches no one."""
+        self._reply = None
+        if self.waiter is not None:
+            self.waiter.cancel()
+        if self.pending is not None:
+            self.pending.pop(self.req_id, None)
+
+
+def _resolve(
+    future: "asyncio.Future[Dict[str, Any]]",
+    result: Union[Dict[str, Any], BaseException],
+) -> None:
+    if future.done():
+        return
+    if isinstance(result, BaseException):
+        future.set_exception(result)
+    else:
+        future.set_result(result)
 
 
 class Transport:
@@ -119,20 +184,46 @@ class Transport:
         return set(self._down)
 
     # -- calls -------------------------------------------------------------
-    async def call(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Deliver ``frame`` to ``dst`` and await its reply."""
+    def send(
+        self, src: int, dst: int, frame: Dict[str, Any], reply: Reply
+    ) -> Request:
+        """Start delivering ``frame`` to ``dst`` without awaiting it.
+
+        ``reply`` is called once, from a loop callback, with the reply dict
+        or the exception that ended the call; a silent peer never calls it.
+        Raises at once (a frame outside the codec, a node out of range)
+        before anything is sent.
+        """
         self._check_node(src)
         self._check_node(dst)
         self.calls += 1
+        request = Request(reply)
         if dst in self._down:
-            if dst in self._silent:
-                # A hung peer: park forever; the caller's deadline fires.
-                await asyncio.Event().wait()
-            self.refused += 1
-            raise PeerUnreachable(f"node {dst} is down")
-        return await self._deliver(src, dst, frame)
+            # A hung peer never answers; the caller's deadline fires.
+            if dst not in self._silent:
+                self.refused += 1
+                request.waiter = asyncio.get_running_loop().call_soon(
+                    request.answer, PeerUnreachable(f"node {dst} is down")
+                )
+            return request
+        self._start(src, dst, frame, request)
+        return request
 
-    async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def call(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Deliver ``frame`` to ``dst`` and await its reply (no deadline,
+        no retry)."""
+        future: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        request = self.send(src, dst, frame, functools.partial(_resolve, future))
+        try:
+            return await future
+        finally:
+            request.cancel()
+
+    def _start(
+        self, src: int, dst: int, frame: Dict[str, Any], request: Request
+    ) -> None:
         raise NotImplementedError
 
     def _check_node(self, node: int) -> None:
@@ -149,23 +240,51 @@ class Transport:
 class ChannelTransport(Transport):
     """In-process transport: a call runs the peer's handler directly.
 
-    One cooperative yield per call keeps scheduling fair (a node cannot
-    starve the loop by serving a burst of frames synchronously), but there
-    is no serialization — payloads cross by reference, exactly like the
-    vectorized engine.  Handlers run inside the caller's task (an
-    awaitable reply is awaited there), so per-call work is serialized by
-    the event loop and protocol state needs no locks.
+    The handler runs from a ``call_soon`` callback, so a send returns
+    before its peer is served and a node cannot starve the loop by
+    serving a burst of frames synchronously; there is no serialization —
+    payloads cross by reference, exactly like the vectorized engine.  An
+    awaitable reply (the indirect probe) is awaited in a task of its own,
+    which cancelling the call cancels.  Handlers run on the loop's one
+    thread, so protocol state needs no locks.
     """
 
-    async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
-        await asyncio.sleep(0)
+    def _start(
+        self, src: int, dst: int, frame: Dict[str, Any], request: Request
+    ) -> None:
+        request.waiter = asyncio.get_running_loop().call_soon(
+            self._answer, dst, frame, request
+        )
+
+    def _answer(self, dst: int, frame: Dict[str, Any], request: Request) -> None:
         loop = asyncio.get_running_loop()
         started = loop.time()
-        reply = self._handler_for(dst)(dst, frame)
-        if not isinstance(reply, dict):
-            reply = await reply
-        self.latencies_s.append(loop.time() - started)
-        return reply
+        try:
+            reply = self._handler_for(dst)(dst, frame)
+        except Exception as exc:
+            request.answer(exc)
+            return
+        if isinstance(reply, dict):
+            self.latencies_s.append(loop.time() - started)
+            request.answer(reply)
+            return
+        task = asyncio.ensure_future(reply)
+        request.waiter = task
+        task.add_done_callback(
+            functools.partial(self._answered, request, started)
+        )
+
+    def _answered(
+        self, request: Request, started: float, task: "asyncio.Future[Dict[str, Any]]"
+    ) -> None:
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if not request.live:
+            return
+        if exc is None:
+            self.latencies_s.append(asyncio.get_running_loop().time() - started)
+        request.answer(exc if exc is not None else task.result())
 
 
 def _frames(
@@ -196,19 +315,27 @@ class _Client(asyncio.Protocol):
     """One pooled (src, dst) connection: requests out, replies in by id.
 
     A reply read for a waiting caller appends the time since its request
-    was written to ``latencies``."""
+    was written to the owner's ``latencies_s`` and is handed to the caller
+    right here, inside ``data_received``."""
 
-    def __init__(self, latencies: List[float]) -> None:
+    def __init__(self, owner: "TcpTransport", dst: int) -> None:
+        self._owner = owner
+        self._dst = dst
         self._transport: Optional[asyncio.Transport] = None
         self._buffer = bytearray()
-        # request id -> (the caller's future, the loop time of the write)
-        self._pending: Dict[int, Tuple["asyncio.Future[Dict[str, Any]]", float]] = {}
-        self._next_id = 0
-        self._latencies = latencies
+        # request id -> the request waiting on its reply
+        self._pending: Dict[int, Request] = {}
         self.closed = False
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport  # type: ignore[assignment]
+
+    def write(self, data: bytes, request: Request) -> None:
+        """Send an encoded frame; its reply goes to ``request``."""
+        request.pending = self._pending
+        request.written = asyncio.get_running_loop().time()
+        self._pending[request.req_id] = request
+        self._transport.write(data)  # type: ignore[union-attr]
 
     def data_received(self, data: bytes) -> None:
         self._buffer += data
@@ -218,34 +345,25 @@ class _Client(asyncio.Protocol):
             self.close()
             return
         now = asyncio.get_running_loop().time()
+        latencies = self._owner.latencies_s
         for req_id, reply in replies:
-            # A reply whose caller's deadline already fired finds no future.
-            future, written = self._pending.pop(req_id, (None, now))
-            if future is not None and not future.done():
-                future.set_result(reply)
-                self._latencies.append(now - written)
+            # A reply whose caller gave up (its deadline fired) finds no
+            # pending entry.
+            request = self._pending.pop(req_id, None)
+            if request is not None:
+                latencies.append(now - request.written)
+                request.answer(reply)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Closed on us: a killed ("refuse") peer drops the connection after
+        # reading the frame.
         self.closed = True
         pending, self._pending = self._pending, {}
-        for future, _ in pending.values():
-            if not future.done():
-                future.set_exception(ConnectionResetError("connection closed"))
-
-    async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        req_id = self._next_id
-        self._next_id = (req_id + 1) & 0xFFFFFFFF
-        data = encode(req_id, frame)
-        if self.closed or self._transport is None:
-            raise ConnectionResetError("connection closed")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._pending[req_id] = (future, loop.time())
-        self._transport.write(data)
-        try:
-            return await future
-        finally:
-            self._pending.pop(req_id, None)
+        for request in pending.values():
+            self._owner.refused += 1
+            request.answer(PeerUnreachable(
+                f"node {self._dst} is unreachable: connection closed"
+            ))
 
     def close(self) -> None:
         self.closed = True
@@ -354,6 +472,7 @@ class TcpTransport(Transport):
         self._ports: Dict[int, int] = {}
         self._pool: Dict[Tuple[int, int], _Client] = {}
         self._server_conns: Set[_Server] = set()
+        self._next_id = 0
         self._started = False
 
     async def start(self) -> None:
@@ -372,36 +491,47 @@ class TcpTransport(Transport):
         self._check_node(node)
         return self._ports[node]
 
-    async def _connection(self, key: Tuple[int, int]) -> _Client:
-        pooled = self._pool.get(key)
-        if pooled is not None and not pooled.closed:
-            return pooled
-        _, client = await asyncio.get_running_loop().create_connection(
-            functools.partial(_Client, self.latencies_s), self.host, self._ports[key[1]]
-        )
-        # A concurrent call on the pair may have dialled first; keep one.
-        pooled = self._pool.get(key)
-        if pooled is not None and not pooled.closed:
-            client.close()
-            return pooled
-        self._pool[key] = client
-        return client
-
-    async def _deliver(self, src: int, dst: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _start(
+        self, src: int, dst: int, frame: Dict[str, Any], request: Request
+    ) -> None:
         if not self._started:
-            raise ReproError("TcpTransport.call before start()")
-        key = (src, dst)
-        try:
-            client = await self._connection(key)
-            return await client.request(frame)
-        except OSError as exc:
-            # Refused, or closed on us: a killed ("refuse") peer drops the
-            # connection after reading the frame.
+            raise ReproError("TcpTransport.send before start()")
+        # Ids are unique per transport, so per connection too.
+        req_id = self._next_id
+        self._next_id = (req_id + 1) & 0xFFFFFFFF
+        data = encode(req_id, frame)
+        request.req_id = req_id
+        client = self._pool.get((src, dst))
+        if client is not None and not client.closed:
+            client.write(data, request)
+        else:
+            request.waiter = asyncio.get_running_loop().create_task(
+                self._dial((src, dst), data, request)
+            )
+
+    async def _dial(self, key: Tuple[int, int], data: bytes, request: Request) -> None:
+        """Open the pair's pooled connection, then write the first frame."""
+        client = self._pool.get(key)
+        if client is None or client.closed:
+            try:
+                _, client = await asyncio.get_running_loop().create_connection(
+                    functools.partial(_Client, self, key[1]),
+                    self.host, self._ports[key[1]],
+                )
+            except Exception as exc:
+                if isinstance(exc, OSError):
+                    self.refused += 1
+                    exc = PeerUnreachable(f"node {key[1]} is unreachable: {exc}")
+                request.answer(exc)
+                return
+            # A concurrent send on the pair may have dialled first; keep one.
             pooled = self._pool.get(key)
-            if pooled is not None and pooled.closed:
-                del self._pool[key]
-            self.refused += 1
-            raise PeerUnreachable(f"node {dst} is unreachable: {exc}") from exc
+            if pooled is not None and not pooled.closed:
+                client.close()
+                client = pooled
+            else:
+                self._pool[key] = client
+        client.write(data, request)
 
     def kill(self, node: int, mode: str = "refuse") -> None:
         super().kill(node, mode=mode)

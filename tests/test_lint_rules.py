@@ -138,6 +138,22 @@ def test_wallclock_allows_loop_time_inside_net_transport():
     assert result.findings == []
 
 
+def test_no_unawaited_send_flags_a_bare_rpc_wave():
+    """A round's wave is a coroutine too: a bare ``rpc.call_all(...)``
+    inside repro.net is flagged, and only that line."""
+    result = lint_paths([str(FIXTURES / "net" / "tp_no_unawaited_send_wave.py")])
+    assert result.exit_code != 0
+    assert [(finding.rule, finding.line) for finding in result.findings] == [
+        ("no-unawaited-send", 6)
+    ]
+
+
+def test_no_unawaited_send_passes_an_awaited_rpc_wave():
+    result = lint_paths([str(FIXTURES / "net" / "nm_no_unawaited_send_wave.py")])
+    assert result.exit_code == 0
+    assert result.findings == []
+
+
 def test_no_pickle_in_net_catches_dynamic_and_aliased_imports():
     """``importlib.import_module("marshal")`` and ``from shelve import
     open as ...`` are flagged, and so is each call through them."""

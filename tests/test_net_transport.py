@@ -598,7 +598,7 @@ def test_rpc_caller_cancellation_is_not_a_timeout():
     run(go())
 
 
-# -- tasks per RPC ---------------------------------------------------------
+# -- tasks per round -------------------------------------------------------
 
 ROUND_N = 32
 _ROUND_VALUES = np.random.default_rng(8).random(ROUND_N)
@@ -615,9 +615,10 @@ ONE_ROUND = {
 
 @pytest.mark.parametrize("kind", ONE_ROUND)
 @pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
-def test_a_live_round_creates_at_most_one_task_per_rpc(cls, kind):
-    """The round's delivery task is the only task an RPC costs: no task
-    for its deadline, none for answering a gossip frame."""
+def test_a_warm_live_round_creates_no_task(cls, kind):
+    """A round over warm connections starts its RPCs in one pass and
+    awaits them once: no task per node, none for a deadline or a retry,
+    none for answering a gossip frame."""
 
     async def go():
         transport = cls(ROUND_N)
@@ -644,10 +645,166 @@ def test_a_live_round_creates_at_most_one_task_per_rpc(cls, kind):
             await transport.stop()
         assert result.rounds == 1
         assert result.extra["rpc_calls"] == ROUND_N
-        assert 0 < len(created) <= result.extra["rpc_calls"]
+        assert created == []
 
     run(go())
 
+
+
+class _HookError(RuntimeError):
+    pass
+
+
+class _RaisingPulls(TournamentProtocol):
+    """One-lane pull rounds whose ``hook`` raises at every node."""
+
+    def __init__(self, values, hook=None):
+        super().__init__(
+            lane_rows(values, np.float64),
+            [PullWindow(2, lambda pulls: pulls.rows()[0])],
+        )
+        self.hook = hook
+
+    def serve_pull(self, node, requester, round_index):
+        if self.hook == "serve_pull":
+            raise _HookError("serve_pull")
+        return super().serve_pull(node, requester, round_index)
+
+    def on_receive(self, node, payload, sender, kind, round_index):
+        if self.hook == "on_receive":
+            raise _HookError("on_receive")
+        super().on_receive(node, payload, sender, kind, round_index)
+
+
+CLEANUP_N = 6
+#: Every deadline a cleanup run arms, and every retry backoff it schedules.
+CLEANUP_POLICY = RetryPolicy(timeout_s=0.1, attempts=3, backoff_base_s=0.04)
+
+
+@pytest.mark.parametrize(
+    "cls, ending",
+    [
+        (ChannelTransport, "cancel"),
+        (TcpTransport, "cancel"),
+        (ChannelTransport, "serve_pull"),
+        (ChannelTransport, "on_receive"),
+        (TcpTransport, "on_receive"),
+    ],
+)
+def test_an_ended_round_leaves_no_call_behind(cls, ending):
+    """A round cut short — its caller cancelled mid-wave, or a protocol
+    hook raising while the wave is out (serve_pull) or in the await pass
+    (on_receive) — leaves no pending TCP request, no armed deadline timer
+    and no scheduled retry.  A silent peer keeps calls waiting on their
+    deadlines and a refusing peer keeps retries scheduled."""
+
+    async def go():
+        transport = cls(CLEANUP_N)
+        loop = asyncio.get_running_loop()
+        # handle -> [its delay, whether its callback ran]
+        timers = {}
+        call_later = loop.call_later
+
+        def spy(delay, callback, *args, **kwargs):
+            def fire(*fired_args):
+                timers[handle][1] = True
+                callback(*fired_args)
+
+            handle = call_later(delay, fire, *args, **kwargs)
+            timers[handle] = [delay, False]
+            return handle
+
+        def armed():
+            return sorted(delay for handle, (delay, fired) in timers.items()
+                          if not fired and not handle.cancelled())
+
+        values = np.random.default_rng(4).random(CLEANUP_N)
+        hook = None if ending == "cancel" else ending
+        try:
+            await transport.start()
+            # Dial every pair once, untimed, so the cut round runs warm.
+            await arun_protocol(_RaisingPulls(values), rng=2, transport=transport)
+            transport.kill(1, mode="silent")
+            transport.kill(2, mode="refuse")
+            loop.call_later = spy
+            try:
+                run_task = asyncio.ensure_future(arun_protocol(
+                    _RaisingPulls(values, hook), rng=2, transport=transport,
+                    retry=CLEANUP_POLICY,
+                ))
+                if ending == "cancel":
+                    await asyncio.sleep(0.01)
+                    in_flight = armed()
+                    run_task.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await run_task
+                else:
+                    with pytest.raises(_HookError):
+                        await run_task
+            finally:
+                del loop.call_later
+            if ending == "cancel":
+                # A retry's backoff and a deadline were out when the caller
+                # gave up.
+                assert in_flight[0] < CLEANUP_POLICY.timeout_s
+                assert in_flight[-1] == CLEANUP_POLICY.timeout_s
+            assert armed() == []
+            if cls is TcpTransport:
+                assert all(client._pending == {} for client in transport._pool.values())
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+@pytest.mark.parametrize("cls", [ChannelTransport, TcpTransport])
+def test_rpc_counts_timeouts_apart_from_refusals(cls):
+    """Every attempt on a silent peer ends at its deadline and is counted;
+    a refused attempt is a retry but no timeout."""
+
+    async def go():
+        transport = cls(3)
+        _register_all(transport, _Peers())
+        await transport.start()
+        client = RpcClient(
+            transport,
+            RetryPolicy(attempts=3, timeout_s=0.02, backoff_base_s=0.001),
+        )
+        try:
+            transport.kill(1, mode="silent")
+            with pytest.raises(RpcTimeout):
+                await client.call(0, 1, _pull(0))
+            assert (client.timeouts, client.retries, client.failures) == (3, 2, 1)
+            transport.kill(2, mode="refuse")
+            with pytest.raises(RpcError) as refused:
+                await client.call(0, 2, _pull(0))
+            assert not isinstance(refused.value, RpcTimeout)
+            assert (client.timeouts, client.retries, client.failures) == (3, 4, 2)
+        finally:
+            await transport.stop()
+
+    run(go())
+
+
+@pytest.mark.parametrize("mode", ["silent", "refuse"])
+def test_a_run_reports_rpc_timeouts(mode):
+    """``rpc_timeouts`` counts every attempt sent to a silent peer, and
+    none of the attempts a refusing peer turns away."""
+    transport = ChannelTransport(8)
+    transport.kill(3, mode=mode)
+    policy = RetryPolicy(attempts=2, timeout_s=0.02, backoff_base_s=0.001)
+    result = asyncio.run(asyncio.wait_for(
+        arun_protocol(
+            PushSumProtocol(np.arange(8.0), rounds=4), rng=2,
+            transport=transport, retry=policy,
+        ),
+        TIMEOUT_S,
+    ))
+    failures = result.extra["rpc_failures"]
+    assert failures > 0
+    assert result.extra["rpc_retries"] == failures
+    expected = 2 * failures if mode == "silent" else 0
+    assert result.extra["rpc_timeouts"] == expected
 
 
 # -- latency clock ---------------------------------------------------------
