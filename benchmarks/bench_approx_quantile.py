@@ -9,7 +9,7 @@ Times the exact-quantile driver's sandwich workload — the lower and upper
 * ``fused``: one two-lane tournament run (:mod:`repro.core.tournament`)
   — one partner draw per round shared across lanes, per-lane schedules,
   rounds = max(pair) by construction.  A ``fused-f32`` variant additionally runs the lanes in
-  float32 (exact for rank keys below 2²⁴).
+  float32 (exact for integer values below 2²⁴).
 
 Emits ``BENCH_approx.json`` (mode, n, rounds, wall time, speedup of the
 fused path over the sequential pair) so the repo carries the sandwich

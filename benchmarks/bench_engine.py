@@ -11,7 +11,7 @@ vectorized engine at increasing network sizes and reports rounds/second:
   gathered node-major as it ends) and over 5 lanes (wide: gathered
   lane-major when the window closes), printed as ``pull-L``;
 * ``extrema-2``: the exact driver's Step 4, a two-lane min/max spread
-  over float32 rank keys: ``spread_protocol``'s one-round pull windows on
+  over float32 integer values: ``spread_protocol``'s one-round pull windows on
   ``TournamentProtocol`` (the max lane stored negated, streamed
   node-major), one window per round of the budget.
 

@@ -5,8 +5,9 @@ sub-protocol (tournaments, extrema, counting, token duplication) executed
 on the vectorized substrates, the Step-3 sandwich and Step-4 min/max
 spreadings fused into multi-lane runs — and emits a machine-readable
 ``BENCH_exact.json`` (n, rounds, wall time, exactness) so the repo
-carries a perf trajectory across PRs.  The driver gossips its rank keys in
-float32 below 2²⁴ nodes, so there is one row per n.  The headline numbers:
+carries a perf trajectory across PRs.  The inputs are distinct integers,
+which the driver gossips in float32 below 2²⁴ nodes, so there is one row
+per n.  The headline numbers:
 the fused path is ≥ 2x the pre-fusion wall clock at n = 10⁵, and
 n = 10⁶ completes single-threaded.  Usable standalone::
 

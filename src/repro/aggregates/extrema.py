@@ -185,8 +185,8 @@ def spread_extrema(
     :func:`spread_rounds` at the env's
     :meth:`~repro.gossip.env.GossipEnv.mu_bound`.  NaN has no order and is
     rejected; ±inf are ordinary extremes.  float32 values (the exact
-    driver's rank keys) spread as float32; any other input is cast to
-    float64.
+    driver's values when every input is exact in float32) spread as
+    float32; any other input is cast to float64.
     """
     rows, signs = _lanes(values, mode)
     env = resolve_env(env)

@@ -164,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dtype", choices=("float64", "float32"), default=None,
         help="gossip value dtype of an approximate query (--eps; default "
              "float64, float32 halves the simulator's memory traffic); an "
-             "exact query always gossips rank keys, in float32 below 2^24 "
-             "nodes",
+             "exact query ignores it and gossips its values in float32 when "
+             "every input is exact in float32, in float64 otherwise",
     )
     _add_obs_flags(query)
 

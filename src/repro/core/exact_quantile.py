@@ -26,12 +26,13 @@ Implementation notes (documented deviations; see the README's "The fast
 exact path" section):
 
 * **Item space.**  The paper assumes all values are initially distinct and
-  treats duplicated copies as items ordered just below their original.  We
-  make that explicit: the driver relabels values to their ranks ("keys")
-  and runs all gossip dynamics on keys, keeping a key→value table so the
-  final key can be translated back.  The Step-6 restriction is applied to
-  *values* exactly as in the paper: every copy of a surviving value
-  survives.
+  treats duplicated copies as items ordered just below their original.  The
+  driver gossips the values themselves and works on their multiset: the
+  sandwich test is ``count(value < min) < k ≤ count(value ≤ max)``, Step 6
+  keeps a node iff its own value lies in ``[min, max]`` (so every copy of
+  a surviving value survives), and every copy of the answer holds the
+  answer's value.  A node that holds no copy gossips +inf, which sits
+  above every value in the tournaments and spreads nothing in Step 4.
 * **Per-iteration ε.**  The paper sets ε = n^{-0.05}/2 so that a constant
   number of duplication iterations suffices.  The driver sizes ε from n the
   same way, with the exponent fitted to simulation scale
@@ -46,21 +47,26 @@ exact path" section):
   cumulative multiplicity to reach n.  The driver instead stops as soon as
   the cumulative multiplicity ``c`` covers the final query window
   (2 ε n + 1), which is the property the correctness argument actually
-  uses, and also stops early when a single candidate value remains.  Ranks
-  ``[k - c + 1, k]`` then all hold the answer, so the final query aims at
+  uses.  It also stops, with no count, no tokens and no final query, when
+  Step 4's min equals its max and the sandwich test passes: every
+  survivor then holds that value, the answer.  Otherwise ranks
+  ``[k - c + 1, k]`` all hold the answer, so the final query aims at
   the middle of that block, ``k - c/2``, with accuracy
   ``max(ε/3, (c/2 - 1)/(2n))``.  That is half the block's half-width: an
   approximation aimed near the low end of the distribution can err by
   almost its whole nominal accuracy, so the factor of two keeps a
-  worst-case estimate on a copy of the answer.
+  worst-case estimate on a copy of the answer.  The candidate is the
+  lower median of the nodes' finite estimates, a value some node holds.
 * **Retry safeguard.**  The paper's analysis is "with high probability"; at
   simulation scale an approximation can occasionally miss the target rank.
-  The sandwich test ``min ≤ answer-rank ≤ max`` uses only quantities every
-  node knows (k, min, max and gossip counting), so the driver re-runs an
+  The sandwich test ``count(value < min) < k ≤ count(value ≤ max)`` uses
+  only quantities every node knows (k, min, max and gossip counting), so
+  the driver re-runs an
   iteration whose sandwich missed, with ε doubled up to the 1/16 cap (a
   small or failure-heavy n then falls back to the cap rather than
   exhausting ``max_retries``).  Sandwich misses and final-query misses are
-  counted separately (``sandwich_retries`` / ``final_retries``).  A pass
+  counted separately (``sandwich_retries`` / ``final_retries``); a final
+  query that misses ``max_retries + 1`` times raises.  A pass
   whose sandwich excludes no value while no duplication fits (a small-n
   event) halves ε instead, under its own ``max_retries`` budget.
 * **Executed rounds only.**  Every step runs on its gossip substrate, so
@@ -73,27 +79,29 @@ exact path" section):
   distribution runs no lane).  The lanes share every
   partner draw, so rounds = max over the lanes, and each round's traffic
   lands in its own round record.  Step 4 spreads the min of the lower lane
-  and the max of the upper one as the lanes of one pull-window plan on the
-  same substrate (:func:`~repro.aggregates.extrema.spread_extrema`: one
+  and the max of the upper one (a side without a lane spreads the nodes'
+  own values, so its bound is the global min or max, and so does a node
+  whose upper estimate is +inf, above every held value) as the two lanes
+  of one pull-window plan on the same substrate (:func:`~repro.aggregates.extrema.spread_extrema`: one
   one-round window per round, the max lane stored negated so both lanes
   keep the smaller value) for :func:`~repro.aggregates.extrema.spread_rounds`
   rounds, and the final query is the same approximation with one lane.
 * **Fast path.**  Every substrate is vectorized: the tournaments and the
   extrema windows (:mod:`repro.core.tournament`) and counting run on the
   vectorized gossip engine, and token duplication on the flat token
-  columns of :mod:`repro.core.tokens`.  The gossip keys are ranks ≤ n,
-  so the driver stores them in float32 while every rank is exact in it
-  (n < 2²⁴, :func:`rank_key_dtype`) and in float64 above: the sandwich
-  tournaments, the Step-4 extrema lanes and the final query compare
-  exact integers either way, so the dtype changes the speed (the hot
-  gathers and scatters move half the memory) but never the answer.
-  ``env.dtype`` does not apply to the keys.  Push-sum counting compares
-  the float32 keys as they are and pushes its own centered indicators,
-  float32 up to :data:`~repro.aggregates.counting.COUNT_FLOAT32_MAX_N`
-  nodes (:func:`~repro.aggregates.counting.count_indicators`).  Exact
-  queries complete in seconds at n = 10⁵ and run single-threaded at
-  n = 10⁶ (see ``benchmarks/bench_exact_quantile.py`` and the
-  ``exact-scale`` experiment preset).
+  columns of :mod:`repro.core.tokens`.  The values are gossiped in the
+  narrowest float dtype that holds every input exactly
+  (:func:`value_dtype`): float32 for integers below 2²⁴, halves and the
+  like, float64 otherwise.  Every step only compares values, so the dtype
+  changes the speed (the hot gathers and scatters move half the memory in
+  float32) but never the answer, and ``env.dtype`` does not apply.
+  Push-sum counting compares the values as they are and pushes its own
+  centered indicators, float32 up to
+  :data:`~repro.aggregates.counting.COUNT_FLOAT32_MAX_N` nodes
+  (:func:`~repro.aggregates.counting.count_indicators`).  Exact queries
+  complete in seconds at n = 10⁵ and run single-threaded at n = 10⁶ (see
+  ``benchmarks/bench_exact_quantile.py`` and the ``exact-scale``
+  experiment preset).
 * **Robustness.**  The env's failure model, churn process and fault
   injector reach every step (Section 5), through one outage rule.
 """
@@ -135,21 +143,14 @@ def default_iteration_eps(n: int) -> float:
     return 2.0 ** -max(4, cube_exponent + 1)
 
 
-def rank_key_dtype(n: int) -> np.dtype:
-    """The gossip key dtype for n nodes: float32 while every rank 1..n is
-    exactly representable in it (n < 2²⁴), else float64."""
-    return np.dtype(np.float32 if n < 2 ** 24 else np.float64)
-
-
-def _distinct_sorted(values: np.ndarray) -> int:
-    """Number of distinct entries of an ascending-sorted array.
-
-    ``key_values`` is sorted by construction, so counting the strict steps
-    replaces the per-iteration ``np.unique`` re-sort of up to n entries.
-    """
-    if values.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(values)))
+def value_dtype(values: np.ndarray) -> np.dtype:
+    """The narrowest float dtype that holds every entry of ``values``
+    exactly: float32 when the float32 cast gives every value back, else
+    float64.  A value beyond float32's range casts to inf without a
+    warning and selects float64."""
+    with np.errstate(over="ignore"):
+        narrow = values.astype(np.float32)
+    return np.dtype(np.float32 if np.array_equal(narrow, values) else np.float64)
 
 
 def exact_quantile(
@@ -188,10 +189,10 @@ def exact_quantile(
         (:func:`~repro.gossip.engine.round_outage`); ``engine="asyncio"``
         runs the tournaments, extrema and counting on the asyncio engine,
         with the same result (token duplication keeps its flat columns).
-        Its ``dtype`` is ignored: the gossip keys are ranks, stored in
-        :func:`rank_key_dtype` (float32 for n < 2²⁴), so every env dtype
-        gives the same result; the key→value table and the returned
-        quantile stay full precision.
+        Its ``dtype`` is ignored: the values are gossiped in
+        :func:`value_dtype` of the input (float32 when every value is
+        exact in it, float64 otherwise), so every env dtype gives the same
+        result and the returned quantile is the input's value exactly.
 
         Topology (a documented deviation): the ``topology`` /
         ``peer_sampling`` apply to the *approximate* stages (the sandwich
@@ -226,8 +227,8 @@ def exact_quantile(
         raise ConfigurationError("max_retries must be non-negative")
     array = node_values(values, min_nodes=4)
     n = array.size
-    key_dtype = rank_key_dtype(n)
-    env = dataclasses.replace(resolve_env(env), dtype=key_dtype)
+    dtype = value_dtype(array)
+    env = dataclasses.replace(resolve_env(env), dtype=dtype)
     # The documented topology deviation: the auxiliary substrates (extrema,
     # counting, tokens) stay on the complete graph.
     aux = dataclasses.replace(env, topology=None, peer_sampling="uniform")
@@ -239,14 +240,11 @@ def exact_quantile(
     metrics = NetworkMetrics(keep_history=False)
     tracer = get_tracer()
 
-    # --- item (key) space setup -------------------------------------------------
-    order = np.argsort(array, kind="stable")
-    key_values = array[order].copy()          # key j (1-indexed) -> original value
-    node_keys = np.empty(n, dtype=key_dtype)
-    node_keys[order] = np.arange(1, n + 1, dtype=key_dtype)
-
+    # Each node's current value; +inf on a node that holds no copy.
+    held = array.astype(dtype)
     k = target_rank(n, phi)
-    true_value = float(key_values[k - 1])     # used only for retry bookkeeping
+    # The final candidate's check (an oracle, out of the gossip path).
+    true_value = float(np.partition(array, k - 1)[k - 1])
     cumulative_multiplicity = 1
     eps = float(
         default_iteration_eps(n) if eps_iteration is None else eps_iteration
@@ -256,16 +254,17 @@ def exact_quantile(
     final_retries = 0
     stalls = 0
     iteration = 0
+    answer: Optional[float] = None
 
     def run_approx(targets: list, accuracy: float) -> np.ndarray:
-        """Approximate quantiles of the current keys, one lane per target.
+        """Approximate quantiles of the held values, one lane per target.
 
         The lanes share one multi-lane network — one partner draw per
         round, one message carrying every lane's working value — so they
         execute in one max-of-lanes window.  Returns ``(lanes, n)``.
         """
         estimates, _ = estimate_grid_subset(
-            node_keys, targets, accuracy, final_samples, source, metrics,
+            held, targets, accuracy, final_samples, source, metrics,
             max_lanes=len(targets), env=env,
         )
         return estimates
@@ -281,19 +280,17 @@ def exact_quantile(
     # it.  Without an active tracer every span is a no-op.
     with tracer.span("exact_quantile", metrics) as root:
         root.annotate(phi=phi)
-        while iteration < max_iterations:
-            live = key_values.size
-            distinct = _distinct_sorted(key_values)
-            if distinct <= 1 or cumulative_multiplicity >= duplication_target():
-                break
+        while cumulative_multiplicity < duplication_target():
+            if iteration >= max_iterations:
+                raise ConvergenceError(
+                    f"exact quantile did not converge within {max_iterations} "
+                    "iterations"
+                )
             iteration += 1
 
             # Step 3: sandwich the target rank between two approximate
-            # quantiles, one lane per side (the side's extrema mode -> its
-            # target quantile).  A side whose target quantile falls off the
-            # end of the distribution imposes no restriction (equivalently:
-            # that bound is the global min / max, which every node can learn
-            # by extrema spreading) and runs no lane.
+            # quantiles, one lane per side.  A side whose target quantile
+            # falls off the end of the distribution runs no lane.
             phi_lo = k / n - eps / 2.0
             phi_hi = k / n + eps / 2.0
             sides = {}
@@ -303,42 +300,36 @@ def exact_quantile(
                 sides["max"] = phi_hi
             with tracer.span("sandwich", metrics) as span:
                 span.annotate(iteration=iteration, eps=eps, lanes=len(sides))
-                estimates = run_approx(list(sides.values()), eps / 2.0)
+                estimates = dict(zip(sides, run_approx(list(sides.values()), eps / 2.0)))
 
             # Step 4: every node learns the min of the lower approximations
-            # and the max of the upper ones — one spreading, one lane per
-            # side, sharing the Step-3 window's message budget, for the
-            # node-known spread_rounds budget.
+            # and the max of the upper ones — one spreading of two lanes,
+            # sharing the Step-3 window's message budget, for the node-known
+            # spread_rounds budget.  A side without a lane spreads the
+            # nodes' own values, so its bound is the global min or max; so
+            # does a node whose upper estimate is +inf (its target fell
+            # above every held value).  A node holding no copy spreads -inf
+            # on the max lane.
+            holding = np.isfinite(held)
+            lower = estimates["min"] if "min" in estimates else held
+            upper = np.where(holding, held, -np.inf)
+            if "max" in estimates:
+                upper = np.where(np.isfinite(estimates["max"]), estimates["max"], upper)
             with tracer.span("extrema", metrics) as span:
                 span.annotate(iteration=iteration)
                 spread = spread_extrema(
-                    estimates.T, mode=list(sides), rng=source.child(),
-                    metrics=metrics, env=aux,
+                    np.column_stack([lower, upper]), mode=("min", "max"),
+                    rng=source.child(), metrics=metrics, env=aux,
                 )
-            bounds = dict(zip(sides, spread.values.T))
+            lo = float(np.min(spread.values[:, 0]))
+            hi = float(np.max(spread.values[:, 1]))
 
-            # Translate the sandwich keys to *values* and keep every copy of
-            # a surviving value (Step 6 restricts by value, so copies of the
-            # same value live or die together).
-            min_key = float(np.min(bounds.get("min", 1.0)))
-            max_key = float(np.max(bounds.get("max", np.inf)))
-            if "min" in bounds:
-                min_rank = int(round(min_key)) if np.isfinite(min_key) else 1
-                min_rank = min(max(min_rank, 1), live)
-                min_value = float(key_values[min_rank - 1])
-                below_min = int(np.searchsorted(key_values, min_value, side="left"))
-            else:
-                below_min = 0
-            if np.isfinite(max_key):
-                max_rank = min(max(int(round(max_key)), 1), live)
-                max_value = float(key_values[max_rank - 1])
-                upto_max = int(np.searchsorted(key_values, max_value, side="right"))
-            else:
-                upto_max = live
-
-            # Sandwich check: the answer key k must survive the restriction.
-            # A miss widens the sandwich (up to the 1/16 cap) before the retry.
-            if not (below_min < k <= upto_max):
+            # Sandwich check: the answer's rank k must survive the
+            # restriction to [lo, hi].  A miss widens the sandwich (up to
+            # the 1/16 cap) before the retry.
+            below = int(np.count_nonzero(held < lo))
+            survivors = np.flatnonzero(holding & (held >= lo) & (held <= hi))
+            if not below < k <= below + survivors.size:
                 sandwich_retries += 1
                 if sandwich_retries > max_retries:
                     raise ConvergenceError(
@@ -348,27 +339,26 @@ def exact_quantile(
                 eps = min(2.0 * eps, max(eps, DEFAULT_ITERATION_EPS))
                 iteration -= 1
                 continue
+            if lo == hi:
+                # Every survivor holds lo, so lo is the answer.
+                answer = lo
+                break
 
-            # Step 5: rank of the minimum.  Keys are exactly {1..live}, so
-            # the count is determined by the sandwich; the push-sum counting
-            # runs for its round cost (count_leq's calibrated budget) and its
-            # count is not read.
+            # Step 5: rank of the minimum.  The push-sum counting runs for
+            # its round cost (count_leq's calibrated budget); the sandwich
+            # test above does not read its count.
             with tracer.span("counting", metrics) as span:
                 span.annotate(iteration=iteration)
-                count_leq(node_keys, threshold=min_key, rng=source.child(),
+                count_leq(held, threshold=lo, rng=source.child(),
                           metrics=metrics, env=aux)
-
-            valued_count = upto_max - below_min
-            if valued_count <= 0:
-                raise ConvergenceError("exact quantile: empty value sandwich")
 
             # Step 7: duplicate the survivors m_i times each.
             target_tokens = max(2.0, (n ** 0.99) / 2.0)
-            multiplicity = ceil_pow2(target_tokens / valued_count)
-            while multiplicity > 1 and multiplicity * valued_count > n:
+            multiplicity = ceil_pow2(target_tokens / survivors.size)
+            while multiplicity > 1 and multiplicity * survivors.size > n:
                 multiplicity //= 2
 
-            if multiplicity == 1 and valued_count == live:
+            if multiplicity == 1 and survivors.size == np.count_nonzero(holding):
                 # No value was excluded and no duplication is possible: the
                 # sandwich is wider than the remaining data.  Halve eps so
                 # the next pass makes progress (small-n safeguard; cannot
@@ -386,92 +376,63 @@ def exact_quantile(
 
             with tracer.span("tokens", metrics) as span:
                 span.annotate(iteration=iteration, multiplicity=multiplicity,
-                              survivors=valued_count)
-                # Keys are exactly {1..live}, each held by one node: an
-                # inverse permutation maps the surviving key block to its
-                # holders.
-                finite = np.isfinite(node_keys)
-                key_holder = np.empty(live, dtype=np.int64)
-                key_holder[node_keys[finite].astype(np.int64) - 1] = (
-                    np.flatnonzero(finite)
-                )
-                item_nodes = key_holder[below_min:upto_max]
-                distribution = distribute_tokens(
-                    item_nodes,
+                              survivors=survivors.size)
+                # Token ids follow value order (ties in node order).
+                survivor_values = held[survivors]
+                order = np.argsort(survivor_values, kind="stable")
+                item_values = survivor_values[order]
+                owners = distribute_tokens(
+                    survivors[order],
                     multiplicity=multiplicity,
                     n=n,
                     rng=source.child(),
                     metrics=metrics,
                     env=aux,
-                )
-                # Item j owns the key block (j*multiplicity,
-                # (j+1)*multiplicity]; hand block members to the owner nodes
-                # in arbitrary order (here: ascending node order within each
-                # item, matching the historical per-node loop bit for bit).
-                node_keys = np.full(n, np.inf, dtype=key_dtype)
-                owners = distribution.owners
-                nodes = np.flatnonzero(owners >= 0)
-                items_held = owners[nodes]
-                order = np.argsort(items_held, kind="stable")
-                node_keys[nodes[order]] = (
-                    items_held[order].astype(np.int64) * multiplicity
-                    + np.arange(nodes.size, dtype=np.int64) % multiplicity
-                    + 1
-                )
-            key_values = np.repeat(key_values[below_min:upto_max], multiplicity)
-            k = multiplicity * (k - below_min)
+                ).owners
+                held = np.full(n, np.inf, dtype=dtype)
+                copies = owners >= 0
+                held[copies] = item_values[owners[copies]]
+            k = multiplicity * (k - below)
             cumulative_multiplicity *= multiplicity
             history.append(
                 ExactIterationStats(
                     iteration=iteration,
                     eps=eps,
-                    valued_nodes=valued_count,
+                    valued_nodes=survivors.size,
                     multiplicity=multiplicity,
                     cumulative_multiplicity=cumulative_multiplicity,
                     target_rank=k,
-                    distinct_candidates=_distinct_sorted(key_values),
+                    distinct_candidates=np.unique(item_values).size,
                     rounds_so_far=metrics.rounds,
                 )
             )
 
-        if (
-            iteration >= max_iterations
-            and _distinct_sorted(key_values) > 1
-            and cumulative_multiplicity < duplication_target()
-        ):
-            raise ConvergenceError(
-                f"exact quantile did not converge within {max_iterations} "
-                "iterations"
-            )
-
         # Final step (Algorithm 3, line 10): ranks [k - c + 1, k] all hold
         # the answer (c = cumulative multiplicity), so an approximate query
-        # aimed at the middle of that block lands on a copy, then the key
-        # translates back to a value.  Retry on the (rare, small-n) event
-        # that the approximation lands outside the block; fall back to the
-        # invariant value after `max_retries` attempts.
-        live = key_values.size
-        single_candidate = _distinct_sorted(key_values) == 1
-        half_block = cumulative_multiplicity / 2.0
-        phi_final = max(1.0 / n, (k - half_block) / n)
-        accuracy_final = max(eps / 3.0, (half_block - 1.0) / (2.0 * n))
-        with tracer.span("final_query", metrics) as span:
-            for _attempt in range(max_retries + 1):
-                estimates = run_approx([phi_final], accuracy_final)[0]
-                finite = estimates[np.isfinite(estimates)]
-                if finite.size == 0:
+        # aimed at the middle of that block lands on a copy.  Retry on the
+        # (rare, small-n) event that the approximation lands outside the
+        # block; raise after `max_retries` retries.
+        if answer is None:
+            half_block = cumulative_multiplicity / 2.0
+            phi_final = max(1.0 / n, (k - half_block) / n)
+            accuracy_final = max(eps / 3.0, (half_block - 1.0) / (2.0 * n))
+            with tracer.span("final_query", metrics) as span:
+                for attempt in range(max_retries + 1):
+                    estimates = run_approx([phi_final], accuracy_final)[0]
+                    finite = estimates[np.isfinite(estimates)]
+                    if finite.size:
+                        middle = (finite.size - 1) // 2
+                        candidate = float(np.partition(finite, middle)[middle])
+                        if candidate == true_value:
+                            answer = candidate
+                            break
                     final_retries += 1
-                    continue
-                key_estimate = int(round(float(np.median(finite))))
-                key_estimate = min(max(key_estimate, 1), live)
-                candidate = float(key_values[key_estimate - 1])
-                if candidate == true_value or single_candidate:
-                    answer = candidate
-                    break
-                final_retries += 1
-            else:  # pragma: no cover - exercised only under extreme randomness
-                answer = true_value
-            span.annotate(attempts=_attempt + 1)
+                else:
+                    raise ConvergenceError(
+                        "exact quantile: final query missed the answer's "
+                        f"copies {final_retries} times (n={n}, phi={phi})"
+                    )
+                span.annotate(attempts=attempt + 1)
 
         root.annotate(
             n=n,

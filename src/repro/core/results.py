@@ -118,6 +118,8 @@ class ExactIterationStats:
     multiplicity: int
     cumulative_multiplicity: int
     target_rank: int
+    #: Distinct values among the survivors: a verifier statistic, which no
+    #: step of the driver reads.
     distinct_candidates: int
     rounds_so_far: int
 

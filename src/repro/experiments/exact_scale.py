@@ -4,7 +4,7 @@ The original exact-rounds experiment (E1) sweeps small networks because the
 exact driver used to be gated by the loop-only token
 split-and-distribute step.  With every sub-protocol vectorized (tournament
 pulls, extrema, counting and tokens), the Step-3/Step-4 pairs fused into
-multi-lane runs, and the rank keys gossiped in float32, the *fully
+multi-lane runs, and float32-exact values gossiped in float32, the *fully
 simulated* exact algorithm runs to n = 10⁶ single-threaded, which is the
 regime where comparisons against the congested-clique-style related work
 become meaningful.

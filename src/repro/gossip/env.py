@@ -38,8 +38,8 @@ ENGINE_CHOICES = ("vectorized", "asyncio")
 
 #: Value dtypes a gossip network may run on.  float64 is the default;
 #: float32 halves the memory traffic of the per-round ``(n, k, L)`` gathers
-#: and is exact for integer-valued payloads below 2**24 (which is why the
-#: exact-quantile driver always gossips its rank keys in it).
+#: and is exact for integer-valued payloads below 2**24 (the exact-quantile
+#: driver gossips its values in it whenever every value is exact there).
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -73,9 +73,9 @@ class GossipEnv:
     dtype:
         Value dtype of the gossip arrays: float64 (default, also for
         ``None``) or float32; normalized to a :class:`numpy.dtype`.  The
-        exact-quantile driver's rank keys ignore it: they are float32
-        below 2²⁴ nodes and float64 above
-        (:func:`~repro.core.exact_quantile.rank_key_dtype`).
+        exact-quantile driver ignores it: it gossips its values in float32
+        when every input is exact in float32 and in float64 otherwise
+        (:func:`~repro.core.exact_quantile.value_dtype`).
     engine:
         ``"vectorized"`` (also for ``None``) or ``"asyncio"``, the
         per-node live backend.

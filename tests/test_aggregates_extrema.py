@@ -145,7 +145,7 @@ def test_per_lane_modes():
     assert np.all(same.values == values.max(axis=0))
 
 
-# ---- float32 lanes (the exact driver's rank keys) ----------------------------
+# ---- float32 lanes (the exact driver's float32-exact values) -----------------
 
 
 def _rank_lanes(n, seed, dtype):

@@ -1,6 +1,7 @@
 """Tests for the exact φ-quantile algorithm (Theorem 1.1 / Algorithm 3)."""
 
 import dataclasses
+import importlib
 import math
 import signal
 
@@ -17,6 +18,9 @@ from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.gossip.env import GossipEnv
 from repro.gossip.metrics import NetworkMetrics
 from repro.utils.stats import empirical_quantile, target_rank
+
+# the package re-exports the functions under the module names
+exact_module = importlib.import_module("repro.core.exact_quantile")
 
 
 def test_returns_exact_quantile_for_several_phis(medium_values):
@@ -70,10 +74,56 @@ def test_history_records_progress(medium_values):
     assert result.history[-1].rounds_so_far <= result.rounds
 
 
-def test_duplicate_input_values_are_handled():
-    values = np.repeat(np.arange(1.0, 65.0), 4)  # 256 nodes, only 64 distinct values
-    result = exact_quantile(values, phi=0.5, rng=10)
-    assert result.value == empirical_quantile(values, 0.5)
+TIED_INPUTS = {
+    "64-distinct": np.repeat(np.arange(1.0, 65.0), 4),  # 256 nodes
+    "two-value": np.where(np.arange(256) % 3 == 0, 2.5, -1.0),
+    "constant": np.full(256, 7.25),
+}
+
+
+@pytest.mark.parametrize("phi", (0.0, 0.3, 0.5, 1.0))
+@pytest.mark.parametrize("name", sorted(TIED_INPUTS))
+def test_duplicate_input_values_are_handled(name, phi):
+    values = TIED_INPUTS[name]
+    result = exact_quantile(values, phi=phi, rng=10)
+    assert result.value == np.sort(values)[target_rank(values.size, phi) - 1]
+
+
+def test_constant_input_stops_at_its_first_spread(monkeypatch):
+    """Step 4's min equals its max on the first pass and the sandwich
+    holds, so the driver answers there: no count, no tokens, no final
+    query."""
+    calls = []
+    for name in ("estimate_grid_subset", "spread_extrema", "count_leq",
+                 "distribute_tokens"):
+        real = getattr(exact_module, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(exact_module, name, spy)
+    result = exact_quantile(TIED_INPUTS["constant"], phi=0.5, rng=10)
+    assert result.value == 7.25
+    assert result.history == [] and result.retries == 0
+    assert calls == ["estimate_grid_subset", "spread_extrema"]
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
+def test_an_increasing_map_moves_only_the_answer(engine):
+    """Every step only compares values, so x -> 0.1 x + 7 (which leaves
+    float32, so the driver gossips float64) runs the same rounds, history
+    and retries and answers the mapped value."""
+    values = np.random.default_rng(3).permutation(2000).astype(float)
+    env = GossipEnv(engine=engine)
+    plain = exact_quantile(values, phi=0.5, rng=4, env=env)
+    mapped = exact_quantile(0.1 * values + 7.0, phi=0.5, rng=4, env=env)
+    assert mapped.value == 0.1 * plain.value + 7.0
+    assert mapped.rounds == plain.rounds
+    assert mapped.history == plain.history
+    assert (mapped.sandwich_retries, mapped.final_retries) == (
+        plain.sandwich_retries, plain.final_retries,
+    )
 
 
 def test_eps_iteration_knob(medium_values):
@@ -125,6 +175,28 @@ def test_final_query_lands_on_the_answer_copies():
             result = exact_quantile(values, phi=phi, rng=seed)
             assert result.value == empirical_quantile(values, phi)
             assert result.final_retries == 0, (seed, phi)
+
+
+def test_final_query_misses_raise(monkeypatch):
+    """A final query that never lands on a finite estimate raises after
+    ``max_retries`` retries instead of answering from the oracle.  At
+    φ = 0.5 every sandwich runs two lanes, so the final query is the only
+    one-lane approximation."""
+    real = exact_module.estimate_grid_subset
+    final_calls = []
+
+    def no_finite_final(array, targets, *args, **kwargs):
+        estimates, windows = real(array, targets, *args, **kwargs)
+        if len(targets) == 1:
+            final_calls.append(targets)
+            estimates = np.full_like(estimates, np.inf)
+        return estimates, windows
+
+    monkeypatch.setattr(exact_module, "estimate_grid_subset", no_finite_final)
+    values = distinct_uniform(256, rng=1)
+    with pytest.raises(ConvergenceError, match="final query missed the answer's copies 3 times"):
+        exact_quantile(values, phi=0.5, rng=1, max_retries=2)
+    assert len(final_calls) == 3
 
 
 def test_sandwich_miss_widens_eps():

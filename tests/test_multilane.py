@@ -7,12 +7,13 @@ lanes, and the per-round message accounting.
 """
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.approx_quantile import approximate_quantile
-from repro.core.exact_quantile import exact_quantile, rank_key_dtype
+from repro.core.exact_quantile import exact_quantile, value_dtype
 from repro.core.three_tournament import run_three_tournament
 from repro.core.tournament import (
     PullWindow,
@@ -196,7 +197,7 @@ def test_float32_lanes_follow_the_same_partner_stream():
 
 @pytest.mark.parametrize("engine", ["vectorized", "asyncio"])
 def test_exact_quantile_ignores_env_dtype(engine):
-    """The driver's keys are ranks in :func:`rank_key_dtype`, whatever the
+    """The driver gossips the values in :func:`value_dtype`, whatever the
     env says: float32 and float64 envs give the identical result."""
     values = np.random.default_rng(5).permutation(64).astype(float)
 
@@ -209,28 +210,38 @@ def test_exact_quantile_ignores_env_dtype(engine):
     assert run("float32") == run("float64")
 
 
-def test_rank_key_dtype_is_float32_below_2_pow_24():
-    """Every rank 1..n is exact in float32 up to n = 2**24 - 1; at 2**24
-    the keys switch to float64.  No gossip runs."""
-    assert rank_key_dtype(2 ** 24 - 1) == np.dtype(np.float32)
-    assert rank_key_dtype(2 ** 24) == np.dtype(np.float64)
-    assert float(np.float32(2 ** 24 - 1)) == 2 ** 24 - 1
-    assert float(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
+def test_value_dtype_is_the_narrowest_exact_float():
+    """float32 when every value survives the float32 cast, else float64;
+    a value beyond float32's range selects float64 without a warning."""
+    assert value_dtype(np.arange(-5.0, 1000.0)) == np.dtype(np.float32)
+    assert value_dtype(np.arange(-8.0, 8.0, 0.5)) == np.dtype(np.float32)
+    assert value_dtype(np.array([0.0, 2.0 ** 24])) == np.dtype(np.float32)
+    assert value_dtype(np.array([1.0, 0.1])) == np.dtype(np.float64)
+    assert value_dtype(np.array([1.0, 2.0 ** 24 + 1])) == np.dtype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert value_dtype(np.array([1.0, 1e39])) == np.dtype(np.float64)
 
 
-def test_exact_driver_gossips_float32_keys(monkeypatch):
-    """A spy on the sandwich rows and the Step-4 lanes at n = 4096: the
-    driver gossips float32 keys under the default float64 env."""
+@pytest.mark.parametrize("make,dtype", [
+    (lambda rng: rng.permutation(4096).astype(float), np.float32),
+    (lambda rng: rng.random(4096), np.float64),
+], ids=["permutation", "random"])
+def test_exact_driver_gossips_the_values(monkeypatch, make, dtype):
+    """A spy on the sandwich rows and the Step-4 lanes at n = 4096: under
+    the default float64 env the driver gossips float32 rows for integer
+    inputs and float64 rows for random floats, and the first sandwich's
+    rows are the node values themselves."""
     # the package re-exports the functions under the module names
     approx_module = importlib.import_module("repro.core.approx_quantile")
     exact_module = importlib.import_module("repro.core.exact_quantile")
-    row_dtypes, lane_dtypes = [], []
+    rows_seen, lane_dtypes = [], []
     build_rows = approx_module.lane_rows
     spread = exact_module.spread_extrema
 
     def spy_rows(values, dtype):
         rows = build_rows(values, dtype)
-        row_dtypes.append(rows.dtype)
+        rows_seen.append(rows.copy())
         return rows
 
     def spy_spread(values, **kwargs):
@@ -240,14 +251,15 @@ def test_exact_driver_gossips_float32_keys(monkeypatch):
 
     monkeypatch.setattr(approx_module, "lane_rows", spy_rows)
     monkeypatch.setattr(exact_module, "spread_extrema", spy_spread)
-    values = np.random.default_rng(5).permutation(4096).astype(float)
+    values = make(np.random.default_rng(5))
     result = exact_quantile(values, phi=0.3, rng=17)
     assert result.value == float(np.sort(values)[1228])
     # one sandwich per pass plus the final query
-    assert len(row_dtypes) >= result.iterations + 1
-    assert set(row_dtypes) == {np.dtype(np.float32)}
+    assert len(rows_seen) >= result.iterations + 1
+    assert {rows.dtype for rows in rows_seen} == {np.dtype(dtype)}
+    assert all(np.array_equal(row, values) for row in rows_seen[0])
     assert len(lane_dtypes) >= result.iterations
-    assert set(lane_dtypes) == {(np.dtype(np.float32), np.dtype(np.float32))}
+    assert set(lane_dtypes) == {(np.dtype(dtype), np.dtype(dtype))}
 
 
 def test_unsupported_dtype_rejected():

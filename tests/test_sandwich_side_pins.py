@@ -110,30 +110,60 @@ def _env(engine, mu):
 #   small 0.998/0.3: 881f16497095fd94 / 521 → 0671e2ea0903b052 / 616
 #   small 1.0/0.0: d8e1f5cdf2728b7b / 273 → fb549d9067305f34 / 316
 #   small 1.0/0.3: e9f06880c862e7a7 / 491 → be67630abbcb596c / 590
+#
+# Re-pinned again when the driver began gossiping the node values instead
+# of rank keys.  Step 4 now always spreads two lanes (a side without a
+# tournament lane spreads the nodes' own values), so in every one-sided
+# iteration each Step-4 message carries one more 64-bit lane: only
+# ``total_bits`` moves.  Value, rounds, history and retries are unchanged,
+# except small 0.998/0.0: its second sandwich spreads min == max, so the
+# driver answers there (the new lo == hi stop) with no count, no tokens
+# and no final query: the same value in 223 rounds instead of 321, and the
+# history loses iteration 2.  Small 1.0/0.3 stops the same way at its third
+# sandwich (590 → 475 rounds, the history loses iteration 3): 211 of the
+# 512 upper estimates there are +inf, above every held value, so those
+# nodes spread their own values, and Step 4's max is the global max, which
+# is the answer and also Step 4's min.  Old → new:
+#   side 0.0/0.0: 6bb86ade90cea2ab / 394 → 4cf2bdf292ef2efe / 394
+#   side 0.0/0.3: 578aec873ea71e59 / 508 → 97090ba444c8c077 / 508
+#   side 0.002/0.0: 693cb4b14a7bc5a0 / 378 → ae06c6dd6d8570b5 / 378
+#   side 0.002/0.3: 9392af5b489a8fbd / 511 → 920d62e8a7e8fff3 / 511
+#   side 0.998/0.0: 5a50d98503276ce8 / 409 → 0989bd13da868d63 / 409
+#   side 0.998/0.3: 70c9c3da34de605a / 515 → 45f55843ffed4932 / 515
+#   side 1.0/0.0: 415981cb9857d68b / 348 → ccebe9eb1b03664b / 348
+#   side 1.0/0.3: b56a360889213712 / 478 → 5c48bcb953f5e24d / 478
+#   small 0.0/0.0: b2df6dc8905243c1 / 333 → a6115e837f852843 / 333
+#   small 0.0/0.3: c85d7c5dabdca6a6 / 706 → 5c441cbc5ca9428e / 706
+#   small 0.002/0.0: 9260fffd7411b1d3 / 357 → aed0550bd8793ad3 / 357
+#   small 0.002/0.3: 9b6f824dc75c2129 / 650 → 7e7fe668855b9511 / 650
+#   small 0.998/0.0: f440a996e1c4e661 / 321 → dcaa180c96b4bb3e / 223
+#   small 0.998/0.3: 0671e2ea0903b052 / 616 → 14c668559fb1e078 / 616
+#   small 1.0/0.0: fb549d9067305f34 / 316 → 713a269059c9ce27 / 316
+#   small 1.0/0.3: be67630abbcb596c / 590 → 9326a123d6dbeda3 / 475
 
 EXACT_SIDE_PINS = {
-    ("vectorized", 0.0, 0.0): ("6bb86ade90cea2ab", 0.2944940824465281, 394),
-    ("vectorized", 0.0, 0.3): ("578aec873ea71e59", 0.2944940824465281, 508),
-    ("vectorized", 0.002, 0.0): ("693cb4b14a7bc5a0", 1.5050135063167103, 378),
-    ("vectorized", 0.002, 0.3): ("9392af5b489a8fbd", 1.5050135063167103, 511),
-    ("vectorized", 0.998, 0.0): ("5a50d98503276ce8", 998.934366292964, 409),
-    ("vectorized", 0.998, 0.3): ("70c9c3da34de605a", 998.934366292964, 515),
-    ("vectorized", 1.0, 0.0): ("415981cb9857d68b", 999.9282631809398, 348),
-    ("vectorized", 1.0, 0.3): ("b56a360889213712", 999.9282631809398, 478),
+    ("vectorized", 0.0, 0.0): ("4cf2bdf292ef2efe", 0.2944940824465281, 394),
+    ("vectorized", 0.0, 0.3): ("97090ba444c8c077", 0.2944940824465281, 508),
+    ("vectorized", 0.002, 0.0): ("ae06c6dd6d8570b5", 1.5050135063167103, 378),
+    ("vectorized", 0.002, 0.3): ("920d62e8a7e8fff3", 1.5050135063167103, 511),
+    ("vectorized", 0.998, 0.0): ("0989bd13da868d63", 998.934366292964, 409),
+    ("vectorized", 0.998, 0.3): ("45f55843ffed4932", 998.934366292964, 515),
+    ("vectorized", 1.0, 0.0): ("ccebe9eb1b03664b", 999.9282631809398, 348),
+    ("vectorized", 1.0, 0.3): ("5c48bcb953f5e24d", 999.9282631809398, 478),
 }
 
 # The vectorized engine on the small case's inputs (n = 512).  These
 # values were first recorded on the per-node loop engine, which every
 # exact-driver substrate matched bit for bit.
 SMALL_CASE_VECTORIZED_PINS = {
-    (0.0, 0.0): ("b2df6dc8905243c1", 0.06693515352629298, 333),
-    (0.0, 0.3): ("c85d7c5dabdca6a6", 0.06693515352629298, 706),
-    (0.002, 0.0): ("9260fffd7411b1d3", 0.2951516316959113, 357),
-    (0.002, 0.3): ("9b6f824dc75c2129", 0.2951516316959113, 650),
-    (0.998, 0.0): ("f440a996e1c4e661", 998.1379607722837, 321),
-    (0.998, 0.3): ("0671e2ea0903b052", 998.1379607722837, 616),
-    (1.0, 0.0): ("fb549d9067305f34", 998.7113635876004, 316),
-    (1.0, 0.3): ("be67630abbcb596c", 998.7113635876004, 590),
+    (0.0, 0.0): ("a6115e837f852843", 0.06693515352629298, 333),
+    (0.0, 0.3): ("5c441cbc5ca9428e", 0.06693515352629298, 706),
+    (0.002, 0.0): ("aed0550bd8793ad3", 0.2951516316959113, 357),
+    (0.002, 0.3): ("7e7fe668855b9511", 0.2951516316959113, 650),
+    (0.998, 0.0): ("dcaa180c96b4bb3e", 998.1379607722837, 223),
+    (0.998, 0.3): ("14c668559fb1e078", 998.1379607722837, 616),
+    (1.0, 0.0): ("713a269059c9ce27", 998.7113635876004, 316),
+    (1.0, 0.3): ("9326a123d6dbeda3", 998.7113635876004, 475),
 }
 
 EXACT_CASES = {"vectorized": (2000, 47, 17), "small": (512, 48, 18)}
